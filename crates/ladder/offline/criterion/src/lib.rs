@@ -1,0 +1,1 @@
+//! Empty on purpose: this crate only has to resolve (see Cargo.toml).
