@@ -5,9 +5,10 @@ use cip_contact::DtreeFilter;
 use cip_core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
 use cip_dtree::{induce, DtreeConfig};
 use cip_partition::{partition_kway, PartitionerConfig};
-use cip_runtime::{build_decomposition, execute_step, StepInput};
+use cip_runtime::{build_decomposition, execute_steps, ExecOptions, StepInput};
 use cip_sim::SimConfig;
 use cip_telemetry::Recorder;
+use cip_transport::InProcess;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -51,17 +52,19 @@ fn bench_step(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             let filter = DtreeFilter::new(&tree, k);
+            let step = [StepInput {
+                decomposition: &decomposition,
+                positions: &view.mesh.points,
+                elements: &elements,
+                bodies: &bodies,
+                filter: &filter,
+                tolerance: 0.4,
+                recorder: Recorder::disabled(),
+            }];
+            let opts = ExecOptions::default();
             b.iter(|| {
-                black_box(execute_step(&StepInput {
-                    decomposition: &decomposition,
-                    positions: &view.mesh.points,
-                    elements: &elements,
-                    bodies: &bodies,
-                    filter: &filter,
-                    tolerance: 0.4,
-                    recorder: Recorder::disabled(),
-                }))
-                .expect("step executes")
+                black_box(execute_steps(&step, &[], &opts, None, &InProcess))
+                    .expect("step executes")
             });
         });
     }

@@ -29,11 +29,11 @@ use cip_dtree::{induce, DtreeConfig};
 use cip_partition::rb::multilevel_bisect;
 use cip_partition::{partition_kway, PartitionerConfig};
 use cip_runtime::{
-    build_decomposition, execute_step, execute_step_with, ExecOptions, FaultInjector, FaultPlan,
-    StepInput,
+    build_decomposition, execute_steps, ExecOptions, FaultInjector, FaultPlan, StepInput,
 };
 use cip_sim::SimConfig;
 use cip_telemetry::Recorder;
+use cip_transport::InProcess;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -92,22 +92,27 @@ fn bench_step(c: &mut Criterion) {
     let tree = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
     let filter = DtreeFilter::new(&tree, k);
 
+    let step = |recorder: Recorder| {
+        [StepInput {
+            decomposition: &decomposition,
+            positions: &view.mesh.points,
+            elements: &elements,
+            bodies: &bodies,
+            filter: &filter,
+            tolerance: 0.4,
+            recorder,
+        }]
+    };
+    let opts = ExecOptions::default();
     let mut group = c.benchmark_group("execute_step");
     group.sample_size(10);
     for (label, recorder) in [("disabled", Recorder::disabled()), ("enabled", Recorder::enabled())]
     {
+        let step = step(recorder);
         group.bench_function(label, |b| {
             b.iter(|| {
-                black_box(execute_step(&StepInput {
-                    decomposition: &decomposition,
-                    positions: &view.mesh.points,
-                    elements: &elements,
-                    bodies: &bodies,
-                    filter: &filter,
-                    tolerance: 0.4,
-                    recorder: recorder.clone(),
-                }))
-                .expect("step executes")
+                black_box(execute_steps(&step, &[], &opts, None, &InProcess))
+                    .expect("step executes")
             })
         });
     }
@@ -116,22 +121,12 @@ fn bench_step(c: &mut Criterion) {
         ("fault_armed_quiet", FaultInjector::with_plan(FaultPlan::quiet(7))),
     ];
     for (label, fault) in armed {
-        let opts = ExecOptions { fault: fault.clone(), ..ExecOptions::default() };
+        let step = step(Recorder::disabled());
+        let faults = [fault];
         group.bench_function(label, |b| {
             b.iter(|| {
-                black_box(execute_step_with(
-                    &StepInput {
-                        decomposition: &decomposition,
-                        positions: &view.mesh.points,
-                        elements: &elements,
-                        bodies: &bodies,
-                        filter: &filter,
-                        tolerance: 0.4,
-                        recorder: Recorder::disabled(),
-                    },
-                    &opts,
-                ))
-                .expect("step executes")
+                black_box(execute_steps(&step, &faults, &opts, None, &InProcess))
+                    .expect("step executes")
             })
         });
     }

@@ -10,8 +10,9 @@ use cip_contact::DtreeFilter;
 use cip_core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
 use cip_dtree::{induce, DtreeConfig};
 use cip_partition::{diffusion_repartition, partition_kway, PartitionerConfig};
-use cip_runtime::{build_decomposition, build_migration, execute_step, StepInput};
+use cip_runtime::{build_decomposition, build_migration, execute_steps, ExecOptions, StepInput};
 use cip_sim::SimResult;
+use cip_transport::InProcess;
 use serde::Serialize;
 
 #[derive(Serialize, Default)]
@@ -69,7 +70,7 @@ fn run_policy(sim: &SimResult, k: usize, hybrid_period: Option<usize>) -> Totals
         let labels = view.contact.labels_from_node_parts(&node_parts);
         let tree = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
         let filter = DtreeFilter::new(&tree, k);
-        let out = execute_step(&StepInput {
+        let input = StepInput {
             decomposition: &decomposition,
             positions: &view.mesh.points,
             elements: &elements,
@@ -77,8 +78,10 @@ fn run_policy(sim: &SimResult, k: usize, hybrid_period: Option<usize>) -> Totals
             filter: &filter,
             tolerance: 0.4,
             recorder: cip_telemetry::Recorder::disabled(),
-        })
-        .expect("step executes without injected faults");
+        };
+        let out = execute_steps(&[input], &[], &ExecOptions::default(), None, &InProcess)
+            .expect("step executes without injected faults")
+            .remove(0);
         assert_eq!(out.ghost_mismatches, 0);
         totals.halo += out.traffic.total_halo();
         totals.shipments += out.traffic.total_shipments();

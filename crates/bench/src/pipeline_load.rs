@@ -1,10 +1,9 @@
-//! Shared multi-step workload for the pipelined-executor benchmarks.
+//! Multi-step workload for the step-executor benchmark.
 //!
-//! Both `benches/exec_pipeline.rs` and the `runtime_snapshot` CI binary
-//! need the same thing: an owned batch of step inputs whose per-rank
-//! load is deliberately *skewed*, because a pipelined schedule only pays
-//! off when some ranks finish their step early and would otherwise sit
-//! at a barrier waiting for the straggler. The scenario is a 1D chain of
+//! `benches/exec_pipeline.rs` needs an owned batch of step inputs whose
+//! per-rank load is deliberately *skewed*, because sending ahead only
+//! pays off when some ranks finish their step early and would otherwise
+//! sit idle waiting for the straggler. The scenario is a 1D chain of
 //! surface boxes drifting a little each step, with rank 0 owning a
 //! configurable fraction of the chain and the remaining ranks splitting
 //! the rest evenly.

@@ -1,46 +1,48 @@
-//! The threaded step executor.
+//! The step executor's vocabulary: the messages ranks exchange, the
+//! traffic they are measured by, the step input/output types, the
+//! execution options, and the send/receive primitives the rank loop in
+//! [`crate::pipeline`] is built from.
 //!
-//! One OS thread per rank, one crossbeam channel per rank, no shared
-//! mutable state: ranks exchange halo values and surface elements as
-//! explicit messages, then run their local contact search. Because the
-//! element messages carry everything the receiver needs (bounding box,
-//! owner, body), the halo and shipment phases need no barrier — each rank
-//! streams all its sends, then drains its inbox until every peer's `Done`
-//! marker has arrived.
+//! One OS thread per rank, one inbox per rank, no shared mutable state:
+//! ranks exchange halo values and surface elements as explicit messages,
+//! then run their local contact search. Because the element messages
+//! carry everything the receiver needs (bounding box, owner, body), the
+//! halo and shipment phases need no barrier — each rank streams a step's
+//! sends and searches that step as soon as every peer's `Done` trailer
+//! for it has arrived.
 //!
-//! The executor is fault tolerant (see DESIGN.md §6c). Every payload
-//! message carries a per-`(from, to)` sequence number and every `Done`
-//! marker carries the count of payloads the sender first-transmitted to
-//! that receiver, so a draining rank can *detect* loss and duplication
-//! instead of miscounting, and repair loss with a `Resend` request served
-//! from the sender's history buffer. Draining is bounded by
-//! [`ExecOptions::timeout`] with [`ExecOptions::retries`] repair rounds;
-//! peers still unaccounted for after that are declared dead and the step
-//! returns [`RuntimeError::RankLost`] with the survivors' partial output,
-//! so the driver can repartition over the survivors and re-execute. All
-//! of this lives behind [`FaultInjector`]: with the injector disabled
-//! (the default) the send path is byte-for-byte the old streaming loop
-//! plus one `Option` discriminant test per message, and the drain loop
-//! needs no history, no dedup bitmap, and no completion round.
+//! The protocol is fault tolerant (DESIGN.md §6c). Every payload
+//! message carries a per-`(from, to, step)` sequence number and every
+//! `Done` marker carries the count of payloads the sender
+//! first-transmitted to that receiver, so a draining rank can *detect*
+//! loss and duplication instead of miscounting, and repair loss with a
+//! `Resend` request served from the sender's history buffer. Draining is
+//! bounded by [`ExecOptions::timeout`] with [`ExecOptions::retries`]
+//! repair rounds; peers still unaccounted for after that are declared
+//! dead and the batch fails with [`crate::RuntimeError::RankLost`]
+//! carrying the survivors' partial output, so the driver can repartition
+//! over the survivors and re-execute. All of this lives behind
+//! [`FaultInjector`]: with a step's injector disabled (the default) the
+//! send path is the plain streaming loop plus one `Option` discriminant
+//! test per message, and the receive side needs no history, no dedup
+//! bitmap, and no completion round.
 
 use crate::fault::{Fate, FaultInjector};
 use crate::plan::{Decomposition, RankPlan};
-use crate::RuntimeError;
 use cip_contact::{
     find_contact_pairs, find_contact_pairs_cached, ContactPair, GlobalFilter, SearchCache,
     SurfaceElementInfo,
 };
 use cip_geom::{Aabb, Point};
 use cip_telemetry::Recorder;
-use cip_transport::{InProcess, Mailbox, MailboxConfig, RecvTimeoutError, Transport};
+use cip_transport::{Mailbox, MailboxConfig, RecvTimeoutError};
 use std::time::Duration;
 
 /// Inter-rank message.
 ///
 /// Every variant carries the batch-local `step` it belongs to, so a
-/// pipelined receiver can partition one inbox by step (the barrier
-/// executor runs one step at a time and always tags 0). Sequence numbers
-/// are per `(from, to, step)`. The type is public because it crosses
+/// receiver can partition one inbox by step. Sequence numbers are per
+/// `(from, to, step)`. The type is public because it crosses
 /// process boundaries: `cip_transport::Wire` is implemented for it in
 /// [`crate::wire`].
 #[derive(Debug, Clone, PartialEq)]
@@ -91,21 +93,20 @@ pub enum Msg {
         /// Missing sequence numbers.
         seqs: Vec<u64>,
     },
-    /// Chaos-mode barrier: the sender has received everything it expects
-    /// and will need no further resends (only used with an armed
-    /// [`FaultInjector`]). The barrier executor runs one round per step;
-    /// the pipelined executor runs one per batch.
+    /// Chaos-mode completion round: the sender has received everything
+    /// it expects and will need no further resends (only used with an
+    /// armed [`FaultInjector`]; one round per batch).
     Complete {
         /// Sending rank.
         from: u32,
     },
-    /// Overlapped-repartition hand-off (DESIGN.md §6f): the nodes this
-    /// rank surrenders to the receiver under an accepted
-    /// [`crate::MigrationPlan`]. Spliced in front of a pipelined batch as
-    /// a tagged stage, so the decomposition flip rides the normal message
-    /// schedule instead of a driver barrier. Control-plane: never routed
-    /// through fault injection and never counted as payload traffic, so
-    /// the fate stream stays bit-identical to the barrier oracle.
+    /// Repartition hand-off (DESIGN.md §6c): the nodes this rank
+    /// surrenders to the receiver under an accepted
+    /// [`crate::MigrationPlan`]. Spliced in front of a batch as a tagged
+    /// stage, so the decomposition flip rides the normal message schedule
+    /// instead of a driver barrier. Control-plane: never routed through
+    /// fault injection and never counted as payload traffic, so a step's
+    /// fate stream does not depend on whether a stage precedes it.
     Migrate {
         /// Sending rank (the old owner).
         from: u32,
@@ -200,7 +201,7 @@ pub struct StepInput<'a, F: GlobalFilter<3> + Sync> {
     pub tolerance: f64,
     /// Telemetry sink. Disabled by default-constructed recorders; when
     /// enabled, every rank thread binds chrome-trace lane `rank` and emits
-    /// `exec.halo` / `exec.ship` / `exec.drain` / `exec.search` spans plus
+    /// `exec.halo` / `exec.ship` / `exec.search` / `exec.idle` spans plus
     /// per-message histograms (see DESIGN.md §6).
     pub recorder: Recorder,
 }
@@ -217,49 +218,9 @@ pub struct StepOutput {
     pub ghost_mismatches: usize,
 }
 
-/// How a batch of steps is scheduled across the rank threads (see
-/// [`crate::execute_steps_with`] and DESIGN.md §6d).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// One thread spawn + join per step: every rank waits for every other
-    /// rank at every step boundary. The oracle the pipelined schedule is
-    /// proven bit-identical against.
-    Barrier,
-    /// Dependency-driven: rank threads persist across the batch, a rank
-    /// starts its step-`s` contact search as soon as *its* inbound halos
-    /// and shipments for `s` have drained, and its step `s + lookahead`
-    /// sends may begin while stragglers are still finishing step `s`.
-    Pipelined {
-        /// How many steps a rank's sends may run ahead of its completed
-        /// drains (clamped to at least 1; 1–2 is the useful range).
-        lookahead: usize,
-    },
-}
-
-impl Schedule {
-    /// The default pipelined schedule (lookahead 2).
-    pub fn pipelined() -> Self {
-        Self::Pipelined { lookahead: 2 }
-    }
-}
-
-/// How the driver schedules periodic repartitions relative to the step
-/// loop (DESIGN.md §6f).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepartitionMode {
-    /// Stop-the-world: drain the batch, plan the repartition serially,
-    /// apply it, then start the next batch. The bit-identity oracle for
-    /// the overlapped path.
-    Barrier,
-    /// Plan the repartition for the next boundary on a background thread
-    /// while the current batch executes, and splice the executed
-    /// migration into the next batch as a [`Msg::Migrate`] stage.
-    #[default]
-    Overlapped,
-}
-
-/// Execution policy: drain timeout, repair budget, fault injection,
-/// batch schedule.
+/// Execution policy of the step executor: drain timeout, repair budget,
+/// lookahead window, lane capacity. Fault injection travels separately,
+/// one [`FaultInjector`] per step of a batch.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// How long a draining rank waits for any message before starting a
@@ -268,38 +229,20 @@ pub struct ExecOptions {
     pub timeout: Duration,
     /// Repair rounds before silent peers are declared dead.
     pub retries: u32,
-    /// Fault injection plan; [`FaultInjector::none`] by default.
-    pub fault: FaultInjector,
-    /// How [`crate::execute_steps_with`] schedules a batch of steps
-    /// (single-step [`execute_step_with`] is always a barrier). Defaults
-    /// to [`Schedule::pipelined`].
-    pub schedule: Schedule,
+    /// How many steps a rank's sends may run ahead of its completed
+    /// drains (floored at 1; 1–2 is the useful range). At 1 a rank
+    /// finishes step `s` before it sends step `s + 1`.
+    pub lookahead: usize,
     /// Bounded capacity of every transport lane (clamped to ≥ 1). The
     /// mailbox send path stays deadlock-free at any capacity — see
     /// `cip_transport::mailbox` — so this is purely a memory/backpressure
     /// knob.
     pub mailbox_capacity: usize,
-    /// Largest step batch the driver hands the executor at once (clamped
-    /// to ≥ 1 by consumers). Batch length and repartition period tune
-    /// together: a batch never spans a repartition boundary.
-    pub max_batch: usize,
-    /// Whether the driver plans repartitions behind the running batch
-    /// ([`RepartitionMode::Overlapped`], the default) or at a full stop
-    /// ([`RepartitionMode::Barrier`], the oracle).
-    pub repartition_mode: RepartitionMode,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        Self {
-            timeout: Duration::from_secs(5),
-            retries: 3,
-            fault: FaultInjector::none(),
-            schedule: Schedule::pipelined(),
-            mailbox_capacity: 256,
-            max_batch: 8,
-            repartition_mode: RepartitionMode::default(),
-        }
+        Self { timeout: Duration::from_secs(5), retries: 3, lookahead: 2, mailbox_capacity: 256 }
     }
 }
 
@@ -308,104 +251,11 @@ impl ExecOptions {
     pub(crate) fn mailbox_config(&self, rec: &Recorder) -> MailboxConfig {
         MailboxConfig { capacity: self.mailbox_capacity.max(1), recorder: rec.clone() }
     }
-
-    /// A validating builder over the defaults. Where the executors
-    /// silently clamp (`max_batch`, `mailbox_capacity`, lookahead are
-    /// all floored at 1 on the hot path), the builder **rejects** the
-    /// out-of-range value instead, so every front end — CLI flags, job
-    /// server submissions — shares one validation path and one error
-    /// message per mistake.
-    pub fn builder() -> ExecOptionsBuilder {
-        ExecOptionsBuilder { opts: Self::default() }
-    }
 }
 
-/// Builder for [`ExecOptions`]; see [`ExecOptions::builder`].
-#[derive(Debug, Clone)]
-pub struct ExecOptionsBuilder {
-    opts: ExecOptions,
-}
-
-impl ExecOptionsBuilder {
-    /// Drain timeout before a repair round starts.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.opts.timeout = timeout;
-        self
-    }
-
-    /// Repair rounds before silent peers are declared dead.
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.opts.retries = retries;
-        self
-    }
-
-    /// Fault injection plan.
-    pub fn fault(mut self, fault: FaultInjector) -> Self {
-        self.opts.fault = fault;
-        self
-    }
-
-    /// Batch schedule ([`Schedule::Barrier`] or [`Schedule::Pipelined`]).
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.opts.schedule = schedule;
-        self
-    }
-
-    /// Bounded capacity of every transport lane.
-    pub fn mailbox_capacity(mut self, capacity: usize) -> Self {
-        self.opts.mailbox_capacity = capacity;
-        self
-    }
-
-    /// Largest step batch handed to the executor at once.
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.opts.max_batch = max_batch;
-        self
-    }
-
-    /// Repartition-boundary handling.
-    pub fn repartition_mode(mut self, mode: RepartitionMode) -> Self {
-        self.opts.repartition_mode = mode;
-        self
-    }
-
-    /// Validates and produces the options.
-    pub fn build(self) -> Result<ExecOptions, crate::ConfigError> {
-        let o = &self.opts;
-        if o.timeout.is_zero() {
-            return Err(crate::ConfigError {
-                field: "timeout",
-                reason: "drain timeout must be positive".to_string(),
-            });
-        }
-        if o.mailbox_capacity < 1 {
-            return Err(crate::ConfigError {
-                field: "mailbox_capacity",
-                reason: "every transport lane needs capacity >= 1".to_string(),
-            });
-        }
-        if o.max_batch < 1 {
-            return Err(crate::ConfigError {
-                field: "max_batch",
-                reason: "a batch covers at least one step".to_string(),
-            });
-        }
-        if let Schedule::Pipelined { lookahead } = o.schedule {
-            if lookahead < 1 {
-                return Err(crate::ConfigError {
-                    field: "schedule",
-                    reason: "pipelined lookahead must be >= 1".to_string(),
-                });
-            }
-        }
-        Ok(self.opts)
-    }
-}
-
-/// Per-destination chaos bookkeeping on the send side. The barrier
-/// executor holds one per step; the pipelined executor one per batch
-/// step (histories are retained until the batch's completion round, so
-/// any step can still be repaired).
+/// Per-destination chaos bookkeeping on the send side, one per armed
+/// step of a batch (histories are retained until the batch's completion
+/// round, so any step can still be repaired).
 pub(crate) struct ChaosState {
     /// Every first-transmitted payload, indexed `[dest][seq]` — the
     /// resend service replays from here, bypassing injection.
@@ -532,317 +382,13 @@ pub struct RankResult {
     pub ghost_mismatches: usize,
 }
 
-/// How one rank thread ended.
-enum RankOutcome {
-    /// Full protocol run: all peers accounted for.
-    Completed(RankResult),
-    /// Killed by the fault plan mid-step; produced nothing.
-    Dead,
-    /// Timed out on `dead` peers after exhausting the repair budget;
-    /// `partial` covers what was sent and received before giving up.
-    Lost { partial: RankResult, dead: Vec<u32> },
-}
-
-/// One rank's full step: stream sends, drain with repair, local search.
-fn run_rank<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
-    r: usize,
-    k: usize,
-    plan: &RankPlan,
-    input: &StepInput<'_, F>,
-    opts: &ExecOptions,
-    mb: &mut MB,
-) -> RankOutcome {
-    let me = r as u32;
-    let rec = &input.recorder;
-    rec.set_lane(me);
-    let fault = &opts.fault;
-    let mut st = if fault.is_active() { Some(ChaosState::new(k)) } else { None };
-    let mut halo_sent = vec![0u64; k];
-    let mut shipments_sent = vec![0u64; k];
-    let mut sent_to = vec![0u64; k];
-    let mut halo_msgs = 0u64;
-    let mut done_msgs = 0u64;
-    let mut payload_sends = 0u64;
-
-    // ---- Send halo values. --------------------------------------------
-    {
-        let _span = rec.span("exec.halo").attr("rank", me);
-        for (dest, nodes) in &plan.send_halo {
-            if fault.should_kill(me, payload_sends) {
-                rec.add("fault.killed_ranks", 1);
-                return RankOutcome::Dead;
-            }
-            let dest = *dest as usize;
-            let values: Vec<(u32, Point<3>)> =
-                nodes.iter().map(|&n| (n, input.positions[n as usize])).collect();
-            halo_sent[dest] += values.len() as u64;
-            halo_msgs += 1;
-            rec.record("exec.halo_msg_nodes", values.len() as u64);
-            let msg = Msg::Halo { from: me, step: 0, seq: sent_to[dest], values };
-            sent_to[dest] += 1;
-            payload_sends += 1;
-            match st.as_mut() {
-                None => mb.send(dest, msg),
-                Some(st) => chaos_send(st, mb, fault, rec, me, dest, msg),
-            }
-        }
-    }
-
-    // ---- Ship owned surface elements per the filter. ------------------
-    {
-        let mut span =
-            rec.span("exec.ship").attr("rank", me).attr("owned", plan.owned_surface.len());
-        let mut candidates = Vec::new();
-        for &e in &plan.owned_surface {
-            let el = &input.elements[e as usize];
-            debug_assert_eq!(el.owner, me);
-            input.filter.candidate_parts(&el.bbox.inflate(input.tolerance), &mut candidates);
-            for &dest in candidates.iter() {
-                if dest == me {
-                    continue;
-                }
-                if fault.should_kill(me, payload_sends) {
-                    rec.add("fault.killed_ranks", 1);
-                    return RankOutcome::Dead;
-                }
-                let dest = dest as usize;
-                shipments_sent[dest] += 1;
-                let msg = Msg::Element {
-                    from: me,
-                    step: 0,
-                    seq: sent_to[dest],
-                    id: e,
-                    bbox: el.bbox,
-                    body: input.bodies[e as usize],
-                };
-                sent_to[dest] += 1;
-                payload_sends += 1;
-                match st.as_mut() {
-                    None => mb.send(dest, msg),
-                    Some(st) => chaos_send(st, mb, fault, rec, me, dest, msg),
-                }
-            }
-        }
-        // A kill scheduled past the rank's last payload fires here, so
-        // the `Done` markers go out all-or-nothing: survivors always see
-        // a dead rank as "no trailer", never a half-announced one.
-        if fault.should_kill(me, payload_sends) {
-            rec.add("fault.killed_ranks", 1);
-            return RankOutcome::Dead;
-        }
-        if let Some(st) = st.as_mut() {
-            for dest in 0..k {
-                if let Some(m) = st.held[dest].take() {
-                    mb.send(dest, m);
-                }
-            }
-        }
-        for (dest, &sent) in sent_to.iter().enumerate() {
-            if dest != r {
-                mb.send(dest, Msg::Done { from: me, step: 0, sent });
-                done_msgs += 1;
-            }
-        }
-        // Delayed messages go out *after* the trailers: the receiver sees
-        // the gap first, then the late arrival (or its requested resend,
-        // whichever lands first — the dedup bitmap absorbs the other).
-        if let Some(st) = st.as_mut() {
-            for dest in 0..k {
-                for m in st.delayed[dest].drain(..) {
-                    mb.send(dest, m);
-                }
-            }
-        }
-        span.set_attr("shipped", shipments_sent.iter().sum::<u64>());
-    }
-
-    // ---- Drain the inbox until every peer is accounted for. -----------
-    let mut ghost_mismatches = 0usize;
-    let mut received: Vec<(u32, Aabb<3>, u16)> = Vec::new();
-    let mut lost: Option<Vec<u32>> = None;
-    {
-        let mut span = rec.span("exec.drain").attr("rank", me);
-        match st.as_mut() {
-            None => {
-                // Fast path: nothing is ever dropped, so payloads precede
-                // their sender's `Done` (per-sender FIFO) and a silent
-                // peer is a dead peer — no repair round can help.
-                let mut done_from = vec![false; k];
-                done_from[r] = true;
-                let mut done = 1usize;
-                while done < k {
-                    match recv_or_idle(rec, mb, opts.timeout) {
-                        Ok(Msg::Halo { from, values, .. }) => {
-                            debug_assert_ne!(from, me, "rank sent halo to itself");
-                            for (node, pos) in values {
-                                // The "physics oracle" is global in this
-                                // harness, so a correct halo exchange
-                                // delivers exactly the oracle value.
-                                if input.positions[node as usize] != pos {
-                                    ghost_mismatches += 1;
-                                }
-                            }
-                        }
-                        Ok(Msg::Element { from, id, bbox, body, .. }) => {
-                            debug_assert_ne!(from, me, "rank shipped an element to itself");
-                            received.push((id, bbox, body));
-                        }
-                        Ok(Msg::Done { from, .. }) => {
-                            debug_assert_ne!(from, me, "rank signalled itself done");
-                            let from = from as usize;
-                            if !done_from[from] {
-                                done_from[from] = true;
-                                done += 1;
-                            }
-                        }
-                        // A barrier step has no migrate stage to serve
-                        // (DESIGN.md §6f): the decomposition flip
-                        // already happened driver-side.
-                        Ok(Msg::Resend { .. } | Msg::Complete { .. } | Msg::Migrate { .. }) => {}
-                        Err(_) => {
-                            let dead: Vec<u32> =
-                                (0..k).filter(|&p| !done_from[p]).map(|p| p as u32).collect();
-                            lost = Some(dead);
-                            break;
-                        }
-                    }
-                }
-            }
-            Some(st) => {
-                // Chaos path: count trailers + sequence gaps + resend
-                // repair, closed by a completion round so no rank leaves
-                // while a peer might still need its history.
-                let mut exp: Vec<Option<u64>> = vec![None; k];
-                let mut got = vec![0u64; k];
-                let mut seen: Vec<Vec<bool>> = vec![Vec::new(); k];
-                let mut completed = vec![false; k];
-                exp[r] = Some(0);
-                completed[r] = true;
-                let mut complete_sent = false;
-                let mut retries_left = opts.retries;
-                loop {
-                    let data_ok = (0..k).all(|p| matches!(exp[p], Some(e) if got[p] >= e));
-                    if data_ok && !complete_sent {
-                        for dest in 0..k {
-                            if dest != r {
-                                mb.send(dest, Msg::Complete { from: me });
-                            }
-                        }
-                        complete_sent = true;
-                    }
-                    if complete_sent && completed.iter().all(|&c| c) {
-                        break;
-                    }
-                    match recv_or_idle(rec, mb, opts.timeout) {
-                        Ok(Msg::Halo { from, seq, values, .. }) => {
-                            if mark_new(&mut seen[from as usize], seq) {
-                                got[from as usize] += 1;
-                                for (node, pos) in values {
-                                    if input.positions[node as usize] != pos {
-                                        ghost_mismatches += 1;
-                                    }
-                                }
-                            } else {
-                                rec.add("recovery.dup_dropped", 1);
-                            }
-                        }
-                        Ok(Msg::Element { from, seq, id, bbox, body, .. }) => {
-                            if mark_new(&mut seen[from as usize], seq) {
-                                got[from as usize] += 1;
-                                received.push((id, bbox, body));
-                            } else {
-                                rec.add("recovery.dup_dropped", 1);
-                            }
-                        }
-                        Ok(Msg::Done { from, sent, .. }) => {
-                            let f = from as usize;
-                            exp[f] = Some(sent);
-                            if got[f] < sent {
-                                rec.add("recovery.resend_requests", 1);
-                                let seqs = missing_seqs(&seen[f], sent);
-                                mb.send(f, Msg::Resend { from: me, step: 0, seqs });
-                            }
-                        }
-                        Ok(Msg::Resend { from, seqs, .. }) => {
-                            let f = from as usize;
-                            for s in seqs {
-                                if let Some(m) = st.history[f].get(s as usize).cloned() {
-                                    rec.add("recovery.resent", 1);
-                                    mb.send(f, m);
-                                }
-                            }
-                        }
-                        Ok(Msg::Complete { from }) => {
-                            completed[from as usize] = true;
-                        }
-                        // Control-plane migrate stages are outside the
-                        // payload sequence space and a barrier step has
-                        // no stage to serve (DESIGN.md §6f).
-                        Ok(Msg::Migrate { .. }) => {}
-                        Err(_) => {
-                            if retries_left == 0 {
-                                let mut dead: Vec<u32> = (0..k)
-                                    .filter(|&p| !matches!(exp[p], Some(e) if got[p] >= e))
-                                    .map(|p| p as u32)
-                                    .collect();
-                                if dead.is_empty() {
-                                    // Data-satisfied but the completion
-                                    // round stalled: the uncompleted peers
-                                    // are the ones in trouble.
-                                    dead = (0..k)
-                                        .filter(|&p| !completed[p])
-                                        .map(|p| p as u32)
-                                        .collect();
-                                }
-                                lost = Some(dead);
-                                break;
-                            }
-                            retries_left -= 1;
-                            rec.add("recovery.retries", 1);
-                            for p in 0..k {
-                                if p == r {
-                                    continue;
-                                }
-                                if let Some(e) = exp[p] {
-                                    if got[p] < e {
-                                        rec.add("recovery.resend_requests", 1);
-                                        let seqs = missing_seqs(&seen[p], e);
-                                        mb.send(p, Msg::Resend { from: me, step: 0, seqs });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        span.set_attr("received_elements", received.len());
-        rec.record("exec.recv_elements", received.len() as u64);
-    }
-    mb.close_outgoing();
-
-    // ---- Local contact search over owned + received. ------------------
-    let _span = rec
-        .span("exec.search")
-        .attr("rank", me)
-        .attr("owned", plan.owned_surface.len())
-        .attr("received", received.len());
-    let pairs = search_rank(plan, input, &received, None);
-    let res =
-        RankResult { pairs, halo_sent, shipments_sent, halo_msgs, done_msgs, ghost_mismatches };
-    match lost {
-        None => RankOutcome::Completed(res),
-        Some(dead) => RankOutcome::Lost { partial: res, dead },
-    }
-}
-
 /// One rank's local contact search over its owned surface plus the
 /// elements shipped to it, mapped back to sorted, deduped global ids.
 ///
 /// With a [`SearchCache`] the broad-phase grid from the previous step is
-/// updated in place instead of rebuilt (the pipelined executor holds one
-/// per rank across a batch); the pair set is identical either way because
-/// grid queries are exact for any cell layout.
+/// updated in place instead of rebuilt (the rank loop holds one per rank
+/// across a batch); the pair set is identical either way because grid
+/// queries are exact for any cell layout.
 pub(crate) fn search_rank<F: GlobalFilter<3> + Sync>(
     plan: &RankPlan,
     input: &StepInput<'_, F>,
@@ -908,112 +454,16 @@ pub(crate) fn aggregate(k: usize, partials: Vec<Option<RankResult>>) -> StepOutp
     StepOutput { contact_pairs, traffic, ghost_mismatches }
 }
 
-/// Executes one contact/impact step across `k` rank threads with default
-/// options (no fault injection, generous timeout).
-pub fn execute_step<F: GlobalFilter<3> + Sync>(
-    input: &StepInput<'_, F>,
-) -> Result<StepOutput, RuntimeError> {
-    execute_step_with(input, &ExecOptions::default())
-}
-
-/// Executes one contact/impact step across `k` rank threads under `opts`.
-///
-/// Errors:
-/// * [`RuntimeError::RankPanicked`] — a rank thread panicked (the lowest
-///   offending rank is named);
-/// * [`RuntimeError::RankLost`] — one or more ranks died mid-step; the
-///   boxed partial output covers the survivors, and the caller is
-///   expected to repartition over them and re-execute.
-pub fn execute_step_with<F: GlobalFilter<3> + Sync>(
-    input: &StepInput<'_, F>,
-    opts: &ExecOptions,
-) -> Result<StepOutput, RuntimeError> {
-    execute_step_transport(input, opts, &InProcess)
-}
-
-/// [`execute_step_with`] over an explicit transport backend. The
-/// in-process backend is the oracle; any other backend must produce
-/// bit-identical [`StepOutput`]s (the transport tests assert this for
-/// TCP).
-pub fn execute_step_transport<F: GlobalFilter<3> + Sync, T: Transport>(
-    input: &StepInput<'_, F>,
-    opts: &ExecOptions,
-    transport: &T,
-) -> Result<StepOutput, RuntimeError> {
-    let k = input.decomposition.k;
-    let cfg = opts.mailbox_config(&input.recorder);
-    let mailboxes = transport.connect::<Msg>(k, &cfg)?;
-
-    let joined: Vec<std::thread::Result<RankOutcome>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(k);
-        for (r, mut mb) in mailboxes.into_iter().enumerate() {
-            let plan = &input.decomposition.ranks[r];
-            let input = &*input;
-            handles.push(scope.spawn(move || run_rank(r, k, plan, input, opts, &mut mb)));
-        }
-        // Join manually so a panicking rank is attributed, not re-thrown.
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-
-    let mut panicked: Option<u32> = None;
-    let mut killed: Vec<u32> = Vec::new();
-    let mut declared: Vec<u32> = Vec::new();
-    let mut partials: Vec<Option<RankResult>> = Vec::with_capacity(k);
-    for (r, outcome) in joined.into_iter().enumerate() {
-        match outcome {
-            Err(_) => {
-                if panicked.is_none() {
-                    panicked = Some(r as u32);
-                }
-                partials.push(None);
-            }
-            Ok(RankOutcome::Completed(res)) => partials.push(Some(res)),
-            Ok(RankOutcome::Dead) => {
-                killed.push(r as u32);
-                partials.push(None);
-            }
-            Ok(RankOutcome::Lost { partial, dead }) => {
-                declared.extend(dead);
-                partials.push(Some(partial));
-            }
-        }
-    }
-    if let Some(rank) = panicked {
-        return Err(RuntimeError::RankPanicked { rank });
-    }
-    // Ranks the plan actually killed are authoritative; survivors' timeout
-    // verdicts (which can falsely accuse a merely slow peer) only stand in
-    // when no rank observed its own death. Either way a step with any
-    // `Lost` rank must fail: that rank's drain was incomplete, so its
-    // partial result cannot be trusted as a full step.
-    let mut dead = killed;
-    if dead.is_empty() && !declared.is_empty() {
-        declared.sort_unstable();
-        declared.dedup();
-        dead = declared;
-    }
-    let output = aggregate(k, partials);
-    if dead.is_empty() {
-        // Summary counters mirror the TrafficLog exactly (added once at
-        // aggregation so `summary.json` totals can never drift from the
-        // log). Deliberately skipped on the partial path: the driver
-        // re-executes a lost step, and only the successful run counts.
-        input.recorder.add("traffic.halo_units", output.traffic.phases.halo_units);
-        input.recorder.add("traffic.shipment_units", output.traffic.phases.ship_msgs);
-        Ok(output)
-    } else {
-        input.recorder.add("recovery.rank_dead", dead.len() as u64);
-        Err(RuntimeError::RankLost { dead, partial: Box::new(output) })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, KillSpec};
+    use crate::pipeline::execute_steps;
     use crate::plan::build_decomposition;
+    use crate::RuntimeError;
     use cip_contact::BboxFilter;
     use cip_graph::GraphBuilder;
+    use cip_transport::InProcess;
 
     /// A 1D chain of nodes split between two ranks, with two rows of
     /// surface boxes facing each other.
@@ -1047,13 +497,23 @@ mod tests {
         (d, positions, elements, bodies)
     }
 
-    fn chaos_opts(fault: FaultInjector) -> ExecOptions {
-        ExecOptions {
-            timeout: Duration::from_millis(200),
-            retries: 2,
-            fault,
-            ..ExecOptions::default()
-        }
+    fn chaos_opts() -> ExecOptions {
+        ExecOptions { timeout: Duration::from_millis(200), retries: 2, ..ExecOptions::default() }
+    }
+
+    /// One step through the batch executor: a one-element slice.
+    fn execute_one(
+        input: StepInput<'_, BboxFilter<3>>,
+        fault: FaultInjector,
+        opts: &ExecOptions,
+    ) -> Result<StepOutput, RuntimeError> {
+        execute_steps(&[input], &[fault], opts, None, &InProcess)
+            .map(|mut outs| outs.remove(0))
+            .map_err(|e| e.error)
+    }
+
+    fn execute_clean(input: StepInput<'_, BboxFilter<3>>) -> StepOutput {
+        execute_one(input, FaultInjector::none(), &ExecOptions::default()).expect("step executes")
     }
 
     #[test]
@@ -1061,7 +521,7 @@ mod tests {
         let (d, positions, elements, bodies) = two_rank_setup();
         let boxes: Vec<(u32, Aabb<3>)> = elements.iter().map(|e| (e.owner, e.bbox)).collect();
         let filter = BboxFilter::from_boxes(&boxes, 2);
-        let out = execute_step(&StepInput {
+        let out = execute_clean(StepInput {
             decomposition: &d,
             positions: &positions,
             elements: &elements,
@@ -1069,8 +529,7 @@ mod tests {
             filter: &filter,
             tolerance: 0.2,
             recorder: Recorder::disabled(),
-        })
-        .expect("step executes");
+        });
         assert_eq!(out.ghost_mismatches, 0);
         let serial = cip_contact::serial_contact_pairs(&elements, &bodies, 0.2);
         assert_eq!(out.contact_pairs, serial);
@@ -1082,7 +541,7 @@ mod tests {
         let (d, positions, elements, bodies) = two_rank_setup();
         let boxes: Vec<(u32, Aabb<3>)> = elements.iter().map(|e| (e.owner, e.bbox)).collect();
         let filter = BboxFilter::from_boxes(&boxes, 2);
-        let out = execute_step(&StepInput {
+        let out = execute_clean(StepInput {
             decomposition: &d,
             positions: &positions,
             elements: &elements,
@@ -1090,8 +549,7 @@ mod tests {
             filter: &filter,
             tolerance: 0.2,
             recorder: Recorder::disabled(),
-        })
-        .expect("step executes");
+        });
         assert_eq!(out.traffic.total_halo(), d.total_halo_volume());
         // The chain boundary: rank 0 sends node 3, rank 1 sends node 4.
         assert_eq!(out.traffic.halo[1], 1);
@@ -1104,7 +562,7 @@ mod tests {
         let (d, positions, elements, bodies) = two_rank_setup();
         let boxes: Vec<(u32, Aabb<3>)> = elements.iter().map(|e| (e.owner, e.bbox)).collect();
         let filter = BboxFilter::from_boxes(&boxes, 2);
-        let out = execute_step(&StepInput {
+        let out = execute_clean(StepInput {
             decomposition: &d,
             positions: &positions,
             elements: &elements,
@@ -1112,8 +570,7 @@ mod tests {
             filter: &filter,
             tolerance: 0.2,
             recorder: Recorder::disabled(),
-        })
-        .expect("step executes");
+        });
         let t = &out.traffic;
         // Per-phase units must agree with the pairwise matrices exactly.
         assert_eq!(t.phases.halo_units, t.total_halo());
@@ -1135,7 +592,7 @@ mod tests {
         let boxes: Vec<(u32, Aabb<3>)> = elements.iter().map(|e| (e.owner, e.bbox)).collect();
         let filter = BboxFilter::from_boxes(&boxes, 2);
         let rec = Recorder::enabled();
-        let out = execute_step(&StepInput {
+        let out = execute_clean(StepInput {
             decomposition: &d,
             positions: &positions,
             elements: &elements,
@@ -1143,13 +600,12 @@ mod tests {
             filter: &filter,
             tolerance: 0.2,
             recorder: rec.clone(),
-        })
-        .expect("step executes");
+        });
         assert_eq!(rec.counter_value("traffic.halo_units"), out.traffic.total_halo());
         assert_eq!(rec.counter_value("traffic.shipment_units"), out.traffic.total_shipments());
         // Every per-rank phase span landed in the trace.
         let summary = rec.summary().expect("recorder is enabled");
-        for name in ["exec.halo", "exec.ship", "exec.drain", "exec.search"] {
+        for name in ["exec.halo", "exec.ship", "exec.search"] {
             let s = summary.span(name).unwrap_or_else(|| panic!("missing span {name}"));
             assert_eq!(s.count, 2, "{name} once per rank");
         }
@@ -1174,7 +630,7 @@ mod tests {
         let d = build_decomposition(&g, &nov, &vec![0; n], &owners, 1);
         let boxes: Vec<(u32, Aabb<3>)> = elements1.iter().map(|e| (e.owner, e.bbox)).collect();
         let filter = BboxFilter::from_boxes(&boxes, 1);
-        let out = execute_step(&StepInput {
+        let out = execute_clean(StepInput {
             decomposition: &d,
             positions: &positions,
             elements: &elements1,
@@ -1182,8 +638,7 @@ mod tests {
             filter: &filter,
             tolerance: 0.2,
             recorder: Recorder::disabled(),
-        })
-        .expect("step executes");
+        });
         assert_eq!(out.traffic.total_halo(), 0);
         assert_eq!(out.traffic.total_shipments(), 0);
         assert_eq!(out.traffic.phases, PhaseTraffic::default());
@@ -1196,9 +651,9 @@ mod tests {
         let (d, positions, elements, bodies) = two_rank_setup();
         let boxes: Vec<(u32, Aabb<3>)> = elements.iter().map(|e| (e.owner, e.bbox)).collect();
         let filter = BboxFilter::from_boxes(&boxes, 2);
-        let mk = |opts: &ExecOptions| {
-            execute_step_with(
-                &StepInput {
+        let mk = |fault: FaultInjector, opts: &ExecOptions| {
+            execute_one(
+                StepInput {
                     decomposition: &d,
                     positions: &positions,
                     elements: &elements,
@@ -1207,12 +662,13 @@ mod tests {
                     tolerance: 0.2,
                     recorder: Recorder::disabled(),
                 },
+                fault,
                 opts,
             )
             .expect("step executes")
         };
-        let plain = mk(&ExecOptions::default());
-        let armed = mk(&chaos_opts(FaultInjector::with_plan(FaultPlan::quiet(42))));
+        let plain = mk(FaultInjector::none(), &ExecOptions::default());
+        let armed = mk(FaultInjector::with_plan(FaultPlan::quiet(42)), &chaos_opts());
         assert_eq!(plain, armed, "arming a quiet plan must not change the output");
     }
 
@@ -1230,8 +686,8 @@ mod tests {
                 reorder_permille: 120,
                 ..FaultPlan::quiet(seed)
             };
-            let out = execute_step_with(
-                &StepInput {
+            let out = execute_one(
+                StepInput {
                     decomposition: &d,
                     positions: &positions,
                     elements: &elements,
@@ -1240,7 +696,8 @@ mod tests {
                     tolerance: 0.2,
                     recorder: Recorder::disabled(),
                 },
-                &chaos_opts(FaultInjector::with_plan(plan)),
+                FaultInjector::with_plan(plan),
+                &chaos_opts(),
             )
             .expect("message-level faults must be repaired");
             assert_eq!(out.contact_pairs, serial, "seed {seed}");
@@ -1258,8 +715,8 @@ mod tests {
         let rec = Recorder::enabled();
         let plan =
             FaultPlan { kill: Some(KillSpec { rank: 1, after_sends: 0 }), ..FaultPlan::quiet(5) };
-        let err = execute_step_with(
-            &StepInput {
+        let err = execute_one(
+            StepInput {
                 decomposition: &d,
                 positions: &positions,
                 elements: &elements,
@@ -1268,10 +725,10 @@ mod tests {
                 tolerance: 0.2,
                 recorder: rec.clone(),
             },
+            FaultInjector::with_plan(plan),
             &ExecOptions {
                 timeout: Duration::from_millis(100),
                 retries: 1,
-                fault: FaultInjector::with_plan(plan),
                 ..ExecOptions::default()
             },
         )

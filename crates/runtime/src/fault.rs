@@ -4,8 +4,8 @@
 //! `(from, to, seq)`, whether that message is delivered, dropped,
 //! duplicated, delayed past the sender's `Done` marker, or reordered with
 //! the next message to the same destination — and whether a rank is
-//! killed mid-step. The plan is carried into [`crate::exec::execute_step_with`]
-//! behind a [`FaultInjector`] handle that follows the same
+//! killed mid-step. The plan is carried into [`crate::execute_steps`], one
+//! per step, behind a [`FaultInjector`] handle that follows the same
 //! `Option<Arc<_>>` pattern as [`cip_telemetry::Recorder`]: the default
 //! [`FaultInjector::none`] costs one `None` branch per send and allocates
 //! nothing, so production builds pay nothing for the chaos machinery.

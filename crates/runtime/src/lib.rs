@@ -21,20 +21,20 @@
 //! * [`plan`] — builds the per-rank decomposition plan (owned nodes,
 //!   ghosts, halo send lists, element & surface ownership) from a node
 //!   partition,
-//! * [`exec`] — the threaded step executor and its traffic log,
-//! * [`pipeline`] — the dependency-driven pipelined batch executor:
-//!   persistent rank threads overlap halo sends, shipments, and contact
-//!   searches across ranks *and* adjacent steps (bounded lookahead),
-//!   bit-identical to the barrier schedule it keeps as its oracle behind
-//!   [`exec::Schedule`],
+//! * [`exec`] — the executor's messages, traffic log, step input/output
+//!   and options,
+//! * [`pipeline`] — the step executor itself: one dependency-driven rank
+//!   loop ([`execute_rank_steps`]) on persistent rank threads that
+//!   overlaps halo sends, shipments, and contact searches across ranks
+//!   *and* adjacent steps inside a bounded lookahead window, and the
+//!   driver ([`execute_steps`]) that runs and folds it,
 //! * [`fault`] — deterministic, seeded fault injection (message drop /
 //!   duplication / delay / reorder, mid-step rank kills) behind a
 //!   zero-cost-when-disabled hook,
 //! * [`migrate`] — migration plans between successive decompositions
 //!   (the executable counterpart of the UpdComm metric),
 //! * [`replan`] — the background repartition planner that hides
-//!   migration planning behind a running batch
-//!   ([`exec::RepartitionMode::Overlapped`], DESIGN.md §6f).
+//!   migration planning behind a running batch (DESIGN.md §6c).
 //!
 //! Failures surface as typed [`RuntimeError`]s instead of panics, so a
 //! driver can recover — repartition over the surviving ranks, migrate,
@@ -51,15 +51,11 @@ pub mod remote;
 pub mod replan;
 pub mod wire;
 
-pub use exec::{
-    execute_step, execute_step_transport, execute_step_with, ExecOptions, ExecOptionsBuilder, Msg,
-    PhaseTraffic, RankResult, RepartitionMode, Schedule, StepInput, StepOutput, TrafficLog,
-};
+pub use exec::{ExecOptions, Msg, PhaseTraffic, RankResult, StepInput, StepOutput, TrafficLog};
 pub use fault::{Fate, FaultInjector, FaultPlan, KillSpec};
 pub use migrate::{build_migration, build_migration_recorded, MigrationPlan};
 pub use pipeline::{
-    collect_batch, execute_rank_steps, execute_steps, execute_steps_overlapped,
-    execute_steps_transport, execute_steps_with, BatchError, RankBatchOutcome,
+    collect_batch, execute_rank_steps, execute_steps, BatchError, RankBatchOutcome,
 };
 pub use plan::{build_decomposition, Decomposition, RankPlan};
 pub use remote::SteppedMailbox;
@@ -123,8 +119,8 @@ impl From<cip_transport::TransportError> for RuntimeError {
 }
 
 /// A rejected configuration value — what a validating builder
-/// ([`ExecOptions::builder`], `TraceOptions::builder` in the `cip`
-/// facade) returns instead of clamping silently or panicking later.
+/// (`TraceOptions::builder` in the `cip` facade) returns instead of
+/// clamping silently or panicking later.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// The option that was rejected (builder-method name).

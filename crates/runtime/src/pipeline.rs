@@ -1,24 +1,20 @@
-//! The dependency-driven pipelined batch executor (DESIGN.md §6d).
+//! The step executor: one rank loop, one driver (DESIGN.md §6c).
 //!
-//! [`execute_steps_with`] runs a whole batch of steps (one migration-free
-//! stretch of a trace) across `k` persistent rank threads. Where the
-//! barrier executor spawns and joins threads once per step — so every
-//! rank idles on the slowest straggler at every phase boundary — the
-//! pipelined schedule keys each per-rank phase by `(step, rank, phase)`
-//! and lets data dependencies, not barriers, order the work:
+//! [`execute_steps`] runs a batch of steps (one migration-free stretch of
+//! a trace; a single step is a one-element batch) across `k` persistent
+//! rank threads, each running [`execute_rank_steps`]. Every per-rank
+//! phase is keyed by `(step, rank, phase)` and data dependencies, not
+//! barriers, order the work:
 //!
 //! * a rank starts its step-`s` contact search as soon as *its own*
 //!   inbound halos and shipments for `s` have drained (locally decidable
-//!   from the per-peer `Done{from, step, sent}` trailers — no new wire
-//!   messages over the fault-tolerant protocol of DESIGN.md §6c);
+//!   from the per-peer `Done{from, step, sent}` trailers);
 //! * a rank's step `s + 1` halo/shipment sends may begin while stragglers
-//!   are still finishing step `s`, bounded by
-//!   [`Schedule::Pipelined`]'s `lookahead`;
-//! * repartition boundaries still end the batch, but under
-//!   [`crate::exec::RepartitionMode::Overlapped`] the migration of an
-//!   accepted plan rides the next batch as a [`Msg::Migrate`] prologue
-//!   ([`execute_steps_overlapped`], DESIGN.md §6f) instead of a
-//!   stop-the-world stage of its own.
+//!   are still finishing step `s`, bounded by [`ExecOptions::lookahead`]
+//!   (at lookahead 1 a rank finishes step `s` before it sends `s + 1`);
+//! * repartition boundaries end the batch; the migration of the accepted
+//!   plan rides the next batch as a [`Msg::Migrate`] prologue instead of
+//!   a stop-the-world stage of its own.
 //!
 //! The scheduler is a pair of cursors (`next_send`, `completed`) over
 //! per-step state tables allocated once at batch start: the ready set is
@@ -27,20 +23,20 @@
 //! allocates nothing beyond the message payloads themselves. One inbox
 //! per rank is partitioned by the `step` tag every message carries.
 //!
-//! Fault injection and recovery work unchanged: fates are evaluated per
-//! `(from, to, step, seq)` exactly as the barrier executor evaluates its
-//! per-step streams, kills turn the rank into a *zombie* that still
-//! drains and searches the steps before its death (so every step the
-//! batch commits aggregates all `k` ranks, bit-identical to the barrier
-//! schedule) and serves resend requests for those steps, and the chaos
-//! completion round runs once per batch instead of once per step.
-//! Idle time — a rank actually blocking on an empty inbox — is charged
-//! to `exec.idle` spans, and `exec.overlap.steps_in_flight` records the
-//! send/completion cursor spread after every step sent.
+//! Fault injection and recovery: fates are evaluated per
+//! `(from, to, step, seq)`, so a step's injected faults do not depend on
+//! the lookahead or on how the trace was cut into batches. A kill turns
+//! the rank into a *zombie* that still drains and searches the steps
+//! before its death (so every step the batch commits aggregates all `k`
+//! ranks) and serves resend requests for those steps, and the chaos
+//! completion round runs once per batch. Idle time — a rank actually
+//! blocking on an empty inbox — is charged to `exec.idle` spans, and
+//! `exec.overlap.steps_in_flight` records the send/completion cursor
+//! spread after every step sent.
 
 use crate::exec::{
-    aggregate, chaos_send, execute_step_transport, mark_new, missing_seqs, recv_or_idle,
-    search_rank, ChaosState, ExecOptions, Msg, RankResult, Schedule, StepInput, StepOutput,
+    aggregate, chaos_send, mark_new, missing_seqs, recv_or_idle, search_rank, ChaosState,
+    ExecOptions, Msg, RankResult, StepInput, StepOutput,
 };
 use crate::fault::FaultInjector;
 use crate::migrate::MigrationPlan;
@@ -48,13 +44,11 @@ use crate::RuntimeError;
 use cip_contact::{GlobalFilter, SearchCache};
 use cip_geom::Aabb;
 use cip_telemetry::Recorder;
-use cip_transport::{InProcess, Mailbox, RecvTimeoutError, Transport};
+use cip_transport::{Mailbox, RecvTimeoutError, Transport};
 use std::fmt;
 
 /// A failed batch execution: the steps committed before the failure, the
-/// index of the step that failed, and the per-step error (the same typed
-/// [`RuntimeError`] the single-step executor reports, so driver recovery
-/// code handles both identically).
+/// index of the step that failed, and why it failed.
 #[derive(Debug)]
 pub struct BatchError {
     /// Outputs of the steps that fully committed before the failure
@@ -166,7 +160,7 @@ impl StepSend {
 }
 
 /// Receive-side state of the batch-prologue migrate stage (DESIGN.md
-/// §6f): which peers still owe this rank a [`Msg::Migrate`], and the
+/// §6c): which peers still owe this rank a [`Msg::Migrate`], and the
 /// node list each must carry under the accepted plan. Receivers know
 /// both statically from the plan, so the stage needs no `Done` trailer
 /// and no sequence space — one message per non-empty plan row.
@@ -226,8 +220,8 @@ impl MigrateRecv {
 
 /// How one rank ended a batch. Public so a remote worker process can
 /// report its rank's outcome back to the driver, which folds all `k` of
-/// them with [`collect_batch`] — exactly what the in-process executor
-/// does with its joined threads.
+/// them with [`collect_batch`] — exactly what [`execute_steps`] does with
+/// its joined threads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RankBatchOutcome {
     /// Every step drained, searched, and (if any step was chaos-armed)
@@ -252,12 +246,10 @@ pub enum RankBatchOutcome {
 }
 
 /// Streams one step's halo values, element shipments, and `Done`
-/// trailers — the exact send sequence of the barrier executor's
-/// `run_rank`, with every message tagged `step: s` and sequence numbers
-/// restarting per step so injected fates match the barrier schedule
-/// message for message. Returns `false` if the fault plan killed the
-/// rank mid-step (trailers are all-or-nothing: a dead rank announces
-/// nothing).
+/// trailers, every message tagged `step: s` and sequence numbers
+/// restarting per step, so injected fates depend on the step alone.
+/// Returns `false` if the fault plan killed the rank mid-step (trailers
+/// are all-or-nothing: a dead rank announces nothing).
 #[allow(clippy::too_many_arguments)]
 fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     me: u32,
@@ -364,8 +356,7 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
 
 /// Routes one inbound message into the per-step state tables. Resend
 /// requests are only served for steps below `serve_below` (a zombie must
-/// not replay the step it died in — the barrier oracle's dead ranks send
-/// nothing either).
+/// not replay the step it died in: a dead rank announced nothing for it).
 #[allow(clippy::too_many_arguments)]
 fn dispatch<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     msg: Msg,
@@ -473,26 +464,34 @@ fn dispatch<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     }
 }
 
-/// One rank's whole batch: the event loop over the two cursors.
-#[allow(clippy::too_many_arguments)]
-fn run_rank_pipelined<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
+/// One rank's whole batch over any [`Mailbox`]: the event loop over the
+/// two cursors. [`execute_steps`] runs one per rank thread; a remote
+/// worker process calls it directly for its rank, with the driver
+/// folding the reported [`RankBatchOutcome`]s via [`collect_batch`].
+/// `faults` is empty (no injection) or one injector per step; `migrate`
+/// is the repartition stage spliced in front of the batch, if the driver
+/// accepted one.
+pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     r: usize,
     k: usize,
     steps: &[StepInput<'_, F>],
     faults: &[FaultInjector],
     opts: &ExecOptions,
-    lookahead: usize,
     migrate: Option<&MigrationPlan>,
     mb: &mut MB,
 ) -> RankBatchOutcome {
     let me = r as u32;
     let n = steps.len();
+    if n == 0 {
+        return RankBatchOutcome::Completed(Vec::new());
+    }
+    let lookahead = opts.lookahead.max(1);
+    let no_fault = FaultInjector::none();
+    let fault_of = |s: usize| if faults.len() == n { &faults[s] } else { &no_fault };
     let rec0 = steps[0].recorder.clone();
     rec0.set_lane(me);
-    let mut chaos: Vec<Option<ChaosState>> = faults
-        .iter()
-        .map(|f| if f.is_active() { Some(ChaosState::new(k)) } else { None })
-        .collect();
+    let mut chaos: Vec<Option<ChaosState>> =
+        (0..n).map(|s| fault_of(s).is_active().then(|| ChaosState::new(k))).collect();
     let mut recv: Vec<StepRecv> = (0..n).map(|_| StepRecv::new(k, r)).collect();
     let mut send: Vec<StepSend> = (0..n).map(|_| StepSend::new(k)).collect();
     let mut results: Vec<RankResult> = Vec::with_capacity(n);
@@ -504,17 +503,16 @@ fn run_rank_pipelined<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     let mut killed: Option<usize> = None;
     let mut retries_left = opts.retries;
 
-    // ---- Migrate prologue (DESIGN.md §6f). ----------------------------
+    // ---- Migrate prologue (DESIGN.md §6c). ----------------------------
     // An accepted repartition plan is spliced in front of the batch: the
     // rank streams the node ids it surrenders under the already-flipped
     // decomposition, then drains until every stage *it* is owed has
     // arrived — and goes straight into its step-0 sends while stragglers
     // are still migrating; there is no global join. The stage is
     // control-plane: it bypasses fault injection and the payload
-    // sequence space, so the chaos fate stream stays bit-identical to
-    // the barrier oracle's.
+    // sequence space, so it leaves every step's fate stream untouched.
     let mut mig = match migrate {
-        Some(plan) if plan.k == k && !steps.is_empty() => {
+        Some(plan) if plan.k == k => {
             let mut span = rec0.span("exec.migrate").attr("rank", me);
             let mut sent = 0u64;
             for dest in 0..k {
@@ -569,7 +567,7 @@ fn run_rank_pipelined<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         while killed.is_none() && next_send < n && next_send < completed + lookahead {
             let s = next_send;
             let ok =
-                send_step(me, r, s, &steps[s], &faults[s], chaos[s].as_mut(), mb, &mut send[s]);
+                send_step(me, r, s, &steps[s], fault_of(s), chaos[s].as_mut(), mb, &mut send[s]);
             if !ok {
                 killed = Some(s);
                 break;
@@ -767,8 +765,7 @@ fn run_rank_pipelined<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
 
 /// Builds the `Lost` outcome for a rank stalled at `completed`: names
 /// the unaccounted peers and salvages a best-effort result for the
-/// failed step from whatever did arrive (the barrier executor's `Lost`
-/// partial, per step).
+/// failed step from whatever did arrive.
 #[allow(clippy::too_many_arguments)]
 fn lose_step<F: GlobalFilter<3> + Sync>(
     r: usize,
@@ -806,164 +803,92 @@ fn lose_step<F: GlobalFilter<3> + Sync>(
     RankBatchOutcome::Lost { done: results, partial: Some(partial), dead }
 }
 
-/// One rank's whole batch over any [`Mailbox`] — the entry point a
-/// remote worker process uses to run its rank of a batch, with the
-/// driver folding the reported [`RankBatchOutcome`]s via
-/// [`collect_batch`]. Normalizes an empty `faults` slice to
-/// no-injection and derives the lookahead from `opts.schedule`
-/// (a barrier schedule degrades to lookahead 1, which still orders by
-/// dependency — remote ranks have no global barrier to share).
-/// `migrate` is the overlapped-repartition stage spliced in front of
-/// the batch, if the driver accepted one (DESIGN.md §6f).
-pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
-    r: usize,
+/// Executes a batch of steps across `k` rank threads over `transport`
+/// — the one driver entry; a single step is a one-element slice.
+///
+/// `faults` is empty (no injection) or one injector per step. `migrate`
+/// is an accepted repartition plan to execute as the batch's prologue:
+/// the driver has already flipped `node_parts` to the new decomposition
+/// when it hands the plan over, so the stage is *executed traffic*, not a
+/// state change (see the prologue in [`execute_rank_steps`]).
+///
+/// Rank threads persist across a stretch of steps that share a rank
+/// count. A batch whose steps disagree on `k` — which a driver batch
+/// never does — runs as consecutive uniform-`k` stretches, each with its
+/// own mailboxes; the prologue belongs to the first.
+///
+/// Errors carry the committed prefix: [`BatchError::completed`] holds
+/// the outputs of every step all ranks finished before the failure, and
+/// [`BatchError::error`] says why step [`BatchError::failed_step`]
+/// failed — [`RuntimeError::RankLost`] with the survivors' partial
+/// output when ranks died (the caller is expected to repartition over
+/// the survivors and re-execute), [`RuntimeError::RankPanicked`], or
+/// [`RuntimeError::Transport`] when the mailboxes could not be connected.
+pub fn execute_steps<F: GlobalFilter<3> + Sync, T: Transport>(
+    steps: &[StepInput<'_, F>],
+    faults: &[FaultInjector],
+    opts: &ExecOptions,
+    migrate: Option<&MigrationPlan>,
+    transport: &T,
+) -> Result<Vec<StepOutput>, BatchError> {
+    debug_assert!(
+        faults.is_empty() || faults.len() == steps.len(),
+        "faults must be empty or one injector per step"
+    );
+    let mut outputs = Vec::with_capacity(steps.len());
+    let mut start = 0;
+    while start < steps.len() {
+        let k = steps[start].decomposition.k;
+        let end = start + steps[start..].iter().take_while(|s| s.decomposition.k == k).count();
+        let stretch_faults = if faults.len() == steps.len() { &faults[start..end] } else { &[] };
+        let prologue = migrate.filter(|_| start == 0);
+        match execute_stretch(k, &steps[start..end], stretch_faults, opts, prologue, transport) {
+            Ok(outs) => outputs.extend(outs),
+            Err(mut e) => {
+                outputs.append(&mut e.completed);
+                return Err(BatchError {
+                    completed: outputs,
+                    failed_step: start + e.failed_step,
+                    error: e.error,
+                });
+            }
+        }
+        start = end;
+    }
+    Ok(outputs)
+}
+
+/// One uniform-`k` stretch: connect the mailboxes, run one
+/// [`execute_rank_steps`] per rank thread, fold the outcomes.
+fn execute_stretch<F: GlobalFilter<3> + Sync, T: Transport>(
     k: usize,
     steps: &[StepInput<'_, F>],
     faults: &[FaultInjector],
     opts: &ExecOptions,
     migrate: Option<&MigrationPlan>,
-    mb: &mut MB,
-) -> RankBatchOutcome {
-    let n = steps.len();
-    if n == 0 {
-        return RankBatchOutcome::Completed(Vec::new());
-    }
-    let filler: Vec<FaultInjector>;
-    let faults: &[FaultInjector] = if faults.len() == n {
-        faults
-    } else {
-        filler = vec![FaultInjector::none(); n];
-        &filler
-    };
-    let lookahead = match opts.schedule {
-        Schedule::Pipelined { lookahead } => lookahead.max(1),
-        Schedule::Barrier => 1,
-    };
-    run_rank_pipelined(r, k, steps, faults, opts, lookahead, migrate, mb)
-}
-
-/// Executes a batch of steps with default options (pipelined schedule,
-/// no fault injection).
-pub fn execute_steps<F: GlobalFilter<3> + Sync>(
-    steps: &[StepInput<'_, F>],
-) -> Result<Vec<StepOutput>, BatchError> {
-    execute_steps_with(steps, &[], &ExecOptions::default())
-}
-
-/// Executes a batch of steps under `opts`, with an optional per-step
-/// fault injector (`faults` must be empty — no injection — or one
-/// injector per step).
-///
-/// With [`Schedule::Pipelined`] the whole batch runs on `k` persistent
-/// rank threads with bounded-lookahead overlap (see the module docs);
-/// with [`Schedule::Barrier`] — or when the steps disagree on `k`, which
-/// a driver batch never does — it degrades to a sequential
-/// [`crate::exec::execute_step_with`] loop, the oracle the pipelined
-/// schedule is tested bit-identical against.
-///
-/// Errors carry the committed prefix: [`BatchError::completed`] holds
-/// the outputs of every step all ranks finished before the failure, and
-/// [`BatchError::error`] is the same [`RuntimeError`] the single-step
-/// executor reports for the failed step, so recovery (repartition over
-/// survivors, re-execute) is unchanged.
-pub fn execute_steps_with<F: GlobalFilter<3> + Sync>(
-    steps: &[StepInput<'_, F>],
-    faults: &[FaultInjector],
-    opts: &ExecOptions,
-) -> Result<Vec<StepOutput>, BatchError> {
-    execute_steps_transport(steps, faults, opts, &InProcess)
-}
-
-/// [`execute_steps_with`] over an explicit [`Transport`] — the TCP
-/// backend runs the identical rank loops over sockets and must produce
-/// bit-identical outputs.
-pub fn execute_steps_transport<F: GlobalFilter<3> + Sync, T: Transport>(
-    steps: &[StepInput<'_, F>],
-    faults: &[FaultInjector],
-    opts: &ExecOptions,
     transport: &T,
 ) -> Result<Vec<StepOutput>, BatchError> {
-    execute_steps_overlapped(steps, faults, opts, None, transport)
-}
-
-/// [`execute_steps_transport`] with an optional overlapped-repartition
-/// migrate stage spliced in front of the batch (DESIGN.md §6f).
-///
-/// The driver has already flipped `node_parts` to the new decomposition
-/// when it hands the plan over, so the stage is *executed traffic*, not
-/// a state change: each rank streams the node ids it surrenders as
-/// [`Msg::Migrate`] messages and drains the stages it is owed before
-/// its step-0 sends — with no global join, so a rank whose stage
-/// arrives early pipelines straight into the batch. On the barrier
-/// fallback (barrier schedule, or steps disagreeing on `k`) the stage
-/// is skipped: the decomposition flip already happened driver-side, and
-/// a barrier batch has no schedule to splice into.
-pub fn execute_steps_overlapped<F: GlobalFilter<3> + Sync, T: Transport>(
-    steps: &[StepInput<'_, F>],
-    faults: &[FaultInjector],
-    opts: &ExecOptions,
-    migrate: Option<&MigrationPlan>,
-    transport: &T,
-) -> Result<Vec<StepOutput>, BatchError> {
-    let n = steps.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    debug_assert!(
-        faults.is_empty() || faults.len() == n,
-        "faults must be empty or one injector per step"
-    );
-    let filler: Vec<FaultInjector>;
-    let faults: &[FaultInjector] = if faults.len() == n {
-        faults
-    } else {
-        filler = vec![FaultInjector::none(); n];
-        &filler
-    };
-
-    let k = steps[0].decomposition.k;
-    let uniform = steps.iter().all(|s| s.decomposition.k == k);
-    let lookahead = match opts.schedule {
-        Schedule::Pipelined { lookahead } if uniform => lookahead.max(1),
-        _ => 0,
-    };
-    if lookahead == 0 {
-        return barrier_batch(steps, faults, opts, transport);
-    }
-
+    let fail = |error| BatchError { completed: Vec::new(), failed_step: 0, error };
     let cfg = opts.mailbox_config(&steps[0].recorder);
-    let mailboxes = match transport.connect::<Msg>(k, &cfg) {
-        Ok(m) => m,
-        Err(e) => {
-            return Err(BatchError {
-                completed: Vec::new(),
-                failed_step: 0,
-                error: RuntimeError::from(e),
-            })
-        }
-    };
+    let mailboxes = transport.connect::<Msg>(k, &cfg).map_err(|e| fail(e.into()))?;
     let joined: Vec<std::thread::Result<RankBatchOutcome>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(k);
         for (r, mut mb) in mailboxes.into_iter().enumerate() {
-            handles.push(scope.spawn(move || {
-                run_rank_pipelined(r, k, steps, faults, opts, lookahead, migrate, &mut mb)
-            }));
+            handles
+                .push(scope.spawn(move || {
+                    execute_rank_steps(r, k, steps, faults, opts, migrate, &mut mb)
+                }));
         }
+        // Join manually so a panicking rank is attributed, not re-thrown.
         handles.into_iter().map(|h| h.join()).collect()
     });
 
     let mut outcomes = Vec::with_capacity(k);
     for (r, res) in joined.into_iter().enumerate() {
         match res {
-            Err(_) => {
-                // A panicked rank's results are unrecoverable, so nothing
-                // in the batch can be trusted to have all k contributions.
-                return Err(BatchError {
-                    completed: Vec::new(),
-                    failed_step: 0,
-                    error: RuntimeError::RankPanicked { rank: r as u32 },
-                });
-            }
+            // A panicked rank's results are unrecoverable, so nothing in
+            // the batch can be trusted to have all k contributions.
+            Err(_) => return Err(fail(RuntimeError::RankPanicked { rank: r as u32 })),
             Ok(o) => outcomes.push(o),
         }
     }
@@ -972,9 +897,9 @@ pub fn execute_steps_overlapped<F: GlobalFilter<3> + Sync, T: Transport>(
 }
 
 /// Folds the `k` per-rank outcomes of one batch into committed step
-/// outputs (or the typed failure), exactly as the in-process executor
-/// folds its joined threads — public so the multi-process driver can
-/// fold the outcomes its workers report over the control channel.
+/// outputs (or the typed failure) — what [`execute_steps`] does with its
+/// joined threads, public so the multi-process driver can fold the
+/// outcomes its workers report over the control channel.
 /// `recorders` holds one recorder per step of the batch (they may all be
 /// clones of the same one); committed steps get their traffic counters,
 /// the failed step its `recovery.rank_dead` count.
@@ -1012,7 +937,10 @@ pub fn collect_batch(
     }
 
     // Commit the prefix every rank finished: these steps aggregate all k
-    // ranks, so their outputs are bit-identical to the barrier schedule.
+    // ranks. Summary counters mirror the TrafficLog exactly (added once
+    // at aggregation so `summary.json` totals can never drift from the
+    // log), and only committed steps count: the driver re-executes a
+    // lost step.
     let mut outputs = Vec::with_capacity(commit);
     for rec in recorders.iter().take(commit) {
         let step_results: Vec<Option<RankResult>> = done.iter_mut().map(|it| it.next()).collect();
@@ -1026,8 +954,8 @@ pub fn collect_batch(
     }
 
     // Ranks the plan actually killed are authoritative; survivors' timeout
-    // verdicts only stand in when no rank observed its own death (same
-    // precedence as the barrier executor).
+    // verdicts (which can falsely accuse a merely slow peer) only stand in
+    // when no rank observed its own death.
     let mut dead = killed;
     if dead.is_empty() {
         declared.sort_unstable();
@@ -1053,27 +981,6 @@ pub fn collect_batch(
     })
 }
 
-/// The barrier oracle: one [`execute_step_transport`] per step,
-/// substituting the per-step injector.
-fn barrier_batch<F: GlobalFilter<3> + Sync, T: Transport>(
-    steps: &[StepInput<'_, F>],
-    faults: &[FaultInjector],
-    opts: &ExecOptions,
-    transport: &T,
-) -> Result<Vec<StepOutput>, BatchError> {
-    let mut outputs = Vec::with_capacity(steps.len());
-    for (s, input) in steps.iter().enumerate() {
-        let step_opts = ExecOptions { fault: faults[s].clone(), ..opts.clone() };
-        match execute_step_transport(input, &step_opts, transport) {
-            Ok(out) => outputs.push(out),
-            Err(error) => {
-                return Err(BatchError { completed: outputs, failed_step: s, error });
-            }
-        }
-    }
-    Ok(outputs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1083,6 +990,7 @@ mod tests {
     use cip_geom::{Aabb, Point};
     use cip_graph::GraphBuilder;
     use cip_telemetry::Recorder;
+    use cip_transport::InProcess;
     use std::time::Duration;
 
     /// Owned data for an `n_steps`-step batch over a 1D chain of nodes
@@ -1150,28 +1058,46 @@ mod tests {
             .collect()
     }
 
-    fn opts_with(schedule: Schedule) -> ExecOptions {
+    fn opts_with(lookahead: usize) -> ExecOptions {
         ExecOptions {
             timeout: Duration::from_millis(500),
             retries: 2,
-            schedule,
+            lookahead,
             ..ExecOptions::default()
         }
     }
 
+    fn run(
+        steps: &[StepInput<'_, BboxFilter<3>>],
+        faults: &[FaultInjector],
+        opts: &ExecOptions,
+    ) -> Result<Vec<StepOutput>, BatchError> {
+        execute_steps(steps, faults, opts, None, &InProcess)
+    }
+
     #[test]
-    fn pipelined_batch_is_bit_identical_to_barrier() {
+    fn batch_matches_ground_truth_at_every_lookahead() {
         for k in [1usize, 2, 4] {
             let sc = chain_scenario(k, 5);
             let rec = Recorder::disabled();
             let steps = inputs(&sc, &rec);
-            let barrier = execute_steps_with(&steps, &[], &opts_with(Schedule::Barrier))
-                .expect("barrier batch executes");
             for lookahead in [1usize, 2, 3] {
-                let piped =
-                    execute_steps_with(&steps, &[], &opts_with(Schedule::Pipelined { lookahead }))
-                        .expect("pipelined batch executes");
-                assert_eq!(piped, barrier, "k={k} lookahead={lookahead}");
+                let outs = run(&steps, &[], &opts_with(lookahead)).expect("batch executes");
+                assert_eq!(outs.len(), 5);
+                for (s, out) in outs.iter().enumerate() {
+                    let serial =
+                        cip_contact::serial_contact_pairs(&sc.elements[s], &sc.bodies, 0.2);
+                    assert_eq!(out.contact_pairs, serial, "k={k} lookahead={lookahead} step={s}");
+                    assert_eq!(out.traffic.total_halo(), sc.decomposition.total_halo_volume());
+                    assert_eq!(out.traffic.phases.done_msgs, (k * (k - 1)) as u64);
+                    assert_eq!(out.ghost_mismatches, 0);
+                }
+                // One batch of five and five batches of one are the same run.
+                for (s, out) in outs.iter().enumerate() {
+                    let single = run(&steps[s..=s], &[], &opts_with(lookahead))
+                        .expect("one-step batch executes");
+                    assert_eq!(single.as_slice(), std::slice::from_ref(out));
+                }
             }
         }
     }
@@ -1179,14 +1105,15 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let steps: Vec<StepInput<'_, BboxFilter<3>>> = Vec::new();
-        assert!(execute_steps(&steps).expect("empty batch").is_empty());
+        assert!(run(&steps, &[], &ExecOptions::default()).expect("empty batch").is_empty());
     }
 
     #[test]
-    fn chaos_batch_matches_barrier_and_repairs_faults() {
+    fn chaos_batch_repairs_faults_to_the_clean_output() {
         let sc = chain_scenario(2, 4);
         let rec = Recorder::disabled();
         let steps = inputs(&sc, &rec);
+        let clean = run(&steps, &[], &opts_with(1)).expect("clean batch executes");
         for seed in [7u64, 21, 1337] {
             let base = FaultPlan {
                 drop_permille: 200,
@@ -1197,13 +1124,12 @@ mod tests {
             };
             let faults: Vec<FaultInjector> =
                 (0..4).map(|s| FaultInjector::with_plan(base.for_step(s))).collect();
-            let barrier = execute_steps_with(&steps, &faults, &opts_with(Schedule::Barrier))
-                .expect("barrier chaos batch repairs");
-            let piped = execute_steps_with(&steps, &faults, &opts_with(Schedule::pipelined()))
-                .expect("pipelined chaos batch repairs");
-            assert_eq!(piped, barrier, "seed {seed}");
-            for out in &piped {
-                assert_eq!(out.ghost_mismatches, 0, "seed {seed}");
+            for lookahead in [1usize, 2] {
+                // Traffic counts first transmissions only, so a repaired
+                // batch equals the clean one field for field.
+                let noisy =
+                    run(&steps, &faults, &opts_with(lookahead)).expect("chaos batch repairs");
+                assert_eq!(noisy, clean, "seed {seed} lookahead {lookahead}");
             }
         }
     }
@@ -1229,11 +1155,9 @@ mod tests {
         let opts = ExecOptions {
             timeout: Duration::from_millis(100),
             retries: 1,
-            schedule: Schedule::pipelined(),
             ..ExecOptions::default()
         };
-        let err = execute_steps_with(&steps, &faults, &opts)
-            .expect_err("a killed rank must fail the batch");
+        let err = run(&steps, &faults, &opts).expect_err("a killed rank must fail the batch");
         assert_eq!(err.failed_step, 2);
         assert_eq!(err.completed.len(), 2);
         match &err.error {
@@ -1243,9 +1167,9 @@ mod tests {
             }
             other => panic!("expected RankLost, got {other}"),
         }
-        // The committed steps match a clean barrier run of the same prefix.
-        let clean = execute_steps_with(&steps[..2], &[], &opts_with(Schedule::Barrier))
-            .expect("clean prefix executes");
+        // The committed steps match a clean run of the same prefix.
+        let quiet = inputs(&sc, &Recorder::disabled());
+        let clean = run(&quiet[..2], &[], &opts_with(1)).expect("clean prefix executes");
         assert_eq!(err.completed, clean);
         assert_eq!(rec.counter_value("fault.killed_ranks"), 1);
         assert_eq!(rec.counter_value("recovery.rank_dead"), 1);
@@ -1256,8 +1180,7 @@ mod tests {
         let sc = chain_scenario(2, 4);
         let rec = Recorder::enabled();
         let steps = inputs(&sc, &rec);
-        let out = execute_steps_with(&steps, &[], &opts_with(Schedule::pipelined()))
-            .expect("pipelined batch executes");
+        let out = run(&steps, &[], &opts_with(2)).expect("batch executes");
         assert_eq!(out.len(), 4);
         let summary = rec.summary().expect("recorder is enabled");
         let gauge =
@@ -1273,21 +1196,14 @@ mod tests {
         let sc = chain_scenario(2, 3);
         let quiet = Recorder::disabled();
         let steps = inputs(&sc, &quiet);
-        let plain = execute_steps_with(&steps, &[], &opts_with(Schedule::pipelined()))
-            .expect("plain batch executes");
+        let plain = run(&steps, &[], &opts_with(2)).expect("plain batch executes");
         // Rank 0 surrenders nodes 3 and 4, rank 1 surrenders node 7: the
         // stage is executed, counted — and invisible in the TrafficLog.
         let plan = MigrationPlan { k: 2, moves: vec![vec![], vec![3, 4], vec![7], vec![]] };
         let rec = Recorder::enabled();
         let steps = inputs(&sc, &rec);
-        let spliced = execute_steps_overlapped(
-            &steps,
-            &[],
-            &opts_with(Schedule::pipelined()),
-            Some(&plan),
-            &InProcess,
-        )
-        .expect("spliced batch executes");
+        let spliced = execute_steps(&steps, &[], &opts_with(2), Some(&plan), &InProcess)
+            .expect("spliced batch executes");
         assert_eq!(spliced, plain, "the migrate stage must not perturb step outputs");
         assert_eq!(rec.counter_value("exec.migrate.nodes_sent"), 3);
         assert_eq!(rec.counter_value("exec.migrate.nodes_received"), 3);
@@ -1311,37 +1227,45 @@ mod tests {
         let faults: Vec<FaultInjector> = (0..3).map(|s| fault(11 + s)).collect();
         let quiet = Recorder::disabled();
         let steps = inputs(&sc, &quiet);
-        let plain = execute_steps_with(&steps, &faults, &opts_with(Schedule::pipelined()))
-            .expect("chaotic batch converges");
+        let plain = run(&steps, &faults, &opts_with(2)).expect("chaotic batch converges");
         // The stage bypasses injection entirely, so the fate stream — and
         // with it every repaired payload — is unchanged.
         let plan = MigrationPlan {
             k: 4,
             moves: (0..16).map(|i| if i == 1 { vec![2, 3] } else { vec![] }).collect(),
         };
-        let steps = inputs(&sc, &quiet);
-        let spliced = execute_steps_overlapped(
-            &steps,
-            &faults,
-            &opts_with(Schedule::pipelined()),
-            Some(&plan),
-            &InProcess,
-        )
-        .expect("chaotic spliced batch converges");
+        let spliced = execute_steps(&steps, &faults, &opts_with(2), Some(&plan), &InProcess)
+            .expect("chaotic spliced batch converges");
         assert_eq!(spliced, plain);
     }
 
     #[test]
-    fn mismatched_rank_counts_fall_back_to_the_barrier_loop() {
-        let a = chain_scenario(2, 1);
+    fn mismatched_rank_counts_run_as_uniform_stretches() {
+        let a = chain_scenario(2, 2);
         let b = chain_scenario(4, 1);
         let rec = Recorder::disabled();
         let mut steps = inputs(&a, &rec);
         steps.extend(inputs(&b, &rec));
-        let out = execute_steps_with(&steps, &[], &opts_with(Schedule::pipelined()))
-            .expect("mixed-k batch executes via the barrier fallback");
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].traffic.k, 2);
-        assert_eq!(out[1].traffic.k, 4);
+        let out = run(&steps, &[], &opts_with(2)).expect("mixed-k batch executes");
+        let ks: Vec<usize> = out.iter().map(|o| o.traffic.k).collect();
+        assert_eq!(ks, [2, 2, 4]);
+        assert_eq!(out[..2], run(&steps[..2], &[], &opts_with(2)).expect("first stretch"));
+        assert_eq!(out[2..], run(&steps[2..], &[], &opts_with(2)).expect("second stretch"));
+
+        // A failure in a later stretch keeps the earlier stretches'
+        // outputs and reports the batch-wide step index.
+        let mut faults = vec![FaultInjector::none(); 3];
+        faults[2] = FaultInjector::with_plan(FaultPlan {
+            kill: Some(KillSpec { rank: 3, after_sends: 0 }),
+            ..FaultPlan::quiet(5)
+        });
+        let opts = ExecOptions {
+            timeout: Duration::from_millis(100),
+            retries: 1,
+            ..ExecOptions::default()
+        };
+        let err = run(&steps, &faults, &opts).expect_err("the k=4 stretch loses rank 3");
+        assert_eq!(err.failed_step, 2);
+        assert_eq!(err.completed, out[..2]);
     }
 }

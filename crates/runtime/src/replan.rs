@@ -1,9 +1,9 @@
-//! Background repartition planning (DESIGN.md §6f).
+//! Background repartition planning (DESIGN.md §6c).
 //!
-//! Under [`crate::RepartitionMode::Overlapped`] the driver computes the
-//! diffusion repartition and [`crate::MigrationPlan`] for the *next*
-//! boundary on a planner thread while the executor is still running the
-//! current batch against the old decomposition. [`Replanner`] owns that
+//! The driver computes the diffusion repartition and
+//! [`crate::MigrationPlan`] for the *next* boundary on a planner thread
+//! while the executor is still running the current batch against the old
+//! decomposition. [`Replanner`] owns that
 //! thread's lifecycle: one plan in flight at a time, keyed by the
 //! boundary step it targets and a driver-maintained **version** that is
 //! bumped whenever the rank space changes (a `RankLost` recovery). A
@@ -18,9 +18,9 @@
 //! Telemetry contract (read by `summary.json` consumers):
 //!
 //! * `repartition.stall` span — the wall time the driver was actually
-//!   blocked waiting for a plan at a boundary (the Barrier oracle wraps
-//!   its whole synchronous plan in the same span, so the two modes are
-//!   directly comparable);
+//!   blocked waiting for a plan at a boundary (the driver wraps its
+//!   synchronous fallback plan in the same span, so a planner miss shows
+//!   up as a long stall);
 //! * `repartition.overlap.hidden_ms` counter — planning time that
 //!   overlapped batch execution: `compute - stall`, clamped at zero;
 //! * `repartition.overlap.planned` / `repartition.plan.discarded`

@@ -102,19 +102,9 @@ impl Wire for Msg {
                 w.u16(*body);
             }
             Msg::Done { sent, .. } => w.u64(*sent),
-            Msg::Resend { seqs, .. } => {
-                w.u32(seqs.len() as u32);
-                for s in seqs {
-                    w.u64(*s);
-                }
-            }
+            Msg::Resend { seqs, .. } => w.u64s(seqs),
             Msg::Complete { .. } => {}
-            Msg::Migrate { nodes, .. } => {
-                w.u32(nodes.len() as u32);
-                for n in nodes {
-                    w.u32(*n);
-                }
-            }
+            Msg::Migrate { nodes, .. } => w.u32s(nodes),
         }
     }
 
@@ -159,29 +149,9 @@ impl Wire for Msg {
                 Ok(Msg::Element { from, step, seq, id, bbox, body })
             }
             TAG_DONE => Ok(Msg::Done { from, step, sent: r.u64()? }),
-            TAG_RESEND => {
-                let count = r.u32()? as usize;
-                if count * 8 > r.remaining() {
-                    return Err(WireError::Malformed { what: "resend count exceeds payload" });
-                }
-                let mut seqs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    seqs.push(r.u64()?);
-                }
-                Ok(Msg::Resend { from, step, seqs })
-            }
+            TAG_RESEND => Ok(Msg::Resend { from, step, seqs: r.u64s()? }),
             TAG_COMPLETE => Ok(Msg::Complete { from }),
-            TAG_MIGRATE => {
-                let count = r.u32()? as usize;
-                if count * 4 > r.remaining() {
-                    return Err(WireError::Malformed { what: "migrate count exceeds payload" });
-                }
-                let mut nodes = Vec::with_capacity(count);
-                for _ in 0..count {
-                    nodes.push(r.u32()?);
-                }
-                Ok(Msg::Migrate { from, step, nodes })
-            }
+            TAG_MIGRATE => Ok(Msg::Migrate { from, step, nodes: r.u32s()? }),
             got => Err(WireError::BadTag { got }),
         }
     }

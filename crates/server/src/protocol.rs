@@ -224,42 +224,15 @@ pub const TAG_CATALOG: u8 = 11;
 /// Frame tag of [`JobMsg::CatalogIs`].
 pub const TAG_CATALOG_IS: u8 = 12;
 
-fn w_str(w: &mut ByteWriter<'_>, s: &str) {
-    w_bytes(w, s.as_bytes());
-}
-
-fn r_str(r: &mut ByteReader<'_>) -> Result<String, WireError> {
-    String::from_utf8(r_bytes(r)?).map_err(|_| WireError::Malformed { what: "string not utf-8" })
-}
-
-fn w_bytes(w: &mut ByteWriter<'_>, bytes: &[u8]) {
-    w.u32(bytes.len() as u32);
-    for &b in bytes {
-        w.u8(b);
-    }
-}
-
-fn r_bytes(r: &mut ByteReader<'_>) -> Result<Vec<u8>, WireError> {
-    let len = r.u32()? as usize;
-    if len > r.remaining() {
-        return Err(WireError::Malformed { what: "byte length exceeds payload" });
-    }
-    let mut bytes = Vec::with_capacity(len);
-    for _ in 0..len {
-        bytes.push(r.u8()?);
-    }
-    Ok(bytes)
-}
-
 fn w_outcome(w: &mut ByteWriter<'_>, outcome: &JobOutcome) {
     match outcome {
         JobOutcome::Done { payload } => {
             w.u8(0);
-            w_bytes(w, payload);
+            w.bytes(payload);
         }
         JobOutcome::Failed { reason } => {
             w.u8(1);
-            w_str(w, reason);
+            w.str(reason);
         }
         JobOutcome::Cancelled => w.u8(2),
     }
@@ -267,8 +240,8 @@ fn w_outcome(w: &mut ByteWriter<'_>, outcome: &JobOutcome) {
 
 fn r_outcome(r: &mut ByteReader<'_>) -> Result<JobOutcome, WireError> {
     match r.u8()? {
-        0 => Ok(JobOutcome::Done { payload: r_bytes(r)? }),
-        1 => Ok(JobOutcome::Failed { reason: r_str(r)? }),
+        0 => Ok(JobOutcome::Done { payload: r.bytes()? }),
+        1 => Ok(JobOutcome::Failed { reason: r.str()? }),
         2 => Ok(JobOutcome::Cancelled),
         _ => Err(WireError::Malformed { what: "unknown outcome variant" }),
     }
@@ -308,7 +281,7 @@ impl Wire for JobMsg {
         match self {
             Self::Submit { ticket, payload } => {
                 w.u32(*ticket);
-                w_bytes(w, payload);
+                w.bytes(payload);
             }
             Self::Accepted { ticket, job_id } => {
                 w.u32(*ticket);
@@ -316,7 +289,7 @@ impl Wire for JobMsg {
             }
             Self::Rejected { ticket, reason } => {
                 w.u32(*ticket);
-                w_str(w, reason);
+                w.str(reason);
             }
             Self::Status { job_id } | Self::Cancel { job_id } | Self::Result { job_id } => {
                 w.u64(*job_id);
@@ -349,8 +322,8 @@ impl Wire for JobMsg {
                 w.u64(*max_payload);
                 w.u32(entries.len() as u32);
                 for e in entries {
-                    w_str(w, &e.name);
-                    w_str(w, &e.summary);
+                    w.str(&e.name);
+                    w.str(&e.summary);
                 }
             }
         }
@@ -364,9 +337,9 @@ impl Wire for JobMsg {
         r: &mut ByteReader<'_>,
     ) -> Result<Self, WireError> {
         match tag {
-            TAG_SUBMIT => Ok(Self::Submit { ticket: r.u32()?, payload: r_bytes(r)? }),
+            TAG_SUBMIT => Ok(Self::Submit { ticket: r.u32()?, payload: r.bytes()? }),
             TAG_ACCEPTED => Ok(Self::Accepted { ticket: r.u32()?, job_id: r.u64()? }),
-            TAG_REJECTED => Ok(Self::Rejected { ticket: r.u32()?, reason: r_str(r)? }),
+            TAG_REJECTED => Ok(Self::Rejected { ticket: r.u32()?, reason: r.str()? }),
             TAG_STATUS => Ok(Self::Status { job_id: r.u64()? }),
             TAG_STATUS_IS => {
                 Ok(Self::StatusIs { job_id: r.u64()?, state: JobState::from_code(r.u8()?)? })
@@ -402,7 +375,7 @@ impl Wire for JobMsg {
                 }
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
-                    entries.push(CatalogEntry { name: r_str(r)?, summary: r_str(r)? });
+                    entries.push(CatalogEntry { name: r.str()?, summary: r.str()? });
                 }
                 Ok(Self::CatalogIs { entries, max_payload })
             }

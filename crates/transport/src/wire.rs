@@ -96,6 +96,33 @@ impl<'a> ByteWriter<'a> {
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
+
+    /// Append a byte string: `u32` length, then the bytes.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.u32(v.len() as u32);
+        self.out.extend_from_slice(v);
+    }
+
+    /// Append a UTF-8 string in [`Self::bytes`] form.
+    pub fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+    }
+
+    /// Append a `u32` slice: `u32` count, then the values.
+    pub fn u32s(&mut self, v: &[u32]) {
+        self.u32(v.len() as u32);
+        for &x in v {
+            self.u32(x);
+        }
+    }
+
+    /// Append a `u64` slice: `u32` count, then the values.
+    pub fn u64s(&mut self, v: &[u64]) {
+        self.u32(v.len() as u32);
+        for &x in v {
+            self.u64(x);
+        }
+    }
 }
 
 /// Little-endian cursor over a byte slice; every read is checked.
@@ -150,6 +177,43 @@ impl<'a> ByteReader<'a> {
     /// Read an `f64` from its bit pattern.
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Read a `u32` count of items `width` bytes wide, checked against
+    /// the bytes actually left *before* anything is allocated for them.
+    fn count(&mut self, width: usize) -> Result<usize, WireError> {
+        let count = self.u32()? as usize;
+        if count.saturating_mul(width) > self.remaining() {
+            return Err(WireError::Malformed { what: "declared length exceeds payload" });
+        }
+        Ok(count)
+    }
+
+    /// Read a byte string written by [`ByteWriter::bytes`].
+    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        let len = self.count(1)?;
+        Ok(self.take(len)?.to_vec())
+    }
+
+    /// Read a UTF-8 string written by [`ByteWriter::str`].
+    pub fn str(&mut self) -> Result<String, WireError> {
+        String::from_utf8(self.bytes()?)
+            .map_err(|_| WireError::Malformed { what: "string is not utf-8" })
+    }
+
+    /// Read a `u32` slice written by [`ByteWriter::u32s`].
+    pub fn u32s(&mut self) -> Result<Vec<u32>, WireError> {
+        let bytes = self.count(4)? * 4;
+        let to_u32 = |c: &[u8]| u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        Ok(self.take(bytes)?.chunks_exact(4).map(to_u32).collect())
+    }
+
+    /// Read a `u64` slice written by [`ByteWriter::u64s`].
+    pub fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
+        let bytes = self.count(8)? * 8;
+        let to_u64 =
+            |c: &[u8]| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
+        Ok(self.take(bytes)?.chunks_exact(8).map(to_u64).collect())
     }
 
     /// Assert the payload was consumed exactly.
@@ -248,6 +312,28 @@ mod tests {
         assert_eq!(r.f64().map(f64::to_bits), Ok((-0.0f64).to_bits()));
         assert!(r.f64().is_ok_and(f64::is_nan));
         assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn strings_and_slices_round_trip_and_reject_hostile_lengths() {
+        let mut buf = Vec::new();
+        let mut w = ByteWriter::new(&mut buf);
+        w.str("héllo");
+        w.bytes(&[9, 8]);
+        w.u32s(&[1, u32::MAX]);
+        w.u64s(&[1 << 40]);
+        let mut r = ByteReader::new(&buf);
+        assert_eq!(r.str().as_deref(), Ok("héllo"));
+        assert_eq!(r.bytes(), Ok(vec![9, 8]));
+        assert_eq!(r.u32s(), Ok(vec![1, u32::MAX]));
+        assert_eq!(r.u64s(), Ok(vec![1 << 40]));
+        assert_eq!(r.finish(), Ok(()));
+        // A count the payload cannot hold is rejected before allocating.
+        let hostile = (1u32 << 30).to_le_bytes();
+        assert!(matches!(ByteReader::new(&hostile).u64s(), Err(WireError::Malformed { .. })));
+        assert!(matches!(ByteReader::new(&hostile).str(), Err(WireError::Malformed { .. })));
+        let bad_utf8 = [1u8, 0, 0, 0, 0xFF];
+        assert!(matches!(ByteReader::new(&bad_utf8).str(), Err(WireError::Malformed { .. })));
     }
 
     #[test]

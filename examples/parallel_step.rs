@@ -10,8 +10,9 @@ use cip::contact::DtreeFilter;
 use cip::core::{dt_friendly_correct, halo_traffic, DtFriendlyConfig, SnapshotView};
 use cip::dtree::{induce, DtreeConfig};
 use cip::partition::{partition_kway, PartitionerConfig};
-use cip::runtime::{build_decomposition, execute_step, StepInput};
+use cip::runtime::{build_decomposition, execute_steps, ExecOptions, StepInput};
 use cip::sim::SimConfig;
+use cip::transport::InProcess;
 
 fn main() {
     let k = 8;
@@ -50,7 +51,7 @@ fn main() {
         let tree = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
         let filter = DtreeFilter::new(&tree, k);
 
-        let out = execute_step(&StepInput {
+        let input = StepInput {
             decomposition: &decomposition,
             positions: &view.mesh.points,
             elements: &elements,
@@ -58,8 +59,11 @@ fn main() {
             filter: &filter,
             tolerance: 0.4,
             recorder: cip::telemetry::Recorder::disabled(),
-        })
-        .expect("step executes without injected faults");
+        };
+        // A single step is a one-element batch.
+        let out = execute_steps(&[input], &[], &ExecOptions::default(), None, &InProcess)
+            .expect("step executes without injected faults")
+            .remove(0);
         let predicted = halo_traffic(&view.graph2.graph, &asg_now, k);
         println!(
             "{:>5} {:>9} {:>11} {:>11} {:>9} {:>7}",

@@ -20,13 +20,13 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> no panics on the runtime step hot path"
-# The executors must fail with typed RuntimeError values, never panic:
+# The executor must fail with typed RuntimeError values, never panic:
 # scan the non-test portion (everything before #[cfg(test)]) of the
-# barrier executor, the pipelined batch executor, the background
-# repartition planner (a panicked planner must degrade to the
-# synchronous path, DESIGN.md §6f), the whole transport crate (corrupt
-# frames and dead sockets are typed errors, DESIGN.md §6e), and the
-# worker-pool driver.
+# step executor (the rank loop and driver in pipeline.rs, the send and
+# receive primitives in exec.rs), the background repartition planner (a
+# panicked planner must degrade to the synchronous path, DESIGN.md §6c),
+# the whole transport crate (corrupt frames and dead sockets are typed
+# errors, DESIGN.md §6e), and the worker-pool driver.
 for hot_path in crates/runtime/src/exec.rs crates/runtime/src/pipeline.rs \
     crates/runtime/src/replan.rs crates/transport/src/*.rs src/worker.rs \
     crates/server/src/*.rs src/service.rs src/bin/cip-serve.rs; do

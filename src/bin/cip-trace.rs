@@ -19,16 +19,16 @@
 //! recovers by diffusion-repartitioning over the survivors (DESIGN.md
 //! §6c). The `fault.*` / `recovery.*` counters land in `summary.json`.
 //!
-//! Repartition boundaries are planned in the background by default
-//! (`--repartition-mode overlapped`, DESIGN.md §6f); `--repartition-mode
-//! barrier` restores the stop-the-world oracle with bit-identical
-//! totals.
+//! Steps run in batches of up to `--max-batch` on persistent rank
+//! threads; inside a batch a rank's sends may run `--lookahead` steps
+//! ahead of its drains, and the next repartition boundary is planned in
+//! the background (DESIGN.md §6c). Neither knob changes the totals.
 //!
 //! ```text
 //! cip-trace --scenario head_on --k 8 --snapshots 20 --out results
 //! cip-trace --scenario thick_plates --k 4 --no-repart
 //! cip-trace --scenario tiny --k 4 --chaos 7 --kill 3:2
-//! cip-trace --scenario head_on --k 8 --repartition-mode barrier --max-batch 4
+//! cip-trace --scenario head_on --k 8 --lookahead 1 --max-batch 4
 //! cip-trace --list-scenarios
 //! cip-trace --scenario head_on --k 4 --server 127.0.0.1:PORT   # job client
 //! ```
@@ -40,7 +40,6 @@
 
 use cip::service::{JobRequest, TraceTotals};
 use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
-use cip_runtime::{RepartitionMode, Schedule};
 use cip_server::{Client, ClientConfig, JobOutcome};
 use cip_sim::scenarios;
 
@@ -109,8 +108,8 @@ fn parse_args() -> Args {
                 args.opts.chaos.get_or_insert_with(ChaosOptions::default).kill = Some((step, rank));
                 i += 2;
             }
-            "--schedule" if i + 1 < argv.len() => {
-                args.opts.schedule = parse_schedule(&argv[i + 1]);
+            "--lookahead" if i + 1 < argv.len() => {
+                args.opts.lookahead = argv[i + 1].parse().expect("--lookahead takes an integer");
                 i += 2;
             }
             "--max-batch" if i + 1 < argv.len() => {
@@ -120,17 +119,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 }
                 args.opts.max_batch = n;
-                i += 2;
-            }
-            "--repartition-mode" if i + 1 < argv.len() => {
-                args.opts.repartition_mode = match argv[i + 1].as_str() {
-                    "barrier" => RepartitionMode::Barrier,
-                    "overlapped" => RepartitionMode::Overlapped,
-                    other => {
-                        eprintln!("--repartition-mode takes barrier or overlapped, got '{other}'");
-                        std::process::exit(2);
-                    }
-                };
                 i += 2;
             }
             "--transport" if i + 1 < argv.len() => {
@@ -167,8 +155,7 @@ fn parse_args() -> Args {
                     "usage: cip-trace [--scenario NAME] [--list-scenarios] [--k K] \
                      [--snapshots N] [--seed N] \
                      [--period N | --no-repart] [--chaos SEED] [--kill STEP:RANK] \
-                     [--schedule barrier|pipelined[:LOOKAHEAD]] [--max-batch N>=1] \
-                     [--repartition-mode barrier|overlapped] \
+                     [--lookahead N>=1] [--max-batch N>=1] \
                      [--transport inproc|tcp-threads[:BIND]|tcp[:BIND]] \
                      [--server ADDR:PORT] [--client-retries N] [--client-timeout-ms N] \
                      [--retry-seed N] [--out DIR]"
@@ -206,21 +193,6 @@ fn parse_transport(spec: &str) -> TransportKind {
                 std::process::exit(2);
             }
         }
-    }
-}
-
-/// Parses `barrier`, `pipelined`, or `pipelined:N` (N = lookahead).
-fn parse_schedule(spec: &str) -> Schedule {
-    match spec {
-        "barrier" => Schedule::Barrier,
-        "pipelined" => Schedule::pipelined(),
-        other => match other.strip_prefix("pipelined:").and_then(|n| n.parse().ok()) {
-            Some(lookahead) => Schedule::Pipelined { lookahead },
-            None => {
-                eprintln!("--schedule takes barrier or pipelined[:LOOKAHEAD], got '{spec}'");
-                std::process::exit(2);
-            }
-        },
     }
 }
 

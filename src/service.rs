@@ -28,32 +28,17 @@ use crate::trace::{
     ChaosOptions, RunBudget, RunControl, Session, SessionWorkspace, TraceError, TraceOptions,
     TraceReport,
 };
-use cip_runtime::{RepartitionMode, Schedule};
 use cip_server::{CatalogEntry, JobContext, JobError, JobRunner};
 use cip_sim::scenarios;
 use cip_transport::wire::{ByteReader, ByteWriter};
 use cip_transport::WireError;
 
-/// Payload format version; bump on any encoding change.
-const REQUEST_VERSION: u8 = 1;
+/// Payload format version; bump on any encoding change. Version 1
+/// carried a schedule tag and a repartition-mode tag; both knobs are
+/// gone, and a version-1 payload is rejected.
+const REQUEST_VERSION: u8 = 2;
 /// Result format version.
 const TOTALS_VERSION: u8 = 1;
-
-fn w_str(w: &mut ByteWriter<'_>, s: &str) {
-    w.u32(s.len() as u32);
-    for &b in s.as_bytes() {
-        w.u8(b);
-    }
-}
-
-fn r_str(r: &mut ByteReader<'_>) -> Result<String, WireError> {
-    let len = r.u32()? as usize;
-    let mut bytes = Vec::with_capacity(len.min(1 << 16));
-    for _ in 0..len {
-        bytes.push(r.u8()?);
-    }
-    String::from_utf8(bytes).map_err(|_| WireError::Malformed { what: "non-utf8 string" })
-}
 
 fn w_opt_u64(w: &mut ByteWriter<'_>, v: Option<u64>) {
     match v {
@@ -96,7 +81,7 @@ impl JobRequest {
         let mut w = ByteWriter::new(&mut out);
         let o = &self.opts;
         w.u8(REQUEST_VERSION);
-        w_str(&mut w, &o.scenario);
+        w.str(&o.scenario);
         w.u64(o.k as u64);
         w_opt_u64(&mut w, o.snapshots.map(|n| n as u64));
         w.u64(o.seed);
@@ -122,18 +107,8 @@ impl JobRequest {
                 w.u32(c.retries);
             }
         }
-        match o.schedule {
-            Schedule::Barrier => w.u8(0),
-            Schedule::Pipelined { lookahead } => {
-                w.u8(1);
-                w.u64(lookahead as u64);
-            }
-        }
+        w.u64(o.lookahead as u64);
         w.u64(o.max_batch as u64);
-        w.u8(match o.repartition_mode {
-            RepartitionMode::Barrier => 0,
-            RepartitionMode::Overlapped => 1,
-        });
         out
     }
 
@@ -144,7 +119,7 @@ impl JobRequest {
         if version != REQUEST_VERSION {
             return Err(WireError::Malformed { what: "unsupported job request version" });
         }
-        let scenario = r_str(&mut r)?;
+        let scenario = r.str()?;
         let k = r.u64()? as usize;
         let snapshots = r_opt_u64(&mut r)?.map(|n| n as usize);
         let seed = r.u64()?;
@@ -175,17 +150,8 @@ impl JobRequest {
             }
             _ => return Err(WireError::Malformed { what: "bad chaos tag" }),
         };
-        let schedule = match r.u8()? {
-            0 => Schedule::Barrier,
-            1 => Schedule::Pipelined { lookahead: r.u64()? as usize },
-            _ => return Err(WireError::Malformed { what: "bad schedule tag" }),
-        };
+        let lookahead = r.u64()? as usize;
         let max_batch = r.u64()? as usize;
-        let repartition_mode = match r.u8()? {
-            0 => RepartitionMode::Barrier,
-            1 => RepartitionMode::Overlapped,
-            _ => return Err(WireError::Malformed { what: "bad repartition mode" }),
-        };
         r.finish()?;
         Ok(Self {
             opts: TraceOptions {
@@ -195,9 +161,8 @@ impl JobRequest {
                 seed,
                 repartition_period,
                 chaos,
-                schedule,
+                lookahead,
                 max_batch,
-                repartition_mode,
                 transport: Default::default(),
             },
         })
@@ -394,6 +359,7 @@ mod tests {
         assert_eq!(back.opts.k, 3);
         assert_eq!(back.opts.snapshots, Some(4));
         assert_eq!(back.opts.repartition_period, Some(2));
+        assert_eq!(back.opts, sample_opts(), "every transmitted option survives");
         // Canonical: encoding the decoded request reproduces the bytes.
         assert_eq!(back.encode(), bytes);
         // And a different seed changes them.
@@ -435,6 +401,9 @@ mod tests {
         assert!(JobRequest::decode(&[]).is_err());
         assert!(JobRequest::decode(&[9, 0, 0]).is_err(), "unknown version");
         let mut bytes = JobRequest::new(sample_opts()).encode();
+        bytes[0] = 1;
+        assert!(JobRequest::decode(&bytes).is_err(), "version 1 (schedule/mode tags) is retired");
+        bytes[0] = REQUEST_VERSION;
         bytes.push(0);
         assert!(JobRequest::decode(&bytes).is_err(), "trailing bytes");
         assert!(TraceTotals::decode(&[1, 2, 3]).is_err());

@@ -19,10 +19,9 @@ use cip_partition::{
     PartitionerConfig,
 };
 use cip_runtime::{
-    build_decomposition, build_migration, build_migration_recorded, collect_batch,
-    execute_steps_overlapped, BatchError, CancelToken, ConfigError, Decomposition, ExecOptions,
-    FaultInjector, FaultPlan, KillSpec, MigrationPlan, RepartitionMode, Replanner, RuntimeError,
-    Schedule, StepInput,
+    build_decomposition, build_migration, build_migration_recorded, collect_batch, execute_steps,
+    BatchError, CancelToken, ConfigError, Decomposition, ExecOptions, FaultInjector, FaultPlan,
+    KillSpec, MigrationPlan, Replanner, RuntimeError, StepInput,
 };
 use cip_sim::{scenarios, SimConfig, SimResult};
 use cip_telemetry::{export::Summary, Recorder};
@@ -205,21 +204,15 @@ pub struct TraceOptions {
     pub repartition_period: Option<usize>,
     /// Fault injection (`None` = clean run).
     pub chaos: Option<ChaosOptions>,
-    /// Step schedule: [`Schedule::pipelined`] (the default) batches the
-    /// steps between repartition barriers onto persistent rank threads
-    /// with cross-step overlap; [`Schedule::Barrier`] is the one-step-
-    /// at-a-time oracle.
-    pub schedule: Schedule,
-    /// Longest stretch of steps one batch may cover (clamped to at
-    /// least 1; repartition boundaries cut batches shorter).
+    /// How many steps a rank's sends may run ahead of its completed
+    /// drains inside a batch (≥ 1, default 2; see
+    /// [`ExecOptions::lookahead`]). The executed totals do not depend
+    /// on it.
+    pub lookahead: usize,
+    /// Longest stretch of steps one batch may cover (≥ 1; repartition
+    /// boundaries cut batches shorter). The executed totals do not
+    /// depend on it.
     pub max_batch: usize,
-    /// How repartition boundaries are handled:
-    /// [`RepartitionMode::Overlapped`] (the default) plans the next
-    /// boundary on a background thread during the preceding batch and
-    /// splices the node migration into the following batch as a
-    /// `Migrate` prologue; [`RepartitionMode::Barrier`] is the
-    /// stop-the-world oracle it must match bit for bit.
-    pub repartition_mode: RepartitionMode,
     /// Where the ranks live and what carries their messages.
     pub transport: TransportKind,
 }
@@ -233,9 +226,8 @@ impl Default for TraceOptions {
             seed: 1,
             repartition_period: Some(10),
             chaos: None,
-            schedule: Schedule::pipelined(),
+            lookahead: ExecOptions::default().lookahead,
             max_batch: 8,
-            repartition_mode: RepartitionMode::default(),
             transport: TransportKind::InProcess,
         }
     }
@@ -267,10 +259,8 @@ impl TraceOptions {
         if self.max_batch < 1 {
             return reject("max_batch", "a batch must cover at least one step");
         }
-        if let Schedule::Pipelined { lookahead } = self.schedule {
-            if lookahead < 1 {
-                return reject("schedule", "pipelined lookahead must be at least 1");
-            }
+        if self.lookahead < 1 {
+            return reject("lookahead", "a rank sends at least one step ahead of its drains");
         }
         if let Some(c) = &self.chaos {
             if c.timeout_ms == 0 {
@@ -334,21 +324,15 @@ impl TraceOptionsBuilder {
         self
     }
 
-    /// Step schedule (pipelined lookahead must be ≥ 1).
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.opts.schedule = schedule;
+    /// Send-ahead window of the rank loop (≥ 1).
+    pub fn lookahead(mut self, lookahead: usize) -> Self {
+        self.opts.lookahead = lookahead;
         self
     }
 
     /// Longest stretch of steps one batch may cover (≥ 1).
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.opts.max_batch = max_batch;
-        self
-    }
-
-    /// How repartition boundaries are handled.
-    pub fn repartition_mode(mut self, mode: RepartitionMode) -> Self {
-        self.opts.repartition_mode = mode;
         self
     }
 
@@ -543,7 +527,6 @@ pub struct Session {
     route: Vec<u32>,
     epoch: u32,
     chain_start: usize,
-    dcfg: DtreeConfig,
     tree: Option<DecisionTree<3>>,
     live_k: usize,
     report: TraceReport,
@@ -630,7 +613,6 @@ impl Session {
             route: (0..k as u32).collect(),
             epoch: 0,
             chain_start: 0,
-            dcfg: DtreeConfig::search_tree(),
             tree: None,
             live_k: k,
             report: TraceReport {
@@ -654,8 +636,8 @@ impl Session {
             // the monotone region counter makes re-firing impossible by
             // construction.
             boundaries_done: 0,
-            // Overlapped-repartition state (DESIGN.md §6f): the
-            // background planner, the rank-space version its plans are
+            // Repartition state (DESIGN.md §6c): the background
+            // planner, the rank-space version its plans are
             // keyed under (bumped on every recovery, so a plan computed
             // over dead ranks can never be applied), and a plan accepted
             // at the last boundary whose node migration still has to
@@ -717,12 +699,12 @@ impl Session {
             }
             let i = self.next_step;
             // §4.3 hybrid policy: periodic diffusion repartition +
-            // executed migration. Boundaries still end every batch; in
-            // Overlapped mode the plan was computed in the background
-            // during the preceding batch and the driver only flips
-            // `node_parts` here — the migration itself rides the next
-            // batch as a prologue.
-            if let Some(period) = self.opts.repartition_period.filter(|&p| p > 0) {
+            // executed migration. Boundaries end every batch; the plan
+            // was computed in the background during the preceding batch
+            // and the driver only flips `node_parts` here — the
+            // migration itself rides the next batch as a prologue.
+            let period = self.opts.repartition_period.filter(|&p| p > 0);
+            if let Some(period) = period {
                 let region = i / period;
                 if i > 0
                     && i.is_multiple_of(period)
@@ -730,24 +712,15 @@ impl Session {
                     && self.live_k >= 2
                 {
                     self.boundaries_done = region;
-                    let planned = match self.opts.repartition_mode {
-                        RepartitionMode::Overlapped => {
-                            self.planner.take(i, self.plan_version, &rec)
-                        }
-                        RepartitionMode::Barrier => None,
-                    };
-                    let (new_node_parts, plan) = match planned {
-                        Some(p) => p,
-                        None => {
-                            // Synchronous fallback — and the Barrier
-                            // oracle: the whole plan is a stall, charged
-                            // to the same span `Replanner::take` uses for
-                            // its join wait so the modes compare
-                            // directly.
+                    let (new_node_parts, plan) =
+                        self.planner.take(i, self.plan_version, &rec).unwrap_or_else(|| {
+                            // Planner miss (nothing in flight, a stale
+                            // key, a panicked planner): plan here. The
+                            // whole plan is a stall, charged to the span
+                            // `Replanner::take` uses for its join wait.
                             let _stall = rec.span("repartition.stall").attr("boundary", i as u64);
                             plan_boundary(&self.sim, i, self.live_k, &self.node_parts, &self.pcfg)
-                        }
-                    };
+                        });
                     record_migration(&rec, &plan, self.node_parts.len());
                     self.report.migrated += plan.total_moved();
                     self.report.repartitions += 1;
@@ -756,8 +729,7 @@ impl Session {
                             self.node_parts[n] = p;
                         }
                     }
-                    if self.opts.repartition_mode == RepartitionMode::Overlapped && !plan.is_empty()
-                    {
+                    if !plan.is_empty() {
                         self.pending_migrate = Some(plan);
                     }
                     // The decomposition changed: the old tree no longer
@@ -769,36 +741,31 @@ impl Session {
 
             // Batch every step up to the next repartition boundary
             // (capped at `max_batch` so the per-batch state stays
-            // small), prepare their inputs, and hand the whole stretch
-            // to the batch executor.
+            // small) and hand the whole stretch to the executor.
             let mut end = (i + max_batch).min(self.sim.len());
-            if let Some(period) = self.opts.repartition_period.filter(|&p| p > 0) {
+            if let Some(period) = period {
                 end = end.min((i / period + 1) * period);
-            }
-
-            // Overlapped mode: if this batch ends at the next
-            // repartition boundary, start planning it in the background
-            // now. The simulation snapshots are precomputed, so the
-            // planner reads exactly the inputs the boundary will read —
-            // the plan is bit-identical to the synchronous one by
-            // construction (DESIGN.md §6f, snapshot-staleness rule).
-            if self.opts.repartition_mode == RepartitionMode::Overlapped && self.live_k >= 2 {
-                if let Some(period) = self.opts.repartition_period.filter(|&p| p > 0) {
-                    if end < self.sim.len()
-                        && end.is_multiple_of(period)
-                        && end / period > self.boundaries_done
-                    {
-                        let sim2 = Arc::clone(&self.sim);
-                        let parts = self.node_parts.clone();
-                        let pcfg2 = self.pcfg.clone();
-                        let (at, lk, lane) = (end, self.live_k, (k + 1) as u32);
-                        self.planner.submit(end, self.plan_version, &rec, move || {
-                            pcfg2.recorder.set_lane(lane);
-                            let _compute =
-                                pcfg2.recorder.span("replan.compute").attr("boundary", at as u64);
-                            plan_boundary(&sim2, at, lk, &parts, &pcfg2)
-                        });
-                    }
+                // If this batch ends at the next repartition boundary,
+                // start planning it in the background now. The
+                // simulation snapshots are precomputed, so the planner
+                // reads exactly the inputs the boundary will read — the
+                // plan is bit-identical to the synchronous one by
+                // construction (DESIGN.md §6c, snapshot-staleness rule).
+                if self.live_k >= 2
+                    && end < self.sim.len()
+                    && end.is_multiple_of(period)
+                    && end / period > self.boundaries_done
+                {
+                    let sim2 = Arc::clone(&self.sim);
+                    let parts = self.node_parts.clone();
+                    let pcfg2 = self.pcfg.clone();
+                    let (at, lk, lane) = (end, self.live_k, (k + 1) as u32);
+                    self.planner.submit(end, self.plan_version, &rec, move || {
+                        pcfg2.recorder.set_lane(lane);
+                        let _compute =
+                            pcfg2.recorder.span("replan.compute").attr("boundary", at as u64);
+                        plan_boundary(&sim2, at, lk, &parts, &pcfg2)
+                    });
                 }
             }
 
@@ -816,123 +783,57 @@ impl Session {
             // A serial survivor (live_k == 1) exchanges no messages, so
             // the pool adds nothing — run it in-process like the other
             // modes.
-            let use_pool = self.live_k >= 2 && self.pool.is_some();
-            let (result, carried_tree) = if use_pool {
-                // Pool path: the workers rebuild the step inputs
-                // themselves (tree-chain replay from `chain_start`), so
-                // the driver only ships its mutable state and folds the
-                // reported outcomes — the same fold the in-process
-                // executor applies to its joined threads.
-                let p = self.pool.as_mut().expect("use_pool checked pool.is_some()");
-                let plans: Vec<Option<FaultPlan>> =
-                    faults.iter().map(|f| f.plan().cloned()).collect();
-                let lookahead = match self.opts.schedule {
-                    Schedule::Pipelined { lookahead } => lookahead.max(1),
-                    Schedule::Barrier => 1,
-                };
-                let spec = BatchSpec {
-                    start: i,
-                    end,
-                    chain_start: self.chain_start,
-                    live_k: self.live_k,
-                    epoch: self.epoch,
-                    node_parts: &self.node_parts,
-                    plans,
-                    migrate: self.pending_migrate.as_ref(),
-                    timeout_ms: exec_opts.timeout.as_millis() as u64,
-                    retries: exec_opts.retries,
-                    lookahead,
-                };
-                let outcomes = p.execute_batch(&spec, &self.route, &rec);
-                self.epoch += (end - i) as u32;
-                let recorders = vec![rec.clone(); end - i];
-                (collect_batch(self.live_k, &recorders, outcomes), None)
-            } else {
-                // Per-step prep: decomposition views and the search-tree
-                // chain (fresh induction when no tree carries over,
-                // incremental refresh otherwise). All of this is
-                // executor-independent, so it can be staged for the
-                // whole batch before any rank thread starts.
-                let mut prepped: Vec<PreparedStep> = Vec::with_capacity(end - i);
-                let mut trees: Vec<DecisionTree<3>> = Vec::with_capacity(end - i);
-                for j in i..end {
-                    let _step_span = rec.span("trace.step").attr("step", j);
-                    let view = SnapshotView::build(&self.sim, j, 5);
-                    let asg_now: Vec<u32> = view
-                        .graph2
-                        .node_of_vertex
-                        .iter()
-                        .map(|&n| self.node_parts[n as usize])
-                        .collect();
-                    let elements = view.surface_elements(&self.node_parts);
-                    let bodies = view.face_bodies();
-                    let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
-                    let decomposition = build_decomposition(
-                        &view.graph2.graph,
-                        &view.graph2.node_of_vertex,
-                        &asg_now,
-                        &owners,
-                        self.live_k,
-                    );
-                    let labels = view.contact.labels_from_node_parts(&self.node_parts);
-                    let new_tree = match trees.last().or(self.tree.as_ref()) {
-                        None => induce_recorded(
-                            &view.contact.positions,
-                            &labels,
-                            self.live_k,
-                            &self.dcfg,
-                            &rec,
-                        ),
-                        Some(t) => {
-                            refresh_recorded(
-                                t,
-                                &view.contact.positions,
-                                &labels,
-                                self.live_k,
-                                &self.dcfg,
-                                &rec,
-                            )
-                            .0
-                        }
+            let (result, carried_tree) = match self.pool.as_mut().filter(|_| self.live_k >= 2) {
+                Some(pool) => {
+                    // The workers stage the step inputs themselves
+                    // (tree-chain replay from `chain_start`), so the
+                    // driver only ships its mutable state and folds the
+                    // reported outcomes — the same fold the in-process
+                    // executor applies to its joined threads.
+                    let spec = BatchSpec {
+                        start: i,
+                        end,
+                        chain_start: self.chain_start,
+                        live_k: self.live_k,
+                        epoch: self.epoch,
+                        node_parts: &self.node_parts,
+                        plans: faults.iter().map(|f| f.plan().cloned()).collect(),
+                        migrate: self.pending_migrate.as_ref(),
+                        timeout_ms: exec_opts.timeout.as_millis() as u64,
+                        retries: exec_opts.retries,
+                        lookahead: exec_opts.lookahead,
                     };
-                    trees.push(new_tree);
-                    prepped.push(PreparedStep { view, elements, bodies, decomposition });
+                    let outcomes = pool.execute_batch(&spec, &self.route, &rec);
+                    self.epoch += (end - i) as u32;
+                    let recorders = vec![rec.clone(); end - i];
+                    (collect_batch(self.live_k, &recorders, outcomes), None)
                 }
-
-                let filters: Vec<DtreeFilter<'_, 3>> =
-                    trees.iter().map(|t| DtreeFilter::new(t, self.live_k)).collect();
-                let inputs: Vec<StepInput<'_, DtreeFilter<'_, 3>>> = prepped
-                    .iter()
-                    .zip(filters.iter())
-                    .map(|(p, filter)| StepInput {
-                        decomposition: &p.decomposition,
-                        positions: &p.view.mesh.points,
-                        elements: &p.elements,
-                        bodies: &p.bodies,
-                        filter,
-                        tolerance: 0.4,
-                        recorder: rec.clone(),
-                    })
-                    .collect();
-                let result = match &self.opts.transport {
-                    TransportKind::TcpThreads { bind } => execute_steps_overlapped(
-                        &inputs,
-                        &faults,
-                        &exec_opts,
-                        self.pending_migrate.as_ref(),
-                        &Tcp { bind: bind.clone() },
-                    ),
-                    _ => execute_steps_overlapped(
-                        &inputs,
-                        &faults,
-                        &exec_opts,
-                        self.pending_migrate.as_ref(),
-                        &InProcess,
-                    ),
-                };
-                drop(inputs);
-                drop(filters);
-                (result, trees.pop())
+                None => {
+                    // Staging is executor-independent, so the whole
+                    // batch is prepared before any rank thread starts.
+                    let mut staged = stage_batch(
+                        &self.sim,
+                        &self.node_parts,
+                        self.live_k,
+                        self.tree.as_ref(),
+                        i,
+                        i..end,
+                        &rec,
+                    );
+                    let migrate = self.pending_migrate.as_ref();
+                    let result =
+                        with_staged_inputs(&staged, &rec, |inputs| match &self.opts.transport {
+                            TransportKind::TcpThreads { bind } => execute_steps(
+                                inputs,
+                                &faults,
+                                &exec_opts,
+                                migrate,
+                                &Tcp { bind: bind.clone() },
+                            ),
+                            _ => execute_steps(inputs, &faults, &exec_opts, migrate, &InProcess),
+                        });
+                    (result, staged.pop().map(|s| s.tree))
+                }
             };
 
             match result {
@@ -1082,21 +983,103 @@ fn plan_boundary(
 
 /// Charges an accepted migration plan to telemetry exactly like
 /// [`build_migration_recorded`] does — the `migrate.plan` span and the
-/// `traffic.migrated_units` counter — so Barrier and Overlapped runs
-/// produce identical counters and [`TraceReport::verify_totals`] stays
-/// an exact equality.
+/// `traffic.migrated_units` counter — so a plan counts once, when it is
+/// applied, and [`TraceReport::verify_totals`] stays an exact equality.
 fn record_migration(rec: &Recorder, plan: &MigrationPlan, nodes: usize) {
     let mut span = rec.span("migrate.plan").attr("nodes", nodes).attr("k", plan.k);
     span.set_attr("moved", plan.total_moved());
     rec.add("traffic.migrated_units", plan.total_moved());
 }
 
-/// Owned per-step inputs staged for one batch.
-struct PreparedStep {
+/// Contact capture tolerance of every traced step.
+const TOLERANCE: f64 = 0.4;
+
+/// Owned inputs of one staged step; [`StepInput`]s borrow from it.
+pub(crate) struct StagedStep {
     view: SnapshotView,
     elements: Vec<cip_contact::SurfaceElementInfo<3>>,
     bodies: Vec<u16>,
     decomposition: Decomposition,
+    tree: DecisionTree<3>,
+}
+
+/// Stages the steps `batch` of a trace under the assignment
+/// `node_parts`: per snapshot, the decomposition view and the search
+/// tree — refreshed from the previous snapshot's tree, or induced from
+/// scratch where the chain starts.
+///
+/// The tree chain is replayed from snapshot `replay_from <= batch.start`;
+/// `carried` is the tree of snapshot `replay_from - 1` (`None` starts a
+/// fresh chain at `replay_from`). The driver carries the last tree from
+/// batch to batch and replays from `batch.start`; a worker process
+/// carries nothing and replays from where the chain was induced —
+/// `node_parts` is constant within a chain, so both arrive at the same
+/// trees bit for bit.
+pub(crate) fn stage_batch(
+    sim: &SimResult,
+    node_parts: &[u32],
+    live_k: usize,
+    carried: Option<&DecisionTree<3>>,
+    replay_from: usize,
+    batch: std::ops::Range<usize>,
+    rec: &Recorder,
+) -> Vec<StagedStep> {
+    let dcfg = DtreeConfig::search_tree();
+    let mut steps: Vec<StagedStep> = Vec::with_capacity(batch.len());
+    let mut replayed: Option<DecisionTree<3>> = None;
+    for j in replay_from..batch.end {
+        let _step_span = rec.span("trace.step").attr("step", j);
+        let view = SnapshotView::build(sim, j, 5);
+        let labels = view.contact.labels_from_node_parts(node_parts);
+        let positions = &view.contact.positions;
+        let tree = match steps.last().map(|s| &s.tree).or(replayed.as_ref()).or(carried) {
+            None => induce_recorded(positions, &labels, live_k, &dcfg, rec),
+            Some(prev) => refresh_recorded(prev, positions, &labels, live_k, &dcfg, rec).0,
+        };
+        if j < batch.start {
+            replayed = Some(tree);
+            continue;
+        }
+        let asg_now: Vec<u32> =
+            view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
+        let elements = view.surface_elements(node_parts);
+        let bodies = view.face_bodies();
+        let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
+        let decomposition = build_decomposition(
+            &view.graph2.graph,
+            &view.graph2.node_of_vertex,
+            &asg_now,
+            &owners,
+            live_k,
+        );
+        steps.push(StagedStep { view, elements, bodies, decomposition, tree });
+    }
+    steps
+}
+
+/// Runs `run` over the [`StepInput`]s of a staged batch, all reporting
+/// to `rec`.
+pub(crate) fn with_staged_inputs<R>(
+    staged: &[StagedStep],
+    rec: &Recorder,
+    run: impl FnOnce(&[StepInput<'_, DtreeFilter<'_, 3>>]) -> R,
+) -> R {
+    let filters: Vec<DtreeFilter<'_, 3>> =
+        staged.iter().map(|s| DtreeFilter::new(&s.tree, s.decomposition.k)).collect();
+    let inputs: Vec<StepInput<'_, DtreeFilter<'_, 3>>> = staged
+        .iter()
+        .zip(&filters)
+        .map(|(s, filter)| StepInput {
+            decomposition: &s.decomposition,
+            positions: &s.view.mesh.points,
+            elements: &s.elements,
+            bodies: &s.bodies,
+            filter,
+            tolerance: TOLERANCE,
+            recorder: rec.clone(),
+        })
+        .collect();
+    run(&inputs)
 }
 
 /// Folds one committed step's output into the report.
@@ -1131,17 +1114,10 @@ fn step_fault(chaos: &Option<ChaosOptions>, step: usize, live_k: usize) -> Fault
 }
 
 /// Executor options for one batch: chaos runs get the configured
-/// loss-detection budget, clean runs the defaults; the schedule,
-/// batching, and repartition-mode knobs come straight from the trace
-/// options. Per-step injectors travel separately through the batch
-/// executors' `faults` slice.
+/// loss-detection budget, clean runs the defaults. Per-step injectors
+/// travel separately through the executor's `faults` slice.
 fn exec_options(opts: &TraceOptions) -> ExecOptions {
-    let base = ExecOptions {
-        schedule: opts.schedule,
-        max_batch: opts.max_batch.max(1),
-        repartition_mode: opts.repartition_mode,
-        ..ExecOptions::default()
-    };
+    let base = ExecOptions { lookahead: opts.lookahead, ..ExecOptions::default() };
     match &opts.chaos {
         None => base,
         Some(c) => {
@@ -1186,7 +1162,7 @@ mod tests {
             .k(2)
             .snapshots(3)
             .seed(7)
-            .schedule(Schedule::Barrier)
+            .lookahead(1)
             .build()
             .expect("valid options build");
         assert_eq!(opts.scenario, "tiny");
@@ -1201,8 +1177,8 @@ mod tests {
         assert!(matches!(err, Err(TraceError::Config(ref c)) if c.field == "max_batch"));
         let err = TraceOptions::builder().snapshots(0).build();
         assert!(matches!(err, Err(TraceError::Config(ref c)) if c.field == "snapshots"));
-        let err = TraceOptions::builder().schedule(Schedule::Pipelined { lookahead: 0 }).build();
-        assert!(matches!(err, Err(TraceError::Config(ref c)) if c.field == "schedule"));
+        let err = TraceOptions::builder().lookahead(0).build();
+        assert!(matches!(err, Err(TraceError::Config(ref c)) if c.field == "lookahead"));
         let err = TraceOptions::builder()
             .chaos(Some(ChaosOptions { timeout_ms: 0, ..ChaosOptions::default() }))
             .build();
@@ -1294,34 +1270,11 @@ mod tests {
             assert!(trace.contains(&format!("\"rank {rank}\"")), "missing lane for rank {rank}");
         }
         assert!(trace.contains("\"driver\""), "missing the driver lane label");
-        // No `exec.drain`: the pipelined default has no drain phase — a
-        // rank searches as soon as its own inputs arrive.
+        // There is no drain phase to span: a rank searches a step as
+        // soon as its own inputs for it have arrived.
         for name in ["exec.halo", "exec.ship", "exec.search", "dtree.induce", "trace.step"] {
             assert!(trace.contains(&format!("\"name\":\"{name}\"")), "missing span {name}");
         }
-    }
-
-    #[test]
-    fn barrier_and_pipelined_schedules_agree_end_to_end() {
-        let base = TraceOptions {
-            scenario: "tiny".to_string(),
-            k: 3,
-            snapshots: Some(5),
-            seed: 7,
-            repartition_period: Some(2),
-            chaos: None,
-            ..TraceOptions::default()
-        };
-        let barrier = run_traced(&TraceOptions { schedule: Schedule::Barrier, ..base.clone() })
-            .expect("barrier run executes");
-        let piped = run_traced(&base).expect("pipelined run executes");
-        assert_eq!(piped.halo, barrier.halo);
-        assert_eq!(piped.shipments, barrier.shipments);
-        assert_eq!(piped.contact_pairs, barrier.contact_pairs);
-        assert_eq!(piped.migrated, barrier.migrated);
-        assert_eq!(piped.repartitions, barrier.repartitions);
-        piped.verify_totals().expect("pipelined counters stay exact");
-        barrier.verify_totals().expect("barrier counters stay exact");
     }
 
     #[test]

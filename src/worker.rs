@@ -29,14 +29,10 @@
 //! [`cip_runtime::RuntimeError::RankLost`] and drives the same
 //! recovery path.
 
-use crate::trace::{scenario_config, TraceError};
-use cip_contact::DtreeFilter;
-use cip_core::SnapshotView;
-use cip_dtree::{induce_recorded, refresh_recorded, DecisionTree, DtreeConfig};
+use crate::trace::{scenario_config, stage_batch, with_staged_inputs, TraceError};
 use cip_runtime::{
-    build_decomposition, execute_rank_steps, Decomposition, ExecOptions, FaultInjector, FaultPlan,
-    KillSpec, MigrationPlan, Msg, RankBatchOutcome, RankResult, Schedule, StepInput,
-    SteppedMailbox,
+    execute_rank_steps, ExecOptions, FaultInjector, FaultPlan, KillSpec, MigrationPlan, Msg,
+    RankBatchOutcome, RankResult, SteppedMailbox,
 };
 use cip_sim::SimResult;
 use cip_telemetry::Recorder;
@@ -49,10 +45,6 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-/// Contact capture tolerance used by every traced run (the same
-/// constant the in-process driver hardcodes in its step inputs).
-const TOLERANCE: f64 = 0.4;
 
 // ---------------------------------------------------------------------
 // Control protocol
@@ -85,16 +77,17 @@ pub struct RunSpec {
     /// Per-step fault plans (`None` = clean step); same length as the
     /// batch.
     pub plans: Vec<Option<FaultPlan>>,
-    /// Overlapped-repartition migrate stage riding this batch: the
-    /// accepted [`MigrationPlan`]'s `moves` matrix (`live_k * live_k`
-    /// rows, `moves[from * live_k + to]`), or `None` for no stage
-    /// (DESIGN.md §6f).
+    /// Repartition migrate stage riding this batch: the accepted
+    /// [`MigrationPlan`]'s `moves` matrix (`live_k * live_k` rows,
+    /// `moves[from * live_k + to]`), or `None` for no stage
+    /// (DESIGN.md §6c).
     pub migrate: Option<Vec<Vec<u32>>>,
     /// Executor drain timeout, milliseconds.
     pub timeout_ms: u64,
     /// Executor repair rounds before declaring peers dead.
     pub retries: u32,
-    /// Pipelined lookahead (the barrier oracle ships 1).
+    /// Send-ahead window of the rank loop
+    /// ([`ExecOptions::lookahead`]).
     pub lookahead: u32,
 }
 
@@ -142,63 +135,6 @@ pub const TAG_DONE: u8 = 4;
 /// Frame tag of [`Ctrl::Exit`].
 pub const TAG_EXIT: u8 = 5;
 
-fn w_str(w: &mut ByteWriter<'_>, s: &str) {
-    w.u32(s.len() as u32);
-    for &b in s.as_bytes() {
-        w.u8(b);
-    }
-}
-
-fn r_str(r: &mut ByteReader<'_>) -> Result<String, WireError> {
-    let len = r.u32()? as usize;
-    if len > r.remaining() {
-        return Err(WireError::Malformed { what: "string length exceeds payload" });
-    }
-    let mut bytes = Vec::with_capacity(len);
-    for _ in 0..len {
-        bytes.push(r.u8()?);
-    }
-    String::from_utf8(bytes).map_err(|_| WireError::Malformed { what: "string is not utf-8" })
-}
-
-fn w_u32s(w: &mut ByteWriter<'_>, v: &[u32]) {
-    w.u32(v.len() as u32);
-    for &x in v {
-        w.u32(x);
-    }
-}
-
-fn r_u32s(r: &mut ByteReader<'_>) -> Result<Vec<u32>, WireError> {
-    let count = r.u32()? as usize;
-    if count * 4 > r.remaining() {
-        return Err(WireError::Malformed { what: "u32 count exceeds payload" });
-    }
-    let mut v = Vec::with_capacity(count);
-    for _ in 0..count {
-        v.push(r.u32()?);
-    }
-    Ok(v)
-}
-
-fn w_u64s(w: &mut ByteWriter<'_>, v: &[u64]) {
-    w.u32(v.len() as u32);
-    for &x in v {
-        w.u64(x);
-    }
-}
-
-fn r_u64s(r: &mut ByteReader<'_>) -> Result<Vec<u64>, WireError> {
-    let count = r.u32()? as usize;
-    if count * 8 > r.remaining() {
-        return Err(WireError::Malformed { what: "u64 count exceeds payload" });
-    }
-    let mut v = Vec::with_capacity(count);
-    for _ in 0..count {
-        v.push(r.u64()?);
-    }
-    Ok(v)
-}
-
 fn w_plan(w: &mut ByteWriter<'_>, p: &FaultPlan) {
     w.u64(p.seed);
     w.u16(p.drop_permille);
@@ -234,8 +170,8 @@ fn w_result(w: &mut ByteWriter<'_>, res: &RankResult) {
         w.u32(p.a);
         w.u32(p.b);
     }
-    w_u64s(w, &res.halo_sent);
-    w_u64s(w, &res.shipments_sent);
+    w.u64s(&res.halo_sent);
+    w.u64s(&res.shipments_sent);
     w.u64(res.halo_msgs);
     w.u64(res.done_msgs);
     w.u64(res.ghost_mismatches as u64);
@@ -250,8 +186,8 @@ fn r_result(r: &mut ByteReader<'_>) -> Result<RankResult, WireError> {
     for _ in 0..count {
         pairs.push(cip_contact::ContactPair { a: r.u32()?, b: r.u32()? });
     }
-    let halo_sent = r_u64s(r)?;
-    let shipments_sent = r_u64s(r)?;
+    let halo_sent = r.u64s()?;
+    let shipments_sent = r.u64s()?;
     Ok(RankResult {
         pairs,
         halo_sent,
@@ -303,7 +239,7 @@ fn w_outcome(w: &mut ByteWriter<'_>, o: &RankBatchOutcome) {
                     w_result(w, res);
                 }
             }
-            w_u32s(w, dead);
+            w.u32s(dead);
         }
     }
 }
@@ -318,7 +254,7 @@ fn r_outcome(r: &mut ByteReader<'_>) -> Result<RankBatchOutcome, WireError> {
                 0 => None,
                 _ => Some(r_result(r)?),
             };
-            let dead = r_u32s(r)?;
+            let dead = r.u32s()?;
             Ok(RankBatchOutcome::Lost { done, partial, dead })
         }
         _ => Err(WireError::Malformed { what: "unknown outcome variant" }),
@@ -353,11 +289,11 @@ impl Wire for Ctrl {
 
     fn encode_payload(&self, w: &mut ByteWriter<'_>) {
         match self {
-            Ctrl::Hello { mesh_addr, .. } => w_str(w, mesh_addr),
+            Ctrl::Hello { mesh_addr, .. } => w.str(mesh_addr),
             Ctrl::Peers { mesh_addrs } => {
                 w.u32(mesh_addrs.len() as u32);
                 for a in mesh_addrs {
-                    w_str(w, a);
+                    w.str(a);
                 }
             }
             Ctrl::Run(spec) => {
@@ -370,8 +306,8 @@ impl Wire for Ctrl {
                 w.u64(spec.timeout_ms);
                 w.u32(spec.retries);
                 w.u32(spec.lookahead);
-                w_u32s(w, &spec.node_parts);
-                w_u32s(w, &spec.route);
+                w.u32s(&spec.node_parts);
+                w.u32s(&spec.route);
                 w.u32(spec.plans.len() as u32);
                 for p in &spec.plans {
                     match p {
@@ -388,7 +324,7 @@ impl Wire for Ctrl {
                         w.u8(1);
                         w.u32(moves.len() as u32);
                         for row in moves {
-                            w_u32s(w, row);
+                            w.u32s(row);
                         }
                     }
                 }
@@ -413,7 +349,7 @@ impl Wire for Ctrl {
         r: &mut ByteReader<'_>,
     ) -> Result<Self, WireError> {
         match tag {
-            TAG_HELLO => Ok(Ctrl::Hello { rank: from, mesh_addr: r_str(r)? }),
+            TAG_HELLO => Ok(Ctrl::Hello { rank: from, mesh_addr: r.str()? }),
             TAG_PEERS => {
                 let count = r.u32()? as usize;
                 if count * 4 > r.remaining() {
@@ -421,7 +357,7 @@ impl Wire for Ctrl {
                 }
                 let mut mesh_addrs = Vec::with_capacity(count);
                 for _ in 0..count {
-                    mesh_addrs.push(r_str(r)?);
+                    mesh_addrs.push(r.str()?);
                 }
                 Ok(Ctrl::Peers { mesh_addrs })
             }
@@ -435,8 +371,8 @@ impl Wire for Ctrl {
                 let timeout_ms = r.u64()?;
                 let retries = r.u32()?;
                 let lookahead = r.u32()?;
-                let node_parts = r_u32s(r)?;
-                let route = r_u32s(r)?;
+                let node_parts = r.u32s()?;
+                let route = r.u32s()?;
                 let count = r.u32()? as usize;
                 if count > r.remaining() {
                     return Err(WireError::Malformed { what: "plan count exceeds payload" });
@@ -460,7 +396,7 @@ impl Wire for Ctrl {
                         }
                         let mut moves = Vec::with_capacity(rows);
                         for _ in 0..rows {
-                            moves.push(r_u32s(r)?);
+                            moves.push(r.u32s()?);
                         }
                         Some(moves)
                     }
@@ -554,14 +490,35 @@ pub struct BatchSpec<'a> {
     pub node_parts: &'a [u32],
     /// Per-step fault plans.
     pub plans: Vec<Option<FaultPlan>>,
-    /// Overlapped-repartition migrate stage riding this batch.
+    /// Repartition migrate stage riding this batch.
     pub migrate: Option<&'a MigrationPlan>,
     /// Executor drain timeout, milliseconds.
     pub timeout_ms: u64,
     /// Executor repair rounds.
     pub retries: u32,
-    /// Pipelined lookahead.
+    /// Send-ahead window of the rank loop.
     pub lookahead: usize,
+}
+
+/// Whether a worker-reported outcome is one the rank loop could have
+/// produced for a `steps`-step batch over `live_k` ranks. A frame can be
+/// CRC-valid and still come from a skewed or buggy worker, and
+/// [`cip_runtime::collect_batch`] indexes by these sizes: per-destination
+/// vectors hold `live_k` entries, a completed rank reports every step, a
+/// dead or stalled one strictly fewer, and the peers a stalled rank
+/// blames exist.
+fn outcome_fits(outcome: &RankBatchOutcome, live_k: usize, steps: usize) -> bool {
+    let fits = |r: &RankResult| r.halo_sent.len() == live_k && r.shipments_sent.len() == live_k;
+    match outcome {
+        RankBatchOutcome::Completed(done) => done.len() == steps && done.iter().all(fits),
+        RankBatchOutcome::Dead { done } => done.len() < steps && done.iter().all(fits),
+        RankBatchOutcome::Lost { done, partial, dead } => {
+            done.len() < steps
+                && done.iter().chain(partial).all(fits)
+                && !dead.is_empty()
+                && dead.iter().all(|&d| (d as usize) < live_k)
+        }
+    }
 }
 
 /// Shorthand for the worker-protocol error variant.
@@ -671,8 +628,9 @@ impl WorkerPool {
     /// Run one batch across the live workers named by `route`
     /// (`route[live]` = worker id). Returns one outcome per live rank,
     /// ready for [`cip_runtime::collect_batch`]; a worker that cannot
-    /// report (dead process, broken control channel) comes back as
-    /// [`RankBatchOutcome::Dead`] at step 0. Per-batch transport byte
+    /// report (dead process, broken control channel) or reports an
+    /// outcome that does not fit the batch (`outcome_fits`) comes back
+    /// as [`RankBatchOutcome::Dead`] at step 0. Per-batch transport byte
     /// deltas are folded into `rec`'s `transport.*` counters.
     pub fn execute_batch(
         &mut self,
@@ -710,9 +668,10 @@ impl WorkerPool {
         // A worker is never slower than its own executor's give-up
         // budget plus the batch prep; anything beyond that is a dead
         // process, not a slow one.
-        let steps = (spec.end - spec.start).max(1) as u64;
+        let steps = spec.end - spec.start;
         let deadline = Duration::from_millis(
-            60_000 + steps * spec.timeout_ms.max(1_000) * (u64::from(spec.retries) + 2),
+            60_000
+                + steps.max(1) as u64 * spec.timeout_ms.max(1_000) * (u64::from(spec.retries) + 2),
         );
         let mut payload = Vec::new();
         let mut outcomes = Vec::with_capacity(spec.live_k);
@@ -723,7 +682,9 @@ impl WorkerPool {
                 Some(w) => {
                     w.ctrl.set_read_timeout(Some(deadline)).ok();
                     match read_frame::<Ctrl>(&mut w.ctrl, &mut payload) {
-                        Ok((Ctrl::Done { outcome, stats }, _, _)) => {
+                        Ok((Ctrl::Done { outcome, stats }, _, _))
+                            if outcome_fits(&outcome, spec.live_k, steps) =>
+                        {
                             let prev = self.last_stats[wid];
                             rec.add(
                                 "transport.bytes_sent",
@@ -736,9 +697,10 @@ impl WorkerPool {
                             self.last_stats[wid] = stats;
                             outcome
                         }
-                        // EOF, timeout, corruption, or a non-Done
-                        // frame: the worker is unusable — fold it in
-                        // as dead and let recovery handle it.
+                        // EOF, timeout, corruption, a non-Done frame,
+                        // or an outcome of the wrong shape: the worker
+                        // is unusable — fold it in as dead and let
+                        // recovery handle it.
                         _ => {
                             self.kill(wid);
                             RankBatchOutcome::Dead { done: Vec::new() }
@@ -802,15 +764,6 @@ pub struct WorkerArgs {
     pub snapshots: Option<usize>,
     /// Mesh mailbox capacity per lane.
     pub capacity: usize,
-}
-
-/// Owned per-step inputs staged for one batch (the worker's mirror of
-/// the driver's prep).
-struct Prepared {
-    view: SnapshotView,
-    elements: Vec<cip_contact::SurfaceElementInfo<3>>,
-    bodies: Vec<u16>,
-    decomposition: Decomposition,
 }
 
 /// The `cip-worker` main loop: handshake, then execute [`Ctrl::Run`]
@@ -897,68 +850,22 @@ fn abrupt_death_requested(original_rank: usize) -> bool {
     std::env::var("CIP_WORKER_DIE").ok().as_deref() == Some(original_rank.to_string().as_str())
 }
 
-/// Execute one batch assignment: replay the driver's search-tree chain
-/// under the shipped assignment, rebuild the step inputs exactly as the
-/// in-process driver stages them, and run this rank's executor loop
-/// over the epoch-tagged mesh.
+/// Execute one batch assignment: stage the step inputs exactly as the
+/// in-process driver does (replaying the search-tree chain from
+/// `chain_start` under the shipped assignment) and run this rank's
+/// executor loop over the epoch-tagged mesh.
 fn run_batch(sim: &SimResult, spec: &RunSpec, mesh: &mut ChannelMailbox<Msg>) -> RankBatchOutcome {
-    let (start, end) = (spec.start as usize, spec.end as usize);
-    let chain_start = spec.chain_start as usize;
     let live_k = spec.live_k as usize;
     let rec = Recorder::disabled();
-    let dcfg = DtreeConfig::search_tree();
-
-    // Tree-chain replay: `node_parts` is constant within a chain (it
-    // only changes where the driver resets the chain), so inducing at
-    // `chain_start` and refreshing forward reproduces the driver's
-    // incrementally refreshed tree exactly.
-    let mut chain: Option<DecisionTree<3>> = None;
-    let mut trees: Vec<DecisionTree<3>> = Vec::with_capacity(end - start);
-    let mut prepped: Vec<Prepared> = Vec::with_capacity(end - start);
-    for j in chain_start..end {
-        let view = SnapshotView::build(sim, j, 5);
-        let labels = view.contact.labels_from_node_parts(&spec.node_parts);
-        let t = match trees.last().or(chain.as_ref()) {
-            None => induce_recorded(&view.contact.positions, &labels, live_k, &dcfg, &rec),
-            Some(prev) => {
-                refresh_recorded(prev, &view.contact.positions, &labels, live_k, &dcfg, &rec).0
-            }
-        };
-        if j < start {
-            chain = Some(t);
-            continue;
-        }
-        let asg_now: Vec<u32> =
-            view.graph2.node_of_vertex.iter().map(|&n| spec.node_parts[n as usize]).collect();
-        let elements = view.surface_elements(&spec.node_parts);
-        let bodies = view.face_bodies();
-        let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
-        let decomposition = build_decomposition(
-            &view.graph2.graph,
-            &view.graph2.node_of_vertex,
-            &asg_now,
-            &owners,
-            live_k,
-        );
-        trees.push(t);
-        prepped.push(Prepared { view, elements, bodies, decomposition });
-    }
-
-    let filters: Vec<DtreeFilter<'_, 3>> =
-        trees.iter().map(|t| DtreeFilter::new(t, live_k)).collect();
-    let inputs: Vec<StepInput<'_, DtreeFilter<'_, 3>>> = prepped
-        .iter()
-        .zip(filters.iter())
-        .map(|(p, filter)| StepInput {
-            decomposition: &p.decomposition,
-            positions: &p.view.mesh.points,
-            elements: &p.elements,
-            bodies: &p.bodies,
-            filter,
-            tolerance: TOLERANCE,
-            recorder: rec.clone(),
-        })
-        .collect();
+    let staged = stage_batch(
+        sim,
+        &spec.node_parts,
+        live_k,
+        None,
+        spec.chain_start as usize,
+        spec.start as usize..spec.end as usize,
+        &rec,
+    );
     let faults: Vec<FaultInjector> = spec
         .plans
         .iter()
@@ -970,7 +877,7 @@ fn run_batch(sim: &SimResult, spec: &RunSpec, mesh: &mut ChannelMailbox<Msg>) ->
     let opts = ExecOptions {
         timeout: Duration::from_millis(spec.timeout_ms),
         retries: spec.retries,
-        schedule: Schedule::Pipelined { lookahead: (spec.lookahead as usize).max(1) },
+        lookahead: spec.lookahead as usize,
         ..ExecOptions::default()
     };
 
@@ -984,15 +891,17 @@ fn run_batch(sim: &SimResult, spec: &RunSpec, mesh: &mut ChannelMailbox<Msg>) ->
         .map(|moves| MigrationPlan { k: live_k, moves: moves.clone() });
 
     let mut mb = SteppedMailbox::new(mesh, spec.epoch, &spec.route);
-    execute_rank_steps(
-        spec.rank as usize,
-        live_k,
-        &inputs,
-        &faults,
-        &opts,
-        migrate.as_ref(),
-        &mut mb,
-    )
+    with_staged_inputs(&staged, &rec, |inputs| {
+        execute_rank_steps(
+            spec.rank as usize,
+            live_k,
+            inputs,
+            &faults,
+            &opts,
+            migrate.as_ref(),
+            &mut mb,
+        )
+    })
 }
 
 #[cfg(test)]
@@ -1106,6 +1015,59 @@ mod tests {
         buf[26..30].copy_from_slice(&crc.to_le_bytes());
         let err = decode_frame::<Ctrl>(&buf).expect_err("hostile count rejected");
         assert!(matches!(err, WireError::Malformed { .. }), "{err:?}");
+
+        // CRC-valid `Done` frames whose outcome does not fit a 2-step
+        // batch over 3 ranks: each would index out of bounds inside
+        // `collect_batch`. They decode, are refused, and the worker is
+        // folded in as dead at step 0 — a typed `RankLost`, no panic.
+        let (live_k, steps) = (3usize, 2usize);
+        let short = RankResult { halo_sent: vec![3], ..sample_result(1) };
+        let narrow = RankResult { shipments_sent: Vec::new(), ..sample_result(1) };
+        let full = || vec![sample_result(1); steps];
+        let hostile = [
+            RankBatchOutcome::Completed(vec![sample_result(1), short.clone()]),
+            RankBatchOutcome::Completed(vec![narrow, sample_result(1)]),
+            RankBatchOutcome::Completed(vec![sample_result(1)]),
+            RankBatchOutcome::Completed(vec![sample_result(1); steps + 1]),
+            RankBatchOutcome::Dead { done: full() },
+            RankBatchOutcome::Lost { done: full(), partial: None, dead: vec![1] },
+            RankBatchOutcome::Lost { done: Vec::new(), partial: Some(short), dead: vec![1] },
+            RankBatchOutcome::Lost { done: Vec::new(), partial: None, dead: vec![live_k as u32] },
+            RankBatchOutcome::Lost { done: Vec::new(), partial: None, dead: Vec::new() },
+        ];
+        for outcome in hostile {
+            let done = Ctrl::Done { outcome, stats: TransportStats::default() };
+            let mut buf = Vec::new();
+            encode_frame(&done, 0, &mut buf);
+            let (back, _, _) = decode_frame::<Ctrl>(&buf).expect("the frame itself is valid");
+            let Ctrl::Done { outcome, .. } = back else { panic!("decoded a different variant") };
+            assert!(!outcome_fits(&outcome, live_k, steps), "accepted {outcome:?}");
+            let folded = vec![
+                RankBatchOutcome::Completed(full()),
+                RankBatchOutcome::Dead { done: Vec::new() },
+                RankBatchOutcome::Completed(full()),
+            ];
+            let recorders = vec![Recorder::disabled(); steps];
+            let err = cip_runtime::collect_batch(live_k, &recorders, folded)
+                .expect_err("a refused worker is a lost rank");
+            assert_eq!(err.failed_step, 0);
+            assert!(
+                matches!(err.error, cip_runtime::RuntimeError::RankLost { ref dead, .. } if dead == &[1])
+            );
+        }
+        // What the rank loop really reports fits.
+        for outcome in [
+            RankBatchOutcome::Completed(full()),
+            RankBatchOutcome::Dead { done: vec![sample_result(0)] },
+            RankBatchOutcome::Dead { done: Vec::new() },
+            RankBatchOutcome::Lost {
+                done: vec![sample_result(2)],
+                partial: Some(sample_result(0)),
+                dead: vec![0, 2],
+            },
+        ] {
+            assert!(outcome_fits(&outcome, live_k, steps), "refused {outcome:?}");
+        }
     }
 
     #[test]

@@ -17,76 +17,35 @@
 //! CI sweeps seeds without recompiling via the `CHAOS_SEED` env var: it
 //! xor-perturbs every plan seed used here.
 
-use cip::contact::{serial_contact_pairs, DtreeFilter};
-use cip::core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
-use cip::dtree::{induce, DtreeConfig};
-use cip::partition::{partition_kway, PartitionerConfig};
+use cip::contact::serial_contact_pairs;
+mod common;
+
 use cip::runtime::{
-    build_decomposition, execute_step_with, ExecOptions, FaultInjector, FaultPlan, KillSpec,
-    RuntimeError, StepInput, StepOutput,
+    execute_steps, ExecOptions, FaultInjector, FaultPlan, KillSpec, RuntimeError, StepOutput,
 };
-use cip::sim::SimConfig;
 use cip::trace::{run_traced, ChaosOptions, TraceOptions};
+use cip::transport::InProcess;
+use common::{env_seed, stage, with_inputs};
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// CI seed sweep: `CHAOS_SEED` perturbs every plan seed in this file.
-fn env_seed() -> u64 {
-    std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-}
-
-struct Fixture {
-    view: SnapshotView,
-    node_parts: Vec<u32>,
-    asg: Vec<u32>,
-    k: usize,
-}
-
-fn fixture(k: usize, snapshot: usize) -> Fixture {
-    let sim = cip::sim::run(&SimConfig::tiny());
-    let view0 = SnapshotView::build(&sim, 0, 5);
-    let mut asg = partition_kway(&view0.graph2.graph, k, &PartitionerConfig::default());
-    let positions: Vec<_> =
-        view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
-    dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
-    let node_parts = view0.graph2.assignment_on_nodes(&asg);
-    let view = SnapshotView::build(&sim, snapshot, 5);
-    let asg_now: Vec<u32> =
-        view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-    Fixture { view, node_parts, asg: asg_now, k }
-}
-
-/// Executes one step under `opts`, also returning the serial oracle's
+/// Executes one step (a one-element batch) of the tiny scenario at `k`
+/// ranks under `fault` and `opts`, also returning the serial oracle's
 /// pairs and the decomposition's halo volume for invariant checks.
-fn run_step(f: &Fixture, opts: &ExecOptions) -> (Result<StepOutput, RuntimeError>, StepOutput2) {
-    let elements = f.view.surface_elements(&f.node_parts);
-    let bodies = f.view.face_bodies();
-    let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
-    let decomposition = build_decomposition(
-        &f.view.graph2.graph,
-        &f.view.graph2.node_of_vertex,
-        &f.asg,
-        &owners,
-        f.k,
-    );
-    let labels = f.view.contact.labels_from_node_parts(&f.node_parts);
-    let tree = induce(&f.view.contact.positions, &labels, f.k, &DtreeConfig::search_tree());
-    let filter = DtreeFilter::new(&tree, f.k);
-    let out = execute_step_with(
-        &StepInput {
-            decomposition: &decomposition,
-            positions: &f.view.mesh.points,
-            elements: &elements,
-            bodies: &bodies,
-            filter: &filter,
-            tolerance: 0.4,
-            recorder: cip::telemetry::Recorder::disabled(),
-        },
-        opts,
-    );
+fn run_step(
+    k: usize,
+    fault: FaultInjector,
+    opts: &ExecOptions,
+) -> (Result<StepOutput, RuntimeError>, StepOutput2) {
+    let staged = stage(k, &[5]);
+    let out =
+        with_inputs(&staged, 0.4, |inputs| execute_steps(inputs, &[fault], opts, None, &InProcess))
+            .map(|mut outs| outs.remove(0))
+            .map_err(|e| e.error);
+    let s = &staged[0];
     let oracle = StepOutput2 {
-        serial: serial_contact_pairs(&elements, &bodies, 0.4),
-        halo: decomposition.total_halo_volume(),
+        serial: serial_contact_pairs(&s.elements, &s.bodies, 0.4),
+        halo: s.decomposition.total_halo_volume(),
     };
     (out, oracle)
 }
@@ -97,16 +56,15 @@ struct StepOutput2 {
     halo: u64,
 }
 
-fn chaos_exec_options(fault: FaultInjector) -> ExecOptions {
-    ExecOptions { timeout: Duration::from_millis(300), retries: 2, fault, ..ExecOptions::default() }
+fn chaos_exec_options() -> ExecOptions {
+    ExecOptions { timeout: Duration::from_millis(300), retries: 2, ..ExecOptions::default() }
 }
 
 #[test]
 fn armed_quiet_plan_is_bit_identical_to_disabled() {
-    let f = fixture(3, 5);
-    let (clean, _) = run_step(&f, &ExecOptions::default());
-    let quiet = chaos_exec_options(FaultInjector::with_plan(FaultPlan::quiet(11 ^ env_seed())));
-    let (armed, _) = run_step(&f, &quiet);
+    let (clean, _) = run_step(3, FaultInjector::none(), &ExecOptions::default());
+    let quiet = FaultInjector::with_plan(FaultPlan::quiet(11 ^ env_seed()));
+    let (armed, _) = run_step(3, quiet, &chaos_exec_options());
     assert_eq!(
         clean.expect("clean step executes"),
         armed.expect("quiet-armed step executes"),
@@ -118,7 +76,6 @@ fn armed_quiet_plan_is_bit_identical_to_disabled() {
 fn killing_each_rank_is_detected_and_survivors_report_partials() {
     for k in [2usize, 3, 4] {
         for victim in 0..k as u32 {
-            let f = fixture(k, 5);
             let plan = FaultPlan {
                 kill: Some(KillSpec { rank: victim, after_sends: 0 }),
                 ..FaultPlan::quiet(5 ^ env_seed())
@@ -126,10 +83,9 @@ fn killing_each_rank_is_detected_and_survivors_report_partials() {
             let opts = ExecOptions {
                 timeout: Duration::from_millis(150),
                 retries: 1,
-                fault: FaultInjector::with_plan(plan),
                 ..ExecOptions::default()
             };
-            let (out, _) = run_step(&f, &opts);
+            let (out, _) = run_step(k, FaultInjector::with_plan(plan), &opts);
             match out {
                 Err(RuntimeError::RankLost { dead, partial }) => {
                     assert_eq!(dead, vec![victim], "k={k}");
@@ -196,7 +152,6 @@ proptest! {
         reorder in 0u16..=150,
     ) {
         let k = 3;
-        let f = fixture(k, 5);
         let plan = FaultPlan {
             drop_permille: drop,
             dup_permille: dup,
@@ -204,8 +159,8 @@ proptest! {
             reorder_permille: reorder,
             ..FaultPlan::quiet(seed ^ env_seed())
         };
-        let opts = chaos_exec_options(FaultInjector::with_plan(plan));
-        let (out, oracle) = run_step(&f, &opts);
+        let (out, oracle) =
+            run_step(k, FaultInjector::with_plan(plan), &chaos_exec_options());
         let out = out.expect("message faults alone must never fail the step");
         prop_assert_eq!(&out.contact_pairs, &oracle.serial);
         prop_assert_eq!(out.ghost_mismatches, 0);

@@ -17,13 +17,11 @@
 //! in `multiprocess_kill.rs` — it needs its own process because it sets
 //! a process-wide environment variable.
 
-use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
-use std::path::PathBuf;
+mod common;
 
-/// CI seed sweep: `CHAOS_SEED` perturbs every seed in this file.
-fn env_seed() -> u64 {
-    std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-}
+use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
+use common::{env_seed, serial_reference, totals};
+use std::path::PathBuf;
 
 /// The worker-process transport, pointing at the binary Cargo built for
 /// this test run (the `CIP_WORKER_BIN` / sibling lookup is for
@@ -51,6 +49,7 @@ fn tiny(k: usize, period: Option<usize>, transport: TransportKind) -> TraceOptio
 fn four_worker_processes_match_the_in_process_oracle() {
     let clean = run_traced(&tiny(4, Some(2), TransportKind::InProcess)).expect("in-process run");
     let multi = run_traced(&tiny(4, Some(2), workers())).expect("worker-process run");
+    assert_eq!(totals(&multi), serial_reference(&tiny(4, Some(2), TransportKind::InProcess)));
     assert_eq!(multi.steps, clean.steps);
     assert_eq!(multi.halo, clean.halo, "halo totals must be bit-identical");
     assert_eq!(multi.shipments, clean.shipments, "shipment totals must be bit-identical");

@@ -1,92 +1,91 @@
-//! Pipelined-vs-barrier oracle suite (DESIGN.md §6d).
+//! Step-executor suite against ground truth (DESIGN.md §6c).
 //!
-//! The pipelined batch executor overlaps halo sends, shipments, and
-//! contact searches across ranks *and* adjacent steps — but it must be
-//! a pure scheduling change. This suite proves it end to end through
-//! the traced driver: same scenario, same seeds, multi-step sequences
-//! with diffusion repartitioning (and therefore migration) in the
-//! middle, and the two schedules must agree on **every executed total**
-//! — halo units, element shipments, migrated nodes, contact pairs,
-//! repartition count — at 1, 2, and 8 ranks. Chaos variants repeat the
-//! comparison under seeded message faults (CI sweeps seeds 7/21/1337
+//! The rank loop overlaps halo sends, shipments, and contact searches
+//! across ranks *and* adjacent steps — and none of that may show in the
+//! result. This suite proves it end to end through the traced driver:
+//! multi-step sequences with diffusion repartitioning (and therefore
+//! migration) in the middle must execute exactly the totals an
+//! independent serial loop predicts (`common::serial_reference`: halo
+//! units, element shipments, migrated nodes, contact pairs, repartition
+//! count) at 1, 2, 3, 4 and 8 ranks, and keep executing them at every
+//! lookahead, batch depth and thread transport. Chaos variants repeat
+//! the comparison under seeded message faults (CI sweeps seeds 7/21/1337
 //! via `CHAOS_SEED`), and a kill variant checks that a rank lost
-//! mid-batch still yields a typed recovery identical to the barrier
-//! driver's.
+//! mid-batch yields the recovery the one-step-at-a-time core yields.
 
-use cip::runtime::Schedule;
-use cip::trace::{run_traced, ChaosOptions, TraceOptions, TraceReport};
+mod common;
 
-/// CI seed sweep: `CHAOS_SEED` perturbs every chaos seed in this file.
-fn env_seed() -> u64 {
-    std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-}
+use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
+use common::{env_seed, message_chaos, serial_reference, totals};
 
 /// A tiny run with repartitioning mid-sequence (period 3 over 7 steps →
-/// migration happens inside the batched region, exercising the
-/// migration barrier between pipelined batches).
-fn opts(k: usize, schedule: Schedule) -> TraceOptions {
+/// migration happens inside the batched region, so a Migrate prologue
+/// rides the batches that follow a boundary).
+fn opts(k: usize) -> TraceOptions {
     TraceOptions {
         scenario: "tiny".into(),
         k,
         snapshots: Some(7),
         repartition_period: Some(3),
-        schedule,
         ..TraceOptions::default()
     }
 }
 
-/// Every executed total the driver accumulates, as one comparable value.
-fn totals(r: &TraceReport) -> (usize, u64, u64, u64, u64, usize, usize) {
-    (r.steps, r.halo, r.shipments, r.migrated, r.contact_pairs, r.repartitions, r.rank_losses)
+/// The degenerate settings of the one core: every rank finishes a step
+/// before it sends the next, and every batch is one step.
+fn one_step_at_a_time(opts: TraceOptions) -> TraceOptions {
+    TraceOptions { lookahead: 1, max_batch: 1, ..opts }
 }
 
 #[test]
-fn schedules_agree_on_all_totals_across_rank_counts() {
-    for k in [1usize, 2, 8] {
-        let barrier = run_traced(&opts(k, Schedule::Barrier)).expect("barrier run");
-        let piped = run_traced(&opts(k, Schedule::pipelined())).expect("pipelined run");
-        assert_eq!(totals(&piped), totals(&barrier), "k={k}");
-        assert_eq!(piped.rank_losses, 0, "k={k}");
-        barrier.verify_totals().expect("barrier counters equal executed traffic");
-        piped.verify_totals().expect("pipelined counters equal executed traffic");
+fn executed_totals_equal_the_serial_reference_across_rank_counts() {
+    let odd = TraceOptions { snapshots: Some(5), seed: 7, repartition_period: Some(2), ..opts(3) };
+    for o in [opts(1), opts(2), odd, opts(4), opts(8)] {
+        let run = run_traced(&o).expect("traced run");
+        assert_eq!(totals(&run), serial_reference(&o), "k={}", o.k);
+        assert_eq!(run.rank_losses, 0, "k={}", o.k);
+        run.verify_totals().expect("counters equal executed traffic");
     }
 }
 
 #[test]
-fn lookahead_depth_does_not_change_the_answer() {
-    let oracle = run_traced(&opts(4, Schedule::Barrier)).expect("barrier run");
-    for lookahead in [1usize, 2, 4] {
-        let piped = run_traced(&opts(4, Schedule::Pipelined { lookahead })).expect("pipelined run");
-        assert_eq!(totals(&piped), totals(&oracle), "lookahead={lookahead}");
+fn lookahead_and_batch_depth_do_not_change_the_answer() {
+    let expected = serial_reference(&opts(4));
+    let tcp = TransportKind::TcpThreads { bind: "127.0.0.1:0".into() };
+    for transport in [TransportKind::InProcess, tcp] {
+        for lookahead in [1usize, 2, 4] {
+            for max_batch in [1usize, 2, 8] {
+                let o =
+                    TraceOptions { lookahead, max_batch, transport: transport.clone(), ..opts(4) };
+                let run = run_traced(&o).expect("traced run");
+                assert_eq!(
+                    totals(&run),
+                    expected,
+                    "lookahead={lookahead} max_batch={max_batch} {transport:?}"
+                );
+            }
+        }
     }
 }
 
 #[test]
-fn schedules_agree_under_message_chaos() {
+fn message_chaos_repairs_to_the_clean_totals() {
+    let expected = serial_reference(&opts(2));
     for seed in [7u64, 21, 1337] {
-        let chaos = ChaosOptions {
-            seed: seed ^ env_seed(),
-            drop_permille: 150,
-            dup_permille: 80,
-            delay_permille: 80,
-            reorder_permille: 80,
-            kill: None,
-            timeout_ms: 300,
-            retries: 2,
-        };
-        let barrier =
-            run_traced(&TraceOptions { chaos: Some(chaos.clone()), ..opts(2, Schedule::Barrier) })
-                .expect("barrier chaos run");
-        let piped =
-            run_traced(&TraceOptions { chaos: Some(chaos), ..opts(2, Schedule::pipelined()) })
-                .expect("pipelined chaos run");
-        assert_eq!(totals(&piped), totals(&barrier), "seed {seed}");
-        assert_eq!(piped.rank_losses, 0, "seed {seed}: faults repair, nobody dies");
+        let noisy = TraceOptions { chaos: Some(message_chaos(seed)), ..opts(2) };
+        let stepwise = run_traced(&one_step_at_a_time(noisy.clone())).expect("stepwise chaos run");
+        let batched = run_traced(&noisy).expect("batched chaos run");
+        // First-transmission traffic is fault-invariant, so both equal
+        // the clean prediction, not just each other.
+        assert_eq!(totals(&stepwise), expected, "seed {seed}");
+        assert_eq!(totals(&batched), expected, "seed {seed}");
+        assert_eq!(batched.rank_losses, 0, "seed {seed}: faults repair, nobody dies");
+        assert_eq!(stepwise.rank_losses, 0, "seed {seed}");
     }
 }
 
 #[test]
-fn kill_mid_batch_recovers_identically_under_both_schedules() {
+fn kill_mid_batch_recovers_like_the_one_step_core() {
     let chaos = ChaosOptions {
         seed: 13 ^ env_seed(),
         drop_permille: 0,
@@ -97,16 +96,17 @@ fn kill_mid_batch_recovers_identically_under_both_schedules() {
         timeout_ms: 300,
         retries: 2,
     };
-    let barrier =
-        run_traced(&TraceOptions { chaos: Some(chaos.clone()), ..opts(3, Schedule::Barrier) })
-            .expect("barrier kill run recovers");
-    let piped = run_traced(&TraceOptions { chaos: Some(chaos), ..opts(3, Schedule::pipelined()) })
-        .expect("pipelined kill run recovers");
-    assert_eq!(barrier.rank_losses, 1);
-    assert_eq!(piped.rank_losses, 1);
-    assert!(piped.repartitions >= 1, "the driver repartitioned over the survivors");
-    // Recovery repartitions over the survivors, so post-kill decomposition
-    // traffic is schedule-independent too: every total must still agree.
-    assert_eq!(totals(&piped), totals(&barrier));
-    piped.verify_totals().expect("pipelined counters equal executed traffic");
+    let killed = TraceOptions { chaos: Some(chaos), ..opts(3) };
+    let stepwise = run_traced(&one_step_at_a_time(killed.clone())).expect("stepwise kill run");
+    let batched = run_traced(&killed).expect("batched kill run recovers");
+    assert_eq!(stepwise.rank_losses, 1);
+    assert_eq!(batched.rank_losses, 1);
+    assert!(batched.repartitions >= 1, "the driver repartitioned over the survivors");
+    // Recovery repartitions over the survivors, so post-kill traffic does
+    // not depend on where the batch was cut: every total must agree.
+    assert_eq!(totals(&batched), totals(&stepwise));
+    // And the detected pairs are the clean run's at any rank count.
+    assert_eq!(batched.contact_pairs, serial_reference(&opts(3)).4);
+    batched.verify_totals().expect("counters equal executed traffic");
+    stepwise.verify_totals().expect("counters equal executed traffic");
 }

@@ -1,44 +1,36 @@
-//! Overlapped-vs-barrier repartitioning oracle suite (DESIGN.md §6f).
+//! Background-repartitioning suite against ground truth (DESIGN.md §6c).
 //!
-//! Overlapped repartitioning moves the boundary plan onto a background
-//! thread and splices the node migration into the next batch as a
-//! `Migrate` prologue — but it must be a pure scheduling change. This
-//! suite proves it end to end through the traced driver: the two modes
-//! must agree on **every executed total** — halo units, element
-//! shipments, migrated nodes, contact pairs, repartition count — at 2,
-//! 4, and 8 ranks, over every transport, under seeded message chaos
-//! (CI sweeps seeds 7/21/1337 via `CHAOS_SEED`), and when a rank dies
-//! while a background plan is in flight (the plan must be discarded and
-//! recomputed over the survivors). It also pins the repartition-
-//! boundary guard regressions: period 1 and period == max_batch fire
-//! exactly once per boundary in both modes.
+//! The driver plans each repartition boundary on a background thread
+//! while the preceding batch executes and splices the node migration
+//! into the next batch as a `Migrate` prologue — and none of that may
+//! show in the result. This suite proves it end to end through the
+//! traced driver: every executed total — halo units, element shipments,
+//! migrated nodes, contact pairs, repartition count — must equal what an
+//! independent serial loop predicts (`common::serial_reference`) at 2,
+//! 4, and 8 ranks, over every transport, under seeded message chaos (CI
+//! sweeps seeds 7/21/1337 via `CHAOS_SEED`), and a rank dying while a
+//! background plan is in flight must discard that plan and recompute it
+//! over the survivors. It also pins the repartition-boundary guard
+//! regressions: period 1 and period == max_batch fire exactly once per
+//! boundary.
 
-use cip::runtime::RepartitionMode;
-use cip::trace::{run_traced, ChaosOptions, TraceOptions, TraceReport, TransportKind};
+mod common;
+
+use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
+use common::{env_seed, message_chaos, serial_reference, totals};
 use std::path::PathBuf;
 
-/// CI seed sweep: `CHAOS_SEED` perturbs every chaos seed in this file.
-fn env_seed() -> u64 {
-    std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-}
-
 /// A tiny run with two repartition boundaries (steps 3 and 6) that both
-/// land mid-run, so the overlapped mode plans each one during the
-/// preceding batch and splices a migration into the following one.
-fn opts(k: usize, mode: RepartitionMode) -> TraceOptions {
+/// land mid-run, so each one is planned during the preceding batch and
+/// splices a migration into the following one.
+fn opts(k: usize) -> TraceOptions {
     TraceOptions {
         scenario: "tiny".into(),
         k,
         snapshots: Some(9),
         repartition_period: Some(3),
-        repartition_mode: mode,
         ..TraceOptions::default()
     }
-}
-
-/// Every executed total the driver accumulates, as one comparable value.
-fn totals(r: &TraceReport) -> (usize, u64, u64, u64, u64, usize, usize) {
-    (r.steps, r.halo, r.shipments, r.migrated, r.contact_pairs, r.repartitions, r.rank_losses)
 }
 
 /// The multi-process transport, pointed at the workspace's own
@@ -51,77 +43,57 @@ fn workers() -> TransportKind {
 }
 
 #[test]
-fn modes_agree_on_all_totals_across_rank_counts() {
+fn executed_totals_equal_the_serial_reference_across_rank_counts() {
     for k in [2usize, 4, 8] {
-        let barrier = run_traced(&opts(k, RepartitionMode::Barrier)).expect("barrier run");
-        let over = run_traced(&opts(k, RepartitionMode::Overlapped)).expect("overlapped run");
-        assert_eq!(totals(&over), totals(&barrier), "k={k}");
-        assert_eq!(over.repartitions, 2, "k={k}: boundaries at 3 and 6");
-        barrier.verify_totals().expect("barrier counters equal executed traffic");
-        over.verify_totals().expect("overlapped counters equal executed traffic");
-        // Both modes charge their boundary wait to the same span; the
-        // overlapped mode additionally accounts its accepted plans.
-        let os = over.summary();
-        assert_eq!(os.span("repartition.stall").map(|s| s.count), Some(2), "k={k}");
-        assert!(over.recorder.counter_value("repartition.overlap.planned") >= 1, "k={k}");
-        assert_eq!(over.recorder.counter_value("repartition.plan.discarded"), 0, "k={k}");
-        let bs = barrier.summary();
-        assert_eq!(bs.span("repartition.stall").map(|s| s.count), Some(2), "k={k}");
-        assert_eq!(barrier.recorder.counter_value("repartition.overlap.planned"), 0, "k={k}");
+        let run = run_traced(&opts(k)).expect("traced run");
+        assert_eq!(totals(&run), serial_reference(&opts(k)), "k={k}");
+        assert_eq!(run.repartitions, 2, "k={k}: boundaries at 3 and 6");
+        run.verify_totals().expect("counters equal executed traffic");
+        // Every boundary charges its wait to the stall span, and the
+        // accepted background plans are accounted.
+        assert_eq!(run.summary().span("repartition.stall").map(|s| s.count), Some(2), "k={k}");
+        assert!(run.recorder.counter_value("repartition.overlap.planned") >= 1, "k={k}");
+        assert_eq!(run.recorder.counter_value("repartition.plan.discarded"), 0, "k={k}");
     }
 }
 
 #[test]
-fn modes_agree_over_the_tcp_threads_transport() {
-    let inproc = run_traced(&opts(3, RepartitionMode::Barrier)).expect("inproc barrier run");
-    for mode in [RepartitionMode::Barrier, RepartitionMode::Overlapped] {
-        let tcp = run_traced(&TraceOptions {
-            transport: TransportKind::TcpThreads { bind: "127.0.0.1:0".into() },
-            ..opts(3, mode)
-        })
-        .expect("tcp-threads run");
-        assert_eq!(totals(&tcp), totals(&inproc), "mode={mode:?}");
-        tcp.verify_totals().expect("tcp counters equal executed traffic");
-    }
+fn tcp_threads_transport_executes_the_reference_totals() {
+    let tcp = run_traced(&TraceOptions {
+        transport: TransportKind::TcpThreads { bind: "127.0.0.1:0".into() },
+        ..opts(3)
+    })
+    .expect("tcp-threads run");
+    assert_eq!(totals(&tcp), serial_reference(&opts(3)));
+    tcp.verify_totals().expect("tcp counters equal executed traffic");
 }
 
 #[test]
-fn modes_agree_over_the_multiprocess_transport() {
-    let inproc = run_traced(&opts(3, RepartitionMode::Barrier)).expect("inproc barrier run");
-    for mode in [RepartitionMode::Barrier, RepartitionMode::Overlapped] {
-        let multi = run_traced(&TraceOptions { transport: workers(), ..opts(3, mode) })
-            .expect("worker-pool run");
-        assert_eq!(totals(&multi), totals(&inproc), "mode={mode:?}");
+fn multiprocess_transport_executes_the_reference_totals_at_any_depth() {
+    let expected = serial_reference(&opts(3));
+    let default = TraceOptions::default();
+    for (lookahead, max_batch) in [(1usize, 1usize), (default.lookahead, default.max_batch), (4, 2)]
+    {
+        let multi =
+            run_traced(&TraceOptions { lookahead, max_batch, transport: workers(), ..opts(3) })
+                .expect("worker-pool run");
+        assert_eq!(totals(&multi), expected, "lookahead={lookahead} max_batch={max_batch}");
         multi.verify_totals().expect("worker counters equal executed traffic");
     }
 }
 
 #[test]
-fn modes_agree_under_message_chaos() {
+fn message_chaos_repairs_to_the_clean_totals() {
+    let expected = serial_reference(&opts(2));
     for seed in [7u64, 21, 1337] {
-        let chaos = ChaosOptions {
-            seed: seed ^ env_seed(),
-            drop_permille: 150,
-            dup_permille: 80,
-            delay_permille: 80,
-            reorder_permille: 80,
-            kill: None,
-            timeout_ms: 300,
-            retries: 2,
-        };
-        let barrier = run_traced(&TraceOptions {
-            chaos: Some(chaos.clone()),
-            ..opts(2, RepartitionMode::Barrier)
-        })
-        .expect("barrier chaos run");
-        let over = run_traced(&TraceOptions {
-            chaos: Some(chaos.clone()),
-            ..opts(2, RepartitionMode::Overlapped)
-        })
-        .expect("overlapped chaos run");
-        assert_eq!(totals(&over), totals(&barrier), "seed={seed}");
-        assert_eq!(over.rank_losses, 0, "seed={seed}: faults repaired in place");
-        over.verify_totals().expect("overlapped counters stay exact under chaos");
+        let noisy = TraceOptions { chaos: Some(message_chaos(seed)), ..opts(2) };
+        let stepwise = run_traced(&TraceOptions { lookahead: 1, max_batch: 1, ..noisy.clone() })
+            .expect("stepwise chaos run");
+        let batched = run_traced(&noisy).expect("batched chaos run");
+        assert_eq!(totals(&stepwise), expected, "seed={seed}");
+        assert_eq!(totals(&batched), expected, "seed={seed}");
+        assert_eq!(batched.rank_losses, 0, "seed={seed}: faults repaired in place");
+        batched.verify_totals().expect("counters stay exact under chaos");
     }
 }
 
@@ -130,7 +102,8 @@ fn kill_in_the_planning_window_discards_the_plan_and_recovers() {
     // Step 4 sits inside batch [3, 6) — exactly while the background
     // planner is computing boundary 6. The kill must invalidate that
     // plan (computed over the old rank space) and the boundary must be
-    // recomputed over the survivors, landing on the barrier totals.
+    // recomputed over the survivors, landing on the totals of the
+    // one-step-at-a-time run, which has no plan in flight at step 4.
     let chaos = ChaosOptions {
         seed: 13 ^ env_seed(),
         kill: Some((4, 1)),
@@ -138,66 +111,51 @@ fn kill_in_the_planning_window_discards_the_plan_and_recovers() {
         retries: 2,
         ..ChaosOptions::default()
     };
-    let barrier = run_traced(&TraceOptions {
-        chaos: Some(chaos.clone()),
-        ..opts(3, RepartitionMode::Barrier)
-    })
-    .expect("barrier kill run");
-    let over = run_traced(&TraceOptions {
-        chaos: Some(chaos.clone()),
-        ..opts(3, RepartitionMode::Overlapped)
-    })
-    .expect("overlapped kill run");
-    assert_eq!(totals(&over), totals(&barrier));
-    assert_eq!(over.rank_losses, 1);
-    assert!(over.repartitions >= 3, "boundaries 3 and 6 plus the recovery repartition");
+    let killed = TraceOptions { chaos: Some(chaos), ..opts(3) };
+    let stepwise = run_traced(&TraceOptions { lookahead: 1, max_batch: 1, ..killed.clone() })
+        .expect("stepwise kill run");
+    let batched = run_traced(&killed).expect("batched kill run");
+    assert_eq!(totals(&batched), totals(&stepwise));
+    assert_eq!(batched.rank_losses, 1);
+    assert_eq!(stepwise.rank_losses, 1);
+    assert!(batched.repartitions >= 3, "boundaries 3 and 6 plus the recovery repartition");
     assert!(
-        over.recorder.counter_value("repartition.plan.discarded") >= 1,
+        batched.recorder.counter_value("repartition.plan.discarded") >= 1,
         "the in-flight boundary-6 plan was computed over a dead rank"
     );
-    over.verify_totals().expect("overlapped counters stay exact across a recovery");
-    barrier.verify_totals().expect("barrier counters stay exact across a recovery");
+    assert_eq!(batched.contact_pairs, serial_reference(&opts(3)).4, "pairs equal the clean run");
+    batched.verify_totals().expect("counters stay exact across a recovery");
+    stepwise.verify_totals().expect("counters stay exact across a recovery");
 }
 
 #[test]
 fn period_one_fires_every_boundary_exactly_once() {
-    for mode in [RepartitionMode::Barrier, RepartitionMode::Overlapped] {
-        let r = run_traced(&TraceOptions {
-            snapshots: Some(5),
-            repartition_period: Some(1),
-            ..opts(2, mode)
-        })
-        .expect("period-1 run");
-        assert_eq!(r.repartitions, 4, "mode={mode:?}: boundaries at 1, 2, 3, 4");
-        r.verify_totals().expect("counters stay exact at period 1");
-    }
+    let o = TraceOptions { snapshots: Some(5), repartition_period: Some(1), ..opts(2) };
+    let r = run_traced(&o).expect("period-1 run");
+    assert_eq!(r.repartitions, 4, "boundaries at 1, 2, 3, 4");
+    assert_eq!(totals(&r), serial_reference(&o));
+    r.verify_totals().expect("counters stay exact at period 1");
 }
 
 #[test]
 fn period_equal_to_max_batch_fires_once_per_boundary() {
-    for mode in [RepartitionMode::Barrier, RepartitionMode::Overlapped] {
-        let r = run_traced(&TraceOptions {
-            snapshots: Some(6),
-            repartition_period: Some(2),
-            max_batch: 2,
-            ..opts(2, mode)
-        })
-        .expect("period == max_batch run");
-        assert_eq!(r.repartitions, 2, "mode={mode:?}: boundaries at 2 and 4");
-        r.verify_totals().expect("counters stay exact at period == max_batch");
-    }
+    let o =
+        TraceOptions { snapshots: Some(6), repartition_period: Some(2), max_batch: 2, ..opts(2) };
+    let r = run_traced(&o).expect("period == max_batch run");
+    assert_eq!(r.repartitions, 2, "boundaries at 2 and 4");
+    assert_eq!(totals(&r), serial_reference(&o));
+    r.verify_totals().expect("counters stay exact at period == max_batch");
 }
 
 #[test]
 fn max_batch_depth_does_not_change_the_answer() {
-    let oracle = run_traced(&opts(3, RepartitionMode::Overlapped)).expect("default max_batch");
+    let expected = serial_reference(&opts(3));
     for max_batch in [1usize, 2, 8] {
-        let r = run_traced(&TraceOptions { max_batch, ..opts(3, RepartitionMode::Overlapped) })
-            .expect("max_batch run");
-        assert_eq!(totals(&r), totals(&oracle), "max_batch={max_batch}");
+        let r = run_traced(&TraceOptions { max_batch, ..opts(3) }).expect("max_batch run");
+        assert_eq!(totals(&r), expected, "max_batch={max_batch}");
     }
     // max_batch 0 is a typed configuration error, not a clamp or panic.
-    let err = run_traced(&TraceOptions { max_batch: 0, ..opts(3, RepartitionMode::Overlapped) });
+    let err = run_traced(&TraceOptions { max_batch: 0, ..opts(3) });
     assert!(
         matches!(err, Err(cip::trace::TraceError::Config(ref c)) if c.field == "max_batch"),
         "got {err:?}"

@@ -1,119 +1,75 @@
 //! The strongest claim this repository makes: the communication numbers
 //! the evaluation reports (FEComm, NRemote) are the **exact message
-//! counts of an executable parallel step**. These tests run the threaded
-//! rank executor on real simulation snapshots under the MCML+DT
-//! decomposition and assert, message-matrix for message-matrix, that the
-//! executed traffic equals the metric predictions — and that the
-//! distributed contact detection equals the serial one.
+//! counts of an executable parallel step**. These tests run the rank
+//! executor on batches of real simulation snapshots under the MCML+DT
+//! decomposition and assert, step for step and message-matrix for
+//! message-matrix, that the executed traffic equals the metric
+//! predictions — and that the distributed contact detection equals the
+//! serial one.
 
-use cip::contact::{n_remote, serial_contact_pairs, DtreeFilter, SurfaceElementInfo};
-use cip::core::{dt_friendly_correct, halo_traffic, DtFriendlyConfig, SnapshotView};
-use cip::dtree::{induce, DtreeConfig};
+mod common;
+
+use cip::contact::{n_remote, serial_contact_pairs, DtreeFilter};
+use cip::core::halo_traffic;
 use cip::graph::total_comm_volume;
-use cip::partition::{partition_kway, PartitionerConfig};
-use cip::runtime::{build_decomposition, execute_step, StepInput};
-use cip::sim::SimConfig;
+use cip::runtime::{execute_steps, ExecOptions, StepOutput};
+use cip::transport::InProcess;
+use common::{stage, with_inputs};
 
-struct Setup {
-    view: SnapshotView,
-    node_parts: Vec<u32>,
-    asg: Vec<u32>,
-    k: usize,
-}
-
-fn setup(k: usize, snapshot: usize) -> Setup {
-    let sim = cip::sim::run(&SimConfig::tiny());
-    let view0 = SnapshotView::build(&sim, 0, 5);
-    let mut asg = partition_kway(&view0.graph2.graph, k, &PartitionerConfig::default());
-    let positions: Vec<_> =
-        view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
-    dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
-    let node_parts = view0.graph2.assignment_on_nodes(&asg);
-    let view = SnapshotView::build(&sim, snapshot, 5);
-    let asg_now: Vec<u32> =
-        view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-    Setup { view, node_parts, asg: asg_now, k }
-}
-
-fn run_step(
-    s: &Setup,
-    tolerance: f64,
-) -> (cip::runtime::StepOutput, Vec<SurfaceElementInfo<3>>, Vec<u16>) {
-    let elements = s.view.surface_elements(&s.node_parts);
-    let bodies = s.view.face_bodies();
-    let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
-    let decomposition = build_decomposition(
-        &s.view.graph2.graph,
-        &s.view.graph2.node_of_vertex,
-        &s.asg,
-        &owners,
-        s.k,
-    );
-    let labels = s.view.contact.labels_from_node_parts(&s.node_parts);
-    let tree = induce(&s.view.contact.positions, &labels, s.k, &DtreeConfig::search_tree());
-    let filter = DtreeFilter::new(&tree, s.k);
-    let out = execute_step(&StepInput {
-        decomposition: &decomposition,
-        positions: &s.view.mesh.points,
-        elements: &elements,
-        bodies: &bodies,
-        filter: &filter,
-        tolerance,
-        recorder: cip::telemetry::Recorder::disabled(),
+/// Drives the staged snapshots as **one batch** through the one executor
+/// and checks every step against ground truth computed without it: the
+/// halo matrix against `halo_traffic` (and its total against
+/// `total_comm_volume`), the detected pairs against the serial search,
+/// and — at tolerance 0, where the shipped boxes are the boxes NRemote is
+/// defined on — the shipments against `n_remote`.
+fn run_step(k: usize, snapshots: &[usize], tolerance: f64) -> Vec<StepOutput> {
+    let staged = stage(k, snapshots);
+    let outs = with_inputs(&staged, tolerance, |inputs| {
+        execute_steps(inputs, &[], &ExecOptions::default(), None, &InProcess)
     })
-    .expect("step executes without injected faults");
-    (out, elements, bodies)
+    .expect("batch executes without injected faults");
+    assert_eq!(outs.len(), snapshots.len());
+    for ((out, s), &snapshot) in outs.iter().zip(&staged).zip(snapshots) {
+        let at = format!("k={k} snapshot={snapshot}");
+        assert_eq!(out.ghost_mismatches, 0, "{at}: halo exchange delivered stale ghosts");
+        let graph = &s.view.graph2.graph;
+        assert_eq!(out.traffic.halo, halo_traffic(graph, &s.asg, k).matrix, "{at}");
+        assert_eq!(out.traffic.total_halo(), total_comm_volume(graph, &s.asg), "{at}");
+        let serial = serial_contact_pairs(&s.elements, &s.bodies, tolerance);
+        assert_eq!(out.contact_pairs, serial, "{at}: executed step must detect the serial pairs");
+        if tolerance == 0.0 {
+            let filter = DtreeFilter::new(&s.tree, k);
+            assert_eq!(out.traffic.total_shipments(), n_remote(&s.elements, &filter), "{at}");
+        }
+    }
+    outs
 }
 
 #[test]
-fn executed_halo_traffic_equals_fe_comm_prediction() {
-    let s = setup(4, 5);
-    let (out, _, _) = run_step(&s, 0.4);
-    assert_eq!(out.ghost_mismatches, 0, "halo exchange delivered stale ghosts");
-
-    // Totals: executed == metric.
-    let predicted_total = total_comm_volume(&s.view.graph2.graph, &s.asg);
-    assert_eq!(out.traffic.total_halo(), predicted_total);
-
-    // Full matrix: executed == analytic prediction, pairwise.
-    let predicted = halo_traffic(&s.view.graph2.graph, &s.asg, s.k);
-    assert_eq!(out.traffic.halo, predicted.matrix);
-}
-
-#[test]
-fn executed_shipments_equal_n_remote_prediction_at_zero_tolerance() {
-    let s = setup(4, 5);
-    let (out, elements, _) = run_step(&s, 0.0);
-    let labels = s.view.contact.labels_from_node_parts(&s.node_parts);
-    let tree = induce(&s.view.contact.positions, &labels, s.k, &DtreeConfig::search_tree());
-    let filter = DtreeFilter::new(&tree, s.k);
-    assert_eq!(out.traffic.total_shipments(), n_remote(&elements, &filter));
-}
-
-#[test]
-fn executed_detection_equals_serial_across_penetration_stages() {
-    for snapshot in [2usize, 5, 9] {
-        let s = setup(3, snapshot);
-        let (out, elements, bodies) = run_step(&s, 0.4);
-        let serial = serial_contact_pairs(&elements, &bodies, 0.4);
-        assert_eq!(
-            out.contact_pairs, serial,
-            "snapshot {snapshot}: executed parallel step must detect the serial pairs"
-        );
+fn every_step_of_a_batch_matches_ground_truth_at_every_rank_count() {
+    for k in [1usize, 2, 4, 8] {
+        // Tolerance 0 pins NRemote; the capture tolerance the traced
+        // driver uses pins the shipped-box inflation.
+        for tolerance in [0.0, 0.4] {
+            let outs = run_step(k, &[3, 4, 5, 6], tolerance);
+            if k == 1 {
+                assert!(outs.iter().all(|o| o.traffic.total_halo() == 0));
+                assert!(outs.iter().all(|o| o.traffic.total_shipments() == 0));
+            }
+        }
     }
 }
 
 #[test]
-fn executor_scales_across_rank_counts() {
+fn executed_detection_equals_serial_across_penetration_stages() {
+    run_step(3, &[2, 5, 9], 0.4);
+}
+
+#[test]
+fn a_single_step_is_a_one_element_batch() {
     for k in [1usize, 2, 5, 8] {
-        let s = setup(k, 6);
-        let (out, elements, bodies) = run_step(&s, 0.3);
-        assert_eq!(out.ghost_mismatches, 0, "k={k}");
-        let serial = serial_contact_pairs(&elements, &bodies, 0.3);
-        assert_eq!(out.contact_pairs, serial, "k={k}");
-        if k == 1 {
-            assert_eq!(out.traffic.total_halo(), 0);
-            assert_eq!(out.traffic.total_shipments(), 0);
-        }
+        let batch = run_step(k, &[5, 6, 7], 0.3);
+        let single = run_step(k, &[6], 0.3);
+        assert_eq!(single[0], batch[1], "k={k}: a step's output does not depend on its batch");
     }
 }

@@ -9,35 +9,29 @@
 //!   byte, and hostile length fields are all rejected with a typed
 //!   [`WireError`], never a panic;
 //! * **backend identity** — the loopback-TCP backend produces output
-//!   bit-identical to the in-process oracle, clean and under message
-//!   chaos, and a transport that cannot come up surfaces as a typed
-//!   [`RuntimeError::Transport`];
-//! * **bounded mailboxes** — capacity-1 lanes do not deadlock under
-//!   either schedule and change nothing about the output.
+//!   bit-identical to the in-process backend, clean and under message
+//!   chaos; traced runs over either execute the totals the serial
+//!   reference predicts; and a transport that cannot come up surfaces as
+//!   a typed [`RuntimeError::Transport`];
+//! * **bounded mailboxes** — capacity-1 lanes do not deadlock at any
+//!   lookahead and change nothing about the output.
 //!
 //! CI sweeps seeds without recompiling via the `CHAOS_SEED` env var.
 
-use cip::contact::DtreeFilter;
-use cip::core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
-use cip::dtree::{induce, DecisionTree, DtreeConfig};
+mod common;
+
+use cip::contact::serial_contact_pairs;
 use cip::geom::{Aabb, Point};
-use cip::partition::{partition_kway, PartitionerConfig};
 use cip::runtime::{
-    build_decomposition, execute_steps_transport, execute_steps_with, Decomposition, ExecOptions,
-    FaultInjector, FaultPlan, Msg, RuntimeError, Schedule, StepInput,
+    execute_steps, BatchError, ExecOptions, FaultInjector, FaultPlan, Msg, RuntimeError, StepOutput,
 };
-use cip::sim::SimConfig;
 use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
 use cip_transport::frame::{decode_frame, encode_frame};
 use cip_transport::tcp::Tcp;
-use cip_transport::{WireError, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION};
+use cip_transport::{InProcess, Transport, WireError, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION};
+use common::{env_seed, serial_reference, stage, totals, with_inputs, Staged};
 use proptest::prelude::*;
 use std::time::Duration;
-
-/// CI seed sweep: `CHAOS_SEED` perturbs every seed in this file.
-fn env_seed() -> u64 {
-    std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-}
 
 // ---------------------------------------------------------------------
 // Wire format: round-trips and corruption
@@ -202,73 +196,17 @@ fn unknown_message_tag_is_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// Executor-level fixtures (the chaos-suite staging, multi-step)
+// Executor-level fixture (staging shared with the chaos suite)
 // ---------------------------------------------------------------------
 
-/// Owned per-step staging; [`StepInput`]s borrow from it.
-struct Staged {
-    view: SnapshotView,
-    elements: Vec<cip::contact::SurfaceElementInfo<3>>,
-    bodies: Vec<u16>,
-    decomposition: Decomposition,
-    tree: DecisionTree<3>,
-}
-
-/// Stages `snapshots` of the tiny scenario for `k` ranks, with the
-/// assignment fixed at snapshot 0 — the same prep as the traced driver.
-fn stage(k: usize, snapshots: &[usize]) -> Vec<Staged> {
-    let sim = cip::sim::run(&SimConfig::tiny());
-    let view0 = SnapshotView::build(&sim, 0, 5);
-    let mut asg = partition_kway(&view0.graph2.graph, k, &PartitionerConfig::default());
-    let positions: Vec<_> =
-        view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
-    dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
-    let node_parts = view0.graph2.assignment_on_nodes(&asg);
-    snapshots
-        .iter()
-        .map(|&s| {
-            let view = SnapshotView::build(&sim, s, 5);
-            let asg_now: Vec<u32> =
-                view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-            let elements = view.surface_elements(&node_parts);
-            let bodies = view.face_bodies();
-            let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
-            let decomposition = build_decomposition(
-                &view.graph2.graph,
-                &view.graph2.node_of_vertex,
-                &asg_now,
-                &owners,
-                k,
-            );
-            let labels = view.contact.labels_from_node_parts(&node_parts);
-            let tree = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
-            Staged { view, elements, bodies, decomposition, tree }
-        })
-        .collect()
-}
-
-/// Runs the staged steps through `run` and returns the outputs; the
-/// closure receives the borrowed step inputs.
-fn with_inputs<R>(
+/// One clean-or-chaotic batch over `transport`.
+fn run_over<T: Transport>(
     staged: &[Staged],
-    run: impl FnOnce(&[StepInput<'_, DtreeFilter<'_, 3>>]) -> R,
-) -> R {
-    let filters: Vec<DtreeFilter<'_, 3>> =
-        staged.iter().map(|s| DtreeFilter::new(&s.tree, s.decomposition.k)).collect();
-    let inputs: Vec<StepInput<'_, DtreeFilter<'_, 3>>> = staged
-        .iter()
-        .zip(filters.iter())
-        .map(|(s, filter)| StepInput {
-            decomposition: &s.decomposition,
-            positions: &s.view.mesh.points,
-            elements: &s.elements,
-            bodies: &s.bodies,
-            filter,
-            tolerance: 0.4,
-            recorder: cip::telemetry::Recorder::disabled(),
-        })
-        .collect();
-    run(&inputs)
+    faults: &[FaultInjector],
+    opts: &ExecOptions,
+    transport: &T,
+) -> Result<Vec<StepOutput>, BatchError> {
+    with_inputs(staged, 0.4, |inputs| execute_steps(inputs, faults, opts, None, transport))
 }
 
 // ---------------------------------------------------------------------
@@ -276,23 +214,21 @@ fn with_inputs<R>(
 // ---------------------------------------------------------------------
 
 #[test]
-fn loopback_tcp_matches_the_in_process_oracle_bit_for_bit() {
+fn loopback_tcp_matches_the_in_process_backend_bit_for_bit() {
     let staged = stage(4, &[3, 4, 5]);
-    let (oracle, tcp) = with_inputs(&staged, |inputs| {
-        (
-            execute_steps_with(inputs, &[], &ExecOptions::default()),
-            execute_steps_transport(inputs, &[], &ExecOptions::default(), &Tcp::loopback()),
-        )
-    });
-    assert_eq!(
-        oracle.expect("in-process batch executes"),
-        tcp.expect("loopback-TCP batch executes"),
-        "the TCP backend must be bit-identical to the in-process oracle"
-    );
+    let opts = ExecOptions::default();
+    let inproc = run_over(&staged, &[], &opts, &InProcess).expect("in-process batch executes");
+    let tcp = run_over(&staged, &[], &opts, &Tcp::loopback()).expect("loopback-TCP batch executes");
+    assert_eq!(inproc, tcp, "the TCP backend must be bit-identical to the in-process one");
+    // And both are right: per step, the serial pairs and the plan's halo.
+    for (s, out) in staged.iter().zip(&tcp) {
+        assert_eq!(out.contact_pairs, serial_contact_pairs(&s.elements, &s.bodies, 0.4));
+        assert_eq!(out.traffic.total_halo(), s.decomposition.total_halo_volume());
+    }
 }
 
 #[test]
-fn loopback_tcp_matches_the_oracle_under_message_chaos() {
+fn loopback_tcp_matches_in_process_under_message_chaos() {
     let staged = stage(3, &[4, 5]);
     let plan = FaultPlan {
         drop_permille: 150,
@@ -305,17 +241,14 @@ fn loopback_tcp_matches_the_oracle_under_message_chaos() {
         (0..staged.len()).map(|_| FaultInjector::with_plan(plan.clone())).collect();
     let opts =
         ExecOptions { timeout: Duration::from_millis(300), retries: 2, ..ExecOptions::default() };
-    let (oracle, tcp) = with_inputs(&staged, |inputs| {
-        (
-            execute_steps_with(inputs, &faults, &opts),
-            execute_steps_transport(inputs, &faults, &opts, &Tcp::loopback()),
-        )
-    });
-    assert_eq!(
-        oracle.expect("chaotic in-process batch converges"),
-        tcp.expect("chaotic loopback-TCP batch converges"),
-        "fault injection is seeded above the transport, so outputs must agree"
-    );
+    let inproc =
+        run_over(&staged, &faults, &opts, &InProcess).expect("chaotic in-process batch converges");
+    let tcp = run_over(&staged, &faults, &opts, &Tcp::loopback())
+        .expect("chaotic loopback-TCP batch converges");
+    assert_eq!(inproc, tcp, "fault injection is seeded above the transport, so outputs must agree");
+    // Repaired traffic counts first transmissions only: the clean batch.
+    let clean = run_over(&staged, &[], &opts, &InProcess).expect("clean batch executes");
+    assert_eq!(tcp, clean);
 }
 
 #[test]
@@ -324,10 +257,8 @@ fn unbindable_transport_surfaces_as_a_typed_runtime_error() {
     // 192.0.2.0/24 is TEST-NET-1: never assigned to a local interface,
     // so binding fails immediately without touching the network.
     let bad = Tcp { bind: "192.0.2.1:9".into() };
-    let err = with_inputs(&staged, |inputs| {
-        execute_steps_transport(inputs, &[], &ExecOptions::default(), &bad)
-    })
-    .expect_err("binding a TEST-NET address must fail");
+    let err = run_over(&staged, &[], &ExecOptions::default(), &bad)
+        .expect_err("binding a TEST-NET address must fail");
     assert_eq!(err.failed_step, 0);
     assert!(err.completed.is_empty());
     match err.error {
@@ -341,15 +272,13 @@ fn unbindable_transport_surfaces_as_a_typed_runtime_error() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn capacity_one_mailboxes_complete_without_deadlock_on_both_schedules() {
+fn capacity_one_mailboxes_complete_without_deadlock_at_any_lookahead() {
     let staged = stage(4, &[3, 4, 5]);
-    let baseline =
-        with_inputs(&staged, |inputs| execute_steps_with(inputs, &[], &ExecOptions::default()))
-            .expect("default-capacity batch executes");
-    for schedule in [Schedule::Barrier, Schedule::pipelined()] {
-        let opts = ExecOptions { mailbox_capacity: 1, schedule, ..ExecOptions::default() };
-        let tight = with_inputs(&staged, |inputs| execute_steps_with(inputs, &[], &opts))
-            .expect("capacity-1 batch executes");
+    let baseline = run_over(&staged, &[], &ExecOptions::default(), &InProcess)
+        .expect("default-capacity batch executes");
+    for lookahead in [1usize, 2, 4] {
+        let opts = ExecOptions { mailbox_capacity: 1, lookahead, ..ExecOptions::default() };
+        let tight = run_over(&staged, &[], &opts, &InProcess).expect("capacity-1 batch executes");
         assert_eq!(
             tight, baseline,
             "a full lane must block the sender, not deadlock or change the output"
@@ -379,11 +308,9 @@ fn traced_tcp_threads_run_is_bit_identical_and_meters_bytes() {
     let tcp =
         run_traced(&tiny_trace(TransportKind::TcpThreads { bind: "127.0.0.1:0".into() }, None))
             .expect("tcp-threads run");
-    assert_eq!(tcp.halo, clean.halo);
-    assert_eq!(tcp.shipments, clean.shipments);
-    assert_eq!(tcp.contact_pairs, clean.contact_pairs);
-    assert_eq!(tcp.migrated, clean.migrated);
-    assert_eq!(tcp.repartitions, clean.repartitions);
+    let expected = serial_reference(&tiny_trace(TransportKind::InProcess, None));
+    assert_eq!(totals(&clean), expected);
+    assert_eq!(totals(&tcp), expected);
     assert!(tcp.repartitions >= 1, "the scenario must exercise migration");
     tcp.verify_totals().expect("counters equal executed traffic");
 
