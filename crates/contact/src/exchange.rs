@@ -11,7 +11,7 @@
 
 use crate::filter::GlobalFilter;
 use crate::local::{find_contact_pairs, ContactPair};
-use crate::search::{global_search, SurfaceElementInfo};
+use crate::search::{global_search_inflated, SurfaceElementInfo};
 use cip_geom::Aabb;
 
 /// The materialized exchange: for every rank, the elements it receives
@@ -38,11 +38,7 @@ pub fn build_exchange<const D: usize, F: GlobalFilter<D> + Sync>(
     filter: &F,
     tolerance: f64,
 ) -> Exchange {
-    let inflated: Vec<SurfaceElementInfo<D>> = elements
-        .iter()
-        .map(|e| SurfaceElementInfo { bbox: e.bbox.inflate(tolerance), owner: e.owner })
-        .collect();
-    let plans = global_search(&inflated, filter);
+    let plans = global_search_inflated(elements, filter, tolerance);
     let mut inbox = vec![Vec::new(); filter.num_parts()];
     for (e, plan) in plans.iter().enumerate() {
         for &r in plan {
@@ -70,12 +66,35 @@ pub fn distributed_contact_pairs<const D: usize, F: GlobalFilter<D> + Sync>(
 ) -> Vec<ContactPair> {
     assert_eq!(elements.len(), bodies.len());
     let exchange = build_exchange(elements, filter, tolerance);
+    let k = filter.num_parts();
+    // Bucket the elements by owner (counting sort): rank `r` owns
+    // `owned[start[r]..start[r + 1]]`, ascending. An owner outside the
+    // filter's parts is searched by no rank.
+    let ranked = || {
+        elements
+            .iter()
+            .enumerate()
+            .filter(|(_, el)| (el.owner as usize) < k)
+            .map(|(e, el)| (e, el.owner as usize))
+    };
+    let mut start = vec![0usize; k + 1];
+    for (_, owner) in ranked() {
+        start[owner + 1] += 1;
+    }
+    for r in 0..k {
+        start[r + 1] += start[r];
+    }
+    let mut owned = vec![0u32; start[k]];
+    let mut cursor = start[..k].to_vec();
+    for (e, owner) in ranked() {
+        owned[cursor[owner]] = e as u32;
+        cursor[owner] += 1;
+    }
     let mut all: Vec<ContactPair> = Vec::new();
-    for r in 0..filter.num_parts() as u32 {
+    for r in 0..k {
         // Local element set: owned + received, with their global ids.
-        let mut local_ids: Vec<u32> =
-            (0..elements.len() as u32).filter(|&e| elements[e as usize].owner == r).collect();
-        local_ids.extend_from_slice(&exchange.inbox[r as usize]);
+        let mut local_ids: Vec<u32> = owned[start[r]..start[r + 1]].to_vec();
+        local_ids.extend_from_slice(&exchange.inbox[r]);
 
         let boxes: Vec<Aabb<D>> = local_ids.iter().map(|&e| elements[e as usize].bbox).collect();
         let body: Vec<u16> = local_ids.iter().map(|&e| bodies[e as usize]).collect();

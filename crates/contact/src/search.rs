@@ -30,11 +30,21 @@ pub fn global_search<const D: usize, F: GlobalFilter<D> + Sync>(
     elements: &[SurfaceElementInfo<D>],
     filter: &F,
 ) -> Vec<Vec<u32>> {
+    global_search_inflated(elements, filter, 0.0)
+}
+
+/// [`global_search`] with every element box inflated by `tolerance` as it
+/// is tested.
+pub(crate) fn global_search_inflated<const D: usize, F: GlobalFilter<D> + Sync>(
+    elements: &[SurfaceElementInfo<D>],
+    filter: &F,
+    tolerance: f64,
+) -> Vec<Vec<u32>> {
     elements
         .par_iter()
         .map(|el| {
             let mut out = Vec::new();
-            filter.candidate_parts(&el.bbox, &mut out);
+            filter.candidate_parts(&el.bbox.inflate(tolerance), &mut out);
             out.retain(|&p| p != el.owner);
             out
         })

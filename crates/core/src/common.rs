@@ -2,9 +2,10 @@
 
 use cip_contact::SurfaceElementInfo;
 use cip_geom::{Aabb, Point};
-use cip_mesh::graphs::{nodal_graph, NodalGraph, NodalGraphOptions};
-use cip_mesh::{Mesh, Surface};
+use cip_mesh::graphs::{NodalGraph, NodalGraphOptions};
+use cip_mesh::{Face, Mesh, Surface};
 use cip_sim::SimResult;
+use cip_telemetry::Recorder;
 
 /// The contact points of one snapshot: node ids and their positions,
 /// parallel arrays.
@@ -69,39 +70,61 @@ pub struct SnapshotView {
 }
 
 /// A contact face as the pipelines see it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct FaceView {
-    /// Global node ids of the face.
-    pub nodes: Vec<u32>,
+    /// The face (global node ids).
+    pub face: Face,
     /// Bounding box at this snapshot.
     pub bbox: Aabb<3>,
     /// Body id of the owning element.
     pub body: u16,
 }
 
+impl FaceView {
+    /// Global node ids of the face.
+    #[inline]
+    pub fn nodes(&self) -> &[u32] {
+        self.face.nodes()
+    }
+}
+
 impl SnapshotView {
     /// Builds the view of snapshot `i` of a simulation run.
     pub fn build(sim: &SimResult, i: usize, contact_edge_weight: i64) -> Self {
+        Self::build_recorded(sim, i, contact_edge_weight, &Recorder::disabled())
+    }
+
+    /// [`SnapshotView::build`], reporting the topology cache of `sim` to
+    /// `rec` (see [`SimResult::topology`]).
+    ///
+    /// The graph topology comes from the snapshot's epoch and is built at
+    /// most once per epoch; per snapshot only the contact mask, the
+    /// weights it selects, and the face boxes are computed.
+    pub fn build_recorded(
+        sim: &SimResult,
+        i: usize,
+        contact_edge_weight: i64,
+        rec: &Recorder,
+    ) -> Self {
         let mesh = sim.mesh_at(i);
         let surface = &sim.snapshots[i].contact;
         let mask = surface.contact_node_mask(mesh.num_nodes());
-        let graph2 = nodal_graph(
-            &mesh,
+        let topology = sim.topology(i, rec);
+        let graph2 = topology.graph(
             &mask,
             NodalGraphOptions { ncon: 2, contact_edge_weight, normal_edge_weight: 1 },
         );
-        let graph1 = nodal_graph(&mesh, &mask, NodalGraphOptions::single_constraint());
+        let graph1 = topology.graph(&mask, NodalGraphOptions::single_constraint());
         let contact = ContactPoints::from_surface(surface, &mesh.points);
         let faces = surface
             .faces
             .iter()
             .map(|sf| {
-                let nodes: Vec<u32> = sf.face.nodes().to_vec();
                 let mut bbox = Aabb::empty();
-                for &n in &nodes {
+                for &n in sf.face.nodes() {
                     bbox.grow(&mesh.points[n as usize]);
                 }
-                FaceView { nodes, bbox, body: sf.body }
+                FaceView { face: sf.face, bbox, body: sf.body }
             })
             .collect();
         Self { mesh, graph2, graph1, contact, faces }
@@ -112,7 +135,7 @@ impl SnapshotView {
     pub fn surface_elements(&self, node_parts: &[u32]) -> Vec<SurfaceElementInfo<3>> {
         self.faces
             .iter()
-            .map(|f| SurfaceElementInfo { bbox: f.bbox, owner: face_owner(&f.nodes, node_parts) })
+            .map(|f| SurfaceElementInfo { bbox: f.bbox, owner: face_owner(f.nodes(), node_parts) })
             .collect()
     }
 

@@ -81,7 +81,7 @@ fn augmented_graph(view: &SnapshotView, cfg: &KnownContactConfig) -> Graph {
     // Body of each contact point: body of any face containing it.
     let mut body = vec![u16::MAX; view.mesh.num_nodes()];
     for f in &view.faces {
-        for &node in &f.nodes {
+        for &node in f.nodes() {
             body[node as usize] = f.body;
         }
     }

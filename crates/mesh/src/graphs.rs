@@ -12,6 +12,7 @@
 //! The **dual graph** (one vertex per element, edges across shared facets)
 //! is also provided for completeness and for element-based decompositions.
 
+use crate::element::Element;
 use crate::mesh::Mesh;
 use cip_graph::{Graph, GraphBuilder};
 
@@ -67,6 +68,138 @@ impl NodalGraph {
     }
 }
 
+/// The part of a nodal graph that depends on the mesh connectivity and the
+/// live mask alone: which nodes are graph vertices, and which vertices are
+/// adjacent.
+///
+/// Element erosion is the only event that changes it, so a run of
+/// snapshots sharing one live mask (a *topology epoch*) shares one
+/// `NodalTopology`; the per-snapshot contact mask only selects vertex and
+/// edge weights, which [`NodalTopology::graph`] fills in `O(nnz)`.
+#[derive(Debug, Clone)]
+pub struct NodalTopology {
+    /// `node_of_vertex[gv] = mesh node id` (ascending).
+    node_of_vertex: Vec<u32>,
+    /// `vertex_of_node[n] = graph vertex id`, or `u32::MAX` for dead nodes.
+    vertex_of_node: Vec<u32>,
+    /// CSR offsets, one per vertex plus the terminal offset.
+    xadj: Vec<usize>,
+    /// Neighbor vertex ids; every row is strictly ascending.
+    adjncy: Vec<u32>,
+}
+
+impl NodalTopology {
+    /// Builds the topology of the elements flagged in `alive` over a mesh
+    /// of `num_nodes` nodes: one vertex per node of a live element, one
+    /// edge per distinct element edge.
+    ///
+    /// Count, fill, then sort and deduplicate each (short) row — an edge
+    /// shared by several elements is recorded once per element and must
+    /// appear once.
+    pub fn build(num_nodes: usize, elements: &[Element], alive: &[bool]) -> Self {
+        assert_eq!(alive.len(), elements.len(), "one live flag per element");
+        let live = || elements.iter().zip(alive).filter(|&(_, &a)| a).map(|(el, _)| el);
+
+        // Mark the nodes of live elements, then number them in node order.
+        let mut vertex_of_node = vec![u32::MAX; num_nodes];
+        for el in live() {
+            for &n in el.nodes() {
+                vertex_of_node[n as usize] = 0;
+            }
+        }
+        let mut node_of_vertex = Vec::new();
+        for (n, slot) in vertex_of_node.iter_mut().enumerate() {
+            if *slot == 0 {
+                *slot = node_of_vertex.len() as u32;
+                node_of_vertex.push(n as u32);
+            }
+        }
+        let nv = node_of_vertex.len();
+
+        // Every element edge as a vertex pair, once per element that has
+        // it; self-loops never enter.
+        let edges = || {
+            live().flat_map(|el| el.edges()).filter(|&(a, c)| a != c).map(|(a, c)| {
+                (vertex_of_node[a as usize] as usize, vertex_of_node[c as usize] as usize)
+            })
+        };
+        // Rows with duplicates: row `v` is `raw[offset[v]..offset[v + 1]]`.
+        let mut offset = vec![0usize; nv + 1];
+        for (a, c) in edges() {
+            offset[a + 1] += 1;
+            offset[c + 1] += 1;
+        }
+        for v in 0..nv {
+            offset[v + 1] += offset[v];
+        }
+        let mut raw = vec![0u32; offset[nv]];
+        let mut cursor = offset[..nv].to_vec();
+        for (a, c) in edges() {
+            raw[cursor[a]] = c as u32;
+            cursor[a] += 1;
+            raw[cursor[c]] = a as u32;
+            cursor[c] += 1;
+        }
+
+        let mut xadj = Vec::with_capacity(nv + 1);
+        xadj.push(0);
+        let mut adjncy: Vec<u32> = Vec::new();
+        for v in 0..nv {
+            let row = &mut raw[offset[v]..offset[v + 1]];
+            row.sort_unstable();
+            let row_start = adjncy.len();
+            for &u in row.iter() {
+                if adjncy[row_start..].last() != Some(&u) {
+                    adjncy.push(u);
+                }
+            }
+            xadj.push(adjncy.len());
+        }
+        adjncy.shrink_to_fit();
+        Self { node_of_vertex, vertex_of_node, xadj, adjncy }
+    }
+
+    /// The weighted nodal graph over this topology.
+    ///
+    /// `contact_mask[n]` marks mesh node `n` as a contact node (see
+    /// [`crate::surface::Surface::contact_node_mask`]).
+    pub fn graph(&self, contact_mask: &[bool], opts: NodalGraphOptions) -> NodalGraph {
+        assert!(opts.ncon == 1 || opts.ncon == 2, "nodal graphs support 1 or 2 constraints");
+        assert_eq!(contact_mask.len(), self.vertex_of_node.len(), "one contact flag per node");
+        let contact: Vec<bool> =
+            self.node_of_vertex.iter().map(|&n| contact_mask[n as usize]).collect();
+        let vwgt: Vec<i64> = if opts.ncon == 2 {
+            contact.iter().flat_map(|&c| [1, i64::from(c)]).collect()
+        } else {
+            vec![1; contact.len()]
+        };
+        let mut adjwgt = vec![opts.normal_edge_weight; self.adjncy.len()];
+        if opts.contact_edge_weight != opts.normal_edge_weight {
+            for (v, _) in contact.iter().enumerate().filter(|&(_, &c)| c) {
+                let row = self.xadj[v]..self.xadj[v + 1];
+                for (w, &u) in adjwgt[row.clone()].iter_mut().zip(&self.adjncy[row]) {
+                    if contact[u as usize] {
+                        *w = opts.contact_edge_weight;
+                    }
+                }
+            }
+        }
+        // Symmetric and loop-free by construction (checked in debug builds).
+        let graph = Graph::from_csr_unchecked(
+            opts.ncon,
+            self.xadj.clone(),
+            self.adjncy.clone(),
+            adjwgt,
+            vwgt,
+        );
+        NodalGraph {
+            graph,
+            node_of_vertex: self.node_of_vertex.clone(),
+            vertex_of_node: self.vertex_of_node.clone(),
+        }
+    }
+}
+
 /// Builds the nodal graph of the live part of `mesh`.
 ///
 /// `contact_mask[n]` marks mesh node `n` as a contact node (see
@@ -76,46 +209,7 @@ pub fn nodal_graph<const D: usize>(
     contact_mask: &[bool],
     opts: NodalGraphOptions,
 ) -> NodalGraph {
-    assert!(opts.ncon == 1 || opts.ncon == 2, "nodal graphs support 1 or 2 constraints");
-    assert_eq!(contact_mask.len(), mesh.num_nodes(), "one contact flag per node");
-    let live = mesh.live_node_mask();
-    let mut node_of_vertex = Vec::new();
-    let mut vertex_of_node = vec![u32::MAX; mesh.num_nodes()];
-    for n in 0..mesh.num_nodes() {
-        if live[n] {
-            vertex_of_node[n] = node_of_vertex.len() as u32;
-            node_of_vertex.push(n as u32);
-        }
-    }
-
-    let mut b = GraphBuilder::new(node_of_vertex.len(), opts.ncon);
-    for (gv, &n) in node_of_vertex.iter().enumerate() {
-        if opts.ncon == 2 {
-            b.set_vwgt(gv as u32, &[1, i64::from(contact_mask[n as usize])]);
-        } else {
-            b.set_vwgt(gv as u32, &[1]);
-        }
-    }
-    // Collect unique mesh edges first: an edge shared by several elements
-    // must appear once (the builder would otherwise sum duplicate weights).
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (_, el) in mesh.live_elements() {
-        for (a, c) in el.edges() {
-            edges.push(if a < c { (a, c) } else { (c, a) });
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    for (a, c) in edges {
-        let (ga, gc) = (vertex_of_node[a as usize], vertex_of_node[c as usize]);
-        let w = if contact_mask[a as usize] && contact_mask[c as usize] {
-            opts.contact_edge_weight
-        } else {
-            opts.normal_edge_weight
-        };
-        b.add_edge(ga, gc, w);
-    }
-    NodalGraph { graph: b.build(), node_of_vertex, vertex_of_node }
+    NodalTopology::build(mesh.num_nodes(), &mesh.elements, &mesh.alive).graph(contact_mask, opts)
 }
 
 /// Builds the dual graph of the live part of `mesh`: one vertex per live

@@ -12,7 +12,7 @@ use crate::mesh::Mesh;
 use serde::{Deserialize, Serialize};
 
 /// A boundary facet together with its owning element and body.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SurfaceFace {
     /// The facet (global node ids).
     pub face: Face,
@@ -23,7 +23,7 @@ pub struct SurfaceFace {
 }
 
 /// The extracted boundary surface of a mesh.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Surface {
     /// Boundary facets — the *surface elements* searched for contact.
     pub faces: Vec<SurfaceFace>,

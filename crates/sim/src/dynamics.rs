@@ -21,13 +21,12 @@ use crate::geometry::{SimConfig, BODY_PROJECTILE};
 use crate::snapshot::{SimResult, Snapshot};
 use cip_geom::{Aabb, Point};
 use cip_mesh::surface::extract_surface;
-use cip_mesh::{Mesh, Surface};
+use cip_mesh::Surface;
 
 /// Runs the simulation defined by `cfg`, producing `cfg.snapshots`
 /// snapshots.
 pub fn run(cfg: &SimConfig) -> SimResult {
     let base = cfg.build_mesh();
-    let rest_points = base.points.clone();
     let n_elems = base.num_elements();
 
     // Precompute per-element rest centroids and the projectile node set.
@@ -46,7 +45,13 @@ pub fn run(cfg: &SimConfig) -> SimResult {
 
     let hw = cfg.proj_half_width();
     let erosion_hw = hw + 0.25 * cfg.cell; // slight over-bore, as in erosion codes
-    let mut alive = base.alive.clone();
+
+    // The eroding mesh: only `alive` evolves (positions stay at rest; the
+    // boundary surface does not depend on them).
+    let mut eroding = base.clone();
+    // Boundary surface of the current topology epoch: extracted at the
+    // epoch's first snapshot, dropped when an element erodes.
+    let mut boundary: Option<Surface> = None;
 
     let snapshot_steps: Vec<usize> =
         (0..cfg.snapshots).map(|s| ((s + 1) * cfg.steps) / cfg.snapshots).collect();
@@ -59,34 +64,29 @@ pub fn run(cfg: &SimConfig) -> SimResult {
         let tip_z = cfg.standoff - drop;
 
         // Erode plate elements the tip has reached.
-        for e in 0..n_elems {
-            if !alive[e] || base.body[e] == BODY_PROJECTILE {
+        for (e, c) in centroids.iter().enumerate() {
+            if !eroding.alive[e] || base.body[e] == BODY_PROJECTILE {
                 continue;
             }
-            let c = &centroids[e];
             if (c[0] - cfg.impact_offset[0]).abs() <= erosion_hw
                 && (c[1] - cfg.impact_offset[1]).abs() <= erosion_hw
                 && c[2] >= tip_z
             {
-                alive[e] = false;
+                eroding.alive[e] = false;
+                boundary = None;
             }
         }
 
         while next_snap < snapshot_steps.len() && snapshot_steps[next_snap] == step {
-            let points = deformed_points(cfg, &rest_points, &is_proj_node, drop, tip_z, hw);
-            let mesh = Mesh {
-                points: points.clone(),
-                elements: base.elements.clone(),
-                body: base.body.clone(),
-                alive: alive.clone(),
-            };
-            let contact = contact_surface(cfg, &mesh, hw);
-            snapshots.push(Snapshot { step, points, alive: alive.clone(), contact });
+            let points = deformed_points(cfg, &base.points, &is_proj_node, drop, tip_z, hw);
+            let boundary = boundary.get_or_insert_with(|| extract_surface(&eroding));
+            let contact = contact_surface(cfg, boundary, &points);
+            snapshots.push(Snapshot { step, points, alive: eroding.alive.clone(), contact });
             next_snap += 1;
         }
     }
 
-    SimResult { base, snapshots }
+    SimResult::new(base, snapshots)
 }
 
 /// Evaluates the deformed node positions at a given projectile drop.
@@ -132,12 +132,16 @@ fn deformed_points(
         .collect()
 }
 
-/// Extracts the contact surface: boundary faces whose centroid lies inside
-/// the interaction region (a vertical prism around the projectile channel,
+/// Clips a boundary surface to the contact surface at the node positions
+/// `points`: the faces of `boundary` whose centroid lies inside the
+/// interaction region (a vertical prism around the projectile channel,
 /// `interaction_factor` times the projectile half-width, covering every
 /// z), plus the projectile's own surface.
-fn contact_surface(cfg: &SimConfig, mesh: &Mesh<3>, hw: f64) -> Surface {
-    let full = extract_surface(mesh);
+///
+/// The boundary surface changes only when an element erodes; the clip
+/// follows the moving nodes and is re-applied at every snapshot.
+pub fn contact_surface(cfg: &SimConfig, boundary: &Surface, points: &[Point<3>]) -> Surface {
+    let hw = cfg.proj_half_width();
     // The interaction prism never extends onto the plates' outer lateral
     // rims (those faces cannot contact anything), mirroring how contact
     // codes mark slide surfaces.
@@ -153,18 +157,19 @@ fn contact_surface(cfg: &SimConfig, mesh: &Mesh<3>, hw: f64) -> Surface {
         Point::new([lo_x, lo_y, f64::NEG_INFINITY]),
         Point::new([hi_x, hi_y, f64::INFINITY]),
     );
-    let faces: Vec<_> = full
+    let faces: Vec<_> = boundary
         .faces
-        .into_iter()
+        .iter()
         .filter(|sf| {
             let nodes = sf.face.nodes();
             let mut c = Point::origin();
             for &n in nodes {
-                c = c.add(&mesh.points[n as usize]);
+                c = c.add(&points[n as usize]);
             }
             let c = c.scale(1.0 / nodes.len() as f64);
             region.contains_point(&c)
         })
+        .copied()
         .collect();
     let mut contact_nodes: Vec<u32> =
         faces.iter().flat_map(|sf| sf.face.nodes().iter().copied()).collect();

@@ -566,7 +566,7 @@ impl Session {
         pcfg.recorder = rec.clone();
 
         // Initial MCML+DT decomposition on snapshot 0.
-        let view0 = SnapshotView::build(&sim, 0, 5);
+        let view0 = SnapshotView::build_recorded(&sim, 0, 5, &rec);
         let mut asg = partition_kway_with(&view0.graph2.graph, k, &pcfg, &mut ws.partition.refine);
         let positions: Vec<_> =
             view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
@@ -894,7 +894,7 @@ impl Session {
                     }
                     self.live_k =
                         compact_parts_after_loss(&mut self.node_parts, self.live_k, &dead);
-                    let view = SnapshotView::build(&self.sim, failed, 5);
+                    let view = SnapshotView::build_recorded(&self.sim, failed, 5, &rec);
                     if self.live_k >= 2 {
                         let old: Vec<u32> = view
                             .graph2
@@ -964,7 +964,8 @@ pub fn run_traced(opts: &TraceOptions) -> Result<TraceReport, TraceError> {
 /// deliberately **unrecorded** — a background plan may be discarded
 /// before it is applied, and a discarded plan must not pollute the
 /// traffic counters. [`record_migration`] charges telemetry on
-/// acceptance.
+/// acceptance. (The view's topology lookup does report: a topology built
+/// for a discarded plan still serves the following steps.)
 fn plan_boundary(
     sim: &SimResult,
     at: usize,
@@ -972,7 +973,7 @@ fn plan_boundary(
     node_parts: &[u32],
     pcfg: &PartitionerConfig,
 ) -> (Vec<u32>, MigrationPlan) {
-    let view = SnapshotView::build(sim, at, 5);
+    let view = SnapshotView::build_recorded(sim, at, 5, &pcfg.recorder);
     let old: Vec<u32> =
         view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
     let fresh = diffusion_repartition(&view.graph2.graph, live_k, &old, pcfg);
@@ -1029,7 +1030,7 @@ pub(crate) fn stage_batch(
     let mut replayed: Option<DecisionTree<3>> = None;
     for j in replay_from..batch.end {
         let _step_span = rec.span("trace.step").attr("step", j);
-        let view = SnapshotView::build(sim, j, 5);
+        let view = SnapshotView::build_recorded(sim, j, 5, rec);
         let labels = view.contact.labels_from_node_parts(node_parts);
         let positions = &view.contact.positions;
         let tree = match steps.last().map(|s| &s.tree).or(replayed.as_ref()).or(carried) {
@@ -1305,6 +1306,36 @@ mod tests {
         // induce counts holds).
         assert_eq!(summary.span("dtree.refresh").map(|s| s.count), Some(2));
         assert!(summary.span("dtree.induce").map(|s| s.count).unwrap_or(0) >= 1);
+    }
+
+    #[test]
+    fn topology_is_built_once_per_epoch_touched() {
+        let opts = TraceOptions {
+            scenario: "head_on".to_string(),
+            k: 2,
+            snapshots: Some(12),
+            seed: 1,
+            repartition_period: Some(4),
+            chaos: None,
+            ..TraceOptions::default()
+        };
+        let report = run_traced(&opts).expect("head_on runs");
+        // Every snapshot is staged, so every epoch of the run is touched.
+        let mut scfg = scenario_config(&opts.scenario).expect("registered");
+        scfg.snapshots = 12;
+        let sim = cip_sim::run(&scfg);
+        let epochs = sim.num_epochs();
+        assert!((2..sim.len()).contains(&epochs), "{epochs} epochs cannot show a cold cache");
+        let rec = &report.recorder;
+        let builds = rec.counter_value("mesh.topology.builds");
+        assert_eq!(builds, epochs as u64);
+        // One view for the initial decomposition, one per staged step, one
+        // per boundary plan — whichever thread computed it.
+        assert_eq!(report.repartitions, 2);
+        let views = (1 + report.steps + report.repartitions) as u64;
+        assert_eq!(builds + rec.counter_value("mesh.topology.hits"), views);
+        assert_eq!(report.summary().span("mesh.topology.build").map(|s| s.count), Some(builds));
+        assert!(report.summary_json().contains("mesh.topology.hits"));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! the experiment harness persists them and a production code would
 //! checkpoint them.
 
+use cip::core::SnapshotView;
 use cip::dtree::{induce, DtreeConfig};
 use cip::geom::{Aabb, Point, RcbTree};
 use cip::graph::GraphBuilder;
@@ -102,6 +103,15 @@ fn snapshot_sequence_roundtrip() {
         assert_eq!(a.points.len(), b.points.len());
     }
     back.mesh_at(0).validate().unwrap();
+    // The epoch cache is not serialized: the copy rebuilds it on demand.
+    for i in 0..sim.len() {
+        assert_eq!(back.epoch_of(i), sim.epoch_of(i));
+        let (a, b) = (SnapshotView::build(&sim, i, 5), SnapshotView::build(&back, i, 5));
+        assert_eq!(a.graph2.graph.adjncy(), b.graph2.graph.adjncy());
+        assert_eq!(a.graph2.graph.adjwgt(), b.graph2.graph.adjwgt());
+        assert_eq!(a.graph2.node_of_vertex, b.graph2.node_of_vertex);
+        assert_eq!(a.contact.nodes, b.contact.nodes);
+    }
 }
 
 #[test]

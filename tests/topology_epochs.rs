@@ -1,0 +1,249 @@
+//! Topology epochs against independent oracles: the nodal graph derived
+//! from a `NodalTopology` must equal the edge-list construction it
+//! replaced bit for bit, and a `SnapshotView` served from a run's epoch
+//! cache must equal one built cold.
+
+use cip::core::SnapshotView;
+use cip::geom::Point;
+use cip::graph::GraphBuilder;
+use cip::mesh::graphs::{nodal_graph, NodalGraphOptions};
+use cip::mesh::{extract_surface, generators, Element, Mesh, NodalGraph};
+use cip::sim::dynamics::contact_surface;
+use cip::sim::{SimConfig, SimResult};
+use cip::telemetry::Recorder;
+use proptest::prelude::*;
+use std::sync::Barrier;
+
+/// The construction `nodal_graph` used before topologies existed, kept as
+/// the oracle: collect every element edge, sort, deduplicate, and let
+/// `GraphBuilder` sort and merge the list again.
+fn edge_list_nodal_graph<const D: usize>(
+    mesh: &Mesh<D>,
+    contact_mask: &[bool],
+    opts: NodalGraphOptions,
+) -> NodalGraph {
+    let live = mesh.live_node_mask();
+    let mut node_of_vertex = Vec::new();
+    let mut vertex_of_node = vec![u32::MAX; mesh.num_nodes()];
+    for n in 0..mesh.num_nodes() {
+        if live[n] {
+            vertex_of_node[n] = node_of_vertex.len() as u32;
+            node_of_vertex.push(n as u32);
+        }
+    }
+    let mut b = GraphBuilder::new(node_of_vertex.len(), opts.ncon);
+    for (gv, &n) in node_of_vertex.iter().enumerate() {
+        if opts.ncon == 2 {
+            b.set_vwgt(gv as u32, &[1, i64::from(contact_mask[n as usize])]);
+        } else {
+            b.set_vwgt(gv as u32, &[1]);
+        }
+    }
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for (_, el) in mesh.live_elements() {
+        for (a, c) in el.edges() {
+            edges.push(if a < c { (a, c) } else { (c, a) });
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    for (a, c) in edges {
+        let w = if contact_mask[a as usize] && contact_mask[c as usize] {
+            opts.contact_edge_weight
+        } else {
+            opts.normal_edge_weight
+        };
+        b.add_edge(vertex_of_node[a as usize], vertex_of_node[c as usize], w);
+    }
+    NodalGraph { graph: b.build(), node_of_vertex, vertex_of_node }
+}
+
+fn assert_same_graph(got: &NodalGraph, want: &NodalGraph) {
+    assert_eq!(got.node_of_vertex, want.node_of_vertex);
+    assert_eq!(got.vertex_of_node, want.vertex_of_node);
+    assert_eq!(got.graph.ncon(), want.graph.ncon());
+    assert_eq!(got.graph.xadj(), want.graph.xadj());
+    assert_eq!(got.graph.adjncy(), want.graph.adjncy());
+    assert_eq!(got.graph.adjwgt(), want.graph.adjwgt());
+    assert_eq!(got.graph.vwgt_raw(), want.graph.vwgt_raw());
+}
+
+const OPTION_SETS: [NodalGraphOptions; 2] = [
+    NodalGraphOptions { ncon: 2, contact_edge_weight: 5, normal_edge_weight: 1 },
+    NodalGraphOptions { ncon: 1, contact_edge_weight: 1, normal_edge_weight: 1 },
+];
+
+/// Splits every hexahedron into the six tetrahedra around its 0–6
+/// diagonal (node ids, bodies and the live mask carry over).
+fn tetrahedralized(hexes: &Mesh<3>) -> Mesh<3> {
+    const AROUND_DIAGONAL: [[usize; 2]; 6] = [[1, 2], [2, 3], [3, 7], [7, 4], [4, 5], [5, 1]];
+    let mut elements = Vec::new();
+    let mut body = Vec::new();
+    let mut alive = Vec::new();
+    for (e, hex) in hexes.elements.iter().enumerate() {
+        let n = hex.nodes();
+        for [a, c] in AROUND_DIAGONAL {
+            elements.push(Element::tet4([n[0], n[a], n[c], n[6]]));
+            body.push(hexes.body[e]);
+            alive.push(hexes.alive[e]);
+        }
+    }
+    Mesh { points: hexes.points.clone(), elements, body, alive }
+}
+
+/// A hex box or its tetrahedralization, randomly eroded, with a random
+/// contact mask over its nodes.
+fn eroded_mesh_and_mask() -> impl Strategy<Value = (Mesh<3>, Vec<bool>)> {
+    (
+        (1usize..5, 1usize..4, 1usize..4),
+        any::<bool>(),
+        proptest::collection::vec(any::<bool>(), 6 * 4 * 3 * 3),
+        proptest::collection::vec(any::<bool>(), 5 * 4 * 4),
+    )
+        .prop_map(|((nx, ny, nz), tets, dead, contact)| {
+            let hexes = generators::hex_box([nx, ny, nz], Point::new([0.0; 3]), [1.0; 3], 0);
+            let mut mesh = if tets { tetrahedralized(&hexes) } else { hexes };
+            for e in (0..mesh.num_elements()).filter(|&e| dead[e]) {
+                mesh.erode(e as u32);
+            }
+            let mask = contact[..mesh.num_nodes()].to_vec();
+            (mesh, mask)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `nodal_graph` through `NodalTopology` equals the edge-list
+    /// construction: offsets, neighbours (rows ascending), both weight
+    /// arrays and both node maps, under the boundary's contact mask and
+    /// under an arbitrary one.
+    #[test]
+    fn nodal_graph_equals_the_edge_list_construction((mesh, random_mask) in eroded_mesh_and_mask()) {
+        let surface_mask = extract_surface(&mesh).contact_node_mask(mesh.num_nodes());
+        for mask in [&surface_mask, &random_mask] {
+            for opts in OPTION_SETS {
+                let got = nodal_graph(&mesh, mask, opts);
+                got.graph.validate().unwrap();
+                assert_same_graph(&got, &edge_list_nodal_graph(&mesh, mask, opts));
+            }
+        }
+    }
+}
+
+/// Everything of `got` equals a view assembled without the epoch cache:
+/// graphs from the edge-list oracle, the rest from the snapshot itself.
+fn assert_view_matches_oracle(sim: &SimResult, i: usize, got: &SnapshotView) {
+    let snap = &sim.snapshots[i];
+    let mesh = sim.mesh_at(i);
+    let mask = snap.contact.contact_node_mask(mesh.num_nodes());
+    assert_same_graph(&got.graph2, &edge_list_nodal_graph(&mesh, &mask, OPTION_SETS[0]));
+    assert_same_graph(&got.graph1, &edge_list_nodal_graph(&mesh, &mask, OPTION_SETS[1]));
+    assert_eq!(got.mesh.points, snap.points);
+    assert_eq!(got.mesh.alive, snap.alive);
+    assert_eq!(got.contact.nodes, snap.contact.contact_nodes);
+    for (&n, p) in got.contact.nodes.iter().zip(&got.contact.positions) {
+        assert_eq!(*p, snap.points[n as usize]);
+    }
+    assert_eq!(got.faces.len(), snap.contact.faces.len());
+    for (f, sf) in got.faces.iter().zip(&snap.contact.faces) {
+        assert_eq!((f.nodes(), f.body), (sf.face.nodes(), sf.body));
+        for &n in f.nodes() {
+            assert!(f.bbox.contains_point(&snap.points[n as usize]));
+        }
+    }
+}
+
+fn assert_same_view(a: &SnapshotView, b: &SnapshotView) {
+    assert_same_graph(&a.graph2, &b.graph2);
+    assert_same_graph(&a.graph1, &b.graph1);
+    assert_eq!(a.mesh.points, b.mesh.points);
+    assert_eq!(a.mesh.alive, b.mesh.alive);
+    assert_eq!((&a.contact.nodes, &a.contact.positions), (&b.contact.nodes, &b.contact.positions));
+    assert_eq!(a.faces.len(), b.faces.len());
+    for (fa, fb) in a.faces.iter().zip(&b.faces) {
+        assert_eq!((fa.face, fa.bbox, fa.body), (fb.face, fb.bbox, fb.body));
+    }
+}
+
+/// `tiny`, and a `head_on` cut to 12 snapshots.
+fn runs() -> Vec<(SimConfig, SimResult)> {
+    let mut head_on = cip::sim::head_on();
+    head_on.snapshots = 12;
+    [SimConfig::tiny(), head_on].into_iter().map(|cfg| (cfg.clone(), cip::sim::run(&cfg))).collect()
+}
+
+#[test]
+fn epochs_are_the_maximal_runs_of_one_live_mask() {
+    for (_, sim) in runs() {
+        assert_eq!(sim.epoch_of(0), 0);
+        assert_eq!(sim.epoch_of(sim.len() - 1) + 1, sim.num_epochs());
+        for i in 1..sim.len() {
+            let same_mask = sim.snapshots[i].alive == sim.snapshots[i - 1].alive;
+            assert_eq!(sim.epoch_of(i) - sim.epoch_of(i - 1), usize::from(!same_mask));
+        }
+        // Both paths of the cache are reachable on these runs.
+        assert!(sim.num_epochs() >= 2, "no erosion event");
+        assert!(sim.num_epochs() < sim.len(), "no epoch spans two snapshots");
+    }
+}
+
+#[test]
+fn cached_views_equal_cold_rebuilds_on_every_snapshot() {
+    for (_, sim) in runs() {
+        let rec = Recorder::enabled();
+        for i in 0..sim.len() {
+            let cached = SnapshotView::build_recorded(&sim, i, 5, &rec);
+            assert_view_matches_oracle(&sim, i, &cached);
+            // A run that has never served a view: every lookup misses.
+            let cold_sim = SimResult::new(sim.base.clone(), sim.snapshots.clone());
+            assert_same_view(&cached, &SnapshotView::build(&cold_sim, i, 5));
+        }
+        assert_eq!(rec.counter_value("mesh.topology.builds"), sim.num_epochs() as u64);
+        assert_eq!(rec.counter_value("mesh.topology.hits"), (sim.len() - sim.num_epochs()) as u64);
+    }
+}
+
+#[test]
+fn stored_contact_surfaces_equal_a_fresh_extraction_and_clip() {
+    for (cfg, sim) in runs() {
+        for (i, snap) in sim.snapshots.iter().enumerate() {
+            let fresh = contact_surface(&cfg, &extract_surface(&sim.mesh_at(i)), &snap.points);
+            assert_eq!(snap.contact, fresh, "snapshot {i}");
+        }
+    }
+}
+
+#[test]
+fn two_threads_building_views_at_once_share_one_topology_per_epoch() {
+    for (_, sim) in runs() {
+        let rec = Recorder::enabled();
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            // Opposite orders: the threads meet in the middle, and each
+            // finds epochs the other has already built.
+            let forward = scope.spawn(|| {
+                start.wait();
+                (0..sim.len()).map(|i| SnapshotView::build_recorded(&sim, i, 5, &rec)).collect()
+            });
+            let backward = scope.spawn(|| {
+                start.wait();
+                let mut views: Vec<SnapshotView> = (0..sim.len())
+                    .rev()
+                    .map(|i| SnapshotView::build_recorded(&sim, i, 5, &rec))
+                    .collect();
+                views.reverse();
+                views
+            });
+            let forward: Vec<SnapshotView> = forward.join().expect("forward builder");
+            let backward = backward.join().expect("backward builder");
+            for (i, (a, b)) in forward.iter().zip(&backward).enumerate() {
+                assert_view_matches_oracle(&sim, i, a);
+                assert_same_view(a, b);
+            }
+        });
+        let builds = rec.counter_value("mesh.topology.builds");
+        assert_eq!(builds, sim.num_epochs() as u64, "an epoch was built twice or never");
+        assert_eq!(builds + rec.counter_value("mesh.topology.hits"), 2 * sim.len() as u64);
+    }
+}
