@@ -43,8 +43,8 @@ use std::time::Duration;
 /// Every variant carries the batch-local `step` it belongs to, so a
 /// receiver can partition one inbox by step. Sequence numbers are per
 /// `(from, to, step)`. The type is public because it crosses
-/// process boundaries: `cip_transport::Wire` is implemented for it in
-/// [`crate::wire`].
+/// process boundaries (its layout is declared in [`crate::wire`]), which
+/// is also why positions and boxes are plain coordinate arrays.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     /// Halo exchange: updated positions of nodes the receiver ghosts.
@@ -55,8 +55,8 @@ pub enum Msg {
         step: u32,
         /// Position in the sender's payload stream to this receiver.
         seq: u64,
-        /// `(global node id, position)` pairs.
-        values: Vec<(u32, Point<3>)>,
+        /// `(global node id, position coordinates)` pairs.
+        values: Vec<(u32, [f64; 3])>,
     },
     /// A surface element shipped for contact search.
     Element {
@@ -68,8 +68,9 @@ pub enum Msg {
         seq: u64,
         /// Global element index.
         id: u32,
-        /// Bounding box at the current configuration.
-        bbox: Aabb<3>,
+        /// Bounding box at the current configuration: minimum corner,
+        /// then maximum corner.
+        bbox: [[f64; 3]; 2],
         /// Body id (local search only pairs different bodies).
         body: u16,
     },
@@ -368,8 +369,9 @@ pub(crate) fn recv_or_idle<MB: Mailbox<Msg>>(
 /// worker process can ship it back to the driver for aggregation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankResult {
-    /// Locally found contact pairs (global ids, sorted, deduped).
-    pub pairs: Vec<ContactPair>,
+    /// Locally found contact pairs as `(a, b)` global element ids with
+    /// `a < b`, sorted and deduped.
+    pub pairs: Vec<(u32, u32)>,
     /// Halo node values sent, per destination.
     pub halo_sent: Vec<u64>,
     /// Elements shipped, per destination.
@@ -394,7 +396,7 @@ pub(crate) fn search_rank<F: GlobalFilter<3> + Sync>(
     input: &StepInput<'_, F>,
     received: &[(u32, Aabb<3>, u16)],
     cache: Option<&mut SearchCache<3>>,
-) -> Vec<ContactPair> {
+) -> Vec<(u32, u32)> {
     let mut local_ids: Vec<u32> = plan.owned_surface.clone();
     let mut boxes: Vec<Aabb<3>> =
         plan.owned_surface.iter().map(|&e| input.elements[e as usize].bbox).collect();
@@ -409,15 +411,11 @@ pub(crate) fn search_rank<F: GlobalFilter<3> + Sync>(
         None => find_contact_pairs(&boxes, &bodies, input.tolerance),
         Some(cache) => find_contact_pairs_cached(cache, &boxes, &bodies, input.tolerance),
     };
-    let mut pairs: Vec<ContactPair> = raw
+    let mut pairs: Vec<(u32, u32)> = raw
         .into_iter()
         .map(|p| {
             let (a, b) = (local_ids[p.a as usize], local_ids[p.b as usize]);
-            if a < b {
-                ContactPair { a, b }
-            } else {
-                ContactPair { a: b, b: a }
-            }
+            (a.min(b), a.max(b))
         })
         .collect();
     pairs.sort_unstable();
@@ -444,7 +442,7 @@ pub(crate) fn aggregate(k: usize, partials: Vec<Option<RankResult>>) -> StepOutp
         }
         traffic.phases.halo_msgs += res.halo_msgs;
         traffic.phases.done_msgs += res.done_msgs;
-        contact_pairs.extend(res.pairs);
+        contact_pairs.extend(res.pairs.into_iter().map(|(a, b)| ContactPair { a, b }));
         ghost_mismatches += res.ghost_mismatches;
     }
     traffic.phases.halo_units = traffic.total_halo();
@@ -457,7 +455,7 @@ pub(crate) fn aggregate(k: usize, partials: Vec<Option<RankResult>>) -> StepOutp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, KillSpec};
+    use crate::fault::{FaultPlan, FaultRates, KillSpec};
     use crate::pipeline::execute_steps;
     use crate::plan::build_decomposition;
     use crate::RuntimeError;
@@ -680,10 +678,12 @@ mod tests {
         let serial = cip_contact::serial_contact_pairs(&elements, &bodies, 0.2);
         for seed in 0..20u64 {
             let plan = FaultPlan {
-                drop_permille: 250,
-                dup_permille: 120,
-                delay_permille: 120,
-                reorder_permille: 120,
+                rates: FaultRates {
+                    drop_permille: 250,
+                    dup_permille: 120,
+                    delay_permille: 120,
+                    reorder_permille: 120,
+                },
                 ..FaultPlan::quiet(seed)
             };
             let out = execute_one(

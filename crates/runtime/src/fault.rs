@@ -21,23 +21,8 @@
 //!   plane, so the only way a `Done` goes missing is a killed rank, which
 //!   the timeout path detects.
 
+use cip_transport::{codec_struct, permille_pick, splitmix64};
 use std::sync::Arc;
-
-/// SplitMix64 step — the same deterministic mixer the partitioner uses
-/// for child seeds (`cip_partition::config::child_seed`), duplicated here
-/// so the runtime crate stays free of a partitioner dependency. Public
-/// because every seeded fault source in the tree (fault plans, the chaos
-/// proxy, client retry jitter) draws from this one mixer, keeping the
-/// seeding discipline uniform.
-#[inline]
-pub fn splitmix64(seed: u64, salt: u64) -> u64 {
-    let mut z = seed.wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-use splitmix64 as splitmix;
 
 /// The fate of one first-transmission payload message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,16 +50,11 @@ pub struct KillSpec {
     pub after_sends: u64,
 }
 
-/// A deterministic, seeded chaos schedule for one executed step.
-///
-/// Rates are in permille (0..=1000) and are evaluated in the order
-/// drop → duplicate → delay → reorder on a single per-message hash, so
-/// the fates of distinct messages are independent and the whole plan is
-/// a pure function of `(seed, from, to, seq)`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// Seed of the per-message fate hash.
-    pub seed: u64,
+/// Permille rates (0..=1000) of the four message faults, evaluated in
+/// the order drop → duplicate → delay → reorder on one hash per message
+/// ([`cip_transport::fate`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultRates {
     /// Permille of payload messages dropped.
     pub drop_permille: u16,
     /// Permille of payload messages duplicated.
@@ -83,9 +63,36 @@ pub struct FaultPlan {
     pub delay_permille: u16,
     /// Permille of payload messages swapped with their successor.
     pub reorder_permille: u16,
+}
+
+impl FaultRates {
+    /// A modest default chaos mix: 2% drops, 1% duplicates, 1% delays,
+    /// 1% reorders.
+    pub const CHAOS: Self =
+        Self { drop_permille: 20, dup_permille: 10, delay_permille: 10, reorder_permille: 10 };
+
+    /// The rates in evaluation order.
+    pub fn in_order(&self) -> [u16; 4] {
+        [self.drop_permille, self.dup_permille, self.delay_permille, self.reorder_permille]
+    }
+}
+
+/// A deterministic, seeded chaos schedule for one executed step: the
+/// fates of distinct messages are independent and the whole plan is a
+/// pure function of `(seed, from, to, seq)`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FaultPlan {
+    /// Seed of the per-message fate hash.
+    pub seed: u64,
+    /// How often each message fault fires.
+    pub rates: FaultRates,
     /// Optional mid-step rank kill.
     pub kill: Option<KillSpec>,
 }
+
+codec_struct!(KillSpec { rank, after_sends });
+codec_struct!(FaultRates { drop_permille, dup_permille, delay_permille, reorder_permille });
+codec_struct!(FaultPlan { seed, rates, kill });
 
 impl FaultPlan {
     /// A plan that injects nothing (useful as a baseline: arming the
@@ -94,44 +101,26 @@ impl FaultPlan {
         Self { seed, ..Self::default() }
     }
 
-    /// A modest default chaos mix: 2% drops, 1% duplicates, 1% delays,
-    /// 1% reorders, no kill.
+    /// The [`FaultRates::CHAOS`] mix, no kill.
     pub fn chaos(seed: u64) -> Self {
-        Self {
-            seed,
-            drop_permille: 20,
-            dup_permille: 10,
-            delay_permille: 10,
-            reorder_permille: 10,
-            kill: None,
-        }
+        Self { seed, rates: FaultRates::CHAOS, kill: None }
     }
 
     /// Derives the per-step plan of a multi-step run: an independent fate
     /// stream per step, same rates, same kill spec.
     pub fn for_step(&self, step: u64) -> Self {
-        Self { seed: splitmix(self.seed, 0xFA_0175 ^ step), ..self.clone() }
+        Self { seed: splitmix64(self.seed, 0xFA_0175 ^ step), ..self.clone() }
     }
 
     /// The fate of first transmission `(from, to, seq)`.
     pub fn fate(&self, from: u32, to: u32, seq: u64) -> Fate {
-        let total =
-            self.drop_permille + self.dup_permille + self.delay_permille + self.reorder_permille;
-        if total == 0 {
-            return Fate::Deliver;
-        }
         let ident = (u64::from(from) << 40) ^ (u64::from(to) << 20) ^ seq;
-        let x = (splitmix(self.seed, ident) % 1000) as u16;
-        if x < self.drop_permille {
-            Fate::Drop
-        } else if x < self.drop_permille + self.dup_permille {
-            Fate::Duplicate
-        } else if x < self.drop_permille + self.dup_permille + self.delay_permille {
-            Fate::Delay
-        } else if x < total {
-            Fate::Reorder
-        } else {
-            Fate::Deliver
+        match permille_pick(self.seed, ident, &self.rates.in_order()) {
+            Some(0) => Fate::Drop,
+            Some(1) => Fate::Duplicate,
+            Some(2) => Fate::Delay,
+            Some(_) => Fate::Reorder,
+            None => Fate::Deliver,
         }
     }
 }
@@ -238,7 +227,7 @@ mod tests {
         let s0 = base.for_step(0);
         let s1 = base.for_step(1);
         assert_ne!(s0.seed, s1.seed);
-        assert_eq!(s0.drop_permille, base.drop_permille);
+        assert_eq!(s0.rates, base.rates);
         assert_eq!(s0.for_step(0).seed, base.for_step(0).for_step(0).seed, "derivation is pure");
     }
 

@@ -52,7 +52,7 @@ pub mod replan;
 pub mod wire;
 
 pub use exec::{ExecOptions, Msg, PhaseTraffic, RankResult, StepInput, StepOutput, TrafficLog};
-pub use fault::{Fate, FaultInjector, FaultPlan, KillSpec};
+pub use fault::{Fate, FaultInjector, FaultPlan, FaultRates, KillSpec};
 pub use migrate::{build_migration, build_migration_recorded, MigrationPlan};
 pub use pipeline::{
     collect_batch, execute_rank_steps, execute_steps, BatchError, RankBatchOutcome,

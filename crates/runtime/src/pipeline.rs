@@ -42,7 +42,7 @@ use crate::fault::FaultInjector;
 use crate::migrate::MigrationPlan;
 use crate::RuntimeError;
 use cip_contact::{GlobalFilter, SearchCache};
-use cip_geom::Aabb;
+use cip_geom::{Aabb, Point};
 use cip_telemetry::Recorder;
 use cip_transport::{Mailbox, RecvTimeoutError, Transport};
 use std::fmt;
@@ -273,7 +273,8 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                 return false;
             }
             let dest = *dest as usize;
-            let values: Vec<_> = nodes.iter().map(|&n| (n, input.positions[n as usize])).collect();
+            let values: Vec<_> =
+                nodes.iter().map(|&n| (n, input.positions[n as usize].coords)).collect();
             stats.halo_sent[dest] += values.len() as u64;
             stats.halo_msgs += 1;
             rec.record("exec.halo_msg_nodes", values.len() as u64);
@@ -313,7 +314,7 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                     step: s as u32,
                     seq: stats.sent_to[dest],
                     id: e,
-                    bbox: el.bbox,
+                    bbox: [el.bbox.min.coords, el.bbox.max.coords],
                     body: input.bodies[e as usize],
                 };
                 stats.sent_to[dest] += 1;
@@ -392,7 +393,7 @@ fn dispatch<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             };
             if fresh {
                 for (node, pos) in values {
-                    if steps[s].positions[node as usize] != pos {
+                    if steps[s].positions[node as usize].coords != pos {
                         rs.ghost_mismatches += 1;
                     }
                 }
@@ -418,7 +419,10 @@ fn dispatch<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                 None => true,
             };
             if fresh {
-                rs.received.push((id, bbox, body));
+                // `Aabb::new` debug-asserts min <= max; a corrupt frame
+                // must yield a value, not a panic, so build it raw.
+                let [min, max] = bbox.map(|coords| Point { coords });
+                rs.received.push((id, Aabb { min, max }, body));
             }
         }
         Msg::Done { from, step, sent } => {
@@ -984,7 +988,7 @@ pub fn collect_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, KillSpec};
+    use crate::fault::{FaultPlan, FaultRates, KillSpec};
     use crate::plan::{build_decomposition, Decomposition};
     use cip_contact::{BboxFilter, SurfaceElementInfo};
     use cip_geom::{Aabb, Point};
@@ -1116,10 +1120,12 @@ mod tests {
         let clean = run(&steps, &[], &opts_with(1)).expect("clean batch executes");
         for seed in [7u64, 21, 1337] {
             let base = FaultPlan {
-                drop_permille: 200,
-                dup_permille: 100,
-                delay_permille: 100,
-                reorder_permille: 100,
+                rates: FaultRates {
+                    drop_permille: 200,
+                    dup_permille: 100,
+                    delay_permille: 100,
+                    reorder_permille: 100,
+                },
                 ..FaultPlan::quiet(seed)
             };
             let faults: Vec<FaultInjector> =
@@ -1217,10 +1223,12 @@ mod tests {
         let sc = chain_scenario(4, 3);
         let fault = |seed: u64| {
             FaultInjector::with_plan(FaultPlan {
-                drop_permille: 150,
-                dup_permille: 80,
-                delay_permille: 80,
-                reorder_permille: 80,
+                rates: FaultRates {
+                    drop_permille: 150,
+                    dup_permille: 80,
+                    delay_permille: 80,
+                    reorder_permille: 80,
+                },
                 ..FaultPlan::quiet(seed)
             })
         };

@@ -11,9 +11,8 @@
 //! [`ClientConfig`] adds the resilience half: a connect timeout, an
 //! optional socket read timeout (so a dead server surfaces as a typed
 //! error instead of an eternal block), and a seeded deterministic retry
-//! policy used by [`Client::run_job`] — exponential backoff with
-//! SplitMix64 jitter, the same PRNG discipline as the executor's
-//! `FaultPlan`. On a transient failure (connection refused/reset, a
+//! policy used by [`Client::run_job`] — exponential backoff with jitter
+//! from the shared seeded stream ([`cip_transport::fate`]). On a transient failure (connection refused/reset, a
 //! read timeout, a corrupt reply) the client reconnects and resubmits
 //! the same payload. Resubmission is idempotent by construction: jobs
 //! are deterministic functions of their payload bytes, and the server's
@@ -29,8 +28,8 @@
 
 use crate::protocol::{CatalogInfo, JobMsg, JobOutcome, JobState, ServerStats};
 use crate::ServerError;
-use cip_runtime::fault::splitmix64;
 use cip_transport::frame::{read_frame, write_frame, ReadError};
+use cip_transport::splitmix64;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 

@@ -14,7 +14,7 @@
 //! the client correlates `Submit` with `Accepted`/`Rejected` so one
 //! connection can pipeline submissions.
 
-use cip_transport::{ByteReader, ByteWriter, Wire, WireError};
+use cip_transport::{codec_enum, codec_struct};
 
 /// Where a job is in its life cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,29 +29,6 @@ pub enum JobState {
     Failed,
     /// Cancelled before or during execution.
     Cancelled,
-}
-
-impl JobState {
-    fn code(self) -> u8 {
-        match self {
-            Self::Queued => 0,
-            Self::Running => 1,
-            Self::Done => 2,
-            Self::Failed => 3,
-            Self::Cancelled => 4,
-        }
-    }
-
-    fn from_code(code: u8) -> Result<Self, WireError> {
-        Ok(match code {
-            0 => Self::Queued,
-            1 => Self::Running,
-            2 => Self::Done,
-            3 => Self::Failed,
-            4 => Self::Cancelled,
-            _ => return Err(WireError::Malformed { what: "unknown job state" }),
-        })
-    }
 }
 
 /// How a job ended — the payload of a [`JobMsg::ResultIs`].
@@ -199,269 +176,42 @@ pub enum JobMsg {
     },
 }
 
-/// Frame tag of [`JobMsg::Submit`].
-pub const TAG_SUBMIT: u8 = 1;
-/// Frame tag of [`JobMsg::Accepted`].
-pub const TAG_ACCEPTED: u8 = 2;
-/// Frame tag of [`JobMsg::Rejected`].
-pub const TAG_REJECTED: u8 = 3;
-/// Frame tag of [`JobMsg::Status`].
-pub const TAG_STATUS: u8 = 4;
-/// Frame tag of [`JobMsg::StatusIs`].
-pub const TAG_STATUS_IS: u8 = 5;
-/// Frame tag of [`JobMsg::Cancel`].
-pub const TAG_CANCEL: u8 = 6;
-/// Frame tag of [`JobMsg::Result`].
-pub const TAG_RESULT: u8 = 7;
-/// Frame tag of [`JobMsg::ResultIs`].
-pub const TAG_RESULT_IS: u8 = 8;
-/// Frame tag of [`JobMsg::Stats`].
-pub const TAG_STATS: u8 = 9;
-/// Frame tag of [`JobMsg::StatsIs`].
-pub const TAG_STATS_IS: u8 = 10;
-/// Frame tag of [`JobMsg::Catalog`].
-pub const TAG_CATALOG: u8 = 11;
-/// Frame tag of [`JobMsg::CatalogIs`].
-pub const TAG_CATALOG_IS: u8 = 12;
+codec_enum!(JobState { 0 => Queued, 1 => Running, 2 => Done, 3 => Failed, 4 => Cancelled });
 
-fn w_outcome(w: &mut ByteWriter<'_>, outcome: &JobOutcome) {
-    match outcome {
-        JobOutcome::Done { payload } => {
-            w.u8(0);
-            w.bytes(payload);
-        }
-        JobOutcome::Failed { reason } => {
-            w.u8(1);
-            w.str(reason);
-        }
-        JobOutcome::Cancelled => w.u8(2),
-    }
-}
+codec_enum!(JobOutcome {
+    0 => Done { payload },
+    1 => Failed { reason },
+    2 => Cancelled,
+});
 
-fn r_outcome(r: &mut ByteReader<'_>) -> Result<JobOutcome, WireError> {
-    match r.u8()? {
-        0 => Ok(JobOutcome::Done { payload: r.bytes()? }),
-        1 => Ok(JobOutcome::Failed { reason: r.str()? }),
-        2 => Ok(JobOutcome::Cancelled),
-        _ => Err(WireError::Malformed { what: "unknown outcome variant" }),
-    }
-}
+codec_struct!(CatalogEntry { name, summary });
 
-impl Wire for JobMsg {
-    fn tag(&self) -> u8 {
-        match self {
-            Self::Submit { .. } => TAG_SUBMIT,
-            Self::Accepted { .. } => TAG_ACCEPTED,
-            Self::Rejected { .. } => TAG_REJECTED,
-            Self::Status { .. } => TAG_STATUS,
-            Self::StatusIs { .. } => TAG_STATUS_IS,
-            Self::Cancel { .. } => TAG_CANCEL,
-            Self::Result { .. } => TAG_RESULT,
-            Self::ResultIs { .. } => TAG_RESULT_IS,
-            Self::Stats => TAG_STATS,
-            Self::StatsIs(_) => TAG_STATS_IS,
-            Self::Catalog => TAG_CATALOG,
-            Self::CatalogIs { .. } => TAG_CATALOG_IS,
-        }
-    }
+codec_struct!(ServerStats {
+    submitted,
+    completed,
+    cancelled,
+    cache_hits,
+    failed,
+    rejected,
+    panicked,
+    deadline_exceeded,
+    cache_evictions,
+    cache_bytes,
+    workers_respawned,
+    max_payload
+});
 
-    fn src_rank(&self) -> u32 {
-        0
-    }
-
-    fn step(&self) -> u32 {
-        0
-    }
-
-    fn seq(&self) -> u64 {
-        0
-    }
-
-    fn encode_payload(&self, w: &mut ByteWriter<'_>) {
-        match self {
-            Self::Submit { ticket, payload } => {
-                w.u32(*ticket);
-                w.bytes(payload);
-            }
-            Self::Accepted { ticket, job_id } => {
-                w.u32(*ticket);
-                w.u64(*job_id);
-            }
-            Self::Rejected { ticket, reason } => {
-                w.u32(*ticket);
-                w.str(reason);
-            }
-            Self::Status { job_id } | Self::Cancel { job_id } | Self::Result { job_id } => {
-                w.u64(*job_id);
-            }
-            Self::StatusIs { job_id, state } => {
-                w.u64(*job_id);
-                w.u8(state.code());
-            }
-            Self::ResultIs { job_id, outcome, cached } => {
-                w.u64(*job_id);
-                w.u8(u8::from(*cached));
-                w_outcome(w, outcome);
-            }
-            Self::Stats | Self::Catalog => {}
-            Self::StatsIs(s) => {
-                w.u64(s.submitted);
-                w.u64(s.completed);
-                w.u64(s.cancelled);
-                w.u64(s.cache_hits);
-                w.u64(s.failed);
-                w.u64(s.rejected);
-                w.u64(s.panicked);
-                w.u64(s.deadline_exceeded);
-                w.u64(s.cache_evictions);
-                w.u64(s.cache_bytes);
-                w.u64(s.workers_respawned);
-                w.u64(s.max_payload);
-            }
-            Self::CatalogIs { entries, max_payload } => {
-                w.u64(*max_payload);
-                w.u32(entries.len() as u32);
-                for e in entries {
-                    w.str(&e.name);
-                    w.str(&e.summary);
-                }
-            }
-        }
-    }
-
-    fn decode_payload(
-        tag: u8,
-        _from: u32,
-        _step: u32,
-        _seq: u64,
-        r: &mut ByteReader<'_>,
-    ) -> Result<Self, WireError> {
-        match tag {
-            TAG_SUBMIT => Ok(Self::Submit { ticket: r.u32()?, payload: r.bytes()? }),
-            TAG_ACCEPTED => Ok(Self::Accepted { ticket: r.u32()?, job_id: r.u64()? }),
-            TAG_REJECTED => Ok(Self::Rejected { ticket: r.u32()?, reason: r.str()? }),
-            TAG_STATUS => Ok(Self::Status { job_id: r.u64()? }),
-            TAG_STATUS_IS => {
-                Ok(Self::StatusIs { job_id: r.u64()?, state: JobState::from_code(r.u8()?)? })
-            }
-            TAG_CANCEL => Ok(Self::Cancel { job_id: r.u64()? }),
-            TAG_RESULT => Ok(Self::Result { job_id: r.u64()? }),
-            TAG_RESULT_IS => {
-                let job_id = r.u64()?;
-                let cached = r.u8()? != 0;
-                Ok(Self::ResultIs { job_id, outcome: r_outcome(r)?, cached })
-            }
-            TAG_STATS => Ok(Self::Stats),
-            TAG_STATS_IS => Ok(Self::StatsIs(ServerStats {
-                submitted: r.u64()?,
-                completed: r.u64()?,
-                cancelled: r.u64()?,
-                cache_hits: r.u64()?,
-                failed: r.u64()?,
-                rejected: r.u64()?,
-                panicked: r.u64()?,
-                deadline_exceeded: r.u64()?,
-                cache_evictions: r.u64()?,
-                cache_bytes: r.u64()?,
-                workers_respawned: r.u64()?,
-                max_payload: r.u64()?,
-            })),
-            TAG_CATALOG => Ok(Self::Catalog),
-            TAG_CATALOG_IS => {
-                let max_payload = r.u64()?;
-                let count = r.u32()? as usize;
-                if count * 8 > r.remaining() {
-                    return Err(WireError::Malformed { what: "catalog count exceeds payload" });
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    entries.push(CatalogEntry { name: r.str()?, summary: r.str()? });
-                }
-                Ok(Self::CatalogIs { entries, max_payload })
-            }
-            got => Err(WireError::BadTag { got }),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cip_transport::frame::{decode_frame, encode_frame};
-
-    fn roundtrip(msg: &JobMsg) -> JobMsg {
-        let mut buf = Vec::new();
-        encode_frame(msg, 0, &mut buf);
-        let (decoded, _, _) = decode_frame::<JobMsg>(&buf).expect("frame decodes");
-        decoded
-    }
-
-    #[test]
-    fn every_variant_roundtrips() {
-        let msgs = [
-            JobMsg::Submit { ticket: 7, payload: vec![1, 2, 3, 255] },
-            JobMsg::Accepted { ticket: 7, job_id: 42 },
-            JobMsg::Rejected { ticket: 9, reason: "queue full".into() },
-            JobMsg::Status { job_id: 42 },
-            JobMsg::StatusIs { job_id: 42, state: JobState::Running },
-            JobMsg::Cancel { job_id: 42 },
-            JobMsg::Result { job_id: 42 },
-            JobMsg::ResultIs {
-                job_id: 42,
-                outcome: JobOutcome::Done { payload: b"totals".to_vec() },
-                cached: true,
-            },
-            JobMsg::ResultIs {
-                job_id: 1,
-                outcome: JobOutcome::Failed { reason: "x".into() },
-                cached: false,
-            },
-            JobMsg::ResultIs { job_id: 2, outcome: JobOutcome::Cancelled, cached: false },
-            JobMsg::Stats,
-            JobMsg::StatsIs(ServerStats {
-                submitted: 5,
-                completed: 3,
-                cancelled: 1,
-                cache_hits: 2,
-                failed: 0,
-                rejected: 4,
-                panicked: 1,
-                deadline_exceeded: 2,
-                cache_evictions: 9,
-                cache_bytes: 1 << 20,
-                workers_respawned: 1,
-                max_payload: 16 << 20,
-            }),
-            JobMsg::Catalog,
-            JobMsg::CatalogIs {
-                entries: vec![CatalogEntry { name: "tiny".into(), summary: "unit test".into() }],
-                max_payload: 4096,
-            },
-        ];
-        for msg in msgs {
-            assert_eq!(roundtrip(&msg), msg, "{msg:?}");
-        }
-    }
-
-    #[test]
-    fn all_job_states_roundtrip() {
-        for state in [
-            JobState::Queued,
-            JobState::Running,
-            JobState::Done,
-            JobState::Failed,
-            JobState::Cancelled,
-        ] {
-            let msg = roundtrip(&JobMsg::StatusIs { job_id: 1, state });
-            assert_eq!(msg, JobMsg::StatusIs { job_id: 1, state });
-        }
-        assert!(JobState::from_code(9).is_err());
-    }
-
-    #[test]
-    fn large_payloads_roundtrip() {
-        let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        let msg = JobMsg::Submit { ticket: 1, payload };
-        assert_eq!(roundtrip(&msg), msg);
-    }
-}
+codec_enum!(framed JobMsg {
+    1 => Submit { ticket, payload },
+    2 => Accepted { ticket, job_id },
+    3 => Rejected { ticket, reason },
+    4 => Status { job_id },
+    5 => StatusIs { job_id, state },
+    6 => Cancel { job_id },
+    7 => Result { job_id },
+    8 => ResultIs { job_id, cached, outcome },
+    9 => Stats,
+    10 => StatsIs(stats),
+    11 => Catalog,
+    12 => CatalogIs { max_payload, entries },
+});

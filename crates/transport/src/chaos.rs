@@ -4,11 +4,12 @@
 //! [`ChaosProxy`] binds its own loopback port, dials the real target
 //! for every accepted connection, and relays bytes in both directions —
 //! except when the seeded [`ChaosPlan`] says otherwise. Per relay event
-//! (one read chunk, one direction) the plan draws a fate from a single
-//! SplitMix64 hash of `(seed, connection, direction, event)`, mirroring
-//! the executor's `FaultPlan` discipline: permille rates evaluated in a
-//! fixed order, the whole schedule a pure function of the seed. Faults
-//! model the transport failure classes a resilient client must survive:
+//! (one read chunk, one direction) the plan draws a fate from the
+//! shared seeded stream ([`crate::fate`]) keyed by `(seed, connection,
+//! direction, event)` — the executor's `FaultPlan` discipline: permille
+//! rates evaluated in a fixed order, the whole schedule a pure function
+//! of the seed. Faults model the transport failure classes a resilient
+//! client must survive:
 //!
 //! * **delay** — the chunk is forwarded late (reordering across
 //!   connections, latency spikes);
@@ -23,6 +24,7 @@
 //! faults, so a CRC-checked stream sees only clean frames or clean
 //! breaks. Counters land in a [`Recorder`] under `chaos.proxy.*`.
 
+use crate::fate::permille_pick;
 use cip_telemetry::Recorder;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -30,19 +32,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// SplitMix64 step — duplicated from `cip_runtime::fault` (itself a
-/// duplicate of the partitioner's child-seed mixer) because the
-/// transport crate sits below the runtime in the dependency graph. The
-/// constants are part of the seeding discipline: every seeded fault
-/// source in the tree draws from this exact mixer.
-#[inline]
-fn splitmix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed.wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
 
 /// The fate of one relay event (one read chunk in one direction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,25 +98,15 @@ impl ChaosPlan {
     /// The fate of relay event `event` on direction `dir` (0 = client →
     /// server, 1 = server → client) of connection `conn`.
     pub fn fate(&self, conn: u64, dir: u8, event: u64) -> ChaosFate {
-        let total = self.delay_permille
-            + self.stall_permille
-            + self.truncate_permille
-            + self.close_permille;
-        if total == 0 {
-            return ChaosFate::Forward;
-        }
         let ident = (conn << 33) ^ (u64::from(dir) << 32) ^ event;
-        let x = (splitmix(self.seed, ident) % 1000) as u16;
-        if x < self.delay_permille {
-            ChaosFate::Delay
-        } else if x < self.delay_permille + self.stall_permille {
-            ChaosFate::Stall
-        } else if x < self.delay_permille + self.stall_permille + self.truncate_permille {
-            ChaosFate::TruncateClose
-        } else if x < total {
-            ChaosFate::Close
-        } else {
-            ChaosFate::Forward
+        let rates =
+            [self.delay_permille, self.stall_permille, self.truncate_permille, self.close_permille];
+        match permille_pick(self.seed, ident, &rates) {
+            Some(0) => ChaosFate::Delay,
+            Some(1) => ChaosFate::Stall,
+            Some(2) => ChaosFate::TruncateClose,
+            Some(_) => ChaosFate::Close,
+            None => ChaosFate::Forward,
         }
     }
 }

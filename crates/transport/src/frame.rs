@@ -16,7 +16,7 @@
 //! lost message), while a version mismatch or an absurd length means
 //! the length field itself cannot be trusted and the stream is dead.
 
-use crate::wire::{crc32, ByteReader, ByteWriter, Wire, WireError};
+use crate::wire::{crc32, ByteReader, ByteWriter, Route, Wire, WireError};
 use std::io::{self, Read, Write};
 
 /// Wire-format version stamped into every frame header.
@@ -53,13 +53,14 @@ pub struct FrameHeader {
 pub fn encode_frame<M: Wire>(msg: &M, to: u32, out: &mut Vec<u8>) {
     let start = out.len();
     {
+        let Route { from, step, seq } = msg.route();
         let mut w = ByteWriter::new(out);
         w.u8(WIRE_VERSION);
         w.u8(msg.tag());
-        w.u32(msg.src_rank());
+        w.u32(from);
         w.u32(to);
-        w.u32(msg.step());
-        w.u64(msg.seq());
+        w.u32(step);
+        w.u64(seq);
         w.u32(0); // len, patched below
         w.u32(0); // crc, patched below
         msg.encode_payload(&mut w);
@@ -94,6 +95,15 @@ pub fn parse_header(buf: &[u8]) -> Result<FrameHeader, WireError> {
     Ok(FrameHeader { version, tag, from, to, step, seq, len, crc })
 }
 
+/// Decode a checksummed payload into its message, consuming it exactly.
+fn decode_payload<M: Wire>(h: &FrameHeader, payload: &[u8]) -> Result<M, WireError> {
+    let mut r = ByteReader::new(payload);
+    let route = Route { from: h.from, step: h.step, seq: h.seq };
+    let msg = M::decode_payload(h.tag, route, &mut r)?;
+    r.finish()?;
+    Ok(msg)
+}
+
 /// Decode one frame from the front of `buf`. Returns the message, its
 /// destination rank, and the bytes consumed.
 pub fn decode_frame<M: Wire>(buf: &[u8]) -> Result<(M, u32, usize), WireError> {
@@ -109,10 +119,7 @@ pub fn decode_frame<M: Wire>(buf: &[u8]) -> Result<(M, u32, usize), WireError> {
     if crc32(&[&buf[..CRC_COVER], payload]) != h.crc {
         return Err(WireError::BadChecksum);
     }
-    let mut r = ByteReader::new(payload);
-    let msg = M::decode_payload(h.tag, h.from, h.step, h.seq, &mut r)?;
-    r.finish()?;
-    Ok((msg, h.to, total))
+    Ok((decode_payload(&h, payload)?, h.to, total))
 }
 
 /// Why reading a frame off a byte stream failed.
@@ -179,11 +186,7 @@ pub fn read_frame<M: Wire>(
     if crc32(&[&head[..CRC_COVER], payload.as_slice()]) != h.crc {
         return Err(ReadError::Corrupt(WireError::BadChecksum));
     }
-    let mut pr = ByteReader::new(payload);
-    match M::decode_payload(h.tag, h.from, h.step, h.seq, &mut pr).and_then(|m| {
-        pr.finish()?;
-        Ok(m)
-    }) {
+    match decode_payload(&h, payload) {
         Ok(msg) => Ok((msg, h.to, total)),
         Err(e) => Err(ReadError::Corrupt(e)),
     }
@@ -192,6 +195,7 @@ pub fn read_frame<M: Wire>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Codec;
 
     /// Minimal test message: an opaque byte blob with routing metadata.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,40 +210,17 @@ mod tests {
         fn tag(&self) -> u8 {
             1
         }
-        fn src_rank(&self) -> u32 {
-            self.from
-        }
-        fn step(&self) -> u32 {
-            self.step
-        }
-        fn seq(&self) -> u64 {
-            self.seq
+        fn route(&self) -> Route {
+            Route { from: self.from, step: self.step, seq: self.seq }
         }
         fn encode_payload(&self, w: &mut ByteWriter<'_>) {
-            w.u32(self.data.len() as u32);
-            for &b in &self.data {
-                w.u8(b);
-            }
+            self.data.put(w);
         }
-        fn decode_payload(
-            tag: u8,
-            from: u32,
-            step: u32,
-            seq: u64,
-            r: &mut ByteReader<'_>,
-        ) -> Result<Self, WireError> {
+        fn decode_payload(tag: u8, h: Route, r: &mut ByteReader<'_>) -> Result<Self, WireError> {
             if tag != 1 {
                 return Err(WireError::BadTag { got: tag });
             }
-            let n = r.u32()? as usize;
-            if n > r.remaining() {
-                return Err(WireError::Malformed { what: "blob length" });
-            }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(r.u8()?);
-            }
-            Ok(Blob { from, step, seq, data })
+            Ok(Blob { from: h.from, step: h.step, seq: h.seq, data: Codec::get(r)? })
         }
     }
 

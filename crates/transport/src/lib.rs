@@ -22,14 +22,16 @@
 //! socket the same way it handles an injected drop.
 
 pub mod chaos;
+pub mod fate;
 pub mod frame;
 pub mod mailbox;
 pub mod tcp;
 pub mod wire;
 
+pub use fate::{permille_pick, splitmix64};
 pub use frame::{FrameHeader, ReadError, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION};
 pub use mailbox::{ChannelMailbox, MailboxConfig, TransportStats};
-pub use wire::{ByteReader, ByteWriter, Wire, WireError};
+pub use wire::{ByteReader, ByteWriter, Codec, Route, Wire, WireError};
 
 use std::fmt;
 use std::time::Duration;
@@ -170,29 +172,17 @@ mod tests {
         fn tag(&self) -> u8 {
             1
         }
-        fn src_rank(&self) -> u32 {
-            self.from
-        }
-        fn step(&self) -> u32 {
-            0
-        }
-        fn seq(&self) -> u64 {
-            self.n
+        fn route(&self) -> Route {
+            Route { from: self.from, ..Route::default() }
         }
         fn encode_payload(&self, w: &mut ByteWriter<'_>) {
-            w.u64(self.n);
+            self.n.put(w);
         }
-        fn decode_payload(
-            tag: u8,
-            from: u32,
-            _step: u32,
-            _seq: u64,
-            r: &mut ByteReader<'_>,
-        ) -> Result<Self, WireError> {
+        fn decode_payload(tag: u8, h: Route, r: &mut ByteReader<'_>) -> Result<Self, WireError> {
             if tag != 1 {
                 return Err(WireError::BadTag { got: tag });
             }
-            Ok(Ping { from, n: r.u64()? })
+            Ok(Ping { from: h.from, n: Codec::get(r)? })
         }
     }
 

@@ -61,6 +61,14 @@ pub struct TransportStats {
     pub recv_corrupt: u64,
 }
 
+crate::codec_struct!(TransportStats {
+    bytes_sent,
+    bytes_recv,
+    frames_sent,
+    frames_recv,
+    recv_corrupt
+});
+
 /// Shared atomic cells behind [`TransportStats`], updated by I/O
 /// threads and snapshotted by [`Mailbox::stats`].
 #[derive(Default)]

@@ -1,7 +1,16 @@
-//! Byte-level primitives for the versioned wire format: a little-endian
-//! reader/writer pair, the IEEE CRC-32 the frame checksum uses, and the
-//! [`Wire`] trait a message type implements to travel over any
-//! [`Transport`](crate::Transport) backend.
+//! The versioned wire format: a little-endian reader/writer pair, the
+//! IEEE CRC-32 the frame checksum uses, the [`Codec`] trait that gives a
+//! type its one byte layout, and the [`Wire`] trait a message type
+//! implements to travel over any [`Transport`](crate::Transport) backend.
+//!
+//! Every layout in the tree is declared once, as a field list handed to
+//! [`codec_struct!`](crate::codec_struct) or
+//! [`codec_enum!`](crate::codec_enum) (DESIGN.md §6e tabulates them);
+//! encoder and decoder are both derived from that list, so they cannot
+//! drift apart. Canonical rules, shared by every type: integers are
+//! little-endian, `f64` travels as its IEEE-754 bit pattern, `bool` and
+//! `Option` tags are exactly `0` or `1`, sequences are a `u32` count
+//! then the items, and a decoder accepts only bytes its encoder emits.
 //!
 //! Everything here is panic-free on hostile input: every decode path
 //! returns a typed [`WireError`] so a flipped bit on a socket surfaces
@@ -78,17 +87,17 @@ impl<'a> ByteWriter<'a> {
 
     /// Append a `u16`, little-endian.
     pub fn u16(&mut self, v: u16) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Append a `u32`, little-endian.
     pub fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Append a `u64`, little-endian.
     pub fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Append an `f64` as its IEEE-754 bit pattern — round-trips every
@@ -97,31 +106,9 @@ impl<'a> ByteWriter<'a> {
         self.u64(v.to_bits());
     }
 
-    /// Append a byte string: `u32` length, then the bytes.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
+    /// Append `v` verbatim (no length prefix).
+    pub fn raw(&mut self, v: &[u8]) {
         self.out.extend_from_slice(v);
-    }
-
-    /// Append a UTF-8 string in [`Self::bytes`] form.
-    pub fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-
-    /// Append a `u32` slice: `u32` count, then the values.
-    pub fn u32s(&mut self, v: &[u32]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.u32(x);
-        }
-    }
-
-    /// Append a `u64` slice: `u32` count, then the values.
-    pub fn u64s(&mut self, v: &[u64]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.u64(x);
-        }
     }
 }
 
@@ -142,7 +129,8 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Read the next `n` bytes verbatim.
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated { need: n, have: self.remaining() });
         }
@@ -151,69 +139,35 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.raw(N)?);
+        Ok(a)
+    }
+
     /// Read one byte.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(self.raw(1)?[0])
     }
 
     /// Read a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        let s = self.take(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Read an `f64` from its bit pattern.
     pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a `u32` count of items `width` bytes wide, checked against
-    /// the bytes actually left *before* anything is allocated for them.
-    fn count(&mut self, width: usize) -> Result<usize, WireError> {
-        let count = self.u32()? as usize;
-        if count.saturating_mul(width) > self.remaining() {
-            return Err(WireError::Malformed { what: "declared length exceeds payload" });
-        }
-        Ok(count)
-    }
-
-    /// Read a byte string written by [`ByteWriter::bytes`].
-    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.count(1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    /// Read a UTF-8 string written by [`ByteWriter::str`].
-    pub fn str(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| WireError::Malformed { what: "string is not utf-8" })
-    }
-
-    /// Read a `u32` slice written by [`ByteWriter::u32s`].
-    pub fn u32s(&mut self) -> Result<Vec<u32>, WireError> {
-        let bytes = self.count(4)? * 4;
-        let to_u32 = |c: &[u8]| u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        Ok(self.take(bytes)?.chunks_exact(4).map(to_u32).collect())
-    }
-
-    /// Read a `u64` slice written by [`ByteWriter::u64s`].
-    pub fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
-        let bytes = self.count(8)? * 8;
-        let to_u64 =
-            |c: &[u8]| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
-        Ok(self.take(bytes)?.chunks_exact(8).map(to_u64).collect())
+        self.u64().map(f64::from_bits)
     }
 
     /// Assert the payload was consumed exactly.
@@ -254,32 +208,350 @@ pub fn crc32(parts: &[&[u8]]) -> u32 {
     !c
 }
 
+/// A type with exactly one byte layout: what [`Codec::put`] appends is
+/// the only input [`Codec::get`] accepts for that value, so
+/// `put(get(bytes)) == bytes` for every accepted `bytes` — the property
+/// the job server's content-hash cache keys on.
+///
+/// Implemented here for the building blocks (integers, `f64`, `bool`,
+/// `usize` as `u64`, `String`, `[T; N]`, `Option<T>`, `Vec<T>`, pairs);
+/// structs and tagged enums derive it from their field list with
+/// [`codec_struct!`](crate::codec_struct) and
+/// [`codec_enum!`](crate::codec_enum).
+pub trait Codec: Sized {
+    /// The fewest bytes any value of this type encodes to — what
+    /// `Vec<Self>` multiplies a declared count by before allocating.
+    const MIN_LEN: usize;
+
+    /// Append this value's bytes.
+    fn put(&self, w: &mut ByteWriter<'_>);
+
+    /// Read one value back. Never panics on hostile input.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError>;
+
+    /// Append `items` back to back, without a count. (`u8` overrides
+    /// this and [`Codec::get_all`] with one `memcpy`, so bulk payloads
+    /// are not walked byte by byte.)
+    fn put_all(items: &[Self], w: &mut ByteWriter<'_>) {
+        for item in items {
+            item.put(w);
+        }
+    }
+
+    /// Read `count` items laid back to back. The caller has bounded
+    /// `count` by the bytes present ([`Vec`] does).
+    fn get_all(count: usize, r: &mut ByteReader<'_>) -> Result<Vec<Self>, WireError> {
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(Self::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl Codec for u8 {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut ByteWriter<'_>) {
+        w.u8(*self);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        r.u8()
+    }
+    fn put_all(items: &[Self], w: &mut ByteWriter<'_>) {
+        w.raw(items);
+    }
+    fn get_all(count: usize, r: &mut ByteReader<'_>) -> Result<Vec<Self>, WireError> {
+        r.raw(count).map(<[u8]>::to_vec)
+    }
+}
+
+macro_rules! codec_scalar {
+    ($($ty:ident),+) => {$(
+        impl Codec for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+            fn put(&self, w: &mut ByteWriter<'_>) {
+                w.$ty(*self);
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+                r.$ty()
+            }
+        }
+    )+};
+}
+codec_scalar!(u16, u32, u64, f64);
+
+/// `usize` travels as a `u64`, so the layout does not depend on the
+/// platform that wrote it.
+impl Codec for usize {
+    const MIN_LEN: usize = 8;
+    fn put(&self, w: &mut ByteWriter<'_>) {
+        w.u64(*self as u64);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        usize::try_from(r.u64()?).map_err(|_| WireError::Malformed { what: "size exceeds usize" })
+    }
+}
+
+/// One byte, exactly `0` or `1`.
+impl Codec for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut ByteWriter<'_>) {
+        w.u8(u8::from(*self));
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Malformed { what: "bool byte is not 0 or 1" }),
+        }
+    }
+}
+
+/// A `bool` presence tag, then the value if present.
+impl<T: Codec> Codec for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut ByteWriter<'_>) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        Ok(if bool::get(r)? { Some(T::get(r)?) } else { None })
+    }
+}
+
+/// A `u32` count, then the items. The one hostile-count check in the
+/// tree: a count the remaining bytes cannot hold is rejected before
+/// anything is allocated for it.
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, w: &mut ByteWriter<'_>) {
+        w.u32(self.len() as u32);
+        T::put_all(self, w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let count = r.u32()? as usize;
+        if count.saturating_mul(T::MIN_LEN) > r.remaining() {
+            return Err(WireError::Malformed { what: "declared count exceeds payload" });
+        }
+        T::get_all(count, r)
+    }
+}
+
+/// UTF-8 bytes in `Vec<u8>` layout.
+impl Codec for String {
+    const MIN_LEN: usize = 4;
+    fn put(&self, w: &mut ByteWriter<'_>) {
+        w.u32(self.len() as u32);
+        w.raw(self.as_bytes());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        String::from_utf8(Vec::get(r)?)
+            .map_err(|_| WireError::Malformed { what: "string is not utf-8" })
+    }
+}
+
+/// `N` items back to back, no count.
+impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
+    const MIN_LEN: usize = N * T::MIN_LEN;
+    fn put(&self, w: &mut ByteWriter<'_>) {
+        T::put_all(self, w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let mut items = [T::default(); N];
+        for item in &mut items {
+            *item = T::get(r)?;
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, w: &mut ByteWriter<'_>) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// [`Codec::MIN_LEN`] of the field a projection returns — lets
+/// [`codec_struct!`](crate::codec_struct) sum its fields' minimum
+/// lengths from their names alone.
+pub const fn min_len_of<S, T: Codec>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_LEN
+}
+
+/// Derives [`Codec`] for a struct from its field names **in wire
+/// order** (which need not be declaration order). A trailing
+/// `; ..base` names fields that do not travel: decoding takes them from
+/// the expression `base`.
+///
+/// ```
+/// struct Pair { a: u32, b: Vec<u64> }
+/// cip_transport::codec_struct!(Pair { a, b });
+/// ```
+#[macro_export]
+macro_rules! codec_struct {
+    ($ty:ty { $first:ident $(, $f:ident)* $(,)? $(; ..$base:expr)? }) => {
+        impl $crate::wire::Codec for $ty {
+            const MIN_LEN: usize = $crate::wire::min_len_of(|s: &$ty| &s.$first)
+                $(+ $crate::wire::min_len_of(|s: &$ty| &s.$f))*;
+            fn put(&self, w: &mut $crate::wire::ByteWriter<'_>) {
+                $crate::wire::Codec::put(&self.$first, w);
+                $($crate::wire::Codec::put(&self.$f, w);)*
+            }
+            fn get(
+                r: &mut $crate::wire::ByteReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::wire::WireError> {
+                let $first = $crate::wire::Codec::get(r)?;
+                $(let $f = $crate::wire::Codec::get(r)?;)*
+                Ok(Self { $first, $($f,)* $(..$base)? })
+            }
+        }
+    };
+}
+
+/// Derives the layout of a tagged enum from its `tag => Variant` list:
+/// a `u8` tag, then the variant's fields in the order listed. Variants
+/// are `Unit`, `Struct { a, b }` or `Tuple(a)` (the names bind the
+/// positions).
+///
+/// The `framed` form derives [`Wire`], for the top-level message of a
+/// connection: the tag travels in the frame header, and so do the
+/// fields a variant lists in leading brackets — `[from, step, seq]`,
+/// any subset, named after the [`Route`] field that carries them. The
+/// plain form adds [`Codec`] on top, with the tag as the first byte,
+/// for an enum nested inside another layout.
+///
+/// ```
+/// enum Shape { Dot, Line { from: u32, len: u64 }, Tag(String) }
+/// cip_transport::codec_enum!(framed Shape {
+///     1 => Dot,
+///     2 => Line { [from] len },
+///     3 => Tag(text),
+/// });
+/// ```
+#[macro_export]
+macro_rules! codec_enum {
+    (framed $ty:ty { $(
+        $tag:literal => $v:ident
+            $({ $([$($h:ident),+])? $($f:ident),* $(,)? })?
+            $(($($t:ident),+))?
+    ),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn tag(&self) -> u8 {
+                match self {
+                    $(Self::$v { .. } => $tag,)+
+                }
+            }
+            // A variant that lists all three route fields leaves the
+            // update nothing to fill in.
+            #[allow(clippy::needless_update)]
+            fn route(&self) -> $crate::wire::Route {
+                match self {
+                    $(Self::$v { $($($($h,)+)?)? .. } => {
+                        $crate::wire::Route { $($($($h: *$h,)+)?)? ..Default::default() }
+                    })+
+                }
+            }
+            #[allow(unused_variables)]
+            fn encode_payload(&self, w: &mut $crate::wire::ByteWriter<'_>) {
+                match self {
+                    $(Self::$v $({ $($f,)* .. })? $(($($t),+))? => {
+                        $($($crate::wire::Codec::put($f, w);)*)?
+                        $($($crate::wire::Codec::put($t, w);)+)?
+                    })+
+                }
+            }
+            #[allow(unused_variables)]
+            fn decode_payload(
+                tag: u8,
+                route: $crate::wire::Route,
+                r: &mut $crate::wire::ByteReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::wire::WireError> {
+                match tag {
+                    $($tag => {
+                        $($(let $f = $crate::wire::Codec::get(r)?;)*)?
+                        $($(let $t = $crate::wire::Codec::get(r)?;)+)?
+                        Ok(Self::$v $({ $($($h: route.$h,)+)? $($f,)* })? $(($($t),+))?)
+                    })+
+                    got => Err($crate::wire::WireError::BadTag { got }),
+                }
+            }
+        }
+    };
+    ($ty:ty { $($variants:tt)+ }) => {
+        $crate::codec_enum!(framed $ty { $($variants)+ });
+        impl $crate::wire::Codec for $ty {
+            const MIN_LEN: usize = 1;
+            fn put(&self, w: &mut $crate::wire::ByteWriter<'_>) {
+                w.u8($crate::wire::Wire::tag(self));
+                $crate::wire::Wire::encode_payload(self, w);
+            }
+            fn get(
+                r: &mut $crate::wire::ByteReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::wire::WireError> {
+                let tag = r.u8()?;
+                $crate::wire::Wire::decode_payload(tag, $crate::wire::Route::default(), r)
+            }
+        }
+    };
+}
+
+/// `value` behind a one-byte format version — the shape of every
+/// payload that travels outside a frame.
+pub fn encode_versioned<T: Codec>(version: u8, value: &T) -> Vec<u8> {
+    let mut out = vec![version];
+    value.put(&mut ByteWriter::new(&mut out));
+    out
+}
+
+/// Inverse of [`encode_versioned`]: rejects any other version byte and
+/// any trailing bytes.
+pub fn decode_versioned<T: Codec>(version: u8, bytes: &[u8]) -> Result<T, WireError> {
+    let mut r = ByteReader::new(bytes);
+    let got = r.u8()?;
+    if got != version {
+        return Err(WireError::BadVersion { got });
+    }
+    let value = T::get(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// The routing metadata a frame header carries on its message's behalf.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Route {
+    /// Originating rank.
+    pub from: u32,
+    /// Step the message belongs to (0 when not step-scoped).
+    pub step: u32,
+    /// Per-(from, to, step) sequence number (0 when unsequenced).
+    pub seq: u64,
+}
+
 /// A message that can cross process boundaries.
 ///
-/// Implementors provide the routing metadata the frame header carries
-/// (`tag`/`from`/`step`/`seq`) plus payload encode/decode; framing,
-/// checksumming, and versioning live in [`frame`](crate::frame) and are
-/// shared by every message type.
+/// Implementors provide what the frame header carries (`tag` and
+/// [`Route`]) plus payload encode/decode; framing, checksumming, and
+/// versioning live in [`frame`](crate::frame) and are shared by every
+/// message type. Derive it with
+/// [`codec_enum!(framed ..)`](crate::codec_enum).
 pub trait Wire: Send + Sized + 'static {
     /// Variant discriminant stamped into the frame header (nonzero).
     fn tag(&self) -> u8;
-    /// Originating rank.
-    fn src_rank(&self) -> u32;
-    /// Step the message belongs to (0 when not step-scoped).
-    fn step(&self) -> u32;
-    /// Per-(from, to, step) sequence number (0 when unsequenced).
-    fn seq(&self) -> u64;
+    /// The fields of this message the frame header carries.
+    fn route(&self) -> Route;
     /// Append the payload bytes — everything the header doesn't carry.
     fn encode_payload(&self, w: &mut ByteWriter<'_>);
     /// Rebuild a message from header metadata plus payload bytes. Must
-    /// consume the reader exactly and never panic on hostile input.
-    fn decode_payload(
-        tag: u8,
-        from: u32,
-        step: u32,
-        seq: u64,
-        r: &mut ByteReader<'_>,
-    ) -> Result<Self, WireError>;
+    /// never panic on hostile input; the caller checks that the payload
+    /// was consumed exactly.
+    fn decode_payload(tag: u8, route: Route, r: &mut ByteReader<'_>) -> Result<Self, WireError>;
 }
 
 #[cfg(test)]
@@ -294,54 +566,51 @@ mod tests {
         assert_eq!(crc32(&[]), 0);
     }
 
-    #[test]
-    fn reader_round_trips_writer() {
+    fn bytes_of<T: Codec>(v: &T) -> Vec<u8> {
         let mut buf = Vec::new();
-        let mut w = ByteWriter::new(&mut buf);
-        w.u8(7);
-        w.u16(513);
-        w.u32(70_000);
-        w.u64(1 << 40);
-        w.f64(-0.0);
-        w.f64(f64::NAN);
-        let mut r = ByteReader::new(&buf);
-        assert_eq!(r.u8(), Ok(7));
-        assert_eq!(r.u16(), Ok(513));
-        assert_eq!(r.u32(), Ok(70_000));
-        assert_eq!(r.u64(), Ok(1 << 40));
-        assert_eq!(r.f64().map(f64::to_bits), Ok((-0.0f64).to_bits()));
-        assert!(r.f64().is_ok_and(f64::is_nan));
-        assert_eq!(r.finish(), Ok(()));
+        v.put(&mut ByteWriter::new(&mut buf));
+        buf
+    }
+
+    fn decode<T: Codec>(buf: &[u8]) -> Result<T, WireError> {
+        let mut r = ByteReader::new(buf);
+        let v = T::get(&mut r)?;
+        r.finish().map(|()| v)
     }
 
     #[test]
-    fn strings_and_slices_round_trip_and_reject_hostile_lengths() {
-        let mut buf = Vec::new();
-        let mut w = ByteWriter::new(&mut buf);
-        w.str("héllo");
-        w.bytes(&[9, 8]);
-        w.u32s(&[1, u32::MAX]);
-        w.u64s(&[1 << 40]);
-        let mut r = ByteReader::new(&buf);
-        assert_eq!(r.str().as_deref(), Ok("héllo"));
-        assert_eq!(r.bytes(), Ok(vec![9, 8]));
-        assert_eq!(r.u32s(), Ok(vec![1, u32::MAX]));
-        assert_eq!(r.u64s(), Ok(vec![1 << 40]));
-        assert_eq!(r.finish(), Ok(()));
+    fn building_blocks_round_trip_bit_exactly() {
+        type Sample = (Vec<(u16, [f64; 2])>, (Option<String>, (Vec<u8>, (usize, bool))));
+        let weird = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        let v: Sample = (
+            vec![(513, [-0.0, weird]), (7, [1e300, 0.5])],
+            (Some("héllo".to_string()), (vec![9, 8], (1 << 40, true))),
+        );
+        let buf = bytes_of(&v);
+        assert_eq!(&buf[..6], &[2, 0, 0, 0, 1, 2], "u32 count, then little-endian items");
+        assert_eq!(bytes_of(&decode::<Sample>(&buf).expect("decodes")), buf);
+        assert_eq!(Sample::MIN_LEN, 4 + 1 + 4 + 8 + 1);
+        assert_eq!(bytes_of(&None::<u64>), [0]);
+        for cut in 0..buf.len() {
+            assert!(decode::<Sample>(&buf[..cut]).is_err(), "prefix {cut} decoded");
+        }
+    }
+
+    #[test]
+    fn hostile_and_non_canonical_input_is_rejected_typed() {
+        let malformed = |r: Result<_, WireError>| matches!(r, Err(WireError::Malformed { .. }));
         // A count the payload cannot hold is rejected before allocating.
         let hostile = (1u32 << 30).to_le_bytes();
-        assert!(matches!(ByteReader::new(&hostile).u64s(), Err(WireError::Malformed { .. })));
-        assert!(matches!(ByteReader::new(&hostile).str(), Err(WireError::Malformed { .. })));
-        let bad_utf8 = [1u8, 0, 0, 0, 0xFF];
-        assert!(matches!(ByteReader::new(&bad_utf8).str(), Err(WireError::Malformed { .. })));
-    }
-
-    #[test]
-    fn reader_rejects_short_and_trailing_input() {
-        let buf = [1u8, 2, 3];
-        let mut r = ByteReader::new(&buf);
-        assert_eq!(r.u32(), Err(WireError::Truncated { need: 4, have: 3 }));
-        assert_eq!(r.u16(), Ok(513));
-        assert!(matches!(r.finish(), Err(WireError::Malformed { .. })));
+        assert!(malformed(decode::<Vec<u64>>(&hostile).map(drop)));
+        assert!(malformed(decode::<Vec<Vec<u8>>>(&hostile).map(drop)));
+        assert!(malformed(decode::<String>(&hostile).map(drop)));
+        assert!(malformed(decode::<String>(&[1, 0, 0, 0, 0xFF]).map(drop)), "not utf-8");
+        // Tags are exactly 0 or 1.
+        assert!(malformed(decode::<bool>(&[2]).map(drop)));
+        assert!(malformed(decode::<Option<u8>>(&[2, 0]).map(drop)));
+        assert!(malformed(decode::<u16>(&[1, 2, 3]).map(drop)), "trailing byte");
+        assert_eq!(decode::<u32>(&[1, 2, 3]), Err(WireError::Truncated { need: 4, have: 3 }));
+        assert_eq!(decode_versioned::<u8>(3, &[4, 0]), Err(WireError::BadVersion { got: 4 }));
+        assert_eq!(decode_versioned::<u8>(3, &encode_versioned(3, &9u8)), Ok(9));
     }
 }

@@ -45,4 +45,27 @@ if grep -rnE 'Result<[^>]*,[[:space:]]*String[[:space:]]*>' src crates/server/sr
   exit 1
 fi
 
+echo "==> one codec, one fate stream"
+# Every wire layout is a field list handed to the Codec macros (DESIGN.md
+# §6e), and every seeded fault source draws from cip_transport::fate.
+# Non-test code (everything before #[cfg(test)]) must not grow a second
+# copy of either: no hand-sized "count x N > remaining()" guard outside
+# the codec itself, and the SplitMix64 increment in exactly one place
+# (cip-partition's child_seed seeds the partitioner, not a fault source,
+# and has no cip-transport dependency; cip-ladder is the benchmark).
+non_test() { # FILE... -> their non-test lines, prefixed "FILE:"
+  for src in "$@"; do sed '/#\[cfg(test)\]/q' "$src" | sed "s|^|$src:|"; done
+}
+mapfile -t srcs < <(find src crates -name '*.rs' -not -name proptests.rs \
+  -not -path 'crates/partition/*' -not -path 'crates/ladder/*')
+if non_test "${srcs[@]}" | grep -v '^crates/transport/src/\(wire\|frame\)\.rs:' | grep 'remaining()'; then
+  echo "verify: FAIL — payload-length arithmetic outside the codec"
+  exit 1
+fi
+splitmix_sites=$(non_test "${srcs[@]}" | grep -ciE '0x9E37_?79B9_?7F4A_?7C15' || true)
+if [ "$splitmix_sites" -ne 1 ]; then
+  echo "verify: FAIL — $splitmix_sites SplitMix64 copies in non-test code (want 1: cip_transport::fate)"
+  exit 1
+fi
+
 echo "verify: OK"

@@ -21,7 +21,7 @@ use cip_partition::{
 use cip_runtime::{
     build_decomposition, build_migration, build_migration_recorded, collect_batch, execute_steps,
     BatchError, CancelToken, ConfigError, Decomposition, ExecOptions, FaultInjector, FaultPlan,
-    KillSpec, MigrationPlan, Replanner, RuntimeError, StepInput,
+    FaultRates, KillSpec, MigrationPlan, Replanner, RuntimeError, StepInput,
 };
 use cip_sim::{scenarios, SimConfig, SimResult};
 use cip_telemetry::{export::Summary, Recorder};
@@ -128,14 +128,8 @@ impl From<WireError> for TraceError {
 pub struct ChaosOptions {
     /// Base seed; each step derives an independent fate stream.
     pub seed: u64,
-    /// Permille of payload messages dropped.
-    pub drop_permille: u16,
-    /// Permille of payload messages duplicated.
-    pub dup_permille: u16,
-    /// Permille of payload messages delayed past `Done`.
-    pub delay_permille: u16,
-    /// Permille of payload messages reordered.
-    pub reorder_permille: u16,
+    /// How often each message fault fires.
+    pub rates: FaultRates,
     /// Kill `(step, rank)`: that rank dies before its first send of that
     /// step, and the driver recovers over the survivors.
     pub kill: Option<(usize, u32)>,
@@ -147,16 +141,7 @@ pub struct ChaosOptions {
 
 impl Default for ChaosOptions {
     fn default() -> Self {
-        Self {
-            seed: 1,
-            drop_permille: 20,
-            dup_permille: 10,
-            delay_permille: 10,
-            reorder_permille: 10,
-            kill: None,
-            timeout_ms: 2000,
-            retries: 3,
-        }
+        Self { seed: 1, rates: FaultRates::CHAOS, kill: None, timeout_ms: 2000, retries: 3 }
     }
 }
 
@@ -250,31 +235,31 @@ impl TraceOptions {
         let reject = |field: &'static str, reason: &str| {
             Err(TraceError::Config(ConfigError { field, reason: reason.to_string() }))
         };
-        if self.k < 1 {
-            return reject("k", "need at least one rank");
-        }
-        if self.snapshots == Some(0) {
-            return reject("snapshots", "need at least one snapshot");
-        }
-        if self.max_batch < 1 {
-            return reject("max_batch", "a batch must cover at least one step");
-        }
-        if self.lookahead < 1 {
-            return reject("lookahead", "a rank sends at least one step ahead of its drains");
+        // Ceilings on what one request may ask for. Each of these sizes
+        // an allocation or a thread count, and a job payload can carry
+        // any `u64`: the refusal has to be this typed error, because an
+        // allocation failure aborts the process where no supervisor can
+        // catch it.
+        const MAX_RANKS: usize = 1024;
+        const MAX_SNAPSHOTS: usize = 100_000;
+        const MAX_LOOKAHEAD: usize = 1024;
+        const MAX_BATCH: usize = 1 << 16;
+        for (field, value, max) in [
+            ("k", self.k, MAX_RANKS),
+            ("snapshots", self.snapshots.unwrap_or(1), MAX_SNAPSHOTS),
+            ("max_batch", self.max_batch, MAX_BATCH),
+            ("lookahead", self.lookahead, MAX_LOOKAHEAD),
+        ] {
+            if !(1..=max).contains(&value) {
+                return reject(field, &format!("must be between 1 and {max}, got {value}"));
+            }
         }
         if let Some(c) = &self.chaos {
             if c.timeout_ms == 0 {
                 return reject("chaos", "drain timeout must be non-zero");
             }
-            for (name, permille) in [
-                ("drop_permille", c.drop_permille),
-                ("dup_permille", c.dup_permille),
-                ("delay_permille", c.delay_permille),
-                ("reorder_permille", c.reorder_permille),
-            ] {
-                if permille > 1000 {
-                    return reject("chaos", &format!("{name} exceeds 1000"));
-                }
+            if c.rates.in_order().iter().any(|&permille| permille > 1000) {
+                return reject("chaos", "a fault rate exceeds 1000 permille");
             }
         }
         Ok(())
@@ -1097,15 +1082,7 @@ fn step_fault(chaos: &Option<ChaosOptions>, step: usize, live_k: usize) -> Fault
     let Some(c) = chaos else {
         return FaultInjector::none();
     };
-    let base = FaultPlan {
-        seed: c.seed,
-        drop_permille: c.drop_permille,
-        dup_permille: c.dup_permille,
-        delay_permille: c.delay_permille,
-        reorder_permille: c.reorder_permille,
-        kill: None,
-    };
-    let mut plan = base.for_step(step as u64);
+    let mut plan = FaultPlan { seed: c.seed, rates: c.rates, kill: None }.for_step(step as u64);
     if let Some((kill_step, rank)) = c.kill {
         if kill_step == step && (rank as usize) < live_k {
             plan.kill = Some(KillSpec { rank, after_sends: 0 });
@@ -1401,10 +1378,12 @@ mod tests {
             repartition_period: None,
             chaos: Some(ChaosOptions {
                 seed: 1337,
-                drop_permille: 150,
-                dup_permille: 80,
-                delay_permille: 80,
-                reorder_permille: 80,
+                rates: FaultRates {
+                    drop_permille: 150,
+                    dup_permille: 80,
+                    delay_permille: 80,
+                    reorder_permille: 80,
+                },
                 timeout_ms: 300,
                 retries: 2,
                 ..ChaosOptions::default()

@@ -31,7 +31,7 @@
 
 use crate::trace::{scenario_config, stage_batch, with_staged_inputs, TraceError};
 use cip_runtime::{
-    execute_rank_steps, ExecOptions, FaultInjector, FaultPlan, KillSpec, MigrationPlan, Msg,
+    execute_rank_steps, ExecOptions, FaultInjector, FaultPlan, MigrationPlan, Msg,
     RankBatchOutcome, RankResult, SteppedMailbox,
 };
 use cip_sim::SimResult;
@@ -39,7 +39,7 @@ use cip_telemetry::Recorder;
 use cip_transport::frame::{read_frame, write_frame, ReadError};
 use cip_transport::tcp::{bind_mesh, connect_mesh, mesh_mailbox};
 use cip_transport::{
-    ByteReader, ByteWriter, ChannelMailbox, Mailbox, MailboxConfig, TransportStats, Wire, WireError,
+    codec_enum, codec_struct, ChannelMailbox, Mailbox, MailboxConfig, TransportStats,
 };
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -97,11 +97,11 @@ pub struct RunSpec {
 /// the driver treats it as a dead worker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Ctrl {
-    /// Worker -> driver: "rank `rank` is up, my mesh listener is at
+    /// Worker -> driver: "rank `from` is up, my mesh listener is at
     /// `mesh_addr`".
     Hello {
-        /// The worker's original rank id.
-        rank: u32,
+        /// The worker's original rank id (travels in the frame header).
+        from: u32,
         /// The worker's bound mesh listener address.
         mesh_addr: String,
     },
@@ -124,315 +124,31 @@ pub enum Ctrl {
     Exit,
 }
 
-/// Frame tag of [`Ctrl::Hello`].
-pub const TAG_HELLO: u8 = 1;
-/// Frame tag of [`Ctrl::Peers`].
-pub const TAG_PEERS: u8 = 2;
-/// Frame tag of [`Ctrl::Run`].
-pub const TAG_RUN: u8 = 3;
-/// Frame tag of [`Ctrl::Done`].
-pub const TAG_DONE: u8 = 4;
-/// Frame tag of [`Ctrl::Exit`].
-pub const TAG_EXIT: u8 = 5;
+// Wire order, not declaration order: the scalars lead, the sequences
+// follow.
+codec_struct!(RunSpec {
+    start,
+    end,
+    chain_start,
+    live_k,
+    rank,
+    epoch,
+    timeout_ms,
+    retries,
+    lookahead,
+    node_parts,
+    route,
+    plans,
+    migrate
+});
 
-fn w_plan(w: &mut ByteWriter<'_>, p: &FaultPlan) {
-    w.u64(p.seed);
-    w.u16(p.drop_permille);
-    w.u16(p.dup_permille);
-    w.u16(p.delay_permille);
-    w.u16(p.reorder_permille);
-    match &p.kill {
-        None => w.u8(0),
-        Some(k) => {
-            w.u8(1);
-            w.u32(k.rank);
-            w.u64(k.after_sends);
-        }
-    }
-}
-
-fn r_plan(r: &mut ByteReader<'_>) -> Result<FaultPlan, WireError> {
-    let seed = r.u64()?;
-    let drop_permille = r.u16()?;
-    let dup_permille = r.u16()?;
-    let delay_permille = r.u16()?;
-    let reorder_permille = r.u16()?;
-    let kill = match r.u8()? {
-        0 => None,
-        _ => Some(KillSpec { rank: r.u32()?, after_sends: r.u64()? }),
-    };
-    Ok(FaultPlan { seed, drop_permille, dup_permille, delay_permille, reorder_permille, kill })
-}
-
-fn w_result(w: &mut ByteWriter<'_>, res: &RankResult) {
-    w.u32(res.pairs.len() as u32);
-    for p in &res.pairs {
-        w.u32(p.a);
-        w.u32(p.b);
-    }
-    w.u64s(&res.halo_sent);
-    w.u64s(&res.shipments_sent);
-    w.u64(res.halo_msgs);
-    w.u64(res.done_msgs);
-    w.u64(res.ghost_mismatches as u64);
-}
-
-fn r_result(r: &mut ByteReader<'_>) -> Result<RankResult, WireError> {
-    let count = r.u32()? as usize;
-    if count * 8 > r.remaining() {
-        return Err(WireError::Malformed { what: "pair count exceeds payload" });
-    }
-    let mut pairs = Vec::with_capacity(count);
-    for _ in 0..count {
-        pairs.push(cip_contact::ContactPair { a: r.u32()?, b: r.u32()? });
-    }
-    let halo_sent = r.u64s()?;
-    let shipments_sent = r.u64s()?;
-    Ok(RankResult {
-        pairs,
-        halo_sent,
-        shipments_sent,
-        halo_msgs: r.u64()?,
-        done_msgs: r.u64()?,
-        ghost_mismatches: r.u64()? as usize,
-    })
-}
-
-fn w_results(w: &mut ByteWriter<'_>, v: &[RankResult]) {
-    w.u32(v.len() as u32);
-    for res in v {
-        w_result(w, res);
-    }
-}
-
-fn r_results(r: &mut ByteReader<'_>) -> Result<Vec<RankResult>, WireError> {
-    let count = r.u32()? as usize;
-    // A RankResult is never smaller than its three length fields plus
-    // the three scalar counters.
-    if count * 36 > r.remaining() {
-        return Err(WireError::Malformed { what: "result count exceeds payload" });
-    }
-    let mut v = Vec::with_capacity(count);
-    for _ in 0..count {
-        v.push(r_result(r)?);
-    }
-    Ok(v)
-}
-
-fn w_outcome(w: &mut ByteWriter<'_>, o: &RankBatchOutcome) {
-    match o {
-        RankBatchOutcome::Completed(done) => {
-            w.u8(0);
-            w_results(w, done);
-        }
-        RankBatchOutcome::Dead { done } => {
-            w.u8(1);
-            w_results(w, done);
-        }
-        RankBatchOutcome::Lost { done, partial, dead } => {
-            w.u8(2);
-            w_results(w, done);
-            match partial {
-                None => w.u8(0),
-                Some(res) => {
-                    w.u8(1);
-                    w_result(w, res);
-                }
-            }
-            w.u32s(dead);
-        }
-    }
-}
-
-fn r_outcome(r: &mut ByteReader<'_>) -> Result<RankBatchOutcome, WireError> {
-    match r.u8()? {
-        0 => Ok(RankBatchOutcome::Completed(r_results(r)?)),
-        1 => Ok(RankBatchOutcome::Dead { done: r_results(r)? }),
-        2 => {
-            let done = r_results(r)?;
-            let partial = match r.u8()? {
-                0 => None,
-                _ => Some(r_result(r)?),
-            };
-            let dead = r.u32s()?;
-            Ok(RankBatchOutcome::Lost { done, partial, dead })
-        }
-        _ => Err(WireError::Malformed { what: "unknown outcome variant" }),
-    }
-}
-
-impl Wire for Ctrl {
-    fn tag(&self) -> u8 {
-        match self {
-            Ctrl::Hello { .. } => TAG_HELLO,
-            Ctrl::Peers { .. } => TAG_PEERS,
-            Ctrl::Run(_) => TAG_RUN,
-            Ctrl::Done { .. } => TAG_DONE,
-            Ctrl::Exit => TAG_EXIT,
-        }
-    }
-
-    fn src_rank(&self) -> u32 {
-        match self {
-            Ctrl::Hello { rank, .. } => *rank,
-            _ => 0,
-        }
-    }
-
-    fn step(&self) -> u32 {
-        0
-    }
-
-    fn seq(&self) -> u64 {
-        0
-    }
-
-    fn encode_payload(&self, w: &mut ByteWriter<'_>) {
-        match self {
-            Ctrl::Hello { mesh_addr, .. } => w.str(mesh_addr),
-            Ctrl::Peers { mesh_addrs } => {
-                w.u32(mesh_addrs.len() as u32);
-                for a in mesh_addrs {
-                    w.str(a);
-                }
-            }
-            Ctrl::Run(spec) => {
-                w.u32(spec.start);
-                w.u32(spec.end);
-                w.u32(spec.chain_start);
-                w.u32(spec.live_k);
-                w.u32(spec.rank);
-                w.u32(spec.epoch);
-                w.u64(spec.timeout_ms);
-                w.u32(spec.retries);
-                w.u32(spec.lookahead);
-                w.u32s(&spec.node_parts);
-                w.u32s(&spec.route);
-                w.u32(spec.plans.len() as u32);
-                for p in &spec.plans {
-                    match p {
-                        None => w.u8(0),
-                        Some(plan) => {
-                            w.u8(1);
-                            w_plan(w, plan);
-                        }
-                    }
-                }
-                match &spec.migrate {
-                    None => w.u8(0),
-                    Some(moves) => {
-                        w.u8(1);
-                        w.u32(moves.len() as u32);
-                        for row in moves {
-                            w.u32s(row);
-                        }
-                    }
-                }
-            }
-            Ctrl::Done { outcome, stats } => {
-                w_outcome(w, outcome);
-                w.u64(stats.bytes_sent);
-                w.u64(stats.bytes_recv);
-                w.u64(stats.frames_sent);
-                w.u64(stats.frames_recv);
-                w.u64(stats.recv_corrupt);
-            }
-            Ctrl::Exit => {}
-        }
-    }
-
-    fn decode_payload(
-        tag: u8,
-        from: u32,
-        _step: u32,
-        _seq: u64,
-        r: &mut ByteReader<'_>,
-    ) -> Result<Self, WireError> {
-        match tag {
-            TAG_HELLO => Ok(Ctrl::Hello { rank: from, mesh_addr: r.str()? }),
-            TAG_PEERS => {
-                let count = r.u32()? as usize;
-                if count * 4 > r.remaining() {
-                    return Err(WireError::Malformed { what: "peer count exceeds payload" });
-                }
-                let mut mesh_addrs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    mesh_addrs.push(r.str()?);
-                }
-                Ok(Ctrl::Peers { mesh_addrs })
-            }
-            TAG_RUN => {
-                let start = r.u32()?;
-                let end = r.u32()?;
-                let chain_start = r.u32()?;
-                let live_k = r.u32()?;
-                let rank = r.u32()?;
-                let epoch = r.u32()?;
-                let timeout_ms = r.u64()?;
-                let retries = r.u32()?;
-                let lookahead = r.u32()?;
-                let node_parts = r.u32s()?;
-                let route = r.u32s()?;
-                let count = r.u32()? as usize;
-                if count > r.remaining() {
-                    return Err(WireError::Malformed { what: "plan count exceeds payload" });
-                }
-                let mut plans = Vec::with_capacity(count);
-                for _ in 0..count {
-                    plans.push(match r.u8()? {
-                        0 => None,
-                        _ => Some(r_plan(r)?),
-                    });
-                }
-                let migrate = match r.u8()? {
-                    0 => None,
-                    _ => {
-                        let rows = r.u32()? as usize;
-                        // Every row costs at least its 4-byte length.
-                        if rows * 4 > r.remaining() {
-                            return Err(WireError::Malformed {
-                                what: "migrate row count exceeds payload",
-                            });
-                        }
-                        let mut moves = Vec::with_capacity(rows);
-                        for _ in 0..rows {
-                            moves.push(r.u32s()?);
-                        }
-                        Some(moves)
-                    }
-                };
-                Ok(Ctrl::Run(RunSpec {
-                    start,
-                    end,
-                    chain_start,
-                    live_k,
-                    rank,
-                    epoch,
-                    node_parts,
-                    route,
-                    plans,
-                    migrate,
-                    timeout_ms,
-                    retries,
-                    lookahead,
-                }))
-            }
-            TAG_DONE => {
-                let outcome = r_outcome(r)?;
-                let stats = TransportStats {
-                    bytes_sent: r.u64()?,
-                    bytes_recv: r.u64()?,
-                    frames_sent: r.u64()?,
-                    frames_recv: r.u64()?,
-                    recv_corrupt: r.u64()?,
-                };
-                Ok(Ctrl::Done { outcome, stats })
-            }
-            TAG_EXIT => Ok(Ctrl::Exit),
-            got => Err(WireError::BadTag { got }),
-        }
-    }
-}
+codec_enum!(framed Ctrl {
+    1 => Hello { [from] mesh_addr },
+    2 => Peers { mesh_addrs },
+    3 => Run(spec),
+    4 => Done { outcome, stats },
+    5 => Exit,
+});
 
 // ---------------------------------------------------------------------
 // Driver side: the worker pool
@@ -602,7 +318,7 @@ impl WorkerPool {
                 Ok((m, _, _)) => m,
                 Err(e) => return Err(werr(format!("worker hello failed: {e:?}"))),
             };
-            let Ctrl::Hello { rank, mesh_addr } = msg else {
+            let Ctrl::Hello { from: rank, mesh_addr } = msg else {
                 return Err(werr("worker spoke out of turn during the handshake".to_string()));
             };
             let r = rank as usize;
@@ -780,7 +496,7 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
         .map_err(|e| werr(format!("dial driver at {}: {e}", args.connect)))?;
     ctrl.set_nodelay(true).ok();
     let mut buf = Vec::new();
-    let hello = Ctrl::Hello { rank: args.rank as u32, mesh_addr: lst.addr.to_string() };
+    let hello = Ctrl::Hello { from: args.rank as u32, mesh_addr: lst.addr.to_string() };
     write_frame(&mut ctrl, &hello, 0, &mut buf).map_err(|e| werr(format!("send hello: {e}")))?;
 
     let mut scfg = scenario_config(&args.scenario)?;
@@ -909,17 +625,9 @@ mod tests {
     use super::*;
     use cip_transport::frame::{decode_frame, encode_frame};
 
-    fn round_trip(msg: &Ctrl) {
-        let mut buf = Vec::new();
-        encode_frame(msg, 0, &mut buf);
-        let (back, _, consumed) = decode_frame::<Ctrl>(&buf).expect("control frame decodes");
-        assert_eq!(&back, msg);
-        assert_eq!(consumed, buf.len());
-    }
-
     fn sample_result(n: usize) -> RankResult {
         RankResult {
-            pairs: vec![cip_contact::ContactPair { a: 1, b: 9 }; n],
+            pairs: vec![(1, 9); n],
             halo_sent: vec![3, 0, 7],
             shipments_sent: vec![0, 2, 0],
             halo_msgs: 5,
@@ -929,93 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn every_control_variant_round_trips() {
-        round_trip(&Ctrl::Hello { rank: 3, mesh_addr: "127.0.0.1:45123".into() });
-        round_trip(&Ctrl::Peers { mesh_addrs: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()] });
-        round_trip(&Ctrl::Peers { mesh_addrs: Vec::new() });
-        round_trip(&Ctrl::Run(RunSpec {
-            start: 4,
-            end: 8,
-            chain_start: 2,
-            live_k: 3,
-            rank: 1,
-            epoch: 12,
-            node_parts: vec![0, 1, 2, u32::MAX],
-            route: vec![0, 2, 3],
-            plans: vec![
-                None,
-                Some(FaultPlan {
-                    seed: 99,
-                    drop_permille: 10,
-                    dup_permille: 0,
-                    delay_permille: 5,
-                    reorder_permille: 0,
-                    kill: Some(KillSpec { rank: 2, after_sends: 7 }),
-                }),
-            ],
-            migrate: None,
-            timeout_ms: 2000,
-            retries: 3,
-            lookahead: 2,
-        }));
-        // A 2x2 migrate stage rides the spec (empty diagonal rows).
-        round_trip(&Ctrl::Run(RunSpec {
-            start: 0,
-            end: 2,
-            chain_start: 0,
-            live_k: 2,
-            rank: 0,
-            epoch: 0,
-            node_parts: vec![0, 1],
-            route: vec![0, 1],
-            plans: vec![None, None],
-            migrate: Some(vec![vec![], vec![5, 6, 7], vec![9], vec![]]),
-            timeout_ms: 1000,
-            retries: 1,
-            lookahead: 1,
-        }));
-        round_trip(&Ctrl::Done {
-            outcome: RankBatchOutcome::Completed(vec![sample_result(2), sample_result(0)]),
-            stats: TransportStats {
-                bytes_sent: 100,
-                bytes_recv: 200,
-                frames_sent: 3,
-                frames_recv: 4,
-                recv_corrupt: 1,
-            },
-        });
-        round_trip(&Ctrl::Done {
-            outcome: RankBatchOutcome::Dead { done: vec![sample_result(1)] },
-            stats: TransportStats::default(),
-        });
-        round_trip(&Ctrl::Done {
-            outcome: RankBatchOutcome::Lost {
-                done: vec![sample_result(3)],
-                partial: Some(sample_result(1)),
-                dead: vec![2],
-            },
-            stats: TransportStats::default(),
-        });
-        round_trip(&Ctrl::Done {
-            outcome: RankBatchOutcome::Lost { done: Vec::new(), partial: None, dead: vec![0, 1] },
-            stats: TransportStats::default(),
-        });
-        round_trip(&Ctrl::Exit);
-    }
-
-    #[test]
-    fn hostile_control_counts_are_rejected() {
-        // A Peers frame claiming 2^30 strings in a tiny payload.
-        let msg = Ctrl::Peers { mesh_addrs: Vec::new() };
-        let mut buf = Vec::new();
-        encode_frame(&msg, 0, &mut buf);
-        let hdr = cip_transport::HEADER_LEN;
-        buf[hdr..hdr + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
-        let crc = cip_transport::wire::crc32(&[&buf[..26], &buf[hdr..]]);
-        buf[26..30].copy_from_slice(&crc.to_le_bytes());
-        let err = decode_frame::<Ctrl>(&buf).expect_err("hostile count rejected");
-        assert!(matches!(err, WireError::Malformed { .. }), "{err:?}");
-
+    fn outcomes_that_do_not_fit_the_batch_are_refused() {
         // CRC-valid `Done` frames whose outcome does not fit a 2-step
         // batch over 3 ranks: each would index out of bounds inside
         // `collect_batch`. They decode, are refused, and the worker is

@@ -21,7 +21,8 @@ use cip::contact::serial_contact_pairs;
 mod common;
 
 use cip::runtime::{
-    execute_steps, ExecOptions, FaultInjector, FaultPlan, KillSpec, RuntimeError, StepOutput,
+    execute_steps, ExecOptions, FaultInjector, FaultPlan, FaultRates, KillSpec, RuntimeError,
+    StepOutput,
 };
 use cip::trace::{run_traced, ChaosOptions, TraceOptions};
 use cip::transport::InProcess;
@@ -116,10 +117,7 @@ fn driver_recovers_from_any_single_rank_kill() {
             snapshots: Some(4),
             chaos: Some(ChaosOptions {
                 seed: 13 ^ env_seed(),
-                drop_permille: 0,
-                dup_permille: 0,
-                delay_permille: 0,
-                reorder_permille: 0,
+                rates: FaultRates::default(),
                 kill: Some((1, victim)),
                 timeout_ms: 300,
                 retries: 2,
@@ -153,10 +151,7 @@ proptest! {
     ) {
         let k = 3;
         let plan = FaultPlan {
-            drop_permille: drop,
-            dup_permille: dup,
-            delay_permille: delay,
-            reorder_permille: reorder,
+            rates: FaultRates { drop_permille: drop, dup_permille: dup, delay_permille: delay, reorder_permille: reorder },
             ..FaultPlan::quiet(seed ^ env_seed())
         };
         let (out, oracle) =
@@ -184,10 +179,7 @@ proptest! {
         let chaotic = run_traced(&TraceOptions {
             chaos: Some(ChaosOptions {
                 seed: seed ^ env_seed(),
-                drop_permille: 150,
-                dup_permille: 80,
-                delay_permille: 80,
-                reorder_permille: 80,
+                rates: FaultRates { drop_permille: 150, dup_permille: 80, delay_permille: 80, reorder_permille: 80 },
                 kill: None,
                 timeout_ms: 300,
                 retries: 2,

@@ -1,6 +1,7 @@
-//! Shared fixtures of the executor suites: staged snapshots to feed the
-//! executor directly, the executed totals of a traced run as one
-//! comparable value, and an independent serial prediction of them.
+//! Shared fixtures of the integration suites: staged snapshots to feed
+//! the executor directly, the executed totals of a traced run as one
+//! comparable value, an independent serial prediction of them, and the
+//! contract every wire decoder in the tree is held to.
 #![allow(dead_code)]
 
 use cip::contact::{serial_contact_pairs, DtreeFilter, GlobalFilter, SurfaceElementInfo};
@@ -8,9 +9,11 @@ use cip::core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
 use cip::dtree::{induce, refresh, DecisionTree, DtreeConfig};
 use cip::graph::total_comm_volume;
 use cip::partition::{diffusion_repartition, partition_kway, PartitionerConfig};
-use cip::runtime::{build_decomposition, build_migration, Decomposition, StepInput};
+use cip::runtime::{build_decomposition, build_migration, Decomposition, FaultRates, StepInput};
 use cip::sim::SimConfig;
 use cip::trace::{scenario_config, ChaosOptions, TraceOptions, TraceReport};
+use cip_transport::frame::{decode_frame, encode_frame};
+use cip_transport::{splitmix64, Wire, WireError, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION};
 
 /// CI seed sweep: `CHAOS_SEED` perturbs every chaos seed of a suite.
 pub fn env_seed() -> u64 {
@@ -22,10 +25,12 @@ pub fn env_seed() -> u64 {
 pub fn message_chaos(seed: u64) -> ChaosOptions {
     ChaosOptions {
         seed: seed ^ env_seed(),
-        drop_permille: 150,
-        dup_permille: 80,
-        delay_permille: 80,
-        reorder_permille: 80,
+        rates: FaultRates {
+            drop_permille: 150,
+            dup_permille: 80,
+            delay_permille: 80,
+            reorder_permille: 80,
+        },
         kill: None,
         timeout_ms: 300,
         retries: 2,
@@ -174,4 +179,110 @@ pub fn serial_reference(opts: &TraceOptions) -> Totals {
         pairs += serial_contact_pairs(&elements, &view.face_bodies(), 0.4).len() as u64;
     }
     (sim.len(), halo, shipments, migrated, pairs, repartitions)
+}
+
+/// Re-derives a frame's checksum after tampering, so the targeted
+/// validation (not the CRC) is what has to reject it.
+pub fn re_crc(frame: &mut [u8]) {
+    let crc = cip_transport::wire::crc32(&[&frame[..26], &frame[HEADER_LEN..]]);
+    frame[26..30].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// What every decoder owes its input, checked through `reencode`
+/// (decode, then encode what came out) on one sample's `bytes`:
+/// a byte-exact round trip (injective, so NaN payloads count); every
+/// strict prefix rejected; a `1 << 30` count at each of `counts` (the
+/// offsets of the sample's sequence counts) rejected as `Malformed`, i.e.
+/// before anything is allocated or read for it; and seeded tampering
+/// from offset `body` on never panics and is accepted only if canonical
+/// (`encode(decode(b)) == b`, what the content-hash cache relies on).
+/// `seal` re-validates the envelope after tampering.
+pub fn decoder_contract(
+    bytes: &[u8],
+    counts: &[usize],
+    body: usize,
+    seal: impl Fn(&mut [u8]),
+    reencode: impl Fn(&[u8]) -> Result<Vec<u8>, WireError>,
+) {
+    assert_eq!(reencode(bytes).as_deref(), Ok(bytes), "round trip changed the bytes");
+    for cut in 0..bytes.len() {
+        assert!(reencode(&bytes[..cut]).is_err(), "prefix {cut}/{} decoded", bytes.len());
+    }
+    for &at in counts {
+        let mut b = bytes.to_vec();
+        b[at..at + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        seal(&mut b);
+        let got = reencode(&b);
+        assert!(matches!(got, Err(WireError::Malformed { .. })), "count at {at}: {got:?}");
+    }
+    let seed = env_seed() ^ bytes.len() as u64;
+    let trials = if body < bytes.len() { 256 } else { 0 };
+    for trial in 0..trials {
+        let mut b = bytes.to_vec();
+        for j in 0..=trial % 3 {
+            let draw = splitmix64(seed, trial * 4 + j);
+            b[body + (draw >> 8) as usize % (bytes.len() - body)] = draw as u8;
+        }
+        seal(&mut b);
+        if let Ok(back) = reencode(&b) {
+            assert_eq!(back, b, "a non-canonical encoding was accepted");
+        }
+    }
+}
+
+/// [`decoder_contract`] for every framed sample (a message and the
+/// payload offsets of its counts), plus what the frame adds: every
+/// single-bit flip rejected; an unknown tag, a bad version and an
+/// oversized length rejected typed even under a recomputed CRC; and
+/// seeded random payloads under every tag never panic and are accepted
+/// only if canonical.
+pub fn wire_contract<M: Wire + std::fmt::Debug>(samples: &[(M, Vec<usize>)]) {
+    let frame = |msg: &M, to: u32| {
+        let mut buf = Vec::new();
+        encode_frame(msg, to, &mut buf);
+        buf
+    };
+    let reencode = |b: &[u8]| {
+        let (msg, to, used) = decode_frame::<M>(b)?;
+        assert_eq!(used, b.len(), "a frame consumes itself exactly");
+        Ok(frame(&msg, to))
+    };
+    for (i, (msg, counts)) in samples.iter().enumerate() {
+        let bytes = frame(msg, i as u32);
+        let counts: Vec<usize> = counts.iter().map(|c| c + HEADER_LEN).collect();
+        decoder_contract(&bytes, &counts, HEADER_LEN, re_crc, reencode);
+        for bit in 0..bytes.len() * 8 {
+            let mut b = bytes.clone();
+            b[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode_frame::<M>(&b).is_err(), "{msg:?}: flipped bit {bit} went undetected");
+        }
+    }
+    let tampered = |at: usize, patch: &[u8]| {
+        let mut b = frame(&samples[0].0, 0);
+        b[at..at + patch.len()].copy_from_slice(patch);
+        re_crc(&mut b);
+        decode_frame::<M>(&b).map(drop)
+    };
+    assert_eq!(
+        tampered(0, &[WIRE_VERSION + 1]),
+        Err(WireError::BadVersion { got: WIRE_VERSION + 1 })
+    );
+    assert_eq!(tampered(1, &[0xEE]), Err(WireError::BadTag { got: 0xEE }));
+    let over = MAX_PAYLOAD + 1;
+    assert_eq!(tampered(22, &(over as u32).to_le_bytes()), Err(WireError::Oversized { len: over }));
+    for trial in 0..4096u64 {
+        let draw = splitmix64(env_seed() ^ 0xF8A3E, trial);
+        let len = (draw >> 16) as usize % 48;
+        let mut b = vec![0u8; HEADER_LEN + len];
+        (b[0], b[1], b[22]) = (WIRE_VERSION, draw as u8 % 16, len as u8);
+        for (j, byte) in b[HEADER_LEN..].iter_mut().enumerate() {
+            // Mostly small values, so tags, flags and counts are often plausible.
+            let r = splitmix64(draw, j as u64);
+            *byte = if r.is_multiple_of(4) { (r >> 8) as u8 } else { (r >> 8) as u8 % 3 };
+        }
+        re_crc(&mut b);
+        if let Ok(back) = reencode(&b) {
+            assert_eq!(back, b, "a non-canonical payload was accepted");
+        }
+    }
 }

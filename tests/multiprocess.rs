@@ -19,6 +19,7 @@
 
 mod common;
 
+use cip::runtime::FaultRates;
 use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
 use common::{env_seed, serial_reference, totals};
 use std::path::PathBuf;
@@ -70,10 +71,12 @@ fn worker_processes_match_the_clean_run_under_message_chaos() {
     let mut opts = tiny(3, Some(2), workers());
     opts.chaos = Some(ChaosOptions {
         seed: 47 ^ env_seed(),
-        drop_permille: 120,
-        dup_permille: 60,
-        delay_permille: 60,
-        reorder_permille: 60,
+        rates: FaultRates {
+            drop_permille: 120,
+            dup_permille: 60,
+            delay_permille: 60,
+            reorder_permille: 60,
+        },
         kill: None,
         timeout_ms: 300,
         retries: 2,
@@ -92,10 +95,7 @@ fn fault_plan_kill_becomes_a_real_process_death_and_the_driver_recovers() {
     let mut opts = tiny(3, Some(10), workers());
     opts.chaos = Some(ChaosOptions {
         seed: 13 ^ env_seed(),
-        drop_permille: 0,
-        dup_permille: 0,
-        delay_permille: 0,
-        reorder_permille: 0,
+        rates: FaultRates::default(),
         kill: Some((1, 1)),
         timeout_ms: 300,
         retries: 2,

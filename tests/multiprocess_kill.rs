@@ -8,6 +8,7 @@
 //! spawned from this process; isolating it here keeps the other
 //! multi-process tests honest.
 
+use cip::runtime::FaultRates;
 use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
 use std::path::PathBuf;
 
@@ -41,10 +42,7 @@ fn abrupt_worker_death_is_synthesized_from_eof_and_recovered() {
         // vanished peer dead in seconds rather than executor defaults.
         chaos: Some(ChaosOptions {
             seed: 3 ^ env_seed(),
-            drop_permille: 0,
-            dup_permille: 0,
-            delay_permille: 0,
-            reorder_permille: 0,
+            rates: FaultRates::default(),
             kill: None,
             timeout_ms: 300,
             retries: 2,

@@ -15,6 +15,7 @@
 
 mod common;
 
+use cip::runtime::FaultRates;
 use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
 use common::{env_seed, message_chaos, serial_reference, totals};
 
@@ -88,10 +89,7 @@ fn message_chaos_repairs_to_the_clean_totals() {
 fn kill_mid_batch_recovers_like_the_one_step_core() {
     let chaos = ChaosOptions {
         seed: 13 ^ env_seed(),
-        drop_permille: 0,
-        dup_permille: 0,
-        delay_permille: 0,
-        reorder_permille: 0,
+        rates: FaultRates::default(),
         kill: Some((2, 1)),
         timeout_ms: 300,
         retries: 2,

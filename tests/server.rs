@@ -226,3 +226,33 @@ fn catalog_and_invalid_payloads() {
     let (totals, _) = submit_and_fetch(&mut client, &opts);
     assert_eq!(totals, expected);
 }
+
+/// A payload may carry any `u64` where a size goes; sizes past the
+/// validation ceilings are refused as a typed configuration error at
+/// `Session::build` — never handed to an allocator or a thread spawner,
+/// whose failure would abort the process where no supervisor can catch
+/// it. Nothing panics, and the server keeps serving.
+#[test]
+fn oversized_requests_fail_typed_and_the_server_survives() {
+    let (server, addr, _rec) = start_server(1);
+    let mut client = Client::connect(&addr).expect("client connects");
+    let base = tiny_opts(2, 1);
+    let huge = 1usize << 40;
+    let hostile = [
+        ("k", TraceOptions { k: huge, ..base.clone() }),
+        ("snapshots", TraceOptions { snapshots: Some(huge), ..base.clone() }),
+        ("lookahead", TraceOptions { lookahead: huge, ..base.clone() }),
+        ("max_batch", TraceOptions { max_batch: huge, ..base.clone() }),
+    ];
+    for (field, opts) in hostile {
+        let job = client.submit(&JobRequest::new(opts).encode()).expect("submits fine");
+        let (outcome, _) = client.result(job).expect("result");
+        match outcome {
+            JobOutcome::Failed { reason } => assert!(reason.contains(field), "{field}: {reason}"),
+            other => panic!("{field} = 2^40 was not refused: {other:?}"),
+        }
+    }
+    assert_eq!(server.stats().panicked, 0, "{:?}", server.stats());
+    let (totals, _) = submit_and_fetch(&mut client, &base);
+    assert_eq!(totals, oracle_totals(&base));
+}

@@ -12,11 +12,9 @@
 //! * **typed failure, no hangs** — a close-everything proxy with
 //!   retries disabled surfaces a typed [`ServerError`] promptly; a
 //!   retry budget that runs dry surfaces `RetriesExhausted`;
-//! * **control-frame corruption** (proptest, mirroring
-//!   `tests/transport.rs`) — every prefix truncation, every single-bit
-//!   flip, and hostile length fields of a [`JobMsg`] frame are rejected
-//!   typed, never a panic; a live server counts corrupt frames, drops
-//!   the connection, and keeps serving.
+//! * **control-frame corruption** — a live server counts a corrupt
+//!   [`JobMsg`] frame, drops that connection, and keeps serving (that
+//!   every corrupt frame *is* rejected typed is `tests/wire_contract.rs`).
 //!
 //! CI sweeps seeds without recompiling via the `CHAOS_SEED` env var
 //! (the `server-chaos` job runs ≥3 seeds).
@@ -27,9 +25,7 @@ use cip::trace::{run_traced, TraceOptions};
 use cip_server::protocol::JobMsg;
 use cip_telemetry::Recorder;
 use cip_transport::chaos::{ChaosPlan, ChaosProxy};
-use cip_transport::frame::{decode_frame, encode_frame};
-use cip_transport::{WireError, MAX_PAYLOAD};
-use proptest::prelude::*;
+use cip_transport::frame::encode_frame;
 use std::time::{Duration, Instant};
 
 /// CI seed sweep: `CHAOS_SEED` perturbs every seed in this file.
@@ -212,129 +208,8 @@ fn exhausted_retries_surface_typed_with_attempt_count() {
 }
 
 // ---------------------------------------------------------------------
-// JobMsg control-frame corruption (mirrors tests/transport.rs)
+// A corrupt control frame costs its connection, never the server
 // ---------------------------------------------------------------------
-
-/// SplitMix64 — deterministic field filler for arbitrary messages.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// An arbitrary control message of the chosen variant.
-fn arb_jobmsg(variant: u8, seed: u64, n: usize) -> JobMsg {
-    let mut s = seed;
-    match variant % 7 {
-        0 => JobMsg::Submit {
-            ticket: mix(&mut s) as u32,
-            payload: (0..n).map(|_| mix(&mut s) as u8).collect(),
-        },
-        1 => JobMsg::Accepted { ticket: mix(&mut s) as u32, job_id: mix(&mut s) },
-        2 => JobMsg::Rejected { ticket: mix(&mut s) as u32, reason: format!("r{}", mix(&mut s)) },
-        3 => JobMsg::Status { job_id: mix(&mut s) },
-        4 => JobMsg::Result { job_id: mix(&mut s) },
-        5 => JobMsg::ResultIs {
-            job_id: mix(&mut s),
-            outcome: JobOutcome::Done { payload: (0..n).map(|_| mix(&mut s) as u8).collect() },
-            cached: mix(&mut s).is_multiple_of(2),
-        },
-        _ => JobMsg::Cancel { job_id: mix(&mut s) },
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every strict prefix of a `JobMsg` frame is rejected typed — the
-    /// decoder never reads past the buffer and never panics. This is
-    /// exactly what a chaos-proxy mid-frame truncation delivers.
-    #[test]
-    fn truncated_jobmsg_frames_are_rejected(
-        variant in 0u8..7,
-        seed in 0u64..u64::MAX,
-        n in 0usize..16,
-    ) {
-        let msg = arb_jobmsg(variant, seed ^ env_seed(), n);
-        let mut buf = Vec::new();
-        encode_frame(&msg, 0, &mut buf);
-        for cut in 0..buf.len() {
-            prop_assert!(
-                decode_frame::<JobMsg>(&buf[..cut]).is_err(),
-                "prefix of {cut}/{} bytes decoded", buf.len()
-            );
-        }
-    }
-
-    /// Round-trip sanity for the arbitrary generator itself.
-    #[test]
-    fn arbitrary_jobmsgs_round_trip(
-        variant in 0u8..7,
-        seed in 0u64..u64::MAX,
-        n in 0usize..16,
-    ) {
-        let msg = arb_jobmsg(variant, seed ^ env_seed(), n);
-        let mut buf = Vec::new();
-        encode_frame(&msg, 0, &mut buf);
-        let (back, _, consumed) = decode_frame::<JobMsg>(&buf).expect("own frame decodes");
-        prop_assert_eq!(consumed, buf.len());
-        prop_assert_eq!(back, msg);
-    }
-}
-
-/// Every single-bit flip anywhere in a `JobMsg` frame is caught by the
-/// CRC (or a stricter header check) — no corrupted control frame is
-/// ever acted on.
-#[test]
-fn every_jobmsg_bit_flip_is_detected() {
-    let msg = JobMsg::Submit { ticket: 77, payload: vec![1, 2, 3, 4, 5, 6, 7, 8] };
-    let mut buf = Vec::new();
-    encode_frame(&msg, 0, &mut buf);
-    for bit in 0..buf.len() * 8 {
-        let mut c = buf.clone();
-        c[bit / 8] ^= 1 << (bit % 8);
-        assert!(
-            decode_frame::<JobMsg>(&c).is_err(),
-            "flipping bit {bit} of the frame went undetected"
-        );
-    }
-}
-
-/// Re-derives a frame's checksum after tampering, so the targeted
-/// validation (not the CRC) is what rejects it.
-fn re_crc(buf: &mut [u8]) {
-    let crc = cip_transport::wire::crc32(&[&buf[..26], &buf[cip_transport::HEADER_LEN..]]);
-    buf[26..30].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// A hostile length field is rejected before any allocation, even with
-/// a recomputed checksum.
-#[test]
-fn hostile_jobmsg_length_is_rejected_before_allocation() {
-    let mut buf = Vec::new();
-    encode_frame(&JobMsg::Stats, 0, &mut buf);
-    buf[22..26].copy_from_slice(&((MAX_PAYLOAD as u32) + 1).to_le_bytes());
-    re_crc(&mut buf);
-    match decode_frame::<JobMsg>(&buf) {
-        Err(WireError::Oversized { len }) => assert_eq!(len, MAX_PAYLOAD + 1),
-        other => panic!("expected Oversized, got {other:?}"),
-    }
-}
-
-/// An unknown control tag is rejected typed.
-#[test]
-fn unknown_jobmsg_tag_is_rejected() {
-    let mut buf = Vec::new();
-    encode_frame(&JobMsg::Stats, 0, &mut buf);
-    buf[1] = 0xEE;
-    re_crc(&mut buf);
-    match decode_frame::<JobMsg>(&buf) {
-        Err(WireError::BadTag { got }) => assert_eq!(got, 0xEE),
-        other => panic!("expected BadTag, got {other:?}"),
-    }
-}
 
 /// A live server fed a corrupted frame counts it, drops that
 /// connection, and keeps serving other clients — counts-and-drops,
