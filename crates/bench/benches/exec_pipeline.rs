@@ -12,7 +12,7 @@
 
 use cip::trace::{run_traced, TraceOptions};
 use cip_bench::pipeline_load::{batch_inputs, skewed_chain};
-use cip_runtime::{execute_steps, ExecOptions};
+use cip_runtime::{connect_ranks, execute_steps, ExecOptions};
 use cip_telemetry::Recorder;
 use cip_transport::InProcess;
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -35,7 +35,9 @@ fn idle_report() {
         for lookahead in LOOKAHEADS {
             let rec = Recorder::enabled();
             let steps = batch_inputs(&sc, &rec);
-            execute_steps(&steps, &[], &opts(lookahead), None, &InProcess).expect("batch executes");
+            let opts = opts(lookahead);
+            let mut seats = connect_ranks(&InProcess, k, &opts, &rec).expect("in-process mesh");
+            execute_steps(&steps, &[], &opts, None, &mut seats, 0).expect("batch executes");
             let summary = rec.summary().expect("recorder is enabled");
             let idle_ms = summary.span("exec.idle").map_or(0.0, |s| s.total_ns as f64 / 1e6);
             let in_flight = summary.histogram("exec.overlap.steps_in_flight").map_or(0, |h| h.max);
@@ -48,7 +50,7 @@ fn idle_report() {
 }
 
 /// One instrumented traced run: prints the boundary stall time and the
-/// planning time hidden behind batches (DESIGN.md §6c).
+/// planning time hidden behind batches (DESIGN.md §6b).
 fn repart_report() {
     let report = run_traced(&repart_opts()).expect("traced repartition run");
     let summary = report.summary();
@@ -83,12 +85,15 @@ fn bench_exec_pipeline(c: &mut Criterion) {
         let steps = batch_inputs(&sc, &rec);
         for lookahead in LOOKAHEADS {
             let opts = opts(lookahead);
+            let mut seats = connect_ranks(&InProcess, k, &opts, &rec).expect("in-process mesh");
+            let mut epoch = 0;
             group.bench_with_input(
                 BenchmarkId::new(format!("lookahead_{lookahead}"), k),
                 &k,
                 |b, _| {
                     b.iter(|| {
-                        black_box(execute_steps(&steps, &[], &opts, None, &InProcess))
+                        epoch += N_STEPS as u32;
+                        black_box(execute_steps(&steps, &[], &opts, None, &mut seats, epoch))
                             .expect("batch executes")
                     });
                 },

@@ -5,7 +5,7 @@ use cip_contact::DtreeFilter;
 use cip_core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
 use cip_dtree::{induce, DtreeConfig};
 use cip_partition::{partition_kway, PartitionerConfig};
-use cip_runtime::{build_decomposition, execute_steps, ExecOptions, StepInput};
+use cip_runtime::{build_decomposition, connect_ranks, execute_steps, ExecOptions, StepInput};
 use cip_sim::SimConfig;
 use cip_telemetry::Recorder;
 use cip_transport::InProcess;
@@ -62,8 +62,12 @@ fn bench_step(c: &mut Criterion) {
                 recorder: Recorder::disabled(),
             }];
             let opts = ExecOptions::default();
+            let mut seats = connect_ranks(&InProcess, k, &opts, &Recorder::disabled())
+                .expect("in-process mesh");
+            let mut epoch = 0;
             b.iter(|| {
-                black_box(execute_steps(&step, &[], &opts, None, &InProcess))
+                epoch += 1;
+                black_box(execute_steps(&step, &[], &opts, None, &mut seats, epoch))
                     .expect("step executes")
             });
         });

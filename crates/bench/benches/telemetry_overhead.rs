@@ -16,7 +16,7 @@
 //! well under 2% — of what an uninstrumented build would measure.
 //! Compare `disabled` against `enabled` to see the headroom directly.
 //!
-//! The same contract covers the fault-injection hooks (DESIGN.md §6c):
+//! The same contract covers the fault-injection hooks (DESIGN.md §6b):
 //! `execute_step/fault_off` runs with the default
 //! [`cip_runtime::FaultInjector::none`] (one `None` branch per send),
 //! and `execute_step/fault_armed_quiet` runs with an armed all-zero-rate
@@ -29,7 +29,8 @@ use cip_dtree::{induce, DtreeConfig};
 use cip_partition::rb::multilevel_bisect;
 use cip_partition::{partition_kway, PartitionerConfig};
 use cip_runtime::{
-    build_decomposition, execute_steps, ExecOptions, FaultInjector, FaultPlan, StepInput,
+    build_decomposition, connect_ranks, execute_steps, ExecOptions, FaultInjector, FaultPlan,
+    StepInput,
 };
 use cip_sim::SimConfig;
 use cip_telemetry::Recorder;
@@ -104,6 +105,10 @@ fn bench_step(c: &mut Criterion) {
         }]
     };
     let opts = ExecOptions::default();
+    // One mesh for every row; each iteration is a batch with its own epoch.
+    let mut seats =
+        connect_ranks(&InProcess, k, &opts, &Recorder::disabled()).expect("in-process mesh");
+    let mut epoch = 0;
     let mut group = c.benchmark_group("execute_step");
     group.sample_size(10);
     for (label, recorder) in [("disabled", Recorder::disabled()), ("enabled", Recorder::enabled())]
@@ -111,7 +116,8 @@ fn bench_step(c: &mut Criterion) {
         let step = step(recorder);
         group.bench_function(label, |b| {
             b.iter(|| {
-                black_box(execute_steps(&step, &[], &opts, None, &InProcess))
+                epoch += 1;
+                black_box(execute_steps(&step, &[], &opts, None, &mut seats, epoch))
                     .expect("step executes")
             })
         });
@@ -125,7 +131,8 @@ fn bench_step(c: &mut Criterion) {
         let faults = [fault];
         group.bench_function(label, |b| {
             b.iter(|| {
-                black_box(execute_steps(&step, &faults, &opts, None, &InProcess))
+                epoch += 1;
+                black_box(execute_steps(&step, &faults, &opts, None, &mut seats, epoch))
                     .expect("step executes")
             })
         });

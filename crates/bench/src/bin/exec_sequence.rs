@@ -10,7 +10,9 @@ use cip_contact::DtreeFilter;
 use cip_core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
 use cip_dtree::{induce, DtreeConfig};
 use cip_partition::{diffusion_repartition, partition_kway, PartitionerConfig};
-use cip_runtime::{build_decomposition, build_migration, execute_steps, ExecOptions, StepInput};
+use cip_runtime::{
+    build_decomposition, build_migration, connect_ranks, execute_steps, ExecOptions, StepInput,
+};
 use cip_sim::SimResult;
 use cip_transport::InProcess;
 use serde::Serialize;
@@ -33,6 +35,9 @@ fn run_policy(sim: &SimResult, k: usize, hybrid_period: Option<usize>) -> Totals
     dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
     let mut node_parts = view0.graph2.assignment_on_nodes(&asg);
 
+    let opts = ExecOptions::default();
+    let recorder = cip_telemetry::Recorder::disabled();
+    let mut seats = connect_ranks(&InProcess, k, &opts, &recorder).expect("in-process mesh");
     let mut totals = Totals::default();
     for i in 0..sim.len() {
         let view = SnapshotView::build(sim, i, 5);
@@ -77,9 +82,9 @@ fn run_policy(sim: &SimResult, k: usize, hybrid_period: Option<usize>) -> Totals
             bodies: &bodies,
             filter: &filter,
             tolerance: 0.4,
-            recorder: cip_telemetry::Recorder::disabled(),
+            recorder: recorder.clone(),
         };
-        let out = execute_steps(&[input], &[], &ExecOptions::default(), None, &InProcess)
+        let out = execute_steps(&[input], &[], &opts, None, &mut seats, i as u32)
             .expect("step executes without injected faults")
             .remove(0);
         assert_eq!(out.ghost_mismatches, 0);

@@ -171,7 +171,7 @@ impl<const D: usize> UniformGrid<D> {
 
     /// Moves the grid to `boxes` — the same element set one time step
     /// later — patching the previous build instead of regenerating it
-    /// when the motion is small (DESIGN.md §6c; ROADMAP carried debt).
+    /// when the motion is small (DESIGN.md §6b; ROADMAP carried debt).
     ///
     /// Incremental path: boxes whose cell range kept its shape get their
     /// keys translated in place; boxes whose range changed shape are

@@ -51,7 +51,7 @@ pub enum UpdatePolicy {
 
 /// A scripted rank loss for robustness evaluation: at the given
 /// snapshot, one rank disappears and its load is diffused over the
-/// survivors (cf. DESIGN.md §6c).
+/// survivors (cf. DESIGN.md §6b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankLoss {
     /// Snapshot index at which the rank dies.

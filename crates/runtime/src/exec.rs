@@ -4,14 +4,15 @@
 //! [`crate::pipeline`] is built from.
 //!
 //! One OS thread per rank, one inbox per rank, no shared mutable state:
-//! ranks exchange halo values and surface elements as explicit messages,
-//! then run their local contact search. Because the element messages
-//! carry everything the receiver needs (bounding box, owner, body), the
-//! halo and shipment phases need no barrier — each rank streams a step's
-//! sends and searches that step as soon as every peer's `Done` trailer
-//! for it has arrived.
+//! ranks exchange halo values and surface elements as explicit messages
+//! — one bulk payload per peer per step for each, the exchange the
+//! paper's FEComm and NRemote volumes price — then run their local
+//! contact search. Because the shipments carry everything the receiver
+//! needs (bounding box, owner, body), the halo and shipment phases need
+//! no barrier — each rank streams a step's sends and searches that step
+//! as soon as every peer's `Done` trailer for it has arrived.
 //!
-//! The protocol is fault tolerant (DESIGN.md §6c). Every payload
+//! The protocol is fault tolerant (DESIGN.md §6b). Every payload
 //! message carries a per-`(from, to, step)` sequence number and every
 //! `Done` marker carries the count of payloads the sender
 //! first-transmitted to that receiver, so a draining rank can *detect*
@@ -58,21 +59,18 @@ pub enum Msg {
         /// `(global node id, position coordinates)` pairs.
         values: Vec<(u32, [f64; 3])>,
     },
-    /// A surface element shipped for contact search.
-    Element {
-        /// Sending rank (the element's owner).
+    /// The surface elements one rank ships to one peer for contact
+    /// search: one message per `(from, to, step)`, split only past
+    /// [`SHIP_CHUNK`] elements.
+    Elements {
+        /// Sending rank (the elements' owner).
         from: u32,
         /// Batch-local step the payload belongs to.
         step: u32,
         /// Position in the sender's payload stream to this receiver.
         seq: u64,
-        /// Global element index.
-        id: u32,
-        /// Bounding box at the current configuration: minimum corner,
-        /// then maximum corner.
-        bbox: [[f64; 3]; 2],
-        /// Body id (local search only pairs different bodies).
-        body: u16,
+        /// The shipped elements, in the owner's surface order.
+        items: Vec<ShippedElement>,
     },
     /// The sender has finished all sends for this step; `sent` is the
     /// number of payload messages it first-transmitted to this receiver,
@@ -101,7 +99,7 @@ pub enum Msg {
         /// Sending rank.
         from: u32,
     },
-    /// Repartition hand-off (DESIGN.md §6c): the nodes this rank
+    /// Repartition hand-off (DESIGN.md §6b): the nodes this rank
     /// surrenders to the receiver under an accepted
     /// [`crate::MigrationPlan`]. Spliced in front of a batch as a tagged
     /// stage, so the decomposition flip rides the normal message schedule
@@ -119,6 +117,23 @@ pub enum Msg {
     },
 }
 
+/// One surface element inside a [`Msg::Elements`] shipment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShippedElement {
+    /// Global element index.
+    pub id: u32,
+    /// Bounding box at the current configuration: minimum corner, then
+    /// maximum corner.
+    pub bbox: [[f64; 3]; 2],
+    /// Body id (local search only pairs different bodies).
+    pub body: u16,
+}
+
+/// Most elements one [`Msg::Elements`] carries (54 wire bytes each, so a
+/// full message is ~216 KiB — far below `cip_transport::MAX_PAYLOAD`).
+/// A rank pair shipping more in one step sends several messages.
+pub const SHIP_CHUNK: usize = 4096;
+
 /// Message counts per communication phase of one executed step.
 ///
 /// `halo_units` counts the node values *inside* halo messages (the same
@@ -133,7 +148,8 @@ pub struct PhaseTraffic {
     pub halo_msgs: u64,
     /// Node values carried inside halo messages.
     pub halo_units: u64,
-    /// Element-shipment messages (one element each).
+    /// Element-shipment messages (one per `(src, dst)` pair with anything
+    /// to ship, more only past [`SHIP_CHUNK`] elements).
     pub ship_msgs: u64,
     /// End-of-step `Done` markers (always `k * (k - 1)`).
     pub done_msgs: u64,
@@ -150,8 +166,7 @@ pub struct TrafficLog {
     /// Element shipments per rank pair.
     pub shipments: Vec<u64>,
     /// Per-phase message breakdown. Invariant (asserted in the exec
-    /// tests): `phases.halo_units == total_halo()` and
-    /// `phases.ship_msgs == total_shipments()`.
+    /// tests): `phases.halo_units == total_halo()`.
     pub phases: PhaseTraffic,
 }
 
@@ -378,6 +393,8 @@ pub struct RankResult {
     pub shipments_sent: Vec<u64>,
     /// Halo messages sent.
     pub halo_msgs: u64,
+    /// Element-shipment messages sent.
+    pub ship_msgs: u64,
     /// `Done` trailers sent.
     pub done_msgs: u64,
     /// Received ghost values that disagreed with the oracle (must be 0).
@@ -388,9 +405,9 @@ pub struct RankResult {
 /// elements shipped to it, mapped back to sorted, deduped global ids.
 ///
 /// With a [`SearchCache`] the broad-phase grid from the previous step is
-/// updated in place instead of rebuilt (the rank loop holds one per rank
-/// across a batch); the pair set is identical either way because grid
-/// queries are exact for any cell layout.
+/// updated in place instead of rebuilt (a rank keeps one for as long as
+/// its mesh seat lives — [`crate::RankSeat`]); the pair set is identical
+/// either way because grid queries are exact for any cell layout.
 pub(crate) fn search_rank<F: GlobalFilter<3> + Sync>(
     plan: &RankPlan,
     input: &StepInput<'_, F>,
@@ -441,12 +458,12 @@ pub(crate) fn aggregate(k: usize, partials: Vec<Option<RankResult>>) -> StepOutp
             traffic.shipments[r * k + dest] += res.shipments_sent[dest];
         }
         traffic.phases.halo_msgs += res.halo_msgs;
+        traffic.phases.ship_msgs += res.ship_msgs;
         traffic.phases.done_msgs += res.done_msgs;
         contact_pairs.extend(res.pairs.into_iter().map(|(a, b)| ContactPair { a, b }));
         ghost_mismatches += res.ghost_mismatches;
     }
     traffic.phases.halo_units = traffic.total_halo();
-    traffic.phases.ship_msgs = traffic.total_shipments();
     contact_pairs.sort_unstable();
     contact_pairs.dedup();
     StepOutput { contact_pairs, traffic, ghost_mismatches }
@@ -458,6 +475,7 @@ mod tests {
     use crate::fault::{FaultPlan, FaultRates, KillSpec};
     use crate::pipeline::execute_steps;
     use crate::plan::build_decomposition;
+    use crate::remote::connect_ranks;
     use crate::RuntimeError;
     use cip_contact::BboxFilter;
     use cip_graph::GraphBuilder;
@@ -505,7 +523,9 @@ mod tests {
         fault: FaultInjector,
         opts: &ExecOptions,
     ) -> Result<StepOutput, RuntimeError> {
-        execute_steps(&[input], &[fault], opts, None, &InProcess)
+        let k = input.decomposition.k;
+        let mut seats = connect_ranks(&InProcess, k, opts, &input.recorder).expect("mesh connects");
+        execute_steps(&[input], &[fault], opts, None, &mut seats, 0)
             .map(|mut outs| outs.remove(0))
             .map_err(|e| e.error)
     }
@@ -572,9 +592,13 @@ mod tests {
         let t = &out.traffic;
         // Per-phase units must agree with the pairwise matrices exactly.
         assert_eq!(t.phases.halo_units, t.total_halo());
-        assert_eq!(t.phases.ship_msgs, t.total_shipments());
         assert_eq!(t.phases.done_msgs, (t.k * (t.k - 1)) as u64);
         assert!(t.phases.halo_msgs <= (t.k * (t.k - 1)) as u64);
+        // Shipments travel in bulk: one message per pair with anything to
+        // ship, however many elements it carries.
+        let shipping_pairs = t.shipments.iter().filter(|&&n| n > 0).count() as u64;
+        assert_eq!(t.phases.ship_msgs, shipping_pairs);
+        assert!(shipping_pairs > 0);
         // Row/column accessors partition the same totals.
         let sent: (u64, u64) =
             (0..t.k).map(|r| t.sent_by(r)).fold((0, 0), |(h, s), (a, b)| (h + a, s + b));

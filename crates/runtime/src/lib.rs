@@ -24,21 +24,24 @@
 //! * [`exec`] — the executor's messages, traffic log, step input/output
 //!   and options,
 //! * [`pipeline`] — the step executor itself: one dependency-driven rank
-//!   loop ([`execute_rank_steps`]) on persistent rank threads that
-//!   overlaps halo sends, shipments, and contact searches across ranks
-//!   *and* adjacent steps inside a bounded lookahead window, and the
-//!   driver ([`execute_steps`]) that runs and folds it,
+//!   loop ([`execute_rank_steps`]) that overlaps halo sends, shipments,
+//!   and contact searches across ranks *and* adjacent steps inside a
+//!   bounded lookahead window, and the driver ([`execute_steps`]) that
+//!   runs and folds it,
+//! * [`remote`] — the session-lifetime mesh a batch runs over
+//!   ([`connect_ranks`]) and the epoch fence that keeps one batch's late
+//!   frames out of the next ([`SteppedMailbox`]),
 //! * [`fault`] — deterministic, seeded fault injection (message drop /
 //!   duplication / delay / reorder, mid-step rank kills) behind a
 //!   zero-cost-when-disabled hook,
 //! * [`migrate`] — migration plans between successive decompositions
 //!   (the executable counterpart of the UpdComm metric),
 //! * [`replan`] — the background repartition planner that hides
-//!   migration planning behind a running batch (DESIGN.md §6c).
+//!   migration planning behind a running batch (DESIGN.md §6b).
 //!
 //! Failures surface as typed [`RuntimeError`]s instead of panics, so a
 //! driver can recover — repartition over the surviving ranks, migrate,
-//! and re-execute (see `cip::trace::run_traced` and DESIGN.md §6c).
+//! and re-execute (see `cip::trace::run_traced` and DESIGN.md §6b).
 
 use std::fmt;
 
@@ -51,14 +54,17 @@ pub mod remote;
 pub mod replan;
 pub mod wire;
 
-pub use exec::{ExecOptions, Msg, PhaseTraffic, RankResult, StepInput, StepOutput, TrafficLog};
+pub use exec::{
+    ExecOptions, Msg, PhaseTraffic, RankResult, ShippedElement, StepInput, StepOutput, TrafficLog,
+    SHIP_CHUNK,
+};
 pub use fault::{Fate, FaultInjector, FaultPlan, FaultRates, KillSpec};
 pub use migrate::{build_migration, build_migration_recorded, MigrationPlan};
 pub use pipeline::{
     collect_batch, execute_rank_steps, execute_steps, BatchError, RankBatchOutcome,
 };
 pub use plan::{build_decomposition, Decomposition, RankPlan};
-pub use remote::SteppedMailbox;
+pub use remote::{connect_ranks, RankSeat, SteppedMailbox};
 pub use replan::Replanner;
 
 /// A failed step execution — every former panic site on the executor hot

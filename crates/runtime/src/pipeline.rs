@@ -1,8 +1,9 @@
-//! The step executor: one rank loop, one driver (DESIGN.md §6c).
+//! The step executor: one rank loop, one driver (DESIGN.md §6b).
 //!
 //! [`execute_steps`] runs a batch of steps (one migration-free stretch of
-//! a trace; a single step is a one-element batch) across `k` persistent
-//! rank threads, each running [`execute_rank_steps`]. Every per-rank
+//! a trace; a single step is a one-element batch) across `k` rank
+//! threads, each running [`execute_rank_steps`] over its seat of a mesh
+//! the caller connected once ([`crate::connect_ranks`]). Every per-rank
 //! phase is keyed by `(step, rank, phase)` and data dependencies, not
 //! barriers, order the work:
 //!
@@ -36,15 +37,16 @@
 
 use crate::exec::{
     aggregate, chaos_send, mark_new, missing_seqs, recv_or_idle, search_rank, ChaosState,
-    ExecOptions, Msg, RankResult, StepInput, StepOutput,
+    ExecOptions, Msg, RankResult, ShippedElement, StepInput, StepOutput, SHIP_CHUNK,
 };
 use crate::fault::FaultInjector;
 use crate::migrate::MigrationPlan;
+use crate::remote::{RankSeat, SteppedMailbox};
 use crate::RuntimeError;
 use cip_contact::{GlobalFilter, SearchCache};
 use cip_geom::{Aabb, Point};
 use cip_telemetry::Recorder;
-use cip_transport::{Mailbox, RecvTimeoutError, Transport};
+use cip_transport::{Mailbox, RecvTimeoutError, TransportError};
 use std::fmt;
 
 /// A failed batch execution: the steps committed before the failure, the
@@ -114,6 +116,22 @@ impl StepRecv {
         }
     }
 
+    /// Whether payload `seq` from `from` is news: always on the fast
+    /// path, on first sight under chaos (a duplicate or an
+    /// already-repaired resend is counted and dropped).
+    fn admit(&mut self, chaos_armed: bool, from: usize, seq: u64, rec: &Recorder) -> bool {
+        if !chaos_armed {
+            return true;
+        }
+        let fresh = mark_new(&mut self.seen[from], seq);
+        if fresh {
+            self.got[from] += 1;
+        } else {
+            rec.add("recovery.dup_dropped", 1);
+        }
+        fresh
+    }
+
     /// Whether every peer's data for this step has fully arrived.
     fn data_complete(&self, chaos_armed: bool, k: usize) -> bool {
         if chaos_armed {
@@ -144,6 +162,7 @@ struct StepSend {
     halo_sent: Vec<u64>,
     shipments_sent: Vec<u64>,
     halo_msgs: u64,
+    ship_msgs: u64,
     done_msgs: u64,
 }
 
@@ -154,13 +173,28 @@ impl StepSend {
             halo_sent: vec![0; k],
             shipments_sent: vec![0; k],
             halo_msgs: 0,
+            ship_msgs: 0,
             done_msgs: 0,
+        }
+    }
+
+    /// This step's send-side counts plus what the rank found and
+    /// received, as the rank's result for the step.
+    fn result(&self, pairs: Vec<(u32, u32)>, ghost_mismatches: usize) -> RankResult {
+        RankResult {
+            pairs,
+            halo_sent: self.halo_sent.clone(),
+            shipments_sent: self.shipments_sent.clone(),
+            halo_msgs: self.halo_msgs,
+            ship_msgs: self.ship_msgs,
+            done_msgs: self.done_msgs,
+            ghost_mismatches,
         }
     }
 }
 
 /// Receive-side state of the batch-prologue migrate stage (DESIGN.md
-/// §6c): which peers still owe this rank a [`Msg::Migrate`], and the
+/// §6b): which peers still owe this rank a [`Msg::Migrate`], and the
 /// node list each must carry under the accepted plan. Receivers know
 /// both statically from the plan, so the stage needs no `Done` trailer
 /// and no sequence space — one message per non-empty plan row.
@@ -245,9 +279,11 @@ pub enum RankBatchOutcome {
     },
 }
 
-/// Streams one step's halo values, element shipments, and `Done`
-/// trailers, every message tagged `step: s` and sequence numbers
-/// restarting per step, so injected fates depend on the step alone.
+/// Streams one step's halo values, element shipments (bucketed per
+/// destination: one [`Msg::Elements`] per peer with anything to ship),
+/// and `Done` trailers, every message tagged `step: s` and sequence
+/// numbers restarting per step, so injected fates depend on the step
+/// alone.
 /// Returns `false` if the fault plan killed the rank mid-step (trailers
 /// are all-or-nothing: a dead rank announces nothing).
 #[allow(clippy::too_many_arguments)]
@@ -294,28 +330,35 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             .attr("rank", me)
             .attr("step", s)
             .attr("owned", plan.owned_surface.len());
+        let k = input.decomposition.k;
+        let mut buckets: Vec<Vec<ShippedElement>> = vec![Vec::new(); k];
         let mut candidates = Vec::new();
         for &e in &plan.owned_surface {
             let el = &input.elements[e as usize];
             debug_assert_eq!(el.owner, me);
             input.filter.candidate_parts(&el.bbox.inflate(input.tolerance), &mut candidates);
-            for &dest in candidates.iter() {
-                if dest == me {
-                    continue;
-                }
+            for &dest in candidates.iter().filter(|&&dest| dest != me) {
+                buckets[dest as usize].push(ShippedElement {
+                    id: e,
+                    bbox: [el.bbox.min.coords, el.bbox.max.coords],
+                    body: input.bodies[e as usize],
+                });
+            }
+        }
+        for (dest, bucket) in buckets.iter().enumerate() {
+            for items in bucket.chunks(SHIP_CHUNK) {
                 if fault.should_kill(me, payload_sends) {
                     rec.add("fault.killed_ranks", 1);
                     return false;
                 }
-                let dest = dest as usize;
-                stats.shipments_sent[dest] += 1;
-                let msg = Msg::Element {
+                stats.shipments_sent[dest] += items.len() as u64;
+                stats.ship_msgs += 1;
+                rec.record("exec.ship_msg_elements", items.len() as u64);
+                let msg = Msg::Elements {
                     from: me,
                     step: s as u32,
                     seq: stats.sent_to[dest],
-                    id: e,
-                    bbox: [el.bbox.min.coords, el.bbox.max.coords],
-                    body: input.bodies[e as usize],
+                    items: items.to_vec(),
                 };
                 stats.sent_to[dest] += 1;
                 payload_sends += 1;
@@ -329,7 +372,6 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             rec.add("fault.killed_ranks", 1);
             return false;
         }
-        let k = input.decomposition.k;
         if let Some(cs) = st.as_deref_mut() {
             for dest in 0..k {
                 if let Some(m) = cs.held[dest].take() {
@@ -355,115 +397,111 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     true
 }
 
-/// Routes one inbound message into the per-step state tables. Resend
-/// requests are only served for steps below `serve_below` (a zombie must
-/// not replay the step it died in: a dead rank announced nothing for it).
-#[allow(clippy::too_many_arguments)]
-fn dispatch<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
-    msg: Msg,
-    me: u32,
-    steps: &[StepInput<'_, F>],
-    chaos: &mut [Option<ChaosState>],
-    recv: &mut [StepRecv],
-    completed_peers: &mut [bool],
-    mig: &mut MigrateRecv,
-    mb: &mut MB,
-    serve_below: usize,
-) {
-    let n = steps.len();
-    match msg {
-        Msg::Halo { from, step, seq, values } => {
-            let s = step as usize;
-            if s >= n {
-                return;
-            }
-            let rec = &steps[s].recorder;
-            let rs = &mut recv[s];
-            let fresh = match chaos[s] {
-                Some(_) => {
-                    if mark_new(&mut rs.seen[from as usize], seq) {
-                        rs.got[from as usize] += 1;
-                        true
-                    } else {
-                        rec.add("recovery.dup_dropped", 1);
-                        false
+/// One rank's receive side of a batch: everything an inbound message is
+/// routed into.
+struct Inbound {
+    /// Per-step chaos bookkeeping (`None` = the step is unarmed).
+    chaos: Vec<Option<ChaosState>>,
+    /// Per-step receive tables.
+    recv: Vec<StepRecv>,
+    /// Whose `Complete` has arrived (self included).
+    completed_peers: Vec<bool>,
+    /// The migrate prologue's expectations.
+    mig: MigrateRecv,
+}
+
+impl Inbound {
+    /// Peers that have not completed the batch.
+    fn uncompleted(&self) -> Vec<u32> {
+        (0..self.completed_peers.len() as u32)
+            .filter(|&p| !self.completed_peers[p as usize])
+            .collect()
+    }
+
+    /// Routes one inbound message into the per-step state tables. Resend
+    /// requests are only served for steps below `serve_below` (a zombie
+    /// must not replay the step it died in: a dead rank announced nothing
+    /// for it).
+    fn dispatch<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
+        &mut self,
+        msg: Msg,
+        me: u32,
+        steps: &[StepInput<'_, F>],
+        mb: &mut MB,
+        serve_below: usize,
+    ) {
+        let Self { chaos, recv, completed_peers, mig } = self;
+        let n = steps.len();
+        match msg {
+            Msg::Halo { from, step, seq, values } => {
+                let s = step as usize;
+                if s >= n {
+                    return;
+                }
+                let rs = &mut recv[s];
+                if rs.admit(chaos[s].is_some(), from as usize, seq, &steps[s].recorder) {
+                    for (node, pos) in values {
+                        if steps[s].positions[node as usize].coords != pos {
+                            rs.ghost_mismatches += 1;
+                        }
                     }
                 }
-                None => true,
-            };
-            if fresh {
-                for (node, pos) in values {
-                    if steps[s].positions[node as usize].coords != pos {
-                        rs.ghost_mismatches += 1;
-                    }
+            }
+            Msg::Elements { from, step, seq, items } => {
+                let s = step as usize;
+                if s >= n {
+                    return;
+                }
+                let rs = &mut recv[s];
+                if rs.admit(chaos[s].is_some(), from as usize, seq, &steps[s].recorder) {
+                    // `Aabb::new` debug-asserts min <= max; a corrupt frame
+                    // must yield a value, not a panic, so build it raw.
+                    rs.received.extend(items.into_iter().map(|it| {
+                        let [min, max] = it.bbox.map(|coords| Point { coords });
+                        (it.id, Aabb { min, max }, it.body)
+                    }));
                 }
             }
-        }
-        Msg::Element { from, step, seq, id, bbox, body } => {
-            let s = step as usize;
-            if s >= n {
-                return;
-            }
-            let rec = &steps[s].recorder;
-            let rs = &mut recv[s];
-            let fresh = match chaos[s] {
-                Some(_) => {
-                    if mark_new(&mut rs.seen[from as usize], seq) {
-                        rs.got[from as usize] += 1;
-                        true
-                    } else {
-                        rec.add("recovery.dup_dropped", 1);
-                        false
-                    }
+            Msg::Done { from, step, sent } => {
+                let s = step as usize;
+                if s >= n {
+                    return;
                 }
-                None => true,
-            };
-            if fresh {
-                // `Aabb::new` debug-asserts min <= max; a corrupt frame
-                // must yield a value, not a panic, so build it raw.
-                let [min, max] = bbox.map(|coords| Point { coords });
-                rs.received.push((id, Aabb { min, max }, body));
-            }
-        }
-        Msg::Done { from, step, sent } => {
-            let s = step as usize;
-            if s >= n {
-                return;
-            }
-            let f = from as usize;
-            let rs = &mut recv[s];
-            if chaos[s].is_some() {
-                rs.exp[f] = Some(sent);
-                if rs.got[f] < sent {
-                    steps[s].recorder.add("recovery.resend_requests", 1);
-                    let seqs = missing_seqs(&rs.seen[f], sent);
-                    mb.send(f, Msg::Resend { from: me, step, seqs });
-                }
-            } else if !rs.done_from[f] {
-                rs.done_from[f] = true;
-                rs.done_count += 1;
-            }
-        }
-        Msg::Resend { from, step, seqs } => {
-            let s = step as usize;
-            if s >= serve_below {
-                return;
-            }
-            if let Some(cs) = chaos.get(s).and_then(|c| c.as_ref()) {
                 let f = from as usize;
-                for q in seqs {
-                    if let Some(m) = cs.history[f].get(q as usize).cloned() {
-                        steps[s].recorder.add("recovery.resent", 1);
-                        mb.send(f, m);
+                let rs = &mut recv[s];
+                if chaos[s].is_some() {
+                    rs.exp[f] = Some(sent);
+                    if rs.got[f] < sent {
+                        steps[s].recorder.add("recovery.resend_requests", 1);
+                        let seqs = missing_seqs(&rs.seen[f], sent);
+                        mb.send(f, Msg::Resend { from: me, step, seqs });
+                    }
+                } else if !rs.done_from[f] {
+                    rs.done_from[f] = true;
+                    rs.done_count += 1;
+                }
+            }
+            Msg::Resend { from, step, seqs } => {
+                let s = step as usize;
+                if s >= serve_below {
+                    return;
+                }
+                if let Some(cs) = chaos.get(s).and_then(|c| c.as_ref()) {
+                    let f = from as usize;
+                    for q in seqs {
+                        if let Some(m) = cs.history[f].get(q as usize).cloned() {
+                            steps[s].recorder.add("recovery.resent", 1);
+                            mb.send(f, m);
+                        }
                     }
                 }
             }
-        }
-        Msg::Complete { from } => {
-            completed_peers[from as usize] = true;
-        }
-        Msg::Migrate { from, nodes, .. } => {
-            mig.accept(from as usize, &nodes);
+            Msg::Complete { from } => {
+                completed_peers[from as usize] = true;
+            }
+            Msg::Migrate { from, nodes, .. } => {
+                mig.accept(from as usize, &nodes);
+            }
         }
     }
 }
@@ -474,7 +512,9 @@ fn dispatch<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
 /// folding the reported [`RankBatchOutcome`]s via [`collect_batch`].
 /// `faults` is empty (no injection) or one injector per step; `migrate`
 /// is the repartition stage spliced in front of the batch, if the driver
-/// accepted one.
+/// accepted one; `cache` is the rank's search grid, kept by the caller
+/// from batch to batch (see [`RankSeat`]).
+#[allow(clippy::too_many_arguments)]
 pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     r: usize,
     k: usize,
@@ -483,6 +523,7 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     opts: &ExecOptions,
     migrate: Option<&MigrationPlan>,
     mb: &mut MB,
+    cache: &mut SearchCache<3>,
 ) -> RankBatchOutcome {
     let me = r as u32;
     let n = steps.len();
@@ -494,20 +535,20 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     let fault_of = |s: usize| if faults.len() == n { &faults[s] } else { &no_fault };
     let rec0 = steps[0].recorder.clone();
     rec0.set_lane(me);
-    let mut chaos: Vec<Option<ChaosState>> =
-        (0..n).map(|s| fault_of(s).is_active().then(|| ChaosState::new(k))).collect();
-    let mut recv: Vec<StepRecv> = (0..n).map(|_| StepRecv::new(k, r)).collect();
+    let mut inb = Inbound {
+        chaos: (0..n).map(|s| fault_of(s).is_active().then(|| ChaosState::new(k))).collect(),
+        recv: (0..n).map(|_| StepRecv::new(k, r)).collect(),
+        completed_peers: (0..k).map(|p| p == r).collect(),
+        mig: MigrateRecv::idle(),
+    };
     let mut send: Vec<StepSend> = (0..n).map(|_| StepSend::new(k)).collect();
     let mut results: Vec<RankResult> = Vec::with_capacity(n);
-    let mut cache = SearchCache::new();
-    let mut completed_peers = vec![false; k];
-    completed_peers[r] = true;
     let mut completed = 0usize;
     let mut next_send = 0usize;
     let mut killed: Option<usize> = None;
     let mut retries_left = opts.retries;
 
-    // ---- Migrate prologue (DESIGN.md §6c). ----------------------------
+    // ---- Migrate prologue (DESIGN.md §6b). ----------------------------
     // An accepted repartition plan is spliced in front of the batch: the
     // rank streams the node ids it surrenders under the already-flipped
     // decomposition, then drains until every stage *it* is owed has
@@ -515,64 +556,47 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     // are still migrating; there is no global join. The stage is
     // control-plane: it bypasses fault injection and the payload
     // sequence space, so it leaves every step's fate stream untouched.
-    let mut mig = match migrate {
-        Some(plan) if plan.k == k => {
-            let mut span = rec0.span("exec.migrate").attr("rank", me);
-            let mut sent = 0u64;
-            for dest in 0..k {
-                let row = &plan.moves[r * k + dest];
-                if dest == r || row.is_empty() {
-                    continue;
-                }
-                sent += row.len() as u64;
-                mb.send(dest, Msg::Migrate { from: me, step: 0, nodes: row.clone() });
+    if let Some(plan) = migrate.filter(|plan| plan.k == k) {
+        let mut span = rec0.span("exec.migrate").attr("rank", me);
+        let mut sent = 0u64;
+        for dest in 0..k {
+            let row = &plan.moves[r * k + dest];
+            if dest == r || row.is_empty() {
+                continue;
             }
-            rec0.add("exec.migrate.nodes_sent", sent);
-            let mut mig = MigrateRecv::arm(plan, r, k);
-            let mut patience = opts.retries;
-            while mig.pending > 0 {
-                match recv_or_idle(&rec0, mb, opts.timeout) {
-                    Ok(msg) => dispatch(
-                        msg,
-                        me,
-                        steps,
-                        &mut chaos,
-                        &mut recv,
-                        &mut completed_peers,
-                        &mut mig,
-                        mb,
-                        n,
-                    ),
-                    Err(RecvTimeoutError::Timeout) if patience > 0 => {
-                        patience -= 1;
-                        rec0.add("recovery.retries", 1);
-                    }
-                    Err(_) => {
-                        let dead = mig.unaccounted();
-                        span.set_attr("stalled_peers", dead.len());
-                        return RankBatchOutcome::Lost { done: results, partial: None, dead };
-                    }
-                }
-            }
-            rec0.add("exec.migrate.nodes_received", mig.nodes_received);
-            span.set_attr("mismatches", mig.mismatches);
-            mig
+            sent += row.len() as u64;
+            mb.send(dest, Msg::Migrate { from: me, step: 0, nodes: row.clone() });
         }
-        _ => MigrateRecv::idle(),
-    };
-    // A stage that disagreed with the plan poisons step 0 the same way a
-    // wrong ghost value would — the driver's commit assertion fires.
-    if let Some(first) = recv.first_mut() {
-        first.ghost_mismatches += mig.mismatches;
+        rec0.add("exec.migrate.nodes_sent", sent);
+        inb.mig = MigrateRecv::arm(plan, r, k);
+        let mut patience = opts.retries;
+        while inb.mig.pending > 0 {
+            match recv_or_idle(&rec0, mb, opts.timeout) {
+                Ok(msg) => inb.dispatch(msg, me, steps, mb, n),
+                Err(RecvTimeoutError::Timeout) if patience > 0 => {
+                    patience -= 1;
+                    rec0.add("recovery.retries", 1);
+                }
+                Err(_) => {
+                    let dead = inb.mig.unaccounted();
+                    span.set_attr("stalled_peers", dead.len());
+                    return RankBatchOutcome::Lost { done: results, partial: None, dead };
+                }
+            }
+        }
+        rec0.add("exec.migrate.nodes_received", inb.mig.nodes_received);
+        span.set_attr("mismatches", inb.mig.mismatches);
+        // A stage that disagreed with the plan poisons step 0 the same way
+        // a wrong ghost value would — the driver's commit assertion fires.
+        inb.recv[0].ghost_mismatches += inb.mig.mismatches;
     }
 
     loop {
         // ---- Send while inside the lookahead window. ------------------
         while killed.is_none() && next_send < n && next_send < completed + lookahead {
             let s = next_send;
-            let ok =
-                send_step(me, r, s, &steps[s], fault_of(s), chaos[s].as_mut(), mb, &mut send[s]);
-            if !ok {
+            let st = inb.chaos[s].as_mut();
+            if !send_step(me, r, s, &steps[s], fault_of(s), st, mb, &mut send[s]) {
                 killed = Some(s);
                 break;
             }
@@ -592,11 +616,11 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         let mut progressed = false;
         while completed < cap
             && completed < next_send
-            && recv[completed].data_complete(chaos[completed].is_some(), k)
+            && inb.recv[completed].data_complete(inb.chaos[completed].is_some(), k)
         {
             let s = completed;
             let input = &steps[s];
-            let rs = &recv[s];
+            let rs = &inb.recv[s];
             input.recorder.record("exec.recv_elements", rs.received.len() as u64);
             let plan = &input.decomposition.ranks[r];
             let pairs = {
@@ -607,17 +631,9 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                     .attr("step", s)
                     .attr("owned", plan.owned_surface.len())
                     .attr("received", rs.received.len());
-                search_rank(plan, input, &rs.received, Some(&mut cache))
+                search_rank(plan, input, &rs.received, Some(&mut *cache))
             };
-            let sd = &send[s];
-            results.push(RankResult {
-                pairs,
-                halo_sent: sd.halo_sent.clone(),
-                shipments_sent: sd.shipments_sent.clone(),
-                halo_msgs: sd.halo_msgs,
-                done_msgs: sd.done_msgs,
-                ghost_mismatches: rs.ghost_mismatches,
-            });
+            results.push(send[s].result(pairs, rs.ghost_mismatches));
             completed += 1;
             progressed = true;
             retries_left = opts.retries;
@@ -631,25 +647,15 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
 
         // ---- Batch finished: run the chaos completion round. ----------
         if killed.is_none() && completed == n {
-            if chaos.iter().any(|c| c.is_some()) {
+            if inb.chaos.iter().any(|c| c.is_some()) {
                 for dest in 0..k {
                     if dest != r {
                         mb.send(dest, Msg::Complete { from: me });
                     }
                 }
-                while !completed_peers.iter().all(|&c| c) {
+                while !inb.completed_peers.iter().all(|&c| c) {
                     match recv_or_idle(&rec0, mb, opts.timeout) {
-                        Ok(msg) => dispatch(
-                            msg,
-                            me,
-                            steps,
-                            &mut chaos,
-                            &mut recv,
-                            &mut completed_peers,
-                            &mut mig,
-                            mb,
-                            n,
-                        ),
+                        Ok(msg) => inb.dispatch(msg, me, steps, mb, n),
                         Err(RecvTimeoutError::Timeout) if retries_left > 0 => {
                             retries_left -= 1;
                             rec0.add("recovery.retries", 1);
@@ -658,9 +664,7 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                             // Data-satisfied but the completion round
                             // stalled: the uncompleted peers are the ones
                             // in trouble, and the last step cannot commit.
-                            let dead: Vec<u32> =
-                                (0..k).filter(|&p| !completed_peers[p]).map(|p| p as u32).collect();
-                            let partial = results.pop();
+                            let (dead, partial) = (inb.uncompleted(), results.pop());
                             return RankBatchOutcome::Lost { done: results, partial, dead };
                         }
                     }
@@ -677,17 +681,7 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             let mut patience = opts.retries + 1;
             loop {
                 match recv_or_idle(&rec0, mb, opts.timeout) {
-                    Ok(msg) => dispatch(
-                        msg,
-                        me,
-                        steps,
-                        &mut chaos,
-                        &mut recv,
-                        &mut completed_peers,
-                        &mut mig,
-                        mb,
-                        completed,
-                    ),
+                    Ok(msg) => inb.dispatch(msg, me, steps, mb, completed),
                     Err(RecvTimeoutError::Timeout) if patience > 0 => patience -= 1,
                     Err(_) => return RankBatchOutcome::Dead { done: results },
                 }
@@ -695,74 +689,30 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         }
 
         // ---- Block on the inbox. --------------------------------------
-        let serve_below = killed.unwrap_or(n);
         match recv_or_idle(&rec0, mb, opts.timeout) {
-            Ok(msg) => dispatch(
-                msg,
-                me,
-                steps,
-                &mut chaos,
-                &mut recv,
-                &mut completed_peers,
-                &mut mig,
-                mb,
-                serve_below,
-            ),
-            Err(RecvTimeoutError::Closed) => {
-                if killed.is_some() {
-                    return RankBatchOutcome::Dead { done: results };
-                }
-                return lose_step(
-                    r,
-                    k,
-                    steps,
-                    &chaos,
-                    &recv,
-                    &send,
-                    &completed_peers,
-                    completed,
-                    results,
-                );
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if retries_left == 0 {
-                    if killed.is_some() {
-                        return RankBatchOutcome::Dead { done: results };
-                    }
-                    return lose_step(
-                        r,
-                        k,
-                        steps,
-                        &chaos,
-                        &recv,
-                        &send,
-                        &completed_peers,
-                        completed,
-                        results,
-                    );
-                }
+            Ok(msg) => inb.dispatch(msg, me, steps, mb, killed.unwrap_or(n)),
+            Err(RecvTimeoutError::Timeout) if retries_left > 0 => {
                 retries_left -= 1;
                 rec0.add("recovery.retries", 1);
                 // Repair round: re-request every known gap of every step
                 // still in flight.
-                for s in completed..next_send {
-                    if chaos[s].is_none() {
+                for (s, input) in steps.iter().enumerate().take(next_send).skip(completed) {
+                    if inb.chaos[s].is_none() {
                         continue;
                     }
-                    for p in 0..k {
-                        if p == r {
-                            continue;
-                        }
-                        if let Some(e) = recv[s].exp[p] {
-                            if recv[s].got[p] < e {
-                                steps[s].recorder.add("recovery.resend_requests", 1);
-                                let seqs = missing_seqs(&recv[s].seen[p], e);
-                                mb.send(p, Msg::Resend { from: me, step: s as u32, seqs });
-                            }
+                    let rs = &inb.recv[s];
+                    for p in (0..k).filter(|&p| p != r) {
+                        if let Some(e) = rs.exp[p].filter(|&e| rs.got[p] < e) {
+                            input.recorder.add("recovery.resend_requests", 1);
+                            let seqs = missing_seqs(&rs.seen[p], e);
+                            mb.send(p, Msg::Resend { from: me, step: s as u32, seqs });
                         }
                     }
                 }
             }
+            // The mesh closed or the repair budget is spent.
+            Err(_) if killed.is_some() => return RankBatchOutcome::Dead { done: results },
+            Err(_) => return lose_step(r, k, steps, &inb, &send, completed, results),
         }
     }
 }
@@ -770,15 +720,12 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
 /// Builds the `Lost` outcome for a rank stalled at `completed`: names
 /// the unaccounted peers and salvages a best-effort result for the
 /// failed step from whatever did arrive.
-#[allow(clippy::too_many_arguments)]
 fn lose_step<F: GlobalFilter<3> + Sync>(
     r: usize,
     k: usize,
     steps: &[StepInput<'_, F>],
-    chaos: &[Option<ChaosState>],
-    recv: &[StepRecv],
+    inb: &Inbound,
     send: &[StepSend],
-    completed_peers: &[bool],
     completed: usize,
     results: Vec<RankResult>,
 ) -> RankBatchOutcome {
@@ -786,29 +733,30 @@ fn lose_step<F: GlobalFilter<3> + Sync>(
     if s >= steps.len() {
         // Cannot happen (the completion round handles `completed == n`),
         // but stay total: blame the peers that never completed.
-        let dead = (0..k).filter(|&p| !completed_peers[p]).map(|p| p as u32).collect();
-        return RankBatchOutcome::Lost { done: results, partial: None, dead };
+        return RankBatchOutcome::Lost { done: results, partial: None, dead: inb.uncompleted() };
     }
-    let mut dead = recv[s].unaccounted(chaos[s].is_some(), k);
+    let mut dead = inb.recv[s].unaccounted(inb.chaos[s].is_some(), k);
     if dead.is_empty() {
-        dead = (0..k).filter(|&p| !completed_peers[p]).map(|p| p as u32).collect();
+        dead = inb.uncompleted();
     }
     let input = &steps[s];
-    let pairs = search_rank(&input.decomposition.ranks[r], input, &recv[s].received, None);
-    let sd = &send[s];
-    let partial = RankResult {
-        pairs,
-        halo_sent: sd.halo_sent.clone(),
-        shipments_sent: sd.shipments_sent.clone(),
-        halo_msgs: sd.halo_msgs,
-        done_msgs: sd.done_msgs,
-        ghost_mismatches: recv[s].ghost_mismatches,
-    };
+    let pairs = search_rank(&input.decomposition.ranks[r], input, &inb.recv[s].received, None);
+    let partial = send[s].result(pairs, inb.recv[s].ghost_mismatches);
     RankBatchOutcome::Lost { done: results, partial: Some(partial), dead }
 }
 
-/// Executes a batch of steps across `k` rank threads over `transport`
-/// — the one driver entry; a single step is a one-element slice.
+/// Executes a batch of steps, one thread per seat of the connected mesh
+/// `seats` (index = rank; every step's decomposition must have exactly
+/// `seats.len()` ranks) — the one driver entry; a single step is a
+/// one-element slice.
+///
+/// The mesh outlives the batch: each rank runs over a
+/// [`SteppedMailbox`] view of its seat tagged with `epoch`, which the
+/// caller must advance by at least `steps.len()` before the next batch
+/// on the same seats, whether this one committed or not (see
+/// [`crate::remote`]). After an `Err` the seats may still hold a dead
+/// rank's frames and a live rank's unread ones; reconnect rather than
+/// reuse them.
 ///
 /// `faults` is empty (no injection) or one injector per step. `migrate`
 /// is an accepted repartition plan to execute as the batch's prologue:
@@ -816,72 +764,40 @@ fn lose_step<F: GlobalFilter<3> + Sync>(
 /// when it hands the plan over, so the stage is *executed traffic*, not a
 /// state change (see the prologue in [`execute_rank_steps`]).
 ///
-/// Rank threads persist across a stretch of steps that share a rank
-/// count. A batch whose steps disagree on `k` — which a driver batch
-/// never does — runs as consecutive uniform-`k` stretches, each with its
-/// own mailboxes; the prologue belongs to the first.
-///
 /// Errors carry the committed prefix: [`BatchError::completed`] holds
 /// the outputs of every step all ranks finished before the failure, and
 /// [`BatchError::error`] says why step [`BatchError::failed_step`]
 /// failed — [`RuntimeError::RankLost`] with the survivors' partial
 /// output when ranks died (the caller is expected to repartition over
 /// the survivors and re-execute), [`RuntimeError::RankPanicked`], or
-/// [`RuntimeError::Transport`] when the mailboxes could not be connected.
-pub fn execute_steps<F: GlobalFilter<3> + Sync, T: Transport>(
+/// [`RuntimeError::Transport`] for a batch that does not fit the mesh.
+pub fn execute_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     steps: &[StepInput<'_, F>],
     faults: &[FaultInjector],
     opts: &ExecOptions,
     migrate: Option<&MigrationPlan>,
-    transport: &T,
+    seats: &mut [RankSeat<MB>],
+    epoch: u32,
 ) -> Result<Vec<StepOutput>, BatchError> {
     debug_assert!(
         faults.is_empty() || faults.len() == steps.len(),
         "faults must be empty or one injector per step"
     );
-    let mut outputs = Vec::with_capacity(steps.len());
-    let mut start = 0;
-    while start < steps.len() {
-        let k = steps[start].decomposition.k;
-        let end = start + steps[start..].iter().take_while(|s| s.decomposition.k == k).count();
-        let stretch_faults = if faults.len() == steps.len() { &faults[start..end] } else { &[] };
-        let prologue = migrate.filter(|_| start == 0);
-        match execute_stretch(k, &steps[start..end], stretch_faults, opts, prologue, transport) {
-            Ok(outs) => outputs.extend(outs),
-            Err(mut e) => {
-                outputs.append(&mut e.completed);
-                return Err(BatchError {
-                    completed: outputs,
-                    failed_step: start + e.failed_step,
-                    error: e.error,
-                });
-            }
-        }
-        start = end;
-    }
-    Ok(outputs)
-}
-
-/// One uniform-`k` stretch: connect the mailboxes, run one
-/// [`execute_rank_steps`] per rank thread, fold the outcomes.
-fn execute_stretch<F: GlobalFilter<3> + Sync, T: Transport>(
-    k: usize,
-    steps: &[StepInput<'_, F>],
-    faults: &[FaultInjector],
-    opts: &ExecOptions,
-    migrate: Option<&MigrationPlan>,
-    transport: &T,
-) -> Result<Vec<StepOutput>, BatchError> {
     let fail = |error| BatchError { completed: Vec::new(), failed_step: 0, error };
-    let cfg = opts.mailbox_config(&steps[0].recorder);
-    let mailboxes = transport.connect::<Msg>(k, &cfg).map_err(|e| fail(e.into()))?;
+    let k = seats.len();
+    if steps.iter().any(|s| s.decomposition.k != k) {
+        let detail = format!("a step of the batch does not span the mesh's {k} ranks");
+        return Err(fail(TransportError::Handshake { detail }.into()));
+    }
+    let route: Vec<u32> = (0..k as u32).collect();
+    let route = route.as_slice();
     let joined: Vec<std::thread::Result<RankBatchOutcome>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(k);
-        for (r, mut mb) in mailboxes.into_iter().enumerate() {
-            handles
-                .push(scope.spawn(move || {
-                    execute_rank_steps(r, k, steps, faults, opts, migrate, &mut mb)
-                }));
+        for (r, seat) in seats.iter_mut().enumerate() {
+            handles.push(scope.spawn(move || {
+                let mut mb = SteppedMailbox::new(&mut seat.mailbox, epoch, route);
+                execute_rank_steps(r, k, steps, faults, opts, migrate, &mut mb, &mut seat.cache)
+            }));
         }
         // Join manually so a panicking rank is attributed, not re-thrown.
         handles.into_iter().map(|h| h.join()).collect()
@@ -950,7 +866,9 @@ pub fn collect_batch(
         let step_results: Vec<Option<RankResult>> = done.iter_mut().map(|it| it.next()).collect();
         let out = aggregate(k, step_results);
         rec.add("traffic.halo_units", out.traffic.phases.halo_units);
-        rec.add("traffic.shipment_units", out.traffic.phases.ship_msgs);
+        rec.add("traffic.shipment_units", out.traffic.total_shipments());
+        let p = &out.traffic.phases;
+        rec.add("exec.msgs_sent", p.halo_msgs + p.ship_msgs + p.done_msgs);
         outputs.push(out);
     }
     if killed.is_empty() && declared.is_empty() {
@@ -990,6 +908,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultRates, KillSpec};
     use crate::plan::{build_decomposition, Decomposition};
+    use crate::remote::connect_ranks;
     use cip_contact::{BboxFilter, SurfaceElementInfo};
     use cip_geom::{Aabb, Point};
     use cip_graph::GraphBuilder;
@@ -1071,12 +990,25 @@ mod tests {
         }
     }
 
+    /// One batch over a mesh of its own.
+    fn run_spliced(
+        steps: &[StepInput<'_, BboxFilter<3>>],
+        faults: &[FaultInjector],
+        opts: &ExecOptions,
+        migrate: Option<&MigrationPlan>,
+    ) -> Result<Vec<StepOutput>, BatchError> {
+        let k = steps.first().map_or(0, |s| s.decomposition.k);
+        let mut seats =
+            connect_ranks(&InProcess, k, opts, &Recorder::disabled()).expect("mesh connects");
+        execute_steps(steps, faults, opts, migrate, &mut seats, 0)
+    }
+
     fn run(
         steps: &[StepInput<'_, BboxFilter<3>>],
         faults: &[FaultInjector],
         opts: &ExecOptions,
     ) -> Result<Vec<StepOutput>, BatchError> {
-        execute_steps(steps, faults, opts, None, &InProcess)
+        run_spliced(steps, faults, opts, None)
     }
 
     #[test]
@@ -1208,8 +1140,8 @@ mod tests {
         let plan = MigrationPlan { k: 2, moves: vec![vec![], vec![3, 4], vec![7], vec![]] };
         let rec = Recorder::enabled();
         let steps = inputs(&sc, &rec);
-        let spliced = execute_steps(&steps, &[], &opts_with(2), Some(&plan), &InProcess)
-            .expect("spliced batch executes");
+        let spliced =
+            run_spliced(&steps, &[], &opts_with(2), Some(&plan)).expect("spliced batch executes");
         assert_eq!(spliced, plain, "the migrate stage must not perturb step outputs");
         assert_eq!(rec.counter_value("exec.migrate.nodes_sent"), 3);
         assert_eq!(rec.counter_value("exec.migrate.nodes_received"), 3);
@@ -1242,38 +1174,66 @@ mod tests {
             k: 4,
             moves: (0..16).map(|i| if i == 1 { vec![2, 3] } else { vec![] }).collect(),
         };
-        let spliced = execute_steps(&steps, &faults, &opts_with(2), Some(&plan), &InProcess)
+        let spliced = run_spliced(&steps, &faults, &opts_with(2), Some(&plan))
             .expect("chaotic spliced batch converges");
         assert_eq!(spliced, plain);
     }
 
     #[test]
-    fn mismatched_rank_counts_run_as_uniform_stretches() {
-        let a = chain_scenario(2, 2);
-        let b = chain_scenario(4, 1);
-        let rec = Recorder::disabled();
-        let mut steps = inputs(&a, &rec);
-        steps.extend(inputs(&b, &rec));
-        let out = run(&steps, &[], &opts_with(2)).expect("mixed-k batch executes");
-        let ks: Vec<usize> = out.iter().map(|o| o.traffic.k).collect();
-        assert_eq!(ks, [2, 2, 4]);
-        assert_eq!(out[..2], run(&steps[..2], &[], &opts_with(2)).expect("first stretch"));
-        assert_eq!(out[2..], run(&steps[2..], &[], &opts_with(2)).expect("second stretch"));
+    fn a_batch_that_does_not_fit_the_mesh_is_refused_typed() {
+        let sc = chain_scenario(4, 1);
+        let steps = inputs(&sc, &Recorder::disabled());
+        let opts = opts_with(1);
+        let mut seats =
+            connect_ranks(&InProcess, 2, &opts, &Recorder::disabled()).expect("mesh connects");
+        let err = execute_steps(&steps, &[], &opts, None, &mut seats, 0)
+            .expect_err("a k=4 step cannot run on a 2-seat mesh");
+        assert!(matches!(err.error, RuntimeError::Transport(_)), "{err}");
+        assert!(err.completed.is_empty());
+    }
 
-        // A failure in a later stretch keeps the earlier stretches'
-        // outputs and reports the batch-wide step index.
-        let mut faults = vec![FaultInjector::none(); 3];
-        faults[2] = FaultInjector::with_plan(FaultPlan {
-            kill: Some(KillSpec { rank: 3, after_sends: 0 }),
-            ..FaultPlan::quiet(5)
-        });
-        let opts = ExecOptions {
-            timeout: Duration::from_millis(100),
-            retries: 1,
-            ..ExecOptions::default()
+    #[test]
+    fn late_frames_of_a_batch_are_fenced_out_of_the_next_on_a_reused_mesh() {
+        let sc = chain_scenario(2, 4);
+        let rec = Recorder::enabled();
+        let steps = inputs(&sc, &rec);
+        let opts = opts_with(2);
+        let clean = run(&steps, &[], &opts).expect("clean batch executes");
+
+        // Batch n: two chaotic steps at epoch 0. Its repairs may still be
+        // in flight when it returns — that is the point.
+        let mut seats = connect_ranks(&InProcess, 2, &opts, &rec).expect("mesh connects");
+        let plan = FaultPlan {
+            rates: FaultRates {
+                drop_permille: 200,
+                dup_permille: 200,
+                delay_permille: 100,
+                reorder_permille: 100,
+            },
+            ..FaultPlan::quiet(7)
         };
-        let err = run(&steps, &faults, &opts).expect_err("the k=4 stretch loses rank 3");
-        assert_eq!(err.failed_step, 2);
-        assert_eq!(err.completed, out[..2]);
+        let faults: Vec<FaultInjector> =
+            (0..2).map(|s| FaultInjector::with_plan(plan.for_step(s))).collect();
+        let first = execute_steps(&steps[..2], &faults, &opts, None, &mut seats, 0)
+            .expect("chaos batch repairs");
+        assert_eq!(first, clean[..2]);
+
+        // And, so the test does not lean on timing: a resend of batch n
+        // answered late (an element that would pair with everything) and
+        // a duplicate trailer, delivered raw with their epoch-0 tags.
+        let everything = [[-1e9; 3], [1e9; 3]];
+        let ghost = ShippedElement { id: 0, bbox: everything, body: 9 };
+        for step in 0..2 {
+            let late = Msg::Elements { from: 0, step, seq: 0, items: vec![ghost] };
+            seats[0].mailbox.send(1, late);
+            seats[0].mailbox.send(1, Msg::Done { from: 0, step, sent: 0 });
+        }
+
+        // Batch n + 1 on the same seats, two epochs on: clean, and equal
+        // to the run that never saw a reused mesh.
+        let second = execute_steps(&steps[2..], &[], &opts, None, &mut seats, 2)
+            .expect("clean batch executes on the reused mesh");
+        assert_eq!(second, clean[2..]);
+        assert_eq!(rec.counter_value("transport.mesh.connects"), 1);
     }
 }

@@ -1,11 +1,11 @@
-//! Running batches over a persistent, process-spanning mesh.
+//! Running batches over a persistent mesh.
 //!
-//! The in-process executors build a fresh set of mailboxes per batch, so
-//! a message can never leak from one batch into the next. A worker
-//! process cannot afford that: its TCP mesh outlives every batch, and a
-//! frame still in flight when a batch fails (a resend answered late, a
-//! halo a dying rank managed to push) would otherwise be delivered into
-//! the *next* batch and corrupt it.
+//! A rank's mesh outlives every batch: a session connects its mailboxes
+//! once ([`connect_ranks`]; a worker process builds its end of the TCP
+//! mesh at start-up) and each batch runs over a per-batch view of them.
+//! A frame still in flight when a batch ends or fails (a resend answered
+//! late, a duplicate, a halo a dying rank managed to push) would
+//! otherwise be delivered into the *next* batch and corrupt it.
 //!
 //! [`SteppedMailbox`] solves this by tagging every step-carrying message
 //! with a driver-assigned **epoch base**: batch-local step `s` travels
@@ -14,21 +14,58 @@
 //! steps at or past the batch length). As long as the driver hands out
 //! strictly increasing, non-overlapping base ranges — `base` must grow
 //! by at least the *attempted* length of the previous batch, committed
-//! or not — a stale frame can never alias into a live step.
+//! or not — a stale frame can never alias into a live step. This is the
+//! only staleness argument in the tree: rank threads and worker
+//! processes share it.
 //!
 //! The wrapper also maps the executor's *live* rank space onto the
 //! transport's fixed peer space. After a rank loss the survivors are
-//! relabeled `0..live_k`, but the mesh still addresses the original
+//! relabeled `0..live_k`, but a worker mesh still addresses the original
 //! worker processes; `route[live]` names the transport peer that now
 //! plays rank `live`. Incoming `from` fields need no translation — the
-//! sender already writes its own live rank into every message.
+//! sender already writes its own live rank into every message. (A
+//! session of rank threads reconnects a `live_k`-sized mesh after a loss
+//! instead, so its route is always the identity.)
 //!
-//! [`Mailbox::close_outgoing`] is a no-op: the executor calls it at the
-//! end of every batch, but the mesh must stay open for the next one.
+//! [`Mailbox::close_outgoing`] stays the default no-op: the mesh must
+//! stay open for the next batch.
 
-use crate::exec::Msg;
-use cip_transport::{Mailbox, RecvTimeoutError, TransportStats, TryRecvError};
+use crate::exec::{ExecOptions, Msg};
+use cip_contact::SearchCache;
+use cip_telemetry::Recorder;
+use cip_transport::{
+    Mailbox, RecvTimeoutError, Transport, TransportError, TransportStats, TryRecvError,
+};
 use std::time::{Duration, Instant};
+
+/// What one rank keeps from batch to batch: its end of the mesh and its
+/// broad-phase grid.
+pub struct RankSeat<MB> {
+    /// The rank's connected mailbox.
+    pub mailbox: MB,
+    /// The contact-search grid, updated in place step after step.
+    pub cache: SearchCache<3>,
+}
+
+impl<MB> RankSeat<MB> {
+    /// Seats a rank on its connected mailbox, with a cold search grid.
+    pub fn new(mailbox: MB) -> Self {
+        Self { mailbox, cache: SearchCache::new() }
+    }
+}
+
+/// Connects the `k` seats of one session over `transport` (index =
+/// rank), counting the mesh build in `rec`'s `transport.mesh.connects`.
+pub fn connect_ranks<T: Transport>(
+    transport: &T,
+    k: usize,
+    opts: &ExecOptions,
+    rec: &Recorder,
+) -> Result<Vec<RankSeat<T::Mailbox<Msg>>>, TransportError> {
+    let mailboxes = transport.connect::<Msg>(k, &opts.mailbox_config(rec))?;
+    rec.add("transport.mesh.connects", 1);
+    Ok(mailboxes.into_iter().map(RankSeat::new).collect())
+}
 
 /// A per-batch view over a persistent mailbox: epoch-tags outgoing
 /// steps, drops stale inbound frames, and routes live ranks to
@@ -51,7 +88,7 @@ impl<'a, MB: Mailbox<Msg>> SteppedMailbox<'a, MB> {
     fn lift(&self, msg: &mut Msg) {
         match msg {
             Msg::Halo { step, .. }
-            | Msg::Element { step, .. }
+            | Msg::Elements { step, .. }
             | Msg::Done { step, .. }
             | Msg::Resend { step, .. }
             | Msg::Migrate { step, .. } => *step += self.base,
@@ -64,7 +101,7 @@ impl<'a, MB: Mailbox<Msg>> SteppedMailbox<'a, MB> {
     fn lower(&self, mut msg: Msg) -> Option<Msg> {
         match &mut msg {
             Msg::Halo { step, .. }
-            | Msg::Element { step, .. }
+            | Msg::Elements { step, .. }
             | Msg::Done { step, .. }
             | Msg::Resend { step, .. }
             | Msg::Migrate { step, .. } => {
@@ -110,9 +147,6 @@ impl<MB: Mailbox<Msg>> Mailbox<Msg> for SteppedMailbox<'_, MB> {
             }
         }
     }
-
-    // Deliberately NOT closing the inner lanes: the mesh outlives the
-    // batch. The default no-op close_outgoing is the behavior we want.
 
     fn stats(&self) -> TransportStats {
         self.inner.stats()

@@ -1,4 +1,4 @@
-//! Background repartition planning (DESIGN.md §6c).
+//! Background repartition planning (DESIGN.md §6b).
 //!
 //! The driver computes the diffusion repartition and
 //! [`crate::MigrationPlan`] for the *next* boundary on a planner thread

@@ -1,5 +1,5 @@
 //! The wire layouts of the runtime's types (wire format version 1;
-//! DESIGN.md §6e has the byte tables): the executor's [`Msg`], and the
+//! DESIGN.md §6c has the byte tables): the executor's [`Msg`], and the
 //! per-rank batch outcome a worker process reports to its driver.
 //! [`crate::fault`] declares the fault plan's next to its types.
 //!
@@ -10,24 +10,27 @@
 //! included) and the TCP backend stays bit-identical to the in-process
 //! oracle.
 
-use crate::exec::{Msg, RankResult};
+use crate::exec::{Msg, RankResult, ShippedElement};
 use crate::pipeline::RankBatchOutcome;
 use cip_transport::{codec_enum, codec_struct};
 
 codec_enum!(framed Msg {
     1 => Halo { [from, step, seq] values },
-    2 => Element { [from, step, seq] id, bbox, body },
+    2 => Elements { [from, step, seq] items },
     3 => Done { [from, step] sent },
     4 => Resend { [from, step] seqs },
     5 => Complete { [from] },
     6 => Migrate { [from, step] nodes },
 });
 
+codec_struct!(ShippedElement { id, bbox, body });
+
 codec_struct!(RankResult {
     pairs,
     halo_sent,
     shipments_sent,
     halo_msgs,
+    ship_msgs,
     done_msgs,
     ghost_mismatches
 });

@@ -19,7 +19,7 @@
 //!   connection, with optional connect/read timeouts and a seeded
 //!   deterministic retry policy ([`ClientConfig`]).
 //!
-//! # Resilience model (DESIGN.md §6h)
+//! # Resilience model (DESIGN.md §6e)
 //!
 //! The service degrades gracefully under component failure instead of
 //! hanging or leaking:

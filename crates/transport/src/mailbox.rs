@@ -136,7 +136,7 @@ impl<M: Send> Mailbox<M> for ChannelMailbox<M> {
         if to == self.rank {
             return; // the executor never self-sends
         }
-        let Some(tx) = self.outs.get(to).and_then(|t| t.clone()) else {
+        let Some(tx) = self.outs.get(to).and_then(Option::as_ref) else {
             return; // closed or unknown lane: counts as message loss
         };
         let mut pending = msg;

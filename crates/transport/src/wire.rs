@@ -5,7 +5,7 @@
 //!
 //! Every layout in the tree is declared once, as a field list handed to
 //! [`codec_struct!`](crate::codec_struct) or
-//! [`codec_enum!`](crate::codec_enum) (DESIGN.md §6e tabulates them);
+//! [`codec_enum!`](crate::codec_enum) (DESIGN.md §6c tabulates them);
 //! encoder and decoder are both derived from that list, so they cannot
 //! drift apart. Canonical rules, shared by every type: integers are
 //! little-endian, `f64` travels as its IEEE-754 bit pattern, `bool` and

@@ -10,7 +10,7 @@ use cip::contact::DtreeFilter;
 use cip::core::{dt_friendly_correct, halo_traffic, DtFriendlyConfig, SnapshotView};
 use cip::dtree::{induce, DtreeConfig};
 use cip::partition::{partition_kway, PartitionerConfig};
-use cip::runtime::{build_decomposition, execute_steps, ExecOptions, StepInput};
+use cip::runtime::{build_decomposition, connect_ranks, execute_steps, ExecOptions, StepInput};
 use cip::sim::SimConfig;
 use cip::transport::InProcess;
 
@@ -27,6 +27,11 @@ fn main() {
         view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
     dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
     let node_parts = view0.graph2.assignment_on_nodes(&asg);
+
+    // One mesh for the whole run; each one-step batch gets its own epoch.
+    let opts = ExecOptions::default();
+    let recorder = cip::telemetry::Recorder::disabled();
+    let mut seats = connect_ranks(&InProcess, k, &opts, &recorder).expect("in-process mesh");
 
     println!("executing snapshots across {k} rank threads:\n");
     println!(
@@ -58,10 +63,10 @@ fn main() {
             bodies: &bodies,
             filter: &filter,
             tolerance: 0.4,
-            recorder: cip::telemetry::Recorder::disabled(),
+            recorder: recorder.clone(),
         };
         // A single step is a one-element batch.
-        let out = execute_steps(&[input], &[], &ExecOptions::default(), None, &InProcess)
+        let out = execute_steps(&[input], &[], &opts, None, &mut seats, i as u32)
             .expect("step executes without injected faults")
             .remove(0);
         let predicted = halo_traffic(&view.graph2.graph, &asg_now, k);

@@ -24,9 +24,9 @@ echo "==> no panics on the runtime step hot path"
 # scan the non-test portion (everything before #[cfg(test)]) of the
 # step executor (the rank loop and driver in pipeline.rs, the send and
 # receive primitives in exec.rs), the background repartition planner (a
-# panicked planner must degrade to the synchronous path, DESIGN.md §6c),
+# panicked planner must degrade to the synchronous path, DESIGN.md §6b),
 # the whole transport crate (corrupt frames and dead sockets are typed
-# errors, DESIGN.md §6e), and the worker-pool driver.
+# errors, DESIGN.md §6c), and the worker-pool driver.
 for hot_path in crates/runtime/src/exec.rs crates/runtime/src/pipeline.rs \
     crates/runtime/src/replan.rs crates/transport/src/*.rs src/worker.rs \
     crates/server/src/*.rs src/service.rs src/bin/cip-serve.rs; do
@@ -47,7 +47,7 @@ fi
 
 echo "==> one codec, one fate stream"
 # Every wire layout is a field list handed to the Codec macros (DESIGN.md
-# §6e), and every seeded fault source draws from cip_transport::fate.
+# §6c), and every seeded fault source draws from cip_transport::fate.
 # Non-test code (everything before #[cfg(test)]) must not grow a second
 # copy of either: no hand-sized "count x N > remaining()" guard outside
 # the codec itself, and the SplitMix64 increment in exactly one place
@@ -65,6 +65,23 @@ fi
 splitmix_sites=$(non_test "${srcs[@]}" | grep -ciE '0x9E37_?79B9_?7F4A_?7C15' || true)
 if [ "$splitmix_sites" -ne 1 ]; then
   echo "verify: FAIL — $splitmix_sites SplitMix64 copies in non-test code (want 1: cip_transport::fate)"
+  exit 1
+fi
+
+echo "==> one mesh per session, one shipment per peer"
+# The executor runs over mailboxes its caller connected once
+# (cip_runtime::connect_ranks; DESIGN.md §6b): non-test pipeline.rs never
+# builds a mesh and is not generic over a transport. And surface elements
+# ship in bulk: the one-element message variant stays gone (the wire
+# contract's comments may still name it as history).
+if non_test crates/runtime/src/pipeline.rs \
+    | grep -E '\.connect(::<[^>]*>)?\(|[A-Za-z]: *Transport\b|(\+|impl|dyn) +Transport\b'; then
+  echo "verify: FAIL — the step executor builds or is generic over a mesh transport"
+  exit 1
+fi
+if grep -rn --include='*.rs' 'Msg::Element {' src crates tests examples \
+    | grep -v '^tests/wire_contract\.rs:[0-9]*: *//'; then
+  echo "verify: FAIL — a per-element shipment message is back"
   exit 1
 fi
 

@@ -17,12 +17,12 @@
 //! Chaos mode (`--chaos SEED`) injects deterministic message faults into
 //! the executor; `--kill STEP:RANK` kills a rank mid-run, and the driver
 //! recovers by diffusion-repartitioning over the survivors (DESIGN.md
-//! §6c). The `fault.*` / `recovery.*` counters land in `summary.json`.
+//! §6b). The `fault.*` / `recovery.*` counters land in `summary.json`.
 //!
 //! Steps run in batches of up to `--max-batch` on persistent rank
 //! threads; inside a batch a rank's sends may run `--lookahead` steps
 //! ahead of its drains, and the next repartition boundary is planned in
-//! the background (DESIGN.md §6c). Neither knob changes the totals.
+//! the background (DESIGN.md §6b). Neither knob changes the totals.
 //!
 //! ```text
 //! cip-trace --scenario head_on --k 8 --snapshots 20 --out results

@@ -19,14 +19,15 @@ use cip_partition::{
     PartitionerConfig,
 };
 use cip_runtime::{
-    build_decomposition, build_migration, build_migration_recorded, collect_batch, execute_steps,
-    BatchError, CancelToken, ConfigError, Decomposition, ExecOptions, FaultInjector, FaultPlan,
-    FaultRates, KillSpec, MigrationPlan, Replanner, RuntimeError, StepInput,
+    build_decomposition, build_migration, build_migration_recorded, collect_batch, connect_ranks,
+    execute_steps, BatchError, CancelToken, ConfigError, Decomposition, ExecOptions, FaultInjector,
+    FaultPlan, FaultRates, KillSpec, MigrationPlan, Msg, RankSeat, Replanner, RuntimeError,
+    StepInput,
 };
 use cip_sim::{scenarios, SimConfig, SimResult};
 use cip_telemetry::{export::Summary, Recorder};
 use cip_transport::tcp::Tcp;
-use cip_transport::{InProcess, TransportError, WireError};
+use cip_transport::{ChannelMailbox, InProcess, TransportError, WireError};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -149,7 +150,7 @@ impl Default for ChaosOptions {
 ///
 /// All three execute the identical protocol and produce bit-identical
 /// `TrafficLog` totals; they differ only in where the ranks live and
-/// what the bytes travel through (DESIGN.md §6e).
+/// what the bytes travel through (DESIGN.md §6c).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum TransportKind {
     /// Rank threads exchanging in-memory messages — the default and
@@ -495,7 +496,9 @@ impl SessionWorkspace {
 ///
 /// [`Session::build`] resolves the scenario, runs the simulation, and
 /// computes the initial MCML+DT decomposition (spawning the worker pool
-/// in multi-process mode). [`Session::advance`] then executes batches of
+/// in multi-process mode; rank-thread modes connect their mesh at the
+/// first batch and keep it for the session, reconnecting only over the
+/// survivors of a rank loss). [`Session::advance`] then executes batches of
 /// steps until it finishes — or until the [`RunControl`]'s cancel token
 /// trips or its budget runs out, both checked at batch boundaries so
 /// in-flight batches always commit or recover whole. A budget-exhausted
@@ -509,6 +512,7 @@ pub struct Session {
     pcfg: PartitionerConfig,
     node_parts: Vec<u32>,
     pool: Option<WorkerPool>,
+    seats: Vec<RankSeat<ChannelMailbox<Msg>>>,
     route: Vec<u32>,
     epoch: u32,
     chain_start: usize,
@@ -587,10 +591,15 @@ impl Session {
             pcfg,
             node_parts,
             pool,
-            // Pool bookkeeping: `route[live]` = worker id playing live
-            // rank `live`; `epoch` grows by every *attempted* batch so
-            // stale frames of aborted batches can never alias into a
-            // live step; and `chain_start` is the snapshot where the
+            // Rank-thread modes: the mesh the rank threads run over,
+            // connected by the first batch and again only after a failed
+            // one (whose survivors are fewer).
+            seats: Vec::new(),
+            // `epoch` grows by every *attempted* batch, so a frame still
+            // in flight when a batch ends or aborts can never alias into
+            // a live step of a later one on the same mesh. Pool
+            // bookkeeping: `route[live]` = worker id playing live rank
+            // `live`, and `chain_start` is the snapshot where the
             // current search-tree chain was induced, which workers
             // replay to reproduce the driver's incrementally refreshed
             // tree (the assignment is constant within a chain — it only
@@ -621,7 +630,7 @@ impl Session {
             // the monotone region counter makes re-firing impossible by
             // construction.
             boundaries_done: 0,
-            // Repartition state (DESIGN.md §6c): the background
+            // Repartition state (DESIGN.md §6b): the background
             // planner, the rank-space version its plans are
             // keyed under (bumped on every recovery, so a plan computed
             // over dead ranks can never be applied), and a plan accepted
@@ -735,7 +744,7 @@ impl Session {
                 // simulation snapshots are precomputed, so the planner
                 // reads exactly the inputs the boundary will read — the
                 // plan is bit-identical to the synchronous one by
-                // construction (DESIGN.md §6c, snapshot-staleness rule).
+                // construction (DESIGN.md §6b, snapshot-staleness rule).
                 if self.live_k >= 2
                     && end < self.sim.len()
                     && end.is_multiple_of(period)
@@ -789,11 +798,19 @@ impl Session {
                         lookahead: exec_opts.lookahead,
                     };
                     let outcomes = pool.execute_batch(&spec, &self.route, &rec);
-                    self.epoch += (end - i) as u32;
                     let recorders = vec![rec.clone(); end - i];
                     (collect_batch(self.live_k, &recorders, outcomes), None)
                 }
                 None => {
+                    if self.seats.len() != self.live_k {
+                        self.seats = match &self.opts.transport {
+                            TransportKind::TcpThreads { bind } => {
+                                let tcp = Tcp { bind: bind.clone() };
+                                connect_ranks(&tcp, self.live_k, &exec_opts, &rec)
+                            }
+                            _ => connect_ranks(&InProcess, self.live_k, &exec_opts, &rec),
+                        }?;
+                    }
                     // Staging is executor-independent, so the whole
                     // batch is prepared before any rank thread starts.
                     let mut staged = stage_batch(
@@ -806,20 +823,14 @@ impl Session {
                         &rec,
                     );
                     let migrate = self.pending_migrate.as_ref();
-                    let result =
-                        with_staged_inputs(&staged, &rec, |inputs| match &self.opts.transport {
-                            TransportKind::TcpThreads { bind } => execute_steps(
-                                inputs,
-                                &faults,
-                                &exec_opts,
-                                migrate,
-                                &Tcp { bind: bind.clone() },
-                            ),
-                            _ => execute_steps(inputs, &faults, &exec_opts, migrate, &InProcess),
-                        });
+                    let (seats, epoch) = (&mut self.seats, self.epoch);
+                    let result = with_staged_inputs(&staged, &rec, |inputs| {
+                        execute_steps(inputs, &faults, &exec_opts, migrate, seats, epoch)
+                    });
                     (result, staged.pop().map(|s| s.tree))
                 }
             };
+            self.epoch += (end - i) as u32;
 
             match result {
                 Ok(outs) => {
@@ -859,6 +870,8 @@ impl Session {
                     self.planner.discard(&rec);
                     self.plan_version += 1;
                     self.pending_migrate = None;
+                    // The survivors get a mesh of their own size.
+                    self.seats.clear();
                     // Retire the dead ranks' worker processes and route
                     // the surviving live ranks onto the surviving
                     // workers, in the same order
@@ -1316,6 +1329,29 @@ mod tests {
     }
 
     #[test]
+    fn clean_session_connects_once_and_ships_in_bulk() {
+        for transport in
+            [TransportKind::InProcess, TransportKind::TcpThreads { bind: "127.0.0.1:0".into() }]
+        {
+            let opts = TraceOptions { transport, ..TraceOptions::default() };
+            let report = run_traced(&opts).expect("head_on runs");
+            assert_eq!((report.steps, report.rank_losses), (100, 0));
+            report.verify_totals().expect("counters equal executed traffic");
+            let rec = &report.recorder;
+            // 20 batches (period 10, max_batch 8), one mesh.
+            assert_eq!(rec.counter_value("transport.mesh.connects"), 1, "{:?}", opts.transport);
+            // Per step and ordered rank pair: at most one halo payload,
+            // one shipment payload, and the `Done` trailer.
+            let pairs = (opts.k * (opts.k - 1)) as u64;
+            let msgs = rec.counter_value("exec.msgs_sent");
+            assert!(msgs <= 100 * (2 * pairs + pairs), "{msgs} messages in 100 steps");
+            assert!(report.shipments > 100 * pairs, "head_on must ship in bulk to show it");
+            let shipped = report.summary().histogram("exec.ship_msg_elements").map(|h| h.count);
+            assert!(shipped.is_some_and(|n| n <= 100 * pairs), "{shipped:?} shipment messages");
+        }
+    }
+
+    #[test]
     fn killed_rank_is_recovered_and_pairs_match_the_clean_run() {
         let clean = run_traced(&TraceOptions {
             scenario: "tiny".to_string(),
@@ -1349,8 +1385,10 @@ mod tests {
         assert_eq!(chaotic.rank_losses, 1);
         assert!(chaotic.repartitions >= 1, "recovery must repartition the survivors");
         chaotic.verify_totals().expect("counters stay exact across a recovery");
-        // The fault and recovery are observable in the summary.
+        // The fault and recovery are observable in the summary: the
+        // survivors' mesh is the one reconnect.
         let rec = &chaotic.recorder;
+        assert_eq!(rec.counter_value("transport.mesh.connects"), 2);
         assert_eq!(rec.counter_value("fault.killed_ranks"), 1);
         assert_eq!(rec.counter_value("recovery.rank_dead"), 1);
         let summary = chaotic.summary();

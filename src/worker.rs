@@ -32,7 +32,7 @@
 use crate::trace::{scenario_config, stage_batch, with_staged_inputs, TraceError};
 use cip_runtime::{
     execute_rank_steps, ExecOptions, FaultInjector, FaultPlan, MigrationPlan, Msg,
-    RankBatchOutcome, RankResult, SteppedMailbox,
+    RankBatchOutcome, RankResult, RankSeat, SteppedMailbox,
 };
 use cip_sim::SimResult;
 use cip_telemetry::Recorder;
@@ -80,7 +80,7 @@ pub struct RunSpec {
     /// Repartition migrate stage riding this batch: the accepted
     /// [`MigrationPlan`]'s `moves` matrix (`live_k * live_k` rows,
     /// `moves[from * live_k + to]`), or `None` for no stage
-    /// (DESIGN.md §6c).
+    /// (DESIGN.md §6b).
     pub migrate: Option<Vec<Vec<u32>>>,
     /// Executor drain timeout, milliseconds.
     pub timeout_ms: u64,
@@ -520,8 +520,9 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
     let node = connect_mesh(args.rank, args.ranks, lst, &addrs)
         .map_err(|e| werr(format!("connect mesh: {e}")))?;
     let cfg = MailboxConfig { capacity: args.capacity.max(1), recorder: Recorder::disabled() };
-    let mut mesh =
-        mesh_mailbox::<Msg>(node, &cfg).map_err(|e| werr(format!("mesh mailbox: {e}")))?;
+    let mut seat = RankSeat::new(
+        mesh_mailbox::<Msg>(node, &cfg).map_err(|e| werr(format!("mesh mailbox: {e}")))?,
+    );
 
     loop {
         let msg = match read_frame::<Ctrl>(&mut ctrl, &mut payload) {
@@ -538,9 +539,9 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
                     // synthesize the death from control-channel EOF.
                     std::process::exit(137);
                 }
-                let outcome = run_batch(&sim, &spec, &mut mesh);
+                let outcome = run_batch(&sim, &spec, &mut seat);
                 let died = matches!(outcome, RankBatchOutcome::Dead { .. });
-                let done = Ctrl::Done { outcome, stats: mesh.stats() };
+                let done = Ctrl::Done { outcome, stats: seat.mailbox.stats() };
                 write_frame(&mut ctrl, &done, 0, &mut buf)
                     .map_err(|e| werr(format!("report outcome: {e}")))?;
                 if died {
@@ -570,7 +571,11 @@ fn abrupt_death_requested(original_rank: usize) -> bool {
 /// in-process driver does (replaying the search-tree chain from
 /// `chain_start` under the shipped assignment) and run this rank's
 /// executor loop over the epoch-tagged mesh.
-fn run_batch(sim: &SimResult, spec: &RunSpec, mesh: &mut ChannelMailbox<Msg>) -> RankBatchOutcome {
+fn run_batch(
+    sim: &SimResult,
+    spec: &RunSpec,
+    seat: &mut RankSeat<ChannelMailbox<Msg>>,
+) -> RankBatchOutcome {
     let live_k = spec.live_k as usize;
     let rec = Recorder::disabled();
     let staged = stage_batch(
@@ -606,7 +611,7 @@ fn run_batch(sim: &SimResult, spec: &RunSpec, mesh: &mut ChannelMailbox<Msg>) ->
         .filter(|moves| moves.len() == live_k * live_k)
         .map(|moves| MigrationPlan { k: live_k, moves: moves.clone() });
 
-    let mut mb = SteppedMailbox::new(mesh, spec.epoch, &spec.route);
+    let mut mb = SteppedMailbox::new(&mut seat.mailbox, spec.epoch, &spec.route);
     with_staged_inputs(&staged, &rec, |inputs| {
         execute_rank_steps(
             spec.rank as usize,
@@ -616,6 +621,7 @@ fn run_batch(sim: &SimResult, spec: &RunSpec, mesh: &mut ChannelMailbox<Msg>) ->
             &opts,
             migrate.as_ref(),
             &mut mb,
+            &mut seat.cache,
         )
     })
 }
@@ -631,6 +637,7 @@ mod tests {
             halo_sent: vec![3, 0, 7],
             shipments_sent: vec![0, 2, 0],
             halo_msgs: 5,
+            ship_msgs: 1,
             done_msgs: 2,
             ghost_mismatches: 0,
         }

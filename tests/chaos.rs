@@ -1,4 +1,4 @@
-//! Chaos suite (DESIGN.md §6c): deterministic fault injection against the
+//! Chaos suite (DESIGN.md §6b): deterministic fault injection against the
 //! step executor and the traced driver.
 //!
 //! Three families of guarantees:
@@ -21,12 +21,11 @@ use cip::contact::serial_contact_pairs;
 mod common;
 
 use cip::runtime::{
-    execute_steps, ExecOptions, FaultInjector, FaultPlan, FaultRates, KillSpec, RuntimeError,
-    StepOutput,
+    ExecOptions, FaultInjector, FaultPlan, FaultRates, KillSpec, RuntimeError, StepOutput,
 };
 use cip::trace::{run_traced, ChaosOptions, TraceOptions};
 use cip::transport::InProcess;
-use common::{env_seed, stage, with_inputs};
+use common::{env_seed, run_batch, stage};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -39,10 +38,9 @@ fn run_step(
     opts: &ExecOptions,
 ) -> (Result<StepOutput, RuntimeError>, StepOutput2) {
     let staged = stage(k, &[5]);
-    let out =
-        with_inputs(&staged, 0.4, |inputs| execute_steps(inputs, &[fault], opts, None, &InProcess))
-            .map(|mut outs| outs.remove(0))
-            .map_err(|e| e.error);
+    let out = run_batch(&staged, 0.4, &[fault], opts, &InProcess)
+        .map(|mut outs| outs.remove(0))
+        .map_err(|e| e.error);
     let s = &staged[0];
     let oracle = StepOutput2 {
         serial: serial_contact_pairs(&s.elements, &s.bodies, 0.4),

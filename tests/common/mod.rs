@@ -9,11 +9,16 @@ use cip::core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
 use cip::dtree::{induce, refresh, DecisionTree, DtreeConfig};
 use cip::graph::total_comm_volume;
 use cip::partition::{diffusion_repartition, partition_kway, PartitionerConfig};
-use cip::runtime::{build_decomposition, build_migration, Decomposition, FaultRates, StepInput};
+use cip::runtime::{
+    build_decomposition, build_migration, connect_ranks, execute_steps, BatchError, Decomposition,
+    ExecOptions, FaultInjector, FaultRates, StepInput, StepOutput,
+};
 use cip::sim::SimConfig;
 use cip::trace::{scenario_config, ChaosOptions, TraceOptions, TraceReport};
 use cip_transport::frame::{decode_frame, encode_frame};
-use cip_transport::{splitmix64, Wire, WireError, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION};
+use cip_transport::{
+    splitmix64, Transport, Wire, WireError, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION,
+};
 
 /// CI seed sweep: `CHAOS_SEED` perturbs every chaos seed of a suite.
 pub fn env_seed() -> u64 {
@@ -104,6 +109,24 @@ pub fn with_inputs<R>(
         })
         .collect();
     run(&inputs)
+}
+
+/// Executes the staged snapshots as one batch over a mesh of its own,
+/// connected over `transport`; a mesh that cannot come up is the batch's
+/// typed failure at step 0.
+pub fn run_batch<T: Transport>(
+    staged: &[Staged],
+    tolerance: f64,
+    faults: &[FaultInjector],
+    opts: &ExecOptions,
+    transport: &T,
+) -> Result<Vec<StepOutput>, BatchError> {
+    let k = staged[0].decomposition.k;
+    let mut seats = connect_ranks(transport, k, opts, &cip::telemetry::Recorder::disabled())
+        .map_err(|e| BatchError { completed: Vec::new(), failed_step: 0, error: e.into() })?;
+    with_inputs(staged, tolerance, |inputs| {
+        execute_steps(inputs, faults, opts, None, &mut seats, 0)
+    })
 }
 
 /// `(steps, halo, shipments, migrated, contact_pairs, repartitions)`.

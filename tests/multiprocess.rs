@@ -1,4 +1,4 @@
-//! Multi-process smoke suite (DESIGN.md §6e): real `cip-worker` OS
+//! Multi-process smoke suite (DESIGN.md §6c): real `cip-worker` OS
 //! processes over loopback TCP, driven by the traced pipeline and
 //! diffed against the in-process oracle.
 //!

@@ -1,4 +1,4 @@
-//! Abrupt worker death (DESIGN.md §6e): a worker process that vanishes
+//! Abrupt worker death (DESIGN.md §6c): a worker process that vanishes
 //! *without reporting an outcome* — the `kill -9` case — must be
 //! synthesized from control-channel EOF as a dead rank and recovered
 //! like any other rank loss.

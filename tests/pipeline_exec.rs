@@ -1,4 +1,4 @@
-//! Step-executor suite against ground truth (DESIGN.md §6c).
+//! Step-executor suite against ground truth (DESIGN.md §6b).
 //!
 //! The rank loop overlaps halo sends, shipments, and contact searches
 //! across ranks *and* adjacent steps — and none of that may show in the

@@ -1,4 +1,4 @@
-//! Background-repartitioning suite against ground truth (DESIGN.md §6c).
+//! Background-repartitioning suite against ground truth (DESIGN.md §6b).
 //!
 //! The driver plans each repartition boundary on a background thread
 //! while the preceding batch executes and splices the node migration

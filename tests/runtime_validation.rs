@@ -12,9 +12,9 @@ mod common;
 use cip::contact::{n_remote, serial_contact_pairs, DtreeFilter};
 use cip::core::halo_traffic;
 use cip::graph::total_comm_volume;
-use cip::runtime::{execute_steps, ExecOptions, StepOutput};
+use cip::runtime::{ExecOptions, StepOutput};
 use cip::transport::InProcess;
-use common::{stage, with_inputs};
+use common::{run_batch, stage};
 
 /// Drives the staged snapshots as **one batch** through the one executor
 /// and checks every step against ground truth computed without it: the
@@ -24,10 +24,8 @@ use common::{stage, with_inputs};
 /// defined on — the shipments against `n_remote`.
 fn run_step(k: usize, snapshots: &[usize], tolerance: f64) -> Vec<StepOutput> {
     let staged = stage(k, snapshots);
-    let outs = with_inputs(&staged, tolerance, |inputs| {
-        execute_steps(inputs, &[], &ExecOptions::default(), None, &InProcess)
-    })
-    .expect("batch executes without injected faults");
+    let outs = run_batch(&staged, tolerance, &[], &ExecOptions::default(), &InProcess)
+        .expect("batch executes without injected faults");
     assert_eq!(outs.len(), snapshots.len());
     for ((out, s), &snapshot) in outs.iter().zip(&staged).zip(snapshots) {
         let at = format!("k={k} snapshot={snapshot}");

@@ -1,4 +1,4 @@
-//! Service resilience suite (DESIGN.md §6h): the job tier under a
+//! Service resilience suite (DESIGN.md §6e): the job tier under a
 //! seeded chaos proxy and hostile control frames.
 //!
 //! Three families of guarantees:

@@ -1,4 +1,4 @@
-//! Transport suite (DESIGN.md §6e): the pluggable transport backends.
+//! Transport suite (DESIGN.md §6c): the pluggable transport backends.
 //! (The wire format itself is held to its contract, every variant of
 //! every message type, in `tests/wire_contract.rs`.)
 //!
@@ -18,13 +18,12 @@ mod common;
 
 use cip::contact::serial_contact_pairs;
 use cip::runtime::{
-    execute_steps, BatchError, ExecOptions, FaultInjector, FaultPlan, FaultRates, RuntimeError,
-    StepOutput,
+    BatchError, ExecOptions, FaultInjector, FaultPlan, FaultRates, RuntimeError, StepOutput,
 };
 use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
 use cip_transport::tcp::Tcp;
 use cip_transport::{InProcess, Transport};
-use common::{env_seed, serial_reference, stage, totals, with_inputs, Staged};
+use common::{env_seed, run_batch, serial_reference, stage, totals, Staged};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -38,7 +37,7 @@ fn run_over<T: Transport>(
     opts: &ExecOptions,
     transport: &T,
 ) -> Result<Vec<StepOutput>, BatchError> {
-    with_inputs(staged, 0.4, |inputs| execute_steps(inputs, faults, opts, None, transport))
+    run_batch(staged, 0.4, faults, opts, transport)
 }
 
 // ---------------------------------------------------------------------
@@ -159,9 +158,12 @@ fn traced_tcp_threads_run_is_bit_identical_and_meters_bytes() {
     );
 }
 
+/// Three batches on one mesh, every step chaotic: repairs of batch *n*
+/// answered late land in batch *n + 1*'s inbox, and the epoch fence is
+/// what keeps the totals at the serial reference's.
 #[test]
-fn traced_tcp_threads_chaos_matches_the_clean_in_process_run() {
-    let clean = run_traced(&tiny_trace(TransportKind::InProcess, None)).expect("in-process run");
+fn traced_chaos_on_a_reused_mesh_matches_the_serial_reference() {
+    let expected = serial_reference(&tiny_trace(TransportKind::InProcess, None));
     let chaos = ChaosOptions {
         seed: 41 ^ env_seed(),
         rates: FaultRates {
@@ -174,14 +176,14 @@ fn traced_tcp_threads_chaos_matches_the_clean_in_process_run() {
         timeout_ms: 300,
         retries: 2,
     };
-    let noisy = run_traced(&tiny_trace(
-        TransportKind::TcpThreads { bind: "127.0.0.1:0".into() },
-        Some(chaos),
-    ))
-    .expect("chaotic tcp-threads run");
-    assert_eq!(noisy.rank_losses, 0);
-    assert_eq!(noisy.contact_pairs, clean.contact_pairs);
-    assert_eq!(noisy.halo, clean.halo);
-    assert_eq!(noisy.shipments, clean.shipments);
-    noisy.verify_totals().expect("counters equal executed traffic");
+    for transport in
+        [TransportKind::InProcess, TransportKind::TcpThreads { bind: "127.0.0.1:0".into() }]
+    {
+        let noisy =
+            run_traced(&tiny_trace(transport, Some(chaos.clone()))).expect("chaotic traced run");
+        assert_eq!(noisy.rank_losses, 0);
+        assert_eq!(totals(&noisy), expected);
+        noisy.verify_totals().expect("counters equal executed traffic");
+        assert_eq!(noisy.recorder.counter_value("transport.mesh.connects"), 1);
+    }
 }

@@ -1,4 +1,4 @@
-//! The wire contract (DESIGN.md §6e): one sample per variant of every
+//! The wire contract (DESIGN.md §6c): one sample per variant of every
 //! message type that crosses a process boundary, held to
 //! `common::wire_contract`, and pinned to **golden bytes** — the hex
 //! below was dumped from the last hand-written encoders, so the derived
@@ -7,10 +7,20 @@
 //! edit that forgets a version bump fails here. The same goes for the
 //! seeded fate streams: every chaos suite replays the faults it always
 //! did.
+//!
+//! Two layouts have moved since that dump, both re-dumped from the
+//! derived codec: `Msg` tag 2 carries a counted list of elements where it
+//! carried one (see `a_v1_single_element_frame_is_refused_not_misread`
+//! for why that needed no version bump), and the `RankResult`s inside
+//! `Ctrl::Done` carry `ship_msgs` after `halo_msgs` — a control frame a
+//! driver exchanges only with the `cip-worker` processes it spawned from
+//! its own build. Every other sample's bytes are the original dump's.
 
 mod common;
 
-use cip::runtime::{Fate, FaultPlan, FaultRates, KillSpec, Msg, RankBatchOutcome, RankResult};
+use cip::runtime::{
+    Fate, FaultPlan, FaultRates, KillSpec, Msg, RankBatchOutcome, RankResult, ShippedElement,
+};
 use cip::server::{CatalogEntry, JobMsg, JobOutcome, JobState, ServerStats};
 use cip::service::{JobRequest, TraceTotals};
 use cip::trace::{ChaosOptions, TraceOptions};
@@ -26,11 +36,14 @@ type Sample<M> = (M, Vec<usize>);
 fn msg_samples() -> Vec<Sample<Msg>> {
     let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
     let values = vec![(7, [1.5, -0.0, f64::MIN_POSITIVE]), (8, [nan, 1e300, f64::NEG_INFINITY])];
-    let bbox = [[0.0, 1.0, 2.0], [1.0, 2.0, f64::NAN]];
+    let one = ShippedElement { id: 40, bbox: [[0.0, 1.0, 2.0], [1.0, 2.0, f64::NAN]], body: 6 };
+    let far = ShippedElement { id: u32::MAX, bbox: [[-0.0, nan, 1e300], [f64::MAX; 3]], body: 0 };
     vec![
         (Msg::Halo { from: 2, step: 5, seq: 9, values }, vec![0]),
         (Msg::Halo { from: 0, step: 0, seq: 0, values: Vec::new() }, vec![0]),
-        (Msg::Element { from: 1, step: 2, seq: 3, id: 40, bbox, body: 6 }, vec![]),
+        (Msg::Elements { from: 1, step: 2, seq: 3, items: vec![one] }, vec![0]),
+        (Msg::Elements { from: 0, step: 9, seq: 1, items: vec![one, far, one] }, vec![0]),
+        (Msg::Elements { from: 2, step: 0, seq: 0, items: Vec::new() }, vec![0]),
         (Msg::Done { from: 3, step: 7, sent: u64::MAX }, vec![]),
         (Msg::Resend { from: 1, step: 4, seqs: vec![0, 5, 1 << 40] }, vec![0]),
         (Msg::Complete { from: 9 }, vec![]),
@@ -44,6 +57,7 @@ fn result(pairs: usize) -> RankResult {
         halo_sent: vec![3, 0, 7],
         shipments_sent: vec![0, 2, 0],
         halo_msgs: 5,
+        ship_msgs: 1,
         done_msgs: 2,
         ghost_mismatches: 0,
     }
@@ -88,9 +102,9 @@ fn ctrl_samples() -> Vec<Sample<Ctrl>> {
         (Ctrl::Peers { mesh_addrs: vec!["127.0.0.1:1".into(), "[::1]:2".into()] }, vec![0, 4, 19]),
         (Ctrl::Run(run_spec(true)), vec![40, 60, 76, 130, 134, 138, 154, 162]),
         (Ctrl::Run(run_spec(false)), vec![40, 44, 48]),
-        (Ctrl::Done { outcome: completed, stats }, vec![1, 5, 25, 53, 105, 109, 137]),
+        (Ctrl::Done { outcome: completed, stats }, vec![1, 5, 25, 53, 113, 117, 145]),
         (done(RankBatchOutcome::Dead { done: vec![result(1)] }), vec![1, 5, 17, 45]),
-        (done(lost), vec![1, 5, 33, 61, 114, 126, 154, 206]),
+        (done(lost), vec![1, 5, 33, 61, 122, 134, 162, 222]),
         (done(stalled), vec![1, 6]),
         (Ctrl::Exit, vec![]),
     ]
@@ -194,6 +208,29 @@ fn msg_frames_keep_the_contract_and_the_golden_bytes() {
     assert_golden(&msg_samples(), 3, GOLDEN_MSG);
 }
 
+/// Tag 2 is the one `Msg` layout that changed under wire version 1: a
+/// v1 `Element` payload was exactly 54 bytes (`id, bbox, body`), an
+/// `Elements` payload is a `u32` count then 54 bytes per item — `4 + 54n`
+/// is never 54, payloads are consumed exactly, so neither decoder accepts
+/// the other's frame (a typed error, repaired like any corrupt frame) and
+/// none can mis-read it. `WIRE_VERSION` therefore did not move.
+#[test]
+fn a_v1_single_element_frame_is_refused_not_misread() {
+    let v1: Vec<u8> = (0..V1_ELEMENT_FRAME.len() / 2)
+        .map(|i| u8::from_str_radix(&V1_ELEMENT_FRAME[2 * i..2 * i + 2], 16).expect("hex"))
+        .collect();
+    assert_eq!(
+        decode_frame::<Msg>(&v1).map(drop),
+        Err(WireError::Malformed { what: "declared count exceeds payload" })
+    );
+    // And a count the payload cannot hold is refused before allocating.
+    let mut hostile = Vec::new();
+    encode_frame(&msg_samples()[2].0, 0, &mut hostile);
+    hostile[30..34].copy_from_slice(&2u32.to_le_bytes());
+    common::re_crc(&mut hostile);
+    assert!(matches!(decode_frame::<Msg>(&hostile), Err(WireError::Malformed { .. })));
+}
+
 #[test]
 fn ctrl_frames_keep_the_contract_and_the_golden_bytes() {
     wire_contract(&ctrl_samples());
@@ -270,14 +307,27 @@ const GOLDEN_MSG: &[&str] = &[
     "010102000000030000000500000009000000000000003c000000d17431150200000007000000000000000000f83f\
      0000000000000080000000000000100008000000efbeadde0000f87f9c7500883ce4377e000000000000f0ff",
     "01010000000003000000000000000000000000000000040000004ba3378300000000",
-    "0102010000000300000002000000030000000000000036000000e359befe28000000000000000000000000000000\
-     0000f03f0000000000000040000000000000f03f0000000000000040000000000000f87f0600",
+    "010201000000030000000200000003000000000000003a0000003c97fef001000000280000000000000000000000\
+     000000000000f03f0000000000000040000000000000f03f0000000000000040000000000000f87f0600",
+    "01020000000003000000090000000100000000000000a60000002b10c94503000000280000000000000000000000\
+     000000000000f03f0000000000000040000000000000f03f0000000000000040000000000000f87f0600ffffffff\
+     0000000000000080efbeadde0000f87f9c7500883ce4377effffffffffffef7fffffffffffffef7fffffffffffff\
+     ef7f0000280000000000000000000000000000000000f03f0000000000000040000000000000f03f000000000000\
+     0040000000000000f87f0600",
+    "01020200000003000000000000000000000000000000040000001d32542500000000",
     "01030300000003000000070000000000000000000000080000006dc25786ffffffffffffffff",
     "010401000000030000000400000000000000000000001c0000007edb296503000000000000000000000005000000\
      000000000000000000010000",
     "010509000000030000000000000000000000000000000000000003d646ea",
     "010602000000030000000000000000000000000000001000000051f4f32a030000000100000009000000ffffffff",
 ];
+
+/// The parent's golden frame for `Msg::Element { from: 1, step: 2, seq: 3,
+/// id: 40, bbox, body: 6 }` — the layout tag 2 had before shipments went
+/// bulk.
+const V1_ELEMENT_FRAME: &str =
+    "0102010000000300000002000000030000000000000036000000e359befe28000000000000000000000000000000\
+     0000f03f0000000000000040000000000000f03f0000000000000040000000000000f87f0600";
 
 const GOLDEN_CTRL: &[&str] = &[
     "0101030000000000000000000000000000000000000013000000784277f20f0000003132372e302e302e313a3435\
@@ -291,23 +341,23 @@ const GOLDEN_CTRL: &[&str] = &[
      010000000900000000000000",
     "0103000000000000000000000000000000000000000035000000b3fe8d1b04000000080000000200000002000000\
      010000000c000000d007000000000000030000000200000000000000000000000000000000",
-    "01040000000000000000000000000000000000000000e5000000a5a4fcde00020000000200000001000000090000\
+    "01040000000000000000000000000000000000000000f5000000154b541d00020000000200000001000000090000\
      00010000000900000003000000030000000000000000000000000000000700000000000000030000000000000000\
-     00000002000000000000000000000000000000050000000000000002000000000000000000000000000000000000\
+     00000002000000000000000000000000000000050000000000000001000000000000000200000000000000000000\
+     00000000000000000003000000030000000000000000000000000000000700000000000000030000000000000000\
+     00000002000000000000000000000000000000050000000000000001000000000000000200000000000000000000\
+     00000000006400000000000000c800000000000000030000000000000004000000000000000100000000000000",
+    "010400000000000000000000000000000000000000009100000009b25aff01010000000100000001000000090000\
      00030000000300000000000000000000000000000007000000000000000300000000000000000000000200000000\
-     00000000000000000000000500000000000000020000000000000000000000000000006400000000000000c80000\
-     0000000000030000000000000004000000000000000100000000000000",
-    "01040000000000000000000000000000000000000000890000009cb81c4d01010000000100000001000000090000\
-     00030000000300000000000000000000000000000007000000000000000300000000000000000000000200000000\
-     00000000000000000000000500000000000000020000000000000000000000000000000000000000000000000000\
-     0000000000000000000000000000000000000000000000000000000000",
-    "01040000000000000000000000000000000000000000fe000000efe9a7a802010000000300000001000000090000\
+     00000000000000000000000500000000000000010000000000000002000000000000000000000000000000000000\
+     00000000000000000000000000000000000000000000000000000000000000000000000000",
+    "010400000000000000000000000000000000000000000e01000009f1e47c02010000000300000001000000090000\
      00010000000900000001000000090000000300000003000000000000000000000000000000070000000000000003\
-     00000000000000000000000200000000000000000000000000000005000000000000000200000000000000000000\
-     00000000000101000000010000000900000003000000030000000000000000000000000000000700000000000000\
-     03000000000000000000000002000000000000000000000000000000050000000000000002000000000000000000\
-     00000000000001000000020000000000000000000000000000000000000000000000000000000000000000000000\
-     0000000000000000",
+     00000000000000000000000200000000000000000000000000000005000000000000000100000000000000020000\
+     00000000000000000000000000010100000001000000090000000300000003000000000000000000000000000000\
+     07000000000000000300000000000000000000000200000000000000000000000000000005000000000000000100\
+     00000000000002000000000000000000000000000000010000000200000000000000000000000000000000000000\
+     000000000000000000000000000000000000000000000000",
     "010400000000000000000000000000000000000000003a000000e97d134902000000000002000000000000000100\
      000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
     "010500000000000000000000000000000000000000000000000050c2c716",
