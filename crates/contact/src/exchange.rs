@@ -11,7 +11,7 @@
 
 use crate::filter::GlobalFilter;
 use crate::local::{find_contact_pairs, ContactPair};
-use crate::search::{global_search_inflated, SurfaceElementInfo};
+use crate::search::SurfaceElementInfo;
 use cip_geom::Aabb;
 
 /// The materialized exchange: for every rank, the elements it receives
@@ -38,10 +38,13 @@ pub fn build_exchange<const D: usize, F: GlobalFilter<D> + Sync>(
     filter: &F,
     tolerance: f64,
 ) -> Exchange {
-    let plans = global_search_inflated(elements, filter, tolerance);
+    // Bucket straight into the inboxes, in element order, through one
+    // candidate buffer: no per-element plan is materialized.
     let mut inbox = vec![Vec::new(); filter.num_parts()];
-    for (e, plan) in plans.iter().enumerate() {
-        for &r in plan {
+    let mut parts = Vec::new();
+    for (e, el) in elements.iter().enumerate() {
+        filter.candidate_parts(&el.bbox.inflate(tolerance), &mut parts);
+        for &r in parts.iter().filter(|&&r| r != el.owner) {
             inbox[r as usize].push(e as u32);
         }
     }

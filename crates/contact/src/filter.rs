@@ -11,8 +11,8 @@ use cip_geom::{Aabb, RcbTree};
 /// correctness contract is to never produce a false negative — every part
 /// owning a contact point inside the query box must be reported.
 pub trait GlobalFilter<const D: usize> {
-    /// Collects the candidate parts for the query box into `out`
-    /// (sorted, deduplicated).
+    /// Collects the candidate parts for the query box into `out`,
+    /// replacing its contents (sorted, deduplicated).
     fn candidate_parts(&self, query: &Aabb<D>, out: &mut Vec<u32>);
 
     /// Number of parts this filter describes.

@@ -23,13 +23,14 @@
 pub mod exchange;
 pub mod filter;
 pub mod grid;
+mod hull;
 pub mod local;
 pub mod node_search;
 pub mod search;
 
 pub use exchange::{build_exchange, distributed_contact_pairs, serial_contact_pairs, Exchange};
 pub use filter::{BboxFilter, DtreeFilter, GlobalFilter, RcbRegionFilter};
-pub use grid::{GridScratch, GridUpdate, UniformGrid};
-pub use local::{find_contact_pairs, find_contact_pairs_cached, ContactPair, SearchCache};
+pub use grid::{GridScratch, UniformGrid};
+pub use local::{find_contact_pairs, search_contact_zone, ContactPair, ZoneSearch};
 pub use node_search::{find_node_face_contacts, NodeFaceContact};
 pub use search::{global_search, n_remote, SurfaceElementInfo};

@@ -4,10 +4,14 @@
 //! orthogonal local step so the library is usable end-to-end: among a set
 //! of surface elements (approximated by their bounding boxes, as in the
 //! paper's evaluation), find the pairs from *different bodies* whose
-//! inflated boxes intersect. A uniform-grid broad phase keeps it near
-//! linear in the element count.
+//! inflated boxes intersect. The search is body-aware from the start: the
+//! elements are first culled to the cross-body contact zone (`hull.rs`
+//! holds the helper and the exactness argument), and only that zone — a
+//! few percent of a surface in a penetration problem — goes through the
+//! uniform-grid broad phase.
 
-use crate::grid::{GridUpdate, UniformGrid};
+use crate::grid::UniformGrid;
+use crate::hull::BodyHulls;
 use cip_geom::Aabb;
 use rayon::prelude::*;
 
@@ -21,6 +25,17 @@ pub struct ContactPair {
     pub b: u32,
 }
 
+/// What [`search_contact_zone`] found, and how much of the input it had to
+/// look at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ZoneSearch {
+    /// The candidate pairs, sorted ascending.
+    pub pairs: Vec<ContactPair>,
+    /// Elements within the capture distance of another body's hull — the
+    /// only ones that entered the grid.
+    pub active: usize,
+}
+
 /// Finds all candidate contact pairs among `boxes`, pairing only elements
 /// of different `body` ids (self-contact within one body is excluded, as
 /// in penetration problems where a body's own faces stay connected), whose
@@ -32,88 +47,55 @@ pub fn find_contact_pairs<const D: usize>(
     body: &[u16],
     tolerance: f64,
 ) -> Vec<ContactPair> {
-    assert_eq!(boxes.len(), body.len(), "one body id per element");
-    let grid = UniformGrid::build_auto(boxes);
-    query_pairs(&grid, boxes, body, tolerance)
+    search_contact_zone(boxes, body, tolerance).pairs
 }
 
-/// Broad-phase state carried across time steps: the previous step's
-/// [`UniformGrid`], updated in place by [`find_contact_pairs_cached`]
-/// instead of rebuilt. One per searching rank; the pipelined executor
-/// holds one per rank thread across a batch.
-#[derive(Debug, Default)]
-pub struct SearchCache<const D: usize> {
-    grid: Option<UniformGrid<D>>,
-    last: Option<GridUpdate>,
-}
-
-impl<const D: usize> SearchCache<D> {
-    /// An empty cache (the first search builds the grid from scratch).
-    pub fn new() -> Self {
-        Self { grid: None, last: None }
-    }
-
-    /// How the last search refreshed the grid (`None` before the first
-    /// search; the first search itself reports a full rebuild).
-    pub fn last_update(&self) -> Option<GridUpdate> {
-        self.last
-    }
-}
-
-/// [`find_contact_pairs`] with a cross-step grid cache: the broad phase
-/// updates the previous step's grid incrementally when the boxes moved
-/// less than a cell (falling back to a full rebuild otherwise — see
-/// [`UniformGrid::update`]). Grid queries are exact for any cell layout,
-/// so the returned pairs are identical to the uncached function's.
-pub fn find_contact_pairs_cached<const D: usize>(
-    cache: &mut SearchCache<D>,
+/// [`find_contact_pairs`], also reporting the size of the contact zone.
+///
+/// The pair `(a, b)`, `a < b`, is reported when the bodies differ, both
+/// boxes are non-empty and `boxes[a].inflate(tolerance)` intersects
+/// `boxes[b]`. Elements outside the contact zone cannot satisfy that (the
+/// argument is in `hull.rs`), so the grid is built over the zone
+/// alone and only the zone queries it.
+pub fn search_contact_zone<const D: usize>(
     boxes: &[Aabb<D>],
     body: &[u16],
     tolerance: f64,
-) -> Vec<ContactPair> {
+) -> ZoneSearch {
     assert_eq!(boxes.len(), body.len(), "one body id per element");
-    match &mut cache.grid {
-        Some(grid) => cache.last = Some(grid.update(boxes)),
-        slot @ None => {
-            *slot = Some(UniformGrid::build_auto(boxes));
-            cache.last = Some(GridUpdate::FullRebuild);
-        }
+    // A negative tolerance shrinks the query inside its box; culling with
+    // zero then keeps a superset of what it can reach.
+    let reach = tolerance.max(0.0);
+    let items = || body.iter().copied().zip(boxes.iter().copied());
+    let all = BodyHulls::of(items(), reach);
+    let hulls = all.facing(&all);
+    if hulls.len() < 2 {
+        return ZoneSearch { pairs: Vec::new(), active: 0 };
     }
-    match &cache.grid {
-        Some(grid) => query_pairs(grid, boxes, body, tolerance),
-        None => Vec::new(), // unreachable: the slot was just filled
-    }
-}
-
-/// The narrow phase shared by the cached and uncached front ends.
-fn query_pairs<const D: usize>(
-    grid: &UniformGrid<D>,
-    boxes: &[Aabb<D>],
-    body: &[u16],
-    tolerance: f64,
-) -> Vec<ContactPair> {
+    // Ascending caller indices, so `b > a` means the same in the zone.
+    let active = hulls.zone(&hulls, items(), reach);
+    let zone_boxes: Vec<Aabb<D>> = active.iter().map(|&e| boxes[e as usize]).collect();
+    let zone_body: Vec<u16> = active.iter().map(|&e| body[e as usize]).collect();
+    let grid = UniformGrid::build_auto(&zone_boxes);
     // One (stamp scratch, candidate buffer) per worker via map_init, so
     // the hot query loop does not allocate per element.
-    let mut pairs: Vec<ContactPair> = (0..boxes.len() as u32)
+    let mut pairs: Vec<ContactPair> = (0..active.len() as u32)
         .into_par_iter()
         .map_init(
             || (grid.scratch(), Vec::new()),
             |(scratch, out), a| {
-                let q = boxes[a as usize].inflate(tolerance);
-                grid.query(&q, scratch, out);
-                let mut local = Vec::new();
-                for &b in out.iter() {
-                    if b > a && body[a as usize] != body[b as usize] {
-                        local.push(ContactPair { a, b });
-                    }
-                }
-                local
+                let q = zone_boxes[a as usize].inflate(tolerance);
+                let mine = zone_body[a as usize];
+                grid.query_where(&q, scratch, out, |b| b > a && zone_body[b as usize] != mine);
+                out.iter()
+                    .map(|&b| ContactPair { a: active[a as usize], b: active[b as usize] })
+                    .collect::<Vec<_>>()
             },
         )
         .flatten()
         .collect();
     pairs.sort_unstable();
-    pairs
+    ZoneSearch { pairs, active: active.len() }
 }
 
 #[cfg(test)]
@@ -146,35 +128,6 @@ mod tests {
         let body = vec![0, 1];
         assert!(find_contact_pairs(&boxes, &body, 0.1).is_empty());
         assert_eq!(find_contact_pairs(&boxes, &body, 0.6).len(), 1);
-    }
-
-    #[test]
-    fn cached_search_matches_uncached_across_moving_steps() {
-        let mut cache = SearchCache::new();
-        assert!(cache.last_update().is_none());
-        let body: Vec<u16> = (0..10).map(|i| (i % 2) as u16).collect();
-        for step in 0..6 {
-            let drift = step as f64 * 0.35;
-            let boxes: Vec<Aabb<2>> = (0..10)
-                .map(|i| unit_box(i as f64 * 1.4 + drift, (i % 3) as f64 * 0.8 - drift))
-                .collect();
-            let fresh = find_contact_pairs(&boxes, &body, 0.25);
-            let cached = find_contact_pairs_cached(&mut cache, &boxes, &body, 0.25);
-            assert_eq!(cached, fresh, "step {step}");
-            assert!(cache.last_update().is_some());
-        }
-    }
-
-    #[test]
-    fn cached_search_survives_element_count_changes() {
-        let mut cache = SearchCache::new();
-        for n in [4usize, 9, 2, 0, 7] {
-            let boxes: Vec<Aabb<2>> = (0..n).map(|i| unit_box(i as f64 * 0.9, 0.0)).collect();
-            let body: Vec<u16> = (0..n).map(|i| (i % 2) as u16).collect();
-            let fresh = find_contact_pairs(&boxes, &body, 0.2);
-            let cached = find_contact_pairs_cached(&mut cache, &boxes, &body, 0.2);
-            assert_eq!(cached, fresh, "n = {n}");
-        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! the grid broad phase keeps it near linear.
 
 use crate::grid::UniformGrid;
+use crate::hull::BodyHulls;
 use cip_geom::{Aabb, Point};
 use rayon::prelude::*;
 
@@ -26,6 +27,11 @@ pub struct NodeFaceContact {
 /// Finds all (node, face) pairs with `body[node] != face_body[face]` whose
 /// node lies within `tolerance` of the face's bounding box.
 ///
+/// Like the element-pair search it is culled to the contact zone first
+/// (`hull.rs`): only nodes within reach of another body's face hull query
+/// the grid, and only faces within reach of another body's node hull are
+/// in it.
+///
 /// Results are sorted by `(node, face)`. Deterministic.
 pub fn find_node_face_contacts<const D: usize>(
     nodes: &[Point<D>],
@@ -36,26 +42,39 @@ pub fn find_node_face_contacts<const D: usize>(
 ) -> Vec<NodeFaceContact> {
     assert_eq!(nodes.len(), node_body.len(), "one body per node");
     assert_eq!(faces.len(), face_body.len(), "one body per face");
-    let grid = UniformGrid::build_auto(faces);
+    // A negative tolerance empties every query; cull with zero.
+    let reach = tolerance.max(0.0);
+    let node_items = || node_body.iter().copied().zip(nodes.iter().map(|p| Aabb::from_point(*p)));
+    let face_items = || face_body.iter().copied().zip(faces.iter().copied());
+    let (all_nodes, all_faces) =
+        (BodyHulls::of(node_items(), reach), BodyHulls::of(face_items(), reach));
+    let (node_hulls, face_hulls) = (all_nodes.facing(&all_faces), all_faces.facing(&all_nodes));
+    let active_nodes = node_hulls.zone(&face_hulls, node_items(), reach);
+    let active_faces = face_hulls.zone(&node_hulls, face_items(), reach);
+    let zone_faces: Vec<Aabb<D>> = active_faces.iter().map(|&f| faces[f as usize]).collect();
+    let zone_body: Vec<u16> = active_faces.iter().map(|&f| face_body[f as usize]).collect();
+    let grid = UniformGrid::build_auto(&zone_faces);
     let tol2 = tolerance * tolerance;
     // One (stamp scratch, candidate buffer) per worker via map_init, so
     // the hot query loop does not allocate per node.
-    let mut contacts: Vec<NodeFaceContact> = nodes
+    let mut contacts: Vec<NodeFaceContact> = active_nodes
         .par_iter()
-        .enumerate()
         .map_init(
             || (grid.scratch(), Vec::new()),
-            |(scratch, out), (n, p)| {
+            |(scratch, out), &n| {
+                let p = &nodes[n as usize];
+                let mine = node_body[n as usize];
                 let q = Aabb::from_point(*p).inflate(tolerance);
-                grid.query(&q, scratch, out);
+                grid.query_where(&q, scratch, out, |f| zone_body[f as usize] != mine);
                 let mut local = Vec::new();
                 for &f in out.iter() {
-                    if node_body[n] == face_body[f as usize] {
-                        continue;
-                    }
-                    let d2 = faces[f as usize].dist2_to_point(p);
+                    let d2 = zone_faces[f as usize].dist2_to_point(p);
                     if d2 <= tol2 {
-                        local.push(NodeFaceContact { node: n as u32, face: f, dist2: d2 });
+                        local.push(NodeFaceContact {
+                            node: n,
+                            face: active_faces[f as usize],
+                            dist2: d2,
+                        });
                     }
                 }
                 local

@@ -30,23 +30,13 @@ pub fn global_search<const D: usize, F: GlobalFilter<D> + Sync>(
     elements: &[SurfaceElementInfo<D>],
     filter: &F,
 ) -> Vec<Vec<u32>> {
-    global_search_inflated(elements, filter, 0.0)
-}
-
-/// [`global_search`] with every element box inflated by `tolerance` as it
-/// is tested.
-pub(crate) fn global_search_inflated<const D: usize, F: GlobalFilter<D> + Sync>(
-    elements: &[SurfaceElementInfo<D>],
-    filter: &F,
-    tolerance: f64,
-) -> Vec<Vec<u32>> {
+    // One candidate buffer per worker via map_init; an element that ships
+    // nowhere (most of them) costs no allocation.
     elements
         .par_iter()
-        .map(|el| {
-            let mut out = Vec::new();
-            filter.candidate_parts(&el.bbox.inflate(tolerance), &mut out);
-            out.retain(|&p| p != el.owner);
-            out
+        .map_init(Vec::new, |out, el| {
+            filter.candidate_parts(&el.bbox, out);
+            out.iter().copied().filter(|&p| p != el.owner).collect()
         })
         .collect()
 }
@@ -59,9 +49,8 @@ pub fn n_remote<const D: usize, F: GlobalFilter<D> + Sync>(
 ) -> u64 {
     elements
         .par_iter()
-        .map(|el| {
-            let mut out = Vec::new();
-            filter.candidate_parts(&el.bbox, &mut out);
+        .map_init(Vec::new, |out, el| {
+            filter.candidate_parts(&el.bbox, out);
             out.iter().filter(|&&p| p != el.owner).count() as u64
         })
         .sum()

@@ -30,10 +30,7 @@
 
 use crate::fault::{Fate, FaultInjector};
 use crate::plan::{Decomposition, RankPlan};
-use cip_contact::{
-    find_contact_pairs, find_contact_pairs_cached, ContactPair, GlobalFilter, SearchCache,
-    SurfaceElementInfo,
-};
+use cip_contact::{search_contact_zone, ContactPair, GlobalFilter, SurfaceElementInfo};
 use cip_geom::{Aabb, Point};
 use cip_telemetry::Recorder;
 use cip_transport::{Mailbox, MailboxConfig, RecvTimeoutError};
@@ -402,18 +399,13 @@ pub struct RankResult {
 }
 
 /// One rank's local contact search over its owned surface plus the
-/// elements shipped to it, mapped back to sorted, deduped global ids.
-///
-/// With a [`SearchCache`] the broad-phase grid from the previous step is
-/// updated in place instead of rebuilt (a rank keeps one for as long as
-/// its mesh seat lives — [`crate::RankSeat`]); the pair set is identical
-/// either way because grid queries are exact for any cell layout.
+/// elements shipped to it: the pairs mapped back to sorted, deduped global
+/// ids, and how many of the local elements lay in the contact zone.
 pub(crate) fn search_rank<F: GlobalFilter<3> + Sync>(
     plan: &RankPlan,
     input: &StepInput<'_, F>,
     received: &[(u32, Aabb<3>, u16)],
-    cache: Option<&mut SearchCache<3>>,
-) -> Vec<(u32, u32)> {
+) -> (Vec<(u32, u32)>, usize) {
     let mut local_ids: Vec<u32> = plan.owned_surface.clone();
     let mut boxes: Vec<Aabb<3>> =
         plan.owned_surface.iter().map(|&e| input.elements[e as usize].bbox).collect();
@@ -424,11 +416,9 @@ pub(crate) fn search_rank<F: GlobalFilter<3> + Sync>(
         boxes.push(bbox);
         bodies.push(body);
     }
-    let raw = match cache {
-        None => find_contact_pairs(&boxes, &bodies, input.tolerance),
-        Some(cache) => find_contact_pairs_cached(cache, &boxes, &bodies, input.tolerance),
-    };
-    let mut pairs: Vec<(u32, u32)> = raw
+    let zone = search_contact_zone(&boxes, &bodies, input.tolerance);
+    let mut pairs: Vec<(u32, u32)> = zone
+        .pairs
         .into_iter()
         .map(|p| {
             let (a, b) = (local_ids[p.a as usize], local_ids[p.b as usize]);
@@ -437,7 +427,7 @@ pub(crate) fn search_rank<F: GlobalFilter<3> + Sync>(
         .collect();
     pairs.sort_unstable();
     pairs.dedup();
-    pairs
+    (pairs, zone.active)
 }
 
 /// Folds the per-rank results (dead ranks contribute nothing) into one

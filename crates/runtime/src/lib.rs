@@ -64,7 +64,7 @@ pub use pipeline::{
     collect_batch, execute_rank_steps, execute_steps, BatchError, RankBatchOutcome,
 };
 pub use plan::{build_decomposition, Decomposition, RankPlan};
-pub use remote::{connect_ranks, RankSeat, SteppedMailbox};
+pub use remote::{connect_ranks, SteppedMailbox};
 pub use replan::Replanner;
 
 /// A failed step execution — every former panic site on the executor hot

@@ -41,9 +41,9 @@ use crate::exec::{
 };
 use crate::fault::FaultInjector;
 use crate::migrate::MigrationPlan;
-use crate::remote::{RankSeat, SteppedMailbox};
+use crate::remote::SteppedMailbox;
 use crate::RuntimeError;
-use cip_contact::{GlobalFilter, SearchCache};
+use cip_contact::GlobalFilter;
 use cip_geom::{Aabb, Point};
 use cip_telemetry::Recorder;
 use cip_transport::{Mailbox, RecvTimeoutError, TransportError};
@@ -512,9 +512,7 @@ impl Inbound {
 /// folding the reported [`RankBatchOutcome`]s via [`collect_batch`].
 /// `faults` is empty (no injection) or one injector per step; `migrate`
 /// is the repartition stage spliced in front of the batch, if the driver
-/// accepted one; `cache` is the rank's search grid, kept by the caller
-/// from batch to batch (see [`RankSeat`]).
-#[allow(clippy::too_many_arguments)]
+/// accepted one.
 pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     r: usize,
     k: usize,
@@ -523,7 +521,6 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     opts: &ExecOptions,
     migrate: Option<&MigrationPlan>,
     mb: &mut MB,
-    cache: &mut SearchCache<3>,
 ) -> RankBatchOutcome {
     let me = r as u32;
     let n = steps.len();
@@ -623,15 +620,20 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             let rs = &inb.recv[s];
             input.recorder.record("exec.recv_elements", rs.received.len() as u64);
             let plan = &input.decomposition.ranks[r];
+            let local = plan.owned_surface.len() + rs.received.len();
             let pairs = {
-                let _span = input
+                let mut span = input
                     .recorder
                     .span("exec.search")
                     .attr("rank", me)
                     .attr("step", s)
                     .attr("owned", plan.owned_surface.len())
-                    .attr("received", rs.received.len());
-                search_rank(plan, input, &rs.received, Some(&mut *cache))
+                    .attr("received", rs.received.len())
+                    .attr("local", local);
+                let (pairs, active) = search_rank(plan, input, &rs.received);
+                span.set_attr("active", active);
+                input.recorder.record("exec.search_active", active as u64);
+                pairs
             };
             results.push(send[s].result(pairs, rs.ghost_mismatches));
             completed += 1;
@@ -740,7 +742,7 @@ fn lose_step<F: GlobalFilter<3> + Sync>(
         dead = inb.uncompleted();
     }
     let input = &steps[s];
-    let pairs = search_rank(&input.decomposition.ranks[r], input, &inb.recv[s].received, None);
+    let (pairs, _) = search_rank(&input.decomposition.ranks[r], input, &inb.recv[s].received);
     let partial = send[s].result(pairs, inb.recv[s].ghost_mismatches);
     RankBatchOutcome::Lost { done: results, partial: Some(partial), dead }
 }
@@ -776,7 +778,7 @@ pub fn execute_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     faults: &[FaultInjector],
     opts: &ExecOptions,
     migrate: Option<&MigrationPlan>,
-    seats: &mut [RankSeat<MB>],
+    seats: &mut [MB],
     epoch: u32,
 ) -> Result<Vec<StepOutput>, BatchError> {
     debug_assert!(
@@ -795,8 +797,8 @@ pub fn execute_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         let mut handles = Vec::with_capacity(k);
         for (r, seat) in seats.iter_mut().enumerate() {
             handles.push(scope.spawn(move || {
-                let mut mb = SteppedMailbox::new(&mut seat.mailbox, epoch, route);
-                execute_rank_steps(r, k, steps, faults, opts, migrate, &mut mb, &mut seat.cache)
+                let mut mb = SteppedMailbox::new(seat, epoch, route);
+                execute_rank_steps(r, k, steps, faults, opts, migrate, &mut mb)
             }));
         }
         // Join manually so a panicking rank is attributed, not re-thrown.
@@ -1225,8 +1227,8 @@ mod tests {
         let ghost = ShippedElement { id: 0, bbox: everything, body: 9 };
         for step in 0..2 {
             let late = Msg::Elements { from: 0, step, seq: 0, items: vec![ghost] };
-            seats[0].mailbox.send(1, late);
-            seats[0].mailbox.send(1, Msg::Done { from: 0, step, sent: 0 });
+            seats[0].send(1, late);
+            seats[0].send(1, Msg::Done { from: 0, step, sent: 0 });
         }
 
         // Batch n + 1 on the same seats, two epochs on: clean, and equal

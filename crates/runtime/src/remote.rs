@@ -31,40 +31,25 @@
 //! stay open for the next batch.
 
 use crate::exec::{ExecOptions, Msg};
-use cip_contact::SearchCache;
 use cip_telemetry::Recorder;
 use cip_transport::{
     Mailbox, RecvTimeoutError, Transport, TransportError, TransportStats, TryRecvError,
 };
 use std::time::{Duration, Instant};
 
-/// What one rank keeps from batch to batch: its end of the mesh and its
-/// broad-phase grid.
-pub struct RankSeat<MB> {
-    /// The rank's connected mailbox.
-    pub mailbox: MB,
-    /// The contact-search grid, updated in place step after step.
-    pub cache: SearchCache<3>,
-}
-
-impl<MB> RankSeat<MB> {
-    /// Seats a rank on its connected mailbox, with a cold search grid.
-    pub fn new(mailbox: MB) -> Self {
-        Self { mailbox, cache: SearchCache::new() }
-    }
-}
-
 /// Connects the `k` seats of one session over `transport` (index =
 /// rank), counting the mesh build in `rec`'s `transport.mesh.connects`.
+/// A seat is the rank's connected mailbox and nothing else: it is all a
+/// rank keeps from batch to batch.
 pub fn connect_ranks<T: Transport>(
     transport: &T,
     k: usize,
     opts: &ExecOptions,
     rec: &Recorder,
-) -> Result<Vec<RankSeat<T::Mailbox<Msg>>>, TransportError> {
+) -> Result<Vec<T::Mailbox<Msg>>, TransportError> {
     let mailboxes = transport.connect::<Msg>(k, &opts.mailbox_config(rec))?;
     rec.add("transport.mesh.connects", 1);
-    Ok(mailboxes.into_iter().map(RankSeat::new).collect())
+    Ok(mailboxes)
 }
 
 /// A per-batch view over a persistent mailbox: epoch-tags outgoing

@@ -85,4 +85,18 @@ if grep -rn --include='*.rs' 'Msg::Element {' src crates tests examples \
   exit 1
 fi
 
+echo "==> one broad phase"
+# The local search culls to the cross-body contact zone and rebuilds a
+# small grid per call (DESIGN.md §5, cip-contact): the incremental grid
+# cache that this replaced must not come back as a second path.
+if grep -rn --include='*.rs' -E 'SearchCache|find_contact_pairs_cached|GridUpdate' \
+    src crates tests examples | grep -v '^crates/ladder/'; then
+  echo "verify: FAIL — the incremental broad-phase cache is back"
+  exit 1
+fi
+if grep -n 'fn update' crates/contact/src/grid.rs; then
+  echo "verify: FAIL — UniformGrid grew an in-place update again"
+  exit 1
+fi
+
 echo "verify: OK"

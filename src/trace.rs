@@ -21,8 +21,7 @@ use cip_partition::{
 use cip_runtime::{
     build_decomposition, build_migration, build_migration_recorded, collect_batch, connect_ranks,
     execute_steps, BatchError, CancelToken, ConfigError, Decomposition, ExecOptions, FaultInjector,
-    FaultPlan, FaultRates, KillSpec, MigrationPlan, Msg, RankSeat, Replanner, RuntimeError,
-    StepInput,
+    FaultPlan, FaultRates, KillSpec, MigrationPlan, Msg, Replanner, RuntimeError, StepInput,
 };
 use cip_sim::{scenarios, SimConfig, SimResult};
 use cip_telemetry::{export::Summary, Recorder};
@@ -512,7 +511,7 @@ pub struct Session {
     pcfg: PartitionerConfig,
     node_parts: Vec<u32>,
     pool: Option<WorkerPool>,
-    seats: Vec<RankSeat<ChannelMailbox<Msg>>>,
+    seats: Vec<ChannelMailbox<Msg>>,
     route: Vec<u32>,
     epoch: u32,
     chain_start: usize,
@@ -1349,6 +1348,39 @@ mod tests {
             let shipped = report.summary().histogram("exec.ship_msg_elements").map(|h| h.count);
             assert!(shipped.is_some_and(|n| n <= 100 * pairs), "{shipped:?} shipment messages");
         }
+    }
+
+    #[test]
+    fn clean_head_on_searches_only_the_contact_zone() {
+        let report = run_traced(&TraceOptions::default()).expect("head_on runs");
+        // The cull changes what the search looks at, never what it finds.
+        assert_eq!(
+            (report.steps, report.contact_pairs, report.halo, report.shipments),
+            (100, 110_416, 86_980, 188_938)
+        );
+        // Every `exec.search` span says how many elements the rank held
+        // and how many lay in the cross-body contact zone.
+        let trace = report.recorder.chrome_trace().expect("trace recorder is always enabled");
+        let attr = |line: &str, key: &str| -> u64 {
+            let at = line.find(key).unwrap_or_else(|| panic!("no {key} in {line}")) + key.len();
+            let digits: String = line[at..].chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("integer attribute")
+        };
+        let (mut spans, mut local, mut active) = (0u64, 0u64, 0u64);
+        for line in trace.lines().filter(|l| l.contains("\"name\":\"exec.search\"")) {
+            spans += 1;
+            local += attr(line, "\"local\":");
+            active += attr(line, "\"active\":");
+            assert_eq!(
+                attr(line, "\"local\":"),
+                attr(line, "\"owned\":") + attr(line, "\"received\":")
+            );
+        }
+        assert_eq!(spans, 100 * TraceOptions::default().k as u64);
+        assert!(4 * active <= local, "{active} of {local} local elements searched");
+        assert!(active > 0, "head_on reaches contact");
+        let hist = report.summary().histogram("exec.search_active").map(|h| (h.count, h.sum));
+        assert_eq!(hist, Some((spans, active)));
     }
 
     #[test]

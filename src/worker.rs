@@ -32,7 +32,7 @@
 use crate::trace::{scenario_config, stage_batch, with_staged_inputs, TraceError};
 use cip_runtime::{
     execute_rank_steps, ExecOptions, FaultInjector, FaultPlan, MigrationPlan, Msg,
-    RankBatchOutcome, RankResult, RankSeat, SteppedMailbox,
+    RankBatchOutcome, RankResult, SteppedMailbox,
 };
 use cip_sim::SimResult;
 use cip_telemetry::Recorder;
@@ -520,9 +520,8 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
     let node = connect_mesh(args.rank, args.ranks, lst, &addrs)
         .map_err(|e| werr(format!("connect mesh: {e}")))?;
     let cfg = MailboxConfig { capacity: args.capacity.max(1), recorder: Recorder::disabled() };
-    let mut seat = RankSeat::new(
-        mesh_mailbox::<Msg>(node, &cfg).map_err(|e| werr(format!("mesh mailbox: {e}")))?,
-    );
+    let mut seat =
+        mesh_mailbox::<Msg>(node, &cfg).map_err(|e| werr(format!("mesh mailbox: {e}")))?;
 
     loop {
         let msg = match read_frame::<Ctrl>(&mut ctrl, &mut payload) {
@@ -541,7 +540,7 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
                 }
                 let outcome = run_batch(&sim, &spec, &mut seat);
                 let died = matches!(outcome, RankBatchOutcome::Dead { .. });
-                let done = Ctrl::Done { outcome, stats: seat.mailbox.stats() };
+                let done = Ctrl::Done { outcome, stats: seat.stats() };
                 write_frame(&mut ctrl, &done, 0, &mut buf)
                     .map_err(|e| werr(format!("report outcome: {e}")))?;
                 if died {
@@ -571,11 +570,7 @@ fn abrupt_death_requested(original_rank: usize) -> bool {
 /// in-process driver does (replaying the search-tree chain from
 /// `chain_start` under the shipped assignment) and run this rank's
 /// executor loop over the epoch-tagged mesh.
-fn run_batch(
-    sim: &SimResult,
-    spec: &RunSpec,
-    seat: &mut RankSeat<ChannelMailbox<Msg>>,
-) -> RankBatchOutcome {
+fn run_batch(sim: &SimResult, spec: &RunSpec, seat: &mut ChannelMailbox<Msg>) -> RankBatchOutcome {
     let live_k = spec.live_k as usize;
     let rec = Recorder::disabled();
     let staged = stage_batch(
@@ -611,7 +606,7 @@ fn run_batch(
         .filter(|moves| moves.len() == live_k * live_k)
         .map(|moves| MigrationPlan { k: live_k, moves: moves.clone() });
 
-    let mut mb = SteppedMailbox::new(&mut seat.mailbox, spec.epoch, &spec.route);
+    let mut mb = SteppedMailbox::new(seat, spec.epoch, &spec.route);
     with_staged_inputs(&staged, &rec, |inputs| {
         execute_rank_steps(
             spec.rank as usize,
@@ -621,7 +616,6 @@ fn run_batch(
             &opts,
             migrate.as_ref(),
             &mut mb,
-            &mut seat.cache,
         )
     })
 }

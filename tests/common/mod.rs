@@ -4,9 +4,13 @@
 //! contract every wire decoder in the tree is held to.
 #![allow(dead_code)]
 
-use cip::contact::{serial_contact_pairs, DtreeFilter, GlobalFilter, SurfaceElementInfo};
+use cip::contact::{
+    serial_contact_pairs, ContactPair, DtreeFilter, GlobalFilter, NodeFaceContact,
+    SurfaceElementInfo,
+};
 use cip::core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
 use cip::dtree::{induce, refresh, DecisionTree, DtreeConfig};
+use cip::geom::{Aabb, Point};
 use cip::graph::total_comm_volume;
 use cip::partition::{diffusion_repartition, partition_kway, PartitionerConfig};
 use cip::runtime::{
@@ -202,6 +206,58 @@ pub fn serial_reference(opts: &TraceOptions) -> Totals {
         pairs += serial_contact_pairs(&elements, &view.face_bodies(), 0.4).len() as u64;
     }
     (sim.len(), halo, shipments, migrated, pairs, repartitions)
+}
+
+/// The contact-pair oracle: every `a < b` of different bodies, both boxes
+/// non-empty, with `boxes[a]` inflated by `tolerance` meeting `boxes[b]` —
+/// by trying all of them. Shares nothing with the library's search (no
+/// hulls, no grid), so "the search equals this" is not the search compared
+/// with itself.
+pub fn brute_force_pairs<const D: usize>(
+    boxes: &[Aabb<D>],
+    body: &[u16],
+    tolerance: f64,
+) -> Vec<ContactPair> {
+    let mut pairs = Vec::new();
+    for a in 0..boxes.len() {
+        if boxes[a].is_empty() {
+            continue;
+        }
+        let q = boxes[a].inflate(tolerance);
+        for b in a + 1..boxes.len() {
+            if body[a] != body[b] && !boxes[b].is_empty() && q.intersects(&boxes[b]) {
+                pairs.push(ContactPair { a: a as u32, b: b as u32 });
+            }
+        }
+    }
+    pairs
+}
+
+/// The node-face oracle, likewise by trying every (node, face): bodies
+/// differ, the face box is non-empty, meets the node's inflated point box
+/// and lies within `tolerance` of the node.
+pub fn brute_force_node_faces<const D: usize>(
+    nodes: &[Point<D>],
+    node_body: &[u16],
+    faces: &[Aabb<D>],
+    face_body: &[u16],
+    tolerance: f64,
+) -> Vec<NodeFaceContact> {
+    let mut hits = Vec::new();
+    for (n, p) in nodes.iter().enumerate() {
+        let q = Aabb::from_point(*p).inflate(tolerance);
+        for (f, face) in faces.iter().enumerate() {
+            let dist2 = face.dist2_to_point(p);
+            if node_body[n] != face_body[f]
+                && !face.is_empty()
+                && q.intersects(face)
+                && dist2 <= tolerance * tolerance
+            {
+                hits.push(NodeFaceContact { node: n as u32, face: f as u32, dist2 });
+            }
+        }
+    }
+    hits
 }
 
 /// Re-derives a frame's checksum after tampering, so the targeted

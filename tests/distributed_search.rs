@@ -2,7 +2,10 @@
 //! real simulation data: the *distributed* contact detection (ship
 //! elements per the global-search filter, search locally per rank) finds
 //! exactly the same contact pairs as a serial search over the whole
-//! surface.
+//! surface — and that serial search equals a brute-force oracle that
+//! shares no code with it.
+
+mod common;
 
 use cip::contact::{
     distributed_contact_pairs, serial_contact_pairs, DtreeFilter, RcbRegionFilter,
@@ -13,6 +16,8 @@ use cip::dtree::{induce, DtreeConfig};
 use cip::geom::RcbTree;
 use cip::partition::{partition_kway, PartitionerConfig};
 use cip::sim::SimConfig;
+use cip::trace::scenario_config;
+use common::brute_force_pairs;
 
 /// Surface elements + bodies of one snapshot under a node partition.
 fn snapshot_elements(
@@ -79,4 +84,24 @@ fn real_contacts_appear_mid_penetration() {
     let (elements, bodies) = snapshot_elements(&view, &node_parts);
     let serial = serial_contact_pairs(&elements, &bodies, 0.4);
     assert!(!serial.is_empty(), "projectile inside the plate must produce contact pairs");
+}
+
+#[test]
+fn serial_search_equals_brute_force_on_head_on_snapshots() {
+    // The two checks above compare the library's search with itself; this
+    // one anchors it: before contact, mid-approach and at the end of the
+    // registered `head_on` run, the serial pairs are exactly the ones an
+    // all-pairs scan finds.
+    let sim = cip::sim::run(&scenario_config("head_on").expect("registry scenario"));
+    let mut found = 0;
+    for i in [0, 50, 99] {
+        let view = SnapshotView::build(&sim, i, 5);
+        let node_parts = vec![0u32; view.mesh.num_nodes()];
+        let (elements, bodies) = snapshot_elements(&view, &node_parts);
+        let boxes: Vec<_> = elements.iter().map(|e| e.bbox).collect();
+        let serial = serial_contact_pairs(&elements, &bodies, 0.4);
+        assert_eq!(serial, brute_force_pairs(&boxes, &bodies, 0.4), "snapshot {i}");
+        found += serial.len();
+    }
+    assert!(found > 0, "head_on must reach contact by its last snapshot");
 }
