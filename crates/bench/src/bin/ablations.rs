@@ -17,13 +17,14 @@ use cip_core::{
     KnownContactConfig, McmlDtConfig, MetricsRow, UpdatePolicy,
 };
 use cip_dtree::{DtreeConfig, Splitter};
-use serde::Serialize;
+use cip_telemetry::json_struct;
 
-#[derive(Serialize)]
 struct AblationRow {
     name: String,
     row: MetricsRow,
 }
+
+json_struct!(AblationRow { name, row });
 
 fn print_row(name: &str, r: &MetricsRow) {
     println!(

@@ -14,10 +14,10 @@ use cip_runtime::{
     build_decomposition, build_migration, connect_ranks, execute_steps, ExecOptions, StepInput,
 };
 use cip_sim::SimResult;
+use cip_telemetry::json_struct;
 use cip_transport::InProcess;
-use serde::Serialize;
 
-#[derive(Serialize, Default)]
+#[derive(Default)]
 struct Totals {
     halo: u64,
     shipments: u64,
@@ -25,6 +25,8 @@ struct Totals {
     contact_pairs_detected: u64,
     repartitions: usize,
 }
+
+json_struct!(Totals { halo, shipments, migrated_nodes, contact_pairs_detected, repartitions });
 
 fn run_policy(sim: &SimResult, k: usize, hybrid_period: Option<usize>) -> Totals {
     let pcfg = PartitionerConfig::default();

@@ -12,9 +12,8 @@ use cip_core::{dt_friendly_correct, DtFriendlyConfig};
 use cip_dtree::{induce, DtreeConfig};
 use cip_geom::Point;
 use cip_graph::{edge_cut, GraphBuilder, Partition};
-use serde::Serialize;
+use cip_telemetry::json_struct;
 
-#[derive(Serialize)]
 struct Row {
     n: usize,
     diagonal_tree_nodes: usize,
@@ -23,6 +22,15 @@ struct Row {
     corrected_cut: i64,
     corrected_imbalance: f64,
 }
+
+json_struct!(Row {
+    n,
+    diagonal_tree_nodes,
+    corrected_tree_nodes,
+    diagonal_cut,
+    corrected_cut,
+    corrected_imbalance
+});
 
 fn main() {
     println!("Figure 2 — decision-tree blowup on diagonal boundaries, and the DT-friendly fix\n");

@@ -8,9 +8,8 @@
 
 use cip_bench::HarnessArgs;
 use cip_sim::SimResult;
-use serde::Serialize;
+use cip_telemetry::json_struct;
 
-#[derive(Serialize)]
 struct StageRow {
     snapshot: usize,
     step: usize,
@@ -20,6 +19,16 @@ struct StageRow {
     contact_nodes: usize,
     tip_z: f64,
 }
+
+json_struct!(StageRow {
+    snapshot,
+    step,
+    live_elements,
+    eroded_elements,
+    contact_faces,
+    contact_nodes,
+    tip_z
+});
 
 /// ASCII side view (x-z slice near y=0) of one snapshot.
 fn side_view(sim: &SimResult, i: usize) -> Vec<String> {

@@ -17,9 +17,8 @@ use cip_core::{
 use cip_dtree::{induce, DtreeConfig};
 use cip_geom::RcbTree;
 use cip_partition::{max_weight_assignment, partition_kway, PartitionerConfig};
-use serde::Serialize;
+use cip_telemetry::json_struct;
 
-#[derive(Serialize)]
 struct TrafficRow {
     algorithm: String,
     kind: String,
@@ -28,6 +27,15 @@ struct TrafficRow {
     traffic_imbalance: f64,
     active_pairs: usize,
 }
+
+json_struct!(TrafficRow {
+    algorithm,
+    kind,
+    total,
+    bottleneck_rank_volume,
+    traffic_imbalance,
+    active_pairs
+});
 
 fn row(algorithm: &str, kind: &str, t: &RankTraffic) -> TrafficRow {
     TrafficRow {

@@ -6,9 +6,8 @@
 //! Usage: `cargo run --release -p cip-bench --bin scenarios [--k 25] [--snapshots N]`
 
 use cip_bench::{run_table1_entry, write_json, HarnessArgs};
-use serde::Serialize;
+use cip_telemetry::json_struct;
 
-#[derive(Serialize)]
 struct ScenarioRow {
     scenario: String,
     k: usize,
@@ -20,6 +19,18 @@ struct ScenarioRow {
     comm_overhead_pct: f64,
     n_remote_overhead_pct: f64,
 }
+
+json_struct!(ScenarioRow {
+    scenario,
+    k,
+    mcml_fe_comm,
+    mcml_n_remote,
+    ml_fe_comm,
+    ml_m2m,
+    ml_n_remote,
+    comm_overhead_pct,
+    n_remote_overhead_pct
+});
 
 fn main() {
     let args = HarnessArgs::parse(&[25]);

@@ -10,9 +10,8 @@ use cip_core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
 use cip_dtree::{induce, DtreeConfig};
 use cip_graph::{edge_cut, Partition};
 use cip_partition::{partition_kway, PartitionerConfig};
-use serde::Serialize;
+use cip_telemetry::json_struct;
 
-#[derive(Serialize)]
 struct SweepRow {
     label: String,
     max_p: usize,
@@ -24,6 +23,18 @@ struct SweepRow {
     imbalance_fe: f64,
     imbalance_contact: f64,
 }
+
+json_struct!(SweepRow {
+    label,
+    max_p,
+    max_i,
+    guidance_tree_nodes,
+    regions,
+    search_tree_nodes,
+    edge_cut,
+    imbalance_fe,
+    imbalance_contact
+});
 
 fn main() {
     let args = HarnessArgs::parse(&[25]);

@@ -17,9 +17,8 @@
 use cip_core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
 use cip_dtree::{induce, refresh, DecisionTree, DtreeConfig};
 use cip_partition::{partition_kway, PartitionerConfig};
-use serde::Serialize;
+use cip_telemetry::json_struct;
 
-#[derive(Serialize)]
 struct AgingRow {
     snapshot: usize,
     rebuild_nodes: usize,
@@ -28,6 +27,15 @@ struct AgingRow {
     refresh_reinduced_points: usize,
     refresh_total_points: usize,
 }
+
+json_struct!(AgingRow {
+    snapshot,
+    rebuild_nodes,
+    refresh_nodes,
+    hybrid_nodes,
+    refresh_reinduced_points,
+    refresh_total_points
+});
 
 fn main() {
     let args = cip_bench::HarnessArgs::parse(&[25]);

@@ -9,10 +9,9 @@ use cip_core::{
     average_metrics, evaluate_mcml_dt, evaluate_ml_rcb, McmlDtConfig, MetricsRow, MlRcbConfig,
 };
 use cip_sim::{SimConfig, SimResult};
-use serde::Serialize;
+use cip_telemetry::json::ToJson;
+use cip_telemetry::json_struct;
 use std::time::Instant;
-
-pub mod pipeline_load;
 
 /// Workload scale selector (command-line `--scale`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +110,7 @@ impl HarnessArgs {
 }
 
 /// One Table-1 comparison at a given k.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Entry {
     /// Part count.
     pub k: usize,
@@ -120,6 +119,8 @@ pub struct Table1Entry {
     /// ML+RCB averages.
     pub ml_rcb: MetricsRow,
 }
+
+json_struct!(Table1Entry { k, mcml_dt, ml_rcb });
 
 impl Table1Entry {
     /// The paper's §5.2 headline ratio: ML+RCB non-search communication
@@ -182,27 +183,21 @@ pub fn render_table1(entries: &[Table1Entry]) -> String {
     s
 }
 
-/// Writes a serializable result to `results/<name>.json` (best effort; the
-/// textual output is the primary artifact). The value is wrapped in the
-/// shared `cip-results-v1` envelope ([`cip_core::results_document`]), the
-/// same schema `cip-trace` writes, so everything under `results/` is
+/// Writes a result to `results/<name>.json` (best effort; the textual
+/// output is the primary artifact). The value is wrapped in the shared
+/// `cip-results-v1` envelope ([`cip_core::results_document`]), the same
+/// schema `cip-trace` writes, so everything under `results/` is
 /// machine-readable uniformly.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+pub fn write_json<T: ToJson>(name: &str, value: &T) {
     let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            let doc = cip_core::results_document(name, &s);
-            if let Err(e) = std::fs::write(&path, doc) {
-                eprintln!("could not write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("could not serialize {name}: {e}"),
+    let doc = cip_core::results_document(name, &value.to_json());
+    match std::fs::write(&path, doc) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }
 

@@ -12,8 +12,8 @@
 
 use crate::grid::UniformGrid;
 use crate::hull::BodyHulls;
+use cip_base::par;
 use cip_geom::Aabb;
-use rayon::prelude::*;
 
 /// A candidate contact pair of surface elements (indices into the caller's
 /// surface-element array, with `a < b`).
@@ -77,23 +77,20 @@ pub fn search_contact_zone<const D: usize>(
     let zone_boxes: Vec<Aabb<D>> = active.iter().map(|&e| boxes[e as usize]).collect();
     let zone_body: Vec<u16> = active.iter().map(|&e| body[e as usize]).collect();
     let grid = UniformGrid::build_auto(&zone_boxes);
-    // One (stamp scratch, candidate buffer) per worker via map_init, so
-    // the hot query loop does not allocate per element.
-    let mut pairs: Vec<ContactPair> = (0..active.len() as u32)
-        .into_par_iter()
-        .map_init(
-            || (grid.scratch(), Vec::new()),
-            |(scratch, out), a| {
-                let q = zone_boxes[a as usize].inflate(tolerance);
-                let mine = zone_body[a as usize];
-                grid.query_where(&q, scratch, out, |b| b > a && zone_body[b as usize] != mine);
-                out.iter()
-                    .map(|&b| ContactPair { a: active[a as usize], b: active[b as usize] })
-                    .collect::<Vec<_>>()
-            },
-        )
-        .flatten()
-        .collect();
+    // One (stamp scratch, candidate buffer) per part, so the hot query
+    // loop does not allocate per element.
+    let mut pairs = par::flat_parts(0..active.len(), |_, zone| {
+        let (mut scratch, mut out, mut pairs) = (grid.scratch(), Vec::new(), Vec::new());
+        for a in zone {
+            let q = zone_boxes[a].inflate(tolerance);
+            let mine = zone_body[a];
+            grid.query_where(&q, &mut scratch, &mut out, |b| {
+                b as usize > a && zone_body[b as usize] != mine
+            });
+            pairs.extend(out.iter().map(|&b| ContactPair { a: active[a], b: active[b as usize] }));
+        }
+        pairs
+    });
     pairs.sort_unstable();
     ZoneSearch { pairs, active: active.len() }
 }

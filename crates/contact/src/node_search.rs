@@ -9,8 +9,8 @@
 
 use crate::grid::UniformGrid;
 use crate::hull::BodyHulls;
+use cip_base::par;
 use cip_geom::{Aabb, Point};
-use rayon::prelude::*;
 
 /// A candidate node-face contact.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,33 +55,28 @@ pub fn find_node_face_contacts<const D: usize>(
     let zone_body: Vec<u16> = active_faces.iter().map(|&f| face_body[f as usize]).collect();
     let grid = UniformGrid::build_auto(&zone_faces);
     let tol2 = tolerance * tolerance;
-    // One (stamp scratch, candidate buffer) per worker via map_init, so
-    // the hot query loop does not allocate per node.
-    let mut contacts: Vec<NodeFaceContact> = active_nodes
-        .par_iter()
-        .map_init(
-            || (grid.scratch(), Vec::new()),
-            |(scratch, out), &n| {
-                let p = &nodes[n as usize];
-                let mine = node_body[n as usize];
-                let q = Aabb::from_point(*p).inflate(tolerance);
-                grid.query_where(&q, scratch, out, |f| zone_body[f as usize] != mine);
-                let mut local = Vec::new();
-                for &f in out.iter() {
-                    let d2 = zone_faces[f as usize].dist2_to_point(p);
-                    if d2 <= tol2 {
-                        local.push(NodeFaceContact {
-                            node: n,
-                            face: active_faces[f as usize],
-                            dist2: d2,
-                        });
-                    }
+    // One (stamp scratch, candidate buffer) per part, so the hot query
+    // loop does not allocate per node.
+    let mut contacts = par::flat_parts(&active_nodes[..], |_, active_nodes| {
+        let (mut scratch, mut out, mut contacts) = (grid.scratch(), Vec::new(), Vec::new());
+        for &n in active_nodes {
+            let p = &nodes[n as usize];
+            let mine = node_body[n as usize];
+            let q = Aabb::from_point(*p).inflate(tolerance);
+            grid.query_where(&q, &mut scratch, &mut out, |f| zone_body[f as usize] != mine);
+            for &f in out.iter() {
+                let d2 = zone_faces[f as usize].dist2_to_point(p);
+                if d2 <= tol2 {
+                    contacts.push(NodeFaceContact {
+                        node: n,
+                        face: active_faces[f as usize],
+                        dist2: d2,
+                    });
                 }
-                local
-            },
-        )
-        .flatten()
-        .collect();
+            }
+        }
+        contacts
+    });
     contacts.sort_by_key(|c| (c.node, c.face));
     contacts
 }

@@ -9,8 +9,8 @@
 //! shipment).
 
 use crate::filter::GlobalFilter;
+use cip_base::par;
 use cip_geom::Aabb;
-use rayon::prelude::*;
 
 /// One surface element as seen by the global search: its bounding box and
 /// the part that owns it (the part of its subdomain in the decomposition
@@ -30,15 +30,16 @@ pub fn global_search<const D: usize, F: GlobalFilter<D> + Sync>(
     elements: &[SurfaceElementInfo<D>],
     filter: &F,
 ) -> Vec<Vec<u32>> {
-    // One candidate buffer per worker via map_init; an element that ships
-    // nowhere (most of them) costs no allocation.
-    elements
-        .par_iter()
-        .map_init(Vec::new, |out, el| {
-            filter.candidate_parts(&el.bbox, out);
+    // One candidate buffer per part; an element that ships nowhere (most
+    // of them) costs no allocation.
+    par::flat_parts(elements, |_, elements| {
+        let mut out = Vec::new();
+        let remote = |el: &SurfaceElementInfo<D>| {
+            filter.candidate_parts(&el.bbox, &mut out);
             out.iter().copied().filter(|&p| p != el.owner).collect()
-        })
-        .collect()
+        };
+        elements.iter().map(remote).collect()
+    })
 }
 
 /// The total number of element shipments — the paper's **NRemote**:
@@ -47,13 +48,16 @@ pub fn n_remote<const D: usize, F: GlobalFilter<D> + Sync>(
     elements: &[SurfaceElementInfo<D>],
     filter: &F,
 ) -> u64 {
-    elements
-        .par_iter()
-        .map_init(Vec::new, |out, el| {
-            filter.candidate_parts(&el.bbox, out);
+    par::parts(elements, |_, elements| {
+        let mut out = Vec::new();
+        let remote = |el: &SurfaceElementInfo<D>| {
+            filter.candidate_parts(&el.bbox, &mut out);
             out.iter().filter(|&&p| p != el.owner).count() as u64
-        })
-        .sum()
+        };
+        elements.iter().map(remote).sum::<u64>()
+    })
+    .into_iter()
+    .sum()
 }
 
 #[cfg(test)]

@@ -16,11 +16,10 @@
 
 use cip_contact::{GlobalFilter, SurfaceElementInfo};
 use cip_graph::Graph;
-use serde::Serialize;
 
 /// A per-rank traffic summary: the full part-to-part matrix plus row/col
 /// sums.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RankTraffic {
     /// Number of ranks (parts).
     pub k: usize,

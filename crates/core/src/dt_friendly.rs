@@ -19,7 +19,6 @@ use cip_dtree::{induce, DtreeConfig, StopRule};
 use cip_geom::Point;
 use cip_graph::{contract, Graph};
 use cip_partition::{balance_kway, refine_kway, PartitionerConfig};
-use serde::Serialize;
 
 /// Configuration of the DT-friendly correction.
 #[derive(Debug, Clone, Default)]
@@ -34,7 +33,7 @@ pub struct DtFriendlyConfig {
 }
 
 /// Statistics reported by the correction step.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DtFriendlyStats {
     /// Nodes in the full-vertex guidance tree.
     pub tree_nodes: usize,

@@ -20,7 +20,7 @@ use cip_partition::{
     diffusion_repartition, partition_kway, repartition, repartition_survivors, PartitionerConfig,
 };
 use cip_sim::SimResult;
-use rayon::prelude::*;
+use std::ops::Range;
 
 /// Which repartitioning algorithm non-fixed update policies use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,19 +138,16 @@ pub fn evaluate_mcml_dt(
     // policies — and a scripted rank loss — carry state from snapshot to
     // snapshot and stay sequential.
     if cfg.update == UpdatePolicy::Fixed && cfg.rank_loss.is_none() {
-        let out: Vec<SnapshotMetrics> = (0..sim.len())
-            .into_par_iter()
-            .map(|i| {
-                let built;
-                let view: &SnapshotView = if i == 0 {
-                    &view0
-                } else {
-                    built = SnapshotView::build(sim, i, cfg.contact_edge_weight);
-                    &built
-                };
-                snapshot_metrics(sim, i, view, &node_parts, cfg, k, 0)
-            })
-            .collect();
+        let out = fork_map(0..sim.len(), &|i| {
+            let built;
+            let view: &SnapshotView = if i == 0 {
+                &view0
+            } else {
+                built = SnapshotView::build(sim, i, cfg.contact_edge_weight);
+                &built
+            };
+            snapshot_metrics(sim, i, view, &node_parts, cfg, k, 0)
+        });
         return (out, friendly_stats);
     }
 
@@ -236,6 +233,20 @@ pub fn evaluate_mcml_dt(
         out.push(snapshot_metrics(sim, i, view, &node_parts, cfg, live_k, upd_comm));
     }
     (out, friendly_stats)
+}
+
+/// `f` over `range`, in order, by recursive halving on `par::join`: a
+/// snapshot is milliseconds of work, so every item is worth a fork (the
+/// grain of `par::parts` counts items, and would run these inline).
+fn fork_map<T: Send>(range: Range<usize>, f: &(impl Fn(usize) -> T + Sync)) -> Vec<T> {
+    if range.len() <= 1 {
+        return range.map(f).collect();
+    }
+    let mid = range.start + range.len() / 2;
+    let (mut head, tail) =
+        cip_base::par::join(|| fork_map(range.start..mid, f), || fork_map(mid..range.end, f));
+    head.extend(tail);
+    head
 }
 
 /// Contact points whose part changes between two node assignments (the

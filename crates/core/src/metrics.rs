@@ -1,12 +1,10 @@
 //! The §5.1 evaluation metrics and their aggregation.
 
-use serde::{Deserialize, Serialize};
-
 /// Metrics of one snapshot under one algorithm.
 ///
 /// Fields that do not apply to an algorithm are zero (e.g. `m2m_comm` for
 /// MCML+DT, `nt_nodes` for ML+RCB), matching the paper's Table 1 layout.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SnapshotMetrics {
     /// Simulation step of the snapshot.
     pub step: usize,
@@ -40,7 +38,7 @@ pub struct SnapshotMetrics {
 }
 
 /// Averages of the metrics over a snapshot sequence — one row of Table 1.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MetricsRow {
     /// Average FEComm.
     pub fe_comm: f64,
@@ -71,54 +69,34 @@ impl MetricsRow {
     pub fn non_search_comm(&self) -> f64 {
         self.fe_comm + 2.0 * self.m2m_comm
     }
-
-    /// Serializes the row as a JSON object (self-contained — no serde
-    /// runtime needed), field names matching the struct.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"fe_comm\":{},\"nt_nodes\":{},\"n_remote\":{},\"m2m_comm\":{},",
-                "\"upd_comm\":{},\"edge_cut\":{},\"imbalance_fe\":{},",
-                "\"imbalance_contact\":{},\"contact_points\":{},\"surface_elements\":{}}}"
-            ),
-            json_f64(self.fe_comm),
-            json_f64(self.nt_nodes),
-            json_f64(self.n_remote),
-            json_f64(self.m2m_comm),
-            json_f64(self.upd_comm),
-            json_f64(self.edge_cut),
-            json_f64(self.imbalance_fe),
-            json_f64(self.imbalance_contact),
-            json_f64(self.contact_points),
-            json_f64(self.surface_elements),
-        )
-    }
 }
 
-impl SnapshotMetrics {
-    /// Serializes the snapshot metrics as a JSON object (self-contained —
-    /// no serde runtime needed), field names matching the struct.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"step\":{},\"fe_comm\":{},\"nt_nodes\":{},\"n_remote\":{},",
-                "\"m2m_comm\":{},\"upd_comm\":{},\"edge_cut\":{},\"imbalance_fe\":{},",
-                "\"imbalance_contact\":{},\"contact_points\":{},\"surface_elements\":{}}}"
-            ),
-            self.step,
-            self.fe_comm,
-            self.nt_nodes,
-            self.n_remote,
-            self.m2m_comm,
-            self.upd_comm,
-            self.edge_cut,
-            json_f64(self.imbalance_fe),
-            json_f64(self.imbalance_contact),
-            self.contact_points,
-            self.surface_elements,
-        )
-    }
-}
+cip_telemetry::json_struct!(MetricsRow {
+    fe_comm,
+    nt_nodes,
+    n_remote,
+    m2m_comm,
+    upd_comm,
+    edge_cut,
+    imbalance_fe,
+    imbalance_contact,
+    contact_points,
+    surface_elements,
+});
+
+cip_telemetry::json_struct!(SnapshotMetrics {
+    step,
+    fe_comm,
+    nt_nodes,
+    n_remote,
+    m2m_comm,
+    upd_comm,
+    edge_cut,
+    imbalance_fe,
+    imbalance_contact,
+    contact_points,
+    surface_elements,
+});
 
 /// Schema tag stamped on every results document written under `results/`
 /// (by the bench bins and `cip-trace` alike).
@@ -128,29 +106,14 @@ pub const RESULTS_SCHEMA: &str = "cip-results-v1";
 /// `{"schema": "cip-results-v1", "kind": <kind>, "payload": <payload>}`.
 ///
 /// `payload_json` must already be valid JSON (e.g. from
-/// [`MetricsRow::to_json`] or serde).
+/// [`ToJson::to_json`](cip_telemetry::json::ToJson::to_json)).
 pub fn results_document(kind: &str, payload_json: &str) -> String {
-    let escaped: String = kind
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c => vec![c],
-        })
-        .collect();
-    format!("{{\"schema\":\"{RESULTS_SCHEMA}\",\"kind\":\"{escaped}\",\"payload\":{payload_json}}}")
-}
-
-/// Renders a finite f64 as JSON (non-finite values become `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{v:.1}")
-        } else {
-            format!("{v}")
-        }
-    } else {
-        "null".to_string()
-    }
+    let mut doc = format!("{{\"schema\":\"{RESULTS_SCHEMA}\",\"kind\":");
+    cip_telemetry::json::write_str(&mut doc, kind);
+    doc.push_str(",\"payload\":");
+    doc.push_str(payload_json);
+    doc.push('}');
+    doc
 }
 
 /// Averages a metrics sequence into a Table-1 row.
@@ -188,6 +151,7 @@ pub fn average_metrics(seq: &[SnapshotMetrics]) -> MetricsRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cip_telemetry::json::ToJson;
 
     #[test]
     fn averaging_is_arithmetic_mean() {

@@ -11,7 +11,6 @@
 use crate::mcml_dt::{evaluate_mcml_dt, McmlDtConfig, UpdatePolicy};
 use crate::metrics::SnapshotMetrics;
 use cip_sim::SimResult;
-use serde::Serialize;
 
 /// Linear per-step cost model over the measured metrics.
 ///
@@ -19,7 +18,7 @@ use serde::Serialize;
 /// state vector, a shipment is one surface element (a few nodal vectors),
 /// a migrated contact point carries its full history (heavier), and a
 /// repartition pays a fixed orchestration overhead.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Cost per FEComm (halo) unit.
     pub halo: f64,
@@ -57,7 +56,7 @@ impl CostModel {
 }
 
 /// The outcome of a period search.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyChoice {
     /// The selected update policy (period 0 encodes `Fixed`).
     pub period: usize,

@@ -7,11 +7,10 @@
 
 use cip_dtree::DecisionTree;
 use cip_graph::{edge_cut, part_fragments, total_comm_volume, Graph, Partition};
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// A quality snapshot of one decomposition.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct QualityReport {
     /// Part count.
     pub k: usize,

@@ -12,7 +12,7 @@
 //! * the points are sorted along each dimension **once** at the root; each
 //!   split stably partitions the per-dimension orderings, exactly as the
 //!   paper prescribes, so no re-sorting ever happens below the root;
-//! * induction of independent subtrees runs in parallel (rayon), mirroring
+//! * induction of independent subtrees runs in parallel (`par::join`), mirroring
 //!   the ScalParC-style parallel formulation the paper cites.
 //!
 //! Two stopping rules are provided: [`StopRule::Purity`] builds the
@@ -318,17 +318,10 @@ fn build<const D: usize>(
     }
     drop(set);
 
-    let (l, r) = if left_set.n() + right_set.n() >= cfg.parallel_threshold {
-        rayon::join(
-            || build(left_set, points, labels, k, cfg, depth + 1, rec),
-            || build(right_set, points, labels, k, cfg, depth + 1, rec),
-        )
-    } else {
-        (
-            build(left_set, points, labels, k, cfg, depth + 1, rec),
-            build(right_set, points, labels, k, cfg, depth + 1, rec),
-        )
-    };
+    let fork = left_set.n() + right_set.n() >= cfg.parallel_threshold;
+    let left = || build(left_set, points, labels, k, cfg, depth + 1, rec);
+    let right = || build(right_set, points, labels, k, cfg, depth + 1, rec);
+    let (l, r) = if fork { cip_base::par::join(left, right) } else { (left(), right()) };
     BNode::Internal { plane, left: Box::new(l), right: Box::new(r) }
 }
 

@@ -20,7 +20,7 @@
 //!   §6 suggestion that hyperplanes passing through sparsely populated
 //!   space should be preferred.
 //!
-//! Induction is parallel (rayon) across independent subtrees. Between
+//! Induction is parallel (`par::join`) across independent subtrees. Between
 //! adjacent time steps, [`refresh()`] maintains an existing tree
 //! incrementally — only the subtrees whose leaves went impure are
 //! re-induced — which is the efficient form of the paper's §4.3

@@ -1,97 +1,91 @@
-//! Property-based tests for tree induction (compiled only with
-//! `cfg(test)`).
+//! Property tests for tree induction: seeded sweeps over random labelled
+//! point clouds (compiled only with `cfg(test)`).
 
 #![cfg(test)]
 
 use crate::{induce, DtreeConfig, Splitter, StopRule};
+use cip_base::rng::{sweep, Rng};
 use cip_geom::{Aabb, Point};
-use proptest::prelude::*;
 
-fn points_labels_3d(max_pts: usize, k: usize) -> impl Strategy<Value = (Vec<Point<3>>, Vec<u32>)> {
-    proptest::collection::vec(
-        ((-50i32..50), (-50i32..50), (-50i32..50), 0u32..k as u32),
-        1..max_pts,
-    )
-    .prop_map(|v| {
-        let pts =
-            v.iter().map(|&(x, y, z, _)| Point::new([x as f64, y as f64, z as f64])).collect();
-        let labels = v.iter().map(|&(_, _, _, l)| l).collect();
-        (pts, labels)
-    })
+/// `1..max_pts` integer-lattice points in `[-50, 50)³`, labelled `0..k`.
+fn points_labels_3d(rng: &mut Rng, max_pts: i64, k: u32) -> (Vec<Point<3>>, Vec<u32>) {
+    let n = rng.range_i64(1..max_pts);
+    let pts = (0..n).map(|_| Point::new([0; 3].map(|_| rng.range_i64(-50..50) as f64))).collect();
+    let labels = (0..n).map(|_| rng.range_u32(k)).collect();
+    (pts, labels)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Structural identity: a binary tree has `2 * leaves - 1` nodes, and
-    /// the stats agree with the direct counters.
-    #[test]
-    fn stats_are_structurally_consistent((pts, labels) in points_labels_3d(60, 3)) {
+/// Structural identity: a binary tree has `2 * leaves - 1` nodes, and
+/// the stats agree with the direct counters.
+#[test]
+fn stats_are_structurally_consistent() {
+    sweep(48, |rng| {
+        let (pts, labels) = points_labels_3d(rng, 60, 3);
         let t = induce(&pts, &labels, 3, &DtreeConfig::search_tree());
         let s = t.stats(3);
-        prop_assert_eq!(s.nodes, 2 * s.leaves - 1);
-        prop_assert_eq!(s.nodes, t.num_nodes());
-        prop_assert_eq!(s.leaves, t.num_leaves());
-        prop_assert_eq!(s.depth, t.depth());
-        prop_assert_eq!(s.leaves_per_part.iter().sum::<usize>(), s.leaves);
-    }
+        assert_eq!(s.nodes, 2 * s.leaves - 1);
+        assert_eq!(s.nodes, t.num_nodes());
+        assert_eq!(s.leaves, t.num_leaves());
+        assert_eq!(s.depth, t.depth());
+        assert_eq!(s.leaves_per_part.iter().sum::<usize>(), s.leaves);
+    });
+}
 
-    /// The tight query is a subset of the region query, and both contain
-    /// every label owning a point in the query box.
-    #[test]
-    fn tight_query_is_sound_and_tighter(
-        (pts, labels) in points_labels_3d(60, 4),
-        qx in -50i32..50, qy in -50i32..50, qz in -50i32..50, w in 1i32..40
-    ) {
+/// The tight query is a subset of the region query, and both contain
+/// every label owning a point in the query box.
+#[test]
+fn tight_query_is_sound_and_tighter() {
+    sweep(48, |rng| {
+        let (pts, labels) = points_labels_3d(rng, 60, 4);
+        let corner = [0; 3].map(|_| rng.range_i64(-50..50) as f64);
+        let w = rng.range_i64(1..40) as f64;
         let t = induce(&pts, &labels, 4, &DtreeConfig::search_tree());
-        let q = Aabb::new(
-            Point::new([qx as f64, qy as f64, qz as f64]),
-            Point::new([(qx + w) as f64, (qy + w) as f64, (qz + w) as f64]),
-        );
+        let q = Aabb::new(Point::new(corner), Point::new(corner.map(|c| c + w)));
         let mut region = Vec::new();
         let mut tight = Vec::new();
         t.query_box(&q, &mut region);
         t.query_box_tight(&q, &mut tight);
         // Tight ⊆ region.
         for p in &tight {
-            prop_assert!(region.contains(p));
+            assert!(region.contains(p));
         }
         // Both contain every true owner.
         for (p, &l) in pts.iter().zip(labels.iter()) {
             if q.contains_point(p) {
-                prop_assert!(tight.contains(&l), "tight query missed owner {l}");
-                prop_assert!(region.contains(&l));
+                assert!(tight.contains(&l), "tight query missed owner {l}");
+                assert!(region.contains(&l));
             }
         }
-    }
+    });
+}
 
-    /// The margin-aware tie-break never breaks correctness: every point
-    /// still locates to its own label when uniquely positioned.
-    #[test]
-    fn margin_tiebreak_preserves_purity((pts, labels) in points_labels_3d(50, 3)) {
+/// The margin-aware tie-break never breaks correctness: every point
+/// still locates to its own label when uniquely positioned.
+#[test]
+fn margin_tiebreak_preserves_purity() {
+    sweep(48, |rng| {
+        let (pts, labels) = points_labels_3d(rng, 50, 3);
         let cfg = DtreeConfig {
             splitter: Splitter::MarginAware { alpha: 0.5 },
             ..DtreeConfig::search_tree()
         };
         let t = induce(&pts, &labels, 3, &cfg);
         for (i, p) in pts.iter().enumerate() {
-            let clash = pts
-                .iter()
-                .zip(labels.iter())
-                .any(|(q, &l)| q == p && l != labels[i]);
+            let clash = pts.iter().zip(labels.iter()).any(|(q, &l)| q == p && l != labels[i]);
             if !clash {
-                prop_assert_eq!(t.locate(p), labels[i]);
+                assert_eq!(t.locate(p), labels[i]);
             }
         }
-    }
+    });
+}
 
-    /// The max_i rule never produces an impure leaf at or above max_i
-    /// points unless the points are geometrically inseparable.
-    #[test]
-    fn max_i_bounds_impure_leaf_sizes(
-        (pts, labels) in points_labels_3d(80, 3),
-        max_i in 2usize..12
-    ) {
+/// The max_i rule never produces an impure leaf at or above max_i
+/// points unless the points are geometrically inseparable.
+#[test]
+fn max_i_bounds_impure_leaf_sizes() {
+    sweep(48, |rng| {
+        let (pts, labels) = points_labels_3d(rng, 80, 3);
+        let max_i = rng.range_i64(2..12) as usize;
         let cfg = DtreeConfig {
             stop: StopRule::MaxPMaxI { max_p: usize::MAX, max_i },
             ..DtreeConfig::default()
@@ -105,11 +99,11 @@ proptest! {
                 let inside: Vec<&Point<3>> =
                     pts.iter().filter(|p| leaf.region.contains_point(p)).collect();
                 let first = inside[0];
-                prop_assert!(
+                assert!(
                     inside.iter().all(|p| *p == first),
                     "oversized impure leaf with separable points"
                 );
             }
         }
-    }
+    });
 }

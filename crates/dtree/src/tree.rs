@@ -1,10 +1,9 @@
 //! Decision-tree structure and queries.
 
 use cip_geom::{Aabb, AxisPlane, Point, Side};
-use serde::{Deserialize, Serialize};
 
 /// A node of the decision tree (flattened arena representation).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum DtNode<const D: usize> {
     /// An internal decision: points with `coord <= plane.coord` take the
     /// *yes* (left) branch.
@@ -44,7 +43,7 @@ pub enum DtNode<const D: usize> {
 }
 
 /// Summary of one leaf, as returned by [`DecisionTree::leaf_regions`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LeafInfo<const D: usize> {
     /// Majority partition of the leaf.
     pub part: u32,
@@ -61,7 +60,7 @@ pub struct LeafInfo<const D: usize> {
 ///
 /// Built by [`crate::induce()`]; nodes are stored in an arena with the root
 /// at index 0.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree<const D: usize> {
     nodes: Vec<DtNode<D>>,
 }

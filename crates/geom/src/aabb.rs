@@ -1,7 +1,6 @@
 //! Axis-aligned bounding boxes.
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box in `D` dimensions.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// intersecting. This matters for contact search, where a surface element
 /// lying exactly on a subdomain boundary must be shipped to both sides
 /// (erring towards a false positive is safe; missing a contact is not).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb<const D: usize> {
     /// Minimum corner.
     pub min: Point<D>,

@@ -2,7 +2,6 @@
 
 use crate::aabb::Aabb;
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// Which side of an [`AxisPlane`] an entity lies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +20,7 @@ pub enum Side {
 /// the closed half-space `x[dim] <= coord` and the *right* (no) side is the
 /// open half-space `x[dim] > coord`. Every point therefore lands on exactly
 /// one side; only extended objects (boxes) can straddle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AxisPlane {
     /// The split dimension (0 = x, 1 = y, 2 = z).
     pub dim: usize,

@@ -1,9 +1,5 @@
 //! Fixed-dimension points.
 
-use serde::de::{Error as DeError, SeqAccess, Visitor};
-use serde::ser::SerializeTuple;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
 /// A point in `D`-dimensional space.
 ///
 /// `D` is 2 for the paper's illustrative examples (Figures 1 and 2) and 3
@@ -14,38 +10,6 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 pub struct Point<const D: usize> {
     /// Cartesian coordinates.
     pub coords: [f64; D],
-}
-
-// serde does not yet derive for const-generic arrays; encode a point as a
-// fixed-length tuple of coordinates.
-impl<const D: usize> Serialize for Point<D> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut tup = serializer.serialize_tuple(D)?;
-        for c in &self.coords {
-            tup.serialize_element(c)?;
-        }
-        tup.end()
-    }
-}
-
-impl<'de, const D: usize> Deserialize<'de> for Point<D> {
-    fn deserialize<De: Deserializer<'de>>(deserializer: De) -> Result<Self, De::Error> {
-        struct PointVisitor<const D: usize>;
-        impl<'de, const D: usize> Visitor<'de> for PointVisitor<D> {
-            type Value = Point<D>;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                write!(f, "a tuple of {D} f64 coordinates")
-            }
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Point<D>, A::Error> {
-                let mut coords = [0.0; D];
-                for (i, c) in coords.iter_mut().enumerate() {
-                    *c = seq.next_element()?.ok_or_else(|| A::Error::invalid_length(i, &self))?;
-                }
-                Ok(Point { coords })
-            }
-        }
-        deserializer.deserialize_tuple(D, PointVisitor::<D>)
-    }
 }
 
 impl<const D: usize> Point<D> {

@@ -1,98 +1,109 @@
-//! Property-based tests for the geometry kernel (compiled only with
-//! `cfg(test)`).
+//! Property tests for the geometry kernel: seeded sweeps over random
+//! boxes, points and planes (compiled only with `cfg(test)`).
 
 #![cfg(test)]
 
 use crate::{Aabb, AxisPlane, Point, RcbTree, Side};
-use proptest::prelude::*;
+use cip_base::rng::{sweep, Rng};
 
-fn arb_point2() -> impl Strategy<Value = Point<2>> {
-    ((-1000i32..1000), (-1000i32..1000))
-        .prop_map(|(x, y)| Point::new([x as f64 / 4.0, y as f64 / 4.0]))
+/// A point on the quarter lattice in `[-250, 250)²`.
+fn point2(rng: &mut Rng) -> Point<2> {
+    Point::new([0, 1].map(|_| rng.range_i64(-1000..1000) as f64 / 4.0))
 }
 
-fn arb_box2() -> impl Strategy<Value = Aabb<2>> {
-    (arb_point2(), (0u32..400), (0u32..400)).prop_map(|(p, w, h)| {
-        Aabb::new(p, Point::new([p[0] + w as f64 / 4.0, p[1] + h as f64 / 4.0]))
-    })
+/// A box anchored at a lattice point, up to 100 wide and high.
+fn box2(rng: &mut Rng) -> Aabb<2> {
+    let p = point2(rng);
+    let [w, h] = [0, 1].map(|_| rng.range_i64(0..400) as f64 / 4.0);
+    Aabb::new(p, Point::new([p[0] + w, p[1] + h]))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Union contains both operands; intersection is symmetric.
-    #[test]
-    fn union_contains_operands(a in arb_box2(), b in arb_box2()) {
+/// Union contains both operands; intersection is symmetric.
+#[test]
+fn union_contains_operands() {
+    sweep(128, |rng| {
+        let (a, b) = (box2(rng), box2(rng));
         let u = a.union(&b);
-        prop_assert!(u.contains_box(&a));
-        prop_assert!(u.contains_box(&b));
-        prop_assert_eq!(a.intersects(&b), b.intersects(&a));
-    }
+        assert!(u.contains_box(&a));
+        assert!(u.contains_box(&b));
+        assert_eq!(a.intersects(&b), b.intersects(&a));
+    });
+}
 
-    /// A point is in the union iff the box grown to it contains it.
-    #[test]
-    fn grow_makes_point_contained(b in arb_box2(), p in arb_point2()) {
+/// A point is in the union iff the box grown to it contains it.
+#[test]
+fn grow_makes_point_contained() {
+    sweep(128, |rng| {
+        let (b, p) = (box2(rng), point2(rng));
         let mut g = b;
         g.grow(&p);
-        prop_assert!(g.contains_point(&p));
-        prop_assert!(g.contains_box(&b));
-    }
+        assert!(g.contains_point(&p));
+        assert!(g.contains_box(&b));
+    });
+}
 
-    /// Inflate by a nonnegative margin preserves containment and grows
-    /// volume monotonically.
-    #[test]
-    fn inflate_monotone(b in arb_box2(), m in 0u32..100) {
-        let margin = m as f64 / 8.0;
-        let big = b.inflate(margin);
-        prop_assert!(big.contains_box(&b));
-        prop_assert!(big.volume() >= b.volume());
-    }
+/// Inflate by a nonnegative margin preserves containment and grows
+/// volume monotonically.
+#[test]
+fn inflate_monotone() {
+    sweep(128, |rng| {
+        let b = box2(rng);
+        let big = b.inflate(rng.range_i64(0..100) as f64 / 8.0);
+        assert!(big.contains_box(&b));
+        assert!(big.volume() >= b.volume());
+    });
+}
 
-    /// split_box partitions the volume exactly and both halves are inside.
-    #[test]
-    fn split_box_partitions(b in arb_box2(), dim in 0usize..2, t in 0.0f64..1.0) {
-        let coord = b.min[dim] + t * b.extent(dim);
-        let plane = AxisPlane::new(dim, coord);
+/// split_box partitions the volume exactly and both halves are inside.
+#[test]
+fn split_box_partitions() {
+    sweep(128, |rng| {
+        let b = box2(rng);
+        let dim = rng.range_u32(2) as usize;
+        let t = rng.range_i64(0..1 << 20) as f64 / (1u32 << 20) as f64;
+        let plane = AxisPlane::new(dim, b.min[dim] + t * b.extent(dim));
         let (l, r) = plane.split_box(&b);
-        prop_assert!((l.volume() + r.volume() - b.volume()).abs() < 1e-9 * b.volume().max(1.0));
-        prop_assert!(b.contains_box(&l) || l.volume() == 0.0);
-        prop_assert!(b.contains_box(&r) || r.volume() == 0.0);
-    }
+        assert!((l.volume() + r.volume() - b.volume()).abs() < 1e-9 * b.volume().max(1.0));
+        assert!(b.contains_box(&l) || l.volume() == 0.0);
+        assert!(b.contains_box(&r) || r.volume() == 0.0);
+    });
+}
 
-    /// Point side tests are consistent with box side tests: a degenerate
-    /// box at a point sides the same way the point does.
-    #[test]
-    fn point_and_box_sides_agree(p in arb_point2(), dim in 0usize..2, c in -1000i32..1000) {
-        let plane = AxisPlane::new(dim, c as f64 / 4.0);
+/// Point side tests are consistent with box side tests: a degenerate
+/// box at a point sides the same way the point does.
+#[test]
+fn point_and_box_sides_agree() {
+    sweep(128, |rng| {
+        let p = point2(rng);
+        let plane =
+            AxisPlane::new(rng.range_u32(2) as usize, rng.range_i64(-1000..1000) as f64 / 4.0);
         let b = Aabb::from_point(p);
         match plane.point_side(&p) {
-            Side::Left => prop_assert_eq!(plane.box_side(&b), Side::Left),
-            Side::Right => prop_assert_eq!(plane.box_side(&b), Side::Right),
+            Side::Left => assert_eq!(plane.box_side(&b), Side::Left),
+            Side::Right => assert_eq!(plane.box_side(&b), Side::Right),
             Side::Both => unreachable!("points are never on both sides"),
         }
-    }
+    });
+}
 
-    /// RCB's regions query and point location agree for every input point,
-    /// and an updated tree remains consistent after points move.
-    #[test]
-    fn rcb_update_remains_consistent(
-        pts in proptest::collection::vec(arb_point2(), 10..80),
-        k in 1usize..6,
-        dx in -100i32..100,
-    ) {
+/// RCB's regions query and point location agree for every input point,
+/// and an updated tree remains consistent after points move.
+#[test]
+fn rcb_update_remains_consistent() {
+    sweep(128, |rng| {
+        let pts: Vec<Point<2>> = (0..rng.range_i64(10..80)).map(|_| point2(rng)).collect();
+        let k = rng.range_i64(1..6) as usize;
+        let dx = rng.range_i64(-100..100) as f64 / 4.0;
         let weights = vec![1.0; pts.len()];
         let (mut tree, asg) = RcbTree::build(&pts, &weights, k);
         for (i, p) in pts.iter().enumerate() {
-            prop_assert_eq!(tree.locate(p), asg[i]);
+            assert_eq!(tree.locate(p), asg[i]);
         }
-        let moved: Vec<Point<2>> = pts
-            .iter()
-            .map(|p| Point::new([p[0] + dx as f64 / 4.0, p[1]]))
-            .collect();
+        let moved: Vec<Point<2>> = pts.iter().map(|p| Point::new([p[0] + dx, p[1]])).collect();
         let asg2 = tree.update(&moved, &weights);
         for (i, p) in moved.iter().enumerate() {
-            prop_assert_eq!(tree.locate(p), asg2[i]);
+            assert_eq!(tree.locate(p), asg2[i]);
         }
-        prop_assert!(asg2.iter().all(|&p| (p as usize) < k));
-    }
+        assert!(asg2.iter().all(|&p| (p as usize) < k));
+    });
 }

@@ -20,10 +20,9 @@
 use crate::aabb::Aabb;
 use crate::plane::{AxisPlane, Side};
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for an RCB decomposition.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RcbConfig {
     /// Number of parts to produce.
     pub k: usize,
@@ -37,7 +36,7 @@ impl RcbConfig {
 }
 
 /// A node of the RCB cut tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum RcbNode {
     /// An internal cut. Points with `coord <= plane.coord` descend left.
     Internal {
@@ -59,7 +58,7 @@ enum RcbNode {
 /// The tree records every cut plane, so it can (a) locate a point's part in
 /// `O(log k)`, (b) enumerate the axis-parallel region of each part, and
 /// (c) be *updated in place* when the points move.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RcbTree<const D: usize> {
     nodes: Vec<RcbNode>,
     root: u32,

@@ -11,15 +11,15 @@
 //!
 //! The partitioner's coarsening loop calls [`contract_with`] once per level,
 //! threading a [`ContractWorkspace`] through so the scratch arrays (group
-//! counts, member lists, per-worker stamp/slot tables) are allocated once
-//! and reused at every level. Above the caller's parallel threshold the
+//! counts, member lists, the stamp/slot table) are allocated once and
+//! reused at every level. Above the caller's parallel threshold the
 //! assembly runs as a two-pass (count, then fill) CSR construction over
-//! chunks of coarse vertices on the rayon pool; both paths emit
+//! runs of coarse vertices on `cip_base::par`; both paths emit
 //! **bit-identical** graphs, so the choice is purely a performance knob and
 //! never affects partitioning results.
 
 use crate::csr::Graph;
-use rayon::prelude::*;
+use cip_base::par;
 
 /// Per-worker scatter-accumulate scratch: `stamp[c]` records the coarse
 /// vertex currently owning slot `slot[c]` so the arrays never need clearing
@@ -55,8 +55,8 @@ pub struct ContractWorkspace {
     cursor: Vec<usize>,
     /// Coarse adjacency sizes for the two-pass parallel assembly.
     degs: Vec<usize>,
-    /// Per-worker stamp/slot tables (one per parallel chunk).
-    scratch: Vec<Scratch>,
+    /// The sequential assembly's stamp/slot table.
+    scratch: Scratch,
 }
 
 impl ContractWorkspace {
@@ -107,9 +107,9 @@ pub fn contract(g: &Graph, map: &[u32], cnv: usize) -> Graph {
 
 /// [`contract`], with explicit control of parallelism and scratch reuse.
 ///
-/// When `parallel` is true the per-coarse-vertex adjacency assembly and the
-/// coarse vertex-weight accumulation run on the rayon pool (two-pass CSR:
-/// count degrees, prefix-sum, then fill disjoint output segments). The
+/// When `parallel` is true the per-coarse-vertex adjacency assembly runs
+/// on `cip_base::par` (two-pass CSR: count degrees, prefix-sum, then fill
+/// disjoint output segments). The
 /// output is bit-identical to the sequential path for any thread count:
 /// every coarse vertex's adjacency depends only on the (deterministic)
 /// member order and CSR neighbor order, never on scheduling.
@@ -130,20 +130,10 @@ pub fn contract_with(
 
     // Coarse vertex weights: each coarse row sums its members' fine rows.
     let mut cvwgt = vec![0i64; cnv * ncon];
-    if parallel {
-        cvwgt.par_chunks_mut(ncon).enumerate().for_each(|(c, row)| {
-            for &v in &members[counts[c]..counts[c + 1]] {
-                for (acc, w) in row.iter_mut().zip(g.vwgt(v)) {
-                    *acc += w;
-                }
-            }
-        });
-    } else {
-        for (c, row) in cvwgt.chunks_exact_mut(ncon).enumerate() {
-            for &v in &members[counts[c]..counts[c + 1]] {
-                for (acc, w) in row.iter_mut().zip(g.vwgt(v)) {
-                    *acc += w;
-                }
+    for (c, row) in cvwgt.chunks_exact_mut(ncon).enumerate() {
+        for &v in &members[counts[c]..counts[c + 1]] {
+            for (acc, w) in row.iter_mut().zip(g.vwgt(v)) {
+                *acc += w;
             }
         }
     }
@@ -151,11 +141,7 @@ pub fn contract_with(
     if !parallel {
         // Single-pass sequential assembly: scatter-accumulate each coarse
         // vertex's neighbor weights, growing the output arrays in place.
-        if scratch.is_empty() {
-            scratch.push(Scratch::default());
-        }
-        let sc = &mut scratch[0];
-        sc.reset(cnv);
+        scratch.reset(cnv);
         let mut cxadj = Vec::with_capacity(cnv + 1);
         let mut sink = GrowSink {
             adjncy: Vec::with_capacity(g.adjncy().len()),
@@ -163,43 +149,34 @@ pub fn contract_with(
         };
         cxadj.push(0usize);
         for c in 0..cnv {
-            assemble(g, map, &members[counts[c]..counts[c + 1]], c, sc, &mut sink);
+            assemble(g, map, &members[counts[c]..counts[c + 1]], c, scratch, &mut sink);
             cxadj.push(sink.adjncy.len());
         }
         return Graph::from_csr_unchecked(ncon, cxadj, sink.adjncy, sink.adjwgt, cvwgt);
     }
 
-    // Two-pass parallel assembly over chunks of coarse vertices. Chunk size
-    // is bounded below so tiny graphs don't shatter into per-vertex tasks.
-    let chunk = chunk_size(cnv);
-    let nchunks = cnv.div_ceil(chunk).max(1);
-    if scratch.len() < nchunks {
-        scratch.resize_with(nchunks, Scratch::default);
-    }
-
+    // Two-pass parallel assembly over runs of coarse vertices, each run
+    // with a stamp table of its own.
     // Pass A: per-coarse-vertex degrees.
     degs.clear();
     degs.resize(cnv, 0);
-    degs.par_chunks_mut(chunk).zip(scratch.par_iter_mut()).enumerate().for_each(
-        |(ci, (dchunk, sc))| {
-            sc.reset(cnv);
-            let base = ci * chunk;
-            for (i, d) in dchunk.iter_mut().enumerate() {
-                let c = base + i;
-                let mut deg = 0usize;
-                for &v in &members[counts[c]..counts[c + 1]] {
-                    for &u in g.adj(v) {
-                        let cu = map[u as usize] as usize;
-                        if cu != c && sc.stamp[cu] != c as u32 {
-                            sc.stamp[cu] = c as u32;
-                            deg += 1;
-                        }
+    par::parts(&mut degs[..], |first, degs| {
+        let mut sc = Scratch::default();
+        sc.reset(cnv);
+        for (c, d) in (first..).zip(degs) {
+            let mut deg = 0usize;
+            for &v in &members[counts[c]..counts[c + 1]] {
+                for &u in g.adj(v) {
+                    let cu = map[u as usize] as usize;
+                    if cu != c && sc.stamp[cu] != c as u32 {
+                        sc.stamp[cu] = c as u32;
+                        deg += 1;
                     }
                 }
-                *d = deg;
             }
-        },
-    );
+            *d = deg;
+        }
+    });
 
     // Prefix-sum into offsets.
     let mut cxadj = Vec::with_capacity(cnv + 1);
@@ -210,38 +187,48 @@ pub fn contract_with(
         cxadj.push(total);
     }
 
-    // Pass B: fill disjoint output segments, one slice pair per chunk.
+    // Pass B: every run fills its own disjoint segment of the output.
     let mut cadjncy = vec![0u32; total];
     let mut cadjwgt = vec![0i64; total];
-    let mut seg_n: &mut [u32] = &mut cadjncy;
-    let mut seg_w: &mut [i64] = &mut cadjwgt;
-    let mut segments: Vec<(usize, &mut [u32], &mut [i64])> = Vec::with_capacity(nchunks);
-    let mut cut_at = 0usize;
-    for ci in 0..nchunks {
-        let lo_c = ci * chunk;
-        let hi_c = (lo_c + chunk).min(cnv);
-        let len = cxadj[hi_c] - cut_at;
-        let (n, rest_n) = std::mem::take(&mut seg_n).split_at_mut(len);
-        let (w, rest_w) = std::mem::take(&mut seg_w).split_at_mut(len);
-        segments.push((lo_c, n, w));
-        seg_n = rest_n;
-        seg_w = rest_w;
-        cut_at += len;
-    }
-    let cxadj_ref: &[usize] = &cxadj;
-    segments.par_iter_mut().zip(scratch.par_iter_mut()).for_each(|((lo_c, seg_n, seg_w), sc)| {
+    let out = Segments { cxadj: &cxadj, adjncy: &mut cadjncy, adjwgt: &mut cadjwgt };
+    par::parts(out, |first, seg| {
+        let mut sc = Scratch::default();
         sc.reset(cnv);
-        let lo_c = *lo_c;
-        let hi_c = (lo_c + chunk).min(cnv);
-        let seg_base = cxadj_ref[lo_c];
-        for c in lo_c..hi_c {
-            let mut sink = SliceSink { adjncy: seg_n, adjwgt: seg_w, len: cxadj_ref[c] - seg_base };
-            assemble(g, map, &members[counts[c]..counts[c + 1]], c, sc, &mut sink);
-            debug_assert_eq!(sink.len, cxadj_ref[c + 1] - seg_base);
+        let base = seg.cxadj[0];
+        for (c, offsets) in (first..).zip(seg.cxadj.windows(2)) {
+            let mut sink =
+                SliceSink { adjncy: seg.adjncy, adjwgt: seg.adjwgt, len: offsets[0] - base };
+            assemble(g, map, &members[counts[c]..counts[c + 1]], c, &mut sc, &mut sink);
+            debug_assert_eq!(sink.len, offsets[1] - base);
         }
     });
 
     Graph::from_csr_unchecked(ncon, cxadj, cadjncy, cadjwgt, cvwgt)
+}
+
+/// A run of coarse vertices and the output segment their adjacencies
+/// fill: `cxadj` holds the run's offsets and its end, `adjncy`/`adjwgt`
+/// the entries `cxadj[0]..cxadj[len]`.
+struct Segments<'a> {
+    cxadj: &'a [usize],
+    adjncy: &'a mut [u32],
+    adjwgt: &'a mut [i64],
+}
+
+impl par::Split for Segments<'_> {
+    fn items(&self) -> usize {
+        self.cxadj.len() - 1
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let cut = self.cxadj[mid] - self.cxadj[0];
+        let (adjncy, adjncy_rest) = self.adjncy.split_at_mut(cut);
+        let (adjwgt, adjwgt_rest) = self.adjwgt.split_at_mut(cut);
+        (
+            Segments { cxadj: &self.cxadj[..=mid], adjncy, adjwgt },
+            Segments { cxadj: &self.cxadj[mid..], adjncy: adjncy_rest, adjwgt: adjwgt_rest },
+        )
+    }
 }
 
 /// Where [`assemble`] writes one coarse vertex's merged adjacency.
@@ -314,13 +301,6 @@ fn assemble(
             }
         }
     }
-}
-
-/// Parallel chunking grain: small enough to load-balance, large enough that
-/// per-chunk stamp resets stay cheap relative to the work.
-fn chunk_size(cnv: usize) -> usize {
-    let workers = rayon::current_num_threads().max(1);
-    (cnv.div_ceil(4 * workers)).max(256).min(cnv.max(1))
 }
 
 /// Projects a coarse-graph part assignment back onto the fine graph:

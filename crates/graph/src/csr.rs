@@ -1,7 +1,5 @@
 //! Compressed-sparse-row graph with multi-constraint vertex weights.
 
-use serde::{Deserialize, Serialize};
-
 /// An undirected graph in CSR form.
 ///
 /// * Every undirected edge `{u, v}` is stored twice (once in each adjacency
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 ///   component 1 is its contact-search work (zero for non-contact nodes).
 /// * Vertex ids are `u32` (meshes of interest have far fewer than 2³²
 ///   nodes); offsets are `usize`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     ncon: usize,
     xadj: Vec<usize>,

@@ -1,14 +1,13 @@
 //! `k`-way partitions with cached per-part weights.
 
 use crate::csr::Graph;
-use serde::{Deserialize, Serialize};
 
 /// A `k`-way partition of a graph's vertices with cached per-part weight
 /// sums for every constraint.
 ///
 /// The cache makes the balance checks inside FM / k-way refinement O(ncon)
 /// per candidate move instead of O(n).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Partition {
     k: usize,
     ncon: usize,

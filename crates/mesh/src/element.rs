@@ -1,7 +1,5 @@
 //! Linear finite elements and their face/edge topology.
 
-use serde::{Deserialize, Serialize};
-
 /// The element families supported by the mesh layer.
 ///
 /// 2D elements (Tri3, Quad4) have *edges* as their boundary facets; 3D
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// synthetic projectile workload uses Hex8 throughout (matching the EPIC
 /// hexahedral meshes); Tet4/Tri3/Quad4 round out the layer for tests and
 /// 2D illustrations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElementKind {
     /// 3-node triangle (2D).
     Tri3,
@@ -107,7 +105,7 @@ impl ElementKind {
 ///
 /// Node ids are stored in a fixed 8-slot array (unused slots are
 /// `u32::MAX`) so `Vec<Element>` stays contiguous without boxing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Element {
     /// Element family.
     pub kind: ElementKind,
@@ -170,7 +168,7 @@ impl Element {
 
 /// A boundary facet: up to four global node ids (segments in 2D, triangles
 /// or quadrilaterals in 3D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Face {
     nodes: [u32; 4],
     len: u8,

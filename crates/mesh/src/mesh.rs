@@ -2,7 +2,6 @@
 
 use crate::element::Element;
 use cip_geom::{Aabb, Point};
-use serde::{Deserialize, Serialize};
 
 /// A (possibly multi-body) finite-element mesh in `D` dimensions.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// physically removing them, so node and element ids stay stable across the
 /// whole simulation — exactly what the partition-update strategies of §4.3
 /// need in order to compare successive decompositions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mesh<const D: usize> {
     /// Node coordinates (current configuration).
     pub points: Vec<Point<D>>,

@@ -9,10 +9,9 @@
 
 use crate::element::Face;
 use crate::mesh::Mesh;
-use serde::{Deserialize, Serialize};
 
 /// A boundary facet together with its owning element and body.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurfaceFace {
     /// The facet (global node ids).
     pub face: Face,
@@ -23,7 +22,7 @@ pub struct SurfaceFace {
 }
 
 /// The extracted boundary surface of a mesh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Surface {
     /// Boundary facets — the *surface elements* searched for contact.
     pub faces: Vec<SurfaceFace>,

@@ -10,10 +10,8 @@
 use crate::config::{child_seed, PartitionerConfig};
 use crate::fm::{fm_refine_with, rebalance_bisection_with, side_weights, BisectTargets};
 use crate::RefineWorkspace;
+use cip_base::rng::Rng;
 use cip_graph::Graph;
-use rand::rngs::SmallRng;
-use rand::Rng;
-use rand::SeedableRng;
 use std::cmp::Reverse;
 
 /// Computes an initial bisection of `g` with side-0 target fraction
@@ -78,7 +76,7 @@ fn grow_once(
     asg: &mut Vec<u32>,
 ) {
     let nv = g.nv();
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     asg.clear();
     asg.resize(nv, 1);
 
@@ -97,7 +95,7 @@ fn grow_once(
     in_side0.clear();
     in_side0.resize(nv, false);
 
-    let start = rng.gen_range(0..nv as u32);
+    let start = rng.range_u32(nv as u32);
     let mut pending: Option<u32> = Some(start);
 
     while (grown as f64) < target0 {

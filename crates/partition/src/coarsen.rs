@@ -18,7 +18,7 @@
 //!   accepted, and the loop repeats on the remainder until no new pairs
 //!   form. Every round is a pure function of the previous round's `mate`
 //!   snapshot and each vertex writes only its own slot, so the result is
-//!   **byte-identical for a fixed seed at any rayon thread count**.
+//!   **byte-identical for a fixed seed at any thread count**.
 //!
 //! [`coarsen_with`] drives either matcher per level (chosen by the
 //! caller's `parallel_threshold`), contracts through
@@ -27,12 +27,10 @@
 //! [`CoarsenWorkspace`] so the steady-state level loop performs no scratch
 //! allocation.
 
+use cip_base::par;
+use cip_base::rng::Rng;
 use cip_graph::{contract_with, ContractWorkspace, Graph};
 use cip_telemetry::Recorder;
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Default for [`CoarsenParams::parallel_threshold`] (kept in sync with
 /// `PartitionerConfig::default`).
@@ -171,8 +169,7 @@ fn sequential_hem(g: &Graph, seed: u64, ws: &mut CoarsenWorkspace) -> (Vec<u32>,
     let nv = g.nv();
     ws.order.clear();
     ws.order.extend(0..nv as u32);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    ws.order.shuffle(&mut rng);
+    Rng::seed_from_u64(seed).shuffle(&mut ws.order);
 
     ws.mate.clear();
     ws.mate.resize(nv, u32::MAX);
@@ -230,8 +227,7 @@ fn parallel_hem(
     let nv = g.nv();
     ws.order.clear();
     ws.order.extend(0..nv as u32);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    ws.order.shuffle(&mut rng);
+    Rng::seed_from_u64(seed).shuffle(&mut ws.order);
     ws.rank.clear();
     ws.rank.resize(nv, 0);
     for (i, &v) in ws.order.iter().enumerate() {
@@ -249,44 +245,45 @@ fn parallel_hem(
         // complementarity) go to the neighbor with the smallest seeded
         // rank, which is also what makes the handshake likely to close.
         let (mate, rank) = (&ws.mate, &ws.rank);
-        ws.proposal.par_iter_mut().enumerate().for_each(|(v, p)| {
-            let v = v as u32;
-            *p = if mate[v as usize] != u32::MAX {
-                u32::MAX
-            } else {
-                best_candidate(g, v, mate, rank)
-            };
+        par::parts(&mut ws.proposal[..], |at, proposals| {
+            for (v, p) in (at..).zip(proposals) {
+                *p = if mate[v] != u32::MAX {
+                    u32::MAX
+                } else {
+                    best_candidate(g, v as u32, mate, rank)
+                };
+            }
         });
 
         // Resolve: accept exactly the mutual proposals. Each vertex
         // inspects the shared proposal table but writes only mate[v].
         let proposal = &ws.proposal;
-        let newly: usize = ws
-            .mate
-            .par_iter_mut()
-            .enumerate()
-            .map(|(v, m)| {
+        let newly: usize = par::parts(&mut ws.mate[..], |at, mates| {
+            let mut newly = 0;
+            for (v, m) in (at..).zip(mates) {
                 if *m == u32::MAX {
                     let u = proposal[v];
                     if u != u32::MAX && proposal[u as usize] == v as u32 {
                         *m = u;
-                        return 1;
+                        newly += 1;
                     }
                 }
-                0
-            })
-            .sum();
+            }
+            newly
+        })
+        .into_iter()
+        .sum();
         if newly == 0 {
             break; // match rate stalled — the rest become singletons
         }
     }
 
     // Unmatched remainder -> singletons.
-    ws.mate.par_iter_mut().enumerate().for_each(|(v, m)| {
+    for (v, m) in ws.mate.iter_mut().enumerate() {
         if *m == u32::MAX {
             *m = v as u32;
         }
-    });
+    }
     assign_coarse_ids(&ws.mate)
 }
 
@@ -344,7 +341,7 @@ pub fn coarsen(g: &Graph, coarsen_to: usize, seed: u64) -> Hierarchy {
 /// Levels at or above `params.parallel_threshold` vertices run the
 /// parallel matcher and parallel contraction; the rest run sequentially.
 /// Both paths are deterministic per seed, so the hierarchy is a pure
-/// function of `(g, params)` regardless of the rayon pool size. Each coarse
+/// function of `(g, params)` regardless of the thread count. Each coarse
 /// graph is moved into the hierarchy exactly once and all scratch lives in
 /// `ws`, so the steady-state level loop allocates only its outputs.
 pub fn coarsen_with(g: &Graph, params: &CoarsenParams, ws: &mut CoarsenWorkspace) -> Hierarchy {

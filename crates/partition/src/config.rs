@@ -91,11 +91,7 @@ impl PartitionerConfig {
 /// that carry a per-recursion seed override instead of cloning the whole
 /// config (see `rb_recurse`).
 pub fn child_seed(seed: u64, salt: u64) -> u64 {
-    // SplitMix64 step: well-distributed and cheap.
-    let mut z = seed.wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    cip_base::rng::splitmix64(seed, salt)
 }
 
 #[cfg(test)]

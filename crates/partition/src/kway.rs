@@ -30,15 +30,13 @@
 //!   the committed set is an independent set and the cut drops by exactly
 //!   the sum of the winning gains; winners then commit in priority order
 //!   under live balance caps. Every step is a pure function of the
-//!   previous snapshot, so the result is **bit-identical at any rayon
+//!   previous snapshot, so the result is **bit-identical at any
 //!   thread count**.
 
 use crate::config::PartitionerConfig;
+use cip_base::par;
+use cip_base::rng::Rng;
 use cip_graph::Graph;
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -122,9 +120,8 @@ impl RefineWorkspace {
     }
 
     /// (Re)derives degrees, boundary list, part weights and caps from
-    /// `asg`. Gain initialization (the `id` sweep) runs in parallel on
-    /// graphs at or above `cfg.parallel_threshold` vertices; both paths
-    /// write identical contents.
+    /// `asg`. Gain initialization (the `id` sweep) forks on graphs at or
+    /// above `cfg.parallel_threshold` vertices.
     fn init_kway(&mut self, g: &Graph, k: usize, asg: &[u32], cfg: &PartitionerConfig) {
         let nv = g.nv();
         let ncon = g.ncon();
@@ -139,32 +136,22 @@ impl RefineWorkspace {
         self.pwgts.resize(k * ncon, 0);
         self.conn.reserve(16);
 
-        if nv >= cfg.parallel_threshold {
-            let (tdeg, id) = (&mut self.tdeg, &mut self.id);
-            tdeg.par_iter_mut().zip(id.par_iter_mut()).enumerate().for_each(|(v, (td, idv))| {
-                let v = v as u32;
-                let own = asg[v as usize];
-                for (u, w) in g.neighbors(v) {
+        let degrees = |at: usize, (tdeg, id): (&mut [i64], &mut [i64])| {
+            for (v, (td, idv)) in (at..).zip(tdeg.iter_mut().zip(id)) {
+                let own = asg[v];
+                for (u, w) in g.neighbors(v as u32) {
                     *td += w;
                     if asg[u as usize] == own {
                         *idv += w;
                     }
                 }
-            });
-        } else {
-            for v in 0..nv as u32 {
-                let own = asg[v as usize];
-                let mut td = 0i64;
-                let mut idv = 0i64;
-                for (u, w) in g.neighbors(v) {
-                    td += w;
-                    if asg[u as usize] == own {
-                        idv += w;
-                    }
-                }
-                self.tdeg[v as usize] = td;
-                self.id[v as usize] = idv;
             }
+        };
+        let (tdeg, id) = (&mut self.tdeg[..], &mut self.id[..]);
+        if nv >= cfg.parallel_threshold {
+            par::parts((tdeg, id), degrees);
+        } else {
+            degrees(0, (tdeg, id));
         }
         for v in 0..nv as u32 {
             if self.tdeg[v as usize] > self.id[v as usize] {
@@ -310,7 +297,7 @@ fn refine_sequential(
 ) {
     let ncon = g.ncon();
     let rec = &cfg.recorder;
-    let mut rng = SmallRng::seed_from_u64(cfg.child_seed(0x4EF1E));
+    let mut rng = Rng::seed_from_u64(cfg.child_seed(0x4EF1E));
 
     for _pass in 0..cfg.kway_passes.max(1) {
         rec.add("partition.refine.passes", 1);
@@ -319,7 +306,7 @@ fn refine_sequential(
         // leave the boundary mid-pass are skipped when reached.
         ws.order.clear();
         ws.order.extend_from_slice(&ws.bnd);
-        ws.order.shuffle(&mut rng);
+        rng.shuffle(&mut ws.order);
 
         let mut moves = 0usize;
         for i in 0..ws.order.len() {
@@ -371,8 +358,7 @@ fn refine_parallel(g: &Graph, asg: &mut [u32], cfg: &PartitionerConfig, ws: &mut
     // priority comparisons are total).
     ws.order.clear();
     ws.order.extend(0..nv as u32);
-    let mut rng = SmallRng::seed_from_u64(cfg.child_seed(0x4EF1E));
-    ws.order.shuffle(&mut rng);
+    Rng::seed_from_u64(cfg.child_seed(0x4EF1E)).shuffle(&mut ws.order);
     ws.rank.clear();
     ws.rank.resize(nv, 0);
     for (i, &v) in ws.order.iter().enumerate() {
@@ -396,51 +382,46 @@ fn refine_parallel(g: &Graph, asg: &mut [u32], cfg: &PartitionerConfig, ws: &mut
             let (prop_gain, prop_to) = (&mut ws.prop_gain, &mut ws.prop_to);
             let (id, tdeg, pwgts, caps) = (&ws.id, &ws.tdeg, &ws.pwgts, &ws.caps);
             let asg_ro: &[u32] = asg;
-            prop_gain
-                .par_iter_mut()
-                .zip(prop_to.par_iter_mut())
-                .enumerate()
-                .with_min_len(2048)
-                .for_each_init(
-                    || Vec::with_capacity(16),
-                    |conn, (vi, (pg, pt))| {
-                        let v = vi as u32;
-                        *pg = i64::MIN;
-                        *pt = u32::MAX;
-                        if tdeg[vi] <= id[vi] {
-                            return; // interior
+            par::parts((&mut prop_gain[..], &mut prop_to[..]), |at, (prop_gain, prop_to)| {
+                let mut conn = Vec::with_capacity(16);
+                for (vi, (pg, pt)) in (at..).zip(prop_gain.iter_mut().zip(prop_to)) {
+                    let v = vi as u32;
+                    *pg = i64::MIN;
+                    *pt = u32::MAX;
+                    if tdeg[vi] <= id[vi] {
+                        continue; // interior
+                    }
+                    connectivity(g, asg_ro, v, &mut conn);
+                    let from = asg_ro[vi];
+                    let id_w = id[vi];
+                    // Highest gain wins; gain ties keep the first part in
+                    // adjacency order — a deterministic, snapshot-only
+                    // choice.
+                    let mut best: Option<(i64, u32)> = None;
+                    for &(p, w) in conn.iter() {
+                        if p == from {
+                            continue;
                         }
-                        connectivity(g, asg_ro, v, conn);
-                        let from = asg_ro[vi];
-                        let id_w = id[vi];
-                        // Highest gain wins; gain ties keep the first part
-                        // in adjacency order — a deterministic,
-                        // snapshot-only choice.
-                        let mut best: Option<(i64, u32)> = None;
-                        for &(p, w) in conn.iter() {
-                            if p == from {
-                                continue;
-                            }
-                            let gain = w - id_w;
-                            if gain <= 0 {
-                                continue;
-                            }
-                            let base = p as usize * ncon;
-                            let fits = g
-                                .vwgt(v)
-                                .iter()
-                                .enumerate()
-                                .all(|(j, &vw)| pwgts[base + j] + vw <= caps[base + j]);
-                            if fits && best.is_none_or(|(bg, _)| gain > bg) {
-                                best = Some((gain, p));
-                            }
+                        let gain = w - id_w;
+                        if gain <= 0 {
+                            continue;
                         }
-                        if let Some((gain, p)) = best {
-                            *pg = gain;
-                            *pt = p;
+                        let base = p as usize * ncon;
+                        let fits = g
+                            .vwgt(v)
+                            .iter()
+                            .enumerate()
+                            .all(|(j, &vw)| pwgts[base + j] + vw <= caps[base + j]);
+                        if fits && best.is_none_or(|(bg, _)| gain > bg) {
+                            best = Some((gain, p));
                         }
-                    },
-                );
+                    }
+                    if let Some((gain, p)) = best {
+                        *pg = gain;
+                        *pt = p;
+                    }
+                }
+            });
         }
 
         // Resolve: a vertex wins iff its (gain, rank) priority beats every
@@ -450,24 +431,24 @@ fn refine_parallel(g: &Graph, asg: &mut [u32], cfg: &PartitionerConfig, ws: &mut
         // Two passes over the boundary, both workspace-resident: a
         // parallel flag pass (each task writes only its own boundary
         // slot) and a sequential scan that gathers flagged vertices in
-        // boundary order. Replaces a `par_iter().filter().collect()`
-        // that allocated a fresh Vec per round per rayon job.
+        // boundary order, so no round allocates a winners list per part.
         {
             let (prop_gain, rank) = (&ws.prop_gain, &ws.rank);
             ws.win_flags.clear();
             ws.win_flags.resize(ws.bnd.len(), false);
             let bnd: &[u32] = &ws.bnd;
-            ws.win_flags.par_iter_mut().enumerate().with_min_len(2048).for_each(|(bi, flag)| {
-                let v = bnd[bi];
-                let vi = v as usize;
-                if prop_gain[vi] == i64::MIN {
-                    return;
+            par::parts((&mut ws.win_flags[..], bnd), |_, (flags, bnd)| {
+                for (flag, &v) in flags.iter_mut().zip(bnd) {
+                    let vi = v as usize;
+                    if prop_gain[vi] == i64::MIN {
+                        continue;
+                    }
+                    let my = (prop_gain[vi], u32::MAX - rank[vi]);
+                    *flag = g.neighbors(v).all(|(u, _)| {
+                        let ui = u as usize;
+                        prop_gain[ui] == i64::MIN || my > (prop_gain[ui], u32::MAX - rank[ui])
+                    });
                 }
-                let my = (prop_gain[vi], u32::MAX - rank[vi]);
-                *flag = g.neighbors(v).all(|(u, _)| {
-                    let ui = u as usize;
-                    prop_gain[ui] == i64::MIN || my > (prop_gain[ui], u32::MAX - rank[ui])
-                });
             });
             ws.winners.clear();
             for (bi, &won) in ws.win_flags.iter().enumerate() {

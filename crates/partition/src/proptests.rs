@@ -1,5 +1,5 @@
-//! Property-based tests for the partitioner internals (compiled only with
-//! `cfg(test)`).
+//! Property tests for the partitioner internals: seeded sweeps over
+//! random graphs (compiled only with `cfg(test)`).
 
 #![cfg(test)]
 
@@ -8,64 +8,38 @@ use crate::config::PartitionerConfig;
 use crate::fm::{bisection_cut, fm_refine, side_weights, BisectTargets};
 use crate::hungarian::max_weight_assignment;
 use crate::kway::{balance_kway, refine_kway};
+use cip_base::rng::{sweep, Rng};
 use cip_graph::{contract, edge_cut, Graph, GraphBuilder};
-use proptest::prelude::*;
 
-/// Random connected-ish graph: a path backbone plus random chords.
-fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-    (4usize..max_n)
-        .prop_flat_map(|n| {
-            let chords =
-                proptest::collection::vec((0u32..n as u32, 0u32..n as u32, 1i64..4), 0..2 * n);
-            (Just(n), chords)
-        })
-        .prop_map(|(n, chords)| {
-            let mut b = GraphBuilder::new(n, 1);
-            for v in 0..n as u32 {
-                b.set_vwgt(v, &[1]);
-            }
-            for v in 0..n as u32 - 1 {
-                b.add_edge(v, v + 1, 1);
-            }
-            for (u, v, w) in chords {
-                if u != v {
-                    b.add_edge(u, v, w);
-                }
-            }
-            b.build()
-        })
+/// Random connected graph on `min_n..max_n` vertices: a path backbone
+/// plus up to `2n` random chords of weight 1–3. Constraint 0 is unit FE
+/// weight; higher constraints are random sparse weights (the paper's
+/// lumpy contact-node pattern).
+fn random_graph(rng: &mut Rng, min_n: i64, max_n: i64, ncon: usize) -> Graph {
+    let n = rng.range_i64(min_n..max_n) as u32;
+    let mut b = GraphBuilder::new(n as usize, ncon);
+    for v in 0..n {
+        let mut w = vec![1i64; ncon];
+        for extra in &mut w[1..] {
+            *extra = rng.range_i64(0..3);
+        }
+        b.set_vwgt(v, &w);
+    }
+    for v in 0..n - 1 {
+        b.add_edge(v, v + 1, 1);
+    }
+    for _ in 0..rng.range_u32(2 * n) {
+        let (u, v, w) = (rng.range_u32(n), rng.range_u32(n), rng.range_i64(1..4));
+        if u != v {
+            b.add_edge(u, v, w);
+        }
+    }
+    b.build()
 }
 
-/// Like [`arb_graph`] but with 1–3 constraints: constraint 0 is unit FE
-/// weight, higher constraints are random sparse weights (the paper's lumpy
-/// contact-node pattern).
-fn arb_graph_mc(max_n: usize) -> impl Strategy<Value = Graph> {
-    (6usize..max_n, 1usize..4)
-        .prop_flat_map(|(n, ncon)| {
-            let chords =
-                proptest::collection::vec((0u32..n as u32, 0u32..n as u32, 1i64..4), 0..2 * n);
-            let extra = proptest::collection::vec(0i64..3, n * ncon.saturating_sub(1));
-            (Just(n), Just(ncon), chords, extra)
-        })
-        .prop_map(|(n, ncon, chords, extra)| {
-            let mut b = GraphBuilder::new(n, ncon);
-            for v in 0..n as u32 {
-                let mut w = vec![1i64; ncon];
-                for j in 1..ncon {
-                    w[j] = extra[(j - 1) * n + v as usize];
-                }
-                b.set_vwgt(v, &w);
-            }
-            for v in 0..n as u32 - 1 {
-                b.add_edge(v, v + 1, 1);
-            }
-            for (u, v, w) in chords {
-                if u != v {
-                    b.add_edge(u, v, w);
-                }
-            }
-            b.build()
-        })
+/// A uniformly random assignment of `g`'s vertices to `k` parts.
+fn random_assignment(rng: &mut Rng, g: &Graph, k: usize) -> Vec<u32> {
+    (0..g.nv()).map(|_| rng.range_u32(k as u32)).collect()
 }
 
 /// Per-part weights (`k * ncon`, part-major) of an assignment.
@@ -80,75 +54,76 @@ fn part_weights(g: &Graph, k: usize, asg: &[u32]) -> Vec<i64> {
     w
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// FM refinement never worsens the (violation, cut) pair it starts
-    /// from.
-    #[test]
-    fn fm_never_worsens(g in arb_graph(40), seed in 0u64..500) {
-        // Random-ish starting bisection.
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut asg: Vec<u32> = (0..g.nv()).map(|_| {
-            state ^= state << 13; state ^= state >> 7; state ^= state << 17;
-            (state & 1) as u32
-        }).collect();
+/// FM refinement never worsens the (violation, cut) pair it starts
+/// from.
+#[test]
+fn fm_never_worsens() {
+    sweep(64, |rng| {
+        let g = random_graph(rng, 4, 40, 1);
+        let mut asg = random_assignment(rng, &g, 2);
         let targets = BisectTargets::new(&g, 0.5, &[0.1]);
         let cut_before = bisection_cut(&g, &asg);
         let viol_before = targets.violation(&side_weights(&g, &asg));
         let cut_after = fm_refine(&g, &mut asg, &targets, 4);
         let viol_after = targets.violation(&side_weights(&g, &asg));
-        prop_assert!(
+        assert!(
             (viol_after, cut_after) <= (viol_before, cut_before),
             "({viol_before}, {cut_before}) -> ({viol_after}, {cut_after})"
         );
         // Still a valid bisection.
-        prop_assert!(asg.iter().all(|&s| s <= 1));
-    }
+        assert!(asg.iter().all(|&s| s <= 1));
+    });
+}
 
-    /// Heavy-edge matching yields a valid pairing of adjacent vertices and
-    /// contraction preserves the total weight — for both the sequential
-    /// matcher and the deterministic parallel (propose-then-resolve)
-    /// matcher used above `parallel_threshold`.
-    #[test]
-    fn matching_and_contraction_invariants(g in arb_graph(50), seed in 0u64..100) {
+/// Heavy-edge matching yields a valid pairing of adjacent vertices and
+/// contraction preserves the total weight — for both the sequential
+/// matcher and the deterministic parallel (propose-then-resolve)
+/// matcher used above `parallel_threshold`.
+#[test]
+fn matching_and_contraction_invariants() {
+    sweep(64, |rng| {
+        let g = random_graph(rng, 4, 50, 1);
+        let seed = rng.next_u64() % 100;
         let seq = heavy_edge_matching(&g, seed);
         let par = parallel_heavy_edge_matching(&g, seed, 8);
         for (map, cnv) in [&seq, &par] {
             let (map, cnv) = (map, *cnv);
-            prop_assert!(cnv <= g.nv());
+            assert!(cnv <= g.nv());
             // Coarse ids are dense: every id in 0..cnv is used.
-            prop_assert!(map.iter().all(|&c| (c as usize) < cnv));
+            assert!(map.iter().all(|&c| (c as usize) < cnv));
             let mut used = vec![false; cnv];
             for &c in map {
                 used[c as usize] = true;
             }
-            prop_assert!(used.iter().all(|&u| u), "coarse ids not dense");
+            assert!(used.iter().all(|&u| u), "coarse ids not dense");
             // Total vertex weight is preserved per constraint.
             let cg = contract(&g, map, cnv);
-            prop_assert_eq!(cg.total_vwgt(), g.total_vwgt());
+            assert_eq!(cg.total_vwgt(), g.total_vwgt());
             // No vertex matched twice (groups of 1 or 2) and matched
             // pairs must be adjacent in g (mate symmetry at map level).
             let mut members: Vec<Vec<u32>> = vec![Vec::new(); cnv];
             for (v, &c) in map.iter().enumerate() {
                 members[c as usize].push(v as u32);
             }
-            prop_assert!(members.iter().all(|m| !m.is_empty() && m.len() <= 2));
+            assert!(members.iter().all(|m| !m.is_empty() && m.len() <= 2));
             for m in members.iter().filter(|m| m.len() == 2) {
-                prop_assert!(g.adj(m[0]).contains(&m[1]));
+                assert!(g.adj(m[0]).contains(&m[1]));
             }
         }
         // The parallel matcher is a pure function of (graph, seed).
         let par2 = parallel_heavy_edge_matching(&g, seed, 8);
-        prop_assert_eq!(par, par2);
-    }
+        assert_eq!(par, par2);
+    });
+}
 
-    /// Coarsening hierarchies project any coarsest-level cut faithfully:
-    /// the cut of a projected assignment equals the coarse cut at every
-    /// level.
-    #[test]
-    fn hierarchy_projection_preserves_cut(g in arb_graph(60), seed in 0u64..100) {
-        let h = coarsen(&g, 8, seed);
+/// Coarsening hierarchies project any coarsest-level cut faithfully:
+/// the cut of a projected assignment equals the coarse cut at every
+/// level.
+#[test]
+fn hierarchy_projection_preserves_cut() {
+    sweep(64, |rng| {
+        let g = random_graph(rng, 4, 60, 1);
+        let h = coarsen(&g, 8, rng.next_u64() % 100);
         if let Some(coarsest) = h.coarsest() {
             let coarse_asg: Vec<u32> = (0..coarsest.nv() as u32).map(|v| v & 1).collect();
             // Project down through every level.
@@ -159,22 +134,22 @@ proptest! {
                 let map = &h.levels[lvl].map;
                 let fine_asg: Vec<u32> = map.iter().map(|&c| asg[c as usize]).collect();
                 let fine_cut = edge_cut(fine, &fine_asg);
-                prop_assert_eq!(fine_cut, cut, "cut changed during projection");
+                assert_eq!(fine_cut, cut, "cut changed during projection");
                 asg = fine_asg;
                 cut = fine_cut;
             }
         }
-    }
+    });
+}
 
-    /// Hungarian output is invariant under adding a constant to a full
-    /// row (assignment structure unchanged).
-    #[test]
-    fn hungarian_row_shift_invariance(
-        w in proptest::collection::vec(0i64..50, 16),
-        row in 0usize..4,
-        shift in 1i64..100
-    ) {
+/// Hungarian output is invariant under adding a constant to a full
+/// row (assignment structure unchanged).
+#[test]
+fn hungarian_row_shift_invariance() {
+    sweep(64, |rng| {
         let n = 4;
+        let w: Vec<i64> = (0..n * n).map(|_| rng.range_i64(0..50)).collect();
+        let (row, shift) = (rng.range_u32(4) as usize, rng.range_i64(1..100));
         let a1 = max_weight_assignment(n, &w);
         let mut w2 = w.clone();
         for c in 0..n {
@@ -185,36 +160,32 @@ proptest! {
             a.iter().enumerate().map(|(r, &c)| w[r * n + c]).sum()
         };
         // Optimal values differ exactly by the shift.
-        prop_assert_eq!(weight(&w2, &a2), weight(&w, &a1) + shift);
-    }
+        assert_eq!(weight(&w2, &a2), weight(&w, &a1) + shift);
+    });
+}
 
-    /// K-way refinement — both the sequential boundary sweep and the
-    /// parallel propose-then-resolve sweep — never increases the cut and
-    /// never breaks multi-constraint feasibility: a part within its cap
-    /// for some constraint before refinement stays within that cap.
-    #[test]
-    fn kway_refinement_preserves_feasibility(
-        g in arb_graph_mc(40),
-        k in 2usize..5,
-        seed in 0u64..500,
-    ) {
-        let ncon = g.ncon();
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let start: Vec<u32> = (0..g.nv()).map(|_| {
-            state ^= state << 13; state ^= state >> 7; state ^= state << 17;
-            (state % k as u64) as u32
-        }).collect();
+/// K-way refinement — both the sequential boundary sweep and the
+/// parallel propose-then-resolve sweep — never increases the cut and
+/// never breaks multi-constraint feasibility: a part within its cap
+/// for some constraint before refinement stays within that cap.
+#[test]
+fn kway_refinement_preserves_feasibility() {
+    sweep(64, |rng| {
+        let ncon = rng.range_i64(1..4) as usize;
+        let g = random_graph(rng, 6, 40, ncon);
+        let k = rng.range_i64(2..5) as usize;
+        let start = random_assignment(rng, &g, k);
+        let seed = rng.next_u64() % 500;
 
         for threshold in [usize::MAX, 0] {
             let cfg = PartitionerConfig {
                 parallel_threshold: threshold,
                 ..PartitionerConfig::with_seed(seed)
             };
-            let caps: Vec<i64> = (0..k).flat_map(|_| {
-                g.total_vwgt().iter().enumerate().map(|(j, &t)| {
-                    ((1.0 + cfg.eps_for(j)) * t as f64 / k as f64).ceil() as i64
-                }).collect::<Vec<_>>()
-            }).collect();
+            let totals = g.total_vwgt();
+            let cap =
+                |j: usize| ((1.0 + cfg.eps_for(j)) * totals[j] as f64 / k as f64).ceil() as i64;
+            let caps: Vec<i64> = (0..k * ncon).map(|i| cap(i % ncon)).collect();
 
             let mut asg = start.clone();
             let cut_before = edge_cut(&g, &asg);
@@ -223,17 +194,22 @@ proptest! {
             let cut_after = edge_cut(&g, &asg);
             let pw_after = part_weights(&g, k, &asg);
 
-            prop_assert!(cut_after <= cut_before,
-                "threshold {threshold}: cut {cut_before} -> {cut_after}");
-            prop_assert!(asg.iter().all(|&p| (p as usize) < k));
+            assert!(
+                cut_after <= cut_before,
+                "threshold {threshold}: cut {cut_before} -> {cut_after}"
+            );
+            assert!(asg.iter().all(|&p| (p as usize) < k));
             for i in 0..k * ncon {
                 // Refinement only moves weight into parts with headroom, so
                 // no cap violation can appear (existing violations may
                 // persist — that is balance_kway's job).
-                prop_assert!(
+                assert!(
                     pw_after[i] <= pw_before[i].max(caps[i]),
                     "threshold {threshold}: part-constraint {i} grew over cap: \
-                     {} -> {} (cap {})", pw_before[i], pw_after[i], caps[i]
+                     {} -> {} (cap {})",
+                    pw_before[i],
+                    pw_after[i],
+                    caps[i]
                 );
             }
 
@@ -242,23 +218,28 @@ proptest! {
             balance_kway(&g, k, &mut bal, &cfg);
             let pw_bal = part_weights(&g, k, &bal);
             for i in 0..k * ncon {
-                prop_assert!(
+                assert!(
                     pw_bal[i] <= pw_before[i].max(caps[i]),
                     "balance: part-constraint {i} grew over cap: \
-                     {} -> {} (cap {})", pw_before[i], pw_bal[i], caps[i]
+                     {} -> {} (cap {})",
+                    pw_before[i],
+                    pw_bal[i],
+                    caps[i]
                 );
             }
         }
-    }
+    });
+}
 
-    /// Config child seeds never collide across a small salt range.
-    #[test]
-    fn child_seeds_unique(seed in 0u64..10_000) {
-        let cfg = PartitionerConfig::with_seed(seed);
+/// Config child seeds never collide across a small salt range.
+#[test]
+fn child_seeds_unique() {
+    sweep(64, |rng| {
+        let cfg = PartitionerConfig::with_seed(rng.next_u64() % 10_000);
         let seeds: Vec<u64> = (0..64).map(|s| cfg.child_seed(s)).collect();
         let mut dedup = seeds.clone();
         dedup.sort_unstable();
         dedup.dedup();
-        prop_assert_eq!(dedup.len(), seeds.len());
-    }
+        assert_eq!(dedup.len(), seeds.len());
+    });
 }

@@ -4,7 +4,7 @@
 //! evaluation counts the *communication volumes* a real run would incur.
 //! This crate closes the loop: it actually **executes** a contact/impact
 //! time step across `k` logical ranks — one thread per rank, explicit
-//! messages over crossbeam channels, no shared mutable state — and
+//! messages over bounded channels, no shared mutable state — and
 //! *measures* the traffic, so the tests can assert that
 //!
 //! * ghost node positions are bit-identical to their owners' after the
@@ -66,6 +66,8 @@ pub use pipeline::{
 pub use plan::{build_decomposition, Decomposition, RankPlan};
 pub use remote::{connect_ranks, SteppedMailbox};
 pub use replan::Replanner;
+
+pub use cip_transport::CancelToken;
 
 /// A failed step execution — every former panic site on the executor hot
 /// path, made recoverable.
@@ -142,30 +144,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// A shared cancellation flag with checkpoint semantics: the holder of a
-/// running [`crate`] step loop (a `cip::trace::Session`, a job-server
-/// worker) polls it at batch boundaries and winds down cleanly when it
-/// trips. Cloning shares the flag.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(std::sync::Arc<std::sync::atomic::AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, untripped token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Trips the flag; every clone observes it at its next checkpoint.
-    pub fn cancel(&self) {
-        self.0.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Whether the flag has been tripped.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(std::sync::atomic::Ordering::Acquire)
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -56,9 +56,9 @@ pub mod protocol;
 pub use client::{Client, ClientConfig};
 pub use protocol::{CatalogEntry, CatalogInfo, JobMsg, JobOutcome, JobState, ServerStats};
 
-use cip_runtime::CancelToken;
 use cip_telemetry::Recorder;
 use cip_transport::frame::{read_frame, write_frame, ReadError};
+use cip_transport::CancelToken;
 use cip_transport::WireError;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;

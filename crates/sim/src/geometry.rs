@@ -2,7 +2,6 @@
 
 use cip_geom::Point;
 use cip_mesh::{generators, Mesh};
-use serde::{Deserialize, Serialize};
 
 /// Body ids used by the simulation.
 pub const BODY_PLATE_TOP: u16 = 0;
@@ -16,7 +15,7 @@ pub const BODY_PROJECTILE: u16 = 2;
 /// All lengths are in cell units of the plate mesh. The coordinate system
 /// is: plates horizontal (normal to z), centered on the z axis; the
 /// projectile starts above the top plate and travels in -z.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Plate discretization: cells in x, y, z (thickness).
     pub plate_cells: [usize; 3],

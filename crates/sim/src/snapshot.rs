@@ -3,7 +3,6 @@
 use cip_geom::Point;
 use cip_mesh::{Mesh, NodalTopology, Surface};
 use cip_telemetry::Recorder;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// One emitted snapshot of the simulation state.
@@ -11,7 +10,7 @@ use std::sync::{Arc, OnceLock};
 /// The element list is invariant over the whole simulation (erosion only
 /// flips the live mask), so snapshots store just what changes: node
 /// positions, the live mask, and the extracted contact surface.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Time step this snapshot was taken at.
     pub step: usize,
@@ -26,7 +25,7 @@ pub struct Snapshot {
 }
 
 /// A complete simulation run: the base mesh plus the snapshot sequence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimResult {
     /// The mesh at rest (element connectivity and body ids never change).
     pub base: Mesh<3>,
@@ -34,7 +33,6 @@ pub struct SimResult {
     pub snapshots: Vec<Snapshot>,
     /// Per-epoch cache, derived from `snapshots` on first use (so a
     /// deserialised run rebuilds it on demand).
-    #[serde(skip)]
     epochs: OnceLock<Epochs>,
 }
 

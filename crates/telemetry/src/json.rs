@@ -1,6 +1,7 @@
-//! Minimal JSON utilities: string escaping for the exporters and a
-//! strict well-formedness checker used by tests (this crate takes no
-//! dependencies, so it cannot lean on `serde_json`).
+//! Minimal JSON utilities: string escaping for the exporters, a
+//! write-only [`ToJson`] for the result rows the binaries emit (declared
+//! per struct with [`json_struct!`](crate::json_struct)), and a strict
+//! well-formedness checker used by tests.
 
 /// Appends `raw` to `out` as a JSON string literal (with quotes).
 pub fn write_str(out: &mut String, raw: &str) {
@@ -35,6 +36,100 @@ pub fn write_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
+}
+
+/// A value that writes itself as compact JSON. Write-only on purpose:
+/// nothing in the workspace reads its own results back.
+pub trait ToJson {
+    /// Appends this value to `out`.
+    fn write_json(&self, out: &mut String);
+
+    /// This value as a JSON document.
+    fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+}
+
+macro_rules! json_integers {
+    ($($int:ty),*) => {$(
+        impl ToJson for $int {
+            fn write_json(&self, out: &mut String) {
+                out.push_str(&self.to_string());
+            }
+        }
+    )*};
+}
+json_integers!(u32, u64, usize, i64);
+
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, *self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
+    }
+}
+
+/// Implements [`ToJson`](crate::json::ToJson) for a struct as an object
+/// of the fields named, in the order named, keyed by field name.
+///
+/// ```
+/// use cip_telemetry::json::ToJson;
+/// struct Row { k: usize, label: String, cut: f64 }
+/// cip_telemetry::json_struct!(Row { k, label, cut });
+/// let row = Row { k: 4, label: "a\"b".into(), cut: 2.0 };
+/// assert_eq!(row.to_json(), r#"{"k":4,"label":"a\"b","cut":2.0}"#);
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    ($ty:ty { $first:ident $(, $f:ident)* $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn write_json(&self, out: &mut ::std::string::String) {
+                out.push_str(concat!("{\"", stringify!($first), "\":"));
+                $crate::json::ToJson::write_json(&self.$first, out);
+                $(
+                    out.push_str(concat!(",\"", stringify!($f), "\":"));
+                    $crate::json::ToJson::write_json(&self.$f, out);
+                )*
+                out.push('}');
+            }
+        }
+    };
 }
 
 /// Validates that `s` is one well-formed JSON value. Strict on structure
@@ -243,6 +338,25 @@ mod tests {
         let mut tiny = String::new();
         write_f64(&mut tiny, 1e-7);
         validate(&tiny).unwrap();
+    }
+
+    #[test]
+    fn rows_nest_in_sequences_and_pairs() {
+        struct Inner {
+            x: f64,
+        }
+        crate::json_struct!(Inner { x });
+        struct Row {
+            name: String,
+            ids: Vec<u32>,
+            inner: Inner,
+        }
+        crate::json_struct!(Row { name, ids, inner });
+        let row = Row { name: "q\"".into(), ids: vec![1, 2], inner: Inner { x: f64::INFINITY } };
+        let doc = vec![("first".to_string(), row)].to_json();
+        assert_eq!(doc, r#"[["first",{"name":"q\"","ids":[1,2],"inner":{"x":null}}]]"#);
+        validate(&doc).unwrap();
+        assert_eq!(Vec::<i64>::new().to_json(), "[]");
     }
 
     #[test]

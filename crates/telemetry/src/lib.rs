@@ -631,8 +631,7 @@ mod tests {
 
     /// The overhead contract: a disabled recorder's span open+drop is a
     /// branch, not a measurable cost. The bound here is deliberately loose
-    /// (shared CI machines) — the criterion bench in `cip-bench` measures
-    /// the real figure.
+    /// (shared CI machines).
     #[test]
     fn disabled_span_costs_nanoseconds() {
         let rec = Recorder::disabled();

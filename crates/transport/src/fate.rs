@@ -3,14 +3,7 @@
 //! proxy, and the job client's retry jitter. A fate is a pure function
 //! of `(seed, identity)`, so a chaos run replays exactly from its seed.
 
-/// SplitMix64 of `seed` advanced by `salt` increments.
-#[inline]
-pub fn splitmix64(seed: u64, salt: u64) -> u64 {
-    let mut z = seed.wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+pub use cip_base::rng::splitmix64;
 
 /// Draws one fate for the event `ident`: `rates` are permille
 /// (0..=1000) probabilities of mutually exclusive faults, evaluated in

@@ -2,11 +2,11 @@
 //!
 //! The runtime executor (cip-runtime) speaks to its peers through a
 //! per-rank [`Mailbox`]: send to any peer, receive from all of them
-//! with a timeout — exactly the semantics of the crossbeam channels the
+//! with a timeout — exactly the semantics of the bounded channels the
 //! executor grew up on. This crate makes that surface a trait with two
 //! backends:
 //!
-//! * [`InProcess`] — bounded crossbeam channels, no serialization. The
+//! * [`InProcess`] — bounded `std::sync::mpsc` channels, no serialization. The
 //!   default, and the bit-identity oracle every other backend is
 //!   measured against.
 //! * [`tcp::Tcp`] — one persistent TCP connection per peer pair,
@@ -52,6 +52,30 @@ pub enum RecvTimeoutError {
     Timeout,
     /// Every sending lane has closed; nothing will ever arrive.
     Closed,
+}
+
+/// A shared cancellation flag with checkpoint semantics: the holder of a
+/// running step loop (a `cip::trace::Session`, a job-server
+/// worker) polls it at batch boundaries and winds down cleanly when it
+/// trips. Cloning shares the flag.
+#[derive(Debug, Clone, Default)]
+pub struct CancelToken(std::sync::Arc<std::sync::atomic::AtomicBool>);
+
+impl CancelToken {
+    /// A fresh, untripped token.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Trips the flag; every clone observes it at its next checkpoint.
+    pub fn cancel(&self) {
+        self.0.store(true, std::sync::atomic::Ordering::Release);
+    }
+
+    /// Whether the flag has been tripped.
+    pub fn is_cancelled(&self) -> bool {
+        self.0.load(std::sync::atomic::Ordering::Acquire)
+    }
 }
 
 /// A transport-layer failure: connection setup, socket I/O, or a fatal

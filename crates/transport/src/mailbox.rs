@@ -17,13 +17,13 @@
 
 use crate::{Mailbox, RecvTimeoutError, TryRecvError};
 use cip_telemetry::Recorder;
-use crossbeam::channel::{
-    bounded, Receiver, RecvTimeoutError as ChanTimeout, Sender, TryRecvError as ChanTry,
-    TrySendError,
-};
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{
+    sync_channel, Receiver, RecvTimeoutError as ChanTimeout, SyncSender, TryRecvError as ChanTry,
+    TrySendError,
+};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -105,7 +105,7 @@ pub(crate) struct TcpLinks {
 /// capacity-1 deadlock-freedom argument.
 pub struct ChannelMailbox<M> {
     rank: usize,
-    outs: Vec<Option<Sender<M>>>,
+    outs: Vec<Option<SyncSender<M>>>,
     inbox: Receiver<M>,
     /// Incoming messages absorbed while an outgoing lane was full;
     /// served before the inbox so arrival order is preserved.
@@ -117,7 +117,7 @@ pub struct ChannelMailbox<M> {
 impl<M: Send> ChannelMailbox<M> {
     pub(crate) fn new(
         rank: usize,
-        outs: Vec<Option<Sender<M>>>,
+        outs: Vec<Option<SyncSender<M>>>,
         inbox: Receiver<M>,
         stats: Arc<StatCells>,
         links: Option<TcpLinks>,
@@ -220,10 +220,10 @@ impl<M> Drop for ChannelMailbox<M> {
 /// backpressure.
 pub(crate) fn in_process<M: Send>(k: usize, cfg: &MailboxConfig) -> Vec<ChannelMailbox<M>> {
     let cap = cfg.capacity.max(1);
-    let mut outs: Vec<Vec<Option<Sender<M>>>> = (0..k).map(|_| vec![None; k]).collect();
+    let mut outs: Vec<Vec<Option<SyncSender<M>>>> = (0..k).map(|_| vec![None; k]).collect();
     let mut inboxes = Vec::with_capacity(k);
     for to in 0..k {
-        let (tx, rx) = bounded::<M>(cap);
+        let (tx, rx) = sync_channel::<M>(cap);
         for (from, lanes) in outs.iter_mut().enumerate() {
             if from != to {
                 lanes[to] = Some(tx.clone());

@@ -16,10 +16,10 @@ use crate::mailbox::{ChannelMailbox, MailboxConfig, StatCells, TcpLinks};
 use crate::wire::Wire;
 use crate::{Transport, TransportError};
 use cip_telemetry::Recorder;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread;
 
@@ -134,7 +134,7 @@ fn writer_loop<M: Wire>(
 
 fn reader_loop<M: Wire>(
     mut stream: TcpStream,
-    tx: Sender<M>,
+    tx: SyncSender<M>,
     stats: Arc<StatCells>,
     rec: Recorder,
 ) {
@@ -170,15 +170,15 @@ pub fn mesh_mailbox<M: Wire>(
     let k = node.streams.len();
     let cap = cfg.capacity.max(1);
     let stats = Arc::new(StatCells::default());
-    let (in_tx, in_rx) = bounded::<M>(cap);
-    let mut outs: Vec<Option<Sender<M>>> = (0..k).map(|_| None).collect();
+    let (in_tx, in_rx) = sync_channel::<M>(cap);
+    let mut outs: Vec<Option<SyncSender<M>>> = (0..k).map(|_| None).collect();
     let mut links = TcpLinks { shutters: Vec::new(), readers: Vec::new(), writers: Vec::new() };
     for (peer, slot) in node.streams.into_iter().enumerate() {
         let Some(stream) = slot else { continue };
         stream.set_nodelay(true).ok();
         let read_half = stream.try_clone().map_err(|e| io_err("clone stream", e))?;
         links.shutters.push(stream.try_clone().map_err(|e| io_err("clone stream", e))?);
-        let (tx, rx) = bounded::<M>(cap);
+        let (tx, rx) = sync_channel::<M>(cap);
         outs[peer] = Some(tx);
         let (wstats, wrec) = (stats.clone(), cfg.recorder.clone());
         links

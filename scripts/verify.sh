@@ -4,20 +4,42 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --locked"
+cargo build --release --locked
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --locked"
+cargo test -q --locked
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets --locked -- -D warnings"
+cargo clippy --workspace --all-targets --locked -- -D warnings
 
-echo "==> cargo doc --workspace --no-deps"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+echo "==> cargo doc --workspace --no-deps --locked"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --quiet
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> no external crates"
+# The workspace depends on itself and std (DESIGN.md §5c): every resolved
+# package is a path crate, the committed lockfile names no registry, and
+# nothing imports one of the seven crates cip-base and the ToJson trait
+# replaced (crates/ladder/offline holds their old stand-ins, linked by
+# nothing).
+metadata=$(cargo metadata --offline --locked --format-version 1)
+if grep -q '"source":"' <<<"$metadata"; then
+  echo "verify: FAIL — cargo metadata resolves a package from outside the tree"
+  exit 1
+fi
+if grep -n '^source = ' Cargo.lock; then
+  echo "verify: FAIL — Cargo.lock names an external source"
+  exit 1
+fi
+if grep -rnE --include='*.rs' \
+    '^(use|extern crate) +(rand|rayon|serde|serde_json|crossbeam|proptest|criterion)\b' \
+    src crates tests examples | grep -v '^crates/ladder/offline/'; then
+  echo "verify: FAIL — an external crate is imported again"
+  exit 1
+fi
 
 echo "==> no panics on the runtime step hot path"
 # The executor must fail with typed RuntimeError values, never panic:
@@ -50,21 +72,22 @@ echo "==> one codec, one fate stream"
 # §6c), and every seeded fault source draws from cip_transport::fate.
 # Non-test code (everything before #[cfg(test)]) must not grow a second
 # copy of either: no hand-sized "count x N > remaining()" guard outside
-# the codec itself, and the SplitMix64 increment in exactly one place
-# (cip-partition's child_seed seeds the partitioner, not a fault source,
-# and has no cip-transport dependency; cip-ladder is the benchmark).
+# the codec itself, and the SplitMix64 increment in exactly one place —
+# cip_base::rng::splitmix64, which seeds the generator, is what
+# cip_transport::fate re-exports and is what cip-partition's child_seed
+# calls (cip-ladder is the benchmark and keeps its own).
 non_test() { # FILE... -> their non-test lines, prefixed "FILE:"
   for src in "$@"; do sed '/#\[cfg(test)\]/q' "$src" | sed "s|^|$src:|"; done
 }
 mapfile -t srcs < <(find src crates -name '*.rs' -not -name proptests.rs \
-  -not -path 'crates/partition/*' -not -path 'crates/ladder/*')
+  -not -path 'crates/ladder/*')
 if non_test "${srcs[@]}" | grep -v '^crates/transport/src/\(wire\|frame\)\.rs:' | grep 'remaining()'; then
   echo "verify: FAIL — payload-length arithmetic outside the codec"
   exit 1
 fi
 splitmix_sites=$(non_test "${srcs[@]}" | grep -ciE '0x9E37_?79B9_?7F4A_?7C15' || true)
 if [ "$splitmix_sites" -ne 1 ]; then
-  echo "verify: FAIL — $splitmix_sites SplitMix64 copies in non-test code (want 1: cip_transport::fate)"
+  echo "verify: FAIL — $splitmix_sites SplitMix64 copies in non-test code (want 1: cip_base::rng)"
   exit 1
 fi
 

@@ -1,15 +1,15 @@
 //! `cip-partition` — decompose a contact/impact mesh from the command
 //! line.
 //!
-//! Reads a mesh (JSON serialization of `cip::mesh::Mesh<3>`), marks its
-//! boundary surface as the contact surface (or a caller-supplied node
-//! list), runs the full MCML+DT pipeline — two-constraint partitioning,
+//! Reads a mesh in the `cipmesh 1` text format (`cip::mesh::read_text`;
+//! `--demo` writes a sample), marks its boundary surface as the contact
+//! surface, runs the full MCML+DT pipeline — two-constraint partitioning,
 //! DT-friendly correction, search-tree induction — and writes the
 //! per-node part assignment plus the search tree.
 //!
 //! ```text
-//! cip-partition --demo demo-mesh.json          # write a sample input
-//! cip-partition --mesh demo-mesh.json --k 16 \
+//! cip-partition --demo demo.cipmesh            # write a sample input
+//! cip-partition --mesh demo.cipmesh --k 16 \
 //!     --out partition.json --dot tree.dot
 //! ```
 
@@ -21,9 +21,9 @@ use cip::graph::{edge_cut, total_comm_volume, Partition};
 use cip::mesh::graphs::{nodal_graph, NodalGraphOptions};
 use cip::mesh::{extract_surface, generators, Mesh};
 use cip::partition::{partition_kway, PartitionerConfig};
-use serde::Serialize;
+use cip::telemetry::json::ToJson;
+use cip::telemetry::json_struct;
 
-#[derive(Serialize)]
 struct Output {
     k: usize,
     num_nodes: usize,
@@ -36,6 +36,31 @@ struct Output {
     imbalance_fe: f64,
     imbalance_contact: f64,
     tree_nodes: usize,
+}
+
+json_struct!(Output {
+    k,
+    num_nodes,
+    num_contact_nodes,
+    node_parts,
+    edge_cut,
+    fe_comm,
+    n_remote,
+    imbalance_fe,
+    imbalance_contact,
+    tree_nodes,
+});
+
+/// A failure the user's input caused: one line on stderr, exit code 2.
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("cip-partition: {message}");
+    std::process::exit(2);
+}
+
+fn write(path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        fail(format!("cannot write {path}: {e}"));
+    }
 }
 
 struct Args {
@@ -64,7 +89,7 @@ fn parse_args() -> Args {
                 i += 2;
             }
             "--k" if i + 1 < argv.len() => {
-                args.k = argv[i + 1].parse().expect("--k takes an integer");
+                args.k = argv[i + 1].parse().unwrap_or_else(|_| fail("--k takes an integer"));
                 i += 2;
             }
             "--out" if i + 1 < argv.len() => {
@@ -76,7 +101,7 @@ fn parse_args() -> Args {
                 i += 2;
             }
             "--seed" if i + 1 < argv.len() => {
-                args.seed = argv[i + 1].parse().expect("--seed takes an integer");
+                args.seed = argv[i + 1].parse().unwrap_or_else(|_| fail("--seed takes an integer"));
                 i += 2;
             }
             "--no-friendly" => {
@@ -96,6 +121,9 @@ fn parse_args() -> Args {
             }
         }
     }
+    if args.k == 0 {
+        fail("--k must be at least 1");
+    }
     args
 }
 
@@ -107,8 +135,7 @@ fn main() {
         let mut mesh = generators::hex_box([8, 8, 2], Point::new([0.0, 0.0, 0.0]), [1.0; 3], 0);
         let upper = generators::hex_box([4, 4, 4], Point::new([2.0, 2.0, 2.5]), [1.0; 3], 1);
         mesh.append(&upper);
-        std::fs::write(path, serde_json::to_string(&mesh).expect("serialize demo mesh"))
-            .expect("write demo mesh");
+        write(path, cip::mesh::write_text(&mesh));
         eprintln!("wrote demo mesh ({} nodes) to {path}", mesh.num_nodes());
         if args.mesh.is_none() {
             return;
@@ -119,14 +146,16 @@ fn main() {
         eprintln!("--mesh is required (or --demo to generate an input); see --help");
         std::process::exit(2);
     };
-    let data = std::fs::read_to_string(mesh_path).expect("read mesh file");
-    // Accept either the JSON serialization or the `cipmesh 1` text format.
-    let mesh: Mesh<3> = if data.trim_start().starts_with("cipmesh") {
-        cip::mesh::read_text(&data).expect("parse cipmesh text")
-    } else {
-        serde_json::from_str(&data).expect("parse mesh JSON")
-    };
-    mesh.validate().expect("invalid mesh");
+    let data = std::fs::read_to_string(mesh_path)
+        .unwrap_or_else(|e| fail(format!("cannot read {mesh_path}: {e}")));
+    if !data.trim_start().starts_with("cipmesh") {
+        fail(format!("{mesh_path} is not a `cipmesh 1` text mesh (--demo FILE writes a sample)"));
+    }
+    let mesh: Mesh<3> = cip::mesh::read_text(&data)
+        .unwrap_or_else(|e| fail(format!("cannot parse {mesh_path}: {e}")));
+    if let Err(e) = mesh.validate() {
+        fail(format!("{mesh_path} is not a valid mesh: {e}"));
+    }
     let k = args.k;
 
     // Contact surface = boundary of the live mesh.
@@ -199,15 +228,14 @@ fn main() {
     );
 
     if let Some(path) = &args.dot {
-        std::fs::write(path, tree.to_dot()).expect("write DOT file");
+        write(path, tree.to_dot());
         eprintln!("wrote search tree to {path}");
     }
     match &args.out {
         Some(path) => {
-            std::fs::write(path, serde_json::to_string_pretty(&output).expect("serialize"))
-                .expect("write output");
+            write(path, output.to_json());
             eprintln!("wrote partition to {path}");
         }
-        None => println!("{}", serde_json::to_string(&output).expect("serialize")),
+        None => println!("{}", output.to_json()),
     }
 }

@@ -2,6 +2,7 @@
 //!
 //! See the README for a quickstart and `DESIGN.md` for the architecture.
 
+pub use cip_base as base;
 pub use cip_contact as contact;
 pub use cip_core as core;
 pub use cip_dtree as dtree;

@@ -118,6 +118,16 @@ codec_struct!(TraceTotals {
     repartitions,
     rank_losses
 });
+cip_telemetry::json_struct!(TraceTotals {
+    k,
+    steps,
+    halo,
+    shipments,
+    migrated,
+    contact_pairs,
+    repartitions,
+    rank_losses
+});
 
 impl TraceTotals {
     /// Extracts the deterministic totals from a finished report.
@@ -147,21 +157,7 @@ impl TraceTotals {
     /// The totals as one stable JSON object (keys in fixed order) —
     /// what the CI smoke diff compares against the in-process oracle.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"k\":{},\"steps\":{},\"halo\":{},\"shipments\":{},",
-                "\"migrated\":{},\"contact_pairs\":{},\"repartitions\":{},",
-                "\"rank_losses\":{}}}"
-            ),
-            self.k,
-            self.steps,
-            self.halo,
-            self.shipments,
-            self.migrated,
-            self.contact_pairs,
-            self.repartitions,
-            self.rank_losses
-        )
+        cip_telemetry::json::ToJson::to_json(self)
     }
 }
 

@@ -9,7 +9,7 @@
 //!   [`RuntimeError::RankLost`] carrying the survivors' partial output,
 //!   and the traced driver recovers by repartitioning over the survivors
 //!   while still detecting exactly the clean run's contact pairs;
-//! * **message faults** (proptest) — under random drop/duplicate/delay/
+//! * **message faults** (seeded sweep) — under random drop/duplicate/delay/
 //!   reorder rates the repair protocol converges: the step succeeds, the
 //!   detected pairs equal the serial oracle, and the traffic invariants
 //!   (first-transmission halo volume, `Done` count) hold exactly.
@@ -20,13 +20,13 @@
 use cip::contact::serial_contact_pairs;
 mod common;
 
+use cip::base::rng::sweep;
 use cip::runtime::{
     ExecOptions, FaultInjector, FaultPlan, FaultRates, KillSpec, RuntimeError, StepOutput,
 };
 use cip::trace::{run_traced, ChaosOptions, TraceOptions};
 use cip::transport::InProcess;
 use common::{env_seed, run_batch, stage};
-use proptest::prelude::*;
 use std::time::Duration;
 
 /// Executes one step (a one-element batch) of the tiny scenario at `k`
@@ -133,61 +133,63 @@ fn driver_recovers_from_any_single_rank_kill() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Dropped, duplicated, delayed and reordered messages are detected
-    /// and repaired: the step succeeds, detection equals the serial
-    /// oracle, and first-transmission traffic invariants hold exactly.
-    #[test]
-    fn message_faults_converge_to_the_fault_free_answer(
-        seed in 0u64..1_000_000,
-        drop in 0u16..=250,
-        dup in 0u16..=150,
-        delay in 0u16..=150,
-        reorder in 0u16..=150,
-    ) {
+/// Dropped, duplicated, delayed and reordered messages are detected
+/// and repaired: the step succeeds, detection equals the serial
+/// oracle, and first-transmission traffic invariants hold exactly.
+#[test]
+fn message_faults_converge_to_the_fault_free_answer() {
+    sweep(8, |rng| {
         let k = 3;
-        let plan = FaultPlan {
-            rates: FaultRates { drop_permille: drop, dup_permille: dup, delay_permille: delay, reorder_permille: reorder },
-            ..FaultPlan::quiet(seed ^ env_seed())
+        let mut permille = |max: u32| rng.range_u32(max + 1) as u16;
+        let rates = FaultRates {
+            drop_permille: permille(250),
+            dup_permille: permille(150),
+            delay_permille: permille(150),
+            reorder_permille: permille(150),
         };
-        let (out, oracle) =
-            run_step(k, FaultInjector::with_plan(plan), &chaos_exec_options());
+        let plan = FaultPlan { rates, ..FaultPlan::quiet(rng.next_u64() ^ env_seed()) };
+        let (out, oracle) = run_step(k, FaultInjector::with_plan(plan), &chaos_exec_options());
         let out = out.expect("message faults alone must never fail the step");
-        prop_assert_eq!(&out.contact_pairs, &oracle.serial);
-        prop_assert_eq!(out.ghost_mismatches, 0);
-        prop_assert_eq!(out.traffic.total_halo(), oracle.halo);
-        prop_assert_eq!(out.traffic.phases.halo_units, oracle.halo);
-        prop_assert_eq!(out.traffic.phases.done_msgs, (k * (k - 1)) as u64);
-    }
+        assert_eq!(&out.contact_pairs, &oracle.serial);
+        assert_eq!(out.ghost_mismatches, 0);
+        assert_eq!(out.traffic.total_halo(), oracle.halo);
+        assert_eq!(out.traffic.phases.halo_units, oracle.halo);
+        assert_eq!(out.traffic.phases.done_msgs, (k * (k - 1)) as u64);
+    });
+}
 
-    /// The traced driver under message chaos matches its clean twin on
-    /// every executed total.
-    #[test]
-    fn traced_message_chaos_matches_clean_run(seed in 0u64..1_000_000) {
-        let base = TraceOptions {
-            scenario: "tiny".into(),
-            k: 2,
-            snapshots: Some(3),
-            chaos: None,
-            ..TraceOptions::default()
-        };
-        let clean = run_traced(&base).expect("clean run");
+/// The traced driver under message chaos matches its clean twin on
+/// every executed total.
+#[test]
+fn traced_message_chaos_matches_clean_run() {
+    let base = TraceOptions {
+        scenario: "tiny".into(),
+        k: 2,
+        snapshots: Some(3),
+        chaos: None,
+        ..TraceOptions::default()
+    };
+    let clean = run_traced(&base).expect("clean run");
+    sweep(8, |rng| {
         let chaotic = run_traced(&TraceOptions {
             chaos: Some(ChaosOptions {
-                seed: seed ^ env_seed(),
-                rates: FaultRates { drop_permille: 150, dup_permille: 80, delay_permille: 80, reorder_permille: 80 },
+                seed: rng.next_u64() ^ env_seed(),
+                rates: FaultRates {
+                    drop_permille: 150,
+                    dup_permille: 80,
+                    delay_permille: 80,
+                    reorder_permille: 80,
+                },
                 kill: None,
                 timeout_ms: 300,
                 retries: 2,
             }),
-            ..base
+            ..base.clone()
         })
         .expect("chaos run");
-        prop_assert_eq!(chaotic.rank_losses, 0);
-        prop_assert_eq!(chaotic.contact_pairs, clean.contact_pairs);
-        prop_assert_eq!(chaotic.halo, clean.halo);
+        assert_eq!(chaotic.rank_losses, 0);
+        assert_eq!(chaotic.contact_pairs, clean.contact_pairs);
+        assert_eq!(chaotic.halo, clean.halo);
         chaotic.verify_totals().expect("counters equal executed traffic");
-    }
+    });
 }

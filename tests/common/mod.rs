@@ -11,7 +11,7 @@ use cip::contact::{
 use cip::core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
 use cip::dtree::{induce, refresh, DecisionTree, DtreeConfig};
 use cip::geom::{Aabb, Point};
-use cip::graph::total_comm_volume;
+use cip::graph::{total_comm_volume, Graph, GraphBuilder};
 use cip::partition::{diffusion_repartition, partition_kway, PartitionerConfig};
 use cip::runtime::{
     build_decomposition, build_migration, connect_ranks, execute_steps, BatchError, Decomposition,
@@ -23,6 +23,27 @@ use cip_transport::frame::{decode_frame, encode_frame};
 use cip_transport::{
     splitmix64, Transport, Wire, WireError, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION,
 };
+
+/// The `nx × ny` grid graph with unit edges and unit FE weight; with
+/// `ncon == 2`, contact weight 1 on the border (the paper's surface-node
+/// pattern) as the second constraint.
+pub fn grid(nx: usize, ny: usize, ncon: usize) -> Graph {
+    let mut b = GraphBuilder::new(nx * ny, ncon);
+    let id = |i: usize, j: usize| (j * nx + i) as u32;
+    for j in 0..ny {
+        for i in 0..nx {
+            let border = i == 0 || j == 0 || i == nx - 1 || j == ny - 1;
+            b.set_vwgt(id(i, j), &[1, i64::from(border)][..ncon]);
+            if i + 1 < nx {
+                b.add_edge(id(i, j), id(i + 1, j), 1);
+            }
+            if j + 1 < ny {
+                b.add_edge(id(i, j), id(i, j + 1), 1);
+            }
+        }
+    }
+    b.build()
+}
 
 /// CI seed sweep: `CHAOS_SEED` perturbs every chaos seed of a suite.
 pub fn env_seed() -> u64 {

@@ -2,53 +2,33 @@
 //!
 //! The determinism contract (`DESIGN.md` "Threading model") says every
 //! partitioner entry point is a pure function of `(graph, k, config)` —
-//! the rayon pool size must never change a result. These tests run the
-//! full drivers and the coarsening hierarchy under explicit pools of 1, 2,
-//! and 8 threads and require identical output, with `parallel_threshold`
-//! forced low so the parallel matcher and parallel contraction actually
-//! run even on this modest grid.
+//! how many threads a loop is cut across must never change a result. These
+//! tests run the full drivers and the coarsening hierarchy under
+//! `par::with_threads` at 1, 2, 4 and 8 real threads (every loop cut that
+//! many ways, whatever its length) and require identical output, with
+//! `parallel_threshold` forced low so the parallel matcher and parallel
+//! contraction actually run even on this modest grid.
 
-use cip::graph::{edge_cut, Graph, GraphBuilder};
+mod common;
+
+use cip::base::par::with_threads;
+use cip::graph::edge_cut;
 use cip::partition::{
     coarsen_with, partition_kway, partition_kway_multilevel, refine_kway, CoarsenParams,
     CoarsenWorkspace, PartitionerConfig,
 };
 
-/// Two-constraint grid: unit FE weight everywhere, contact weight on the
-/// border (the paper's surface-node pattern).
-fn grid2(nx: usize, ny: usize) -> Graph {
-    let mut b = GraphBuilder::new(nx * ny, 2);
-    let id = |i: usize, j: usize| (j * nx + i) as u32;
-    for j in 0..ny {
-        for i in 0..nx {
-            let border = i == 0 || j == 0 || i == nx - 1 || j == ny - 1;
-            b.set_vwgt(id(i, j), &[1, i64::from(border)]);
-            if i + 1 < nx {
-                b.add_edge(id(i, j), id(i + 1, j), 1);
-            }
-            if j + 1 < ny {
-                b.add_edge(id(i, j), id(i, j + 1), 1);
-            }
-        }
-    }
-    b.build()
-}
-
-fn with_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(f)
-}
-
-const POOLS: [usize; 3] = [1, 2, 8];
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
 fn partition_kway_is_thread_count_invariant() {
-    let g = grid2(48, 48);
+    let g = common::grid(48, 48, 2);
     // Force the parallel coarsening path on every bisection sub-problem.
     let cfg = PartitionerConfig { parallel_threshold: 64, ..PartitionerConfig::with_seed(17) };
     for k in [4usize, 7] {
-        let reference = with_pool(1, || partition_kway(&g, k, &cfg));
-        for threads in POOLS {
-            let asg = with_pool(threads, || partition_kway(&g, k, &cfg));
+        let reference = with_threads(1, || partition_kway(&g, k, &cfg));
+        for threads in THREADS {
+            let asg = with_threads(threads, || partition_kway(&g, k, &cfg));
             assert_eq!(asg, reference, "k={k} differs at {threads} threads");
         }
     }
@@ -56,22 +36,22 @@ fn partition_kway_is_thread_count_invariant() {
 
 #[test]
 fn partition_kway_multilevel_is_thread_count_invariant() {
-    let g = grid2(48, 48);
+    let g = common::grid(48, 48, 2);
     let cfg = PartitionerConfig { parallel_threshold: 64, ..PartitionerConfig::with_seed(29) };
     for k in [4usize, 9] {
-        let reference = with_pool(1, || partition_kway_multilevel(&g, k, &cfg));
-        for threads in POOLS {
-            let asg = with_pool(threads, || partition_kway_multilevel(&g, k, &cfg));
+        let reference = with_threads(1, || partition_kway_multilevel(&g, k, &cfg));
+        for threads in THREADS {
+            let asg = with_threads(threads, || partition_kway_multilevel(&g, k, &cfg));
             assert_eq!(asg, reference, "k={k} differs at {threads} threads");
         }
     }
 }
 
 /// The parallel propose-then-resolve k-way refinement sweep in isolation:
-/// identical assignments at any pool size, and the cut never increases.
+/// identical assignments at any thread count, and the cut never increases.
 #[test]
 fn parallel_kway_refinement_is_thread_count_invariant() {
-    let g = grid2(48, 48);
+    let g = common::grid(48, 48, 2);
     // Diagonal stripes: balanced but terrible cut (every vertex boundary
     // with a strictly positive best gain), so the sweep has real work.
     for k in [2usize, 5] {
@@ -79,14 +59,14 @@ fn parallel_kway_refinement_is_thread_count_invariant() {
         // threshold 0 forces the propose-then-resolve path on every pass.
         let cfg = PartitionerConfig { parallel_threshold: 0, ..PartitionerConfig::with_seed(41) };
         let cut_before = edge_cut(&g, &start);
-        let reference = with_pool(1, || {
+        let reference = with_threads(1, || {
             let mut asg = start.clone();
             refine_kway(&g, k, &mut asg, &cfg);
             asg
         });
         assert!(edge_cut(&g, &reference) < cut_before, "k={k}: refinement should help");
-        for threads in POOLS {
-            let asg = with_pool(threads, || {
+        for threads in THREADS {
+            let asg = with_threads(threads, || {
                 let mut asg = start.clone();
                 refine_kway(&g, k, &mut asg, &cfg);
                 asg
@@ -99,13 +79,13 @@ fn parallel_kway_refinement_is_thread_count_invariant() {
 /// The coarsening hierarchy itself — maps and coarse graphs — must be
 /// bit-identical at 1 vs N threads for a fixed seed.
 #[test]
-fn coarsen_hierarchy_is_bit_identical_across_pools() {
-    let g = grid2(48, 48);
+fn coarsen_hierarchy_is_bit_identical_across_thread_counts() {
+    let g = common::grid(48, 48, 2);
     let params = CoarsenParams { parallel_threshold: 0, ..CoarsenParams::new(40, 123) };
-    let reference = with_pool(1, || coarsen_with(&g, &params, &mut CoarsenWorkspace::new()));
+    let reference = with_threads(1, || coarsen_with(&g, &params, &mut CoarsenWorkspace::new()));
     assert!(!reference.is_empty(), "grid should coarsen");
-    for threads in POOLS {
-        let h = with_pool(threads, || coarsen_with(&g, &params, &mut CoarsenWorkspace::new()));
+    for threads in THREADS {
+        let h = with_threads(threads, || coarsen_with(&g, &params, &mut CoarsenWorkspace::new()));
         assert_eq!(h.len(), reference.len(), "level count differs at {threads} threads");
         for (lvl, (a, b)) in h.levels.iter().zip(reference.levels.iter()).enumerate() {
             assert_eq!(a.map, b.map, "map differs at level {lvl}, {threads} threads");

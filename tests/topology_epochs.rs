@@ -3,6 +3,7 @@
 //! replaced bit for bit, and a `SnapshotView` served from a run's epoch
 //! cache must equal one built cold.
 
+use cip::base::rng::{sweep, Rng};
 use cip::core::SnapshotView;
 use cip::geom::Point;
 use cip::graph::GraphBuilder;
@@ -11,7 +12,6 @@ use cip::mesh::{extract_surface, generators, Element, Mesh, NodalGraph};
 use cip::sim::dynamics::contact_surface;
 use cip::sim::{SimConfig, SimResult};
 use cip::telemetry::Recorder;
-use proptest::prelude::*;
 use std::sync::Barrier;
 
 /// The construction `nodal_graph` used before topologies existed, kept as
@@ -93,33 +93,28 @@ fn tetrahedralized(hexes: &Mesh<3>) -> Mesh<3> {
 
 /// A hex box or its tetrahedralization, randomly eroded, with a random
 /// contact mask over its nodes.
-fn eroded_mesh_and_mask() -> impl Strategy<Value = (Mesh<3>, Vec<bool>)> {
-    (
-        (1usize..5, 1usize..4, 1usize..4),
-        any::<bool>(),
-        proptest::collection::vec(any::<bool>(), 6 * 4 * 3 * 3),
-        proptest::collection::vec(any::<bool>(), 5 * 4 * 4),
-    )
-        .prop_map(|((nx, ny, nz), tets, dead, contact)| {
-            let hexes = generators::hex_box([nx, ny, nz], Point::new([0.0; 3]), [1.0; 3], 0);
-            let mut mesh = if tets { tetrahedralized(&hexes) } else { hexes };
-            for e in (0..mesh.num_elements()).filter(|&e| dead[e]) {
-                mesh.erode(e as u32);
-            }
-            let mask = contact[..mesh.num_nodes()].to_vec();
-            (mesh, mask)
-        })
+fn eroded_mesh_and_mask(rng: &mut Rng) -> (Mesh<3>, Vec<bool>) {
+    let dims = [1..5, 1..4, 1..4].map(|range| rng.range_i64(range) as usize);
+    let mut flip = || rng.range_u32(2) == 1;
+    let hexes = generators::hex_box(dims, Point::new([0.0; 3]), [1.0; 3], 0);
+    let mut mesh = if flip() { tetrahedralized(&hexes) } else { hexes };
+    for e in 0..mesh.num_elements() as u32 {
+        if flip() {
+            mesh.erode(e);
+        }
+    }
+    let mask = (0..mesh.num_nodes()).map(|_| flip()).collect();
+    (mesh, mask)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// `nodal_graph` through `NodalTopology` equals the edge-list
-    /// construction: offsets, neighbours (rows ascending), both weight
-    /// arrays and both node maps, under the boundary's contact mask and
-    /// under an arbitrary one.
-    #[test]
-    fn nodal_graph_equals_the_edge_list_construction((mesh, random_mask) in eroded_mesh_and_mask()) {
+/// `nodal_graph` through `NodalTopology` equals the edge-list
+/// construction: offsets, neighbours (rows ascending), both weight
+/// arrays and both node maps, under the boundary's contact mask and
+/// under an arbitrary one.
+#[test]
+fn nodal_graph_equals_the_edge_list_construction() {
+    sweep(96, |rng| {
+        let (mesh, random_mask) = eroded_mesh_and_mask(rng);
         let surface_mask = extract_surface(&mesh).contact_node_mask(mesh.num_nodes());
         for mask in [&surface_mask, &random_mask] {
             for opts in OPTION_SETS {
@@ -128,7 +123,7 @@ proptest! {
                 assert_same_graph(&got, &edge_list_nodal_graph(&mesh, mask, opts));
             }
         }
-    }
+    });
 }
 
 /// Everything of `got` equals a view assembled without the epoch cache:
