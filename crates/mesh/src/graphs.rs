@@ -14,6 +14,7 @@
 
 use crate::element::Element;
 use crate::mesh::Mesh;
+use crate::surface::FacetIndex;
 use cip_graph::{Graph, GraphBuilder};
 
 /// Options controlling nodal-graph construction.
@@ -159,6 +160,22 @@ impl NodalTopology {
         Self { node_of_vertex, vertex_of_node, xadj, adjncy }
     }
 
+    /// `node_of_vertex()[gv]` = mesh node id of vertex `gv` (ascending).
+    pub fn node_of_vertex(&self) -> &[u32] {
+        &self.node_of_vertex
+    }
+
+    /// CSR row offsets: the neighbours of vertex `v` are
+    /// `adjncy()[xadj()[v]..xadj()[v + 1]]`.
+    pub fn xadj(&self) -> &[usize] {
+        &self.xadj
+    }
+
+    /// Neighbour vertex ids, every row strictly ascending.
+    pub fn adjncy(&self) -> &[u32] {
+        &self.adjncy
+    }
+
     /// The weighted nodal graph over this topology.
     ///
     /// `contact_mask[n]` marks mesh node `n` as a contact node (see
@@ -223,30 +240,16 @@ pub fn dual_graph<const D: usize>(mesh: &Mesh<D>) -> (Graph, Vec<u32>) {
         element_of_vertex.push(e);
     }
 
-    // Sort facet records; runs of length 2 are interior facets = dual edges.
-    let mut recs: Vec<([u32; 4], u32)> = Vec::new();
-    for (e, el) in mesh.live_elements() {
-        for f in 0..el.kind.num_faces() {
-            recs.push((el.face(f).key(), vertex_of_element[e as usize]));
-        }
-    }
-    recs.sort_unstable_by_key(|a| a.0);
-
     let mut b = GraphBuilder::new(element_of_vertex.len(), 1);
     for gv in 0..element_of_vertex.len() as u32 {
         b.set_vwgt(gv, &[1]);
     }
-    let mut i = 0;
-    while i < recs.len() {
-        let mut j = i + 1;
-        while j < recs.len() && recs[j].0 == recs[i].0 {
-            j += 1;
+    // A facet with two live owners is an interior facet = a dual edge.
+    FacetIndex::build(mesh).for_each_live_facet(&mesh.alive, |owners| {
+        if let &[(e, _), (f, _)] = owners {
+            b.add_edge(vertex_of_element[e as usize], vertex_of_element[f as usize], 1);
         }
-        if j - i == 2 {
-            b.add_edge(recs[i].1, recs[i + 1].1, 1);
-        }
-        i = j;
-    }
+    });
     (b.build(), element_of_vertex)
 }
 

@@ -33,4 +33,4 @@ pub use graphs::{dual_graph, nodal_graph, NodalGraph, NodalTopology};
 pub use io::{read_text, write_text, MeshIoError};
 pub use mesh::Mesh;
 pub use quality::{aspect_ratio, quality_report, QualityReport};
-pub use surface::{extract_surface, Surface, SurfaceFace};
+pub use surface::{extract_surface, FacetIndex, Surface, SurfaceFace};

@@ -7,7 +7,7 @@
 //! penetration, interior facets become boundary facets, so the contact set
 //! grows exactly as it does in the EPIC simulations the paper evaluates on.
 
-use crate::element::Face;
+use crate::element::{Element, Face};
 use crate::mesh::Mesh;
 
 /// A boundary facet together with its owning element and body.
@@ -32,6 +32,20 @@ pub struct Surface {
 }
 
 impl Surface {
+    /// The surface made of `faces` over a mesh of `num_nodes` nodes. The
+    /// contact nodes are listed by marking a node mask and sweeping it,
+    /// which leaves them ascending and distinct without a sort.
+    pub fn from_faces(faces: Vec<SurfaceFace>, num_nodes: usize) -> Self {
+        let mut on_surface = vec![false; num_nodes];
+        for sf in &faces {
+            for &n in sf.face.nodes() {
+                on_surface[n as usize] = true;
+            }
+        }
+        let contact_nodes = (0..num_nodes as u32).filter(|&n| on_surface[n as usize]).collect();
+        Self { faces, contact_nodes }
+    }
+
     /// Number of surface elements.
     pub fn num_faces(&self) -> usize {
         self.faces.len()
@@ -53,10 +67,78 @@ impl Surface {
     }
 }
 
-/// Extracts the boundary surface of the live part of `mesh`.
+/// The canonical facet records of a mesh's elements — live or not —
+/// sorted once.
 ///
-/// Runs in `O(F log F)` for `F` total facets via sort-and-scan on canonical
-/// facet keys (no hashing, no per-facet allocation).
+/// Erosion only flips live flags, so the sort (the `O(F log F)` part of
+/// boundary extraction, `F` = total facets) is paid once per mesh and
+/// the boundary of any live mask is one linear scan over the sorted runs
+/// ([`FacetIndex::boundary`]).
+#[derive(Debug)]
+pub struct FacetIndex<'m> {
+    elements: &'m [Element],
+    body: &'m [u16],
+    num_nodes: usize,
+    /// `(canonical key, element id, facet index)`, sorted by key.
+    recs: Vec<([u32; 4], u32, u8)>,
+}
+
+impl<'m> FacetIndex<'m> {
+    /// Indexes every facet of every element of `mesh` (its live mask is
+    /// not read). No hashing, no per-facet allocation.
+    pub fn build<const D: usize>(mesh: &'m Mesh<D>) -> Self {
+        let mut recs = Vec::new();
+        for (e, el) in mesh.elements.iter().enumerate() {
+            for f in 0..el.kind.num_faces() {
+                recs.push((el.face(f).key(), e as u32, f as u8));
+            }
+        }
+        recs.sort_unstable_by_key(|a| a.0);
+        Self { elements: &mesh.elements, body: &mesh.body, num_nodes: mesh.num_nodes(), recs }
+    }
+
+    /// Calls `visit` with the live owners `(element, facet index)` of
+    /// every facet that has one, in key order.
+    pub(crate) fn for_each_live_facet(&self, alive: &[bool], mut visit: impl FnMut(&[(u32, u8)])) {
+        assert_eq!(alive.len(), self.elements.len(), "one live flag per element");
+        let mut owners: Vec<(u32, u8)> = Vec::new();
+        let mut i = 0;
+        while i < self.recs.len() {
+            let key = self.recs[i].0;
+            owners.clear();
+            while i < self.recs.len() && self.recs[i].0 == key {
+                let (_, e, f) = self.recs[i];
+                if alive[e as usize] {
+                    owners.push((e, f));
+                }
+                i += 1;
+            }
+            if !owners.is_empty() {
+                visit(&owners);
+            }
+        }
+    }
+
+    /// The boundary surface under the live mask `alive`: the facets with
+    /// exactly one live owner, in key order.
+    pub fn boundary(&self, alive: &[bool]) -> Surface {
+        let mut faces = Vec::new();
+        self.for_each_live_facet(alive, |owners| {
+            if let &[(e, f)] = owners {
+                faces.push(SurfaceFace {
+                    face: self.elements[e as usize].face(f as usize),
+                    element: e,
+                    body: self.body[e as usize],
+                });
+            }
+        });
+        Surface::from_faces(faces, self.num_nodes)
+    }
+}
+
+/// Extracts the boundary surface of the live part of `mesh`: index its
+/// facets, scan once. A caller that extracts under many live masks of one
+/// mesh keeps the [`FacetIndex`] instead.
 ///
 /// ```
 /// use cip_geom::Point;
@@ -70,39 +152,7 @@ impl Surface {
 /// assert_eq!(surface.num_contact_nodes(), 26);
 /// ```
 pub fn extract_surface<const D: usize>(mesh: &Mesh<D>) -> Surface {
-    // (canonical key, element id, facet index) per live facet.
-    let mut recs: Vec<([u32; 4], u32, u8)> = Vec::new();
-    for (e, el) in mesh.live_elements() {
-        for f in 0..el.kind.num_faces() {
-            recs.push((el.face(f).key(), e, f as u8));
-        }
-    }
-    recs.sort_unstable_by_key(|a| a.0);
-
-    let mut faces = Vec::new();
-    let mut i = 0;
-    while i < recs.len() {
-        let mut j = i + 1;
-        while j < recs.len() && recs[j].0 == recs[i].0 {
-            j += 1;
-        }
-        if j - i == 1 {
-            let (_, e, f) = recs[i];
-            let el = &mesh.elements[e as usize];
-            faces.push(SurfaceFace {
-                face: el.face(f as usize),
-                element: e,
-                body: mesh.body[e as usize],
-            });
-        }
-        i = j;
-    }
-
-    let mut contact_nodes: Vec<u32> =
-        faces.iter().flat_map(|sf| sf.face.nodes().iter().copied()).collect();
-    contact_nodes.sort_unstable();
-    contact_nodes.dedup();
-    Surface { faces, contact_nodes }
+    FacetIndex::build(mesh).boundary(&mesh.alive)
 }
 
 #[cfg(test)]

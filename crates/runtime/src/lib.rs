@@ -18,9 +18,9 @@
 //! analytics — they are the exact message counts of an executable
 //! parallel step.
 //!
-//! * [`plan`] — builds the per-rank decomposition plan (owned nodes,
-//!   ghosts, halo send lists, element & surface ownership) from a node
-//!   partition,
+//! * [`plan`] — builds the per-rank decomposition plan (halo send
+//!   lists, shared by the steps of one adjacency and assignment; surface
+//!   ownership per step) from a node partition,
 //! * [`exec`] — the executor's messages, traffic log, step input/output
 //!   and options,
 //! * [`pipeline`] — the step executor itself: one dependency-driven rank
@@ -63,7 +63,7 @@ pub use migrate::{build_migration, build_migration_recorded, MigrationPlan};
 pub use pipeline::{
     collect_batch, execute_rank_steps, execute_steps, BatchError, RankBatchOutcome,
 };
-pub use plan::{build_decomposition, Decomposition, RankPlan};
+pub use plan::{build_decomposition, Decomposition, HaloPlan, HaloSends, RankPlan};
 pub use remote::{connect_ranks, SteppedMailbox};
 pub use replan::Replanner;
 

@@ -303,7 +303,7 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
 
     {
         let _span = rec.span("exec.halo").attr("rank", me).attr("step", s);
-        for (dest, nodes) in &plan.send_halo {
+        for (dest, nodes) in plan.send_halo.iter() {
             if fault.should_kill(me, payload_sends) {
                 rec.add("fault.killed_ranks", 1);
                 return false;

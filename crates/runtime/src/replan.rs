@@ -2,8 +2,8 @@
 //!
 //! The driver computes the diffusion repartition and
 //! [`crate::MigrationPlan`] for the *next* boundary on a planner thread
-//! while the executor is still running the current batch against the old
-//! decomposition. [`Replanner`] owns that
+//! while the executor is still running the batches before it against the
+//! old decomposition. [`Replanner`] owns that
 //! thread's lifecycle: one plan in flight at a time, keyed by the
 //! boundary step it targets and a driver-maintained **version** that is
 //! bumped whenever the rank space changes (a `RankLost` recovery). A

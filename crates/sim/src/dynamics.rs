@@ -9,9 +9,9 @@
 //! 3. plate nodes near the channel are displaced by a smooth analytic
 //!    field (radial push-out plus downward dishing) evaluated from the
 //!    rest configuration, so positions never accumulate drift;
-//! 4. at snapshot steps, the boundary surface of the live mesh is
-//!    extracted and clipped to the interaction region, yielding the
-//!    contact surface.
+//! 4. at snapshot steps, the boundary surface of the live mesh (one scan
+//!    of the base mesh's facet index per erosion event) is clipped to the
+//!    interaction region, yielding the contact surface.
 //!
 //! The physics is deliberately kinematic: the paper's metrics are
 //! decomposition properties (communication counts), which depend on the
@@ -20,8 +20,7 @@
 use crate::geometry::{SimConfig, BODY_PROJECTILE};
 use crate::snapshot::{SimResult, Snapshot};
 use cip_geom::{Aabb, Point};
-use cip_mesh::surface::extract_surface;
-use cip_mesh::Surface;
+use cip_mesh::{FacetIndex, Surface};
 
 /// Runs the simulation defined by `cfg`, producing `cfg.snapshots`
 /// snapshots.
@@ -46,10 +45,11 @@ pub fn run(cfg: &SimConfig) -> SimResult {
     let hw = cfg.proj_half_width();
     let erosion_hw = hw + 0.25 * cfg.cell; // slight over-bore, as in erosion codes
 
-    // The eroding mesh: only `alive` evolves (positions stay at rest; the
-    // boundary surface does not depend on them).
-    let mut eroding = base.clone();
-    // Boundary surface of the current topology epoch: extracted at the
+    // Only the live mask evolves (the boundary surface does not depend on
+    // positions), so the facets are sorted once, here.
+    let facets = FacetIndex::build(&base);
+    let mut alive = base.alive.clone();
+    // Boundary surface of the current topology epoch: rescanned at the
     // epoch's first snapshot, dropped when an element erodes.
     let mut boundary: Option<Surface> = None;
 
@@ -65,23 +65,23 @@ pub fn run(cfg: &SimConfig) -> SimResult {
 
         // Erode plate elements the tip has reached.
         for (e, c) in centroids.iter().enumerate() {
-            if !eroding.alive[e] || base.body[e] == BODY_PROJECTILE {
+            if !alive[e] || base.body[e] == BODY_PROJECTILE {
                 continue;
             }
             if (c[0] - cfg.impact_offset[0]).abs() <= erosion_hw
                 && (c[1] - cfg.impact_offset[1]).abs() <= erosion_hw
                 && c[2] >= tip_z
             {
-                eroding.alive[e] = false;
+                alive[e] = false;
                 boundary = None;
             }
         }
 
         while next_snap < snapshot_steps.len() && snapshot_steps[next_snap] == step {
             let points = deformed_points(cfg, &base.points, &is_proj_node, drop, tip_z, hw);
-            let boundary = boundary.get_or_insert_with(|| extract_surface(&eroding));
+            let boundary = boundary.get_or_insert_with(|| facets.boundary(&alive));
             let contact = contact_surface(cfg, boundary, &points);
-            snapshots.push(Snapshot { step, points, alive: eroding.alive.clone(), contact });
+            snapshots.push(Snapshot { step, points, alive: alive.clone(), contact });
             next_snap += 1;
         }
     }
@@ -157,7 +157,7 @@ pub fn contact_surface(cfg: &SimConfig, boundary: &Surface, points: &[Point<3>])
         Point::new([lo_x, lo_y, f64::NEG_INFINITY]),
         Point::new([hi_x, hi_y, f64::INFINITY]),
     );
-    let faces: Vec<_> = boundary
+    let faces = boundary
         .faces
         .iter()
         .filter(|sf| {
@@ -171,11 +171,7 @@ pub fn contact_surface(cfg: &SimConfig, boundary: &Surface, points: &[Point<3>])
         })
         .copied()
         .collect();
-    let mut contact_nodes: Vec<u32> =
-        faces.iter().flat_map(|sf| sf.face.nodes().iter().copied()).collect();
-    contact_nodes.sort_unstable();
-    contact_nodes.dedup();
-    Surface { faces, contact_nodes }
+    Surface::from_faces(faces, points.len())
 }
 
 #[cfg(test)]

@@ -111,9 +111,10 @@ impl SimResult {
         self.snapshots.is_empty()
     }
 
-    /// Materializes the full mesh state of snapshot `i` (shares element
-    /// connectivity with the base mesh via clone; positions and live mask
-    /// come from the snapshot).
+    /// Materializes the full mesh state of snapshot `i`: a deep copy of
+    /// the base mesh's connectivity and body ids with the snapshot's
+    /// positions and live mask — for analysis and tests, not for a step
+    /// path.
     pub fn mesh_at(&self, i: usize) -> Mesh<3> {
         let snap = &self.snapshots[i];
         Mesh {

@@ -122,4 +122,21 @@ if grep -n 'fn update' crates/contact/src/grid.rs; then
   exit 1
 fi
 
+echo "==> a step costs what changed"
+# Staging computes each quantity at the rate its inputs change (DESIGN.md
+# §5 "topology epochs"): the step path reads node positions from the run's
+# snapshots and adjacency rows from the epoch's topology, so non-test
+# src/staging.rs never materialises a view, a mesh or a weighted graph,
+# and never derives a decomposition from one. Upstream of it the simulation
+# sorts the base mesh's facets once (FacetIndex) and rescans per erosion
+# event, so non-test dynamics.rs never re-extracts a surface.
+if non_test src/staging.rs | grep -E 'SnapshotView|mesh_at\(|\.graph\(|build_decomposition\('; then
+  echo "verify: FAIL — step staging materialises a view, a mesh or a graph again"
+  exit 1
+fi
+if non_test crates/sim/src/dynamics.rs | grep 'extract_surface('; then
+  echo "verify: FAIL — the simulation re-sorts the live facets per erosion event again"
+  exit 1
+fi
+
 echo "verify: OK"

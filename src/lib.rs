@@ -17,5 +17,6 @@ pub use cip_telemetry as telemetry;
 pub use cip_transport as transport;
 
 pub mod service;
+mod staging;
 pub mod trace;
 pub mod worker;

@@ -10,18 +10,19 @@
 //! driver on its own lane above them) and a flat summary whose traffic
 //! counters equal the executed [`cip_runtime::TrafficLog`] exactly.
 
+use crate::staging::{stage_batch, with_staged_inputs, Chain};
 use crate::worker::{BatchSpec, PoolConfig, WorkerPool};
-use cip_contact::DtreeFilter;
-use cip_core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
-use cip_dtree::{induce_recorded, refresh_recorded, DecisionTree, DtreeConfig};
+use cip_core::{dt_friendly_correct, DtFriendlyConfig};
+use cip_mesh::graphs::NodalGraphOptions;
+use cip_mesh::NodalGraph;
 use cip_partition::{
     compact_parts_after_loss, diffusion_repartition, partition_kway_with, PartitionWorkspace,
     PartitionerConfig,
 };
 use cip_runtime::{
-    build_decomposition, build_migration, build_migration_recorded, collect_batch, connect_ranks,
-    execute_steps, BatchError, CancelToken, ConfigError, Decomposition, ExecOptions, FaultInjector,
-    FaultPlan, FaultRates, KillSpec, MigrationPlan, Msg, Replanner, RuntimeError, StepInput,
+    build_migration, build_migration_recorded, collect_batch, connect_ranks, execute_steps,
+    BatchError, CancelToken, ConfigError, ExecOptions, FaultInjector, FaultPlan, FaultRates,
+    KillSpec, MigrationPlan, Msg, Replanner, RuntimeError,
 };
 use cip_sim::{scenarios, SimConfig, SimResult};
 use cip_telemetry::{export::Summary, Recorder};
@@ -515,7 +516,7 @@ pub struct Session {
     route: Vec<u32>,
     epoch: u32,
     chain_start: usize,
-    tree: Option<DecisionTree<3>>,
+    chain: Chain,
     live_k: usize,
     report: TraceReport,
     spent: Vec<bool>,
@@ -540,7 +541,6 @@ impl Session {
         if let Some(s) = opts.snapshots {
             scfg.snapshots = s;
         }
-        let sim = Arc::new(cip_sim::run(&scfg));
         let k = opts.k;
 
         let rec = Recorder::enabled();
@@ -550,22 +550,33 @@ impl Session {
         rec.name_lane(k as u32, "driver");
         rec.name_lane((k + 1) as u32, "planner");
 
+        let sim = {
+            let mut span = rec.span("sim.run").attr("snapshots", scfg.snapshots);
+            let sim = Arc::new(cip_sim::run(&scfg));
+            span.set_attr("epochs", sim.num_epochs());
+            sim
+        };
+
         let mut pcfg = PartitionerConfig::with_seed(opts.seed);
         pcfg.recorder = rec.clone();
 
         // Initial MCML+DT decomposition on snapshot 0.
-        let view0 = SnapshotView::build_recorded(&sim, 0, 5, &rec);
-        let mut asg = partition_kway_with(&view0.graph2.graph, k, &pcfg, &mut ws.partition.refine);
-        let positions: Vec<_> =
-            view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
-        dt_friendly_correct(
-            &view0.graph2.graph,
-            &positions,
-            k,
-            &mut asg,
-            &DtFriendlyConfig::default(),
-        );
-        let node_parts = view0.graph2.assignment_on_nodes(&asg);
+        let node_parts = {
+            let _span = rec.span("session.partition").attr("k", k);
+            let graph2 = contact_graph(&sim, 0, &rec);
+            let mut asg = partition_kway_with(&graph2.graph, k, &pcfg, &mut ws.partition.refine);
+            let points = &sim.snapshots[0].points;
+            let positions: Vec<_> =
+                graph2.node_of_vertex.iter().map(|&n| points[n as usize]).collect();
+            dt_friendly_correct(
+                &graph2.graph,
+                &positions,
+                k,
+                &mut asg,
+                &DtFriendlyConfig::default(),
+            );
+            graph2.assignment_on_nodes(&asg)
+        };
 
         // Multi-process mode: spawn the worker pool once; it outlives
         // every batch, repartition, and recovery (dead workers are
@@ -602,11 +613,12 @@ impl Session {
             // current search-tree chain was induced, which workers
             // replay to reproduce the driver's incrementally refreshed
             // tree (the assignment is constant within a chain — it only
-            // changes where the chain resets).
+            // changes where the chain resets). `chain` is what staging
+            // carries along it: the last tree and the halo plan.
             route: (0..k as u32).collect(),
             epoch: 0,
             chain_start: 0,
-            tree: None,
+            chain: Chain::default(),
             live_k: k,
             report: TraceReport {
                 recorder: rec,
@@ -725,9 +737,9 @@ impl Session {
                     if !plan.is_empty() {
                         self.pending_migrate = Some(plan);
                     }
-                    // The decomposition changed: the old tree no longer
-                    // matches the labels, so induce from scratch.
-                    self.tree = None;
+                    // The decomposition changed: the old tree and halo
+                    // plan no longer match the labels, so start a chain.
+                    self.chain = Chain::default();
                     self.chain_start = i;
                 }
             }
@@ -737,27 +749,27 @@ impl Session {
             // small) and hand the whole stretch to the executor.
             let mut end = (i + max_batch).min(self.sim.len());
             if let Some(period) = period {
-                end = end.min((i / period + 1) * period);
-                // If this batch ends at the next repartition boundary,
-                // start planning it in the background now. The
+                let boundary = (i / period + 1) * period;
+                end = end.min(boundary);
+                // Plan the region's closing boundary in the background
+                // from the moment its inputs exist — the region's first
+                // batch, or the first after a recovery discarded the
+                // plan and bumped the version — so the plan has the whole
+                // region to hide behind, not just its last batch. The
                 // simulation snapshots are precomputed, so the planner
                 // reads exactly the inputs the boundary will read — the
                 // plan is bit-identical to the synchronous one by
                 // construction (DESIGN.md §6b, snapshot-staleness rule).
-                if self.live_k >= 2
-                    && end < self.sim.len()
-                    && end.is_multiple_of(period)
-                    && end / period > self.boundaries_done
-                {
+                if self.live_k >= 2 && boundary < self.sim.len() && !self.planner.has_pending() {
                     let sim2 = Arc::clone(&self.sim);
                     let parts = self.node_parts.clone();
                     let pcfg2 = self.pcfg.clone();
-                    let (at, lk, lane) = (end, self.live_k, (k + 1) as u32);
-                    self.planner.submit(end, self.plan_version, &rec, move || {
+                    let (live_k, lane) = (self.live_k, (k + 1) as u32);
+                    self.planner.submit(boundary, self.plan_version, &rec, move || {
                         pcfg2.recorder.set_lane(lane);
                         let _compute =
-                            pcfg2.recorder.span("replan.compute").attr("boundary", at as u64);
-                        plan_boundary(&sim2, at, lk, &parts, &pcfg2)
+                            pcfg2.recorder.span("replan.compute").attr("boundary", boundary as u64);
+                        plan_boundary(&sim2, boundary, live_k, &parts, &pcfg2)
                     });
                 }
             }
@@ -816,14 +828,14 @@ impl Session {
                         &self.sim,
                         &self.node_parts,
                         self.live_k,
-                        self.tree.as_ref(),
+                        &mut self.chain,
                         i,
                         i..end,
                         &rec,
                     );
                     let migrate = self.pending_migrate.as_ref();
                     let (seats, epoch) = (&mut self.seats, self.epoch);
-                    let result = with_staged_inputs(&staged, &rec, |inputs| {
+                    let result = with_staged_inputs(&self.sim, &staged, &rec, |inputs| {
                         execute_steps(inputs, &faults, &exec_opts, migrate, seats, epoch)
                     });
                     (result, staged.pop().map(|s| s.tree))
@@ -839,7 +851,7 @@ impl Session {
                     // The Migrate prologue (if any) executed with the
                     // batch.
                     self.pending_migrate = None;
-                    self.tree = carried_tree;
+                    self.chain.tree = carried_tree;
                     self.next_step = end;
                 }
                 Err(BatchError { completed, failed_step, error }) => {
@@ -891,21 +903,16 @@ impl Session {
                     }
                     self.live_k =
                         compact_parts_after_loss(&mut self.node_parts, self.live_k, &dead);
-                    let view = SnapshotView::build_recorded(&self.sim, failed, 5, &rec);
                     if self.live_k >= 2 {
-                        let old: Vec<u32> = view
-                            .graph2
+                        let graph2 = contact_graph(&self.sim, failed, &rec);
+                        let old: Vec<u32> = graph2
                             .node_of_vertex
                             .iter()
                             .map(|&n| self.node_parts[n as usize])
                             .collect();
-                        let fresh = diffusion_repartition(
-                            &view.graph2.graph,
-                            self.live_k,
-                            &old,
-                            &self.pcfg,
-                        );
-                        let new_node_parts = view.graph2.assignment_on_nodes(&fresh);
+                        let fresh =
+                            diffusion_repartition(&graph2.graph, self.live_k, &old, &self.pcfg);
+                        let new_node_parts = graph2.assignment_on_nodes(&fresh);
                         let plan = build_migration_recorded(
                             &self.node_parts,
                             &new_node_parts,
@@ -931,7 +938,7 @@ impl Session {
                         }
                         rec.add("recovery.serial_fallback", 1);
                     }
-                    self.tree = None;
+                    self.chain = Chain::default();
                     self.chain_start = failed;
                     self.spent[failed] = true;
                     self.next_step = failed;
@@ -956,13 +963,22 @@ pub fn run_traced(opts: &TraceOptions) -> Result<TraceReport, TraceError> {
     Ok(session.into_report())
 }
 
+/// The two-constraint nodal graph of snapshot `i` — FE and contact work,
+/// contact edges boosted to the paper's 5 — straight from the epoch's
+/// topology: what the partitioner and the repartitioner read, and all
+/// they read.
+fn contact_graph(sim: &SimResult, i: usize, rec: &Recorder) -> NodalGraph {
+    let mask = sim.snapshots[i].contact.contact_node_mask(sim.base.num_nodes());
+    sim.topology(i, rec).graph(&mask, NodalGraphOptions::default())
+}
+
 /// Computes the boundary-`at` diffusion repartition: the new node
 /// assignment and the migration plan from the current one. The plan is
 /// deliberately **unrecorded** — a background plan may be discarded
 /// before it is applied, and a discarded plan must not pollute the
 /// traffic counters. [`record_migration`] charges telemetry on
-/// acceptance. (The view's topology lookup does report: a topology built
-/// for a discarded plan still serves the following steps.)
+/// acceptance. (The topology lookup does report: a topology built for a
+/// discarded plan still serves the following steps.)
 fn plan_boundary(
     sim: &SimResult,
     at: usize,
@@ -970,11 +986,10 @@ fn plan_boundary(
     node_parts: &[u32],
     pcfg: &PartitionerConfig,
 ) -> (Vec<u32>, MigrationPlan) {
-    let view = SnapshotView::build_recorded(sim, at, 5, &pcfg.recorder);
-    let old: Vec<u32> =
-        view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-    let fresh = diffusion_repartition(&view.graph2.graph, live_k, &old, pcfg);
-    let new_node_parts = view.graph2.assignment_on_nodes(&fresh);
+    let graph2 = contact_graph(sim, at, &pcfg.recorder);
+    let old: Vec<u32> = graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
+    let fresh = diffusion_repartition(&graph2.graph, live_k, &old, pcfg);
+    let new_node_parts = graph2.assignment_on_nodes(&fresh);
     let plan = build_migration(node_parts, &new_node_parts, live_k);
     (new_node_parts, plan)
 }
@@ -987,97 +1002,6 @@ fn record_migration(rec: &Recorder, plan: &MigrationPlan, nodes: usize) {
     let mut span = rec.span("migrate.plan").attr("nodes", nodes).attr("k", plan.k);
     span.set_attr("moved", plan.total_moved());
     rec.add("traffic.migrated_units", plan.total_moved());
-}
-
-/// Contact capture tolerance of every traced step.
-const TOLERANCE: f64 = 0.4;
-
-/// Owned inputs of one staged step; [`StepInput`]s borrow from it.
-pub(crate) struct StagedStep {
-    view: SnapshotView,
-    elements: Vec<cip_contact::SurfaceElementInfo<3>>,
-    bodies: Vec<u16>,
-    decomposition: Decomposition,
-    tree: DecisionTree<3>,
-}
-
-/// Stages the steps `batch` of a trace under the assignment
-/// `node_parts`: per snapshot, the decomposition view and the search
-/// tree — refreshed from the previous snapshot's tree, or induced from
-/// scratch where the chain starts.
-///
-/// The tree chain is replayed from snapshot `replay_from <= batch.start`;
-/// `carried` is the tree of snapshot `replay_from - 1` (`None` starts a
-/// fresh chain at `replay_from`). The driver carries the last tree from
-/// batch to batch and replays from `batch.start`; a worker process
-/// carries nothing and replays from where the chain was induced —
-/// `node_parts` is constant within a chain, so both arrive at the same
-/// trees bit for bit.
-pub(crate) fn stage_batch(
-    sim: &SimResult,
-    node_parts: &[u32],
-    live_k: usize,
-    carried: Option<&DecisionTree<3>>,
-    replay_from: usize,
-    batch: std::ops::Range<usize>,
-    rec: &Recorder,
-) -> Vec<StagedStep> {
-    let dcfg = DtreeConfig::search_tree();
-    let mut steps: Vec<StagedStep> = Vec::with_capacity(batch.len());
-    let mut replayed: Option<DecisionTree<3>> = None;
-    for j in replay_from..batch.end {
-        let _step_span = rec.span("trace.step").attr("step", j);
-        let view = SnapshotView::build_recorded(sim, j, 5, rec);
-        let labels = view.contact.labels_from_node_parts(node_parts);
-        let positions = &view.contact.positions;
-        let tree = match steps.last().map(|s| &s.tree).or(replayed.as_ref()).or(carried) {
-            None => induce_recorded(positions, &labels, live_k, &dcfg, rec),
-            Some(prev) => refresh_recorded(prev, positions, &labels, live_k, &dcfg, rec).0,
-        };
-        if j < batch.start {
-            replayed = Some(tree);
-            continue;
-        }
-        let asg_now: Vec<u32> =
-            view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-        let elements = view.surface_elements(node_parts);
-        let bodies = view.face_bodies();
-        let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
-        let decomposition = build_decomposition(
-            &view.graph2.graph,
-            &view.graph2.node_of_vertex,
-            &asg_now,
-            &owners,
-            live_k,
-        );
-        steps.push(StagedStep { view, elements, bodies, decomposition, tree });
-    }
-    steps
-}
-
-/// Runs `run` over the [`StepInput`]s of a staged batch, all reporting
-/// to `rec`.
-pub(crate) fn with_staged_inputs<R>(
-    staged: &[StagedStep],
-    rec: &Recorder,
-    run: impl FnOnce(&[StepInput<'_, DtreeFilter<'_, 3>>]) -> R,
-) -> R {
-    let filters: Vec<DtreeFilter<'_, 3>> =
-        staged.iter().map(|s| DtreeFilter::new(&s.tree, s.decomposition.k)).collect();
-    let inputs: Vec<StepInput<'_, DtreeFilter<'_, 3>>> = staged
-        .iter()
-        .zip(&filters)
-        .map(|(s, filter)| StepInput {
-            decomposition: &s.decomposition,
-            positions: &s.view.mesh.points,
-            elements: &s.elements,
-            bodies: &s.bodies,
-            filter,
-            tolerance: TOLERANCE,
-            recorder: rec.clone(),
-        })
-        .collect();
-    run(&inputs)
 }
 
 /// Folds one committed step's output into the report.
@@ -1318,11 +1242,20 @@ mod tests {
         let rec = &report.recorder;
         let builds = rec.counter_value("mesh.topology.builds");
         assert_eq!(builds, epochs as u64);
-        // One view for the initial decomposition, one per staged step, one
-        // per boundary plan — whichever thread computed it.
+        // A topology is looked up once for the initial decomposition, once
+        // per boundary plan — whichever thread computed it — and once per
+        // halo plan: staging asks for one per (chain, epoch) pair, not per
+        // step. Chains start at 0, 4 and 8.
         assert_eq!(report.repartitions, 2);
-        let views = (1 + report.steps + report.repartitions) as u64;
-        assert_eq!(builds + rec.counter_value("mesh.topology.hits"), views);
+        let pairs: std::collections::BTreeSet<(usize, usize)> =
+            (0..sim.len()).map(|j| (j / 4, sim.epoch_of(j))).collect();
+        assert!(pairs.len() < report.steps, "{} plans cannot show sharing", pairs.len());
+        let plans = rec.counter_value("stage.halo_plan.builds");
+        assert_eq!(plans, pairs.len() as u64);
+        assert_eq!(plans + rec.counter_value("stage.halo_plan.hits"), report.steps as u64);
+        assert_eq!(report.summary().span("stage.halo_plan").map(|s| s.count), Some(plans));
+        let lookups = 1 + report.repartitions as u64 + plans;
+        assert_eq!(builds + rec.counter_value("mesh.topology.hits"), lookups);
         assert_eq!(report.summary().span("mesh.topology.build").map(|s| s.count), Some(builds));
         assert!(report.summary_json().contains("mesh.topology.hits"));
     }

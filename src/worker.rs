@@ -29,7 +29,8 @@
 //! [`cip_runtime::RuntimeError::RankLost`] and drives the same
 //! recovery path.
 
-use crate::trace::{scenario_config, stage_batch, with_staged_inputs, TraceError};
+use crate::staging::{stage_batch, with_staged_inputs, Chain};
+use crate::trace::{scenario_config, TraceError};
 use cip_runtime::{
     execute_rank_steps, ExecOptions, FaultInjector, FaultPlan, MigrationPlan, Msg,
     RankBatchOutcome, RankResult, SteppedMailbox,
@@ -577,7 +578,7 @@ fn run_batch(sim: &SimResult, spec: &RunSpec, seat: &mut ChannelMailbox<Msg>) ->
         sim,
         &spec.node_parts,
         live_k,
-        None,
+        &mut Chain::default(),
         spec.chain_start as usize,
         spec.start as usize..spec.end as usize,
         &rec,
@@ -607,7 +608,7 @@ fn run_batch(sim: &SimResult, spec: &RunSpec, seat: &mut ChannelMailbox<Msg>) ->
         .map(|moves| MigrationPlan { k: live_k, moves: moves.clone() });
 
     let mut mb = SteppedMailbox::new(seat, spec.epoch, &spec.route);
-    with_staged_inputs(&staged, &rec, |inputs| {
+    with_staged_inputs(sim, &staged, &rec, |inputs| {
         execute_rank_steps(
             spec.rank as usize,
             live_k,

@@ -1,14 +1,18 @@
 //! Topology epochs against independent oracles: the nodal graph derived
 //! from a `NodalTopology` must equal the edge-list construction it
-//! replaced bit for bit, and a `SnapshotView` served from a run's epoch
-//! cache must equal one built cold.
+//! replaced bit for bit, a `SnapshotView` served from a run's epoch
+//! cache must equal one built cold, and the boundary rescanned from a
+//! `FacetIndex` must equal the sort-the-live-facets extraction it
+//! replaced.
 
 use cip::base::rng::{sweep, Rng};
 use cip::core::SnapshotView;
 use cip::geom::Point;
 use cip::graph::GraphBuilder;
 use cip::mesh::graphs::{nodal_graph, NodalGraphOptions};
-use cip::mesh::{extract_surface, generators, Element, Mesh, NodalGraph};
+use cip::mesh::{
+    extract_surface, generators, Element, FacetIndex, Mesh, NodalGraph, Surface, SurfaceFace,
+};
 use cip::sim::dynamics::contact_surface;
 use cip::sim::{SimConfig, SimResult};
 use cip::telemetry::Recorder;
@@ -56,6 +60,48 @@ fn edge_list_nodal_graph<const D: usize>(
         b.add_edge(vertex_of_node[a as usize], vertex_of_node[c as usize], w);
     }
     NodalGraph { graph: b.build(), node_of_vertex, vertex_of_node }
+}
+
+/// The extraction `extract_surface` was before facet indexes existed,
+/// kept as the oracle: collect the facets of the *live* elements, sort
+/// them, keep the runs of length one, then sort and deduplicate their
+/// node ids.
+fn sorted_live_facets_surface<const D: usize>(mesh: &Mesh<D>) -> Surface {
+    let mut recs: Vec<([u32; 4], u32, u8)> = Vec::new();
+    for (e, el) in mesh.live_elements() {
+        for f in 0..el.kind.num_faces() {
+            recs.push((el.face(f).key(), e, f as u8));
+        }
+    }
+    recs.sort_unstable_by_key(|a| a.0);
+    let mut faces = Vec::new();
+    let mut i = 0;
+    while i < recs.len() {
+        let mut j = i + 1;
+        while j < recs.len() && recs[j].0 == recs[i].0 {
+            j += 1;
+        }
+        if j - i == 1 {
+            let (_, e, f) = recs[i];
+            faces.push(SurfaceFace {
+                face: mesh.elements[e as usize].face(f as usize),
+                element: e,
+                body: mesh.body[e as usize],
+            });
+        }
+        i = j;
+    }
+    let contact_nodes = sorted_face_nodes(&faces);
+    Surface { faces, contact_nodes }
+}
+
+/// The contact nodes of `faces` by sort + dedup — how every surface
+/// listed them before the mark-and-sweep.
+fn sorted_face_nodes(faces: &[SurfaceFace]) -> Vec<u32> {
+    let mut nodes: Vec<u32> = faces.iter().flat_map(|sf| sf.face.nodes().iter().copied()).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
 }
 
 fn assert_same_graph(got: &NodalGraph, want: &NodalGraph) {
@@ -124,6 +170,76 @@ fn nodal_graph_equals_the_edge_list_construction() {
             }
         }
     });
+}
+
+/// One facet index serves every live mask of its mesh: the extraction and
+/// three rescans under fresh random masks — then nothing alive, then a
+/// single survivor — all equal the oracle.
+fn assert_boundaries_match_oracle<const D: usize>(rng: &mut Rng, mut mesh: Mesh<D>) {
+    assert_eq!(extract_surface(&mesh), sorted_live_facets_surface(&mesh));
+    let n = mesh.num_elements();
+    let mut masks: Vec<Vec<bool>> =
+        (0..3).map(|_| (0..n).map(|_| rng.range_u32(2) == 1).collect()).collect();
+    masks.push(vec![false; n]);
+    let mut lone = vec![false; n];
+    lone[rng.range_u32(n as u32) as usize] = true;
+    masks.push(lone);
+    let pristine = mesh.clone();
+    let index = FacetIndex::build(&pristine);
+    for alive in masks {
+        mesh.alive = alive;
+        assert_eq!(index.boundary(&mesh.alive), sorted_live_facets_surface(&mesh));
+    }
+}
+
+/// Hex and tet boxes (eroded, possibly one element), quad grids, and a
+/// three-body mesh whose bodies must come through on every face.
+#[test]
+fn rescanned_boundary_equals_the_sorted_live_facets_extraction() {
+    sweep(48, |rng| {
+        let (mesh, _) = eroded_mesh_and_mask(rng);
+        assert_boundaries_match_oracle(rng, mesh);
+
+        let dims = [1..6, 1..6].map(|range| rng.range_i64(range) as usize);
+        let quads = generators::quad_grid(dims, Point::new([0.0; 2]), [1.0; 2], 3);
+        assert_boundaries_match_oracle(rng, quads);
+
+        // Two boxes stacked node-disjoint plus a third beside them, each
+        // its own body — like the plates and the projectile.
+        let mut bodies = generators::hex_box([2, 2, 1], Point::new([0.0; 3]), [1.0; 3], 1);
+        bodies.append(&generators::hex_box([2, 2, 1], Point::new([0.0, 0.0, 1.0]), [1.0; 3], 2));
+        bodies.append(&generators::hex_box([1, 1, 3], Point::new([5.0, 0.0, 0.0]), [1.0; 3], 7));
+        assert_boundaries_match_oracle(rng, bodies);
+    });
+    let single = generators::hex_box([1, 1, 1], Point::new([0.0; 3]), [1.0; 3], 0);
+    assert_eq!(extract_surface(&single).num_faces(), 6);
+    assert_eq!(extract_surface(&single), sorted_live_facets_surface(&single));
+}
+
+/// Every snapshot of every registered scenario lists the contact nodes a
+/// sort + dedup of its faces' nodes would, and carries the faces the
+/// oracle extraction and a fresh clip produce.
+#[test]
+fn contact_nodes_equal_the_sort_and_dedup_on_every_scenario() {
+    for descriptor in cip::sim::scenarios::list() {
+        let cfg = descriptor.config();
+        let sim = cip::sim::run(&cfg);
+        let mut boundary: Option<Surface> = None;
+        for (i, snap) in sim.snapshots.iter().enumerate() {
+            assert_eq!(
+                snap.contact.contact_nodes,
+                sorted_face_nodes(&snap.contact.faces),
+                "{} snapshot {i}",
+                descriptor.name
+            );
+            // The oracle boundary, re-extracted where the live mask moved.
+            if i == 0 || sim.epoch_of(i) != sim.epoch_of(i - 1) {
+                boundary = Some(sorted_live_facets_surface(&sim.mesh_at(i)));
+            }
+            let clipped = contact_surface(&cfg, boundary.as_ref().unwrap(), &snap.points);
+            assert_eq!(snap.contact, clipped, "{} snapshot {i}", descriptor.name);
+        }
+    }
 }
 
 /// Everything of `got` equals a view assembled without the epoch cache:
