@@ -164,6 +164,19 @@ impl<A: Split, B: Split> Split for (A, B) {
     }
 }
 
+/// The number of parts [`parts`] cuts a loop of `len` items into when
+/// called from this thread: 1 — the loop runs inline — below two
+/// [`GRAIN`]s, unless [`with_threads`] forces the cut. For callers that
+/// pick a cheaper single-pass algorithm when the loop would not fork.
+pub fn ways(len: usize) -> usize {
+    FORCED
+        .with_borrow(|forced| match forced {
+            Some(budget) => budget.threads.min(len),
+            None => process().threads.min(len / GRAIN),
+        })
+        .max(1)
+}
+
 /// Cuts `data` into contiguous parts of near-equal length — as many as
 /// the machine has threads, each at least [`GRAIN`] items — calls
 /// `f(offset, part)` on each, the first on the caller and the others on
@@ -172,10 +185,7 @@ impl<A: Split, B: Split> Split for (A, B) {
 /// whatever it builds first. A panic in any part propagates to the caller.
 pub fn parts<D: Split, R: Send>(data: D, f: impl Fn(usize, D) -> R + Sync) -> Vec<R> {
     let len = data.items();
-    let n = FORCED.with_borrow(|forced| match forced {
-        Some(budget) => budget.threads.min(len),
-        None => process().threads.min(len / GRAIN),
-    });
+    let n = ways(len);
     if n <= 1 {
         return vec![f(0, data)];
     }
@@ -339,8 +349,10 @@ mod tests {
     fn with_threads_nests_restores_and_reaches_the_helpers() {
         let cuts = || parts(0..64, |_, _| ()).len();
         assert_eq!(cuts(), 1, "64 items are below the grain");
+        assert_eq!((ways(64), ways(0)), (1, 1));
         with_threads(3, || {
             assert_eq!(cuts(), 3);
+            assert_eq!((ways(64), ways(2), ways(0)), (3, 2, 1), "ways is what parts cuts");
             assert_eq!(with_threads(0, cuts), 1);
             assert_eq!(join(cuts, cuts), (3, 3), "helpers inherit the budget");
             assert_eq!(cuts(), 3);

@@ -12,9 +12,10 @@
 //! The partitioner's coarsening loop calls [`contract_with`] once per level,
 //! threading a [`ContractWorkspace`] through so the scratch arrays (group
 //! counts, member lists, the stamp/slot table) are allocated once and
-//! reused at every level. Above the caller's parallel threshold the
-//! assembly runs as a two-pass (count, then fill) CSR construction over
-//! runs of coarse vertices on `cip_base::par`; both paths emit
+//! reused at every level. Above the caller's parallel threshold, where
+//! `cip_base::par` will really split the level, the assembly runs as a
+//! two-pass (count, then fill) CSR construction over runs of coarse
+//! vertices; both paths emit
 //! **bit-identical** graphs, so the choice is purely a performance knob and
 //! never affects partitioning results.
 
@@ -107,12 +108,14 @@ pub fn contract(g: &Graph, map: &[u32], cnv: usize) -> Graph {
 
 /// [`contract`], with explicit control of parallelism and scratch reuse.
 ///
-/// When `parallel` is true the per-coarse-vertex adjacency assembly runs
-/// on `cip_base::par` (two-pass CSR: count degrees, prefix-sum, then fill
-/// disjoint output segments). The
-/// output is bit-identical to the sequential path for any thread count:
-/// every coarse vertex's adjacency depends only on the (deterministic)
-/// member order and CSR neighbor order, never on scheduling.
+/// When `parallel` is true and `cip_base::par` would really cut the `cnv`
+/// coarse vertices into several parts (`par::ways`), the per-coarse-vertex
+/// adjacency assembly runs on it (two-pass CSR: count degrees, prefix-sum,
+/// then fill disjoint output segments); otherwise the single pass runs,
+/// which is cheaper on one thread. The output is bit-identical either way
+/// and for any thread count: every coarse vertex's adjacency depends only
+/// on the (deterministic) member order and CSR neighbor order, never on
+/// scheduling.
 pub fn contract_with(
     g: &Graph,
     map: &[u32],
@@ -138,7 +141,7 @@ pub fn contract_with(
         }
     }
 
-    if !parallel {
+    if !parallel || par::ways(cnv) < 2 {
         // Single-pass sequential assembly: scatter-accumulate each coarse
         // vertex's neighbor weights, growing the output arrays in place.
         scratch.reset(cnv);
@@ -410,22 +413,37 @@ mod tests {
         b.build()
     }
 
+    fn assert_same_graph(a: &Graph, b: &Graph) {
+        assert_eq!(a.xadj(), b.xadj());
+        assert_eq!(a.adjncy(), b.adjncy());
+        assert_eq!(a.adjwgt(), b.adjwgt());
+        assert_eq!(a.vwgt_raw(), b.vwgt_raw());
+    }
+
+    /// The two-pass assembly runs only where `par` splits the level: under
+    /// `with_threads(1)` a parallel request takes the single pass, under 2
+    /// and 4 the two passes over 2 and 4 runs — and all of them emit the
+    /// single pass's graph.
     #[test]
     fn parallel_and_sequential_paths_are_bit_identical() {
-        // cnv = 157 stays below the minimum chunk size (one chunk); cnv = 601
-        // forces several chunks so segment splitting and per-chunk scratch
-        // resets are exercised too.
-        for (n, cnv) in [(997usize, 157usize), (2500, 601)] {
+        // cnv = 3 cuts into fewer runs than threads; 157 and 601 cut into
+        // runs of uneven length, exercising segment splitting and
+        // per-run scratch resets.
+        for (n, cnv) in [(40usize, 3usize), (997, 157), (2500, 601)] {
             let g = chorded_path(n);
             // A blocked map with uneven group sizes exercises slot reuse.
             let map: Vec<u32> = (0..g.nv()).map(|v| (v % cnv) as u32).collect();
             let mut ws = ContractWorkspace::new();
             let seq = contract_with(&g, &map, cnv, false, &mut ws);
-            let par = contract_with(&g, &map, cnv, true, &mut ws);
-            assert_eq!(seq.xadj(), par.xadj());
-            assert_eq!(seq.adjncy(), par.adjncy());
-            assert_eq!(seq.adjwgt(), par.adjwgt());
-            assert_eq!(seq.vwgt_raw(), par.vwgt_raw());
+            for threads in [1, 2, 4] {
+                let got = par::with_threads(threads, || {
+                    assert_eq!(par::ways(cnv), threads.min(cnv));
+                    contract_with(&g, &map, cnv, true, &mut ws)
+                });
+                assert_same_graph(&got, &seq);
+            }
+            // Unforced, a level this small never forks: the single pass.
+            assert_same_graph(&contract_with(&g, &map, cnv, true, &mut ws), &seq);
         }
     }
 
@@ -435,15 +453,13 @@ mod tests {
         // must not leak state between calls (stamps, stale counts).
         let g = chorded_path(400);
         let mut ws = ContractWorkspace::new();
-        let map1: Vec<u32> = (0..g.nv()).map(|v| (v / 2) as u32).collect();
-        let c1 = contract_with(&g, &map1, g.nv().div_ceil(2), true, &mut ws);
-        let map2: Vec<u32> = (0..c1.nv()).map(|v| (v / 2) as u32).collect();
-        let c2 = contract_with(&c1, &map2, c1.nv().div_ceil(2), true, &mut ws);
-        let fresh = contract(&c1, &map2, c1.nv().div_ceil(2));
-        assert_eq!(c2.xadj(), fresh.xadj());
-        assert_eq!(c2.adjncy(), fresh.adjncy());
-        assert_eq!(c2.adjwgt(), fresh.adjwgt());
-        assert_eq!(c2.vwgt_raw(), fresh.vwgt_raw());
-        assert_eq!(c2.total_vwgt(), g.total_vwgt());
+        par::with_threads(2, || {
+            let map1: Vec<u32> = (0..g.nv()).map(|v| (v / 2) as u32).collect();
+            let c1 = contract_with(&g, &map1, g.nv().div_ceil(2), true, &mut ws);
+            let map2: Vec<u32> = (0..c1.nv()).map(|v| (v / 2) as u32).collect();
+            let c2 = contract_with(&c1, &map2, c1.nv().div_ceil(2), true, &mut ws);
+            assert_same_graph(&c2, &contract(&c1, &map2, c1.nv().div_ceil(2)));
+            assert_eq!(c2.total_vwgt(), g.total_vwgt());
+        });
     }
 }

@@ -49,7 +49,8 @@ pub fn induced_subgraph(g: &Graph, select: &[bool]) -> Subgraph {
         }
         xadj.push(adjncy.len());
     }
-    Subgraph { graph: Graph::from_csr(ncon, xadj, adjncy, adjwgt, vwgt), to_parent }
+    // Symmetric and loop-free because `g` is (checked in debug builds).
+    Subgraph { graph: Graph::from_csr_unchecked(ncon, xadj, adjncy, adjwgt, vwgt), to_parent }
 }
 
 /// Convenience wrapper: the subgraph induced by vertices whose assignment

@@ -69,14 +69,135 @@ impl NodalGraph {
     }
 }
 
+/// Every element edge of a mesh — live or not — sorted once, with the
+/// number of elements supporting each entry and each node.
+///
+/// Erosion only flips live flags, so the row sort (the `O(E log deg)` part
+/// of building a topology) is paid once per mesh, and the topology of any
+/// live mask is a subtraction of the dead elements' support plus one
+/// filtering scan of the rows ([`EdgeIndex::topology`]).
+#[derive(Debug)]
+pub struct EdgeIndex {
+    /// Number of elements indexed.
+    num_elements: usize,
+    /// CSR offsets over mesh nodes: the distinct neighbours of node `n` are
+    /// `adjncy[xadj[n]..xadj[n + 1]]`, strictly ascending.
+    xadj: Vec<usize>,
+    /// Neighbour node ids; every edge has an entry in both endpoints' rows.
+    adjncy: Vec<u32>,
+    /// `support[s]` = number of elements having the edge of entry `s`.
+    support: Vec<u32>,
+    /// `node_support[n]` = number of elements having node `n`.
+    node_support: Vec<u32>,
+}
+
+impl EdgeIndex {
+    /// Indexes every edge of `elements` over a mesh of `num_nodes` nodes.
+    ///
+    /// Count, fill, then sort and run-length each (short) row — an edge
+    /// shared by several elements is recorded once per element, and the
+    /// run length is its support. Self-loops never enter.
+    pub fn build(num_nodes: usize, elements: &[Element]) -> Self {
+        let mut node_support = vec![0u32; num_nodes];
+        // Rows with duplicates: row `n` is `raw[offset[n]..offset[n + 1]]`.
+        let mut offset = vec![0usize; num_nodes + 1];
+        for el in elements {
+            for &n in el.nodes() {
+                node_support[n as usize] += 1;
+            }
+            for (a, c) in el.edges().filter(|&(a, c)| a != c) {
+                offset[a as usize + 1] += 1;
+                offset[c as usize + 1] += 1;
+            }
+        }
+        for n in 0..num_nodes {
+            offset[n + 1] += offset[n];
+        }
+        let mut raw = vec![0u32; offset[num_nodes]];
+        let mut cursor = offset[..num_nodes].to_vec();
+        for (a, c) in elements.iter().flat_map(|el| el.edges()).filter(|&(a, c)| a != c) {
+            raw[cursor[a as usize]] = c;
+            cursor[a as usize] += 1;
+            raw[cursor[c as usize]] = a;
+            cursor[c as usize] += 1;
+        }
+
+        let mut xadj = Vec::with_capacity(num_nodes + 1);
+        xadj.push(0);
+        let mut adjncy: Vec<u32> = Vec::new();
+        let mut support: Vec<u32> = Vec::new();
+        for n in 0..num_nodes {
+            let row = &mut raw[offset[n]..offset[n + 1]];
+            row.sort_unstable();
+            for run in row.chunk_by(|a, b| a == b) {
+                adjncy.push(run[0]);
+                support.push(run.len() as u32);
+            }
+            xadj.push(adjncy.len());
+        }
+        Self { num_elements: elements.len(), xadj, adjncy, support, node_support }
+    }
+
+    /// The entry of edge `a`–`c` in row `a`.
+    fn entry(&self, a: u32, c: u32) -> usize {
+        let row = &self.adjncy[self.xadj[a as usize]..self.xadj[a as usize + 1]];
+        self.xadj[a as usize] + row.binary_search(&c).expect("an edge of an indexed element")
+    }
+
+    /// The topology of the elements flagged in `alive` (`elements` are the
+    /// ones the index was built from): one vertex per node of a live
+    /// element, one edge per distinct live element edge.
+    ///
+    /// Subtracts the support of the dead elements, numbers the still
+    /// supported nodes in node order, and keeps the still supported
+    /// entries of their rows — already ascending, so nothing is sorted.
+    pub fn topology(&self, elements: &[Element], alive: &[bool]) -> NodalTopology {
+        assert_eq!(elements.len(), self.num_elements, "the elements the index was built from");
+        assert_eq!(alive.len(), elements.len(), "one live flag per element");
+        let mut node_support = self.node_support.clone();
+        let mut support = self.support.clone();
+        for (el, _) in elements.iter().zip(alive).filter(|&(_, &a)| !a) {
+            for &n in el.nodes() {
+                node_support[n as usize] -= 1;
+            }
+            for (a, c) in el.edges().filter(|&(a, c)| a != c) {
+                support[self.entry(a, c)] -= 1;
+                support[self.entry(c, a)] -= 1;
+            }
+        }
+
+        let mut vertex_of_node = vec![u32::MAX; node_support.len()];
+        let mut node_of_vertex = Vec::new();
+        for (n, _) in node_support.iter().enumerate().filter(|&(_, &s)| s > 0) {
+            vertex_of_node[n] = node_of_vertex.len() as u32;
+            node_of_vertex.push(n as u32);
+        }
+        let mut xadj = Vec::with_capacity(node_of_vertex.len() + 1);
+        xadj.push(0);
+        let mut adjncy = Vec::with_capacity(self.adjncy.len());
+        for &n in &node_of_vertex {
+            let row = self.xadj[n as usize]..self.xadj[n as usize + 1];
+            for (&u, _) in
+                self.adjncy[row.clone()].iter().zip(&support[row]).filter(|(_, &s)| s > 0)
+            {
+                adjncy.push(vertex_of_node[u as usize]);
+            }
+            xadj.push(adjncy.len());
+        }
+        adjncy.shrink_to_fit();
+        NodalTopology { node_of_vertex, vertex_of_node, xadj, adjncy }
+    }
+}
+
 /// The part of a nodal graph that depends on the mesh connectivity and the
 /// live mask alone: which nodes are graph vertices, and which vertices are
 /// adjacent.
 ///
 /// Element erosion is the only event that changes it, so a run of
 /// snapshots sharing one live mask (a *topology epoch*) shares one
-/// `NodalTopology`; the per-snapshot contact mask only selects vertex and
-/// edge weights, which [`NodalTopology::graph`] fills in `O(nnz)`.
+/// `NodalTopology`, derived from the mesh's [`EdgeIndex`]; the
+/// per-snapshot contact mask only selects vertex and edge weights, which
+/// [`NodalTopology::graph`] fills in `O(nnz)`.
 #[derive(Debug, Clone)]
 pub struct NodalTopology {
     /// `node_of_vertex[gv] = mesh node id` (ascending).
@@ -90,76 +211,6 @@ pub struct NodalTopology {
 }
 
 impl NodalTopology {
-    /// Builds the topology of the elements flagged in `alive` over a mesh
-    /// of `num_nodes` nodes: one vertex per node of a live element, one
-    /// edge per distinct element edge.
-    ///
-    /// Count, fill, then sort and deduplicate each (short) row — an edge
-    /// shared by several elements is recorded once per element and must
-    /// appear once.
-    pub fn build(num_nodes: usize, elements: &[Element], alive: &[bool]) -> Self {
-        assert_eq!(alive.len(), elements.len(), "one live flag per element");
-        let live = || elements.iter().zip(alive).filter(|&(_, &a)| a).map(|(el, _)| el);
-
-        // Mark the nodes of live elements, then number them in node order.
-        let mut vertex_of_node = vec![u32::MAX; num_nodes];
-        for el in live() {
-            for &n in el.nodes() {
-                vertex_of_node[n as usize] = 0;
-            }
-        }
-        let mut node_of_vertex = Vec::new();
-        for (n, slot) in vertex_of_node.iter_mut().enumerate() {
-            if *slot == 0 {
-                *slot = node_of_vertex.len() as u32;
-                node_of_vertex.push(n as u32);
-            }
-        }
-        let nv = node_of_vertex.len();
-
-        // Every element edge as a vertex pair, once per element that has
-        // it; self-loops never enter.
-        let edges = || {
-            live().flat_map(|el| el.edges()).filter(|&(a, c)| a != c).map(|(a, c)| {
-                (vertex_of_node[a as usize] as usize, vertex_of_node[c as usize] as usize)
-            })
-        };
-        // Rows with duplicates: row `v` is `raw[offset[v]..offset[v + 1]]`.
-        let mut offset = vec![0usize; nv + 1];
-        for (a, c) in edges() {
-            offset[a + 1] += 1;
-            offset[c + 1] += 1;
-        }
-        for v in 0..nv {
-            offset[v + 1] += offset[v];
-        }
-        let mut raw = vec![0u32; offset[nv]];
-        let mut cursor = offset[..nv].to_vec();
-        for (a, c) in edges() {
-            raw[cursor[a]] = c as u32;
-            cursor[a] += 1;
-            raw[cursor[c]] = a as u32;
-            cursor[c] += 1;
-        }
-
-        let mut xadj = Vec::with_capacity(nv + 1);
-        xadj.push(0);
-        let mut adjncy: Vec<u32> = Vec::new();
-        for v in 0..nv {
-            let row = &mut raw[offset[v]..offset[v + 1]];
-            row.sort_unstable();
-            let row_start = adjncy.len();
-            for &u in row.iter() {
-                if adjncy[row_start..].last() != Some(&u) {
-                    adjncy.push(u);
-                }
-            }
-            xadj.push(adjncy.len());
-        }
-        adjncy.shrink_to_fit();
-        Self { node_of_vertex, vertex_of_node, xadj, adjncy }
-    }
-
     /// `node_of_vertex()[gv]` = mesh node id of vertex `gv` (ascending).
     pub fn node_of_vertex(&self) -> &[u32] {
         &self.node_of_vertex
@@ -226,7 +277,9 @@ pub fn nodal_graph<const D: usize>(
     contact_mask: &[bool],
     opts: NodalGraphOptions,
 ) -> NodalGraph {
-    NodalTopology::build(mesh.num_nodes(), &mesh.elements, &mesh.alive).graph(contact_mask, opts)
+    EdgeIndex::build(mesh.num_nodes(), &mesh.elements)
+        .topology(&mesh.elements, &mesh.alive)
+        .graph(contact_mask, opts)
 }
 
 /// Builds the dual graph of the live part of `mesh`: one vertex per live

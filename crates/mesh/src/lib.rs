@@ -29,7 +29,7 @@ pub mod quality;
 pub mod surface;
 
 pub use element::{Element, ElementKind, Face};
-pub use graphs::{dual_graph, nodal_graph, NodalGraph, NodalTopology};
+pub use graphs::{dual_graph, nodal_graph, EdgeIndex, NodalGraph, NodalTopology};
 pub use io::{read_text, write_text, MeshIoError};
 pub use mesh::Mesh;
 pub use quality::{aspect_ratio, quality_report, QualityReport};

@@ -46,7 +46,7 @@ pub fn greedy_bisection_with(
     for t in 0..cfg.init_tries.max(1) {
         let try_seed = child_seed(seed, 0xB15EC7 + t as u64);
         grow_once(g, targets, try_seed, ws, &mut asg);
-        rebalance_bisection_with(g, &mut asg, targets, ws);
+        rebalance_bisection_with(g, &mut asg, targets, ws).record(&cfg.recorder);
         let cut = fm_refine_with(g, &mut asg, targets, cfg.fm_passes, cfg.transient_violation, ws);
         let violation = targets.violation(&side_weights(g, &asg));
         let key = (violation, cut);

@@ -13,15 +13,19 @@
 //! * [`heavy_edge_matching`] — the classic sequential sweep in seeded
 //!   random order; cheapest for small graphs and recursion sub-problems.
 //! * [`parallel_heavy_edge_matching`] — a propose-then-resolve scheme:
-//!   every unmatched vertex computes its best unmatched neighbor in
-//!   parallel (tiebroken by the seeded visit rank), mutual proposals are
-//!   accepted, and the loop repeats on the remainder until no new pairs
-//!   form. Every round is a pure function of the previous round's `mate`
-//!   snapshot and each vertex writes only its own slot, so the result is
-//!   **byte-identical for a fixed seed at any thread count**.
+//!   every vertex computes its best neighbor in parallel (tiebroken by the
+//!   seeded visit rank), mutual proposals are accepted, and the loop
+//!   repeats on the remainder until no new pairs form. A later round
+//!   recomputes only the proposals whose target was matched away — keys
+//!   are static and candidate sets only shrink, so every other proposal
+//!   is what a recomputation would give. Every round is a pure function of
+//!   the previous round's `mate` snapshot and each vertex writes only its
+//!   own slot, so the result is **byte-identical for a fixed seed at any
+//!   thread count**.
 //!
 //! [`coarsen_with`] drives either matcher per level (chosen by the
-//! caller's `parallel_threshold`), contracts through
+//! caller's `parallel_threshold`; `coarsen.match` spans of the parallel
+//! one carry `rounds` and `reproposed`), contracts through
 //! [`cip_graph::contract_with`], moves each coarse graph into the
 //! [`Hierarchy`] exactly once (no per-level clones), and reuses a
 //! [`CoarsenWorkspace`] so the steady-state level loop performs no scratch
@@ -32,11 +36,12 @@ use cip_base::rng::Rng;
 use cip_graph::{contract_with, ContractWorkspace, Graph};
 use cip_telemetry::Recorder;
 
-/// Default for [`CoarsenParams::parallel_threshold`] (kept in sync with
-/// `PartitionerConfig::default`).
+/// Default for [`CoarsenParams::parallel_threshold`] and
+/// `PartitionerConfig::parallel_threshold`.
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 
-/// Default for [`CoarsenParams::matching_rounds`].
+/// Default for [`CoarsenParams::matching_rounds`] and
+/// `PartitionerConfig::matching_rounds`.
 pub const DEFAULT_MATCHING_ROUNDS: usize = 8;
 
 /// One coarsening level: the coarse graph plus the fine-to-coarse map.
@@ -112,8 +117,9 @@ pub struct CoarsenParams {
     /// Seed for the per-level visit orders.
     pub seed: u64,
     /// Levels with at least this many vertices use the parallel matcher
-    /// and parallel contraction (`usize::MAX` forces sequential, `0`
-    /// forces parallel).
+    /// and ask for parallel contraction, which forks only where
+    /// `cip_base::par` splits the level (`usize::MAX` forces sequential,
+    /// `0` forces the parallel matcher).
     pub parallel_threshold: usize,
     /// Rounds cap for the parallel matcher.
     pub matching_rounds: usize,
@@ -143,8 +149,10 @@ pub struct CoarsenWorkspace {
     /// `mate[v]`: matched partner, `v` itself for singletons, `u32::MAX`
     /// while unmatched.
     mate: Vec<u32>,
-    /// Per-round proposals of the parallel matcher.
+    /// Current proposals of the parallel matcher.
     proposal: Vec<u32>,
+    /// The parallel matcher's still unmatched vertices.
+    unmatched: Vec<u32>,
     /// Contraction scratch (group counts, members, per-worker slots).
     contract: ContractWorkspace,
 }
@@ -215,7 +223,16 @@ fn sequential_hem(g: &Graph, seed: u64, ws: &mut CoarsenWorkspace) -> (Vec<u32>,
 ///
 /// Returns the fine-to-coarse map and the number of coarse vertices.
 pub fn parallel_heavy_edge_matching(g: &Graph, seed: u64, max_rounds: usize) -> (Vec<u32>, usize) {
-    parallel_hem(g, seed, max_rounds, &mut CoarsenWorkspace::new())
+    parallel_hem(g, seed, max_rounds, &mut CoarsenWorkspace::new()).0
+}
+
+/// What one run of the parallel matcher did.
+#[derive(Debug, Clone, Copy)]
+struct MatchRounds {
+    /// Propose-then-resolve rounds run.
+    rounds: usize,
+    /// Proposals recomputed after the first round.
+    reproposed: usize,
 }
 
 fn parallel_hem(
@@ -223,7 +240,7 @@ fn parallel_hem(
     seed: u64,
     max_rounds: usize,
     ws: &mut CoarsenWorkspace,
-) -> (Vec<u32>, usize) {
+) -> ((Vec<u32>, usize), MatchRounds) {
     let nv = g.nv();
     ws.order.clear();
     ws.order.extend(0..nv as u32);
@@ -239,52 +256,60 @@ fn parallel_hem(
     ws.proposal.clear();
     ws.proposal.resize(nv, u32::MAX);
 
-    for _ in 0..max_rounds.max(1) {
-        // Propose: each unmatched vertex picks its best unmatched neighbor
-        // against the frozen `mate` snapshot. Ties on (weight,
-        // complementarity) go to the neighbor with the smallest seeded
-        // rank, which is also what makes the handshake likely to close.
-        let (mate, rank) = (&ws.mate, &ws.rank);
-        par::parts(&mut ws.proposal[..], |at, proposals| {
-            for (v, p) in (at..).zip(proposals) {
-                *p = if mate[v] != u32::MAX {
-                    u32::MAX
-                } else {
-                    best_candidate(g, v as u32, mate, rank)
-                };
-            }
-        });
+    // Round 1 proposals: every vertex picks its best neighbor (all are
+    // unmatched). Ties on (weight, complementarity) go to the neighbor with
+    // the smallest seeded rank, which is also what makes the handshake
+    // likely to close.
+    let (mate, rank) = (&ws.mate, &ws.rank);
+    par::parts(&mut ws.proposal[..], |at, proposals| {
+        for (v, p) in (at..).zip(proposals) {
+            *p = best_candidate(g, v as u32, mate, rank);
+        }
+    });
+    ws.unmatched.clear();
+    ws.unmatched.extend(0..nv as u32);
 
-        // Resolve: accept exactly the mutual proposals. Each vertex
-        // inspects the shared proposal table but writes only mate[v].
-        let proposal = &ws.proposal;
-        let newly: usize = par::parts(&mut ws.mate[..], |at, mates| {
-            let mut newly = 0;
-            for (v, m) in (at..).zip(mates) {
-                if *m == u32::MAX {
-                    let u = proposal[v];
-                    if u != u32::MAX && proposal[u as usize] == v as u32 {
-                        *m = u;
-                        newly += 1;
-                    }
+    let mut stats = MatchRounds { rounds: 0, reproposed: 0 };
+    while stats.rounds < max_rounds.max(1) {
+        if stats.rounds > 0 {
+            // Re-propose against the new `mate`. Keys are static and a
+            // candidate set only shrinks, so a proposal that is still
+            // unmatched is still the best: only the vertices whose proposal
+            // was matched away look again (a round-by-round recomputation
+            // of every proposal gives the same table).
+            for &v in &ws.unmatched {
+                let p = ws.proposal[v as usize];
+                if p != u32::MAX && ws.mate[p as usize] != u32::MAX {
+                    ws.proposal[v as usize] = best_candidate(g, v, &ws.mate, &ws.rank);
+                    stats.reproposed += 1;
                 }
             }
-            newly
-        })
-        .into_iter()
-        .sum();
+        }
+        stats.rounds += 1;
+
+        // Resolve: accept exactly the mutual proposals. Every proposal of
+        // an unmatched vertex names an unmatched one, and each vertex
+        // writes only its own `mate` slot.
+        let mut newly = 0;
+        for &v in &ws.unmatched {
+            let u = ws.proposal[v as usize];
+            if u != u32::MAX && ws.proposal[u as usize] == v {
+                ws.mate[v as usize] = u;
+                newly += 1;
+            }
+        }
         if newly == 0 {
             break; // match rate stalled — the rest become singletons
         }
+        let mate = &ws.mate;
+        ws.unmatched.retain(|&v| mate[v as usize] == u32::MAX);
     }
 
     // Unmatched remainder -> singletons.
-    for (v, m) in ws.mate.iter_mut().enumerate() {
-        if *m == u32::MAX {
-            *m = v as u32;
-        }
+    for &v in &ws.unmatched {
+        ws.mate[v as usize] = v;
     }
-    assign_coarse_ids(&ws.mate)
+    (assign_coarse_ids(&ws.mate), stats)
 }
 
 /// The best unmatched neighbor of `v` by (edge weight, complementarity,
@@ -373,10 +398,14 @@ pub fn coarsen_recorded(
             .attr("ne", current.ne())
             .attr("parallel", parallel);
         let (map, cnv) = {
-            let _match_span =
+            let mut match_span =
                 rec.span("coarsen.match").attr("nv", current.nv()).attr("ne", current.ne());
             if parallel {
-                parallel_hem(current, level_seed, params.matching_rounds, ws)
+                let (matching, stats) =
+                    parallel_hem(current, level_seed, params.matching_rounds, ws);
+                match_span.set_attr("rounds", stats.rounds);
+                match_span.set_attr("reproposed", stats.reproposed);
+                matching
             } else {
                 sequential_hem(current, level_seed, ws)
             }
@@ -538,6 +567,19 @@ mod tests {
         let h = coarsen(&g, 10, 5);
         // No edges -> no matches -> stall detection stops immediately.
         assert!(h.levels.is_empty());
+    }
+
+    #[test]
+    fn parallel_match_spans_carry_rounds_and_reproposals() {
+        let g = grid(24, 24);
+        let rec = Recorder::enabled();
+        let params = CoarsenParams { parallel_threshold: 0, ..CoarsenParams::new(30, 5) };
+        coarsen_recorded(&g, &params, &mut CoarsenWorkspace::new(), &rec);
+        let trace = rec.chrome_trace().expect("enabled");
+        assert!(trace.contains("\"rounds\":") && trace.contains("\"reproposed\":"), "{trace}");
+        let (_, stats) = parallel_hem(&g, 5, DEFAULT_MATCHING_ROUNDS, &mut CoarsenWorkspace::new());
+        assert!(stats.rounds > 1 && stats.reproposed > 0, "{stats:?}");
+        assert!(stats.reproposed < (stats.rounds - 1) * g.nv());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Partitioner configuration.
 
+use crate::coarsen::{DEFAULT_MATCHING_ROUNDS, DEFAULT_PARALLEL_THRESHOLD};
+use crate::fm::DEFAULT_TRANSIENT_VIOLATION;
 use cip_telemetry::Recorder;
 
 /// Tuning knobs for the multilevel partitioner.
@@ -26,10 +28,13 @@ pub struct PartitionerConfig {
     pub fm_passes: usize,
     /// Maximum greedy k-way refinement passes on the full graph.
     pub kway_passes: usize,
-    /// Graphs with at least this many vertices coarsen with the parallel
-    /// (propose-then-resolve) matcher and parallel contraction; smaller
-    /// graphs and recursion sub-problems stay on the cheaper sequential
-    /// path. Both paths are deterministic per seed at any thread count.
+    /// Coarsening levels with at least this many vertices use the
+    /// parallel (propose-then-resolve) matcher, and k-way refinement on
+    /// graphs this large the parallel sweep; smaller graphs and recursion
+    /// sub-problems stay on the cheaper sequential algorithms. Contraction
+    /// does not fork here: it forks where `cip_base::par` would split the
+    /// level (two `GRAIN`s of coarse vertices). Both sides are
+    /// deterministic per seed at any thread count.
     pub parallel_threshold: usize,
     /// Rounds cap for the parallel matcher's propose-then-resolve loop
     /// (it also stops as soon as a round stops matching new vertices).
@@ -58,10 +63,10 @@ impl Default for PartitionerConfig {
             init_tries: 6,
             fm_passes: 4,
             kway_passes: 6,
-            parallel_threshold: 4096,
-            matching_rounds: 8,
+            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
+            matching_rounds: DEFAULT_MATCHING_ROUNDS,
             refine_rounds: 8,
-            transient_violation: 0.02,
+            transient_violation: DEFAULT_TRANSIENT_VIOLATION,
             recorder: Recorder::disabled(),
         }
     }

@@ -21,6 +21,7 @@
 //! `O(|E|)`.
 
 use cip_graph::Graph;
+use cip_telemetry::Recorder;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -391,8 +392,25 @@ fn violation_after_move(
 /// Balance repair: greedily moves vertices off over-cap sides, choosing the
 /// highest-gain vertex that strictly reduces total violation. Used when the
 /// initial bisection or a projected partition is infeasible.
-pub fn rebalance_bisection(g: &Graph, asg: &mut [u32], targets: &BisectTargets) {
-    rebalance_bisection_with(g, asg, targets, &mut crate::RefineWorkspace::new());
+pub fn rebalance_bisection(g: &Graph, asg: &mut [u32], targets: &BisectTargets) -> Rebalance {
+    rebalance_bisection_with(g, asg, targets, &mut crate::RefineWorkspace::new())
+}
+
+/// What one balance repair did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Rebalance {
+    /// Vertices moved.
+    pub moves: u64,
+    /// Full vertex scans: searches the boundary list could not serve.
+    pub scans: u64,
+}
+
+impl Rebalance {
+    /// Adds this repair to the `partition.rebalance.{moves,scans}` counters.
+    pub fn record(self, rec: &Recorder) {
+        rec.add("partition.rebalance.moves", self.moves);
+        rec.add("partition.rebalance.scans", self.scans);
+    }
 }
 
 /// [`rebalance_bisection`] with a reusable workspace — the same
@@ -409,16 +427,17 @@ pub fn rebalance_bisection_with(
     asg: &mut [u32],
     targets: &BisectTargets,
     ws: &mut crate::RefineWorkspace,
-) {
+) -> Rebalance {
     let ncon = g.ncon();
     let scratch = &mut ws.fm;
     scratch.init(g, asg);
+    let mut done = Rebalance::default();
     let mut budget = 2 * g.nv();
     while budget > 0 {
         budget -= 1;
         let violation = targets.violation(&scratch.sw);
         if violation == 0.0 {
-            return;
+            return done;
         }
         // Find the most violated (side, constraint).
         let mut worst: Option<(f64, usize, usize)> = None;
@@ -436,7 +455,7 @@ pub fn rebalance_bisection_with(
                 }
             }
         }
-        let Some((_, side, j)) = worst else { return };
+        let Some((_, side, j)) = worst else { return done };
 
         // Candidate: vertex on `side` with positive weight in `j` whose
         // move reduces total violation the most; break ties by FM gain,
@@ -445,6 +464,7 @@ pub fn rebalance_bisection_with(
         let mut best: Option<(f64, i64, u32)> = None;
         for pass in 0..2 {
             let scan_all = pass == 1;
+            done.scans += u64::from(scan_all);
             let count = if scan_all { g.nv() } else { scratch.bnd.len() };
             for i in 0..count {
                 let v = if scan_all { i as u32 } else { scratch.bnd[i] };
@@ -471,11 +491,13 @@ pub fn rebalance_bisection_with(
                 break;
             }
         }
-        let Some((_, _, v)) = best else { return };
+        let Some((_, _, v)) = best else { return done };
         // `flip` keeps asg, side weights, id/ed and the boundary list in
         // sync, so the next iteration's candidates are exact.
         scratch.flip(g, asg, v, ncon);
+        done.moves += 1;
     }
+    done
 }
 
 #[cfg(test)]
@@ -593,10 +615,18 @@ mod tests {
         let targets = BisectTargets::new(&g, 0.25, &[0.2]);
         // frac0 = 0.25 of 8 = 2 vertices (cap ~ ceil(1.2*2) = 3).
         let mut asg = vec![0; 8];
-        rebalance_bisection(&g, &mut asg, &targets);
+        let done = rebalance_bisection(&g, &mut asg, &targets);
         let sw = side_weights(&g, &asg);
         assert!(targets.feasible(&sw), "side weights {sw:?}");
         assert!(sw[0] <= 3);
+        // At least 5 moves; the first finds an empty boundary and scans.
+        assert_eq!(done.moves, 8 - sw[0] as u64);
+        assert!(done.moves >= 5 && done.scans >= 1, "{done:?}");
+        let rec = Recorder::enabled();
+        done.record(&rec);
+        done.record(&rec);
+        assert_eq!(rec.counter_value("partition.rebalance.moves"), 2 * done.moves);
+        assert_eq!(rec.counter_value("partition.rebalance.scans"), 2 * done.scans);
     }
 
     #[test]

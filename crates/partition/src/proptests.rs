@@ -10,6 +10,7 @@ use crate::hungarian::max_weight_assignment;
 use crate::kway::{balance_kway, refine_kway};
 use cip_base::rng::{sweep, Rng};
 use cip_graph::{contract, edge_cut, Graph, GraphBuilder};
+use std::cmp::Reverse;
 
 /// Random connected graph on `min_n..max_n` vertices: a path backbone
 /// plus up to `2n` random chords of weight 1–3. Constraint 0 is unit FE
@@ -113,6 +114,101 @@ fn matching_and_contraction_invariants() {
         // The parallel matcher is a pure function of (graph, seed).
         let par2 = parallel_heavy_edge_matching(&g, seed, 8);
         assert_eq!(par, par2);
+    });
+}
+
+/// Random graph on 2–80 vertices, not necessarily connected, built for
+/// ties: edge weights 1–2, contact weights 0–1, so many neighbours share
+/// a (weight, complementarity) key and the seeded rank decides.
+fn tied_graph(rng: &mut Rng, ncon: usize) -> Graph {
+    let n = rng.range_i64(2..80) as u32;
+    let mut b = GraphBuilder::new(n as usize, ncon);
+    for v in 0..n {
+        let contact = rng.range_i64(0..2);
+        b.set_vwgt(v, &[1, contact][..ncon]);
+    }
+    for _ in 0..rng.range_u32(3 * n) {
+        let (u, v, w) = (rng.range_u32(n), rng.range_u32(n), rng.range_i64(1..3));
+        if u != v {
+            b.add_edge(u, v, w);
+        }
+    }
+    b.build()
+}
+
+/// The parallel matcher as it ran before it kept proposals across
+/// rounds, kept as the oracle: every round recomputes, from scratch, the
+/// best unmatched neighbour of every unmatched vertex by (edge weight,
+/// complementarity, lowest seeded rank), accepts the mutual proposals,
+/// and stops after `max_rounds` or the first round that matches nothing.
+fn round_by_round_matching(g: &Graph, seed: u64, max_rounds: usize) -> (Vec<u32>, usize) {
+    let nv = g.nv();
+    let mut order: Vec<u32> = (0..nv as u32).collect();
+    Rng::seed_from_u64(seed).shuffle(&mut order);
+    let mut rank = vec![0u32; nv];
+    for (i, &v) in order.iter().enumerate() {
+        rank[v as usize] = i as u32;
+    }
+    let mut mate = vec![u32::MAX; nv];
+    for _ in 0..max_rounds.max(1) {
+        let proposal: Vec<u32> = (0..nv as u32)
+            .map(|v| {
+                if mate[v as usize] != u32::MAX {
+                    return u32::MAX;
+                }
+                let key = |(u, w): (u32, i64)| {
+                    let dot: i64 = g.vwgt(v).iter().zip(g.vwgt(u)).map(|(a, b)| a * b).sum();
+                    ((w, -dot, Reverse(rank[u as usize])), u)
+                };
+                let free = g.neighbors(v).filter(|&(u, _)| mate[u as usize] == u32::MAX);
+                free.map(key).max().map_or(u32::MAX, |(_, u)| u)
+            })
+            .collect();
+        let mut newly = 0;
+        for v in 0..nv {
+            let u = proposal[v];
+            if mate[v] == u32::MAX && u != u32::MAX && proposal[u as usize] == v as u32 {
+                mate[v] = u;
+                newly += 1;
+            }
+        }
+        if newly == 0 {
+            break;
+        }
+    }
+    // Dense coarse ids in vertex order; a pair takes its lower member's.
+    let mut map = vec![u32::MAX; nv];
+    let mut cnv = 0;
+    for v in 0..nv {
+        if map[v] == u32::MAX {
+            map[v] = cnv;
+            if mate[v] != u32::MAX {
+                map[mate[v] as usize] = cnv;
+            }
+            cnv += 1;
+        }
+    }
+    (map, cnv as usize)
+}
+
+/// Keeping every proposal whose target is still unmatched gives the
+/// round-by-round matcher's pairs and coarse ids, at every round cap, on
+/// one- and two-constraint graphs full of ties, with round 1 cut one to
+/// four ways.
+#[test]
+fn kept_proposals_match_the_round_by_round_matcher() {
+    sweep(96, |rng| {
+        let ncon = 1 + rng.range_u32(2) as usize;
+        let g = tied_graph(rng, ncon);
+        let seed = rng.next_u64();
+        for max_rounds in 1..=8 {
+            let want = round_by_round_matching(&g, seed, max_rounds);
+            let threads = 1 + max_rounds % 4;
+            let got = cip_base::par::with_threads(threads, || {
+                parallel_heavy_edge_matching(&g, seed, max_rounds)
+            });
+            assert_eq!(got, want, "max_rounds {max_rounds}, {threads} threads");
+        }
     });
 }
 

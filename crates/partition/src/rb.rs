@@ -205,7 +205,7 @@ pub fn multilevel_bisect_seeded(
             .attr("ne", fine_graph.ne());
         hierarchy.project_into(lvl, &asg, &mut fine_asg);
         let targets = BisectTargets::new(fine_graph, frac0, eps);
-        rebalance_bisection_with(fine_graph, &mut fine_asg, &targets, &mut rws);
+        rebalance_bisection_with(fine_graph, &mut fine_asg, &targets, &mut rws).record(rec);
         fm_refine_with(
             fine_graph,
             &mut fine_asg,
@@ -219,7 +219,7 @@ pub fn multilevel_bisect_seeded(
     if hierarchy.is_empty() {
         // No coarsening happened; `asg` is already on `g` but unrefined.
         let targets = BisectTargets::new(g, frac0, eps);
-        rebalance_bisection_with(g, &mut asg, &targets, &mut rws);
+        rebalance_bisection_with(g, &mut asg, &targets, &mut rws).record(rec);
         fm_refine_with(g, &mut asg, &targets, cfg.fm_passes, cfg.transient_violation, &mut rws);
     }
     asg

@@ -5,7 +5,9 @@
 //! 1. the projectile translates rigidly by `speed` in -z;
 //! 2. plate elements whose centroid lies inside the projectile's footprint
 //!    and above the current tip are **eroded** (the projectile bores a
-//!    square channel, first through the top plate, then the bottom one);
+//!    square channel, first through the top plate, then the bottom one —
+//!    the footprint's elements are listed once per run in descending
+//!    centroid z, so a step erodes a prefix of that list);
 //! 3. plate nodes near the channel are displaced by a smooth analytic
 //!    field (radial push-out plus downward dishing) evaluated from the
 //!    rest configuration, so positions never accumulate drift;
@@ -26,13 +28,7 @@ use cip_mesh::{FacetIndex, Surface};
 /// snapshots.
 pub fn run(cfg: &SimConfig) -> SimResult {
     let base = cfg.build_mesh();
-    let n_elems = base.num_elements();
 
-    // Precompute per-element rest centroids and the projectile node set.
-    let mut centroids = Vec::with_capacity(n_elems);
-    for e in 0..n_elems as u32 {
-        centroids.push(base.element_centroid(e));
-    }
     let mut is_proj_node = vec![false; base.num_nodes()];
     for (e, el) in base.elements.iter().enumerate() {
         if base.body[e] == BODY_PROJECTILE {
@@ -44,6 +40,22 @@ pub fn run(cfg: &SimConfig) -> SimResult {
 
     let hw = cfg.proj_half_width();
     let erosion_hw = hw + 0.25 * cfg.cell; // slight over-bore, as in erosion codes
+
+    // Only live plate elements whose rest centroid lies in the (static)
+    // bore footprint can ever erode, and one erodes once the tip is at or
+    // below its centroid. Listed once, highest centroid first: the tip only
+    // descends, so every step erodes a prefix of what is left of the list.
+    let mut bore: Vec<(f64, usize)> = (0..base.num_elements())
+        .filter(|&e| base.alive[e] && base.body[e] != BODY_PROJECTILE)
+        .map(|e| (base.element_centroid(e as u32), e))
+        .filter(|(c, _)| {
+            (c[0] - cfg.impact_offset[0]).abs() <= erosion_hw
+                && (c[1] - cfg.impact_offset[1]).abs() <= erosion_hw
+        })
+        .map(|(c, e)| (c[2], e))
+        .collect();
+    bore.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let mut bored = 0;
 
     // Only the live mask evolves (the boundary surface does not depend on
     // positions), so the facets are sorted once, here.
@@ -63,18 +75,11 @@ pub fn run(cfg: &SimConfig) -> SimResult {
         let drop = cfg.speed * step as f64;
         let tip_z = cfg.standoff - drop;
 
-        // Erode plate elements the tip has reached.
-        for (e, c) in centroids.iter().enumerate() {
-            if !alive[e] || base.body[e] == BODY_PROJECTILE {
-                continue;
-            }
-            if (c[0] - cfg.impact_offset[0]).abs() <= erosion_hw
-                && (c[1] - cfg.impact_offset[1]).abs() <= erosion_hw
-                && c[2] >= tip_z
-            {
-                alive[e] = false;
-                boundary = None;
-            }
+        // Erode the bore elements the tip has reached.
+        while let Some(&(_, e)) = bore.get(bored).filter(|&&(z, _)| z >= tip_z) {
+            alive[e] = false;
+            boundary = None;
+            bored += 1;
         }
 
         while next_snap < snapshot_steps.len() && snapshot_steps[next_snap] == step {

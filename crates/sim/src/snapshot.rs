@@ -1,7 +1,7 @@
 //! Snapshot sequence representation.
 
 use cip_geom::Point;
-use cip_mesh::{Mesh, NodalTopology, Surface};
+use cip_mesh::{EdgeIndex, Mesh, NodalTopology, Surface};
 use cip_telemetry::Recorder;
 use std::sync::{Arc, OnceLock};
 
@@ -38,11 +38,14 @@ pub struct SimResult {
 
 /// The topology epochs of a run: maximal stretches of consecutive
 /// snapshots with an identical live mask. Everything that depends on the
-/// mask alone is computed once per epoch.
+/// mask alone is computed once per epoch, from what depends on the base
+/// mesh alone, computed once per run.
 #[derive(Debug, Clone)]
 struct Epochs {
     /// `of_snapshot[i]` = epoch of snapshot `i`.
     of_snapshot: Vec<usize>,
+    /// The base mesh's edge index, built with the first topology.
+    edges: OnceLock<Arc<EdgeIndex>>,
     /// The nodal topology of each epoch, built by whoever asks first
     /// (behind an `Arc` so clones of the run share what is already built).
     topology: Vec<OnceLock<Arc<NodalTopology>>>,
@@ -66,7 +69,11 @@ impl SimResult {
                 of_snapshot.push(epoch);
             }
             let count = of_snapshot.last().map_or(0, |&last| last + 1);
-            Epochs { of_snapshot, topology: (0..count).map(|_| OnceLock::new()).collect() }
+            Epochs {
+                of_snapshot,
+                edges: OnceLock::new(),
+                topology: (0..count).map(|_| OnceLock::new()).collect(),
+            }
         })
     }
 
@@ -84,18 +91,20 @@ impl SimResult {
     /// The nodal topology of snapshot `i`, built on the first request for
     /// its epoch and shared by every later one, from any thread. `rec`
     /// counts `mesh.topology.builds` / `mesh.topology.hits` and times the
-    /// build under the `mesh.topology.build` span.
+    /// build under the `mesh.topology.build` span; the first build also
+    /// indexes the base mesh's edges, under a `mesh.edge_index.build` child
+    /// span.
     pub fn topology(&self, i: usize, rec: &Recorder) -> &NodalTopology {
         let epochs = self.epochs();
         let mut built = false;
         let topology = epochs.topology[epochs.of_snapshot[i]].get_or_init(|| {
             let _span = rec.span("mesh.topology.build").attr("snapshot", i);
             built = true;
-            Arc::new(NodalTopology::build(
-                self.base.num_nodes(),
-                &self.base.elements,
-                &self.snapshots[i].alive,
-            ))
+            let edges = epochs.edges.get_or_init(|| {
+                let _span = rec.span("mesh.edge_index.build");
+                Arc::new(EdgeIndex::build(self.base.num_nodes(), &self.base.elements))
+            });
+            Arc::new(edges.topology(&self.base.elements, &self.snapshots[i].alive))
         });
         rec.add(if built { "mesh.topology.builds" } else { "mesh.topology.hits" }, 1);
         topology
@@ -147,6 +156,9 @@ mod tests {
         let clone = sim.clone();
         assert!(std::ptr::eq(clone.topology(0, &rec), sim.topology(0, &rec)));
         assert_eq!(rec.counter_value("mesh.topology.builds"), epochs);
+        // The edges were indexed once, inside the first build.
+        let summary = rec.summary().expect("enabled");
+        assert_eq!(summary.span("mesh.edge_index.build").map(|s| s.count), Some(1));
     }
 
     #[test]

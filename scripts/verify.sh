@@ -122,7 +122,7 @@ if grep -n 'fn update' crates/contact/src/grid.rs; then
   exit 1
 fi
 
-echo "==> a step costs what changed"
+echo "==> a step and an epoch cost what changed"
 # Staging computes each quantity at the rate its inputs change (DESIGN.md
 # §5 "topology epochs"): the step path reads node positions from the run's
 # snapshots and adjacency rows from the epoch's topology, so non-test
@@ -136,6 +136,25 @@ if non_test src/staging.rs | grep -E 'SnapshotView|mesh_at\(|\.graph\(|build_dec
 fi
 if non_test crates/sim/src/dynamics.rs | grep 'extract_surface('; then
   echo "verify: FAIL — the simulation re-sorts the live facets per erosion event again"
+  exit 1
+fi
+# The same for the edges and the erosion: a topology is the base mesh's
+# EdgeIndex (sorted once per run) minus the dead elements' support, one scan
+# with no row sort, and nothing builds one another way; the step loop of
+# cip_sim::run erodes a prefix of the bore list sorted once per run, and
+# never rescans every element's centroid.
+topology_fn=$(sed -n '/pub fn topology(/,/^    }$/p' crates/mesh/src/graphs.rs)
+if [ -z "$topology_fn" ] || grep -n 'sort' <<<"$topology_fn"; then
+  echo "verify: FAIL — EdgeIndex::topology is gone or sorts rows per epoch again"
+  exit 1
+fi
+if grep -rn --include='*.rs' 'NodalTopology::build' src crates; then
+  echo "verify: FAIL — a topology is built outside EdgeIndex"
+  exit 1
+fi
+step_loop=$(sed -n '/for step in 1\.\.=cfg\.steps/,/^    }$/p' crates/sim/src/dynamics.rs)
+if [ -z "$step_loop" ] || grep -nE 'centroid|num_elements|\.elements' <<<"$step_loop"; then
+  echo "verify: FAIL — the simulation's step loop is gone or scans every element again"
   exit 1
 fi
 

@@ -7,6 +7,7 @@
 //! fails here first.
 
 use cip::base::rng::{splitmix64, Rng};
+use cip::partition::PartitionerConfig;
 
 /// 64 `next_u64` draws per seed, 4 draws (16 hex digits each) per line.
 const GOLDEN_STREAMS: [(u64, [&str; 16]); 4] = [
@@ -158,4 +159,71 @@ fn ranges_and_shuffle_replay_too() {
     let mut items: Vec<u32> = (0..100).collect();
     Rng::seed_from_u64(1).shuffle(&mut items);
     assert_eq!(items, GOLDEN_SHUFFLE);
+}
+
+/// FNV-1a over an assignment's part ids.
+fn fnv1a(assignment: &[u32]) -> u64 {
+    assignment
+        .iter()
+        .flat_map(|p| p.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The two-constraint nodal graph of the first of `snapshots` snapshots.
+fn first_snapshot_graph(mut cfg: cip::sim::SimConfig, snapshots: usize) -> cip::graph::Graph {
+    cfg.snapshots = snapshots;
+    let sim = cip::sim::run(&cfg);
+    let mask = sim.snapshots[0].contact.contact_node_mask(sim.base.num_nodes());
+    let topology = sim.topology(0, &cip::telemetry::Recorder::disabled());
+    topology.graph(&mask, cip::mesh::graphs::NodalGraphOptions::default()).graph
+}
+
+/// `partition_kway` of the benchmark's meshes — `head_on` at k = 4, as the
+/// traced and served jobs cut it, and `SimConfig::medium()` at k = 25, as
+/// `decompose_medium` does — for config seeds 1–8, hashed. Every committed
+/// `fe_comm` / `n_remote` count was measured on these partitions, so a
+/// speed-up of the coarsening (which must not change a partition) is
+/// checked here against them.
+#[test]
+fn partitions_of_the_benchmark_meshes_replay_too() {
+    const GOLDEN: [(&str, usize, [u64; 8]); 2] = [
+        (
+            "head_on",
+            4,
+            [
+                17273540569066936902,
+                15311192499085418183,
+                3774743902806661718,
+                18336642219263238244,
+                4699289188861494228,
+                16852644645025586405,
+                4920978668805047956,
+                12337288765140077206,
+            ],
+        ),
+        (
+            "medium",
+            25,
+            [
+                18132724090046698129,
+                17914008057951821460,
+                660658311916657323,
+                8019692194746662667,
+                14286413640297054781,
+                15787550575470982631,
+                1663750180552634640,
+                13557992530742340850,
+            ],
+        ),
+    ];
+    for (name, k, golden) in GOLDEN {
+        let g = match name {
+            "head_on" => first_snapshot_graph(cip::sim::head_on(), 10),
+            _ => first_snapshot_graph(cip::sim::SimConfig::medium(), 40),
+        };
+        let hashes = (1..=8u64).map(|seed| {
+            fnv1a(&cip::partition::partition_kway(&g, k, &PartitionerConfig::with_seed(seed)))
+        });
+        assert_eq!(hashes.collect::<Vec<_>>(), golden, "{name} at k = {k}");
+    }
 }

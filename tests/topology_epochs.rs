@@ -1,9 +1,11 @@
 //! Topology epochs against independent oracles: the nodal graph derived
 //! from a `NodalTopology` must equal the edge-list construction it
-//! replaced bit for bit, a `SnapshotView` served from a run's epoch
-//! cache must equal one built cold, and the boundary rescanned from a
-//! `FacetIndex` must equal the sort-the-live-facets extraction it
-//! replaced.
+//! replaced bit for bit, the topology an `EdgeIndex` derives for a live
+//! mask must equal the per-mask sort it replaced, a `SnapshotView` served
+//! from a run's epoch cache must equal one built cold, the boundary
+//! rescanned from a `FacetIndex` must equal the sort-the-live-facets
+//! extraction it replaced, and the erosion of `cip_sim::run` must equal
+//! the every-centroid-every-step scan it replaced.
 
 use cip::base::rng::{sweep, Rng};
 use cip::core::SnapshotView;
@@ -11,9 +13,11 @@ use cip::geom::Point;
 use cip::graph::GraphBuilder;
 use cip::mesh::graphs::{nodal_graph, NodalGraphOptions};
 use cip::mesh::{
-    extract_surface, generators, Element, FacetIndex, Mesh, NodalGraph, Surface, SurfaceFace,
+    extract_surface, generators, EdgeIndex, Element, FacetIndex, Mesh, NodalGraph, Surface,
+    SurfaceFace,
 };
 use cip::sim::dynamics::contact_surface;
+use cip::sim::geometry::BODY_PROJECTILE;
 use cip::sim::{SimConfig, SimResult};
 use cip::telemetry::Recorder;
 use std::sync::Barrier;
@@ -170,6 +174,147 @@ fn nodal_graph_equals_the_edge_list_construction() {
             }
         }
     });
+}
+
+/// The per-mask construction `NodalTopology::build` was before edge
+/// indexes existed, kept as the oracle: number the live elements' nodes,
+/// collect every live element edge into both endpoints' rows, then sort
+/// and deduplicate each row. Returns `(node_of_vertex, xadj, adjncy)`.
+fn sorted_rows_topology(
+    num_nodes: usize,
+    elements: &[Element],
+    alive: &[bool],
+) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
+    let live = || elements.iter().zip(alive).filter(|&(_, &a)| a).map(|(el, _)| el);
+    let mut vertex_of_node = vec![u32::MAX; num_nodes];
+    for el in live() {
+        for &n in el.nodes() {
+            vertex_of_node[n as usize] = 0;
+        }
+    }
+    let mut node_of_vertex = Vec::new();
+    for (n, slot) in vertex_of_node.iter_mut().enumerate() {
+        if *slot == 0 {
+            *slot = node_of_vertex.len() as u32;
+            node_of_vertex.push(n as u32);
+        }
+    }
+    let mut rows = vec![Vec::new(); node_of_vertex.len()];
+    for (a, c) in live().flat_map(|el| el.edges()).filter(|&(a, c)| a != c) {
+        let (a, c) = (vertex_of_node[a as usize], vertex_of_node[c as usize]);
+        rows[a as usize].push(c);
+        rows[c as usize].push(a);
+    }
+    let mut xadj = vec![0];
+    let mut adjncy = Vec::new();
+    for mut row in rows {
+        row.sort_unstable();
+        row.dedup();
+        adjncy.extend(row);
+        xadj.push(adjncy.len());
+    }
+    (node_of_vertex, xadj, adjncy)
+}
+
+/// One edge index serves every live mask of its mesh: nothing eroded,
+/// three random masks of random density, then nothing alive, then a
+/// single survivor — all equal the oracle.
+fn assert_topologies_match_oracle<const D: usize>(rng: &mut Rng, mesh: &Mesh<D>) {
+    let n = mesh.num_elements();
+    let mut masks = vec![vec![true; n]];
+    for _ in 0..3 {
+        let keep = rng.range_u32(5);
+        masks.push((0..n).map(|_| rng.range_u32(4) < keep).collect());
+    }
+    masks.push(vec![false; n]);
+    let mut lone = vec![false; n];
+    lone[rng.range_u32(n as u32) as usize] = true;
+    masks.push(lone);
+    let index = EdgeIndex::build(mesh.num_nodes(), &mesh.elements);
+    for alive in masks {
+        let got = index.topology(&mesh.elements, &alive);
+        let (node_of_vertex, xadj, adjncy) =
+            sorted_rows_topology(mesh.num_nodes(), &mesh.elements, &alive);
+        assert_eq!(got.node_of_vertex(), node_of_vertex);
+        assert_eq!(got.xadj(), xadj);
+        assert_eq!(got.adjncy(), adjncy);
+    }
+}
+
+/// Hex and tet boxes (possibly one element), quad grids, and a three-body
+/// mesh.
+#[test]
+fn indexed_topology_equals_the_per_mask_row_sort() {
+    sweep(48, |rng| {
+        let dims = [1..5, 1..4, 1..4].map(|range| rng.range_i64(range) as usize);
+        let hexes = generators::hex_box(dims, Point::new([0.0; 3]), [1.0; 3], 0);
+        assert_topologies_match_oracle(rng, &tetrahedralized(&hexes));
+        assert_topologies_match_oracle(rng, &hexes);
+
+        let dims = [1..6, 1..6].map(|range| rng.range_i64(range) as usize);
+        let quads = generators::quad_grid(dims, Point::new([0.0; 2]), [1.0; 2], 3);
+        assert_topologies_match_oracle(rng, &quads);
+
+        let mut bodies = generators::hex_box([2, 2, 1], Point::new([0.0; 3]), [1.0; 3], 1);
+        bodies.append(&generators::hex_box([2, 2, 1], Point::new([0.0, 0.0, 1.0]), [1.0; 3], 2));
+        bodies.append(&generators::hex_box([1, 1, 3], Point::new([5.0, 0.0, 0.0]), [1.0; 3], 7));
+        assert_topologies_match_oracle(rng, &bodies);
+    });
+    let single = generators::hex_box([1, 1, 1], Point::new([0.0; 3]), [1.0; 3], 0);
+    let index = EdgeIndex::build(single.num_nodes(), &single.elements);
+    let topology = index.topology(&single.elements, &[true]);
+    assert_eq!((topology.node_of_vertex().len(), topology.adjncy().len()), (8, 24));
+    assert!(index.topology(&single.elements, &[false]).node_of_vertex().is_empty());
+}
+
+/// The erosion loop `cip_sim::run` ran before it listed the bore, kept as
+/// the oracle: test every element's rest centroid against the footprint
+/// and the tip at every step. Returns the live mask at each snapshot.
+fn scanned_erosion(cfg: &SimConfig, base: &Mesh<3>) -> Vec<Vec<bool>> {
+    let erosion_hw = cfg.proj_half_width() + 0.25 * cfg.cell;
+    let centroids: Vec<Point<3>> =
+        (0..base.num_elements() as u32).map(|e| base.element_centroid(e)).collect();
+    let mut alive = base.alive.clone();
+    let mut masks = Vec::new();
+    for step in 1..=cfg.steps {
+        let tip_z = cfg.standoff - cfg.speed * step as f64;
+        for (e, c) in centroids.iter().enumerate() {
+            if alive[e]
+                && base.body[e] != BODY_PROJECTILE
+                && (c[0] - cfg.impact_offset[0]).abs() <= erosion_hw
+                && (c[1] - cfg.impact_offset[1]).abs() <= erosion_hw
+                && c[2] >= tip_z
+            {
+                alive[e] = false;
+            }
+        }
+        let snapshots_here =
+            (0..cfg.snapshots).filter(|s| ((s + 1) * cfg.steps) / cfg.snapshots == step).count();
+        masks.extend(std::iter::repeat_n(alive.clone(), snapshots_here));
+    }
+    masks
+}
+
+/// Every snapshot of every registered scenario and of `medium()` carries
+/// the live mask of the scanned erosion, and the contact surface clipped
+/// from that mask's boundary.
+#[test]
+fn bore_list_erosion_equals_the_every_centroid_scan() {
+    let mut medium = SimConfig::medium();
+    medium.snapshots = 25;
+    let configs = cip::sim::scenarios::list().iter().map(|d| (d.name, d.config()));
+    for (name, cfg) in configs.chain([("medium", medium)]) {
+        let sim = cip::sim::run(&cfg);
+        let masks = scanned_erosion(&cfg, &sim.base);
+        assert_eq!(masks.len(), sim.len(), "{name}");
+        let facets = FacetIndex::build(&sim.base);
+        for (i, (snap, alive)) in sim.snapshots.iter().zip(&masks).enumerate() {
+            assert_eq!(&snap.alive, alive, "{name} snapshot {i}");
+            let clipped = contact_surface(&cfg, &facets.boundary(alive), &snap.points);
+            assert_eq!(snap.contact, clipped, "{name} snapshot {i}");
+        }
+        assert!(masks.last().unwrap().iter().any(|&a| !a), "{name}: nothing eroded");
+    }
 }
 
 /// One facet index serves every live mask of its mesh: the extraction and
