@@ -7,14 +7,17 @@
 //! Usage: `cargo run --release -p cip-bench --bin exec_sequence [--scale ...] [--k 8] [--snapshots N]`
 
 use cip_contact::DtreeFilter;
-use cip_core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
+use cip_core::{
+    contact_graph, decompose, face_bodies, gather, merge_live, repartition_step, surface_elements,
+    McmlDtConfig, RepartitionMethod,
+};
 use cip_dtree::{induce, DtreeConfig};
-use cip_partition::{diffusion_repartition, partition_kway, PartitionerConfig};
+use cip_partition::RefineWorkspace;
 use cip_runtime::{
-    build_decomposition, build_migration, connect_ranks, execute_steps, ExecOptions, StepInput,
+    build_migration, connect_ranks, execute_steps, ExecOptions, HaloPlan, StepInput,
 };
 use cip_sim::SimResult;
-use cip_telemetry::json_struct;
+use cip_telemetry::{json_struct, Recorder};
 use cip_transport::InProcess;
 
 #[derive(Default)]
@@ -29,57 +32,49 @@ struct Totals {
 json_struct!(Totals { halo, shipments, migrated_nodes, contact_pairs_detected, repartitions });
 
 fn run_policy(sim: &SimResult, k: usize, hybrid_period: Option<usize>) -> Totals {
-    let pcfg = PartitionerConfig::default();
-    let view0 = SnapshotView::build(sim, 0, 5);
-    let mut asg = partition_kway(&view0.graph2.graph, k, &pcfg);
-    let positions: Vec<_> =
-        view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
-    dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
-    let mut node_parts = view0.graph2.assignment_on_nodes(&asg);
+    // The paper's decomposition of snapshot 0; the hybrid policy then
+    // diffuses, without the DT-friendly correction.
+    let recorder = Recorder::disabled();
+    let cfg =
+        McmlDtConfig { repartition_method: RepartitionMethod::Diffusion, ..McmlDtConfig::paper(k) };
+    let graph0 = contact_graph(sim, 0, cfg.graph_options(), &recorder);
+    let mut node_parts =
+        decompose(&graph0, &sim.snapshots[0].points, &cfg, &mut RefineWorkspace::new()).node_parts;
+    let cfg = McmlDtConfig { dt_friendly: None, ..cfg };
 
     let opts = ExecOptions::default();
-    let recorder = cip_telemetry::Recorder::disabled();
     let mut seats = connect_ranks(&InProcess, k, &opts, &recorder).expect("in-process mesh");
     let mut totals = Totals::default();
-    for i in 0..sim.len() {
-        let view = SnapshotView::build(sim, i, 5);
-
+    for (i, snap) in sim.snapshots.iter().enumerate() {
         // Hybrid policy: repartition by diffusion, execute the migration.
-        if let Some(period) = hybrid_period {
-            if i > 0 && i % period == 0 {
-                let old: Vec<u32> =
-                    view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-                let fresh = diffusion_repartition(&view.graph2.graph, k, &old, &pcfg);
-                let new_node_parts = view.graph2.assignment_on_nodes(&fresh);
-                let plan = build_migration(&node_parts, &new_node_parts, k);
-                totals.migrated_nodes += plan.total_moved();
-                totals.repartitions += 1;
-                for (n, &p) in new_node_parts.iter().enumerate() {
-                    if p != u32::MAX {
-                        node_parts[n] = p;
-                    }
-                }
-            }
+        if hybrid_period.is_some_and(|period| i > 0 && i % period == 0) {
+            let graph = contact_graph(sim, i, cfg.graph_options(), &recorder);
+            let new_node_parts = repartition_step(&graph, &snap.points, &node_parts, k, &cfg);
+            let plan = build_migration(&node_parts, &new_node_parts, k);
+            totals.migrated_nodes += plan.total_moved();
+            totals.repartitions += 1;
+            merge_live(&mut node_parts, &new_node_parts);
         }
 
-        let asg_now: Vec<u32> =
-            view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-        let elements = view.surface_elements(&node_parts);
-        let bodies = view.face_bodies();
-        let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
-        let decomposition = build_decomposition(
-            &view.graph2.graph,
-            &view.graph2.node_of_vertex,
+        let topology = sim.topology(i, &recorder);
+        let asg_now = gather(topology.node_of_vertex(), &node_parts);
+        let elements = surface_elements(&snap.contact.faces, &snap.points, &node_parts);
+        let bodies = face_bodies(&snap.contact.faces);
+        let decomposition = HaloPlan::build(
+            topology.xadj(),
+            topology.adjncy(),
+            topology.node_of_vertex(),
             &asg_now,
-            &owners,
             k,
-        );
-        let labels = view.contact.labels_from_node_parts(&node_parts);
-        let tree = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
+        )
+        .decomposition(elements.iter().map(|e| e.owner));
+        let nodes = &snap.contact.contact_nodes;
+        let (positions, labels) = (gather(nodes, &snap.points), gather(nodes, &node_parts));
+        let tree = induce(&positions, &labels, k, &DtreeConfig::search_tree());
         let filter = DtreeFilter::new(&tree, k);
         let input = StepInput {
             decomposition: &decomposition,
-            positions: &view.mesh.points,
+            positions: &snap.points,
             elements: &elements,
             bodies: &bodies,
             filter: &filter,

@@ -7,8 +7,10 @@
 //! Usage: `cargo run --release -p cip-bench --bin figure3 [--scale ...]`
 
 use cip_bench::HarnessArgs;
+use cip_core::gather;
+use cip_geom::Aabb;
 use cip_sim::SimResult;
-use cip_telemetry::json_struct;
+use cip_telemetry::{json_struct, Recorder};
 
 struct StageRow {
     snapshot: usize,
@@ -32,18 +34,20 @@ json_struct!(StageRow {
 
 /// ASCII side view (x-z slice near y=0) of one snapshot.
 fn side_view(sim: &SimResult, i: usize) -> Vec<String> {
-    let mesh = sim.mesh_at(i);
-    let b = mesh.bounds();
+    let snap = &sim.snapshots[i];
+    let live_nodes = sim.topology(i, &Recorder::disabled()).node_of_vertex();
+    let b = Aabb::from_points(&gather(live_nodes, &snap.points));
     let (w, h) = (48usize, 20usize);
     let mut canvas = vec![vec![' '; w]; h];
-    for (e, _) in mesh.live_elements() {
-        let c = mesh.element_centroid(e);
+    let elements = sim.base.elements.iter().zip(&sim.base.body).zip(&snap.alive);
+    for ((el, &body), _) in elements.filter(|&(_, &alive)| alive) {
+        let c = el.centroid(&snap.points);
         if c[1].abs() > 2.5 {
             continue; // slice near y = 0
         }
         let col = (((c[0] - b.min[0]) / (b.max[0] - b.min[0]).max(1e-9)) * (w - 1) as f64) as usize;
         let row = (((c[2] - b.min[2]) / (b.max[2] - b.min[2]).max(1e-9)) * (h - 1) as f64) as usize;
-        let glyph = match mesh.body[e as usize] {
+        let glyph = match body {
             2 => '#', // projectile
             0 => '=', // top plate
             _ => '-', // bottom plate

@@ -11,13 +11,13 @@
 
 use cip_contact::{BboxFilter, DtreeFilter};
 use cip_core::{
-    dt_friendly_correct, halo_traffic, m2m_traffic, shipment_traffic, DtFriendlyConfig,
-    RankTraffic, SnapshotView,
+    contact_graph, decompose, gather, halo_traffic, m2m_traffic, shipment_traffic,
+    surface_elements, McmlDtConfig, NodalGraphOptions, RankTraffic,
 };
 use cip_dtree::{induce, DtreeConfig};
 use cip_geom::RcbTree;
-use cip_partition::{max_weight_assignment, partition_kway, PartitionerConfig};
-use cip_telemetry::json_struct;
+use cip_partition::{max_weight_assignment, partition_kway, PartitionerConfig, RefineWorkspace};
+use cip_telemetry::{json_struct, Recorder};
 
 struct TrafficRow {
     algorithm: String,
@@ -63,11 +63,13 @@ fn main() {
     let sim = cip_sim::run(&sim_cfg);
     // Analyze a mid-penetration snapshot (craters open, both plates hit).
     let i = sim.len() / 2;
-    let view = SnapshotView::build(&sim, i, 5);
+    let snap = &sim.snapshots[i];
+    let contact = &snap.contact.contact_nodes;
+    let positions = gather(contact, &snap.points);
     println!(
         "rank traffic at snapshot {i} (step {}), k = {k}, {} contact points\n",
-        sim.snapshots[i].step,
-        view.contact.len()
+        snap.step,
+        contact.len()
     );
     println!(
         "{:<9} {:<12} {:>9} {:>12} {:>10} {:>12}",
@@ -77,31 +79,31 @@ fn main() {
     let mut rows = Vec::new();
 
     // ---- MCML+DT ------------------------------------------------------
-    let pcfg = PartitionerConfig::default();
-    let mut asg = partition_kway(&view.graph2.graph, k, &pcfg);
-    let positions: Vec<_> =
-        view.graph2.node_of_vertex.iter().map(|&n| view.mesh.points[n as usize]).collect();
-    dt_friendly_correct(&view.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
-    let node_parts = view.graph2.assignment_on_nodes(&asg);
+    let rec = Recorder::disabled();
+    let mcml = McmlDtConfig::paper(k);
+    let graph2 = contact_graph(&sim, i, mcml.graph_options(), &rec);
+    let dec = decompose(&graph2, &snap.points, &mcml, &mut RefineWorkspace::new());
+    let (xadj, adjncy) = (graph2.graph.xadj(), graph2.graph.adjncy());
 
-    let halo = halo_traffic(&view.graph2.graph, &asg, k);
+    let halo = halo_traffic(xadj, adjncy, &dec.asg, k);
     rows.push(row("MCML+DT", "halo (FE)", &halo));
 
-    let labels = view.contact.labels_from_node_parts(&node_parts);
-    let tree = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
-    let elements = view.surface_elements(&node_parts);
+    let labels = gather(contact, &dec.node_parts);
+    let tree = induce(&positions, &labels, k, &DtreeConfig::search_tree());
+    let elements = surface_elements(&snap.contact.faces, &snap.points, &dec.node_parts);
     let ship = shipment_traffic(&elements, &DtreeFilter::new(&tree, k), k);
     rows.push(row("MCML+DT", "shipments", &ship));
 
     // ---- ML+RCB -------------------------------------------------------
-    let fe_asg = partition_kway(&view.graph1.graph, k, &pcfg);
-    let fe_node_parts = view.graph1.assignment_on_nodes(&fe_asg);
-    let halo_b = halo_traffic(&view.graph1.graph, &fe_asg, k);
+    let graph1 = contact_graph(&sim, i, NodalGraphOptions::single_constraint(), &rec);
+    let fe_asg = partition_kway(&graph1.graph, k, &PartitionerConfig::default());
+    let fe_node_parts = graph1.assignment_on_nodes(&fe_asg);
+    let halo_b = halo_traffic(xadj, adjncy, &fe_asg, k);
     rows.push(row("ML+RCB", "halo (FE)", &halo_b));
 
-    let weights = vec![1.0; view.contact.len()];
-    let (_, rcb_labels) = RcbTree::build(&view.contact.positions, &weights, k);
-    let fe_labels = view.contact.labels_from_node_parts(&fe_node_parts);
+    let weights = vec![1.0; contact.len()];
+    let (_, rcb_labels) = RcbTree::build(&positions, &weights, k);
+    let fe_labels = gather(contact, &fe_node_parts);
     // Optimal relabeling, as in the M2MComm metric.
     let mut overlap = vec![0i64; k * k];
     for (ci, &rp) in rcb_labels.iter().enumerate() {
@@ -112,12 +114,12 @@ fn main() {
     let m2m = m2m_traffic(&fe_labels, &relabeled, k);
     rows.push(row("ML+RCB", "m2m (x2)", &m2m));
 
-    let mut rcb_node_parts = vec![u32::MAX; view.mesh.num_nodes()];
-    for (ci, &n) in view.contact.nodes.iter().enumerate() {
+    let mut rcb_node_parts = vec![u32::MAX; sim.base.num_nodes()];
+    for (ci, &n) in contact.iter().enumerate() {
         rcb_node_parts[n as usize] = relabeled[ci];
     }
-    let bfilter = BboxFilter::from_points(&view.contact.positions, &relabeled, k);
-    let elements_b = view.surface_elements(&rcb_node_parts);
+    let bfilter = BboxFilter::from_points(&positions, &relabeled, k);
+    let elements_b = surface_elements(&snap.contact.faces, &snap.points, &rcb_node_parts);
     let ship_b = shipment_traffic(&elements_b, &bfilter, k);
     rows.push(row("ML+RCB", "shipments", &ship_b));
 

@@ -6,11 +6,11 @@
 //! Usage: `cargo run --release -p cip-bench --bin sweep_maxpi [--scale ...] [--k 25]`
 
 use cip_bench::HarnessArgs;
-use cip_core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
+use cip_core::{contact_graph, dt_friendly_correct, gather, DtFriendlyConfig, McmlDtConfig};
 use cip_dtree::{induce, DtreeConfig};
-use cip_graph::{edge_cut, Partition};
+use cip_graph::{cut_edges_of_rows, Partition};
 use cip_partition::{partition_kway, PartitionerConfig};
-use cip_telemetry::json_struct;
+use cip_telemetry::{json_struct, Recorder};
 
 struct SweepRow {
     label: String,
@@ -42,8 +42,12 @@ fn main() {
     let mut sim_cfg = args.scale.sim_config();
     sim_cfg.snapshots = args.snapshots.unwrap_or(1); // the sweep only needs snapshot 0
     let sim = cip_sim::run(&sim_cfg);
-    let view = SnapshotView::build(&sim, 0, 5);
-    let n = view.graph2.graph.nv();
+    let graph =
+        contact_graph(&sim, 0, McmlDtConfig::paper(k).graph_options(), &Recorder::disabled());
+    let g = &graph.graph;
+    let snap = &sim.snapshots[0];
+    let contact = &snap.contact.contact_nodes;
+    let n = g.nv();
     let nf = n as f64;
     let kf = k as f64;
 
@@ -68,9 +72,9 @@ fn main() {
         "imb C"
     );
 
-    let base_asg = partition_kway(&view.graph2.graph, k, &PartitionerConfig::default());
-    let positions: Vec<_> =
-        view.graph2.node_of_vertex.iter().map(|&nn| view.mesh.points[nn as usize]).collect();
+    // One partition; the sweep varies only the DT-friendly correction of it.
+    let base_asg = partition_kway(g, k, &PartitionerConfig::default());
+    let positions = gather(&graph.node_of_vertex, &snap.points);
 
     // The sweep: below-band, band edges, recommended midpoint, above-band.
     let settings: Vec<(String, usize, usize)> = vec![
@@ -95,14 +99,14 @@ fn main() {
             max_i: Some(max_i),
             partitioner: PartitionerConfig::default(),
         };
-        let stats = dt_friendly_correct(&view.graph2.graph, &positions, k, &mut asg, &cfg);
+        let stats = dt_friendly_correct(g, &positions, k, &mut asg, &cfg);
 
         // Evaluate the corrected partition: search tree over contact points.
-        let node_parts = view.graph2.assignment_on_nodes(&asg);
-        let labels = view.contact.labels_from_node_parts(&node_parts);
-        let search = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
-        let cut = edge_cut(&view.graph1.graph, &asg);
-        let part = Partition::from_assignment(&view.graph2.graph, k, asg);
+        let labels = gather(contact, &graph.assignment_on_nodes(&asg));
+        let search =
+            induce(&gather(contact, &snap.points), &labels, k, &DtreeConfig::search_tree());
+        let cut = cut_edges_of_rows(g.xadj(), g.adjncy(), &asg) as i64;
+        let part = Partition::from_assignment(g, k, asg);
         let row = SweepRow {
             label: label.clone(),
             max_p,

@@ -14,10 +14,10 @@
 //!
 //! Usage: `cargo run --release -p cip-bench --bin tree_aging [--scale ...] [--k 25]`
 
-use cip_core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
+use cip_core::{contact_graph, decompose, gather, McmlDtConfig};
 use cip_dtree::{induce, refresh, DecisionTree, DtreeConfig};
-use cip_partition::{partition_kway, PartitionerConfig};
-use cip_telemetry::json_struct;
+use cip_partition::RefineWorkspace;
+use cip_telemetry::{json_struct, Recorder};
 
 struct AgingRow {
     snapshot: usize,
@@ -43,12 +43,10 @@ fn main() {
     let sim = args.run_sim();
 
     // Fixed MCML+DT partition from snapshot 0.
-    let view0 = SnapshotView::build(&sim, 0, 5);
-    let mut asg = partition_kway(&view0.graph2.graph, k, &PartitionerConfig::default());
-    let positions: Vec<_> =
-        view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
-    dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
-    let node_parts = view0.graph2.assignment_on_nodes(&asg);
+    let mcml = McmlDtConfig::paper(k);
+    let graph0 = contact_graph(&sim, 0, mcml.graph_options(), &Recorder::disabled());
+    let points0 = &sim.snapshots[0].points;
+    let node_parts = decompose(&graph0, points0, &mcml, &mut RefineWorkspace::new()).node_parts;
 
     let cfg = DtreeConfig::search_tree();
     let rebuild_period = 10;
@@ -65,10 +63,10 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for i in 0..sim.len() {
-        let view = SnapshotView::build(&sim, i, 5);
-        let labels = view.contact.labels_from_node_parts(&node_parts);
-        let pts = &view.contact.positions;
+    for (i, snap) in sim.snapshots.iter().enumerate() {
+        let nodes = &snap.contact.contact_nodes;
+        let labels = gather(nodes, &node_parts);
+        let pts = &gather(nodes, &snap.points);
 
         let rebuilt = induce(pts, &labels, k, &cfg);
 

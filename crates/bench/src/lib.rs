@@ -46,6 +46,7 @@ impl Scale {
 }
 
 /// Parses `--scale X --k A,B --snapshots N` style arguments with defaults.
+#[derive(Debug, PartialEq)]
 pub struct HarnessArgs {
     /// Selected scale.
     pub scale: Scale,
@@ -56,37 +57,47 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses from `std::env::args`, with the given default part counts.
+    /// Parses the process arguments ([`HarnessArgs::from_args`]); a bad
+    /// argument is one line on stderr and exit code 2.
     pub fn parse(default_ks: &[usize]) -> Self {
-        let mut scale = Scale::Small;
-        let mut ks = default_ks.to_vec();
-        let mut snapshots = None;
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" if i + 1 < args.len() => {
-                    scale = Scale::parse(&args[i + 1]).unwrap_or_else(|| {
-                        eprintln!("unknown scale '{}', using small", args[i + 1]);
-                        Scale::Small
-                    });
-                    i += 2;
+        let argv: Vec<String> = std::env::args().collect();
+        Self::from_args(argv.get(1..).unwrap_or_default(), default_ks).unwrap_or_else(|e| {
+            let bin = std::path::Path::new(&argv[0]).file_name().unwrap_or_default();
+            eprintln!("{}: {e}", bin.to_string_lossy());
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `args` (the program name excluded); `--scale` defaults to
+    /// small and `--k` to `default_ks`. An unknown argument or scale, a
+    /// flag without its value, and a count that is not a positive integer
+    /// are errors.
+    pub fn from_args(args: &[String], default_ks: &[usize]) -> Result<Self, String> {
+        let mut out = Self { scale: Scale::Small, ks: default_ks.to_vec(), snapshots: None };
+        let positive = |v: &str| match v.parse() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("expected a positive integer, got '{v}'")),
+        };
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            match (flag.as_str(), args.next().map(String::as_str)) {
+                ("--scale", Some(v)) => {
+                    out.scale = Scale::parse(v)
+                        .ok_or(format!("unknown scale '{v}' (known: small, medium, paper)"))?;
                 }
-                "--k" if i + 1 < args.len() => {
-                    ks = args[i + 1].split(',').filter_map(|s| s.parse().ok()).collect();
-                    i += 2;
+                ("--k", Some(v)) => {
+                    out.ks = v.split(',').map(positive).collect::<Result<_, _>>()?
                 }
-                "--snapshots" if i + 1 < args.len() => {
-                    snapshots = args[i + 1].parse().ok();
-                    i += 2;
-                }
-                other => {
-                    eprintln!("ignoring unknown argument '{other}'");
-                    i += 1;
+                ("--snapshots", Some(v)) => out.snapshots = Some(positive(v)?),
+                (flag, _) => {
+                    return Err(format!(
+                        "bad argument '{flag}' (usage: --scale small|medium|paper, \
+                         --k K[,K...], --snapshots N)"
+                    ))
                 }
             }
         }
-        Self { scale, ks, snapshots }
+        Ok(out)
     }
 
     /// Runs the simulation for these arguments.
@@ -211,6 +222,49 @@ mod tests {
         assert_eq!(Scale::parse("medium"), Some(Scale::Medium));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("bogus"), None);
+    }
+
+    fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        HarnessArgs::from_args(&args, &[25, 100])
+    }
+
+    #[test]
+    fn arguments_parse_with_defaults() {
+        let none = HarnessArgs { scale: Scale::Small, ks: vec![25, 100], snapshots: None };
+        assert_eq!(parse(&[]), Ok(none));
+        let all = HarnessArgs { scale: Scale::Medium, ks: vec![4, 8], snapshots: Some(7) };
+        assert_eq!(parse(&["--scale", "medium", "--k", "4,8", "--snapshots", "7"]), Ok(all));
+    }
+
+    #[test]
+    fn an_unknown_scale_is_refused_not_run_as_small() {
+        let err = parse(&["--scale", "tiny"]).unwrap_err();
+        assert!(err.contains("'tiny'"), "{err}");
+    }
+
+    #[test]
+    fn a_part_count_that_is_not_a_number_is_refused() {
+        assert!(parse(&["--k", "x"]).unwrap_err().contains("'x'"));
+        assert!(parse(&["--k", "25,x"]).is_err());
+        assert!(parse(&["--k", ""]).is_err());
+    }
+
+    #[test]
+    fn a_zero_part_count_is_refused_before_the_partitioner() {
+        assert!(parse(&["--k", "0"]).unwrap_err().contains("'0'"));
+    }
+
+    #[test]
+    fn a_snapshot_count_that_is_not_a_positive_number_is_refused() {
+        assert!(parse(&["--snapshots", "abc"]).unwrap_err().contains("'abc'"));
+        assert!(parse(&["--snapshots", "0"]).is_err());
+    }
+
+    #[test]
+    fn a_missing_value_or_an_unknown_argument_is_refused() {
+        assert!(parse(&["--k"]).unwrap_err().contains("'--k'"));
+        assert!(parse(&["--scael", "small"]).unwrap_err().contains("'--scael'"));
     }
 
     #[test]

@@ -8,14 +8,13 @@
 //!
 //! * [`halo_traffic`] — the FE phase's halo exchange (one unit per nodal
 //!   value shipped to a distinct remote part; totals match
-//!   [`cip_graph::total_comm_volume`]),
+//!   [`cip_graph::comm_volume_of_rows`]),
 //! * [`shipment_traffic`] — the global-search element shipments (totals
 //!   match [`cip_contact::n_remote`]),
 //! * [`m2m_traffic`] — the ML+RCB mesh-to-mesh transfer (totals match the
 //!   M2MComm metric).
 
 use cip_contact::{GlobalFilter, SurfaceElementInfo};
-use cip_graph::Graph;
 
 /// A per-rank traffic summary: the full part-to-part matrix plus row/col
 /// sums.
@@ -111,17 +110,18 @@ impl RankTraffic {
 }
 
 /// FE-phase halo exchange: for every vertex `v` and every *distinct*
-/// remote part `p` among its neighbors, one unit flows `P[v] -> p`.
+/// remote part `p` among its neighbors, one unit flows `P[v] -> p`. The
+/// adjacency is bare CSR rows (a `Graph`'s `xadj`/`adjncy`, or a nodal
+/// topology's); no weight is read.
 ///
-/// `traffic.total()` equals [`cip_graph::total_comm_volume`].
-pub fn halo_traffic(g: &Graph, assignment: &[u32], k: usize) -> RankTraffic {
-    debug_assert_eq!(assignment.len(), g.nv());
+/// `traffic.total()` equals [`cip_graph::comm_volume_of_rows`].
+pub fn halo_traffic(xadj: &[usize], adjncy: &[u32], assignment: &[u32], k: usize) -> RankTraffic {
+    debug_assert_eq!(xadj.len(), assignment.len() + 1);
     let mut t = RankTraffic::zeros(k);
     let mut seen: Vec<u32> = Vec::with_capacity(16);
-    for v in 0..g.nv() as u32 {
-        let pv = assignment[v as usize];
+    for (v, &pv) in assignment.iter().enumerate() {
         seen.clear();
-        for (u, _) in g.neighbors(v) {
+        for &u in &adjncy[xadj[v]..xadj[v + 1]] {
             let pu = assignment[u as usize];
             if pu != pv && !seen.contains(&pu) {
                 seen.push(pu);
@@ -173,7 +173,7 @@ mod tests {
     use super::*;
     use cip_contact::BboxFilter;
     use cip_geom::{Aabb, Point};
-    use cip_graph::{total_comm_volume, GraphBuilder};
+    use cip_graph::{total_comm_volume, Graph, GraphBuilder};
 
     fn path(n: usize) -> Graph {
         let mut b = GraphBuilder::new(n, 1);
@@ -190,7 +190,7 @@ mod tests {
     fn halo_traffic_total_matches_comm_volume() {
         let g = path(9);
         let asg = vec![0, 0, 0, 1, 1, 1, 2, 2, 2];
-        let t = halo_traffic(&g, &asg, 3);
+        let t = halo_traffic(g.xadj(), g.adjncy(), &asg, 3);
         assert_eq!(t.total(), total_comm_volume(&g, &asg));
         // Boundary structure of a path split in thirds: vertex 2 sends to
         // part 1, vertex 3 sends to part 0, etc.

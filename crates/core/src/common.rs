@@ -1,149 +1,56 @@
-//! Shared per-snapshot machinery for both pipelines.
+//! Per-snapshot primitives — the one implementation of each quantity the
+//! pipelines and the executed step read off a snapshot — and the
+//! [`SnapshotView`] fixture the oracles compare them with.
 
 use cip_contact::SurfaceElementInfo;
 use cip_geom::{Aabb, Point};
+use cip_graph::{comm_volume_of_rows, cut_edges_of_rows, load_imbalance};
 use cip_mesh::graphs::{NodalGraph, NodalGraphOptions};
-use cip_mesh::{Face, Mesh, Surface};
+use cip_mesh::{Mesh, NodalTopology, Surface, SurfaceFace};
 use cip_sim::SimResult;
 use cip_telemetry::Recorder;
 
-/// The contact points of one snapshot: node ids and their positions,
-/// parallel arrays.
-#[derive(Debug, Clone)]
-pub struct ContactPoints {
-    /// Mesh node ids (sorted ascending, as produced by surface
-    /// extraction).
-    pub nodes: Vec<u32>,
-    /// Positions of those nodes at this snapshot.
-    pub positions: Vec<Point<3>>,
+/// `values[id]` of every id in `ids`, e.g. the positions of contact nodes
+/// or the parts of a graph's vertices (`gather(&g.node_of_vertex, parts)`).
+pub fn gather<T: Copy>(ids: &[u32], values: &[T]) -> Vec<T> {
+    ids.iter().map(|&id| values[id as usize]).collect()
 }
 
-impl ContactPoints {
-    /// Extracts the contact points of `surface` at the given positions.
-    pub fn from_surface(surface: &Surface, points: &[Point<3>]) -> Self {
-        let nodes = surface.contact_nodes.clone();
-        let positions = nodes.iter().map(|&n| points[n as usize]).collect();
-        Self { nodes, positions }
-    }
-
-    /// Number of contact points.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether there are no contact points.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The part of each contact point under a mesh-node assignment
-    /// (`node_parts[n]` = part of node `n`, `u32::MAX` allowed only for
-    /// non-contact nodes).
-    pub fn labels_from_node_parts(&self, node_parts: &[u32]) -> Vec<u32> {
-        self.nodes
-            .iter()
-            .map(|&n| {
-                let p = node_parts[n as usize];
-                debug_assert_ne!(p, u32::MAX, "contact node {n} has no part");
-                p
-            })
-            .collect()
-    }
+/// The weighted nodal graph of snapshot `i` under `opts`: the epoch's
+/// topology ([`SimResult::topology`], reported to `rec`) weighted by the
+/// snapshot's contact nodes.
+pub fn contact_graph(
+    sim: &SimResult,
+    i: usize,
+    opts: NodalGraphOptions,
+    rec: &Recorder,
+) -> NodalGraph {
+    let mask = sim.snapshots[i].contact.contact_node_mask(sim.base.num_nodes());
+    sim.topology(i, rec).graph(&mask, opts)
 }
 
-/// Everything both pipelines need about one snapshot, computed once.
-pub struct SnapshotView {
-    /// The materialized mesh at this snapshot.
-    pub mesh: Mesh<3>,
-    /// The two-constraint nodal graph (FE + contact work, boosted contact
-    /// edges).
-    pub graph2: NodalGraph,
-    /// The single-constraint nodal graph (baseline FE partitioning /
-    /// FEComm evaluation uses the same topology; kept separate because the
-    /// baseline uses uniform edge weights).
-    pub graph1: NodalGraph,
-    /// Contact points.
-    pub contact: ContactPoints,
-    /// One entry per contact face: its node ids (for ownership), bbox,
-    /// and the body it belongs to.
-    pub faces: Vec<FaceView>,
+/// The face pass: every contact face's box over `points` and owner under
+/// `node_parts` ([`face_owner`]) — what a step ships and NRemote counts.
+pub fn surface_elements<const D: usize>(
+    faces: &[SurfaceFace],
+    points: &[Point<D>],
+    node_parts: &[u32],
+) -> Vec<SurfaceElementInfo<D>> {
+    faces
+        .iter()
+        .map(|sf| {
+            let mut bbox = Aabb::empty();
+            for &n in sf.face.nodes() {
+                bbox.grow(&points[n as usize]);
+            }
+            SurfaceElementInfo { bbox, owner: face_owner(sf.face.nodes(), node_parts) }
+        })
+        .collect()
 }
 
-/// A contact face as the pipelines see it.
-#[derive(Debug, Clone, Copy)]
-pub struct FaceView {
-    /// The face (global node ids).
-    pub face: Face,
-    /// Bounding box at this snapshot.
-    pub bbox: Aabb<3>,
-    /// Body id of the owning element.
-    pub body: u16,
-}
-
-impl FaceView {
-    /// Global node ids of the face.
-    #[inline]
-    pub fn nodes(&self) -> &[u32] {
-        self.face.nodes()
-    }
-}
-
-impl SnapshotView {
-    /// Builds the view of snapshot `i` of a simulation run.
-    pub fn build(sim: &SimResult, i: usize, contact_edge_weight: i64) -> Self {
-        Self::build_recorded(sim, i, contact_edge_weight, &Recorder::disabled())
-    }
-
-    /// [`SnapshotView::build`], reporting the topology cache of `sim` to
-    /// `rec` (see [`SimResult::topology`]).
-    ///
-    /// The graph topology comes from the snapshot's epoch and is built at
-    /// most once per epoch; per snapshot only the contact mask, the
-    /// weights it selects, and the face boxes are computed.
-    pub fn build_recorded(
-        sim: &SimResult,
-        i: usize,
-        contact_edge_weight: i64,
-        rec: &Recorder,
-    ) -> Self {
-        let mesh = sim.mesh_at(i);
-        let surface = &sim.snapshots[i].contact;
-        let mask = surface.contact_node_mask(mesh.num_nodes());
-        let topology = sim.topology(i, rec);
-        let graph2 = topology.graph(
-            &mask,
-            NodalGraphOptions { ncon: 2, contact_edge_weight, normal_edge_weight: 1 },
-        );
-        let graph1 = topology.graph(&mask, NodalGraphOptions::single_constraint());
-        let contact = ContactPoints::from_surface(surface, &mesh.points);
-        let faces = surface
-            .faces
-            .iter()
-            .map(|sf| {
-                let mut bbox = Aabb::empty();
-                for &n in sf.face.nodes() {
-                    bbox.grow(&mesh.points[n as usize]);
-                }
-                FaceView { face: sf.face, bbox, body: sf.body }
-            })
-            .collect();
-        Self { mesh, graph2, graph1, contact, faces }
-    }
-
-    /// Surface-element descriptors under a node-part assignment: bbox plus
-    /// the owning part (majority part of the face's nodes).
-    pub fn surface_elements(&self, node_parts: &[u32]) -> Vec<SurfaceElementInfo<3>> {
-        self.faces
-            .iter()
-            .map(|f| SurfaceElementInfo { bbox: f.bbox, owner: face_owner(f.nodes(), node_parts) })
-            .collect()
-    }
-
-    /// Body id of every contact face (parallel to
-    /// [`SnapshotView::surface_elements`]).
-    pub fn face_bodies(&self) -> Vec<u16> {
-        self.faces.iter().map(|f| f.body).collect()
-    }
+/// Body id of every contact face (parallel to [`surface_elements`]).
+pub fn face_bodies(faces: &[SurfaceFace]) -> Vec<u16> {
+    faces.iter().map(|sf| sf.body).collect()
 }
 
 /// The part that owns a surface element: the majority part among its
@@ -176,9 +83,147 @@ pub fn face_owner(face_nodes: &[u32], node_parts: &[u32]) -> u32 {
     parts[best]
 }
 
+/// What the FE phase of one snapshot costs under a node assignment, read
+/// off its epoch's topology rows (no weighted graph is built).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FeCost {
+    /// FEComm: the node copies `cip_runtime::HaloPlan` ships.
+    pub fe_comm: u64,
+    /// Edges between parts, each weighing 1.
+    pub edge_cut: u64,
+    /// Balance of the node count per part.
+    pub imbalance_fe: f64,
+}
+
+impl FeCost {
+    /// The cost of `node_parts` over `k` parts on `topology`.
+    pub fn of(topology: &NodalTopology, node_parts: &[u32], k: usize) -> Self {
+        let asg = gather(topology.node_of_vertex(), node_parts);
+        debug_assert!(asg.iter().all(|&p| p != u32::MAX), "a live node has no part");
+        Self {
+            fe_comm: comm_volume_of_rows(topology.xadj(), topology.adjncy(), &asg),
+            edge_cut: cut_edges_of_rows(topology.xadj(), topology.adjncy(), &asg),
+            imbalance_fe: label_imbalance(&asg, k),
+        }
+    }
+}
+
+/// The balance of a unit-weight labelling over `k` parts: the
+/// `cip_graph::Partition::imbalance` of its counts.
+pub(crate) fn label_imbalance(labels: &[u32], k: usize) -> f64 {
+    let mut loads = vec![0i64; k];
+    for &p in labels {
+        loads[p as usize] += 1;
+    }
+    load_imbalance(loads.iter().copied().max().unwrap_or(0), labels.len() as i64, k)
+}
+
+/// The contact points of one snapshot: node ids and their positions,
+/// parallel arrays.
+#[derive(Debug, Clone)]
+pub struct ContactPoints {
+    /// Mesh node ids (sorted ascending, as produced by surface
+    /// extraction).
+    pub nodes: Vec<u32>,
+    /// Positions of those nodes at this snapshot.
+    pub positions: Vec<Point<3>>,
+}
+
+impl ContactPoints {
+    /// Extracts the contact points of `surface` at the given positions.
+    pub fn from_surface(surface: &Surface, points: &[Point<3>]) -> Self {
+        let nodes = surface.contact_nodes.clone();
+        let positions = gather(&nodes, points);
+        Self { nodes, positions }
+    }
+
+    /// Number of contact points.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether there are no contact points.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The part of each contact point under a mesh-node assignment
+    /// (`node_parts[n]` = part of node `n`, `u32::MAX` allowed only for
+    /// non-contact nodes).
+    pub fn labels_from_node_parts(&self, node_parts: &[u32]) -> Vec<u32> {
+        self.nodes
+            .iter()
+            .map(|&n| {
+                let p = node_parts[n as usize];
+                debug_assert_ne!(p, u32::MAX, "contact node {n} has no part");
+                p
+            })
+            .collect()
+    }
+}
+
+/// One snapshot materialised the long way round: a deep copy of the mesh,
+/// both weighted nodal graphs, the contact points and faces. A fixture for
+/// the oracle tests and the benchmark's `*_medium` workloads, not a
+/// pipeline path: those price a snapshot with this module's primitives.
+pub struct SnapshotView {
+    /// The materialized mesh at this snapshot.
+    pub mesh: Mesh<3>,
+    /// The two-constraint nodal graph (FE + contact work, boosted contact
+    /// edges).
+    pub graph2: NodalGraph,
+    /// The single-constraint, unit-weight nodal graph (ML+RCB's FE
+    /// partition; the edge cut).
+    pub graph1: NodalGraph,
+    /// Contact points.
+    pub contact: ContactPoints,
+    /// The contact faces: node ids and owning body.
+    pub faces: Vec<SurfaceFace>,
+}
+
+impl SnapshotView {
+    /// Builds the view of snapshot `i` of a simulation run.
+    pub fn build(sim: &SimResult, i: usize, contact_edge_weight: i64) -> Self {
+        Self::build_recorded(sim, i, contact_edge_weight, &Recorder::disabled())
+    }
+
+    /// [`SnapshotView::build`], reporting the topology cache of `sim` to
+    /// `rec` (see [`SimResult::topology`]).
+    pub fn build_recorded(
+        sim: &SimResult,
+        i: usize,
+        contact_edge_weight: i64,
+        rec: &Recorder,
+    ) -> Self {
+        let mesh = sim.mesh_at(i);
+        let surface = &sim.snapshots[i].contact;
+        let mask = surface.contact_node_mask(mesh.num_nodes());
+        let topology = sim.topology(i, rec);
+        let graph2 = topology.graph(
+            &mask,
+            NodalGraphOptions { ncon: 2, contact_edge_weight, normal_edge_weight: 1 },
+        );
+        let graph1 = topology.graph(&mask, NodalGraphOptions::single_constraint());
+        let contact = ContactPoints::from_surface(surface, &mesh.points);
+        let faces = surface.faces.clone();
+        Self { mesh, graph2, graph1, contact, faces }
+    }
+
+    /// [`surface_elements`] of this snapshot under a node-part assignment.
+    pub fn surface_elements(&self, node_parts: &[u32]) -> Vec<SurfaceElementInfo<3>> {
+        surface_elements(&self.faces, &self.mesh.points, node_parts)
+    }
+
+    /// [`face_bodies`] of this snapshot.
+    pub fn face_bodies(&self) -> Vec<u16> {
+        face_bodies(&self.faces)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cip_graph::{edge_cut, total_comm_volume, Partition};
     use cip_sim::SimConfig;
 
     #[test]
@@ -221,5 +266,27 @@ mod tests {
         let labels = view.contact.labels_from_node_parts(&node_parts);
         assert!(labels.iter().all(|&l| l == 3));
         assert_eq!(labels.len(), view.contact.len());
+    }
+
+    #[test]
+    fn fe_cost_equals_the_graph_metrics_of_the_view() {
+        let sim = cip_sim::run(&SimConfig::tiny());
+        for i in [0, sim.len() - 1] {
+            let view = SnapshotView::build(&sim, i, 5);
+            let k = 3;
+            let node_parts: Vec<u32> = (0..sim.base.num_nodes() as u32).map(|n| n % 3).collect();
+            let asg = gather(&view.graph2.node_of_vertex, &node_parts);
+            let cost = FeCost::of(sim.topology(i, &Recorder::disabled()), &node_parts, k);
+            let part = Partition::from_assignment(&view.graph1.graph, k, asg.clone());
+            assert_eq!(cost.fe_comm, total_comm_volume(&view.graph2.graph, &asg));
+            assert_eq!(cost.edge_cut as i64, edge_cut(&view.graph1.graph, &asg));
+            assert_eq!(cost.imbalance_fe, part.imbalance(0));
+            assert_eq!(
+                contact_graph(&sim, i, NodalGraphOptions::default(), &Recorder::disabled())
+                    .graph
+                    .adjwgt(),
+                view.graph2.graph.adjwgt()
+            );
+        }
     }
 }

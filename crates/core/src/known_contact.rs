@@ -13,13 +13,14 @@
 //! *unpredictable* contact (the paper's problem class) its advantage
 //! evaporates — which is exactly why MCML+DT exists.
 
-use crate::common::SnapshotView;
+use crate::common::contact_graph;
+use crate::mcml_dt::dt_snapshot_metrics;
 use crate::metrics::SnapshotMetrics;
-use cip_contact::{n_remote, DtreeFilter};
-use cip_dtree::{induce, DtreeConfig};
-use cip_graph::{edge_cut, total_comm_volume, Graph, GraphBuilder, Partition};
+use cip_dtree::DtreeConfig;
+use cip_graph::{Graph, GraphBuilder};
+use cip_mesh::graphs::{NodalGraph, NodalGraphOptions};
 use cip_partition::{partition_kway, PartitionerConfig};
-use cip_sim::SimResult;
+use cip_sim::{SimResult, Snapshot};
 
 /// Configuration of the known-contact method.
 #[derive(Debug, Clone)]
@@ -52,22 +53,23 @@ impl KnownContactConfig {
     }
 }
 
-/// Builds the augmented graph: the two-constraint nodal graph plus
-/// virtual edges between predicted contacting point pairs.
+/// Builds the augmented graph: the two-constraint nodal graph `base` of the
+/// prediction snapshot `snap` plus virtual edges between predicted
+/// contacting point pairs.
 ///
 /// Prediction: for contact points of *different bodies* within
 /// `radius` of each other (in the prediction snapshot's configuration,
 /// with the projectile's future path accounted for by ignoring the z
 /// coordinate — the projectile travels in -z), add an edge of
 /// `virtual_edge_weight`.
-fn augmented_graph(view: &SnapshotView, cfg: &KnownContactConfig) -> Graph {
-    let base = &view.graph2.graph;
-    let mut b = GraphBuilder::new(base.nv(), base.ncon());
-    for v in 0..base.nv() as u32 {
-        b.set_vwgt(v, base.vwgt(v));
+fn augmented_graph(base: &NodalGraph, snap: &Snapshot, cfg: &KnownContactConfig) -> Graph {
+    let g = &base.graph;
+    let mut b = GraphBuilder::new(g.nv(), g.ncon());
+    for v in 0..g.nv() as u32 {
+        b.set_vwgt(v, g.vwgt(v));
     }
-    for v in 0..base.nv() as u32 {
-        for (u, w) in base.neighbors(v) {
+    for v in 0..g.nv() as u32 {
+        for (u, w) in g.neighbors(v) {
             if u > v {
                 b.add_edge(v, u, w);
             }
@@ -77,31 +79,26 @@ fn augmented_graph(view: &SnapshotView, cfg: &KnownContactConfig) -> Graph {
     // Predicted contacts: xy-proximity between contact points of
     // different bodies (the projectile bores straight down, so xy overlap
     // predicts eventual touching).
-    let n = view.contact.len();
+    let nodes = &snap.contact.contact_nodes;
     // Body of each contact point: body of any face containing it.
-    let mut body = vec![u16::MAX; view.mesh.num_nodes()];
-    for f in &view.faces {
-        for &node in f.nodes() {
+    let mut body = vec![u16::MAX; snap.points.len()];
+    for f in &snap.contact.faces {
+        for &node in f.face.nodes() {
             body[node as usize] = f.body;
         }
     }
     let r2 = cfg.prediction_radius * cfg.prediction_radius;
-    for i in 0..n {
-        let ni = view.contact.nodes[i];
-        let pi = view.contact.positions[i];
-        for j in i + 1..n {
-            let nj = view.contact.nodes[j];
+    for (i, &ni) in nodes.iter().enumerate() {
+        let pi = snap.points[ni as usize];
+        for &nj in &nodes[i + 1..] {
             if body[ni as usize] == body[nj as usize] {
                 continue;
             }
-            let pj = view.contact.positions[j];
+            let pj = snap.points[nj as usize];
             let dx = pi[0] - pj[0];
             let dy = pi[1] - pj[1];
             if dx * dx + dy * dy <= r2 {
-                let (gi, gj) = (
-                    view.graph2.vertex_of_node[ni as usize],
-                    view.graph2.vertex_of_node[nj as usize],
-                );
+                let (gi, gj) = (base.vertex_of_node[ni as usize], base.vertex_of_node[nj as usize]);
                 b.add_edge(gi, gj, cfg.virtual_edge_weight);
             }
         }
@@ -116,59 +113,40 @@ fn augmented_graph(view: &SnapshotView, cfg: &KnownContactConfig) -> Graph {
 pub fn evaluate_known_contact(sim: &SimResult, cfg: &KnownContactConfig) -> Vec<SnapshotMetrics> {
     assert!(!sim.is_empty());
     let k = cfg.k;
-    let view_p = SnapshotView::build(sim, cfg.prediction_snapshot, 5);
-    let g_aug = augmented_graph(&view_p, cfg);
-    let asg = partition_kway(&g_aug, k, &cfg.partitioner);
-    let node_parts = view_p.graph2.assignment_on_nodes(&asg);
-
-    let mut out = Vec::with_capacity(sim.len());
-    for i in 0..sim.len() {
-        let view = SnapshotView::build(sim, i, 5);
-        let asg_now: Vec<u32> =
-            view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-        let fe_comm = total_comm_volume(&view.graph2.graph, &asg_now);
-        let cut = edge_cut(&view.graph1.graph, &asg_now) as u64;
-        let part = Partition::from_assignment(&view.graph2.graph, k, asg_now);
-
-        let labels = view.contact.labels_from_node_parts(&node_parts);
-        let tree = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
-        let elements = view.surface_elements(&node_parts);
-        let shipped = n_remote(&elements, &DtreeFilter::new(&tree, k));
-
-        out.push(SnapshotMetrics {
-            step: sim.snapshots[i].step,
-            fe_comm,
-            nt_nodes: tree.num_nodes() as u64,
-            n_remote: shipped,
-            m2m_comm: 0,
-            upd_comm: 0,
-            edge_cut: cut,
-            imbalance_fe: part.imbalance(0),
-            imbalance_contact: part.imbalance(1),
-            contact_points: view.contact.len() as u64,
-            surface_elements: view.faces.len() as u64,
-        });
-    }
-    out
+    let rec = &cfg.partitioner.recorder;
+    let p = cfg.prediction_snapshot;
+    let base = contact_graph(sim, p, NodalGraphOptions::default(), rec);
+    let asg = partition_kway(&augmented_graph(&base, &sim.snapshots[p], cfg), k, &cfg.partitioner);
+    let node_parts = base.assignment_on_nodes(&asg);
+    let search = DtreeConfig::search_tree();
+    (0..sim.len())
+        .map(|i| dt_snapshot_metrics(sim, i, &node_parts, k, &search, false, rec))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{face_bodies, surface_elements};
     use cip_sim::SimConfig;
+    use cip_telemetry::Recorder;
+
+    fn base_graph(sim: &SimResult) -> NodalGraph {
+        contact_graph(sim, 0, NodalGraphOptions::default(), &Recorder::disabled())
+    }
 
     #[test]
     fn augmented_graph_adds_cross_body_edges() {
         let sim = cip_sim::run(&SimConfig::tiny());
-        let view = SnapshotView::build(&sim, 0, 5);
+        let base = base_graph(&sim);
         let cfg = KnownContactConfig::new(3);
-        let aug = augmented_graph(&view, &cfg);
-        assert_eq!(aug.nv(), view.graph2.graph.nv());
+        let aug = augmented_graph(&base, &sim.snapshots[0], &cfg);
+        assert_eq!(aug.nv(), base.graph.nv());
         assert!(
-            aug.ne() > view.graph2.graph.ne(),
+            aug.ne() > base.graph.ne(),
             "prediction must add virtual edges ({} vs {})",
             aug.ne(),
-            view.graph2.graph.ne()
+            base.graph.ne()
         );
         aug.validate().unwrap();
     }
@@ -192,9 +170,9 @@ mod tests {
         node_parts: &[u32],
         tolerance: f64,
     ) -> (usize, usize) {
-        let view = SnapshotView::build(sim, snapshot, 5);
-        let elements = view.surface_elements(node_parts);
-        let bodies = view.face_bodies();
+        let snap = &sim.snapshots[snapshot];
+        let elements = surface_elements(&snap.contact.faces, &snap.points, node_parts);
+        let bodies = face_bodies(&snap.contact.faces);
         let pairs = cip_contact::serial_contact_pairs(&elements, &bodies, tolerance);
         let remote = pairs
             .iter()
@@ -214,14 +192,14 @@ mod tests {
 
         // Known-contact node partition.
         let kc_cfg = KnownContactConfig::new(k);
-        let view_p = SnapshotView::build(&sim, 0, 5);
-        let g_aug = augmented_graph(&view_p, &kc_cfg);
+        let base = base_graph(&sim);
+        let g_aug = augmented_graph(&base, &sim.snapshots[0], &kc_cfg);
         let kc_asg = partition_kway(&g_aug, k, &kc_cfg.partitioner);
-        let kc_parts = view_p.graph2.assignment_on_nodes(&kc_asg);
+        let kc_parts = base.assignment_on_nodes(&kc_asg);
 
         // Plain two-constraint partition (no prediction).
-        let plain_asg = partition_kway(&view_p.graph2.graph, k, &PartitionerConfig::default());
-        let plain_parts = view_p.graph2.assignment_on_nodes(&plain_asg);
+        let plain_asg = partition_kway(&base.graph, k, &PartitionerConfig::default());
+        let plain_parts = base.assignment_on_nodes(&plain_asg);
 
         let (kc_remote, kc_total) = remote_true_pairs(&sim, snapshot, &kc_parts, 0.4);
         let (pl_remote, pl_total) = remote_true_pairs(&sim, snapshot, &plain_parts, 0.4);

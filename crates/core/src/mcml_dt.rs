@@ -10,16 +10,19 @@
 //! the mesh-to-mesh transfer cost of ML+RCB (M2MComm) simply does not
 //! exist here.
 
-use crate::common::SnapshotView;
+use crate::common::{contact_graph, gather, label_imbalance, surface_elements, FeCost};
 use crate::dt_friendly::{dt_friendly_correct, DtFriendlyConfig, DtFriendlyStats};
 use crate::metrics::SnapshotMetrics;
 use cip_contact::{n_remote, DtreeFilter};
 use cip_dtree::{induce, DtreeConfig};
-use cip_graph::{edge_cut, total_comm_volume, Partition};
+use cip_geom::Point;
+use cip_mesh::graphs::{NodalGraph, NodalGraphOptions};
 use cip_partition::{
-    diffusion_repartition, partition_kway, repartition, repartition_survivors, PartitionerConfig,
+    diffusion_repartition, partition_kway_with, repartition, repartition_survivors,
+    PartitionerConfig, RefineWorkspace,
 };
 use cip_sim::SimResult;
+use cip_telemetry::Recorder;
 use std::ops::Range;
 
 /// Which repartitioning algorithm non-fixed update policies use.
@@ -106,6 +109,80 @@ impl McmlDtConfig {
             rank_loss: None,
         }
     }
+
+    /// The nodal graph this configuration partitions: two constraints,
+    /// contact-contact edges weighted `contact_edge_weight`.
+    pub fn graph_options(&self) -> NodalGraphOptions {
+        NodalGraphOptions { contact_edge_weight: self.contact_edge_weight, ..Default::default() }
+    }
+}
+
+/// An MCML+DT decomposition of one nodal graph.
+#[derive(Debug, Clone)]
+pub struct Decomposed {
+    /// Part of every graph vertex.
+    pub asg: Vec<u32>,
+    /// Part of every mesh node (`u32::MAX` for nodes outside the graph).
+    pub node_parts: Vec<u32>,
+    /// What the DT-friendly correction did (`None` when it is off).
+    pub stats: Option<DtFriendlyStats>,
+}
+
+/// The MCML+DT decomposition of `graph` into `cfg.k` parts (§4.2): the
+/// multi-constraint partition, DT-friendly corrected if `cfg` says so.
+/// `points[n]` is node `n`'s position; `ws` is partitioner scratch.
+pub fn decompose<const D: usize>(
+    graph: &NodalGraph,
+    points: &[Point<D>],
+    cfg: &McmlDtConfig,
+    ws: &mut RefineWorkspace,
+) -> Decomposed {
+    let mut asg = partition_kway_with(&graph.graph, cfg.k, &cfg.partitioner, ws);
+    let stats = correct(graph, points, cfg.k, &mut asg, cfg);
+    let node_parts = graph.assignment_on_nodes(&asg);
+    Decomposed { asg, node_parts, stats }
+}
+
+/// The §4.3 repartition of `graph` from `node_parts` over `k` live parts
+/// by `cfg.repartition_method`, DT-friendly corrected if `cfg` says so:
+/// the new part of each graph node (`u32::MAX` elsewhere), for
+/// [`merge_live`].
+pub fn repartition_step<const D: usize>(
+    graph: &NodalGraph,
+    points: &[Point<D>],
+    node_parts: &[u32],
+    k: usize,
+    cfg: &McmlDtConfig,
+) -> Vec<u32> {
+    let (g, pc) = (&graph.graph, &cfg.partitioner);
+    let old = gather(&graph.node_of_vertex, node_parts);
+    let mut fresh = match cfg.repartition_method {
+        RepartitionMethod::ScratchRemap => repartition(g, k, &old, pc),
+        RepartitionMethod::Diffusion => diffusion_repartition(g, k, &old, pc),
+    };
+    correct(graph, points, k, &mut fresh, cfg);
+    graph.assignment_on_nodes(&fresh)
+}
+
+/// Applies a repartition's `new` parts to `node_parts`: nodes outside the
+/// repartitioned graph (eroded for good) keep their last part.
+pub fn merge_live(node_parts: &mut [u32], new: &[u32]) {
+    for (part, &p) in node_parts.iter_mut().zip(new).filter(|&(_, &p)| p != u32::MAX) {
+        *part = p;
+    }
+}
+
+/// The DT-friendly correction of `graph`'s vertex assignment, if asked.
+fn correct<const D: usize>(
+    graph: &NodalGraph,
+    points: &[Point<D>],
+    k: usize,
+    asg: &mut [u32],
+    cfg: &McmlDtConfig,
+) -> Option<DtFriendlyStats> {
+    let fc = cfg.dt_friendly.as_ref()?;
+    let positions = gather(&graph.node_of_vertex, points);
+    Some(dt_friendly_correct(&graph.graph, &positions, k, asg, fc))
 }
 
 /// Runs MCML+DT over the whole snapshot sequence, returning per-snapshot
@@ -116,123 +193,78 @@ pub fn evaluate_mcml_dt(
     cfg: &McmlDtConfig,
 ) -> (Vec<SnapshotMetrics>, Option<DtFriendlyStats>) {
     assert!(!sim.is_empty(), "simulation produced no snapshots");
-    let k = cfg.k;
+    let rec = &cfg.partitioner.recorder;
 
     // ---- Initial decomposition on snapshot 0. -------------------------
-    let view0 = SnapshotView::build(sim, 0, cfg.contact_edge_weight);
-    let mut asg = partition_kway(&view0.graph2.graph, k, &cfg.partitioner);
-    let mut friendly_stats = None;
-    if let Some(fc) = &cfg.dt_friendly {
-        let positions: Vec<_> =
-            view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
-        friendly_stats =
-            Some(dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, fc));
-    }
     // Node-indexed partition (dead nodes: u32::MAX — they can never come
     // back to life, erosion is monotone).
-    let mut node_parts = view0.graph2.assignment_on_nodes(&asg);
+    let Decomposed { mut node_parts, stats, .. } = decompose(
+        &contact_graph(sim, 0, cfg.graph_options(), rec),
+        &sim.snapshots[0].points,
+        cfg,
+        &mut RefineWorkspace::new(),
+    );
 
     // ---- Sweep the sequence. ------------------------------------------
     // Under the fixed policy the snapshots are independent given the
     // step-0 partition, so they evaluate in parallel; the repartitioning
     // policies — and a scripted rank loss — carry state from snapshot to
     // snapshot and stay sequential.
+    let metrics_at = |i: usize, node_parts: &[u32], k: usize| {
+        dt_snapshot_metrics(sim, i, node_parts, k, &cfg.tree, cfg.tight_filter, rec)
+    };
     if cfg.update == UpdatePolicy::Fixed && cfg.rank_loss.is_none() {
-        let out = fork_map(0..sim.len(), &|i| {
-            let built;
-            let view: &SnapshotView = if i == 0 {
-                &view0
-            } else {
-                built = SnapshotView::build(sim, i, cfg.contact_edge_weight);
-                &built
-            };
-            snapshot_metrics(sim, i, view, &node_parts, cfg, k, 0)
-        });
-        return (out, friendly_stats);
+        let out = fork_map(0..sim.len(), &|i| metrics_at(i, &node_parts, cfg.k));
+        return (out, stats);
     }
 
-    let mut live_k = k;
+    let mut live_k = cfg.k;
     let mut out = Vec::with_capacity(sim.len());
     for i in 0..sim.len() {
-        let built;
-        let view: &SnapshotView = if i == 0 {
-            &view0
-        } else {
-            built = SnapshotView::build(sim, i, cfg.contact_edge_weight);
-            &built
+        let loss = cfg.rank_loss.filter(|l| i == l.snapshot && (l.rank as usize) < live_k);
+        let repartition_now = match cfg.update {
+            UpdatePolicy::Fixed => false,
+            UpdatePolicy::PerStep => i > 0,
+            UpdatePolicy::Hybrid { period } => i > 0 && period > 0 && i % period == 0,
         };
-
+        // UpdComm: contact points migrated by the rank loss and the
+        // repartitioning, the only readers of the snapshot's graph.
         let mut upd_comm = 0u64;
-
-        // Scripted rank loss: diffuse the dead rank's load over the
-        // survivors (or collapse to a single part when too few remain).
-        if let Some(loss) = cfg.rank_loss {
-            if i == loss.snapshot && (loss.rank as usize) < live_k {
-                let old: Vec<u32> =
-                    view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-                let new_node_parts = if live_k > 2 {
+        if loss.is_some() || repartition_now {
+            let graph = contact_graph(sim, i, cfg.graph_options(), rec);
+            let contact = &sim.snapshots[i].contact.contact_nodes;
+            // Scripted rank loss: diffuse the dead rank's load over the
+            // survivors (or collapse to a single part when too few remain).
+            if let Some(loss) = loss {
+                let new = if live_k > 2 {
+                    let old = gather(&graph.node_of_vertex, &node_parts);
                     let (fresh, new_k) = repartition_survivors(
-                        &view.graph2.graph,
+                        &graph.graph,
                         live_k,
                         &old,
                         &[loss.rank],
                         &cfg.partitioner,
                     );
                     live_k = new_k;
-                    view.graph2.assignment_on_nodes(&fresh)
+                    graph.assignment_on_nodes(&fresh)
                 } else {
                     live_k = 1;
-                    view.graph2.assignment_on_nodes(&vec![0u32; old.len()])
+                    graph.assignment_on_nodes(&vec![0u32; graph.node_of_vertex.len()])
                 };
-                upd_comm += migrated_contact_points(view, &node_parts, &new_node_parts);
-                for (n, &p) in new_node_parts.iter().enumerate() {
-                    if p != u32::MAX {
-                        node_parts[n] = p;
-                    }
-                }
+                upd_comm += migrated_contact_points(contact, &node_parts, &new);
+                merge_live(&mut node_parts, &new);
+            }
+            if repartition_now {
+                let points = &sim.snapshots[i].points;
+                let new = repartition_step(&graph, points, &node_parts, live_k, cfg);
+                upd_comm += migrated_contact_points(contact, &node_parts, &new);
+                merge_live(&mut node_parts, &new);
             }
         }
-
-        let repartition_now = match cfg.update {
-            UpdatePolicy::Fixed => false,
-            UpdatePolicy::PerStep => i > 0,
-            UpdatePolicy::Hybrid { period } => i > 0 && period > 0 && i % period == 0,
-        };
-        if repartition_now {
-            let old: Vec<u32> =
-                view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-            let mut fresh = match cfg.repartition_method {
-                RepartitionMethod::ScratchRemap => {
-                    repartition(&view.graph2.graph, live_k, &old, &cfg.partitioner)
-                }
-                RepartitionMethod::Diffusion => {
-                    diffusion_repartition(&view.graph2.graph, live_k, &old, &cfg.partitioner)
-                }
-            };
-            if let Some(fc) = &cfg.dt_friendly {
-                let positions: Vec<_> = view
-                    .graph2
-                    .node_of_vertex
-                    .iter()
-                    .map(|&n| view.mesh.points[n as usize])
-                    .collect();
-                dt_friendly_correct(&view.graph2.graph, &positions, live_k, &mut fresh, fc);
-            }
-            // UpdComm: contact points migrated by the repartitioning.
-            let new_node_parts = view.graph2.assignment_on_nodes(&fresh);
-            upd_comm += migrated_contact_points(view, &node_parts, &new_node_parts);
-            // Keep parts of still-dead nodes from before (irrelevant, but
-            // cheap to carry): merge live updates only.
-            for (n, &p) in new_node_parts.iter().enumerate() {
-                if p != u32::MAX {
-                    node_parts[n] = p;
-                }
-            }
-        }
-
-        out.push(snapshot_metrics(sim, i, view, &node_parts, cfg, live_k, upd_comm));
+        let metrics = metrics_at(i, &node_parts, live_k);
+        out.push(SnapshotMetrics { upd_comm, ..metrics });
     }
-    (out, friendly_stats)
+    (out, stats)
 }
 
 /// `f` over `range`, in order, by recursive halving on `par::join`: a
@@ -251,57 +283,53 @@ fn fork_map<T: Send>(range: Range<usize>, f: &(impl Fn(usize) -> T + Sync)) -> V
 
 /// Contact points whose part changes between two node assignments (the
 /// UpdComm unit).
-fn migrated_contact_points(view: &SnapshotView, old: &[u32], new: &[u32]) -> u64 {
-    view.contact
-        .nodes
+fn migrated_contact_points(contact: &[u32], old: &[u32], new: &[u32]) -> u64 {
+    contact
         .iter()
         .filter(|&&n| old[n as usize] != u32::MAX && old[n as usize] != new[n as usize])
         .count() as u64
 }
 
-/// Evaluates one snapshot's metrics under the current node partition
-/// (`k` is the *live* part count — after a rank loss it is smaller than
-/// `cfg.k`).
-fn snapshot_metrics(
+/// One snapshot's metrics under the node partition `node_parts` over `k`
+/// live parts (after a rank loss fewer than the configured `k`), searched
+/// through a decision tree over its contact points induced under `dcfg`
+/// and queried leaf-tight when `tight`: FEComm, cut and FE balance from the
+/// epoch's topology, the rest from the snapshot itself. Nothing migrates
+/// here (`upd_comm` is 0).
+pub(crate) fn dt_snapshot_metrics(
     sim: &SimResult,
     i: usize,
-    view: &SnapshotView,
     node_parts: &[u32],
-    cfg: &McmlDtConfig,
     k: usize,
-    upd_comm: u64,
+    dcfg: &DtreeConfig,
+    tight: bool,
+    rec: &Recorder,
 ) -> SnapshotMetrics {
-    let asg_now: Vec<u32> =
-        view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-    debug_assert!(asg_now.iter().all(|&p| p != u32::MAX));
-
-    // FEComm + balance diagnostics.
-    let fe_comm = total_comm_volume(&view.graph2.graph, &asg_now);
-    let cut = edge_cut(&view.graph1.graph, &asg_now) as u64;
-    let part = Partition::from_assignment(&view.graph2.graph, k, asg_now);
+    let snap = &sim.snapshots[i];
+    let fe = FeCost::of(sim.topology(i, rec), node_parts, k);
 
     // Search tree over the contact points.
-    let labels = view.contact.labels_from_node_parts(node_parts);
-    let tree = induce(&view.contact.positions, &labels, k, &cfg.tree);
+    let contact = &snap.contact.contact_nodes;
+    let labels = gather(contact, node_parts);
+    let tree = induce(&gather(contact, &snap.points), &labels, k, dcfg);
 
     // Global search with the decision-tree filter.
-    let elements = view.surface_elements(node_parts);
-    let filter =
-        if cfg.tight_filter { DtreeFilter::tight(&tree, k) } else { DtreeFilter::new(&tree, k) };
+    let elements = surface_elements(&snap.contact.faces, &snap.points, node_parts);
+    let filter = if tight { DtreeFilter::tight(&tree, k) } else { DtreeFilter::new(&tree, k) };
     let shipped = n_remote(&elements, &filter);
 
     SnapshotMetrics {
-        step: sim.snapshots[i].step,
-        fe_comm,
+        step: snap.step,
+        fe_comm: fe.fe_comm,
         nt_nodes: tree.num_nodes() as u64,
         n_remote: shipped,
         m2m_comm: 0,
-        upd_comm,
-        edge_cut: cut,
-        imbalance_fe: part.imbalance(0),
-        imbalance_contact: part.imbalance(1),
-        contact_points: view.contact.len() as u64,
-        surface_elements: view.faces.len() as u64,
+        upd_comm: 0,
+        edge_cut: fe.edge_cut,
+        imbalance_fe: fe.imbalance_fe,
+        imbalance_contact: label_imbalance(&labels, k),
+        contact_points: labels.len() as u64,
+        surface_elements: elements.len() as u64,
     }
 }
 

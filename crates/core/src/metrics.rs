@@ -4,7 +4,7 @@
 ///
 /// Fields that do not apply to an algorithm are zero (e.g. `m2m_comm` for
 /// MCML+DT, `nt_nodes` for ML+RCB), matching the paper's Table 1 layout.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SnapshotMetrics {
     /// Simulation step of the snapshot.
     pub step: usize,

@@ -16,11 +16,11 @@
 //! optimum. Global search uses the classical per-subdomain bounding-box
 //! filter.
 
-use crate::common::SnapshotView;
+use crate::common::{contact_graph, gather, label_imbalance, surface_elements, FeCost};
 use crate::metrics::SnapshotMetrics;
 use cip_contact::{n_remote, BboxFilter, RcbRegionFilter};
 use cip_geom::RcbTree;
-use cip_graph::{edge_cut, total_comm_volume, Partition};
+use cip_mesh::graphs::NodalGraphOptions;
 use cip_partition::{max_weight_assignment, partition_kway, PartitionerConfig};
 use cip_sim::SimResult;
 
@@ -58,11 +58,12 @@ impl MlRcbConfig {
 pub fn evaluate_ml_rcb(sim: &SimResult, cfg: &MlRcbConfig) -> Vec<SnapshotMetrics> {
     assert!(!sim.is_empty(), "simulation produced no snapshots");
     let k = cfg.k;
+    let rec = &cfg.partitioner.recorder;
 
     // ---- Static FE partition on snapshot 0 (single constraint). -------
-    let view0 = SnapshotView::build(sim, 0, 1);
-    let fe_asg0 = partition_kway(&view0.graph1.graph, k, &cfg.partitioner);
-    let fe_node_parts = view0.graph1.assignment_on_nodes(&fe_asg0);
+    let graph0 = contact_graph(sim, 0, NodalGraphOptions::single_constraint(), rec);
+    let fe_asg = partition_kway(&graph0.graph, k, &cfg.partitioner);
+    let fe_node_parts = graph0.assignment_on_nodes(&fe_asg);
 
     // ---- Sweep. ---------------------------------------------------------
     let mut out = Vec::with_capacity(sim.len());
@@ -72,27 +73,19 @@ pub fn evaluate_ml_rcb(sim: &SimResult, cfg: &MlRcbConfig) -> Vec<SnapshotMetric
     let mut prev_rcb_parts: Vec<u32> = vec![u32::MAX; sim.base.num_nodes()];
 
     for i in 0..sim.len() {
-        let built;
-        let view: &SnapshotView = if i == 0 {
-            &view0
-        } else {
-            built = SnapshotView::build(sim, i, 1);
-            &built
-        };
+        let snap = &sim.snapshots[i];
+        let contact = &snap.contact.contact_nodes;
+        let positions = gather(contact, &snap.points);
 
         // FE phase metrics under the static partition.
-        let asg_now: Vec<u32> =
-            view.graph1.node_of_vertex.iter().map(|&n| fe_node_parts[n as usize]).collect();
-        let fe_comm = total_comm_volume(&view.graph1.graph, &asg_now);
-        let cut = edge_cut(&view.graph1.graph, &asg_now) as u64;
-        let part = Partition::from_assignment(&view.graph1.graph, k, asg_now);
+        let fe = FeCost::of(sim.topology(i, rec), &fe_node_parts, k);
 
         // Contact decomposition: RCB over the contact points.
-        let weights = vec![1.0f64; view.contact.len()];
+        let weights = vec![1.0f64; contact.len()];
         let rcb_labels = match (&mut rcb, cfg.rebuild_rcb) {
-            (Some(tree), false) => tree.update(&view.contact.positions, &weights),
+            (Some(tree), false) => tree.update(&positions, &weights),
             _ => {
-                let (tree, labels) = RcbTree::build(&view.contact.positions, &weights, k);
+                let (tree, labels) = RcbTree::build(&positions, &weights, k);
                 rcb = Some(tree);
                 labels
             }
@@ -101,65 +94,58 @@ pub fn evaluate_ml_rcb(sim: &SimResult, cfg: &MlRcbConfig) -> Vec<SnapshotMetric
         // UpdComm: contact points present in both snapshots whose RCB part
         // changed.
         let mut upd_comm = 0u64;
-        for (ci, &n) in view.contact.nodes.iter().enumerate() {
+        for (ci, &n) in contact.iter().enumerate() {
             let old = prev_rcb_parts[n as usize];
             if i > 0 && old != u32::MAX && old != rcb_labels[ci] {
                 upd_comm += 1;
             }
         }
         prev_rcb_parts.iter_mut().for_each(|p| *p = u32::MAX);
-        for (ci, &n) in view.contact.nodes.iter().enumerate() {
+        for (ci, &n) in contact.iter().enumerate() {
             prev_rcb_parts[n as usize] = rcb_labels[ci];
         }
 
         // M2MComm: optimal (Hungarian) relabeling of RCB parts onto FE
         // parts, then count the disagreeing contact points.
-        let fe_labels = view.contact.labels_from_node_parts(&fe_node_parts);
+        let fe_labels = gather(contact, &fe_node_parts);
         let mut overlap = vec![0i64; k * k];
         for (ci, &rp) in rcb_labels.iter().enumerate() {
             overlap[rp as usize * k + fe_labels[ci] as usize] += 1;
         }
         let sigma = max_weight_assignment(k, &overlap);
         let matched: i64 = sigma.iter().enumerate().map(|(rp, &fp)| overlap[rp * k + fp]).sum();
-        let m2m_comm = view.contact.len() as u64 - matched as u64;
+        let m2m_comm = contact.len() as u64 - matched as u64;
 
         // NRemote: each RCB subdomain is described either by the bounding
         // box of its contact points (the published baseline) or by its RCB
         // region (ablation); surface elements are owned by their
         // (majority-node) RCB part.
         let mut rcb_node_parts = vec![u32::MAX; sim.base.num_nodes()];
-        for (ci, &n) in view.contact.nodes.iter().enumerate() {
+        for (ci, &n) in contact.iter().enumerate() {
             rcb_node_parts[n as usize] = rcb_labels[ci];
         }
-        let elements = view.surface_elements(&rcb_node_parts);
+        let elements = surface_elements(&snap.contact.faces, &snap.points, &rcb_node_parts);
         let shipped = if cfg.region_filter {
             let tree = rcb.as_ref().expect("RCB tree exists after first snapshot");
             n_remote(&elements, &RcbRegionFilter::new(tree))
         } else {
-            let filter = BboxFilter::from_points(&view.contact.positions, &rcb_labels, k);
+            let filter = BboxFilter::from_points(&positions, &rcb_labels, k);
             n_remote(&elements, &filter)
         };
 
-        // Contact-phase balance: point counts per RCB part.
-        let mut counts = vec![0u64; k];
-        for &p in &rcb_labels {
-            counts[p as usize] += 1;
-        }
-        let avg = view.contact.len() as f64 / k as f64;
-        let imbalance_contact = counts.iter().copied().max().unwrap_or(0) as f64 / avg.max(1e-12);
-
         out.push(SnapshotMetrics {
-            step: sim.snapshots[i].step,
-            fe_comm,
+            step: snap.step,
+            fe_comm: fe.fe_comm,
             nt_nodes: 0,
             n_remote: shipped,
             m2m_comm,
             upd_comm,
-            edge_cut: cut,
-            imbalance_fe: part.imbalance(0),
-            imbalance_contact,
-            contact_points: view.contact.len() as u64,
-            surface_elements: view.faces.len() as u64,
+            edge_cut: fe.edge_cut,
+            imbalance_fe: fe.imbalance_fe,
+            // Contact-phase balance: point counts per RCB part.
+            imbalance_contact: label_imbalance(&rcb_labels, k),
+            contact_points: contact.len() as u64,
+            surface_elements: elements.len() as u64,
         });
     }
     out

@@ -34,12 +34,20 @@ pub fn edge_cut(g: &Graph, assignment: &[u32]) -> i64 {
 /// the paper's **FEComm** metric for the finite-element phase.
 pub fn total_comm_volume(g: &Graph, assignment: &[u32]) -> u64 {
     debug_assert_eq!(assignment.len(), g.nv());
+    comm_volume_of_rows(g.xadj(), g.adjncy(), assignment)
+}
+
+/// [`total_comm_volume`] over bare CSR rows — the neighbours of vertex `v`
+/// are `adjncy[xadj[v]..xadj[v + 1]]`, as in [`Graph::xadj`] /
+/// [`Graph::adjncy`] or a nodal topology's — so no weighted graph has to
+/// exist to price an assignment.
+pub fn comm_volume_of_rows(xadj: &[usize], adjncy: &[u32], assignment: &[u32]) -> u64 {
+    debug_assert_eq!(xadj.len(), assignment.len() + 1);
     let mut volume = 0u64;
     let mut seen: Vec<u32> = Vec::with_capacity(16);
-    for u in 0..g.nv() as u32 {
-        let pu = assignment[u as usize];
+    for (u, &pu) in assignment.iter().enumerate() {
         seen.clear();
-        for (v, _) in g.neighbors(u) {
+        for &v in &adjncy[xadj[u]..xadj[u + 1]] {
             let pv = assignment[v as usize];
             if pv != pu && !seen.contains(&pv) {
                 seen.push(pv);
@@ -48,6 +56,19 @@ pub fn total_comm_volume(g: &Graph, assignment: &[u32]) -> u64 {
         volume += seen.len() as u64;
     }
     volume
+}
+
+/// Edges whose endpoints lie in different parts, over bare CSR rows (see
+/// [`comm_volume_of_rows`]): [`edge_cut`] under unit edge weights.
+pub fn cut_edges_of_rows(xadj: &[usize], adjncy: &[u32], assignment: &[u32]) -> u64 {
+    debug_assert_eq!(xadj.len(), assignment.len() + 1);
+    let mut cut = 0u64;
+    for (u, &pu) in assignment.iter().enumerate() {
+        let row = &adjncy[xadj[u]..xadj[u + 1]];
+        cut +=
+            row.iter().filter(|&&v| v as usize > u && assignment[v as usize] != pu).count() as u64;
+    }
+    cut
 }
 
 /// Vertices with at least one neighbor in another part.
@@ -123,6 +144,16 @@ mod tests {
         let vol = total_comm_volume(&g, &asg);
         assert!(vol <= 2 * cut);
         assert!(vol > 0);
+    }
+
+    #[test]
+    fn row_metrics_equal_the_graph_metrics_under_unit_weights() {
+        let g = grid2x3();
+        for asg in [vec![0, 1, 2, 0, 1, 2], vec![0, 0, 1, 0, 1, 1], vec![0; 6]] {
+            let rows = (g.xadj(), g.adjncy());
+            assert_eq!(comm_volume_of_rows(rows.0, rows.1, &asg), total_comm_volume(&g, &asg));
+            assert_eq!(cut_edges_of_rows(rows.0, rows.1, &asg) as i64, edge_cut(&g, &asg));
+        }
     }
 
     #[test]

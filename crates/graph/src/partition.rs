@@ -102,12 +102,8 @@ impl Partition {
     /// `max_p w_j(V_p) / (w_j(V) / k)`. Returns 1.0 when the constraint has
     /// zero total weight (vacuously balanced).
     pub fn imbalance(&self, j: usize) -> f64 {
-        if self.totals[j] == 0 {
-            return 1.0;
-        }
-        let avg = self.totals[j] as f64 / self.k as f64;
         let max = (0..self.k).map(|p| self.part_weights[p * self.ncon + j]).max().unwrap_or(0);
-        max as f64 / avg
+        load_imbalance(max, self.totals[j], self.k)
     }
 
     /// The worst load imbalance across all constraints.
@@ -143,6 +139,18 @@ impl Partition {
         fresh.recompute_weights(g);
         fresh.part_weights == self.part_weights
     }
+}
+
+/// The load imbalance of `k` parts whose heaviest carries `max_load` of
+/// `total`: `max_load / (total / k)`, and 1.0 when `total` is zero
+/// (vacuously balanced). [`Partition::imbalance`] of one constraint, for
+/// callers that count part loads without a graph.
+pub fn load_imbalance(max_load: i64, total: i64, k: usize) -> f64 {
+    if total == 0 {
+        return 1.0;
+    }
+    let avg = total as f64 / k as f64;
+    max_load as f64 / avg
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Linear finite elements and their face/edge topology.
 
+use cip_geom::Point;
+
 /// The element families supported by the mesh layer.
 ///
 /// 2D elements (Tri3, Quad4) have *edges* as their boundary facets; 3D
@@ -163,6 +165,15 @@ impl Element {
     /// Iterates over the element's global edges.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.kind.edges_local().iter().map(move |&[a, b]| (self.nodes[a], self.nodes[b]))
+    }
+
+    /// The mean of this element's node positions (`points[n]` of node `n`).
+    pub fn centroid<const D: usize>(&self, points: &[Point<D>]) -> Point<D> {
+        let mut acc = Point::origin();
+        for &n in self.nodes() {
+            acc = acc.add(&points[n as usize]);
+        }
+        acc.scale(1.0 / self.nodes().len() as f64)
     }
 }
 

@@ -83,12 +83,7 @@ impl<const D: usize> Mesh<D> {
 
     /// Centroid of element `e` (average of its node coordinates).
     pub fn element_centroid(&self, e: u32) -> Point<D> {
-        let el = &self.elements[e as usize];
-        let mut acc = Point::origin();
-        for &n in el.nodes() {
-            acc = acc.add(&self.points[n as usize]);
-        }
-        acc.scale(1.0 / el.nodes().len() as f64)
+        self.elements[e as usize].centroid(&self.points)
     }
 
     /// Tight bounding box of element `e`.

@@ -7,11 +7,14 @@
 //! Run with: `cargo run --release --example parallel_step`
 
 use cip::contact::DtreeFilter;
-use cip::core::{dt_friendly_correct, halo_traffic, DtFriendlyConfig, SnapshotView};
+use cip::core::{
+    contact_graph, decompose, face_bodies, gather, halo_traffic, surface_elements, McmlDtConfig,
+};
 use cip::dtree::{induce, DtreeConfig};
-use cip::partition::{partition_kway, PartitionerConfig};
-use cip::runtime::{build_decomposition, connect_ranks, execute_steps, ExecOptions, StepInput};
+use cip::partition::RefineWorkspace;
+use cip::runtime::{connect_ranks, execute_steps, ExecOptions, HaloPlan, StepInput};
 use cip::sim::SimConfig;
+use cip::telemetry::Recorder;
 use cip::transport::InProcess;
 
 fn main() {
@@ -21,16 +24,14 @@ fn main() {
     let sim = cip::sim::run(&cfg);
 
     // Decompose on snapshot 0 with the full MCML+DT pipeline.
-    let view0 = SnapshotView::build(&sim, 0, 5);
-    let mut asg = partition_kway(&view0.graph2.graph, k, &PartitionerConfig::default());
-    let positions: Vec<_> =
-        view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
-    dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
-    let node_parts = view0.graph2.assignment_on_nodes(&asg);
+    let recorder = Recorder::disabled();
+    let mcml = McmlDtConfig::paper(k);
+    let graph0 = contact_graph(&sim, 0, mcml.graph_options(), &recorder);
+    let points0 = &sim.snapshots[0].points;
+    let node_parts = decompose(&graph0, points0, &mcml, &mut RefineWorkspace::new()).node_parts;
 
     // One mesh for the whole run; each one-step batch gets its own epoch.
     let opts = ExecOptions::default();
-    let recorder = cip::telemetry::Recorder::disabled();
     let mut seats = connect_ranks(&InProcess, k, &opts, &recorder).expect("in-process mesh");
 
     println!("executing snapshots across {k} rank threads:\n");
@@ -39,26 +40,22 @@ fn main() {
         "snap", "halo", "halo=pred?", "shipments", "pairs", "ghosts"
     );
     for i in [0usize, 10, 20, 29] {
-        let view = SnapshotView::build(&sim, i, 5);
-        let asg_now: Vec<u32> =
-            view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-        let elements = view.surface_elements(&node_parts);
-        let bodies = view.face_bodies();
-        let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
-        let decomposition = build_decomposition(
-            &view.graph2.graph,
-            &view.graph2.node_of_vertex,
-            &asg_now,
-            &owners,
-            k,
-        );
-        let labels = view.contact.labels_from_node_parts(&node_parts);
-        let tree = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
+        let snap = &sim.snapshots[i];
+        let topology = sim.topology(i, &recorder);
+        let (xadj, adjncy, nodes) = (topology.xadj(), topology.adjncy(), topology.node_of_vertex());
+        let asg_now = gather(nodes, &node_parts);
+        let elements = surface_elements(&snap.contact.faces, &snap.points, &node_parts);
+        let bodies = face_bodies(&snap.contact.faces);
+        let decomposition = HaloPlan::build(xadj, adjncy, nodes, &asg_now, k)
+            .decomposition(elements.iter().map(|e| e.owner));
+        let contact = &snap.contact.contact_nodes;
+        let labels = gather(contact, &node_parts);
+        let tree = induce(&gather(contact, &snap.points), &labels, k, &DtreeConfig::search_tree());
         let filter = DtreeFilter::new(&tree, k);
 
         let input = StepInput {
             decomposition: &decomposition,
-            positions: &view.mesh.points,
+            positions: &snap.points,
             elements: &elements,
             bodies: &bodies,
             filter: &filter,
@@ -69,7 +66,7 @@ fn main() {
         let out = execute_steps(&[input], &[], &opts, None, &mut seats, i as u32)
             .expect("step executes without injected faults")
             .remove(0);
-        let predicted = halo_traffic(&view.graph2.graph, &asg_now, k);
+        let predicted = halo_traffic(xadj, adjncy, &asg_now, k);
         println!(
             "{:>5} {:>9} {:>11} {:>11} {:>9} {:>7}",
             i,

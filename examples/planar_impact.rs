@@ -7,13 +7,13 @@
 //!
 //! Run with: `cargo run --release --example planar_impact`
 
-use cip::contact::{n_remote, BboxFilter, DtreeFilter, SurfaceElementInfo};
-use cip::core::{dt_friendly_correct, DtFriendlyConfig};
+use cip::contact::{n_remote, BboxFilter, DtreeFilter};
+use cip::core::{decompose, gather, surface_elements, McmlDtConfig};
 use cip::dtree::{induce, DtreeConfig};
 use cip::geom::{Aabb, Point};
 use cip::graph::{GraphBuilder, Partition};
 use cip::mesh::{extract_surface, generators, Mesh};
-use cip::partition::{partition_kway, PartitionerConfig};
+use cip::partition::{partition_kway, PartitionerConfig, RefineWorkspace};
 
 /// Builds the 2D scene: a horizontal plate strip and a vertical rod above
 /// it, with a channel already eroded halfway through the plate.
@@ -56,14 +56,11 @@ fn main() {
         &mask,
         cip::mesh::graphs::NodalGraphOptions::default(),
     );
-    let mut asg = partition_kway(&ng.graph, k, &PartitionerConfig::default());
-
-    // DT-friendly correction natively in 2D.
-    let positions: Vec<Point<2>> =
-        ng.node_of_vertex.iter().map(|&n| mesh.points[n as usize]).collect();
-    let stats =
-        dt_friendly_correct(&ng.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
-    let part = Partition::from_assignment(&ng.graph, k, asg.clone());
+    // MCML+DT, the DT-friendly correction natively in 2D.
+    let cfg = McmlDtConfig::paper(k);
+    let dec = decompose(&ng, &mesh.points, &cfg, &mut RefineWorkspace::new());
+    let stats = dec.stats.expect("the paper's configuration corrects");
+    let part = Partition::from_assignment(&ng.graph, k, dec.asg);
     println!(
         "partition: imbalance {:.3}/{:.3}, {} axis-parallel regions after correction",
         part.imbalance(0),
@@ -72,26 +69,13 @@ fn main() {
     );
 
     // 2D search tree over the contact nodes.
-    let node_parts = ng.assignment_on_nodes(&asg);
-    let contact_pts: Vec<Point<2>> =
-        surface.contact_nodes.iter().map(|&n| mesh.points[n as usize]).collect();
-    let labels: Vec<u32> = surface.contact_nodes.iter().map(|&n| node_parts[n as usize]).collect();
+    let contact_pts = gather(&surface.contact_nodes, &mesh.points);
+    let labels = gather(&surface.contact_nodes, &dec.node_parts);
     let tree = induce(&contact_pts, &labels, k, &DtreeConfig::search_tree());
     println!("2D search tree: {} nodes, depth {}", tree.num_nodes(), tree.depth());
 
     // Compare the two global-search filters on the surface edges.
-    let elements: Vec<SurfaceElementInfo<2>> = surface
-        .faces
-        .iter()
-        .map(|sf| {
-            let mut bbox = Aabb::empty();
-            for &n in sf.face.nodes() {
-                bbox.grow(&mesh.points[n as usize]);
-            }
-            let owner = node_parts[sf.face.nodes()[0] as usize];
-            SurfaceElementInfo { bbox, owner }
-        })
-        .collect();
+    let elements = surface_elements(&surface.faces, &mesh.points, &dec.node_parts);
     let dt_ship = n_remote(&elements, &DtreeFilter::new(&tree, k));
     let bb_ship = n_remote(&elements, &BboxFilter::from_points(&contact_pts, &labels, k));
     println!(

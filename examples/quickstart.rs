@@ -4,11 +4,12 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use cip::contact::{n_remote, DtreeFilter};
-use cip::core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
+use cip::core::{contact_graph, decompose, gather, surface_elements, McmlDtConfig};
 use cip::dtree::{induce, DtreeConfig};
 use cip::graph::{edge_cut, total_comm_volume, Partition};
-use cip::partition::{partition_kway, PartitionerConfig};
+use cip::partition::RefineWorkspace;
 use cip::sim::SimConfig;
+use cip::telemetry::Recorder;
 
 fn main() {
     let k = 8;
@@ -26,44 +27,43 @@ fn main() {
     // 2. Build the two-constraint nodal graph of the first snapshot:
     //    constraint 0 = FE work (all nodes), constraint 1 = contact work
     //    (contact nodes only); contact-contact edges weighted 5.
-    let view = SnapshotView::build(&sim, 0, 5);
-    let g = &view.graph2.graph;
+    let cfg = McmlDtConfig::paper(k);
+    let snap = &sim.snapshots[0];
+    let graph = contact_graph(&sim, 0, cfg.graph_options(), &Recorder::disabled());
+    let g = &graph.graph;
+    let contact = &snap.contact.contact_nodes;
     println!(
         "nodal graph: {} vertices, {} edges, {} contact points",
         g.nv(),
         g.ne(),
-        view.contact.len()
+        contact.len()
     );
 
-    // 3. Multi-constraint multilevel partitioning.
-    let mut asg = partition_kway(g, k, &PartitionerConfig::default());
-    let p = Partition::from_assignment(g, k, asg.clone());
+    // 3. Multi-constraint multilevel partitioning, then the DT-friendly
+    //    correction: subdomain boundaries become piecewise axes-parallel
+    //    so the search tree stays small.
+    let dec = decompose(&graph, &snap.points, &cfg, &mut RefineWorkspace::new());
+    let stats = dec.stats.expect("the paper's configuration corrects");
+    let p = Partition::from_assignment(g, k, dec.asg.clone());
     println!(
         "partition: cut {}, FE imbalance {:.3}, contact imbalance {:.3}",
-        edge_cut(g, &asg),
+        edge_cut(g, &dec.asg),
         p.imbalance(0),
         p.imbalance(1)
     );
-
-    // 4. DT-friendly correction: make subdomain boundaries piecewise
-    //    axes-parallel so the search tree stays small.
-    let positions: Vec<_> =
-        view.graph2.node_of_vertex.iter().map(|&n| view.mesh.points[n as usize]).collect();
-    let stats = dt_friendly_correct(g, &positions, k, &mut asg, &DtFriendlyConfig::default());
     println!(
         "DT-friendly: {} regions, {} vertices relabeled, {} moved back by refinement",
         stats.regions, stats.relabeled, stats.refined
     );
 
-    // 5. Induce the contact-search tree over the contact points.
-    let node_parts = view.graph2.assignment_on_nodes(&asg);
-    let labels = view.contact.labels_from_node_parts(&node_parts);
-    let tree = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
+    // 4. Induce the contact-search tree over the contact points.
+    let labels = gather(contact, &dec.node_parts);
+    let tree = induce(&gather(contact, &snap.points), &labels, k, &DtreeConfig::search_tree());
     println!("search tree: {} nodes, depth {}", tree.num_nodes(), tree.depth());
 
-    // 6. Global search: ship each surface element to the subdomains whose
+    // 5. Global search: ship each surface element to the subdomains whose
     //    leaf regions its bounding box intersects.
-    let elements = view.surface_elements(&node_parts);
+    let elements = surface_elements(&snap.contact.faces, &snap.points, &dec.node_parts);
     let shipped = n_remote(&elements, &DtreeFilter::new(&tree, k));
     println!(
         "global search: {} of {} surface elements shipped to remote parts (NRemote)",
@@ -71,8 +71,6 @@ fn main() {
         elements.len()
     );
 
-    // 7. The FE-phase communication volume of the same decomposition.
-    let asg_now: Vec<u32> =
-        view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-    println!("FE halo-exchange volume (FEComm): {}", total_comm_volume(g, &asg_now));
+    // 6. The FE-phase communication volume of the same decomposition.
+    println!("FE halo-exchange volume (FEComm): {}", total_comm_volume(g, &dec.asg));
 }

@@ -6,11 +6,12 @@
 //!
 //! Run with: `cargo run --release --example repartitioning`
 
-use cip::core::SnapshotView;
+use cip::core::{contact_graph, gather, McmlDtConfig};
 use cip::graph::Partition;
 use cip::partition::repart::migration_count;
 use cip::partition::{diffusion_repartition, partition_kway, repartition, PartitionerConfig};
 use cip::sim::SimConfig;
+use cip::telemetry::Recorder;
 
 fn main() {
     let k = 12;
@@ -18,18 +19,18 @@ fn main() {
     cfg.snapshots = 20;
     let sim = cip::sim::run(&cfg);
     let pcfg = PartitionerConfig::default();
+    let graph_at =
+        |i| contact_graph(&sim, i, McmlDtConfig::paper(k).graph_options(), &Recorder::disabled());
 
     // Partition snapshot 0, then carry the assignment to the final
     // snapshot where erosion has changed the graph.
-    let view0 = SnapshotView::build(&sim, 0, 5);
-    let asg0 = partition_kway(&view0.graph2.graph, k, &pcfg);
-    let node_parts = view0.graph2.assignment_on_nodes(&asg0);
+    let graph0 = graph_at(0);
+    let node_parts = graph0.assignment_on_nodes(&partition_kway(&graph0.graph, k, &pcfg));
 
     let last = sim.len() - 1;
-    let view = SnapshotView::build(&sim, last, 5);
-    let carried: Vec<u32> =
-        view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-    let p_carried = Partition::from_assignment(&view.graph2.graph, k, carried.clone());
+    let graph = graph_at(last);
+    let carried = gather(&graph.node_of_vertex, &node_parts);
+    let p_carried = Partition::from_assignment(&graph.graph, k, carried.clone());
     println!(
         "carried partition at snapshot {last}: FE imbalance {:.3}, contact imbalance {:.3}",
         p_carried.imbalance(0),
@@ -37,17 +38,17 @@ fn main() {
     );
 
     for (name, fresh) in [
-        ("scratch-remap", repartition(&view.graph2.graph, k, &carried, &pcfg)),
-        ("diffusion", diffusion_repartition(&view.graph2.graph, k, &carried, &pcfg)),
+        ("scratch-remap", repartition(&graph.graph, k, &carried, &pcfg)),
+        ("diffusion", diffusion_repartition(&graph.graph, k, &carried, &pcfg)),
     ] {
-        let p = Partition::from_assignment(&view.graph2.graph, k, fresh.clone());
+        let p = Partition::from_assignment(&graph.graph, k, fresh.clone());
         let moved = migration_count(&carried, &fresh);
         println!(
             "{name:>14}: FE imbalance {:.3}, contact imbalance {:.3}, migrated {moved} of {} vertices ({:.1}%)",
             p.imbalance(0),
             p.imbalance(1),
-            view.graph2.graph.nv(),
-            100.0 * moved as f64 / view.graph2.graph.nv() as f64
+            graph.graph.nv(),
+            100.0 * moved as f64 / graph.graph.nv() as f64
         );
     }
     println!("\ndiffusion restores balance with far less data movement when the");

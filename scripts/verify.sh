@@ -158,4 +158,18 @@ if [ -z "$step_loop" ] || grep -nE 'centroid|num_elements|\.elements' <<<"$step_
   exit 1
 fi
 
+echo "==> one path from snapshot to number"
+# Every per-snapshot number — the evaluators', the traced session's, the
+# paper-reproduction bins' and the examples' — is computed from cip-core's
+# primitives over the snapshot itself and its epoch's topology (DESIGN.md
+# §5 "topology epochs"). SnapshotView stays a fixture for the oracle tests
+# and the benchmark (crates/ladder), so none of that non-test code names it
+# or materialises a mesh.
+mapfile -t one_path < <(find src crates/bench/src examples -name '*.rs')
+if non_test crates/core/src/{mcml_dt,ml_rcb,known_contact}.rs "${one_path[@]}" \
+    | grep -E 'SnapshotView|mesh_at\('; then
+  echo "verify: FAIL — a pipeline prices a snapshot through a view or a mesh copy again"
+  exit 1
+fi
+
 echo "verify: OK"

@@ -13,14 +13,16 @@
 //!     --out partition.json --dot tree.dot
 //! ```
 
-use cip::contact::{n_remote, DtreeFilter, SurfaceElementInfo};
-use cip::core::{dt_friendly_correct, face_owner, quality_report, DtFriendlyConfig};
+use cip::contact::{n_remote, DtreeFilter};
+use cip::core::{
+    decompose, gather, quality_report, surface_elements, DtFriendlyConfig, McmlDtConfig,
+};
 use cip::dtree::{induce, DtreeConfig};
-use cip::geom::{Aabb, Point};
+use cip::geom::Point;
 use cip::graph::{edge_cut, total_comm_volume, Partition};
-use cip::mesh::graphs::{nodal_graph, NodalGraphOptions};
+use cip::mesh::graphs::nodal_graph;
 use cip::mesh::{extract_surface, generators, Mesh};
-use cip::partition::{partition_kway, PartitionerConfig};
+use cip::partition::{PartitionerConfig, RefineWorkspace};
 use cip::telemetry::json::ToJson;
 use cip::telemetry::json_struct;
 
@@ -170,37 +172,26 @@ fn main() {
     );
 
     // MCML+DT pipeline.
-    let ng = nodal_graph(&mesh, &mask, NodalGraphOptions::default());
-    let pcfg = PartitionerConfig::with_seed(args.seed);
-    let mut asg = partition_kway(&ng.graph, k, &pcfg);
-    if args.friendly {
-        let positions: Vec<_> =
-            ng.node_of_vertex.iter().map(|&n| mesh.points[n as usize]).collect();
-        let stats =
-            dt_friendly_correct(&ng.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
+    let cfg = McmlDtConfig {
+        partitioner: PartitionerConfig::with_seed(args.seed),
+        dt_friendly: args.friendly.then(DtFriendlyConfig::default),
+        ..McmlDtConfig::paper(k)
+    };
+    let ng = nodal_graph(&mesh, &mask, cfg.graph_options());
+    let dec = decompose(&ng, &mesh.points, &cfg, &mut RefineWorkspace::new());
+    if let Some(stats) = &dec.stats {
         eprintln!(
             "DT-friendly correction: {} regions, {} relabeled, {} refined",
             stats.regions, stats.relabeled, stats.refined
         );
     }
-    let node_parts = ng.assignment_on_nodes(&asg);
+    let (asg, node_parts) = (dec.asg, dec.node_parts);
 
     // Search tree + global-search stats.
-    let contact_positions: Vec<Point<3>> =
-        surface.contact_nodes.iter().map(|&n| mesh.points[n as usize]).collect();
-    let labels: Vec<u32> = surface.contact_nodes.iter().map(|&n| node_parts[n as usize]).collect();
+    let contact_positions = gather(&surface.contact_nodes, &mesh.points);
+    let labels = gather(&surface.contact_nodes, &node_parts);
     let tree = induce(&contact_positions, &labels, k, &DtreeConfig::search_tree());
-    let elements: Vec<SurfaceElementInfo<3>> = surface
-        .faces
-        .iter()
-        .map(|sf| {
-            let mut bbox = Aabb::empty();
-            for &n in sf.face.nodes() {
-                bbox.grow(&mesh.points[n as usize]);
-            }
-            SurfaceElementInfo { bbox, owner: face_owner(sf.face.nodes(), &node_parts) }
-        })
-        .collect();
+    let elements = surface_elements(&surface.faces, &mesh.points, &node_parts);
     let shipped = n_remote(&elements, &DtreeFilter::new(&tree, k));
 
     let part = Partition::from_assignment(&ng.graph, k, asg.clone());

@@ -5,8 +5,8 @@
 //! * per topology epoch × tree chain — the halo send lists, a function of
 //!   the epoch's nodal adjacency and the chain's (constant) assignment;
 //! * per snapshot — the contact points and their labels, the search tree
-//!   refreshed from the previous snapshot's, and one pass over the contact
-//!   faces for box, owner and body.
+//!   refreshed from the previous snapshot's, and `cip_core`'s face pass
+//!   for every contact face's box, owner and body.
 //!
 //! Nothing here materialises a mesh or a weighted graph: node positions
 //! are borrowed from the run's snapshots, and the adjacency is read from
@@ -14,9 +14,8 @@
 //! non-test part of this file to that.
 
 use cip_contact::{DtreeFilter, SurfaceElementInfo};
-use cip_core::face_owner;
+use cip_core::{face_bodies, gather, surface_elements};
 use cip_dtree::{induce_recorded, refresh_recorded, DecisionTree, DtreeConfig};
-use cip_geom::Aabb;
 use cip_runtime::{Decomposition, HaloPlan, StepInput};
 use cip_sim::SimResult;
 use cip_telemetry::Recorder;
@@ -77,8 +76,7 @@ pub(crate) fn stage_batch(
         let _step_span = rec.span("trace.step").attr("step", j);
         let snap = &sim.snapshots[j];
         let nodes = &snap.contact.contact_nodes;
-        let positions: Vec<_> = nodes.iter().map(|&n| snap.points[n as usize]).collect();
-        let labels: Vec<u32> = nodes.iter().map(|&n| node_parts[n as usize]).collect();
+        let (positions, labels) = (gather(nodes, &snap.points), gather(nodes, node_parts));
         let prev = steps.last().map(|s| &s.tree).or(replayed.as_ref()).or(chain.tree.as_ref());
         let tree = match prev {
             None => induce_recorded(&positions, &labels, live_k, &dcfg, rec),
@@ -102,8 +100,7 @@ pub(crate) fn stage_batch(
                     .attr("chain_start", replay_from);
                 rec.add("stage.halo_plan.builds", 1);
                 let topology = sim.topology(j, rec);
-                let assignment: Vec<u32> =
-                    topology.node_of_vertex().iter().map(|&n| node_parts[n as usize]).collect();
+                let assignment = gather(topology.node_of_vertex(), node_parts);
                 let plan = HaloPlan::build(
                     topology.xadj(),
                     topology.adjncy(),
@@ -115,18 +112,10 @@ pub(crate) fn stage_batch(
             }
         };
 
-        let _frame_span = rec.span("stage.frame").attr("faces", snap.contact.faces.len());
-        let mut elements = Vec::with_capacity(snap.contact.faces.len());
-        let mut bodies = Vec::with_capacity(snap.contact.faces.len());
-        for sf in &snap.contact.faces {
-            let mut bbox = Aabb::empty();
-            for &n in sf.face.nodes() {
-                bbox.grow(&snap.points[n as usize]);
-            }
-            let owner = face_owner(sf.face.nodes(), node_parts);
-            elements.push(SurfaceElementInfo { bbox, owner });
-            bodies.push(sf.body);
-        }
+        let faces = &snap.contact.faces;
+        let _frame_span = rec.span("stage.frame").attr("faces", faces.len());
+        let (elements, bodies) =
+            (surface_elements(faces, &snap.points, node_parts), face_bodies(faces));
         let decomposition = halo.decomposition(elements.iter().map(|e| e.owner));
         steps.push(StagedStep { snapshot: j, elements, bodies, decomposition, tree });
     }
@@ -162,7 +151,7 @@ pub(crate) fn with_staged_inputs<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cip_core::SnapshotView;
+    use cip_core::{face_owner, SnapshotView};
     use cip_runtime::build_decomposition;
     use cip_sim::scenarios;
 
@@ -180,8 +169,9 @@ mod tests {
     }
 
     /// What staging must produce for snapshot `j`, derived the long way
-    /// round: a full `SnapshotView` and `build_decomposition` over its
-    /// weighted graph. `prev` is the oracle's own tree chain.
+    /// round: a full `SnapshotView`, a face pass of its own over the
+    /// view's copied mesh, and `build_decomposition` over its weighted
+    /// graph. `prev` is the oracle's own tree chain.
     fn oracle_step(
         sim: &SimResult,
         j: usize,
@@ -199,7 +189,19 @@ mod tests {
         };
         let assignment: Vec<u32> =
             view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-        let elements = view.surface_elements(node_parts);
+        // Not `cip_core::surface_elements`: box each face here, so the
+        // staged face pass is checked against a second implementation.
+        let mut elements = Vec::with_capacity(view.faces.len());
+        let mut bodies = Vec::with_capacity(view.faces.len());
+        for sf in &view.faces {
+            let mut bbox = cip_geom::Aabb::empty();
+            for &n in sf.face.nodes() {
+                bbox.grow(&view.mesh.points[n as usize]);
+            }
+            elements
+                .push(SurfaceElementInfo { bbox, owner: face_owner(sf.face.nodes(), node_parts) });
+            bodies.push(sf.body);
+        }
         let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
         let decomposition = build_decomposition(
             &view.graph2.graph,
@@ -208,7 +210,7 @@ mod tests {
             &owners,
             k,
         );
-        (elements, view.face_bodies(), decomposition, tree)
+        (elements, bodies, decomposition, tree)
     }
 
     fn assert_step_matches(

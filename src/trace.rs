@@ -12,17 +12,14 @@
 
 use crate::staging::{stage_batch, with_staged_inputs, Chain};
 use crate::worker::{BatchSpec, PoolConfig, WorkerPool};
-use cip_core::{dt_friendly_correct, DtFriendlyConfig};
-use cip_mesh::graphs::NodalGraphOptions;
-use cip_mesh::NodalGraph;
-use cip_partition::{
-    compact_parts_after_loss, diffusion_repartition, partition_kway_with, PartitionWorkspace,
-    PartitionerConfig,
+use cip_core::{
+    contact_graph, decompose, merge_live, repartition_step, McmlDtConfig, RepartitionMethod,
 };
+use cip_partition::{compact_parts_after_loss, PartitionWorkspace, PartitionerConfig};
 use cip_runtime::{
-    build_migration, build_migration_recorded, collect_batch, connect_ranks, execute_steps,
-    BatchError, CancelToken, ConfigError, ExecOptions, FaultInjector, FaultPlan, FaultRates,
-    KillSpec, MigrationPlan, Msg, Replanner, RuntimeError,
+    build_migration, collect_batch, connect_ranks, execute_steps, BatchError, CancelToken,
+    ConfigError, ExecOptions, FaultInjector, FaultPlan, FaultRates, KillSpec, MigrationPlan, Msg,
+    Replanner, RuntimeError,
 };
 use cip_sim::{scenarios, SimConfig, SimResult};
 use cip_telemetry::{export::Summary, Recorder};
@@ -509,7 +506,8 @@ pub struct Session {
     opts: TraceOptions,
     sim: Arc<SimResult>,
     rec: Recorder,
-    pcfg: PartitionerConfig,
+    /// How boundaries and recoveries repartition (see [`Session::build_with`]).
+    cfg: McmlDtConfig,
     node_parts: Vec<u32>,
     pool: Option<WorkerPool>,
     seats: Vec<ChannelMailbox<Msg>>,
@@ -560,23 +558,17 @@ impl Session {
         let mut pcfg = PartitionerConfig::with_seed(opts.seed);
         pcfg.recorder = rec.clone();
 
-        // Initial MCML+DT decomposition on snapshot 0.
+        // The paper's MCML+DT decomposition of snapshot 0; every boundary
+        // and recovery after it diffuses, without the DT-friendly
+        // correction.
+        let mut cfg = McmlDtConfig { partitioner: pcfg, ..McmlDtConfig::paper(k) };
         let node_parts = {
             let _span = rec.span("session.partition").attr("k", k);
-            let graph2 = contact_graph(&sim, 0, &rec);
-            let mut asg = partition_kway_with(&graph2.graph, k, &pcfg, &mut ws.partition.refine);
-            let points = &sim.snapshots[0].points;
-            let positions: Vec<_> =
-                graph2.node_of_vertex.iter().map(|&n| points[n as usize]).collect();
-            dt_friendly_correct(
-                &graph2.graph,
-                &positions,
-                k,
-                &mut asg,
-                &DtFriendlyConfig::default(),
-            );
-            graph2.assignment_on_nodes(&asg)
+            let graph = contact_graph(&sim, 0, cfg.graph_options(), &rec);
+            decompose(&graph, &sim.snapshots[0].points, &cfg, &mut ws.partition.refine).node_parts
         };
+        cfg.repartition_method = RepartitionMethod::Diffusion;
+        cfg.dt_friendly = None;
 
         // Multi-process mode: spawn the worker pool once; it outlives
         // every batch, repartition, and recovery (dead workers are
@@ -598,7 +590,7 @@ impl Session {
             opts: opts.clone(),
             sim,
             rec: rec.clone(),
-            pcfg,
+            cfg,
             node_parts,
             pool,
             // Rank-thread modes: the mesh the rank threads run over,
@@ -724,16 +716,9 @@ impl Session {
                             // whole plan is a stall, charged to the span
                             // `Replanner::take` uses for its join wait.
                             let _stall = rec.span("repartition.stall").attr("boundary", i as u64);
-                            plan_boundary(&self.sim, i, self.live_k, &self.node_parts, &self.pcfg)
+                            plan_boundary(&self.sim, i, self.live_k, &self.node_parts, &self.cfg)
                         });
-                    record_migration(&rec, &plan, self.node_parts.len());
-                    self.report.migrated += plan.total_moved();
-                    self.report.repartitions += 1;
-                    for (n, &p) in new_node_parts.iter().enumerate() {
-                        if p != u32::MAX {
-                            self.node_parts[n] = p;
-                        }
-                    }
+                    self.commit_repartition(&new_node_parts, &plan);
                     if !plan.is_empty() {
                         self.pending_migrate = Some(plan);
                     }
@@ -763,13 +748,14 @@ impl Session {
                 if self.live_k >= 2 && boundary < self.sim.len() && !self.planner.has_pending() {
                     let sim2 = Arc::clone(&self.sim);
                     let parts = self.node_parts.clone();
-                    let pcfg2 = self.pcfg.clone();
+                    let cfg2 = self.cfg.clone();
                     let (live_k, lane) = (self.live_k, (k + 1) as u32);
                     self.planner.submit(boundary, self.plan_version, &rec, move || {
-                        pcfg2.recorder.set_lane(lane);
+                        let rec2 = &cfg2.partitioner.recorder;
+                        rec2.set_lane(lane);
                         let _compute =
-                            pcfg2.recorder.span("replan.compute").attr("boundary", boundary as u64);
-                        plan_boundary(&sim2, boundary, live_k, &parts, &pcfg2)
+                            rec2.span("replan.compute").attr("boundary", boundary as u64);
+                        plan_boundary(&sim2, boundary, live_k, &parts, &cfg2)
                     });
                 }
             }
@@ -904,28 +890,14 @@ impl Session {
                     self.live_k =
                         compact_parts_after_loss(&mut self.node_parts, self.live_k, &dead);
                     if self.live_k >= 2 {
-                        let graph2 = contact_graph(&self.sim, failed, &rec);
-                        let old: Vec<u32> = graph2
-                            .node_of_vertex
-                            .iter()
-                            .map(|&n| self.node_parts[n as usize])
-                            .collect();
-                        let fresh =
-                            diffusion_repartition(&graph2.graph, self.live_k, &old, &self.pcfg);
-                        let new_node_parts = graph2.assignment_on_nodes(&fresh);
-                        let plan = build_migration_recorded(
-                            &self.node_parts,
-                            &new_node_parts,
+                        let (new_node_parts, plan) = plan_boundary(
+                            &self.sim,
+                            failed,
                             self.live_k,
-                            &rec,
+                            &self.node_parts,
+                            &self.cfg,
                         );
-                        self.report.migrated += plan.total_moved();
-                        self.report.repartitions += 1;
-                        for (n, &p) in new_node_parts.iter().enumerate() {
-                            if p != u32::MAX {
-                                self.node_parts[n] = p;
-                            }
-                        }
+                        self.commit_repartition(&new_node_parts, &plan);
                     } else {
                         // Fewer than two survivors: collapse to a single
                         // rank — the executor degenerates to the serial
@@ -947,6 +919,21 @@ impl Session {
         }
         Ok(Advance::Finished)
     }
+
+    /// Applies a repartition planned from the current assignment: charges
+    /// its migration to telemetry — the `migrate.plan` span and the
+    /// `traffic.migrated_units` counter, once, when the plan is applied,
+    /// so [`TraceReport::verify_totals`] stays an exact equality — and to
+    /// the report, and moves the live nodes.
+    fn commit_repartition(&mut self, new_node_parts: &[u32], plan: &MigrationPlan) {
+        let nodes = self.node_parts.len();
+        let mut span = self.rec.span("migrate.plan").attr("nodes", nodes).attr("k", plan.k);
+        span.set_attr("moved", plan.total_moved());
+        self.rec.add("traffic.migrated_units", plan.total_moved());
+        self.report.migrated += plan.total_moved();
+        self.report.repartitions += 1;
+        merge_live(&mut self.node_parts, new_node_parts);
+    }
 }
 
 /// Runs `opts` end to end with telemetry enabled — the one-shot wrapper
@@ -963,20 +950,12 @@ pub fn run_traced(opts: &TraceOptions) -> Result<TraceReport, TraceError> {
     Ok(session.into_report())
 }
 
-/// The two-constraint nodal graph of snapshot `i` — FE and contact work,
-/// contact edges boosted to the paper's 5 — straight from the epoch's
-/// topology: what the partitioner and the repartitioner read, and all
-/// they read.
-fn contact_graph(sim: &SimResult, i: usize, rec: &Recorder) -> NodalGraph {
-    let mask = sim.snapshots[i].contact.contact_node_mask(sim.base.num_nodes());
-    sim.topology(i, rec).graph(&mask, NodalGraphOptions::default())
-}
-
-/// Computes the boundary-`at` diffusion repartition: the new node
-/// assignment and the migration plan from the current one. The plan is
+/// Computes the repartition of snapshot `at` from the current
+/// assignment over the `live_k` ranks — a boundary's or a recovery's:
+/// the new node assignment and the migration plan to it. The plan is
 /// deliberately **unrecorded** — a background plan may be discarded
 /// before it is applied, and a discarded plan must not pollute the
-/// traffic counters. [`record_migration`] charges telemetry on
+/// traffic counters. [`Session::commit_repartition`] charges telemetry on
 /// acceptance. (The topology lookup does report: a topology built for a
 /// discarded plan still serves the following steps.)
 fn plan_boundary(
@@ -984,24 +963,13 @@ fn plan_boundary(
     at: usize,
     live_k: usize,
     node_parts: &[u32],
-    pcfg: &PartitionerConfig,
+    cfg: &McmlDtConfig,
 ) -> (Vec<u32>, MigrationPlan) {
-    let graph2 = contact_graph(sim, at, &pcfg.recorder);
-    let old: Vec<u32> = graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-    let fresh = diffusion_repartition(&graph2.graph, live_k, &old, pcfg);
-    let new_node_parts = graph2.assignment_on_nodes(&fresh);
+    let graph = contact_graph(sim, at, cfg.graph_options(), &cfg.partitioner.recorder);
+    let new_node_parts =
+        repartition_step(&graph, &sim.snapshots[at].points, node_parts, live_k, cfg);
     let plan = build_migration(node_parts, &new_node_parts, live_k);
     (new_node_parts, plan)
-}
-
-/// Charges an accepted migration plan to telemetry exactly like
-/// [`build_migration_recorded`] does — the `migrate.plan` span and the
-/// `traffic.migrated_units` counter — so a plan counts once, when it is
-/// applied, and [`TraceReport::verify_totals`] stays an exact equality.
-fn record_migration(rec: &Recorder, plan: &MigrationPlan, nodes: usize) {
-    let mut span = rec.span("migrate.plan").attr("nodes", nodes).attr("k", plan.k);
-    span.set_attr("moved", plan.total_moved());
-    rec.add("traffic.migrated_units", plan.total_moved());
 }
 
 /// Folds one committed step's output into the report.

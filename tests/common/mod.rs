@@ -8,21 +8,26 @@ use cip::contact::{
     serial_contact_pairs, ContactPair, DtreeFilter, GlobalFilter, NodeFaceContact,
     SurfaceElementInfo,
 };
-use cip::core::{dt_friendly_correct, DtFriendlyConfig, SnapshotView};
+use cip::core::{
+    contact_graph, decompose, face_bodies, gather, merge_live, repartition_step, surface_elements,
+    FeCost, McmlDtConfig, RepartitionMethod,
+};
 use cip::dtree::{induce, refresh, DecisionTree, DtreeConfig};
 use cip::geom::{Aabb, Point};
-use cip::graph::{total_comm_volume, Graph, GraphBuilder};
-use cip::partition::{diffusion_repartition, partition_kway, PartitionerConfig};
+use cip::graph::{Graph, GraphBuilder};
+use cip::partition::{PartitionerConfig, RefineWorkspace};
 use cip::runtime::{
-    build_decomposition, build_migration, connect_ranks, execute_steps, BatchError, Decomposition,
-    ExecOptions, FaultInjector, FaultRates, StepInput, StepOutput,
+    build_migration, connect_ranks, execute_steps, BatchError, Decomposition, ExecOptions,
+    FaultInjector, FaultRates, HaloPlan, StepInput, StepOutput,
 };
-use cip::sim::SimConfig;
+use cip::sim::{SimConfig, SimResult};
+use cip::telemetry::Recorder;
 use cip::trace::{scenario_config, ChaosOptions, TraceOptions, TraceReport};
 use cip_transport::frame::{decode_frame, encode_frame};
 use cip_transport::{
     splitmix64, Transport, Wire, WireError, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION,
 };
+use std::sync::Arc;
 
 /// The `nx × ny` grid graph with unit edges and unit FE weight; with
 /// `ncon == 2`, contact weight 1 on the border (the paper's surface-node
@@ -69,8 +74,10 @@ pub fn message_chaos(seed: u64) -> ChaosOptions {
 
 /// One staged snapshot; [`StepInput`]s borrow from it.
 pub struct Staged {
-    pub view: SnapshotView,
-    /// The node assignment on the snapshot's graph vertices.
+    /// The run the snapshot belongs to.
+    pub sim: Arc<SimResult>,
+    pub snapshot: usize,
+    /// The node assignment on the vertices of the snapshot's topology.
     pub asg: Vec<u32>,
     pub elements: Vec<SurfaceElementInfo<3>>,
     pub bodies: Vec<u16>,
@@ -82,32 +89,32 @@ pub struct Staged {
 /// MCML+DT decomposition of snapshot 0 — the traced driver's prep, with a
 /// freshly induced search tree per snapshot.
 pub fn stage(k: usize, snapshots: &[usize]) -> Vec<Staged> {
-    let sim = cip::sim::run(&SimConfig::tiny());
-    let view0 = SnapshotView::build(&sim, 0, 5);
-    let mut asg = partition_kway(&view0.graph2.graph, k, &PartitionerConfig::default());
-    let positions: Vec<_> =
-        view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
-    dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
-    let node_parts = view0.graph2.assignment_on_nodes(&asg);
+    let sim = Arc::new(cip::sim::run(&SimConfig::tiny()));
+    let rec = Recorder::disabled();
+    let cfg = McmlDtConfig::paper(k);
+    let graph0 = contact_graph(&sim, 0, cfg.graph_options(), &rec);
+    let node_parts =
+        decompose(&graph0, &sim.snapshots[0].points, &cfg, &mut RefineWorkspace::new()).node_parts;
     snapshots
         .iter()
         .map(|&snapshot| {
-            let view = SnapshotView::build(&sim, snapshot, 5);
-            let asg: Vec<u32> =
-                view.graph2.node_of_vertex.iter().map(|&n| node_parts[n as usize]).collect();
-            let elements = view.surface_elements(&node_parts);
-            let bodies = view.face_bodies();
-            let owners: Vec<u32> = elements.iter().map(|e| e.owner).collect();
-            let decomposition = build_decomposition(
-                &view.graph2.graph,
-                &view.graph2.node_of_vertex,
+            let snap = &sim.snapshots[snapshot];
+            let topology = sim.topology(snapshot, &rec);
+            let asg = gather(topology.node_of_vertex(), &node_parts);
+            let elements = surface_elements(&snap.contact.faces, &snap.points, &node_parts);
+            let bodies = face_bodies(&snap.contact.faces);
+            let decomposition = HaloPlan::build(
+                topology.xadj(),
+                topology.adjncy(),
+                topology.node_of_vertex(),
                 &asg,
-                &owners,
                 k,
-            );
-            let labels = view.contact.labels_from_node_parts(&node_parts);
-            let tree = induce(&view.contact.positions, &labels, k, &DtreeConfig::search_tree());
-            Staged { view, asg, elements, bodies, decomposition, tree }
+            )
+            .decomposition(elements.iter().map(|e| e.owner));
+            let nodes = &snap.contact.contact_nodes;
+            let (positions, labels) = (gather(nodes, &snap.points), gather(nodes, &node_parts));
+            let tree = induce(&positions, &labels, k, &DtreeConfig::search_tree());
+            Staged { sim: Arc::clone(&sim), snapshot, asg, elements, bodies, decomposition, tree }
         })
         .collect()
 }
@@ -125,7 +132,7 @@ pub fn with_inputs<R>(
         .zip(&filters)
         .map(|(s, filter)| StepInput {
             decomposition: &s.decomposition,
-            positions: &s.view.mesh.points,
+            positions: &s.sim.snapshots[s.snapshot].points,
             elements: &s.elements,
             bodies: &s.bodies,
             filter,
@@ -164,12 +171,15 @@ pub fn totals(r: &TraceReport) -> Totals {
 
 /// What a clean (fault-free) run of `opts` must execute, predicted
 /// without threads, messages, batches or a planner: one loop over the
-/// snapshots that counts FEComm with `total_comm_volume`, NRemote by
-/// asking the search tree for every element's candidate parts, the
+/// snapshots that counts FEComm on the topology rows (`FeCost`), NRemote
+/// by asking the search tree for every element's candidate parts, the
 /// contact pairs with the serial search, and the migrated nodes from the
-/// diffusion repartition at every period boundary. Only the inputs are
-/// shared with the traced driver: the scenario, the seeded initial
-/// decomposition, and the induce-then-refresh tree chain.
+/// diffusion repartition at every period boundary. It shares with the
+/// traced driver the scenario, the induce-then-refresh tree chain and
+/// `cip_core`'s per-snapshot primitives (`contact_graph`, `decompose`,
+/// `repartition_step`, `merge_live`, `surface_elements`, `FeCost`), so a
+/// bug in one of those shows on both sides; `tests/metrics_oracle.rs` is
+/// what checks them against independent recomputations.
 pub fn serial_reference(opts: &TraceOptions) -> Totals {
     let k = opts.k;
     let mut scfg = scenario_config(&opts.scenario).expect("registry scenario");
@@ -177,45 +187,43 @@ pub fn serial_reference(opts: &TraceOptions) -> Totals {
         scfg.snapshots = n;
     }
     let sim = cip::sim::run(&scfg);
-    let pcfg = PartitionerConfig::with_seed(opts.seed);
+    let rec = Recorder::disabled();
     let dcfg = DtreeConfig::search_tree();
 
-    let view0 = SnapshotView::build(&sim, 0, 5);
-    let mut asg = partition_kway(&view0.graph2.graph, k, &pcfg);
-    let positions: Vec<_> =
-        view0.graph2.node_of_vertex.iter().map(|&n| view0.mesh.points[n as usize]).collect();
-    dt_friendly_correct(&view0.graph2.graph, &positions, k, &mut asg, &DtFriendlyConfig::default());
-    let mut node_parts = view0.graph2.assignment_on_nodes(&asg);
+    // The paper's decomposition of snapshot 0, then plain diffusion at
+    // every boundary.
+    let cfg = McmlDtConfig {
+        partitioner: PartitionerConfig::with_seed(opts.seed),
+        ..McmlDtConfig::paper(k)
+    };
+    let graph0 = contact_graph(&sim, 0, cfg.graph_options(), &rec);
+    let mut node_parts =
+        decompose(&graph0, &sim.snapshots[0].points, &cfg, &mut RefineWorkspace::new()).node_parts;
+    let cfg =
+        McmlDtConfig { repartition_method: RepartitionMethod::Diffusion, dt_friendly: None, ..cfg };
 
     let (mut halo, mut shipments, mut migrated, mut pairs, mut repartitions) = (0, 0, 0, 0, 0);
     let mut tree: Option<DecisionTree<3>> = None;
-    for i in 0..sim.len() {
-        let view = SnapshotView::build(&sim, i, 5);
-        let on_graph = |parts: &[u32]| -> Vec<u32> {
-            view.graph2.node_of_vertex.iter().map(|&n| parts[n as usize]).collect()
-        };
+    for (i, snap) in sim.snapshots.iter().enumerate() {
         let boundary = opts.repartition_period.is_some_and(|p| p > 0 && i > 0 && i % p == 0);
         if boundary && k >= 2 {
-            let fresh = diffusion_repartition(&view.graph2.graph, k, &on_graph(&node_parts), &pcfg);
-            let moved = view.graph2.assignment_on_nodes(&fresh);
+            let graph = contact_graph(&sim, i, cfg.graph_options(), &rec);
+            let moved = repartition_step(&graph, &snap.points, &node_parts, k, &cfg);
             migrated += build_migration(&node_parts, &moved, k).total_moved();
             repartitions += 1;
-            for (n, &p) in moved.iter().enumerate() {
-                if p != u32::MAX {
-                    node_parts[n] = p;
-                }
-            }
+            merge_live(&mut node_parts, &moved);
             tree = None;
         }
 
-        halo += total_comm_volume(&view.graph2.graph, &on_graph(&node_parts));
+        halo += FeCost::of(sim.topology(i, &rec), &node_parts, k).fe_comm;
 
-        let labels = view.contact.labels_from_node_parts(&node_parts);
+        let nodes = &snap.contact.contact_nodes;
+        let (positions, labels) = (gather(nodes, &snap.points), gather(nodes, &node_parts));
         let next = match &tree {
-            None => induce(&view.contact.positions, &labels, k, &dcfg),
-            Some(prev) => refresh(prev, &view.contact.positions, &labels, k, &dcfg).0,
+            None => induce(&positions, &labels, k, &dcfg),
+            Some(prev) => refresh(prev, &positions, &labels, k, &dcfg).0,
         };
-        let elements = view.surface_elements(&node_parts);
+        let elements = surface_elements(&snap.contact.faces, &snap.points, &node_parts);
         let filter = DtreeFilter::new(&next, k);
         let mut candidates = Vec::new();
         for el in &elements {
@@ -224,7 +232,8 @@ pub fn serial_reference(opts: &TraceOptions) -> Totals {
         }
         tree = Some(next);
 
-        pairs += serial_contact_pairs(&elements, &view.face_bodies(), 0.4).len() as u64;
+        pairs +=
+            serial_contact_pairs(&elements, &face_bodies(&snap.contact.faces), 0.4).len() as u64;
     }
     (sim.len(), halo, shipments, migrated, pairs, repartitions)
 }

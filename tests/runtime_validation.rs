@@ -11,15 +11,16 @@ mod common;
 
 use cip::contact::{n_remote, serial_contact_pairs, DtreeFilter};
 use cip::core::halo_traffic;
-use cip::graph::total_comm_volume;
+use cip::graph::comm_volume_of_rows;
 use cip::runtime::{ExecOptions, StepOutput};
+use cip::telemetry::Recorder;
 use cip::transport::InProcess;
 use common::{run_batch, stage};
 
 /// Drives the staged snapshots as **one batch** through the one executor
 /// and checks every step against ground truth computed without it: the
 /// halo matrix against `halo_traffic` (and its total against
-/// `total_comm_volume`), the detected pairs against the serial search,
+/// `comm_volume_of_rows`), the detected pairs against the serial search,
 /// and — at tolerance 0, where the shipped boxes are the boxes NRemote is
 /// defined on — the shipments against `n_remote`.
 fn run_step(k: usize, snapshots: &[usize], tolerance: f64) -> Vec<StepOutput> {
@@ -30,9 +31,10 @@ fn run_step(k: usize, snapshots: &[usize], tolerance: f64) -> Vec<StepOutput> {
     for ((out, s), &snapshot) in outs.iter().zip(&staged).zip(snapshots) {
         let at = format!("k={k} snapshot={snapshot}");
         assert_eq!(out.ghost_mismatches, 0, "{at}: halo exchange delivered stale ghosts");
-        let graph = &s.view.graph2.graph;
-        assert_eq!(out.traffic.halo, halo_traffic(graph, &s.asg, k).matrix, "{at}");
-        assert_eq!(out.traffic.total_halo(), total_comm_volume(graph, &s.asg), "{at}");
+        let topology = s.sim.topology(snapshot, &Recorder::disabled());
+        let (xadj, adjncy) = (topology.xadj(), topology.adjncy());
+        assert_eq!(out.traffic.halo, halo_traffic(xadj, adjncy, &s.asg, k).matrix, "{at}");
+        assert_eq!(out.traffic.total_halo(), comm_volume_of_rows(xadj, adjncy, &s.asg), "{at}");
         let serial = serial_contact_pairs(&s.elements, &s.bodies, tolerance);
         assert_eq!(out.contact_pairs, serial, "{at}: executed step must detect the serial pairs");
         if tolerance == 0.0 {
