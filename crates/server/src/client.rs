@@ -23,8 +23,8 @@
 //! Sizing note: `read_timeout` bounds every reply, including the
 //! server-side-blocking [`Client::result`] wait — set it comfortably
 //! above the server's job deadline (plus expected queueing) or leave it
-//! `None` and rely on the server's own deadline watchdog to unblock
-//! waiters.
+//! `None` and rely on the server, which ends a `Result` wait once the
+//! awaited job overruns its deadline.
 
 use crate::protocol::{CatalogInfo, JobMsg, JobOutcome, JobState, ServerStats};
 use crate::ServerError;

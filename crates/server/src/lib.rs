@@ -22,20 +22,23 @@
 //! # Resilience model (DESIGN.md §6e)
 //!
 //! The service degrades gracefully under component failure instead of
-//! hanging or leaking:
+//! hanging or leaking, with one thread per role: the accept loop, one
+//! handler per connection, and a fixed pool of workers.
 //!
 //! * **Panics are jobs failing, not workers dying.** Runner execution is
 //!   wrapped in `catch_unwind`: a panicking job finalizes as a typed
-//!   [`JobError::Panicked`] and its client is unblocked. The worker
-//!   thread then retires itself — its workspace may be arbitrarily
-//!   corrupted by the unwind — and the supervisor respawns a fresh one
-//!   (`server.workers.respawned`), so pool capacity is invariant.
+//!   [`JobError::Panicked`] and its client is unblocked. The worker then
+//!   swaps its workspace — the unwind may have torn it — for a fresh one
+//!   (`server.workers.respawned`) and keeps serving, so pool capacity is
+//!   invariant.
 //! * **Deadlines bound every job.** [`ServerConfig::job_deadline`] is
 //!   threaded into the runner via [`JobContext::deadline`] (the traced
-//!   runner turns it into a `RunControl` time budget) and enforced by a
-//!   watchdog: an overrunning job is cancelled and force-finalized as a
-//!   typed deadline failure, so a wedged runner can never hold a
-//!   `Result` waiter hostage.
+//!   runner turns it into a `RunControl` time budget) and enforced where
+//!   the outcome is observed: a `Result` waiter sleeps no longer than the
+//!   job's deadline, then cancels it and finalizes it as a typed deadline
+//!   failure, so a wedged runner can never hold a waiter hostage.
+//!   `Status`, the shutdown drain and a late-returning worker apply the
+//!   same rule.
 //! * **The result cache is bounded** by entry count and byte budget
 //!   with least-recently-used eviction (`server.cache.evictions`,
 //!   `cache_bytes` in [`ServerStats`]).
@@ -64,7 +67,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -102,7 +105,7 @@ pub enum JobError {
         /// The panic message.
         reason: String,
     },
-    /// The job overran its [`ServerConfig::job_deadline`]; the watchdog
+    /// The job overran its [`ServerConfig::job_deadline`]; the server
     /// (or the runner's own budget checkpoint) stopped it.
     DeadlineExceeded {
         /// The deadline that was exceeded, in milliseconds.
@@ -130,13 +133,13 @@ impl std::error::Error for JobError {}
 #[derive(Debug, Clone)]
 pub struct JobContext {
     /// Trips when the client cancels the job, on shutdown drain
-    /// timeout, or when the deadline watchdog fires. Runners should
+    /// timeout, or when the job overruns its deadline. Runners should
     /// poll it at their checkpoints and return [`JobError::Cancelled`].
     pub cancel: CancelToken,
     /// The per-job wall-clock deadline, if the server enforces one.
     /// Runners with internal budget support (the traced session) should
     /// thread it into their own budget so they stop cooperatively at a
-    /// clean boundary before the watchdog has to force the issue.
+    /// clean boundary before the server has to force the issue.
     pub deadline: Option<Duration>,
 }
 
@@ -146,7 +149,8 @@ pub struct JobContext {
 ///
 /// One [`JobRunner::Workspace`] is created per worker thread and handed
 /// back on every job that worker runs — the hook for allocation-free
-/// steady-state execution (partitioner scratch, session workspaces).
+/// steady-state execution (partitioner scratch). A job that panics
+/// costs its worker the workspace: the next job gets a fresh one.
 pub trait JobRunner: Send + Sync + 'static {
     /// Per-worker reusable scratch.
     type Workspace: Send;
@@ -155,7 +159,7 @@ pub trait JobRunner: Send + Sync + 'static {
     fn workspace(&self) -> Self::Workspace;
 
     /// Executes one job. `ctx.cancel` trips when the client cancels (or
-    /// the deadline watchdog fires); the runner should poll it at its
+    /// the job overruns its deadline); the runner should poll it at its
     /// checkpoints and return [`JobError::Cancelled`]. Reuse of `ws`
     /// must not change results.
     fn run(
@@ -280,7 +284,7 @@ impl Default for ServerConfig {
 
 /// One tracked job.
 struct Job {
-    /// The submission payload; taken by the worker that runs it.
+    /// The submission payload; moved into the cache on success.
     payload: Vec<u8>,
     hash: u64,
     state: JobState,
@@ -301,55 +305,50 @@ struct CacheEntry {
 }
 
 impl CacheEntry {
-    fn bytes(&self) -> usize {
-        self.payload.len() + self.result.len()
+    fn bytes(&self) -> u64 {
+        (self.payload.len() + self.result.len()) as u64
     }
 }
+
+/// A [`ServerStats`] field and the recorder counter that mirrors it.
+type Counter = (fn(&mut ServerStats) -> &mut u64, &'static str);
+
+const SUBMITTED: Counter = (|s| &mut s.submitted, "server.jobs.submitted");
+const COMPLETED: Counter = (|s| &mut s.completed, "server.jobs.completed");
+const CANCELLED: Counter = (|s| &mut s.cancelled, "server.jobs.cancelled");
+const CACHE_HITS: Counter = (|s| &mut s.cache_hits, "server.jobs.cache_hits");
+const FAILED: Counter = (|s| &mut s.failed, "server.jobs.failed");
+const REJECTED: Counter = (|s| &mut s.rejected, "server.jobs.rejected");
+const PANICKED: Counter = (|s| &mut s.panicked, "server.jobs.panicked");
+const DEADLINE_EXCEEDED: Counter = (|s| &mut s.deadline_exceeded, "server.jobs.deadline_exceeded");
+const EVICTIONS: Counter = (|s| &mut s.cache_evictions, "server.cache.evictions");
+const RESPAWNED: Counter = (|s| &mut s.workers_respawned, "server.workers.respawned");
 
 /// Mutex-guarded server state.
 struct Inner {
     queue: VecDeque<u64>,
+    /// Jobs whose outcome has not been delivered yet; `Result` removes
+    /// the record it answers.
     jobs: HashMap<u64, Job>,
     cache: HashMap<u64, CacheEntry>,
-    /// Sum of `CacheEntry::bytes` over `cache` — the eviction budget.
-    cache_bytes: usize,
     /// Monotone LRU clock; bumped on every cache touch.
     cache_clock: u64,
     next_id: u64,
+    /// The counters `Stats` reports; `stats.cache_bytes` (the sum of
+    /// `CacheEntry::bytes` over `cache`) is the eviction budget's gauge.
+    stats: ServerStats,
 }
 
-/// Lock-free counter block behind [`ServerStats`].
-#[derive(Default)]
-struct StatCells {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    cancelled: AtomicU64,
-    cache_hits: AtomicU64,
-    failed: AtomicU64,
-    rejected: AtomicU64,
-    panicked: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    cache_evictions: AtomicU64,
-    cache_bytes: AtomicU64,
-    workers_respawned: AtomicU64,
-}
+impl Inner {
+    /// Counts one event in `stats` and in its recorder counter.
+    fn count(&mut self, rec: &Recorder, (field, name): Counter) {
+        *field(&mut self.stats) += 1;
+        rec.add(name, 1);
+    }
 
-impl StatCells {
-    fn snapshot(&self, max_payload: usize) -> ServerStats {
-        ServerStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            panicked: self.panicked.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            cache_bytes: self.cache_bytes.load(Ordering::Relaxed),
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            max_payload: max_payload as u64,
-        }
+    /// A job's state; an unknown (or delivered) id reads as failed.
+    fn state_of(&self, id: u64) -> JobState {
+        self.jobs.get(&id).map_or(JobState::Failed, |j| j.state)
     }
 }
 
@@ -358,23 +357,19 @@ struct Shared<R: JobRunner> {
     inner: Mutex<Inner>,
     /// Wakes workers when the queue grows (and on shutdown).
     work_cv: Condvar,
-    /// Wakes result waiters when any job finalizes (and on shutdown).
+    /// Wakes result waiters when any job finalizes or starts with a
+    /// deadline (and on shutdown).
     done_cv: Condvar,
-    stats: StatCells,
     rec: Recorder,
     /// Admission closed; in-flight jobs may still drain.
     draining: AtomicBool,
-    /// Hard stop: workers and the supervisor exit at their next
-    /// checkpoint.
+    /// Hard stop: workers exit at their next checkpoint.
     shutdown: AtomicBool,
     queue_capacity: usize,
     max_payload: usize,
     job_deadline: Option<Duration>,
     cache_max_entries: usize,
-    cache_max_bytes: usize,
-    /// Worker slot table the supervisor watches: `slots[wid]` holds the
-    /// join handle of the thread currently playing worker `wid`.
-    slots: Mutex<Vec<Option<JoinHandle<()>>>>,
+    cache_max_bytes: u64,
 }
 
 /// Poison-tolerant lock: a panicking connection handler must not take
@@ -395,11 +390,12 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl<R: JobRunner> Shared<R> {
-    /// Finalizes `id` under the lock: state, outcome, stats, counters,
-    /// cache insertion for successes, and the completion broadcast.
-    /// A job that already has an outcome is left untouched — the
-    /// deadline watchdog and the worker may both report the same job,
-    /// and the first result wins.
+    /// Finalizes `id` under the lock: state, outcome, counters, cache
+    /// insertion for successes, and the completion broadcast. A job
+    /// that already has an outcome is left untouched — a waiter past
+    /// the deadline and the worker may both report the same job, and
+    /// the first result wins. A job finalized past its deadline is a
+    /// deadline failure, whatever its runner returned.
     fn finalize(&self, inner: &mut Inner, id: u64, result: Result<Vec<u8>, JobError>) {
         let Some(job) = inner.jobs.get_mut(&id) else {
             return;
@@ -407,42 +403,65 @@ impl<R: JobRunner> Shared<R> {
         if job.outcome.is_some() {
             return;
         }
-        match result {
-            Ok(bytes) => {
-                job.state = JobState::Done;
-                job.outcome = Some(JobOutcome::Done { payload: bytes.clone() });
-                let hash = job.hash;
-                let payload = std::mem::take(&mut job.payload);
-                self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                self.rec.add("server.jobs.completed", 1);
-                self.cache_insert(inner, hash, payload, bytes);
+        let overdue = job.deadline_at.is_some_and(|at| Instant::now() >= at);
+        let result = if overdue { Err(self.deadline_error()) } else { result };
+        let (state, outcome, counter) = match result {
+            Ok(payload) => (JobState::Done, JobOutcome::Done { payload }, COMPLETED),
+            Err(JobError::Cancelled) => (JobState::Cancelled, JobOutcome::Cancelled, CANCELLED),
+            Err(e) => {
+                let counter = match e {
+                    JobError::Panicked { .. } => PANICKED,
+                    JobError::DeadlineExceeded { .. } => DEADLINE_EXCEEDED,
+                    _ => FAILED,
+                };
+                (JobState::Failed, JobOutcome::Failed { reason: e.to_string() }, counter)
             }
-            Err(JobError::Cancelled) => {
-                job.state = JobState::Cancelled;
-                job.outcome = Some(JobOutcome::Cancelled);
-                self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                self.rec.add("server.jobs.cancelled", 1);
+        };
+        job.state = state;
+        let entry = match &outcome {
+            JobOutcome::Done { payload } => {
+                Some((job.hash, std::mem::take(&mut job.payload), payload.clone()))
             }
-            Err(e @ (JobError::Invalid { .. } | JobError::Failed { .. })) => {
-                job.state = JobState::Failed;
-                job.outcome = Some(JobOutcome::Failed { reason: e.to_string() });
-                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                self.rec.add("server.jobs.failed", 1);
-            }
-            Err(e @ JobError::Panicked { .. }) => {
-                job.state = JobState::Failed;
-                job.outcome = Some(JobOutcome::Failed { reason: e.to_string() });
-                self.stats.panicked.fetch_add(1, Ordering::Relaxed);
-                self.rec.add("server.jobs.panicked", 1);
-            }
-            Err(e @ JobError::DeadlineExceeded { .. }) => {
-                job.state = JobState::Failed;
-                job.outcome = Some(JobOutcome::Failed { reason: e.to_string() });
-                self.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                self.rec.add("server.jobs.deadline_exceeded", 1);
-            }
+            _ => None,
+        };
+        job.outcome = Some(outcome);
+        if let Some((hash, payload, result)) = entry {
+            self.cache_insert(inner, hash, payload, result);
         }
+        inner.count(&self.rec, counter);
         self.done_cv.notify_all();
+    }
+
+    fn deadline_error(&self) -> JobError {
+        JobError::DeadlineExceeded {
+            limit_ms: self.job_deadline.map_or(0, |d| d.as_millis() as u64),
+        }
+    }
+
+    /// Enforces `id`'s deadline where its outcome is observed: a job
+    /// still running past its deadline is cancelled and finalized as a
+    /// deadline failure. Returns the time left of a pending deadline.
+    fn enforce_deadline(&self, inner: &mut Inner, id: u64) -> Option<Duration> {
+        let job = inner.jobs.get(&id).filter(|j| j.outcome.is_none())?;
+        let left = job.deadline_at?.saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            return Some(left);
+        }
+        job.cancel.cancel();
+        self.finalize(inner, id, Err(self.deadline_error()));
+        None
+    }
+
+    /// Trips `id`'s cancel token; a queued job finalizes at once, a
+    /// running one when its runner yields.
+    fn cancel(&self, inner: &mut Inner, id: u64) {
+        let Some(job) = inner.jobs.get(&id) else {
+            return;
+        };
+        job.cancel.cancel();
+        if job.state == JobState::Queued {
+            self.finalize(inner, id, Err(JobError::Cancelled));
+        }
     }
 
     /// Inserts a successful result into the bounded cache, evicting
@@ -450,45 +469,42 @@ impl<R: JobRunner> Shared<R> {
     /// byte budget hold. An entry larger than the whole byte budget is
     /// simply not cached.
     fn cache_insert(&self, inner: &mut Inner, hash: u64, payload: Vec<u8>, result: Vec<u8>) {
-        let entry_bytes = payload.len() + result.len();
+        let entry_bytes = (payload.len() + result.len()) as u64;
         if entry_bytes > self.cache_max_bytes || inner.cache.contains_key(&hash) {
             return;
         }
         while !inner.cache.is_empty()
             && (inner.cache.len() >= self.cache_max_entries
-                || inner.cache_bytes + entry_bytes > self.cache_max_bytes)
+                || inner.stats.cache_bytes + entry_bytes > self.cache_max_bytes)
         {
             let Some((&victim, _)) = inner.cache.iter().min_by_key(|(_, e)| e.stamp) else {
                 break;
             };
             if let Some(evicted) = inner.cache.remove(&victim) {
-                inner.cache_bytes -= evicted.bytes();
+                inner.stats.cache_bytes -= evicted.bytes();
             }
-            self.stats.cache_evictions.fetch_add(1, Ordering::Relaxed);
-            self.rec.add("server.cache.evictions", 1);
+            inner.count(&self.rec, EVICTIONS);
         }
         inner.cache_clock += 1;
         let stamp = inner.cache_clock;
         inner.cache.insert(hash, CacheEntry { payload, result, stamp });
-        inner.cache_bytes += entry_bytes;
-        self.stats.cache_bytes.store(inner.cache_bytes as u64, Ordering::Relaxed);
+        inner.stats.cache_bytes += entry_bytes;
         // Histogram sample: the byte occupancy over time (counters are
         // monotone, so the gauge lives in ServerStats and this
         // distribution backs `server.cache.bytes` in the summary).
-        self.rec.record("server.cache.bytes", inner.cache_bytes as u64);
+        self.rec.record("server.cache.bytes", inner.stats.cache_bytes);
     }
 
     /// Counts and rejects one refused submission.
     fn reject(&self, ticket: u32, reason: String) -> JobMsg {
-        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        self.rec.add("server.jobs.rejected", 1);
+        lock(&self.inner).count(&self.rec, REJECTED);
         JobMsg::Rejected { ticket, reason }
     }
 }
 
-/// A running job server: accept loop + supervised worker pool. Bind
-/// with [`Server::start`], stop with [`Server::shutdown`] (also called
-/// on drop).
+/// A running job server: accept loop + fixed worker pool. Bind with
+/// [`Server::start`], stop with [`Server::shutdown`] (also called on
+/// drop).
 pub struct Server<R: JobRunner> {
     addr: SocketAddr,
     /// Kept so shutdown can flip the listener nonblocking — the
@@ -498,12 +514,12 @@ pub struct Server<R: JobRunner> {
     drain_timeout: Duration,
     shared: Arc<Shared<R>>,
     accept: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl<R: JobRunner> Server<R> {
-    /// Binds the listener, spawns the supervised worker pool, and
-    /// starts accepting clients.
+    /// Binds the listener, spawns the worker pool, and starts accepting
+    /// clients.
     pub fn start(runner: R, cfg: &ServerConfig) -> Result<Self, ServerError> {
         let listener = TcpListener::bind(&cfg.bind)
             .map_err(|e| ServerError::Io { what: "bind job listener", detail: e.to_string() })?;
@@ -513,20 +529,21 @@ impl<R: JobRunner> Server<R> {
         let accept_listener = listener
             .try_clone()
             .map_err(|e| ServerError::Io { what: "clone job listener", detail: e.to_string() })?;
-        let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             runner,
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
                 jobs: HashMap::new(),
                 cache: HashMap::new(),
-                cache_bytes: 0,
                 cache_clock: 0,
                 next_id: 1,
+                stats: ServerStats {
+                    max_payload: cfg.max_payload as u64,
+                    ..ServerStats::default()
+                },
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            stats: StatCells::default(),
             rec: cfg.recorder.clone(),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -534,21 +551,15 @@ impl<R: JobRunner> Server<R> {
             max_payload: cfg.max_payload,
             job_deadline: cfg.job_deadline,
             cache_max_entries: cfg.cache_max_entries.max(1),
-            cache_max_bytes: cfg.cache_max_bytes,
-            slots: Mutex::new(Vec::new()),
+            cache_max_bytes: cfg.cache_max_bytes as u64,
         });
 
-        {
-            let mut slots = lock(&shared.slots);
-            for wid in 0..workers {
-                slots.push(Some(spawn_worker(&shared, wid)));
-            }
-        }
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || supervisor_loop(&shared))
-        };
-
+        let workers = (0..cfg.workers.max(1))
+            .map(|wid| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(&shared, wid))
+            })
+            .collect();
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
             accept_loop(&accept_listener, &accept_shared);
@@ -560,7 +571,7 @@ impl<R: JobRunner> Server<R> {
             drain_timeout: cfg.drain_timeout,
             shared,
             accept: Some(accept),
-            supervisor: Some(supervisor),
+            workers,
         })
     }
 
@@ -572,7 +583,7 @@ impl<R: JobRunner> Server<R> {
 
     /// Aggregate job counters so far.
     pub fn stats(&self) -> ServerStats {
-        self.shared.stats.snapshot(self.shared.max_payload)
+        lock(&self.shared.inner).stats
     }
 
     /// Graceful drain shutdown: stop admitting immediately, let
@@ -589,21 +600,28 @@ impl<R: JobRunner> Server<R> {
         self.shared.work_cv.notify_all();
 
         // Drain phase: wait for every job to finalize, up to the
-        // configured drain budget.
+        // configured drain budget. Overdue jobs finalize here as they
+        // would for a waiter, so the next job deadline bounds each wait.
         let deadline = Instant::now() + self.drain_timeout;
         {
             let mut inner = lock(&self.shared.inner);
-            while inner.jobs.values().any(|j| j.outcome.is_none()) {
-                let now = Instant::now();
-                if now >= deadline {
+            loop {
+                let mut wait = deadline.saturating_duration_since(Instant::now());
+                let ids: Vec<u64> = inner.jobs.keys().copied().collect();
+                for id in ids {
+                    if let Some(left) = self.shared.enforce_deadline(&mut inner, id) {
+                        wait = wait.min(left);
+                    }
+                }
+                if wait.is_zero() || inner.jobs.values().all(|j| j.outcome.is_some()) {
                     break;
                 }
-                let (guard, _timeout) = self
+                inner = self
                     .shared
                     .done_cv
-                    .wait_timeout(inner, deadline - now)
-                    .unwrap_or_else(|p| p.into_inner());
-                inner = guard;
+                    .wait_timeout(inner, wait)
+                    .unwrap_or_else(|p| p.into_inner())
+                    .0;
             }
             // Whatever is still pending gets cancelled: queued jobs
             // finalize here, running ones at their runner's next
@@ -611,16 +629,7 @@ impl<R: JobRunner> Server<R> {
             let pending: Vec<u64> =
                 inner.jobs.iter().filter(|(_, j)| j.outcome.is_none()).map(|(&id, _)| id).collect();
             for id in pending {
-                let queued = match inner.jobs.get(&id) {
-                    Some(job) => {
-                        job.cancel.cancel();
-                        job.state == JobState::Queued
-                    }
-                    None => false,
-                };
-                if queued {
-                    self.shared.finalize(&mut inner, id, Err(JobError::Cancelled));
-                }
+                self.shared.cancel(&mut inner, id);
             }
             inner.queue.clear();
         }
@@ -647,26 +656,20 @@ impl<R: JobRunner> Server<R> {
         if let Some(h) = self.accept.take() {
             h.join().ok();
         }
-        if let Some(h) = self.supervisor.take() {
-            h.join().ok();
-        }
 
         // Join the workers, but never forever: a runner that ignores
         // its cancel token would otherwise hang shutdown, so after a
         // bounded grace the wedged thread is abandoned (the process
         // teardown reaps it) and counted.
         let grace = Instant::now() + self.drain_timeout.max(Duration::from_millis(200));
-        let mut slots = lock(&self.shared.slots);
-        while Instant::now() < grace && slots.iter().flatten().any(|handle| !handle.is_finished()) {
+        while Instant::now() < grace && self.workers.iter().any(|h| !h.is_finished()) {
             std::thread::sleep(Duration::from_millis(2));
         }
-        for slot in slots.iter_mut() {
-            if let Some(handle) = slot.take() {
-                if handle.is_finished() {
-                    handle.join().ok();
-                } else {
-                    self.shared.rec.add("server.workers.abandoned", 1);
-                }
+        for handle in self.workers.drain(..) {
+            if handle.is_finished() {
+                handle.join().ok();
+            } else {
+                self.shared.rec.add("server.workers.abandoned", 1);
             }
         }
     }
@@ -678,69 +681,9 @@ impl<R: JobRunner> Drop for Server<R> {
     }
 }
 
-/// Spawns one worker thread into slot `wid`.
-fn spawn_worker<R: JobRunner>(shared: &Arc<Shared<R>>, wid: usize) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::spawn(move || worker_loop(&shared, wid))
-}
-
-/// The supervisor: respawns worker threads that died (a panicking job
-/// retires its worker so the unwound workspace is never reused) and
-/// enforces per-job deadlines. One thread, checkpointed every few
-/// milliseconds, exits on shutdown.
-fn supervisor_loop<R: JobRunner>(shared: &Arc<Shared<R>>) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Respawn dead workers — but not while winding down, when
-        // worker exit is the expected end state.
-        if !shared.draining.load(Ordering::Acquire) {
-            let mut slots = lock(&shared.slots);
-            for wid in 0..slots.len() {
-                let died = slots[wid].as_ref().is_some_and(|h| h.is_finished());
-                if died {
-                    if let Some(h) = slots[wid].take() {
-                        h.join().ok();
-                    }
-                    slots[wid] = Some(spawn_worker(shared, wid));
-                    shared.stats.workers_respawned.fetch_add(1, Ordering::Relaxed);
-                    shared.rec.add("server.workers.respawned", 1);
-                }
-            }
-        }
-        // Deadline watchdog: an overrunning job is cancelled and
-        // force-finalized as a typed deadline failure, unblocking its
-        // `Result` waiters immediately. If the runner later returns
-        // anyway, `finalize` ignores the stale result.
-        if let Some(deadline) = shared.job_deadline {
-            let limit_ms = deadline.as_millis() as u64;
-            let now = Instant::now();
-            let mut inner = lock(&shared.inner);
-            let overdue: Vec<u64> = inner
-                .jobs
-                .iter()
-                .filter(|(_, j)| {
-                    j.outcome.is_none()
-                        && j.state == JobState::Running
-                        && j.deadline_at.is_some_and(|at| now >= at)
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            for id in overdue {
-                if let Some(job) = inner.jobs.get(&id) {
-                    job.cancel.cancel();
-                }
-                shared.finalize(&mut inner, id, Err(JobError::DeadlineExceeded { limit_ms }));
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 /// One worker thread: owns a reusable workspace, drains the queue until
-/// shutdown. A caught panic finalizes the job and retires the thread
-/// (its workspace may be corrupt); the supervisor respawns the slot.
+/// shutdown. A caught panic finalizes the job, and the worker carries on
+/// with a fresh workspace (the unwind may have left the old one torn).
 fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
     let mut ws = shared.runner.workspace();
     loop {
@@ -750,23 +693,19 @@ fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                // Skip entries finalized while queued (client cancel).
-                let next = loop {
-                    match inner.queue.pop_front() {
-                        None => break None,
-                        Some(id) => {
-                            if inner.jobs.get(&id).is_some_and(|j| j.state == JobState::Queued) {
-                                break Some(id);
-                            }
-                        }
-                    }
-                };
-                if let Some(id) = next {
-                    let Some(job) = inner.jobs.get_mut(&id) else {
+                if let Some(id) = inner.queue.pop_front() {
+                    // Skip entries finalized while queued (client cancel).
+                    let Some(job) = inner.jobs.get_mut(&id).filter(|j| j.state == JobState::Queued)
+                    else {
                         continue;
                     };
                     job.state = JobState::Running;
                     job.deadline_at = shared.job_deadline.map(|d| Instant::now() + d);
+                    if job.deadline_at.is_some() {
+                        // A waiter that arrived while the job was queued
+                        // sleeps without a timeout: wake it to arm one.
+                        shared.done_cv.notify_all();
+                    }
                     let ctx =
                         JobContext { cancel: job.cancel.clone(), deadline: shared.job_deadline };
                     break (id, job.payload.clone(), ctx);
@@ -798,23 +737,14 @@ fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
                 r
             }
         }));
-        match run {
-            Ok(result) => {
-                let mut inner = lock(&shared.inner);
-                shared.finalize(&mut inner, id, result);
-            }
-            Err(panic) => {
-                let reason = panic_reason(panic.as_ref());
-                {
-                    let mut inner = lock(&shared.inner);
-                    shared.finalize(&mut inner, id, Err(JobError::Panicked { reason }));
-                }
-                // The unwound workspace cannot be trusted: retire this
-                // thread and let the supervisor respawn the slot with a
-                // fresh one.
-                return;
-            }
-        }
+        let result = run.unwrap_or_else(|panic| {
+            // The unwound workspace cannot be trusted: replace it, and
+            // count that before the panicked job finalizes.
+            ws = shared.runner.workspace();
+            lock(&shared.inner).count(&shared.rec, RESPAWNED);
+            Err(JobError::Panicked { reason: panic_reason(panic.as_ref()) })
+        });
+        shared.finalize(&mut lock(&shared.inner), id, result);
     }
 }
 
@@ -871,13 +801,17 @@ fn serve_connection<R: JobRunner>(shared: &Shared<R>, mut stream: TcpStream) {
         let reply = match msg {
             JobMsg::Submit { ticket, payload } => submit(shared, ticket, payload),
             JobMsg::Status { job_id } => {
-                let inner = lock(&shared.inner);
-                let state = inner.jobs.get(&job_id).map_or(JobState::Failed, |j| j.state);
-                JobMsg::StatusIs { job_id, state }
+                let mut inner = lock(&shared.inner);
+                shared.enforce_deadline(&mut inner, job_id);
+                JobMsg::StatusIs { job_id, state: inner.state_of(job_id) }
             }
-            JobMsg::Cancel { job_id } => cancel(shared, job_id),
+            JobMsg::Cancel { job_id } => {
+                let mut inner = lock(&shared.inner);
+                shared.cancel(&mut inner, job_id);
+                JobMsg::StatusIs { job_id, state: inner.state_of(job_id) }
+            }
             JobMsg::Result { job_id } => await_result(shared, job_id),
-            JobMsg::Stats => JobMsg::StatsIs(shared.stats.snapshot(shared.max_payload)),
+            JobMsg::Stats => JobMsg::StatsIs(lock(&shared.inner).stats),
             JobMsg::Catalog => JobMsg::CatalogIs {
                 entries: shared.runner.catalog(),
                 max_payload: shared.max_payload as u64,
@@ -912,7 +846,6 @@ fn submit<R: JobRunner>(shared: &Shared<R>, ticket: u32, payload: Vec<u8>) -> Jo
     }
     let hash = content_hash(&payload);
     let mut inner = lock(&shared.inner);
-    let id = inner.next_id;
 
     // Content-hash cache: a byte-identical resubmission is answered
     // with the exact result bytes of the first run — no worker, no
@@ -922,102 +855,67 @@ fn submit<R: JobRunner>(shared: &Shared<R>, ticket: u32, payload: Vec<u8>) -> Jo
     let clock = inner.cache_clock;
     let hit = inner.cache.get_mut(&hash).filter(|e| e.payload == payload).map(|e| {
         e.stamp = clock;
-        e.result.clone()
+        JobOutcome::Done { payload: e.result.clone() }
     });
-    if let Some(result) = hit {
-        inner.next_id += 1;
-        inner.jobs.insert(
-            id,
-            Job {
-                payload: Vec::new(),
-                hash,
-                state: JobState::Done,
-                cancel: CancelToken::new(),
-                outcome: Some(JobOutcome::Done { payload: result }),
-                cached: true,
-                deadline_at: None,
-            },
-        );
-        shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        shared.rec.add("server.jobs.submitted", 1);
-        shared.rec.add("server.jobs.cache_hits", 1);
-        shared.done_cv.notify_all();
-        return JobMsg::Accepted { ticket, job_id: id };
-    }
-
-    if inner.queue.len() >= shared.queue_capacity {
+    if hit.is_none() && inner.queue.len() >= shared.queue_capacity {
         drop(inner);
         return shared.reject(ticket, "admission queue full".to_string());
     }
+    let id = inner.next_id;
     inner.next_id += 1;
-    inner.jobs.insert(
-        id,
-        Job {
-            payload,
-            hash,
-            state: JobState::Queued,
-            cancel: CancelToken::new(),
-            outcome: None,
-            cached: false,
-            deadline_at: None,
-        },
-    );
-    inner.queue.push_back(id);
-    shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-    shared.rec.add("server.jobs.submitted", 1);
-    shared.work_cv.notify_one();
+    let cached = hit.is_some();
+    let job = Job {
+        payload: if cached { Vec::new() } else { payload },
+        hash,
+        state: if cached { JobState::Done } else { JobState::Queued },
+        cancel: CancelToken::new(),
+        outcome: hit,
+        cached,
+        deadline_at: None,
+    };
+    inner.jobs.insert(id, job);
+    inner.count(&shared.rec, SUBMITTED);
+    if cached {
+        inner.count(&shared.rec, CACHE_HITS);
+    } else {
+        inner.queue.push_back(id);
+        shared.work_cv.notify_one();
+    }
     JobMsg::Accepted { ticket, job_id: id }
 }
 
-/// Cancellation: a queued job finalizes immediately; a running one is
-/// asked to stop via its token and finalizes when the runner yields.
-fn cancel<R: JobRunner>(shared: &Shared<R>, job_id: u64) -> JobMsg {
-    let mut inner = lock(&shared.inner);
-    let Some(job) = inner.jobs.get(&job_id) else {
-        return JobMsg::StatusIs { job_id, state: JobState::Failed };
-    };
-    job.cancel.cancel();
-    if job.state == JobState::Queued {
-        shared.finalize(&mut inner, job_id, Err(JobError::Cancelled));
-    }
-    let state = inner.jobs.get(&job_id).map_or(JobState::Failed, |j| j.state);
-    JobMsg::StatusIs { job_id, state }
-}
-
-/// Blocks until the job finalizes (or the server shuts down). With a
-/// server-side job deadline, "finalizes" is bounded: the watchdog
-/// force-finalizes overrunners, so this wait can never outlive the
-/// queue backlog plus one deadline.
+/// Blocks until the job finalizes (or the server shuts down), then
+/// delivers its outcome once: the record leaves the table and the id
+/// reads as unknown from then on. With a server-side job deadline the
+/// wait never outlives the queue backlog plus one deadline: it sleeps no
+/// longer than the running job's time left, then finalizes an overrunner
+/// itself.
 fn await_result<R: JobRunner>(shared: &Shared<R>, job_id: u64) -> JobMsg {
+    let failed = |reason: &str| JobMsg::ResultIs {
+        job_id,
+        outcome: JobOutcome::Failed { reason: reason.to_string() },
+        cached: false,
+    };
     let mut inner = lock(&shared.inner);
     loop {
-        match inner.jobs.get(&job_id) {
-            None => {
-                return JobMsg::ResultIs {
-                    job_id,
-                    outcome: JobOutcome::Failed { reason: "unknown job".to_string() },
-                    cached: false,
-                };
-            }
-            Some(job) => {
-                if let Some(outcome) = &job.outcome {
-                    return JobMsg::ResultIs {
-                        job_id,
-                        outcome: outcome.clone(),
-                        cached: job.cached,
-                    };
-                }
-            }
+        let left = shared.enforce_deadline(&mut inner, job_id);
+        let Some(job) = inner.jobs.get_mut(&job_id) else {
+            return failed("unknown job");
+        };
+        if let Some(outcome) = job.outcome.take() {
+            let cached = job.cached;
+            inner.jobs.remove(&job_id);
+            return JobMsg::ResultIs { job_id, outcome, cached };
         }
         if shared.shutdown.load(Ordering::Acquire) {
-            return JobMsg::ResultIs {
-                job_id,
-                outcome: JobOutcome::Failed { reason: "server shutting down".to_string() },
-                cached: false,
-            };
+            return failed("server shutting down");
         }
-        inner = shared.done_cv.wait(inner).unwrap_or_else(|p| p.into_inner());
+        inner = match left {
+            Some(left) => {
+                shared.done_cv.wait_timeout(inner, left).unwrap_or_else(|p| p.into_inner()).0
+            }
+            None => shared.done_cv.wait(inner).unwrap_or_else(|p| p.into_inner()),
+        };
     }
 }
 
@@ -1027,9 +925,11 @@ mod tests {
     use std::time::Duration;
 
     /// Test runner: payload[0] selects the behavior. 0 = echo the rest
-    /// reversed, 1 = spin until cancelled (checkpoint every 1 ms),
-    /// 2 = fail, 3 = panic, 4 = sleep 300 ms ignoring the cancel token
-    /// (a "wedged" runner for the deadline watchdog).
+    /// reversed (appended to whatever the workspace holds, which a
+    /// healthy run leaves empty), 1 = spin until cancelled (checkpoint
+    /// every 1 ms), 2 = fail, 3 = dirty the workspace and panic, 4 =
+    /// sleep 300 ms ignoring the cancel token (a "wedged" runner for the
+    /// deadline tests).
     struct TestRunner;
 
     impl JobRunner for TestRunner {
@@ -1047,9 +947,8 @@ mod tests {
         ) -> Result<Vec<u8>, JobError> {
             match payload.first() {
                 Some(0) => {
-                    ws.clear();
                     ws.extend(payload[1..].iter().rev());
-                    Ok(ws.clone())
+                    Ok(std::mem::take(ws))
                 }
                 Some(1) => loop {
                     if ctx.cancel.is_cancelled() {
@@ -1058,7 +957,10 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(1));
                 },
                 Some(2) => Err(JobError::Failed { reason: "scripted failure".to_string() }),
-                Some(3) => panic!("scripted panic"),
+                Some(3) => {
+                    ws.extend([0xDE, 0xAD]);
+                    panic!("scripted panic")
+                }
                 Some(4) => {
                     std::thread::sleep(Duration::from_millis(300));
                     Ok(vec![42])
@@ -1177,7 +1079,7 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_job_finalizes_typed_and_the_worker_is_respawned() {
+    fn a_panicking_job_finalizes_typed_and_its_worker_gets_a_fresh_workspace() {
         let (server, mut client) = start();
         let job = client.submit(&[3]).expect("submit panicking job");
         let (outcome, _) = client.result(job).expect("panic result arrives");
@@ -1186,44 +1088,45 @@ mod tests {
             "panic must surface as a typed failure, got {outcome:?}"
         );
 
-        // The supervisor replaces the retired worker; pool capacity is
-        // invariant, so a fresh job still completes.
+        // The same (only) worker serves the next job, from a fresh
+        // workspace: the bytes the panic left in the old one are gone.
         let after = client.submit(&[0, 5, 6]).expect("submit after panic");
         let (outcome, _) = client.result(after).expect("post-panic result");
         assert_eq!(outcome, JobOutcome::Done { payload: vec![6, 5] });
-
-        // Respawn is asynchronous; the completed job above proves a
-        // live worker, now wait for the counter to confirm it was a
-        // fresh one.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.stats().workers_respawned == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
         let stats = server.stats();
         assert_eq!(stats.panicked, 1, "{stats:?}");
-        assert!(stats.workers_respawned >= 1, "supervisor must respawn the slot: {stats:?}");
+        assert_eq!(stats.workers_respawned, 1, "{stats:?}");
+    }
+
+    fn is_deadline_failure(outcome: &JobOutcome) -> bool {
+        matches!(outcome, JobOutcome::Failed { reason } if reason.contains("deadline"))
+    }
+
+    fn with_deadline(ms: u64) -> ServerConfig {
+        ServerConfig {
+            workers: 1,
+            job_deadline: Some(Duration::from_millis(ms)),
+            ..ServerConfig::default()
+        }
     }
 
     #[test]
-    fn deadline_watchdog_bounds_wedged_jobs_and_keeps_the_pool_alive() {
-        let (server, mut client) = start_with(ServerConfig {
-            workers: 1,
-            job_deadline: Some(Duration::from_millis(40)),
-            ..ServerConfig::default()
-        });
+    fn deadline_bounds_wedged_jobs_and_keeps_the_pool_alive() {
+        let (server, mut client) = start_with(with_deadline(40));
         // Payload [4] sleeps 300 ms and never polls the cancel token —
-        // the watchdog must unblock the client long before that.
+        // the waiting client must be unblocked long before that.
         let t0 = Instant::now();
         let job = client.submit(&[4]).expect("submit wedged job");
         let (outcome, _) = client.result(job).expect("deadline result arrives");
         let waited = t0.elapsed();
         assert!(
-            matches!(outcome, JobOutcome::Failed { ref reason } if reason.contains("deadline")),
+            is_deadline_failure(&outcome),
             "overrun must surface as a typed deadline failure, got {outcome:?}"
         );
+        assert!(waited >= Duration::from_millis(40), "the client waited only {waited:?}");
         assert!(
             waited < Duration::from_millis(280),
-            "the client waited {waited:?}, past the watchdog bound"
+            "the client waited {waited:?}, past the deadline bound"
         );
 
         // A cooperative job (well under the deadline) still completes.
@@ -1232,6 +1135,63 @@ mod tests {
         assert_eq!(outcome, JobOutcome::Done { payload: vec![1] });
         let stats = server.stats();
         assert_eq!(stats.deadline_exceeded, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn a_waiter_that_arrives_before_its_job_starts_still_gets_the_deadline() {
+        let (_server, mut client) = start_with(with_deadline(40));
+        // The blocker holds the only worker for 300 ms, so the second job
+        // is still queued — with no deadline armed — when its waiter
+        // arrives. It starts at ~300 ms and overruns at ~340 ms; its
+        // runner would return at ~600 ms.
+        let t0 = Instant::now();
+        let blocker = client.submit(&[4]).expect("submit blocker");
+        let job = client.submit(&[4]).expect("submit queued job");
+        // Fail the blocker early, so its runner's return at ~300 ms is
+        // ignored and wakes no one: only the second job's start can.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(client.status(blocker).expect("blocker status"), JobState::Failed);
+        let (outcome, _) = client.result(job).expect("deadline result arrives");
+        let waited = t0.elapsed();
+        assert!(is_deadline_failure(&outcome), "got {outcome:?}");
+        assert!(waited >= Duration::from_millis(340), "the client waited only {waited:?}");
+        assert!(
+            waited < Duration::from_millis(520),
+            "the client waited {waited:?}: the job's start did not arm its waiter's deadline"
+        );
+    }
+
+    #[test]
+    fn status_fails_an_overdue_job_that_no_one_awaits() {
+        let (server, mut client) = start_with(with_deadline(40));
+        let job = client.submit(&[4]).expect("submit wedged job");
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(client.status(job).expect("status"), JobState::Failed);
+        assert_eq!(server.stats().deadline_exceeded, 1, "{:?}", server.stats());
+        let (outcome, _) = client.result(job).expect("result");
+        assert!(is_deadline_failure(&outcome), "got {outcome:?}");
+    }
+
+    #[test]
+    fn delivered_jobs_leave_the_table() {
+        let (server, mut client) = start();
+        // 10 distinct payloads, each run once cold and four times from
+        // the cache.
+        for i in 0..50u8 {
+            let (outcome, _) = client.run_job(&[0, i % 10]).expect("run job");
+            assert_eq!(outcome, JobOutcome::Done { payload: vec![i % 10] });
+        }
+        let stats = server.stats();
+        assert_eq!((stats.completed, stats.cache_hits), (10, 40), "{stats:?}");
+        assert!(lock(&server.shared.inner).jobs.is_empty(), "delivered jobs must be forgotten");
+
+        // After delivery the id answers exactly as an unknown one.
+        let job = client.submit(&[0, 1]).expect("submit");
+        client.result(job).expect("first result");
+        let unknown = 99_999;
+        assert_eq!(client.status(job).ok(), client.status(unknown).ok());
+        assert_eq!(client.cancel(job).ok(), client.cancel(unknown).ok());
+        assert_eq!(client.result(job).ok(), client.result(unknown).ok());
     }
 
     #[test]

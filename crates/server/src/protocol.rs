@@ -13,6 +13,10 @@
 //! content-hash cache keys on exactly these bytes. A `ticket` chosen by
 //! the client correlates `Submit` with `Accepted`/`Rejected` so one
 //! connection can pipeline submissions.
+//!
+//! A job's outcome is delivered once: after [`JobMsg::ResultIs`] has
+//! carried it, the server forgets the job, and `Status`, `Cancel` and
+//! `Result` answer for its id exactly as for an id it never issued.
 
 use cip_transport::{codec_enum, codec_struct};
 
@@ -76,15 +80,18 @@ pub struct ServerStats {
     pub rejected: u64,
     /// Jobs whose runner panicked (caught; finalized as failed).
     pub panicked: u64,
-    /// Jobs stopped by the per-job deadline watchdog.
+    /// Jobs that overran their per-job deadline: stopped by their own
+    /// budget, or finalized by the server when a `Result` waiter, a
+    /// `Status` query, the shutdown drain or their late-returning worker
+    /// found them overdue.
     pub deadline_exceeded: u64,
     /// Result-cache entries evicted to stay inside the budget.
     pub cache_evictions: u64,
     /// Current result-cache occupancy in bytes (a gauge, not a
     /// counter).
     pub cache_bytes: u64,
-    /// Worker threads the supervisor respawned after a panic retired
-    /// their predecessor.
+    /// Fresh workspaces workers took after a panicking job (the worker
+    /// thread itself keeps serving; one per caught panic).
     pub workers_respawned: u64,
     /// The server's `Submit` payload ceiling in bytes (a limit, not a
     /// counter — surfaced here so clients can size submissions).
@@ -140,14 +147,15 @@ pub enum JobMsg {
         /// Its state.
         state: JobState,
     },
-    /// Client → server: cancel this job (idempotent; unknown ids are
-    /// reported via [`JobMsg::StatusIs`] as [`JobState::Failed`]).
+    /// Client → server: cancel this job (idempotent; unknown and
+    /// delivered ids are reported via [`JobMsg::StatusIs`] as
+    /// [`JobState::Failed`]).
     Cancel {
         /// The job to cancel.
         job_id: u64,
     },
     /// Client → server: block until the job completes, then send
-    /// [`JobMsg::ResultIs`].
+    /// [`JobMsg::ResultIs`] — once; the job is forgotten after it.
     Result {
         /// The job to wait for.
         job_id: u64,

@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --locked"
 cargo build --release --locked
 
-echo "==> cargo test -q --locked"
-cargo test -q --locked
+echo "==> cargo test -q --workspace --locked"
+cargo test -q --workspace --locked
 
 echo "==> cargo clippy --workspace --all-targets --locked -- -D warnings"
 cargo clippy --workspace --all-targets --locked -- -D warnings
@@ -169,6 +169,17 @@ mapfile -t one_path < <(find src crates/bench/src examples -name '*.rs')
 if non_test crates/core/src/{mcml_dt,ml_rcb,known_contact}.rs "${one_path[@]}" \
     | grep -E 'SnapshotView|mesh_at\('; then
   echo "verify: FAIL — a pipeline prices a snapshot through a view or a mesh copy again"
+  exit 1
+fi
+
+echo "==> one thread per role in the job server"
+# The job server runs an accept loop, one handler per connection and a
+# fixed worker pool, and nothing else (DESIGN.md §6e): a worker recovers
+# its own panicked job, a Result waiter enforces its job's deadline, and
+# the counters are one ServerStats under the state lock. No polling thread
+# that respawns workers or watches deadlines, and no second counter block.
+if non_test crates/server/src/lib.rs | grep -E 'AtomicU64|supervisor|spawn_worker'; then
+  echo "verify: FAIL — the job server grew a supervisor thread or a second counter block"
   exit 1
 fi
 

@@ -21,13 +21,13 @@
 //! [`cip_runtime::CancelToken`] checked at every batch boundary, and
 //! the server's per-job deadline threaded in as the session's time
 //! budget) → totals. Each
-//! server worker owns one [`SessionWorkspace`], so steady-state service
+//! server worker owns one [`PartitionWorkspace`], so steady-state service
 //! traffic reuses partitioner scratch instead of reallocating per job.
 
 use crate::trace::{
-    ChaosOptions, RunBudget, RunControl, Session, SessionWorkspace, TraceError, TraceOptions,
-    TraceReport,
+    ChaosOptions, RunBudget, RunControl, Session, TraceError, TraceOptions, TraceReport,
 };
+use cip_partition::PartitionWorkspace;
 use cip_server::{CatalogEntry, JobContext, JobError, JobRunner};
 use cip_sim::scenarios;
 use cip_transport::wire::{decode_versioned, encode_versioned};
@@ -161,12 +161,6 @@ impl TraceTotals {
     }
 }
 
-/// Per-worker scratch: one [`SessionWorkspace`] reused across jobs.
-#[derive(Default)]
-pub struct ServiceWorkspace {
-    session: SessionWorkspace,
-}
-
 /// [`JobRunner`] that executes [`JobRequest`]s as traced sessions.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TraceJobRunner;
@@ -181,24 +175,24 @@ fn classify(e: TraceError) -> JobError {
 }
 
 impl JobRunner for TraceJobRunner {
-    type Workspace = ServiceWorkspace;
+    type Workspace = PartitionWorkspace;
 
-    fn workspace(&self) -> ServiceWorkspace {
-        ServiceWorkspace::default()
+    fn workspace(&self) -> PartitionWorkspace {
+        PartitionWorkspace::new()
     }
 
     fn run(
         &self,
         payload: &[u8],
         ctx: &JobContext,
-        ws: &mut ServiceWorkspace,
+        ws: &mut PartitionWorkspace,
     ) -> Result<Vec<u8>, JobError> {
         let req =
             JobRequest::decode(payload).map_err(|e| JobError::Invalid { reason: e.to_string() })?;
-        let mut session = Session::build_with(&req.opts, &mut ws.session).map_err(classify)?;
+        let mut session = Session::build_with(&req.opts, ws).map_err(classify)?;
         // The server's per-job deadline becomes the session's time
         // budget, so an overrunning trace stops cooperatively at a
-        // batch boundary — the watchdog only has to force the issue for
+        // batch boundary — the server only has to force the issue for
         // runners that ignore their budget.
         let ctrl = RunControl {
             cancel: ctx.cancel.clone(),

@@ -236,8 +236,8 @@ impl TraceOptions {
         // Ceilings on what one request may ask for. Each of these sizes
         // an allocation or a thread count, and a job payload can carry
         // any `u64`: the refusal has to be this typed error, because an
-        // allocation failure aborts the process where no supervisor can
-        // catch it.
+        // allocation failure aborts the process where no `catch_unwind`
+        // can catch it.
         const MAX_RANKS: usize = 1024;
         const MAX_SNAPSHOTS: usize = 100_000;
         const MAX_LOOKAHEAD: usize = 1024;
@@ -474,21 +474,6 @@ pub enum Advance {
     Cancelled,
 }
 
-/// Reusable scratch for repeated [`Session`] builds — what a job-server
-/// worker keeps warm across the jobs it runs ([`Session::build_with`]).
-#[derive(Default)]
-pub struct SessionWorkspace {
-    /// Partitioner scratch for the initial MCML+DT decomposition.
-    pub partition: PartitionWorkspace,
-}
-
-impl SessionWorkspace {
-    /// A fresh (cold) workspace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A resumable traced run: `build → advance … → into_report`.
 ///
 /// [`Session::build`] resolves the scenario, runs the simulation, and
@@ -528,12 +513,17 @@ pub struct Session {
 impl Session {
     /// Builds a session with its own (cold) workspace.
     pub fn build(opts: &TraceOptions) -> Result<Self, TraceError> {
-        Self::build_with(opts, &mut SessionWorkspace::new())
+        Self::build_with(opts, &mut PartitionWorkspace::new())
     }
 
-    /// Builds a session reusing caller-supplied scratch. Bit-identical
-    /// to [`Session::build`] for any workspace state.
-    pub fn build_with(opts: &TraceOptions, ws: &mut SessionWorkspace) -> Result<Self, TraceError> {
+    /// Builds a session reusing caller-supplied partitioner scratch for
+    /// the initial MCML+DT decomposition — what a job-server worker keeps
+    /// warm across the jobs it runs. Bit-identical to [`Session::build`]
+    /// for any workspace state.
+    pub fn build_with(
+        opts: &TraceOptions,
+        ws: &mut PartitionWorkspace,
+    ) -> Result<Self, TraceError> {
         opts.validate()?;
         let mut scfg = scenario_config(&opts.scenario)?;
         if let Some(s) = opts.snapshots {
@@ -565,7 +555,7 @@ impl Session {
         let node_parts = {
             let _span = rec.span("session.partition").attr("k", k);
             let graph = contact_graph(&sim, 0, cfg.graph_options(), &rec);
-            decompose(&graph, &sim.snapshots[0].points, &cfg, &mut ws.partition.refine).node_parts
+            decompose(&graph, &sim.snapshots[0].points, &cfg, &mut ws.refine).node_parts
         };
         cfg.repartition_method = RepartitionMethod::Diffusion;
         cfg.dt_friendly = None;

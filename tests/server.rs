@@ -191,7 +191,15 @@ fn chaos_job_through_the_job_api_matches_the_oracle() {
         .k(3)
         .seed(5)
         .repartition_period(Some(2))
-        .chaos(Some(ChaosOptions { seed: 7, kill: Some((2, 1)), ..ChaosOptions::default() }))
+        // The default loss detection (2 s × 4 attempts) would dominate
+        // the suite; 300 ms × 2 still declares the killed rank dead.
+        .chaos(Some(ChaosOptions {
+            seed: 7,
+            kill: Some((2, 1)),
+            timeout_ms: 300,
+            retries: 2,
+            ..ChaosOptions::default()
+        }))
         .build()
         .expect("valid options");
     let expected = oracle_totals(&opts);
@@ -230,8 +238,8 @@ fn catalog_and_invalid_payloads() {
 /// A payload may carry any `u64` where a size goes; sizes past the
 /// validation ceilings are refused as a typed configuration error at
 /// `Session::build` — never handed to an allocator or a thread spawner,
-/// whose failure would abort the process where no supervisor can catch
-/// it. Nothing panics, and the server keeps serving.
+/// whose failure would abort the process where no `catch_unwind` can
+/// catch it. Nothing panics, and the server keeps serving.
 #[test]
 fn oversized_requests_fail_typed_and_the_server_survives() {
     let (server, addr, _rec) = start_server(1);
