@@ -2,9 +2,10 @@
 //!
 //! One MPSC inbox per rank, one outgoing lane per peer. In-process mode
 //! points the lanes straight at the peers' inboxes and moves messages
-//! without serializing; the TCP backend points them at per-connection
-//! writer threads and fills the inbox from per-connection readers. The
-//! executor code cannot tell the difference — that is the point.
+//! without serializing; the TCP backend makes each lane a socket the
+//! sending rank writes its own frames to, and fills the inbox from one
+//! reader thread per peer. The executor code cannot tell the difference
+//! — that is the point.
 //!
 //! **Deadlock freedom under bounded capacity.** A blocking send on a
 //! full lane could cycle: every rank full-up sending, nobody receiving.
@@ -14,7 +15,18 @@
 //! per-sender FIFO order). Some mailbox in any would-be cycle always
 //! has a deliverable message to absorb, so the cycle cannot close, even
 //! at capacity 1.
+//!
+//! A socket lane is full when the peer's receive buffer and our send
+//! buffer are, which happens only once the peer's reader thread stops
+//! reading — and a reader stops only to wait on its own rank's full
+//! inbox. The write gives up after a short send timeout (or returns
+//! short); the sender then absorbs its inbox and resumes the frame at
+//! the byte where it stopped. So a rank stuck writing still drains the
+//! inbox its readers wait on, and the argument above holds at the socket
+//! level, whatever the buffer sizes.
 
+use crate::tcp::SocketLane;
+use crate::wire::Wire;
 use crate::{Mailbox, RecvTimeoutError, TryRecvError};
 use cip_telemetry::Recorder;
 use std::collections::VecDeque;
@@ -69,8 +81,9 @@ crate::codec_struct!(TransportStats {
     recv_corrupt
 });
 
-/// Shared atomic cells behind [`TransportStats`], updated by I/O
-/// threads and snapshotted by [`Mailbox::stats`].
+/// Shared atomic cells behind [`TransportStats`], updated by the
+/// sending rank and its reader threads and snapshotted by
+/// [`Mailbox::stats`].
 #[derive(Default)]
 pub(crate) struct StatCells {
     pub(crate) bytes_sent: AtomicU64,
@@ -92,20 +105,27 @@ impl StatCells {
     }
 }
 
-/// Socket halves and I/O threads owned by a TCP-backed mailbox, torn
+/// Socket halves and reader threads owned by a TCP-backed mailbox, torn
 /// down on drop.
 pub(crate) struct TcpLinks {
     /// Clones used only to `shutdown(Read)` so blocked readers wake.
     pub(crate) shutters: Vec<TcpStream>,
     pub(crate) readers: Vec<JoinHandle<()>>,
-    pub(crate) writers: Vec<JoinHandle<()>>,
+}
+
+/// Where one outgoing lane delivers.
+pub(crate) enum Lane<M> {
+    /// Straight into the peer's inbox, unserialized (in-process).
+    Chan(SyncSender<M>),
+    /// Framed onto a socket the sending rank writes itself (TCP).
+    Socket(SocketLane),
 }
 
 /// One rank's endpoint over either backend. See the module docs for the
 /// capacity-1 deadlock-freedom argument.
 pub struct ChannelMailbox<M> {
     rank: usize,
-    outs: Vec<Option<SyncSender<M>>>,
+    outs: Vec<Option<Lane<M>>>,
     inbox: Receiver<M>,
     /// Incoming messages absorbed while an outgoing lane was full;
     /// served before the inbox so arrival order is preserved.
@@ -117,7 +137,7 @@ pub struct ChannelMailbox<M> {
 impl<M: Send> ChannelMailbox<M> {
     pub(crate) fn new(
         rank: usize,
-        outs: Vec<Option<SyncSender<M>>>,
+        outs: Vec<Option<Lane<M>>>,
         inbox: Receiver<M>,
         stats: Arc<StatCells>,
         links: Option<TcpLinks>,
@@ -131,13 +151,24 @@ impl<M: Send> ChannelMailbox<M> {
     }
 }
 
-impl<M: Send> Mailbox<M> for ChannelMailbox<M> {
+impl<M: Wire> Mailbox<M> for ChannelMailbox<M> {
     fn send(&mut self, to: usize, msg: M) {
         if to == self.rank {
             return; // the executor never self-sends
         }
-        let Some(tx) = self.outs.get(to).and_then(Option::as_ref) else {
+        let Some(lane) = self.outs.get_mut(to).and_then(Option::as_mut) else {
             return; // closed or unknown lane: counts as message loss
+        };
+        let tx = match lane {
+            Lane::Chan(tx) => tx,
+            Lane::Socket(socket) => {
+                if !socket.send(&msg, &self.stats, &self.inbox, &mut self.stash) {
+                    // The peer is gone; this and every later message to
+                    // it count as lost, which the protocol tolerates.
+                    self.outs[to] = None;
+                }
+                return;
+            }
         };
         let mut pending = msg;
         loop {
@@ -197,13 +228,8 @@ impl<M> Drop for ChannelMailbox<M> {
         for s in &links.shutters {
             let _ = s.shutdown(Shutdown::Read);
         }
-        // Closing the out lanes lets writers flush and half-close.
-        for slot in &mut self.outs {
-            *slot = None;
-        }
-        for w in links.writers {
-            let _ = w.join();
-        }
+        // Dropping a socket lane half-closes it: the peer reads EOF.
+        self.outs.clear();
         // Drain the inbox so a reader blocked on a full lane can finish
         // its push and observe the shutdown; recv errors out once every
         // reader has exited and dropped its sender.
@@ -220,13 +246,14 @@ impl<M> Drop for ChannelMailbox<M> {
 /// backpressure.
 pub(crate) fn in_process<M: Send>(k: usize, cfg: &MailboxConfig) -> Vec<ChannelMailbox<M>> {
     let cap = cfg.capacity.max(1);
-    let mut outs: Vec<Vec<Option<SyncSender<M>>>> = (0..k).map(|_| vec![None; k]).collect();
+    let mut outs: Vec<Vec<Option<Lane<M>>>> =
+        (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
     let mut inboxes = Vec::with_capacity(k);
     for to in 0..k {
         let (tx, rx) = sync_channel::<M>(cap);
         for (from, lanes) in outs.iter_mut().enumerate() {
             if from != to {
-                lanes[to] = Some(tx.clone());
+                lanes[to] = Some(Lane::Chan(tx.clone()));
             }
         }
         inboxes.push(rx);

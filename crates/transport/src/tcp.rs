@@ -1,5 +1,7 @@
-//! TCP backend: one persistent connection per peer pair, one reader and
-//! one writer thread per connection, frames from [`crate::frame`].
+//! TCP backend: one persistent connection per peer pair, frames from
+//! [`crate::frame`]. The sending rank writes its own frames (one `write`
+//! per frame, no writer thread); one reader thread per connection reads
+//! them through a buffer into the receiving rank's inbox.
 //!
 //! Mesh construction is split so one process *or* many can build it:
 //! [`bind_mesh`] first (so every listener exists before anyone dials),
@@ -11,17 +13,20 @@
 //! whether ranks connect concurrently (worker processes) or
 //! sequentially (the in-process [`Tcp`] transport).
 
-use crate::frame::{read_frame, write_frame, ReadError};
-use crate::mailbox::{ChannelMailbox, MailboxConfig, StatCells, TcpLinks};
+use crate::frame::{encode_frame, read_frame, ReadError};
+use crate::mailbox::{ChannelMailbox, Lane, MailboxConfig, StatCells, TcpLinks};
 use crate::wire::Wire;
 use crate::{Transport, TransportError};
 use cip_telemetry::Recorder;
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 /// Handshake preamble: magic, wire version, dialer's rank.
 const HELLO_MAGIC: [u8; 4] = *b"CIP\x01";
@@ -46,7 +51,7 @@ pub fn bind_mesh(bind: &str) -> Result<MeshListener, TransportError> {
     Ok(MeshListener { listener, addr })
 }
 
-/// A fully connected mesh for one rank: a socket per peer, no I/O
+/// A fully connected mesh for one rank: a socket per peer, no reader
 /// threads yet. Feed it to [`mesh_mailbox`].
 pub struct MeshNode {
     rank: usize,
@@ -108,36 +113,78 @@ pub fn connect_mesh(
     Ok(MeshNode { rank, streams })
 }
 
-fn writer_loop<M: Wire>(
-    mut stream: TcpStream,
-    rx: Receiver<M>,
+/// How long one `write` on a full socket may block before the sending
+/// rank absorbs its inbox and retries (the mailbox module's deadlock
+/// argument).
+const SEND_SLICE: Duration = Duration::from_millis(1);
+
+/// Read-side buffer: most frames arrive whole in one `read`.
+const READ_BUF: usize = 64 << 10;
+
+/// An outgoing TCP lane: the socket the sending rank writes its own
+/// frames to, plus the frame scratch it reuses. Dropping it half-closes
+/// the socket, so the peer's reader sees EOF.
+pub(crate) struct SocketLane {
+    stream: TcpStream,
     peer: u32,
-    stats: Arc<StatCells>,
+    buf: Vec<u8>,
     rec: Recorder,
-) {
-    let mut buf = Vec::with_capacity(4096);
-    while let Ok(msg) = rx.recv() {
-        match write_frame(&mut stream, &msg, peer, &mut buf) {
-            Ok(n) => {
-                stats.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-                stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                rec.add("transport.bytes_sent", n as u64);
-                rec.record("transport.frame_bytes", n as u64);
-            }
-            // A broken pipe means the peer is gone; everything still
-            // queued counts as lost, which the protocol tolerates.
-            Err(_) => break,
-        }
+}
+
+impl SocketLane {
+    fn new(stream: TcpStream, peer: u32, rec: Recorder) -> std::io::Result<Self> {
+        stream.set_write_timeout(Some(SEND_SLICE))?;
+        Ok(Self { stream, peer, buf: Vec::with_capacity(4096), rec })
     }
-    let _ = stream.shutdown(Shutdown::Write);
+
+    /// Encode `msg` and write the frame, counting it once it is out.
+    /// While the socket is full, moves whatever `inbox` holds into
+    /// `stash` and resumes from the byte it reached. Returns `false`
+    /// once the peer is gone (the frame is lost).
+    pub(crate) fn send<M: Wire>(
+        &mut self,
+        msg: &M,
+        stats: &StatCells,
+        inbox: &Receiver<M>,
+        stash: &mut VecDeque<M>,
+    ) -> bool {
+        self.buf.clear();
+        encode_frame(msg, self.peer, &mut self.buf);
+        let mut sent = 0;
+        while sent < self.buf.len() {
+            match self.stream.write(&self.buf[sent..]) {
+                Ok(0) => return false,
+                Ok(n) => sent += n,
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
+                // A broken pipe or a reset: the peer is gone.
+                Err(_) => return false,
+            }
+            if sent < self.buf.len() {
+                stash.extend(inbox.try_iter());
+            }
+        }
+        let n = sent as u64;
+        stats.bytes_sent.fetch_add(n, Ordering::Relaxed);
+        stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+        self.rec.add("transport.bytes_sent", n);
+        self.rec.record("transport.frame_bytes", n);
+        true
+    }
+}
+
+impl Drop for SocketLane {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Write);
+    }
 }
 
 fn reader_loop<M: Wire>(
-    mut stream: TcpStream,
+    stream: TcpStream,
     tx: SyncSender<M>,
     stats: Arc<StatCells>,
     rec: Recorder,
 ) {
+    let mut stream = BufReader::with_capacity(READ_BUF, stream);
     let mut payload = Vec::new();
     loop {
         match read_frame::<M>(&mut stream, &mut payload) {
@@ -161,29 +208,25 @@ fn reader_loop<M: Wire>(
     }
 }
 
-/// Spin up the per-connection I/O threads for a connected mesh node and
-/// wrap them in a [`ChannelMailbox`].
+/// Make every socket of a connected mesh node an outgoing lane, start
+/// one reader thread per peer, and wrap them in a [`ChannelMailbox`].
 pub fn mesh_mailbox<M: Wire>(
     node: MeshNode,
     cfg: &MailboxConfig,
 ) -> Result<ChannelMailbox<M>, TransportError> {
     let k = node.streams.len();
-    let cap = cfg.capacity.max(1);
     let stats = Arc::new(StatCells::default());
-    let (in_tx, in_rx) = sync_channel::<M>(cap);
-    let mut outs: Vec<Option<SyncSender<M>>> = (0..k).map(|_| None).collect();
-    let mut links = TcpLinks { shutters: Vec::new(), readers: Vec::new(), writers: Vec::new() };
+    let (in_tx, in_rx) = sync_channel::<M>(cfg.capacity.max(1));
+    let mut outs: Vec<Option<Lane<M>>> = (0..k).map(|_| None).collect();
+    let mut links = TcpLinks { shutters: Vec::new(), readers: Vec::new() };
     for (peer, slot) in node.streams.into_iter().enumerate() {
         let Some(stream) = slot else { continue };
         stream.set_nodelay(true).ok();
         let read_half = stream.try_clone().map_err(|e| io_err("clone stream", e))?;
         links.shutters.push(stream.try_clone().map_err(|e| io_err("clone stream", e))?);
-        let (tx, rx) = sync_channel::<M>(cap);
-        outs[peer] = Some(tx);
-        let (wstats, wrec) = (stats.clone(), cfg.recorder.clone());
-        links
-            .writers
-            .push(thread::spawn(move || writer_loop(stream, rx, peer as u32, wstats, wrec)));
+        let lane = SocketLane::new(stream, peer as u32, cfg.recorder.clone())
+            .map_err(|e| io_err("set send timeout", e))?;
+        outs[peer] = Some(Lane::Socket(lane));
         let (rstats, rrec, itx) = (stats.clone(), cfg.recorder.clone(), in_tx.clone());
         links.readers.push(thread::spawn(move || reader_loop(read_half, itx, rstats, rrec)));
     }
@@ -192,7 +235,7 @@ pub fn mesh_mailbox<M: Wire>(
 }
 
 /// The TCP transport: `connect` builds a `k`-rank loopback mesh inside
-/// this process, each rank with its own sockets and I/O threads — the
+/// this process, each rank with its own sockets and reader threads — the
 /// bit-identity bridge between the channel oracle and the multi-process
 /// deployment, which assembles the same mesh across processes via
 /// [`bind_mesh`]/[`connect_mesh`]/[`mesh_mailbox`].

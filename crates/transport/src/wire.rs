@@ -179,8 +179,12 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables of the reflected IEEE polynomial: `t[0]` is the
+/// classic byte-at-a-time table, and `t[n][b]` is the CRC of byte `b`
+/// followed by `n` zero bytes, so eight lookups advance the CRC by eight
+/// bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -189,20 +193,43 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             j += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut n = 1;
+    while n < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[n - 1][i];
+            t[n][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        n += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// IEEE CRC-32 over the concatenation of `parts`.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     for part in parts {
-        for &b in *part {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
     }
     !c
@@ -558,12 +585,46 @@ pub trait Wire: Send + Sized + 'static {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time CRC the frames were first checksummed with:
+    /// the oracle the sliced one must equal on every input.
+    fn crc32_bytewise(parts: &[&[u8]]) -> u32 {
+        let t = &CRC_TABLES[0];
+        let mut c = 0xFFFF_FFFFu32;
+        for part in parts {
+            for &b in *part {
+                c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The canonical IEEE check value for "123456789".
         assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[]), 0);
+        assert_eq!(crc32_bytewise(&[b"123456789"]), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_one_on_any_split() {
+        cip_base::rng::sweep(256, |rng| {
+            let len = rng.range_u32(4097) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            // 1-4 parts at random cut points (empty parts included).
+            let mut cuts: Vec<usize> =
+                (0..rng.range_u32(4)).map(|_| rng.range_u32(len as u32 + 1) as usize).collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                parts.push(&bytes[from..cut]);
+                from = cut;
+            }
+            assert_eq!(crc32(&parts), crc32_bytewise(&parts), "len {len}, {} parts", parts.len());
+            assert_eq!(crc32(&parts), crc32(&[&bytes]));
+        });
     }
 
     fn bytes_of<T: Codec>(v: &T) -> Vec<u8> {

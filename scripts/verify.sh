@@ -183,4 +183,19 @@ if non_test crates/server/src/lib.rs | grep -E 'AtomicU64|supervisor|spawn_worke
   exit 1
 fi
 
+echo "==> a rank writes its own frames"
+# On a TCP mesh the sending rank encodes and writes each frame itself and
+# one reader thread per peer fills its inbox (DESIGN.md §6c): non-test
+# tcp.rs spawns exactly that reader and no writer thread, and the frame
+# CRC advances eight bytes per round over eight 256-entry tables.
+spawns=$(non_test crates/transport/src/tcp.rs | grep -c 'thread::spawn' || true)
+if [ "$spawns" -ne 1 ] || non_test crates/transport/src/tcp.rs | grep 'writer_loop'; then
+  echo "verify: FAIL — the TCP backend hands frames to a writer thread again"
+  exit 1
+fi
+if ! non_test crates/transport/src/wire.rs | grep -q '\[\[u32; 256\]; 8\]'; then
+  echo "verify: FAIL — the frame CRC is no longer slicing-by-8"
+  exit 1
+fi
+
 echo "verify: OK"

@@ -20,7 +20,7 @@
 mod common;
 
 use cip::runtime::FaultRates;
-use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
+use cip::trace::{run_traced, ChaosOptions, TraceOptions, TraceReport, TransportKind};
 use common::{env_seed, serial_reference, totals};
 use std::path::PathBuf;
 
@@ -59,10 +59,18 @@ fn four_worker_processes_match_the_in_process_oracle() {
     assert_eq!(multi.repartitions, clean.repartitions);
     assert!(multi.repartitions >= 2, "the scenario must exercise repartitioning");
     multi.verify_totals().expect("counters equal executed traffic");
-    assert!(
-        multi.recorder.counter_value("transport.bytes_sent") > 0,
-        "worker byte deltas must be folded into the driver's telemetry"
-    );
+    // A worker counts a frame before its send returns, so the stats in its
+    // last `Done` already hold the final batch's tail: the folded deltas
+    // add up to exactly what rank threads over loopback sockets meter.
+    let threads =
+        run_traced(&tiny(4, Some(2), TransportKind::TcpThreads { bind: "127.0.0.1:0".into() }))
+            .expect("tcp-threads run");
+    let bytes = |r: &TraceReport, name: &str| r.recorder.counter_value(name);
+    let sent = bytes(&multi, "transport.bytes_sent");
+    assert!(sent > 0, "worker byte deltas must be folded into the driver's telemetry");
+    assert_eq!(sent, bytes(&multi, "transport.bytes_recv"), "every sent frame is received");
+    assert_eq!(sent, bytes(&threads, "transport.bytes_sent"), "workers meter what threads do");
+    assert_eq!(sent, bytes(&threads, "transport.bytes_recv"));
 }
 
 #[test]

@@ -9,8 +9,9 @@
 //!   chaos; traced runs over either execute the totals the serial
 //!   reference predicts; and a transport that cannot come up surfaces as
 //!   a typed [`RuntimeError::Transport`];
-//! * **bounded mailboxes** — capacity-1 lanes do not deadlock at any
-//!   lookahead and change nothing about the output.
+//! * **bounded mailboxes** — capacity-1 lanes, in-process or over
+//!   sockets, do not deadlock at any lookahead and change nothing about
+//!   the output.
 //!
 //! CI sweeps seeds without recompiling via the `CHAOS_SEED` env var.
 
@@ -112,10 +113,14 @@ fn capacity_one_mailboxes_complete_without_deadlock_at_any_lookahead() {
     for lookahead in [1usize, 2, 4] {
         let opts = ExecOptions { mailbox_capacity: 1, lookahead, ..ExecOptions::default() };
         let tight = run_over(&staged, &[], &opts, &InProcess).expect("capacity-1 batch executes");
-        assert_eq!(
-            tight, baseline,
-            "a full lane must block the sender, not deadlock or change the output"
-        );
+        let socket =
+            run_over(&staged, &[], &opts, &Tcp::loopback()).expect("capacity-1 TCP batch executes");
+        for out in [tight, socket] {
+            assert_eq!(
+                out, baseline,
+                "a full lane must block the sender, not deadlock or change the output"
+            );
+        }
     }
 }
 
