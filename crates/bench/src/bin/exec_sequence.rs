@@ -12,7 +12,6 @@ use cip_core::{
     McmlDtConfig, RepartitionMethod,
 };
 use cip_dtree::{induce, DtreeConfig};
-use cip_partition::RefineWorkspace;
 use cip_runtime::{
     build_migration, connect_ranks, execute_steps, ExecOptions, HaloPlan, StepInput,
 };
@@ -38,8 +37,7 @@ fn run_policy(sim: &SimResult, k: usize, hybrid_period: Option<usize>) -> Totals
     let cfg =
         McmlDtConfig { repartition_method: RepartitionMethod::Diffusion, ..McmlDtConfig::paper(k) };
     let graph0 = contact_graph(sim, 0, cfg.graph_options(), &recorder);
-    let mut node_parts =
-        decompose(&graph0, &sim.snapshots[0].points, &cfg, &mut RefineWorkspace::new()).node_parts;
+    let mut node_parts = decompose(&graph0, &sim.snapshots[0].points, &cfg).node_parts;
     let cfg = McmlDtConfig { dt_friendly: None, ..cfg };
 
     let opts = ExecOptions::default();

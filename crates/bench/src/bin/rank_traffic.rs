@@ -16,7 +16,7 @@ use cip_core::{
 };
 use cip_dtree::{induce, DtreeConfig};
 use cip_geom::RcbTree;
-use cip_partition::{max_weight_assignment, partition_kway, PartitionerConfig, RefineWorkspace};
+use cip_partition::{max_weight_assignment, partition_kway, PartitionerConfig};
 use cip_telemetry::{json_struct, Recorder};
 
 struct TrafficRow {
@@ -82,7 +82,7 @@ fn main() {
     let rec = Recorder::disabled();
     let mcml = McmlDtConfig::paper(k);
     let graph2 = contact_graph(&sim, i, mcml.graph_options(), &rec);
-    let dec = decompose(&graph2, &snap.points, &mcml, &mut RefineWorkspace::new());
+    let dec = decompose(&graph2, &snap.points, &mcml);
     let (xadj, adjncy) = (graph2.graph.xadj(), graph2.graph.adjncy());
 
     let halo = halo_traffic(xadj, adjncy, &dec.asg, k);

@@ -16,7 +16,6 @@
 
 use cip_core::{contact_graph, decompose, gather, McmlDtConfig};
 use cip_dtree::{induce, refresh, DecisionTree, DtreeConfig};
-use cip_partition::RefineWorkspace;
 use cip_telemetry::{json_struct, Recorder};
 
 struct AgingRow {
@@ -46,7 +45,7 @@ fn main() {
     let mcml = McmlDtConfig::paper(k);
     let graph0 = contact_graph(&sim, 0, mcml.graph_options(), &Recorder::disabled());
     let points0 = &sim.snapshots[0].points;
-    let node_parts = decompose(&graph0, points0, &mcml, &mut RefineWorkspace::new()).node_parts;
+    let node_parts = decompose(&graph0, points0, &mcml).node_parts;
 
     let cfg = DtreeConfig::search_tree();
     let rebuild_period = 10;

@@ -18,8 +18,7 @@ use cip_dtree::{induce, DtreeConfig};
 use cip_geom::Point;
 use cip_mesh::graphs::{NodalGraph, NodalGraphOptions};
 use cip_partition::{
-    diffusion_repartition, partition_kway_with, repartition, repartition_survivors,
-    PartitionerConfig, RefineWorkspace,
+    diffusion_repartition, partition_kway, repartition, repartition_survivors, PartitionerConfig,
 };
 use cip_sim::SimResult;
 use cip_telemetry::Recorder;
@@ -130,14 +129,13 @@ pub struct Decomposed {
 
 /// The MCML+DT decomposition of `graph` into `cfg.k` parts (§4.2): the
 /// multi-constraint partition, DT-friendly corrected if `cfg` says so.
-/// `points[n]` is node `n`'s position; `ws` is partitioner scratch.
+/// `points[n]` is node `n`'s position.
 pub fn decompose<const D: usize>(
     graph: &NodalGraph,
     points: &[Point<D>],
     cfg: &McmlDtConfig,
-    ws: &mut RefineWorkspace,
 ) -> Decomposed {
-    let mut asg = partition_kway_with(&graph.graph, cfg.k, &cfg.partitioner, ws);
+    let mut asg = partition_kway(&graph.graph, cfg.k, &cfg.partitioner);
     let stats = correct(graph, points, cfg.k, &mut asg, cfg);
     let node_parts = graph.assignment_on_nodes(&asg);
     Decomposed { asg, node_parts, stats }
@@ -198,12 +196,8 @@ pub fn evaluate_mcml_dt(
     // ---- Initial decomposition on snapshot 0. -------------------------
     // Node-indexed partition (dead nodes: u32::MAX — they can never come
     // back to life, erosion is monotone).
-    let Decomposed { mut node_parts, stats, .. } = decompose(
-        &contact_graph(sim, 0, cfg.graph_options(), rec),
-        &sim.snapshots[0].points,
-        cfg,
-        &mut RefineWorkspace::new(),
-    );
+    let Decomposed { mut node_parts, stats, .. } =
+        decompose(&contact_graph(sim, 0, cfg.graph_options(), rec), &sim.snapshots[0].points, cfg);
 
     // ---- Sweep the sequence. ------------------------------------------
     // Under the fixed policy the snapshots are independent given the

@@ -63,11 +63,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of edge records added so far (before deduplication).
-    pub fn num_edge_records(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes the CSR graph.
     pub fn build(mut self) -> Graph {
         // Normalize each edge to (min, max) and sort so duplicates are

@@ -37,11 +37,6 @@ impl Partition {
         Self { k, ncon, assignment, part_weights, totals: g.total_vwgt() }
     }
 
-    /// The all-zeros partition (everything in part 0).
-    pub fn trivial(g: &Graph, k: usize) -> Self {
-        Self::from_assignment(g, k, vec![0; g.nv()])
-    }
-
     /// Number of parts.
     #[inline]
     pub fn k(&self) -> usize {
@@ -66,21 +61,10 @@ impl Partition {
         &self.assignment
     }
 
-    /// Consumes the partition, returning the assignment vector.
-    pub fn into_assignment(self) -> Vec<u32> {
-        self.assignment
-    }
-
     /// Weight of part `p` under constraint `j`.
     #[inline]
     pub fn part_weight(&self, p: u32, j: usize) -> i64 {
         self.part_weights[p as usize * self.ncon + j]
-    }
-
-    /// Total vertex weight under constraint `j`.
-    #[inline]
-    pub fn total_weight(&self, j: usize) -> i64 {
-        self.totals[j]
     }
 
     /// Moves vertex `v` to part `to`, updating the weight cache.

@@ -14,23 +14,16 @@ use cip_base::rng::Rng;
 use cip_graph::Graph;
 use std::cmp::Reverse;
 
-/// Computes an initial bisection of `g` with side-0 target fraction
-/// `targets.frac0`, trying `cfg.init_tries` seeded growings (with random
-/// streams rooted at `seed`, normally `cfg.seed` or a recursion-node
-/// override) and returning the best assignment found.
-pub fn greedy_bisection(
-    g: &Graph,
-    targets: &BisectTargets,
-    cfg: &PartitionerConfig,
-    seed: u64,
-) -> Vec<u32> {
-    greedy_bisection_with(g, targets, cfg, seed, &mut RefineWorkspace::new())
-}
+/// Seeded greedy growings the initial bisection tries.
+const INIT_TRIES: usize = 6;
 
-/// [`greedy_bisection`] with a reusable workspace: the growing frontier,
-/// the balance repair and the FM polish of every attempt share the
-/// workspace's scratch, so restarts stop re-allocating — the best
-/// assignment is cloned out only when an attempt actually improves.
+/// Computes an initial bisection of `g` with side-0 target fraction
+/// `targets.frac0`, trying `INIT_TRIES` seeded growings (with random
+/// streams rooted at `seed`, normally a recursion node's seed) and
+/// returning the best assignment found. The growing frontier, the balance
+/// repair and the FM polish of every attempt share `ws`, so restarts stop
+/// re-allocating — the best assignment is cloned out only when an attempt
+/// actually improves.
 pub fn greedy_bisection_with(
     g: &Graph,
     targets: &BisectTargets,
@@ -43,11 +36,11 @@ pub fn greedy_bisection_with(
     // rebalance/FM scratch below; restored before returning.
     let mut asg = std::mem::take(&mut ws.grow_asg);
     let mut best: Option<(f64, i64, Vec<u32>)> = None;
-    for t in 0..cfg.init_tries.max(1) {
+    for t in 0..INIT_TRIES {
         let try_seed = child_seed(seed, 0xB15EC7 + t as u64);
         grow_once(g, targets, try_seed, ws, &mut asg);
         rebalance_bisection_with(g, &mut asg, targets, ws).record(&cfg.recorder);
-        let cut = fm_refine_with(g, &mut asg, targets, cfg.fm_passes, cfg.transient_violation, ws);
+        let cut = fm_refine_with(g, &mut asg, targets, ws);
         let violation = targets.violation(&side_weights(g, &asg));
         let key = (violation, cut);
         if best.as_ref().is_none_or(|(bv, bc, _)| key < (*bv, *bc)) {
@@ -174,7 +167,7 @@ mod tests {
         let g = grid(12, 12, 1);
         let targets = BisectTargets::new(&g, 0.5, &[0.05]);
         let cfg = PartitionerConfig::with_seed(11);
-        let asg = greedy_bisection(&g, &targets, &cfg, cfg.seed);
+        let asg = greedy_bisection_with(&g, &targets, &cfg, cfg.seed, &mut RefineWorkspace::new());
         let sw = side_weights(&g, &asg);
         assert!(targets.feasible(&sw), "side weights {sw:?}");
         let cut = bisection_cut(&g, &asg);
@@ -188,7 +181,7 @@ mod tests {
         let g = grid(12, 12, 2);
         let targets = BisectTargets::new(&g, 0.5, &[0.05, 0.2]);
         let cfg = PartitionerConfig::with_seed(5);
-        let asg = greedy_bisection(&g, &targets, &cfg, cfg.seed);
+        let asg = greedy_bisection_with(&g, &targets, &cfg, cfg.seed, &mut RefineWorkspace::new());
         let sw = side_weights(&g, &asg);
         assert!(targets.feasible(&sw), "side weights {sw:?}");
     }
@@ -199,7 +192,7 @@ mod tests {
         // One third / two thirds split (k1=1, k2=2 of a 3-way).
         let targets = BisectTargets::new(&g, 1.0 / 3.0, &[0.05]);
         let cfg = PartitionerConfig::with_seed(2);
-        let asg = greedy_bisection(&g, &targets, &cfg, cfg.seed);
+        let asg = greedy_bisection_with(&g, &targets, &cfg, cfg.seed, &mut RefineWorkspace::new());
         let sw = side_weights(&g, &asg);
         assert!(targets.feasible(&sw), "side weights {sw:?}");
         assert!((sw[0] as f64 - 100.0 / 3.0).abs() <= 5.0, "side 0 weight {}", sw[0]);
@@ -219,7 +212,7 @@ mod tests {
         let g = b.build();
         let targets = BisectTargets::new(&g, 0.5, &[0.05]);
         let cfg = PartitionerConfig::with_seed(3);
-        let asg = greedy_bisection(&g, &targets, &cfg, cfg.seed);
+        let asg = greedy_bisection_with(&g, &targets, &cfg, cfg.seed, &mut RefineWorkspace::new());
         let sw = side_weights(&g, &asg);
         assert!(targets.feasible(&sw));
     }
@@ -236,7 +229,8 @@ mod tests {
         let _ = greedy_bisection_with(&g2, &t2, &cfg, cfg.seed, &mut ws);
 
         let reused = greedy_bisection_with(&g, &targets, &cfg, cfg.seed, &mut ws);
-        let fresh = greedy_bisection(&g, &targets, &cfg, cfg.seed);
+        let fresh =
+            greedy_bisection_with(&g, &targets, &cfg, cfg.seed, &mut RefineWorkspace::new());
         assert_eq!(reused, fresh, "scratch reuse must not change the result");
     }
 

@@ -40,9 +40,9 @@ use cip_telemetry::Recorder;
 /// `PartitionerConfig::parallel_threshold`.
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 
-/// Default for [`CoarsenParams::matching_rounds`] and
-/// `PartitionerConfig::matching_rounds`.
-pub const DEFAULT_MATCHING_ROUNDS: usize = 8;
+/// Rounds cap for the parallel matcher's propose-then-resolve loop (it
+/// also stops as soon as a round stops matching new vertices).
+const MATCHING_ROUNDS: usize = 8;
 
 /// One coarsening level: the coarse graph plus the fine-to-coarse map.
 #[derive(Debug, Clone)]
@@ -91,16 +91,9 @@ impl Hierarchy {
     }
 
     /// Projects a part assignment of level `lvl`'s coarse graph onto its
-    /// fine graph.
-    pub fn project(&self, lvl: usize, coarse_asg: &[u32]) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.project_into(lvl, coarse_asg, &mut out);
-        out
-    }
-
-    /// [`Self::project`] into a caller-owned buffer, so the uncoarsening
-    /// loop can ping-pong two assignment buffers instead of allocating a
-    /// fresh `Vec` per level.
+    /// fine graph, into a caller-owned buffer, so the uncoarsening loop
+    /// can ping-pong two assignment buffers instead of allocating a fresh
+    /// `Vec` per level.
     pub fn project_into(&self, lvl: usize, coarse_asg: &[u32], out: &mut Vec<u32>) {
         let map = &self.levels[lvl].map;
         out.clear();
@@ -121,19 +114,12 @@ pub struct CoarsenParams {
     /// `cip_base::par` splits the level (`usize::MAX` forces sequential,
     /// `0` forces the parallel matcher).
     pub parallel_threshold: usize,
-    /// Rounds cap for the parallel matcher.
-    pub matching_rounds: usize,
 }
 
 impl CoarsenParams {
     /// Params with the given target size and seed, defaults elsewhere.
     pub fn new(coarsen_to: usize, seed: u64) -> Self {
-        Self {
-            coarsen_to,
-            seed,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            matching_rounds: DEFAULT_MATCHING_ROUNDS,
-        }
+        Self { coarsen_to, seed, parallel_threshold: DEFAULT_PARALLEL_THRESHOLD }
     }
 }
 
@@ -401,8 +387,7 @@ pub fn coarsen_recorded(
             let mut match_span =
                 rec.span("coarsen.match").attr("nv", current.nv()).attr("ne", current.ne());
             if parallel {
-                let (matching, stats) =
-                    parallel_hem(current, level_seed, params.matching_rounds, ws);
+                let (matching, stats) = parallel_hem(current, level_seed, MATCHING_ROUNDS, ws);
                 match_span.set_attr("rounds", stats.rounds);
                 match_span.set_attr("reproposed", stats.reproposed);
                 matching
@@ -478,7 +463,7 @@ mod tests {
     #[test]
     fn parallel_matching_is_a_valid_pairing() {
         let g = grid(10, 10);
-        let (map, cnv) = parallel_heavy_edge_matching(&g, 7, DEFAULT_MATCHING_ROUNDS);
+        let (map, cnv) = parallel_heavy_edge_matching(&g, 7, MATCHING_ROUNDS);
         assert!(cnv >= g.nv() / 2);
         assert!(cnv < g.nv(), "parallel matcher matched nothing");
         check_valid_matching(&g, &map, cnv);
@@ -487,8 +472,8 @@ mod tests {
     #[test]
     fn parallel_matching_is_deterministic_and_effective() {
         let g = grid(24, 24);
-        let (m1, c1) = parallel_heavy_edge_matching(&g, 3, DEFAULT_MATCHING_ROUNDS);
-        let (m2, c2) = parallel_heavy_edge_matching(&g, 3, DEFAULT_MATCHING_ROUNDS);
+        let (m1, c1) = parallel_heavy_edge_matching(&g, 3, MATCHING_ROUNDS);
+        let (m2, c2) = parallel_heavy_edge_matching(&g, 3, MATCHING_ROUNDS);
         assert_eq!(m1, m2);
         assert_eq!(c1, c2);
         // The handshake loop should pair the vast majority of a grid.
@@ -577,7 +562,7 @@ mod tests {
         coarsen_recorded(&g, &params, &mut CoarsenWorkspace::new(), &rec);
         let trace = rec.chrome_trace().expect("enabled");
         assert!(trace.contains("\"rounds\":") && trace.contains("\"reproposed\":"), "{trace}");
-        let (_, stats) = parallel_hem(&g, 5, DEFAULT_MATCHING_ROUNDS, &mut CoarsenWorkspace::new());
+        let (_, stats) = parallel_hem(&g, 5, MATCHING_ROUNDS, &mut CoarsenWorkspace::new());
         assert!(stats.rounds > 1 && stats.reproposed > 0, "{stats:?}");
         assert!(stats.reproposed < (stats.rounds - 1) * g.nv());
     }

@@ -1,7 +1,6 @@
 //! Partitioner configuration.
 
-use crate::coarsen::{DEFAULT_MATCHING_ROUNDS, DEFAULT_PARALLEL_THRESHOLD};
-use crate::fm::DEFAULT_TRANSIENT_VIOLATION;
+use crate::coarsen::DEFAULT_PARALLEL_THRESHOLD;
 use cip_telemetry::Recorder;
 
 /// Tuning knobs for the multilevel partitioner.
@@ -9,9 +8,11 @@ use cip_telemetry::Recorder;
 /// The defaults follow METIS conventions: 5% imbalance tolerance on the
 /// primary constraint, a somewhat looser 15% on secondary constraints
 /// (the contact constraint is sparse and lumpy — a handful of surface
-/// nodes per element — so exact balance is neither achievable nor needed),
-/// coarsening down to a few hundred vertices, a small portfolio of random
-/// initial bisections, and a few FM passes per uncoarsening level.
+/// nodes per element — so exact balance is neither achievable nor needed)
+/// and coarsening down to a few hundred vertices. The effort bounds —
+/// initial-bisection tries, FM and k-way pass counts, matcher and sweep
+/// round caps, the FM transient-violation bound — are fixed constants
+/// beside the code they bound.
 #[derive(Debug, Clone)]
 pub struct PartitionerConfig {
     /// Allowed imbalance per constraint: constraint `j` must satisfy
@@ -22,12 +23,6 @@ pub struct PartitionerConfig {
     pub seed: u64,
     /// Stop coarsening once the graph has at most this many vertices.
     pub coarsen_to: usize,
-    /// Number of random greedy-growing attempts for the initial bisection.
-    pub init_tries: usize,
-    /// Maximum FM passes per uncoarsening level.
-    pub fm_passes: usize,
-    /// Maximum greedy k-way refinement passes on the full graph.
-    pub kway_passes: usize,
     /// Coarsening levels with at least this many vertices use the
     /// parallel (propose-then-resolve) matcher, and k-way refinement on
     /// graphs this large the parallel sweep; smaller graphs and recursion
@@ -36,18 +31,6 @@ pub struct PartitionerConfig {
     /// level (two `GRAIN`s of coarse vertices). Both sides are
     /// deterministic per seed at any thread count.
     pub parallel_threshold: usize,
-    /// Rounds cap for the parallel matcher's propose-then-resolve loop
-    /// (it also stops as soon as a round stops matching new vertices).
-    pub matching_rounds: usize,
-    /// Rounds cap per k-way refinement pass for the parallel
-    /// (propose-then-resolve) sweep used on graphs at or above
-    /// `parallel_threshold` vertices (the sweep also stops as soon as a
-    /// round commits no move).
-    pub refine_rounds: usize,
-    /// Largest *transient* balance violation an FM hill-climb may cross
-    /// mid-pass (the best-prefix rollback never commits to a state less
-    /// feasible than the start, so this only widens the search).
-    pub transient_violation: f64,
     /// Telemetry sink. Disabled by default; when enabled, the partitioner
     /// emits per-level coarsen/match/contract/initial/refine spans (see
     /// DESIGN.md §6). A disabled recorder costs one branch per event.
@@ -60,13 +43,7 @@ impl Default for PartitionerConfig {
             eps: vec![0.05, 0.15],
             seed: 1,
             coarsen_to: 160,
-            init_tries: 6,
-            fm_passes: 4,
-            kway_passes: 6,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            matching_rounds: DEFAULT_MATCHING_ROUNDS,
-            refine_rounds: 8,
-            transient_violation: DEFAULT_TRANSIENT_VIOLATION,
             recorder: Recorder::disabled(),
         }
     }

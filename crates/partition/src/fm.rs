@@ -25,9 +25,14 @@ use cip_telemetry::Recorder;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Default largest transient violation an FM hill-climb may cross (see
-/// [`crate::PartitionerConfig::transient_violation`]).
-pub(crate) const DEFAULT_TRANSIENT_VIOLATION: f64 = 0.02;
+/// Maximum FM passes per refinement call (one call per uncoarsening level
+/// and per initial-bisection try).
+const FM_PASSES: usize = 4;
+
+/// Largest *transient* balance violation an FM hill-climb may cross
+/// mid-pass (the best-prefix rollback never commits to a state less
+/// feasible than the start, so this only widens the search).
+const TRANSIENT_VIOLATION: f64 = 0.02;
 
 /// Balance targets for a bisection.
 ///
@@ -230,35 +235,21 @@ impl FmScratch {
     }
 }
 
-/// Runs up to `passes` FM passes on the bisection `asg`, returning the
-/// final cut. `asg` must contain only sides 0 and 1.
-pub fn fm_refine(g: &Graph, asg: &mut [u32], targets: &BisectTargets, passes: usize) -> i64 {
-    fm_refine_with(
-        g,
-        asg,
-        targets,
-        passes,
-        DEFAULT_TRANSIENT_VIOLATION,
-        &mut crate::RefineWorkspace::new(),
-    )
-}
-
-/// [`fm_refine`] with an explicit transient-violation bound and a reusable
-/// workspace: repeated calls (across passes, uncoarsening levels, or
-/// `init_tries` restarts) perform no heap allocation once the workspace
-/// has grown to the finest graph's size.
+/// Runs up to `FM_PASSES` FM passes on the bisection `asg`, returning the
+/// final cut. `asg` must contain only sides 0 and 1. Repeated calls on
+/// one workspace (across uncoarsening levels or initial-bisection tries)
+/// perform no heap allocation once it has grown to the finest graph's
+/// size.
 pub fn fm_refine_with(
     g: &Graph,
     asg: &mut [u32],
     targets: &BisectTargets,
-    passes: usize,
-    transient_violation: f64,
     ws: &mut crate::RefineWorkspace,
 ) -> i64 {
     let scratch = &mut ws.fm;
     let mut cut = scratch.init(g, asg);
-    for _ in 0..passes {
-        let improved = fm_pass(g, asg, targets, transient_violation, scratch, &mut cut);
+    for _ in 0..FM_PASSES {
+        let improved = fm_pass(g, asg, targets, scratch, &mut cut);
         if !improved {
             break;
         }
@@ -276,7 +267,6 @@ fn fm_pass(
     g: &Graph,
     asg: &mut [u32],
     targets: &BisectTargets,
-    transient_violation: f64,
     scratch: &mut FmScratch,
     cut: &mut i64,
 ) -> bool {
@@ -323,7 +313,7 @@ fn fm_pass(
         // may cross the balance line while hill-climbing, because the
         // best-prefix rollback below never commits to a state less
         // feasible than the start.
-        if violation_after > violation_now + 1e-12 && violation_after > transient_violation {
+        if violation_after > violation_now + 1e-12 && violation_after > TRANSIENT_VIOLATION {
             continue;
         }
 
@@ -389,13 +379,6 @@ fn violation_after_move(
     v
 }
 
-/// Balance repair: greedily moves vertices off over-cap sides, choosing the
-/// highest-gain vertex that strictly reduces total violation. Used when the
-/// initial bisection or a projected partition is infeasible.
-pub fn rebalance_bisection(g: &Graph, asg: &mut [u32], targets: &BisectTargets) -> Rebalance {
-    rebalance_bisection_with(g, asg, targets, &mut crate::RefineWorkspace::new())
-}
-
 /// What one balance repair did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Rebalance {
@@ -413,15 +396,18 @@ impl Rebalance {
     }
 }
 
-/// [`rebalance_bisection`] with a reusable workspace — the same
-/// boundary-list + incremental-weights discipline as `balance_kway`.
-/// Candidates come from the maintained boundary list (moving a boundary
-/// vertex repairs balance *and* tends to help the cut), falling back to a
-/// full vertex scan only when no boundary vertex can reduce the violation
-/// (e.g. a fully one-sided start has an empty boundary). Each candidate's
-/// violation change is evaluated in `O(ncon)` from the incrementally
-/// maintained side weights — no per-candidate clone — and its FM gain
-/// comes from the maintained id/ed degrees in `O(1)`.
+/// Balance repair: greedily moves vertices off over-cap sides, choosing the
+/// highest-gain vertex that strictly reduces total violation. Used when the
+/// initial bisection or a projected partition is infeasible. Same
+/// boundary-list + incremental-weights discipline as `balance_kway`, in a
+/// reusable workspace. Candidates come from the maintained boundary list
+/// (moving a boundary vertex repairs balance *and* tends to help the
+/// cut), falling back to a full vertex scan only when no boundary vertex
+/// can reduce the violation (e.g. a fully one-sided start has an empty
+/// boundary). Each candidate's violation change is evaluated in `O(ncon)`
+/// from the incrementally maintained side weights — no per-candidate
+/// clone — and its FM gain comes from the maintained id/ed degrees in
+/// `O(1)`.
 pub fn rebalance_bisection_with(
     g: &Graph,
     asg: &mut [u32],
@@ -524,7 +510,7 @@ mod tests {
         // Alternating sides: cut = 7. Optimal balanced cut = 1.
         let mut asg: Vec<u32> = (0..8).map(|v| (v % 2) as u32).collect();
         let targets = BisectTargets::new(&g, 0.5, &[0.05]);
-        let cut = fm_refine(&g, &mut asg, &targets, 8);
+        let cut = fm_refine_with(&g, &mut asg, &targets, &mut RefineWorkspace::new());
         assert_eq!(cut, 1, "assignment: {asg:?}");
         let sw = side_weights(&g, &asg);
         assert!(targets.feasible(&sw));
@@ -535,7 +521,7 @@ mod tests {
         let g = path8();
         let mut asg = vec![0, 0, 0, 0, 1, 1, 1, 1];
         let targets = BisectTargets::new(&g, 0.5, &[0.05]);
-        let cut = fm_refine(&g, &mut asg, &targets, 4);
+        let cut = fm_refine_with(&g, &mut asg, &targets, &mut RefineWorkspace::new());
         assert_eq!(cut, 1);
     }
 
@@ -546,13 +532,13 @@ mod tests {
         let mut ws = RefineWorkspace::new();
         // Dirty the workspace with an unrelated refinement first.
         let mut dirty: Vec<u32> = (0..8).map(|v| u32::from(v >= 3)).collect();
-        let _ = fm_refine_with(&g, &mut dirty, &targets, 2, 0.02, &mut ws);
+        let _ = fm_refine_with(&g, &mut dirty, &targets, &mut ws);
 
         let start: Vec<u32> = (0..8).map(|v| (v % 2) as u32).collect();
         let mut a = start.clone();
         let mut b = start.clone();
-        let cut_reused = fm_refine_with(&g, &mut a, &targets, 8, 0.02, &mut ws);
-        let cut_fresh = fm_refine_with(&g, &mut b, &targets, 8, 0.02, &mut RefineWorkspace::new());
+        let cut_reused = fm_refine_with(&g, &mut a, &targets, &mut ws);
+        let cut_fresh = fm_refine_with(&g, &mut b, &targets, &mut RefineWorkspace::new());
         assert_eq!(a, b);
         assert_eq!(cut_reused, cut_fresh);
     }
@@ -562,7 +548,7 @@ mod tests {
         let g = path8();
         let mut asg = vec![0, 0, 0, 0, 0, 0, 0, 1];
         let targets = BisectTargets::new(&g, 0.5, &[0.05]);
-        rebalance_bisection(&g, &mut asg, &targets);
+        rebalance_bisection_with(&g, &mut asg, &targets, &mut RefineWorkspace::new());
         let sw = side_weights(&g, &asg);
         assert!(targets.feasible(&sw), "side weights {sw:?}");
     }
@@ -584,8 +570,8 @@ mod tests {
         let targets = BisectTargets::new(&g, 0.5, &[0.05, 0.05]);
         let sw0 = side_weights(&g, &asg);
         assert!(!targets.feasible(&sw0));
-        rebalance_bisection(&g, &mut asg, &targets);
-        fm_refine(&g, &mut asg, &targets, 4);
+        rebalance_bisection_with(&g, &mut asg, &targets, &mut RefineWorkspace::new());
+        fm_refine_with(&g, &mut asg, &targets, &mut RefineWorkspace::new());
         let sw = side_weights(&g, &asg);
         // Constraint 1 must now be split 2/2 (cap = ceil(1.05 * 2) = 3).
         assert!(sw[1] <= 3 && sw[3] <= 3, "contact weights {sw:?}");
@@ -598,7 +584,7 @@ mod tests {
         let mut ws = RefineWorkspace::new();
         // Dirty the workspace with an unrelated refinement first.
         let mut dirty: Vec<u32> = (0..8).map(|v| u32::from(v >= 3)).collect();
-        let _ = fm_refine_with(&g, &mut dirty, &targets, 2, 0.02, &mut ws);
+        let _ = fm_refine_with(&g, &mut dirty, &targets, &mut ws);
 
         let start = vec![0u32, 0, 0, 0, 0, 0, 0, 1];
         let mut a = start.clone();
@@ -615,7 +601,7 @@ mod tests {
         let targets = BisectTargets::new(&g, 0.25, &[0.2]);
         // frac0 = 0.25 of 8 = 2 vertices (cap ~ ceil(1.2*2) = 3).
         let mut asg = vec![0; 8];
-        let done = rebalance_bisection(&g, &mut asg, &targets);
+        let done = rebalance_bisection_with(&g, &mut asg, &targets, &mut RefineWorkspace::new());
         let sw = side_weights(&g, &asg);
         assert!(targets.feasible(&sw), "side weights {sw:?}");
         assert!(sw[0] <= 3);

@@ -42,18 +42,23 @@ use std::collections::BinaryHeap;
 
 use crate::fm::FmScratch;
 
+/// Maximum greedy k-way refinement passes per call.
+const KWAY_PASSES: usize = 6;
+
+/// Rounds cap per k-way refinement pass of the parallel
+/// (propose-then-resolve) sweep (which also stops as soon as a round
+/// commits no move).
+const REFINE_ROUNDS: usize = 8;
+
 /// Reusable scratch for the whole uncoarsening path: k-way id/ed degrees
 /// and boundary set, per-part weights and caps, the parallel sweep's
-/// proposal tables, the 2-way FM scratch, and the projection ping-pong
-/// buffer. Create one per multilevel call (or hold one across calls) and
-/// every refinement pass, level and restart reuses it — zero steady-state
-/// heap allocation on the sequential paths.
+/// proposal tables and the 2-way FM scratch. Create one per multilevel
+/// bisection or polish and every refinement pass, level and restart of it
+/// reuses it — zero steady-state heap allocation on the sequential paths.
 #[derive(Debug, Default)]
 pub struct RefineWorkspace {
     /// 2-way FM scratch (see `fm.rs`).
     pub(crate) fm: FmScratch,
-    /// Projection ping-pong buffer for [`crate::Hierarchy::project_into`].
-    pub(crate) proj: Vec<u32>,
     /// Weighted degree per vertex (graph-constant within one call).
     tdeg: Vec<i64>,
     /// Edge weight from `v` into its own part (`ed = tdeg - id`).
@@ -102,7 +107,6 @@ impl RefineWorkspace {
     /// Pre-reserves every per-vertex buffer for graphs up to `nv`
     /// vertices, so a following uncoarsening loop never reallocates.
     pub fn reserve(&mut self, nv: usize) {
-        self.proj.reserve(nv);
         self.tdeg.reserve(nv);
         self.id.reserve(nv);
         self.bnd.reserve(nv);
@@ -254,7 +258,7 @@ fn connectivity(g: &Graph, asg: &[u32], v: u32, out: &mut Vec<(u32, i64)>) {
 /// Greedy `k`-way refinement: sweeps the boundary vertices, moving each to
 /// the adjacent part with the highest positive gain that keeps every
 /// constraint within its cap. Stops when a sweep makes no move or after
-/// `cfg.kway_passes` sweeps. Graphs at or above `cfg.parallel_threshold`
+/// `KWAY_PASSES` sweeps. Graphs at or above `cfg.parallel_threshold`
 /// vertices use the deterministic parallel propose-then-resolve sweep
 /// (bit-identical at any thread count); smaller graphs use the seeded
 /// sequential sweep.
@@ -299,7 +303,7 @@ fn refine_sequential(
     let rec = &cfg.recorder;
     let mut rng = Rng::seed_from_u64(cfg.child_seed(0x4EF1E));
 
-    for _pass in 0..cfg.kway_passes.max(1) {
+    for _pass in 0..KWAY_PASSES {
         rec.add("partition.refine.passes", 1);
         rec.record("partition.refine.boundary", ws.bnd.len() as u64);
         // Snapshot the boundary in seeded random order; vertices that
@@ -346,7 +350,7 @@ fn refine_sequential(
 }
 
 /// Deterministic parallel propose-then-resolve sweep (graphs at or above
-/// `parallel_threshold`). Runs up to `kway_passes * refine_rounds` rounds,
+/// `parallel_threshold`). Runs up to `KWAY_PASSES * REFINE_ROUNDS` rounds,
 /// stopping as soon as a round commits nothing.
 #[allow(clippy::needless_range_loop)] // indexing lets us mutate `ws` mid-loop
 fn refine_parallel(g: &Graph, asg: &mut [u32], cfg: &PartitionerConfig, ws: &mut RefineWorkspace) {
@@ -369,8 +373,7 @@ fn refine_parallel(g: &Graph, asg: &mut [u32], cfg: &PartitionerConfig, ws: &mut
     ws.prop_to.clear();
     ws.prop_to.resize(nv, u32::MAX);
 
-    let rounds = cfg.kway_passes.max(1) * cfg.refine_rounds.max(1);
-    for _round in 0..rounds {
+    for _round in 0..KWAY_PASSES * REFINE_ROUNDS {
         rec.add("partition.refine.passes", 1);
         rec.record("partition.refine.boundary", ws.bnd.len() as u64);
 

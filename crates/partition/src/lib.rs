@@ -28,7 +28,10 @@
 //!
 //! The entry points are [`partition_kway`] (static partitioning),
 //! [`refine_kway`]/[`balance_kway`] (refinement of an existing assignment)
-//! and [`repartition`] (adaptive repartitioning).
+//! and [`repartition`] (adaptive repartitioning). Every entry point
+//! allocates its own scratch and keeps nothing between calls; the `_with`
+//! forms take a caller's workspace so that the passes of one call share
+//! it.
 
 pub mod bisect;
 pub mod coarsen;
@@ -37,11 +40,9 @@ pub mod diffusion;
 pub mod fm;
 pub mod hungarian;
 pub mod kway;
-pub mod kway_ml;
 mod proptests;
 pub mod rb;
 pub mod repart;
-pub mod workspace;
 
 pub use coarsen::{
     coarsen, coarsen_recorded, coarsen_with, heavy_edge_matching, parallel_heavy_edge_matching,
@@ -49,12 +50,10 @@ pub use coarsen::{
 };
 pub use config::PartitionerConfig;
 pub use diffusion::diffusion_repartition;
-pub use fm::{fm_refine, fm_refine_with};
+pub use fm::fm_refine_with;
 pub use hungarian::max_weight_assignment;
 pub use kway::{balance_kway, balance_kway_with, refine_kway, refine_kway_with, RefineWorkspace};
-pub use kway_ml::{partition_kway_multilevel, partition_kway_multilevel_with};
-pub use rb::{partition_kway, partition_kway_with};
+pub use rb::partition_kway;
 pub use repart::{
     compact_parts_after_loss, remap_to_maximize_overlap, repartition, repartition_survivors,
 };
-pub use workspace::PartitionWorkspace;

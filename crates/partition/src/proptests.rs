@@ -5,9 +5,9 @@
 
 use crate::coarsen::{coarsen, heavy_edge_matching, parallel_heavy_edge_matching};
 use crate::config::PartitionerConfig;
-use crate::fm::{bisection_cut, fm_refine, side_weights, BisectTargets};
+use crate::fm::{bisection_cut, fm_refine_with, side_weights, BisectTargets};
 use crate::hungarian::max_weight_assignment;
-use crate::kway::{balance_kway, refine_kway};
+use crate::kway::{balance_kway, refine_kway, RefineWorkspace};
 use cip_base::rng::{sweep, Rng};
 use cip_graph::{contract, edge_cut, Graph, GraphBuilder};
 use std::cmp::Reverse;
@@ -65,7 +65,7 @@ fn fm_never_worsens() {
         let targets = BisectTargets::new(&g, 0.5, &[0.1]);
         let cut_before = bisection_cut(&g, &asg);
         let viol_before = targets.violation(&side_weights(&g, &asg));
-        let cut_after = fm_refine(&g, &mut asg, &targets, 4);
+        let cut_after = fm_refine_with(&g, &mut asg, &targets, &mut RefineWorkspace::new());
         let viol_after = targets.violation(&side_weights(&g, &asg));
         assert!(
             (viol_after, cut_after) <= (viol_before, cut_before),

@@ -52,20 +52,6 @@ const PARALLEL_THRESHOLD: usize = 8192;
 /// default seed cuts this path 9/7 (ROADMAP.md, the balance item, keeps
 /// this graph as its smallest reproducer).
 pub fn partition_kway(g: &Graph, k: usize, cfg: &PartitionerConfig) -> Vec<u32> {
-    partition_kway_with(g, k, cfg, &mut RefineWorkspace::new())
-}
-
-/// [`partition_kway`] with a caller-supplied refinement workspace for the
-/// full-graph polish passes — the `O(nv)` scratch a repeat caller (the
-/// job server's per-worker workspace pool) wants to keep warm across
-/// partitions. Bit-identical to [`partition_kway`] for any workspace
-/// state.
-pub fn partition_kway_with(
-    g: &Graph,
-    k: usize,
-    cfg: &PartitionerConfig,
-    ws: &mut RefineWorkspace,
-) -> Vec<u32> {
     assert!(k >= 1, "k must be positive");
     let mut asg = vec![0u32; g.nv()];
     if k == 1 || g.nv() == 0 {
@@ -94,6 +80,7 @@ pub fn partition_kway_with(
     // then enforce the user's balance tolerance. One workspace serves all
     // three passes.
     let _polish = cfg.recorder.span("partition.kway_polish").attr("nv", g.nv()).attr("k", k);
+    let ws = &mut RefineWorkspace::new();
     refine_kway_with(g, k, &mut asg, cfg, ws);
     balance_kway_with(g, k, &mut asg, cfg, ws);
     refine_kway_with(g, k, &mut asg, cfg, ws);
@@ -129,7 +116,7 @@ fn rb_recurse(
     let frac0 = k1 as f64 / k as f64;
     // Per-recursion seed override — cheaper than cloning the whole config
     // (the `eps` Vec) at every node of the recursion tree.
-    let asg2 = multilevel_bisect_seeded(g, frac0, cfg, bis_eps, cfg.child_seed(salt));
+    let asg2 = multilevel_bisect(g, frac0, cfg, bis_eps, cfg.child_seed(salt));
 
     // Split and recurse.
     let select0: Vec<bool> = asg2.iter().map(|&s| s == 0).collect();
@@ -148,16 +135,11 @@ fn rb_recurse(
     left
 }
 
-/// One multilevel bisection of `g` with side-0 fraction `frac0`, seeded
-/// from `cfg.seed`.
-pub fn multilevel_bisect(g: &Graph, frac0: f64, cfg: &PartitionerConfig, eps: &[f64]) -> Vec<u32> {
-    multilevel_bisect_seeded(g, frac0, cfg, eps, cfg.seed)
-}
-
-/// [`multilevel_bisect`] with the random stream rooted at `seed` instead
-/// of `cfg.seed`, so recursive callers can derive independent per-node
-/// streams without cloning the config.
-pub fn multilevel_bisect_seeded(
+/// One multilevel bisection of `g` with side-0 fraction `frac0` and
+/// per-constraint tolerances `eps`, its random stream rooted at `seed`
+/// instead of `cfg.seed`, so recursive callers can derive independent
+/// per-node streams without cloning the config.
+pub fn multilevel_bisect(
     g: &Graph,
     frac0: f64,
     cfg: &PartitionerConfig,
@@ -169,7 +151,6 @@ pub fn multilevel_bisect_seeded(
         coarsen_to: cfg.coarsen_to.max(40),
         seed: child_seed(seed, 0xC0A25E),
         parallel_threshold: cfg.parallel_threshold,
-        matching_rounds: cfg.matching_rounds,
     };
     let mut ws = CoarsenWorkspace::new();
     let hierarchy = {
@@ -206,21 +187,14 @@ pub fn multilevel_bisect_seeded(
         hierarchy.project_into(lvl, &asg, &mut fine_asg);
         let targets = BisectTargets::new(fine_graph, frac0, eps);
         rebalance_bisection_with(fine_graph, &mut fine_asg, &targets, &mut rws).record(rec);
-        fm_refine_with(
-            fine_graph,
-            &mut fine_asg,
-            &targets,
-            cfg.fm_passes,
-            cfg.transient_violation,
-            &mut rws,
-        );
+        fm_refine_with(fine_graph, &mut fine_asg, &targets, &mut rws);
         std::mem::swap(&mut asg, &mut fine_asg);
     }
     if hierarchy.is_empty() {
         // No coarsening happened; `asg` is already on `g` but unrefined.
         let targets = BisectTargets::new(g, frac0, eps);
         rebalance_bisection_with(g, &mut asg, &targets, &mut rws).record(rec);
-        fm_refine_with(g, &mut asg, &targets, cfg.fm_passes, cfg.transient_violation, &mut rws);
+        fm_refine_with(g, &mut asg, &targets, &mut rws);
     }
     asg
 }

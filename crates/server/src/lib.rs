@@ -12,9 +12,9 @@
 //!
 //! * [`protocol`] — the client/server control frames ([`JobMsg`]),
 //!   framed and CRC-checked exactly like mesh traffic,
-//! * [`Server`] — bounded queue, worker threads with per-worker reusable
-//!   workspaces, content-hash cache, `server.jobs.*` counters and
-//!   per-job telemetry spans,
+//! * [`Server`] — bounded queue, a fixed pool of worker threads,
+//!   content-hash cache, `server.jobs.*` counters and per-job telemetry
+//!   spans,
 //! * [`Client`] — a blocking request/response client for one
 //!   connection, with optional connect/read timeouts and a seeded
 //!   deterministic retry policy ([`ClientConfig`]).
@@ -27,10 +27,10 @@
 //!
 //! * **Panics are jobs failing, not workers dying.** Runner execution is
 //!   wrapped in `catch_unwind`: a panicking job finalizes as a typed
-//!   [`JobError::Panicked`] and its client is unblocked. The worker then
-//!   swaps its workspace — the unwind may have torn it — for a fresh one
-//!   (`server.workers.respawned`) and keeps serving, so pool capacity is
-//!   invariant.
+//!   [`JobError::Panicked`] and its client is unblocked. The worker
+//!   counts the caught panic (`server.workers.respawned`) and keeps
+//!   serving — a job shares no state with the next one — so pool
+//!   capacity is invariant.
 //! * **Deadlines bound every job.** [`ServerConfig::job_deadline`] is
 //!   threaded into the runner via [`JobContext::deadline`] (the traced
 //!   runner turns it into a `RunControl` time budget) and enforced where
@@ -145,29 +145,13 @@ pub struct JobContext {
 
 /// What the server executes. Implementations decode the payload, run
 /// the work, and return result bytes; the server never interprets
-/// either side.
-///
-/// One [`JobRunner::Workspace`] is created per worker thread and handed
-/// back on every job that worker runs — the hook for allocation-free
-/// steady-state execution (partitioner scratch). A job that panics
-/// costs its worker the workspace: the next job gets a fresh one.
+/// either side. A job carries nothing over to the next one its worker
+/// runs, so a panicking job leaves nothing behind to repair.
 pub trait JobRunner: Send + Sync + 'static {
-    /// Per-worker reusable scratch.
-    type Workspace: Send;
-
-    /// A fresh workspace for one worker thread.
-    fn workspace(&self) -> Self::Workspace;
-
     /// Executes one job. `ctx.cancel` trips when the client cancels (or
     /// the job overruns its deadline); the runner should poll it at its
-    /// checkpoints and return [`JobError::Cancelled`]. Reuse of `ws`
-    /// must not change results.
-    fn run(
-        &self,
-        payload: &[u8],
-        ctx: &JobContext,
-        ws: &mut Self::Workspace,
-    ) -> Result<Vec<u8>, JobError>;
+    /// checkpoints and return [`JobError::Cancelled`].
+    fn run(&self, payload: &[u8], ctx: &JobContext) -> Result<Vec<u8>, JobError>;
 
     /// The workloads this runner advertises ([`JobMsg::Catalog`]).
     fn catalog(&self) -> Vec<CatalogEntry> {
@@ -681,11 +665,9 @@ impl<R: JobRunner> Drop for Server<R> {
     }
 }
 
-/// One worker thread: owns a reusable workspace, drains the queue until
-/// shutdown. A caught panic finalizes the job, and the worker carries on
-/// with a fresh workspace (the unwind may have left the old one torn).
+/// One worker thread: drains the queue until shutdown. A caught panic
+/// finalizes the job, and the worker carries on with the next one.
 fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
-    let mut ws = shared.runner.workspace();
     loop {
         let (id, payload, ctx) = {
             let mut inner = lock(&shared.inner);
@@ -725,7 +707,7 @@ fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
                 // Cancelled between dequeue and start: never run it.
                 Err(JobError::Cancelled)
             } else {
-                let r = shared.runner.run(&payload, &ctx, &mut ws);
+                let r = shared.runner.run(&payload, &ctx);
                 span.set_attr(
                     "outcome",
                     match &r {
@@ -738,9 +720,7 @@ fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
             }
         }));
         let result = run.unwrap_or_else(|panic| {
-            // The unwound workspace cannot be trusted: replace it, and
-            // count that before the panicked job finalizes.
-            ws = shared.runner.workspace();
+            // Count the caught panic before the panicked job finalizes.
             lock(&shared.inner).count(&shared.rec, RESPAWNED);
             Err(JobError::Panicked { reason: panic_reason(panic.as_ref()) })
         });
@@ -925,31 +905,15 @@ mod tests {
     use std::time::Duration;
 
     /// Test runner: payload[0] selects the behavior. 0 = echo the rest
-    /// reversed (appended to whatever the workspace holds, which a
-    /// healthy run leaves empty), 1 = spin until cancelled (checkpoint
-    /// every 1 ms), 2 = fail, 3 = dirty the workspace and panic, 4 =
-    /// sleep 300 ms ignoring the cancel token (a "wedged" runner for the
-    /// deadline tests).
+    /// reversed, 1 = spin until cancelled (checkpoint every 1 ms), 2 =
+    /// fail, 3 = panic, 4 = sleep 300 ms ignoring the cancel token (a
+    /// "wedged" runner for the deadline tests).
     struct TestRunner;
 
     impl JobRunner for TestRunner {
-        type Workspace = Vec<u8>;
-
-        fn workspace(&self) -> Vec<u8> {
-            Vec::new()
-        }
-
-        fn run(
-            &self,
-            payload: &[u8],
-            ctx: &JobContext,
-            ws: &mut Vec<u8>,
-        ) -> Result<Vec<u8>, JobError> {
+        fn run(&self, payload: &[u8], ctx: &JobContext) -> Result<Vec<u8>, JobError> {
             match payload.first() {
-                Some(0) => {
-                    ws.extend(payload[1..].iter().rev());
-                    Ok(std::mem::take(ws))
-                }
+                Some(0) => Ok(payload[1..].iter().rev().copied().collect()),
                 Some(1) => loop {
                     if ctx.cancel.is_cancelled() {
                         return Err(JobError::Cancelled);
@@ -957,10 +921,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(1));
                 },
                 Some(2) => Err(JobError::Failed { reason: "scripted failure".to_string() }),
-                Some(3) => {
-                    ws.extend([0xDE, 0xAD]);
-                    panic!("scripted panic")
-                }
+                Some(3) => panic!("scripted panic"),
                 Some(4) => {
                     std::thread::sleep(Duration::from_millis(300));
                     Ok(vec![42])
@@ -1079,7 +1040,7 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_job_finalizes_typed_and_its_worker_gets_a_fresh_workspace() {
+    fn a_panicking_job_finalizes_typed_and_its_worker_serves_the_next_job() {
         let (server, mut client) = start();
         let job = client.submit(&[3]).expect("submit panicking job");
         let (outcome, _) = client.result(job).expect("panic result arrives");
@@ -1088,8 +1049,7 @@ mod tests {
             "panic must surface as a typed failure, got {outcome:?}"
         );
 
-        // The same (only) worker serves the next job, from a fresh
-        // workspace: the bytes the panic left in the old one are gone.
+        // The same (only) worker serves the next job.
         let after = client.submit(&[0, 5, 6]).expect("submit after panic");
         let (outcome, _) = client.result(after).expect("post-panic result");
         assert_eq!(outcome, JobOutcome::Done { payload: vec![6, 5] });

@@ -90,8 +90,8 @@ pub struct ServerStats {
     /// Current result-cache occupancy in bytes (a gauge, not a
     /// counter).
     pub cache_bytes: u64,
-    /// Fresh workspaces workers took after a panicking job (the worker
-    /// thread itself keeps serving; one per caught panic).
+    /// Jobs whose panic a worker caught (the worker thread itself keeps
+    /// serving; one per caught panic).
     pub workers_respawned: u64,
     /// The server's `Submit` payload ceiling in bytes (a limit, not a
     /// counter — surfaced here so clients can size submissions).

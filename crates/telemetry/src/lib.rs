@@ -285,18 +285,6 @@ impl Recorder {
         }
     }
 
-    /// Opens a span on an explicit lane (without rebinding the thread).
-    #[inline]
-    pub fn span_at(&self, name: &'static str, lane: u32) -> Span {
-        match &self.inner {
-            None => Span { active: None },
-            Some(reg) => {
-                reg.next_lane.fetch_max(lane + 1, Ordering::Relaxed);
-                Span::open(reg.clone(), name, lane)
-            }
-        }
-    }
-
     /// Records a point-in-time marker on lane `lane`.
     pub fn instant_at(&self, name: &'static str, lane: u32, attrs: &[(&'static str, AttrValue)]) {
         let Some(reg) = &self.inner else { return };

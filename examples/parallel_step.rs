@@ -11,7 +11,6 @@ use cip::core::{
     contact_graph, decompose, face_bodies, gather, halo_traffic, surface_elements, McmlDtConfig,
 };
 use cip::dtree::{induce, DtreeConfig};
-use cip::partition::RefineWorkspace;
 use cip::runtime::{connect_ranks, execute_steps, ExecOptions, HaloPlan, StepInput};
 use cip::sim::SimConfig;
 use cip::telemetry::Recorder;
@@ -28,7 +27,7 @@ fn main() {
     let mcml = McmlDtConfig::paper(k);
     let graph0 = contact_graph(&sim, 0, mcml.graph_options(), &recorder);
     let points0 = &sim.snapshots[0].points;
-    let node_parts = decompose(&graph0, points0, &mcml, &mut RefineWorkspace::new()).node_parts;
+    let node_parts = decompose(&graph0, points0, &mcml).node_parts;
 
     // One mesh for the whole run; each one-step batch gets its own epoch.
     let opts = ExecOptions::default();

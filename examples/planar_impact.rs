@@ -13,7 +13,7 @@ use cip::dtree::{induce, DtreeConfig};
 use cip::geom::{Aabb, Point};
 use cip::graph::{GraphBuilder, Partition};
 use cip::mesh::{extract_surface, generators, Mesh};
-use cip::partition::{partition_kway, PartitionerConfig, RefineWorkspace};
+use cip::partition::{partition_kway, PartitionerConfig};
 
 /// Builds the 2D scene: a horizontal plate strip and a vertical rod above
 /// it, with a channel already eroded halfway through the plate.
@@ -58,7 +58,7 @@ fn main() {
     );
     // MCML+DT, the DT-friendly correction natively in 2D.
     let cfg = McmlDtConfig::paper(k);
-    let dec = decompose(&ng, &mesh.points, &cfg, &mut RefineWorkspace::new());
+    let dec = decompose(&ng, &mesh.points, &cfg);
     let stats = dec.stats.expect("the paper's configuration corrects");
     let part = Partition::from_assignment(&ng.graph, k, dec.asg);
     println!(

@@ -7,7 +7,6 @@ use cip::contact::{n_remote, DtreeFilter};
 use cip::core::{contact_graph, decompose, gather, surface_elements, McmlDtConfig};
 use cip::dtree::{induce, DtreeConfig};
 use cip::graph::{edge_cut, total_comm_volume, Partition};
-use cip::partition::RefineWorkspace;
 use cip::sim::SimConfig;
 use cip::telemetry::Recorder;
 
@@ -42,7 +41,7 @@ fn main() {
     // 3. Multi-constraint multilevel partitioning, then the DT-friendly
     //    correction: subdomain boundaries become piecewise axes-parallel
     //    so the search tree stays small.
-    let dec = decompose(&graph, &snap.points, &cfg, &mut RefineWorkspace::new());
+    let dec = decompose(&graph, &snap.points, &cfg);
     let stats = dec.stats.expect("the paper's configuration corrects");
     let p = Partition::from_assignment(g, k, dec.asg.clone());
     println!(

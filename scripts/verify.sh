@@ -198,4 +198,26 @@ if ! non_test crates/transport/src/wire.rs | grep -q '\[\[u32; 256\]; 8\]'; then
   exit 1
 fi
 
+echo "==> one partitioner driver, no scratch between calls"
+# cip-partition has one k-way driver, multilevel recursive bisection
+# (DESIGN.md §5d), and no entry point keeps scratch from one call to the
+# next: the second driver, the cross-call workspace bundle and the job
+# server's per-worker workspace stay gone, and PartitionerConfig keeps its
+# five fields (effort bounds are private constants beside their code).
+if grep -rnE 'kway_ml|partition_kway_multilevel|PartitionWorkspace|partition_kway_with' \
+    src crates tests examples DESIGN.md README.md | grep -v '^crates/ladder/'; then
+  echo "verify: FAIL — a second k-way driver or a cross-call partitioner workspace is back"
+  exit 1
+fi
+if grep -rn 'type Workspace' crates/server/src; then
+  echo "verify: FAIL — the job server hands its runner a per-worker workspace again"
+  exit 1
+fi
+config_fields=$(non_test crates/partition/src/config.rs \
+  | sed -n '/pub struct PartitionerConfig {/,/^[^ ]*:}/p' | grep -c ':    pub ' || true)
+if [ "$config_fields" -ne 5 ]; then
+  echo "verify: FAIL — PartitionerConfig declares $config_fields pub fields (want 5)"
+  exit 1
+fi
+
 echo "verify: OK"

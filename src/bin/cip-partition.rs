@@ -22,7 +22,7 @@ use cip::geom::Point;
 use cip::graph::{edge_cut, total_comm_volume, Partition};
 use cip::mesh::graphs::nodal_graph;
 use cip::mesh::{extract_surface, generators, Mesh};
-use cip::partition::{PartitionerConfig, RefineWorkspace};
+use cip::partition::PartitionerConfig;
 use cip::telemetry::json::ToJson;
 use cip::telemetry::json_struct;
 
@@ -178,7 +178,7 @@ fn main() {
         ..McmlDtConfig::paper(k)
     };
     let ng = nodal_graph(&mesh, &mask, cfg.graph_options());
-    let dec = decompose(&ng, &mesh.points, &cfg, &mut RefineWorkspace::new());
+    let dec = decompose(&ng, &mesh.points, &cfg);
     if let Some(stats) = &dec.stats {
         eprintln!(
             "DT-friendly correction: {} regions, {} relabeled, {} refined",

@@ -20,14 +20,12 @@
 //! [`Session`]: build → advance (with the job's
 //! [`cip_runtime::CancelToken`] checked at every batch boundary, and
 //! the server's per-job deadline threaded in as the session's time
-//! budget) → totals. Each
-//! server worker owns one [`PartitionWorkspace`], so steady-state service
-//! traffic reuses partitioner scratch instead of reallocating per job.
+//! budget) → totals. Nothing carries over from one job to the next:
+//! every session allocates its own partitioner scratch.
 
 use crate::trace::{
     ChaosOptions, RunBudget, RunControl, Session, TraceError, TraceOptions, TraceReport,
 };
-use cip_partition::PartitionWorkspace;
 use cip_server::{CatalogEntry, JobContext, JobError, JobRunner};
 use cip_sim::scenarios;
 use cip_transport::wire::{decode_versioned, encode_versioned};
@@ -175,21 +173,10 @@ fn classify(e: TraceError) -> JobError {
 }
 
 impl JobRunner for TraceJobRunner {
-    type Workspace = PartitionWorkspace;
-
-    fn workspace(&self) -> PartitionWorkspace {
-        PartitionWorkspace::new()
-    }
-
-    fn run(
-        &self,
-        payload: &[u8],
-        ctx: &JobContext,
-        ws: &mut PartitionWorkspace,
-    ) -> Result<Vec<u8>, JobError> {
+    fn run(&self, payload: &[u8], ctx: &JobContext) -> Result<Vec<u8>, JobError> {
         let req =
             JobRequest::decode(payload).map_err(|e| JobError::Invalid { reason: e.to_string() })?;
-        let mut session = Session::build_with(&req.opts, ws).map_err(classify)?;
+        let mut session = Session::build(&req.opts).map_err(classify)?;
         // The server's per-job deadline becomes the session's time
         // budget, so an overrunning trace stops cooperatively at a
         // batch boundary — the server only has to force the issue for

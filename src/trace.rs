@@ -15,7 +15,7 @@ use crate::worker::{BatchSpec, PoolConfig, WorkerPool};
 use cip_core::{
     contact_graph, decompose, merge_live, repartition_step, McmlDtConfig, RepartitionMethod,
 };
-use cip_partition::{compact_parts_after_loss, PartitionWorkspace, PartitionerConfig};
+use cip_partition::{compact_parts_after_loss, PartitionerConfig};
 use cip_runtime::{
     build_migration, collect_batch, connect_ranks, execute_steps, BatchError, CancelToken,
     ConfigError, ExecOptions, FaultInjector, FaultPlan, FaultRates, KillSpec, MigrationPlan, Msg,
@@ -491,7 +491,7 @@ pub struct Session {
     opts: TraceOptions,
     sim: Arc<SimResult>,
     rec: Recorder,
-    /// How boundaries and recoveries repartition (see [`Session::build_with`]).
+    /// How boundaries and recoveries repartition (see [`Session::build`]).
     cfg: McmlDtConfig,
     node_parts: Vec<u32>,
     pool: Option<WorkerPool>,
@@ -511,19 +511,10 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds a session with its own (cold) workspace.
+    /// Builds a session: runs the scenario's simulation and the MCML+DT
+    /// decomposition of snapshot 0 (and, in multi-process mode, spawns the
+    /// worker pool).
     pub fn build(opts: &TraceOptions) -> Result<Self, TraceError> {
-        Self::build_with(opts, &mut PartitionWorkspace::new())
-    }
-
-    /// Builds a session reusing caller-supplied partitioner scratch for
-    /// the initial MCML+DT decomposition — what a job-server worker keeps
-    /// warm across the jobs it runs. Bit-identical to [`Session::build`]
-    /// for any workspace state.
-    pub fn build_with(
-        opts: &TraceOptions,
-        ws: &mut PartitionWorkspace,
-    ) -> Result<Self, TraceError> {
         opts.validate()?;
         let mut scfg = scenario_config(&opts.scenario)?;
         if let Some(s) = opts.snapshots {
@@ -555,7 +546,7 @@ impl Session {
         let node_parts = {
             let _span = rec.span("session.partition").attr("k", k);
             let graph = contact_graph(&sim, 0, cfg.graph_options(), &rec);
-            decompose(&graph, &sim.snapshots[0].points, &cfg, &mut ws.refine).node_parts
+            decompose(&graph, &sim.snapshots[0].points, &cfg).node_parts
         };
         cfg.repartition_method = RepartitionMethod::Diffusion;
         cfg.dt_friendly = None;
@@ -639,11 +630,6 @@ impl Session {
     /// Steps committed so far.
     pub fn executed(&self) -> usize {
         self.next_step
-    }
-
-    /// Total steps the scenario will execute.
-    pub fn total_steps(&self) -> usize {
-        self.sim.len()
     }
 
     /// Whether every step has been committed.

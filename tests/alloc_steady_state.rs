@@ -67,7 +67,7 @@ fn a_warm_workspace_serves_refine_balance_and_fm_without_allocating() {
         let before = ALLOC_COUNT.load(Ordering::Relaxed);
         refine_kway_with(&g, k, asg, &cfg, &mut ws);
         balance_kway_with(&g, k, asg, &cfg, &mut ws);
-        fm_refine_with(&g, bis, &targets, cfg.fm_passes, cfg.transient_violation, &mut ws);
+        fm_refine_with(&g, bis, &targets, &mut ws);
         ALLOC_COUNT.load(Ordering::Relaxed) - before
     };
     // Warm-up round: buffers grow to their high-water marks here.

@@ -15,7 +15,7 @@ use cip::core::{
 use cip::dtree::{induce, refresh, DecisionTree, DtreeConfig};
 use cip::geom::{Aabb, Point};
 use cip::graph::{Graph, GraphBuilder};
-use cip::partition::{PartitionerConfig, RefineWorkspace};
+use cip::partition::PartitionerConfig;
 use cip::runtime::{
     build_migration, connect_ranks, execute_steps, BatchError, Decomposition, ExecOptions,
     FaultInjector, FaultRates, HaloPlan, StepInput, StepOutput,
@@ -93,8 +93,7 @@ pub fn stage(k: usize, snapshots: &[usize]) -> Vec<Staged> {
     let rec = Recorder::disabled();
     let cfg = McmlDtConfig::paper(k);
     let graph0 = contact_graph(&sim, 0, cfg.graph_options(), &rec);
-    let node_parts =
-        decompose(&graph0, &sim.snapshots[0].points, &cfg, &mut RefineWorkspace::new()).node_parts;
+    let node_parts = decompose(&graph0, &sim.snapshots[0].points, &cfg).node_parts;
     snapshots
         .iter()
         .map(|&snapshot| {
@@ -197,8 +196,7 @@ pub fn serial_reference(opts: &TraceOptions) -> Totals {
         ..McmlDtConfig::paper(k)
     };
     let graph0 = contact_graph(&sim, 0, cfg.graph_options(), &rec);
-    let mut node_parts =
-        decompose(&graph0, &sim.snapshots[0].points, &cfg, &mut RefineWorkspace::new()).node_parts;
+    let mut node_parts = decompose(&graph0, &sim.snapshots[0].points, &cfg).node_parts;
     let cfg =
         McmlDtConfig { repartition_method: RepartitionMethod::Diffusion, dt_friendly: None, ..cfg };
 

@@ -227,3 +227,52 @@ fn partitions_of_the_benchmark_meshes_replay_too() {
         assert_eq!(hashes.collect::<Vec<_>>(), golden, "{name} at k = {k}");
     }
 }
+
+/// The paths that read the partitioner's fixed pass counts and bounds
+/// through `refine_kway` / `balance_kway` rather than `partition_kway`
+/// alone, on `head_on` (100 snapshots) at k = 4 for config seeds 1–8,
+/// hashed: the MCML+DT decomposition of snapshot 0 with the DT-friendly
+/// correction on (`node_parts`, as the traced session computes it), and
+/// the diffusion and scratch-remap repartitions of that partition onto
+/// snapshot 10's graph (the traced session's first boundary at period 10).
+#[test]
+fn decompositions_and_repartitions_replay_too() {
+    use cip::core::{contact_graph, decompose, gather, McmlDtConfig};
+    use cip::partition::{diffusion_repartition, repartition};
+    // [node_parts, diffusion, scratch-remap] per seed. Nothing has eroded
+    // by snapshot 10, so its graph is the one the `head_on` row above
+    // partitions, and scratch-remap (which relabels nothing here) repeats
+    // that row's hashes.
+    const GOLDEN: [[u64; 3]; 8] = [
+        [7503802729196138822, 7503802729196138822, 17273540569066936902],
+        [7466348006016903045, 7086974984319891269, 15311192499085418183],
+        [7295830176958271350, 7295830176958271350, 3774743902806661718],
+        [11426179851089869478, 7765983608972868358, 18336642219263238244],
+        [15214192812719604134, 10651115257365757654, 4699289188861494228],
+        [4788315400177252646, 4788315400177252646, 16852644645025586405],
+        [9313015899042948934, 9313015899042948934, 4920978668805047956],
+        [10845059448368602918, 10845059448368602918, 12337288765140077206],
+    ];
+    let sim = cip::sim::run(&cip::sim::head_on());
+    let rec = cip::telemetry::Recorder::disabled();
+    let k = 4;
+    let got: Vec<[u64; 3]> = (1..=8u64)
+        .map(|seed| {
+            let cfg = McmlDtConfig {
+                partitioner: PartitionerConfig::with_seed(seed),
+                ..McmlDtConfig::paper(k)
+            };
+            let graph0 = contact_graph(&sim, 0, cfg.graph_options(), &rec);
+            let node_parts = decompose(&graph0, &sim.snapshots[0].points, &cfg).node_parts;
+            let graph10 = contact_graph(&sim, 10, cfg.graph_options(), &rec);
+            let old = gather(&graph10.node_of_vertex, &node_parts);
+            let pc = &cfg.partitioner;
+            [
+                fnv1a(&node_parts),
+                fnv1a(&diffusion_repartition(&graph10.graph, k, &old, pc)),
+                fnv1a(&repartition(&graph10.graph, k, &old, pc)),
+            ]
+        })
+        .collect();
+    assert_eq!(got, GOLDEN);
+}

@@ -3,7 +3,7 @@
 //! The determinism contract (`DESIGN.md` "Threading model") says every
 //! partitioner entry point is a pure function of `(graph, k, config)` —
 //! how many threads a loop is cut across must never change a result. These
-//! tests run the full drivers and the coarsening hierarchy under
+//! tests run the k-way driver and the coarsening hierarchy under
 //! `par::with_threads` at 1, 2, 4 and 8 real threads (every loop cut that
 //! many ways, whatever its length) and require identical output, with
 //! `parallel_threshold` forced low so the parallel matcher and parallel
@@ -14,8 +14,7 @@ mod common;
 use cip::base::par::with_threads;
 use cip::graph::edge_cut;
 use cip::partition::{
-    coarsen_with, partition_kway, partition_kway_multilevel, refine_kway, CoarsenParams,
-    CoarsenWorkspace, PartitionerConfig,
+    coarsen_with, partition_kway, refine_kway, CoarsenParams, CoarsenWorkspace, PartitionerConfig,
 };
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -29,19 +28,6 @@ fn partition_kway_is_thread_count_invariant() {
         let reference = with_threads(1, || partition_kway(&g, k, &cfg));
         for threads in THREADS {
             let asg = with_threads(threads, || partition_kway(&g, k, &cfg));
-            assert_eq!(asg, reference, "k={k} differs at {threads} threads");
-        }
-    }
-}
-
-#[test]
-fn partition_kway_multilevel_is_thread_count_invariant() {
-    let g = common::grid(48, 48, 2);
-    let cfg = PartitionerConfig { parallel_threshold: 64, ..PartitionerConfig::with_seed(29) };
-    for k in [4usize, 9] {
-        let reference = with_threads(1, || partition_kway_multilevel(&g, k, &cfg));
-        for threads in THREADS {
-            let asg = with_threads(threads, || partition_kway_multilevel(&g, k, &cfg));
             assert_eq!(asg, reference, "k={k} differs at {threads} threads");
         }
     }
