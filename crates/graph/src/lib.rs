@@ -29,8 +29,6 @@ pub use builder::GraphBuilder;
 pub use components::{connected_components, part_fragments};
 pub use contract::{contract, contract_with, ContractWorkspace};
 pub use csr::Graph;
-pub use metrics::{
-    boundary_vertices, comm_volume_of_rows, cut_edges_of_rows, edge_cut, total_comm_volume,
-};
+pub use metrics::{comm_volume_of_rows, cut_edges_of_rows, edge_cut, total_comm_volume};
 pub use partition::{load_imbalance, Partition};
 pub use subgraph::{induced_subgraph, Subgraph};

@@ -71,17 +71,6 @@ pub fn cut_edges_of_rows(xadj: &[usize], adjncy: &[u32], assignment: &[u32]) -> 
     cut
 }
 
-/// Vertices with at least one neighbor in another part.
-pub fn boundary_vertices(g: &Graph, assignment: &[u32]) -> Vec<u32> {
-    debug_assert_eq!(assignment.len(), g.nv());
-    (0..g.nv() as u32)
-        .filter(|&u| {
-            let pu = assignment[u as usize];
-            g.adj(u).iter().any(|&v| assignment[v as usize] != pu)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,14 +143,5 @@ mod tests {
             assert_eq!(comm_volume_of_rows(rows.0, rows.1, &asg), total_comm_volume(&g, &asg));
             assert_eq!(cut_edges_of_rows(rows.0, rows.1, &asg) as i64, edge_cut(&g, &asg));
         }
-    }
-
-    #[test]
-    fn boundary_vertices_found() {
-        let g = grid2x3();
-        let asg = vec![0, 0, 1, 0, 0, 1];
-        let b = boundary_vertices(&g, &asg);
-        assert_eq!(b, vec![1, 2, 4, 5]);
-        assert!(boundary_vertices(&g, &[0; 6]).is_empty());
     }
 }

@@ -2,11 +2,8 @@
 
 use crate::csr::Graph;
 
-/// A `k`-way partition of a graph's vertices with cached per-part weight
-/// sums for every constraint.
-///
-/// The cache makes the balance checks inside FM / k-way refinement O(ncon)
-/// per candidate move instead of O(n).
+/// A `k`-way partition of a graph's vertices with its per-part weight
+/// sums for every constraint, summed once from the assignment.
 #[derive(Debug, Clone)]
 pub struct Partition {
     k: usize,
@@ -67,21 +64,6 @@ impl Partition {
         self.part_weights[p as usize * self.ncon + j]
     }
 
-    /// Moves vertex `v` to part `to`, updating the weight cache.
-    pub fn move_vertex(&mut self, g: &Graph, v: u32, to: u32) {
-        let from = self.assignment[v as usize];
-        if from == to {
-            return;
-        }
-        let fb = from as usize * self.ncon;
-        let tb = to as usize * self.ncon;
-        for (j, w) in g.vwgt(v).iter().enumerate() {
-            self.part_weights[fb + j] -= w;
-            self.part_weights[tb + j] += w;
-        }
-        self.assignment[v as usize] = to;
-    }
-
     /// Load imbalance under constraint `j`:
     /// `max_p w_j(V_p) / (w_j(V) / k)`. Returns 1.0 when the constraint has
     /// zero total weight (vacuously balanced).
@@ -103,25 +85,6 @@ impl Partition {
     /// Number of vertices assigned to part `p`.
     pub fn part_size(&self, p: u32) -> usize {
         self.assignment.iter().filter(|&&q| q == p).count()
-    }
-
-    /// Recomputes the weight cache from scratch (defensive; used by tests
-    /// and debug assertions after complex refinement passes).
-    pub fn recompute_weights(&mut self, g: &Graph) {
-        self.part_weights.iter_mut().for_each(|w| *w = 0);
-        for (v, &p) in self.assignment.iter().enumerate() {
-            let base = p as usize * self.ncon;
-            for (j, w) in g.vwgt(v as u32).iter().enumerate() {
-                self.part_weights[base + j] += w;
-            }
-        }
-    }
-
-    /// Verifies the cached part weights against a fresh recomputation.
-    pub fn check_weights(&self, g: &Graph) -> bool {
-        let mut fresh = self.clone();
-        fresh.recompute_weights(g);
-        fresh.part_weights == self.part_weights
     }
 }
 
@@ -162,21 +125,6 @@ mod tests {
         assert_eq!(p.part_weight(1, 0), 3);
         assert_eq!(p.part_weight(0, 1), 1); // vertex 1 is odd
         assert_eq!(p.part_weight(1, 1), 2); // vertices 3, 5
-        assert!(p.check_weights(&g));
-    }
-
-    #[test]
-    fn move_vertex_updates_cache() {
-        let g = path(4, 1);
-        let mut p = Partition::from_assignment(&g, 2, vec![0, 0, 1, 1]);
-        p.move_vertex(&g, 1, 1);
-        assert_eq!(p.part(1), 1);
-        assert_eq!(p.part_weight(0, 0), 1);
-        assert_eq!(p.part_weight(1, 0), 3);
-        assert!(p.check_weights(&g));
-        // no-op move
-        p.move_vertex(&g, 1, 1);
-        assert!(p.check_weights(&g));
     }
 
     #[test]

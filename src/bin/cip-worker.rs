@@ -9,6 +9,17 @@
 
 use cip::worker::{run_worker, WorkerArgs};
 
+/// Bad arguments: one line on stderr, exit code 2.
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("cip-worker: {message}");
+    std::process::exit(2);
+}
+
+/// `raw` as the integer `flag` takes, or the one-line failure.
+fn integer(flag: &str, raw: &str) -> usize {
+    raw.parse().unwrap_or_else(|_| fail(format!("{flag} takes an integer, got '{raw}'")))
+}
+
 fn parse_args() -> WorkerArgs {
     let mut args = WorkerArgs {
         connect: String::new(),
@@ -16,51 +27,26 @@ fn parse_args() -> WorkerArgs {
         ranks: 0,
         scenario: "tiny".to_string(),
         snapshots: None,
-        capacity: 256,
     };
     let argv: Vec<String> = std::env::args().collect();
     let mut i = 1;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--connect" if i + 1 < argv.len() => {
-                args.connect = argv[i + 1].clone();
-                i += 2;
-            }
-            "--rank" if i + 1 < argv.len() => {
-                args.rank = argv[i + 1].parse().expect("--rank takes an integer");
-                i += 2;
-            }
-            "--ranks" if i + 1 < argv.len() => {
-                args.ranks = argv[i + 1].parse().expect("--ranks takes an integer");
-                i += 2;
-            }
-            "--scenario" if i + 1 < argv.len() => {
-                args.scenario = argv[i + 1].clone();
-                i += 2;
-            }
+            "--connect" if i + 1 < argv.len() => args.connect = argv[i + 1].clone(),
+            "--rank" if i + 1 < argv.len() => args.rank = integer("--rank", &argv[i + 1]),
+            "--ranks" if i + 1 < argv.len() => args.ranks = integer("--ranks", &argv[i + 1]),
+            "--scenario" if i + 1 < argv.len() => args.scenario = argv[i + 1].clone(),
             "--snapshots" if i + 1 < argv.len() => {
-                args.snapshots = Some(argv[i + 1].parse().expect("--snapshots takes an integer"));
-                i += 2;
+                args.snapshots = Some(integer("--snapshots", &argv[i + 1]));
             }
-            "--capacity" if i + 1 < argv.len() => {
-                args.capacity = argv[i + 1].parse().expect("--capacity takes an integer");
-                i += 2;
-            }
-            other => {
-                eprintln!(
-                    "unknown argument '{other}' (cip-worker is spawned by \
-                     cip-trace --transport tcp)"
-                );
-                std::process::exit(2);
-            }
+            other => fail(format!(
+                "unknown argument '{other}' (cip-worker is spawned by cip-trace --transport tcp)"
+            )),
         }
+        i += 2;
     }
     if args.connect.is_empty() || args.ranks == 0 || args.rank >= args.ranks {
-        eprintln!(
-            "usage: cip-worker --connect ADDR --rank R --ranks K --scenario NAME \
-             [--snapshots N] [--capacity C]"
-        );
-        std::process::exit(2);
+        fail("usage: cip-worker --connect ADDR --rank R --ranks K --scenario NAME [--snapshots N]");
     }
     args
 }

@@ -25,8 +25,10 @@ const TOLERANCE: f64 = 0.4;
 
 /// What staging carries from batch to batch inside one tree chain — the
 /// stretch of snapshots between two changes of the assignment
-/// (repartition boundary, rank-loss recovery). Whoever changes the
-/// assignment starts a fresh chain with `Chain::default()`.
+/// (repartition boundary, rank-loss recovery). Whoever stages a chain —
+/// the session's driver, a worker process — keeps one across its batches
+/// and starts a fresh one with `Chain::default()` where the assignment
+/// changes.
 #[derive(Default)]
 pub(crate) struct Chain {
     /// The search tree of the last snapshot staged and executed (`None`
@@ -51,41 +53,30 @@ pub(crate) struct StagedStep {
 /// Stages the steps `batch` of a trace under the assignment
 /// `node_parts`: per snapshot, the decomposition and the search tree —
 /// refreshed from the previous snapshot's tree, or induced from scratch
-/// where the chain starts.
-///
-/// The tree chain is replayed from snapshot `replay_from <= batch.start`;
-/// `chain.tree` is the tree of snapshot `replay_from - 1` (`None` starts
-/// a fresh chain at `replay_from`). The driver carries the last tree from
-/// batch to batch and replays from `batch.start`; a worker process
-/// carries nothing and replays from where the chain was induced —
-/// `node_parts` is constant within a chain, so both arrive at the same
-/// trees, and the same halo plans, bit for bit.
+/// where the chain starts. `chain.tree` is the tree of snapshot
+/// `batch.start - 1` (`None`: the chain starts at `batch.start`);
+/// `node_parts` is constant within a chain, so consecutive batches staged
+/// through one chain arrive at the trees and halo plans of a single pass
+/// over the whole chain, bit for bit.
 pub(crate) fn stage_batch(
     sim: &SimResult,
     node_parts: &[u32],
     live_k: usize,
     chain: &mut Chain,
-    replay_from: usize,
     batch: std::ops::Range<usize>,
     rec: &Recorder,
 ) -> Vec<StagedStep> {
     let dcfg = DtreeConfig::search_tree();
     let mut steps: Vec<StagedStep> = Vec::with_capacity(batch.len());
-    let mut replayed: Option<DecisionTree<3>> = None;
-    for j in replay_from..batch.end {
+    for j in batch {
         let _step_span = rec.span("trace.step").attr("step", j);
         let snap = &sim.snapshots[j];
         let nodes = &snap.contact.contact_nodes;
         let (positions, labels) = (gather(nodes, &snap.points), gather(nodes, node_parts));
-        let prev = steps.last().map(|s| &s.tree).or(replayed.as_ref()).or(chain.tree.as_ref());
-        let tree = match prev {
+        let tree = match steps.last().map(|s| &s.tree).or(chain.tree.as_ref()) {
             None => induce_recorded(&positions, &labels, live_k, &dcfg, rec),
             Some(prev) => refresh_recorded(prev, &positions, &labels, live_k, &dcfg, rec).0,
         };
-        if j < batch.start {
-            replayed = Some(tree);
-            continue;
-        }
 
         let epoch = sim.epoch_of(j);
         let halo = match &mut chain.halo {
@@ -94,10 +85,7 @@ pub(crate) fn stage_batch(
                 &*plan
             }
             slot => {
-                let _span = rec
-                    .span("stage.halo_plan")
-                    .attr("epoch", epoch)
-                    .attr("chain_start", replay_from);
+                let _span = rec.span("stage.halo_plan").attr("epoch", epoch);
                 rec.add("stage.halo_plan.builds", 1);
                 let topology = sim.topology(j, rec);
                 let assignment = gather(topology.node_of_vertex(), node_parts);
@@ -250,7 +238,6 @@ mod tests {
                     let rec = Recorder::enabled();
                     let mut node_parts = striped(&sim, k, 0);
                     let mut chain = Chain::default();
-                    let mut chain_start = 0;
                     let mut oracle_tree: Option<DecisionTree<3>> = None;
                     // Batches of 2, cut at the reassignment like the
                     // driver cuts them at a boundary.
@@ -259,7 +246,6 @@ mod tests {
                         if reassign_at == Some(i) {
                             node_parts = striped(&sim, k, 1);
                             chain = Chain::default();
-                            chain_start = i;
                             oracle_tree = None;
                         }
                         let mut end = (i + 2).min(sim.len());
@@ -267,23 +253,12 @@ mod tests {
                             end = end.min(at);
                         }
                         let mut staged =
-                            stage_batch(&sim, &node_parts, k, &mut chain, i, i..end, &rec);
-                        // A worker carries nothing and replays the chain.
-                        let replayed = stage_batch(
-                            &sim,
-                            &node_parts,
-                            k,
-                            &mut Chain::default(),
-                            chain_start,
-                            i..end,
-                            &Recorder::disabled(),
-                        );
+                            stage_batch(&sim, &node_parts, k, &mut chain, i..end, &rec);
                         assert_eq!(staged.len(), end - i, "{what}");
-                        for (off, (got, again)) in staged.iter().zip(&replayed).enumerate() {
+                        for (off, got) in staged.iter().enumerate() {
                             let j = i + off;
                             let want = oracle_step(&sim, j, &node_parts, k, oracle_tree.as_ref());
                             assert_step_matches(&sim, got, &want, &format!("{what} step {j}"));
-                            assert_step_matches(&sim, again, &want, &format!("{what} replay {j}"));
                             oracle_tree = Some(want.3);
                         }
                         chain.tree = staged.pop().map(|s| s.tree);
@@ -318,6 +293,58 @@ mod tests {
         let interior = sim.topology(0, &Recorder::disabled()).node_of_vertex().iter();
         let interior = interior.copied().find(|&n| !contact[n as usize]).expect("interior node");
         stale[interior as usize] = 3;
-        stage_batch(&sim, &stale, 3, &mut Chain::default(), 0, 0..1, &Recorder::disabled());
+        stage_batch(&sim, &stale, 3, &mut Chain::default(), 0..1, &Recorder::disabled());
+    }
+
+    /// The one staging mode: batches [0, 3), [3, 8), [8, 10) of `head_on`
+    /// at k = 4 staged through one carried `Chain` give the trees, halo
+    /// plans and decompositions of a from-scratch, snapshot-by-snapshot
+    /// replay of the whole chain, written here as the fixture.
+    #[test]
+    fn a_carried_chain_stages_what_a_snapshot_by_snapshot_replay_derives() {
+        let mut cfg = scenarios::head_on();
+        cfg.snapshots = 10;
+        let sim = cip_sim::run(&cfg);
+        let k = 4;
+        let node_parts = striped(&sim, k, 0);
+        let (rec, dcfg) = (Recorder::disabled(), DtreeConfig::search_tree());
+        let mut chain = Chain::default();
+        let mut replayed: Option<DecisionTree<3>> = None;
+        for batch in [0..3, 3..8, 8..10] {
+            let mut staged = stage_batch(&sim, &node_parts, k, &mut chain, batch.clone(), &rec);
+            assert_eq!(staged.len(), batch.len());
+            let mut last_plan = None;
+            for (j, got) in batch.clone().zip(&staged) {
+                let snap = &sim.snapshots[j];
+                let nodes = &snap.contact.contact_nodes;
+                let (positions, labels) = (gather(nodes, &snap.points), gather(nodes, &node_parts));
+                let tree = match &replayed {
+                    None => induce_recorded(&positions, &labels, k, &dcfg, &rec),
+                    Some(prev) => refresh_recorded(prev, &positions, &labels, k, &dcfg, &rec).0,
+                };
+                let topology = sim.topology(j, &rec);
+                let plan = HaloPlan::build(
+                    topology.xadj(),
+                    topology.adjncy(),
+                    topology.node_of_vertex(),
+                    &gather(topology.node_of_vertex(), &node_parts),
+                    k,
+                );
+                let elements = surface_elements(&snap.contact.faces, &snap.points, &node_parts);
+                let want = plan.decomposition(elements.iter().map(|e| e.owner));
+                assert_eq!(format!("{:?}", got.tree), format!("{tree:?}"), "snapshot {j}: tree");
+                assert_eq!(got.decomposition.k, want.k, "snapshot {j}");
+                for (a, b) in got.decomposition.ranks.iter().zip(&want.ranks) {
+                    assert_eq!(a.send_halo, b.send_halo, "snapshot {j}: send lists");
+                    assert_eq!(a.owned_surface, b.owned_surface, "snapshot {j}: owned surface");
+                }
+                replayed = Some(tree);
+                last_plan = Some(plan);
+            }
+            // The halo plan the chain carries on is its last snapshot's.
+            let carried = chain.halo.as_ref().map(|(_, plan)| format!("{plan:?}"));
+            assert_eq!(carried, last_plan.map(|plan| format!("{plan:?}")), "batch {batch:?}");
+            chain.tree = staged.pop().map(|s| s.tree);
+        }
     }
 }

@@ -559,7 +559,6 @@ impl Session {
                 k,
                 scenario: opts.scenario.clone(),
                 snapshots: scfg.snapshots,
-                capacity: ExecOptions::default().mailbox_capacity,
                 bind: bind.clone(),
                 worker_bin: worker_bin.clone(),
             })?),
@@ -583,9 +582,9 @@ impl Session {
             // a live step of a later one on the same mesh. Pool
             // bookkeeping: `route[live]` = worker id playing live rank
             // `live`, and `chain_start` is the snapshot where the
-            // current search-tree chain was induced, which workers
-            // replay to reproduce the driver's incrementally refreshed
-            // tree (the assignment is constant within a chain — it only
+            // current search-tree chain was induced, which tells workers
+            // whether a batch starts a chain or continues the one they
+            // carry (the assignment is constant within a chain — it only
             // changes where the chain resets). `chain` is what staging
             // carries along it: the last tree and the halo plan.
             route: (0..k as u32).collect(),
@@ -753,7 +752,7 @@ impl Session {
             let (result, carried_tree) = match self.pool.as_mut().filter(|_| self.live_k >= 2) {
                 Some(pool) => {
                     // The workers stage the step inputs themselves
-                    // (tree-chain replay from `chain_start`), so the
+                    // (each carries its own tree chain), so the
                     // driver only ships its mutable state and folds the
                     // reported outcomes — the same fold the in-process
                     // executor applies to its joined threads.
@@ -791,7 +790,6 @@ impl Session {
                         &self.node_parts,
                         self.live_k,
                         &mut self.chain,
-                        i,
                         i..end,
                         &rec,
                     );

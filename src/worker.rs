@@ -16,10 +16,12 @@
 //! state: the node assignment, the live-rank routing table, the
 //! epoch base for [`SteppedMailbox`], and where the current search-tree
 //! chain was induced. The node assignment changes exactly where the
-//! tree chain resets (repartition and recovery), so replaying the chain
-//! from `chain_start` under the shipped `node_parts` reproduces the
-//! driver's incrementally refreshed tree bit for bit — the worker's
-//! step inputs equal the in-process driver's, and so do the totals.
+//! tree chain resets (repartition and recovery), so a worker carries its
+//! chain from batch to batch exactly as the driver does — a fresh one
+//! where a batch starts one (`chain_start == start`), else the one its
+//! last completed batch left — and its step inputs equal the in-process
+//! driver's, and so do the totals. A batch that continues a chain the
+//! worker does not carry is refused as a control-protocol violation.
 //!
 //! Failure model: a worker whose fault plan kills its rank reports
 //! [`RankBatchOutcome::Dead`] and then exits — the logical death is a
@@ -43,6 +45,7 @@ use cip_transport::{
     codec_enum, codec_struct, ChannelMailbox, Mailbox, MailboxConfig, TransportStats,
 };
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -60,8 +63,8 @@ pub struct RunSpec {
     /// One past the last snapshot index.
     pub end: u32,
     /// Snapshot where the live search-tree chain was induced
-    /// (`chain_start <= start`); the worker replays refreshes from
-    /// there.
+    /// (`chain_start <= start`); `chain_start == start` starts a chain,
+    /// anything else continues the one the worker carries.
     pub chain_start: u32,
     /// Live rank count of this batch.
     pub live_k: u32,
@@ -166,8 +169,6 @@ pub struct PoolConfig {
     /// Snapshot count (the driver's, post-override — workers must
     /// simulate the identical trajectory).
     pub snapshots: usize,
-    /// Mesh mailbox capacity per lane.
-    pub capacity: usize,
     /// Control-listener bind address (`127.0.0.1:0` = loopback,
     /// OS-assigned port).
     pub bind: String,
@@ -278,8 +279,6 @@ impl WorkerPool {
                 .arg(&cfg.scenario)
                 .arg("--snapshots")
                 .arg(cfg.snapshots.to_string())
-                .arg("--capacity")
-                .arg(cfg.capacity.to_string())
                 .stdin(Stdio::null())
                 .spawn()
                 .map_err(|e| werr(format!("spawn worker '{}': {e}", bin.display())))?;
@@ -479,8 +478,6 @@ pub struct WorkerArgs {
     pub scenario: String,
     /// Snapshot-count override.
     pub snapshots: Option<usize>,
-    /// Mesh mailbox capacity per lane.
-    pub capacity: usize,
 }
 
 /// The `cip-worker` main loop: handshake, then execute [`Ctrl::Run`]
@@ -520,10 +517,16 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
         .collect::<Result<_, _>>()?;
     let node = connect_mesh(args.rank, args.ranks, lst, &addrs)
         .map_err(|e| werr(format!("connect mesh: {e}")))?;
-    let cfg = MailboxConfig { capacity: args.capacity.max(1), recorder: Recorder::disabled() };
+    let cfg = MailboxConfig {
+        capacity: ExecOptions::default().mailbox_capacity,
+        recorder: Recorder::disabled(),
+    };
     let mut seat =
         mesh_mailbox::<Msg>(node, &cfg).map_err(|e| werr(format!("mesh mailbox: {e}")))?;
 
+    // The tree chain this worker carries from batch to batch, and the
+    // snapshots it covers so far (see `run_batch`).
+    let (mut chain, mut chain_at) = (Chain::default(), 0..0);
     loop {
         let msg = match read_frame::<Ctrl>(&mut ctrl, &mut payload) {
             Ok((m, _, _)) => m,
@@ -539,7 +542,7 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
                     // synthesize the death from control-channel EOF.
                     std::process::exit(137);
                 }
-                let outcome = run_batch(&sim, &spec, &mut seat);
+                let outcome = run_batch(&sim, &spec, &mut seat, &mut chain, &mut chain_at)?;
                 let died = matches!(outcome, RankBatchOutcome::Dead { .. });
                 let done = Ctrl::Done { outcome, stats: seat.stats() };
                 write_frame(&mut ctrl, &done, 0, &mut buf)
@@ -568,21 +571,37 @@ fn abrupt_death_requested(original_rank: usize) -> bool {
 }
 
 /// Execute one batch assignment: stage the step inputs exactly as the
-/// in-process driver does (replaying the search-tree chain from
-/// `chain_start` under the shipped assignment) and run this rank's
-/// executor loop over the epoch-tagged mesh.
-fn run_batch(sim: &SimResult, spec: &RunSpec, seat: &mut ChannelMailbox<Msg>) -> RankBatchOutcome {
+/// in-process driver does and run this rank's executor loop over the
+/// epoch-tagged mesh.
+///
+/// The worker carries its tree chain like the driver: `chain` holds the
+/// tree and halo plan of the chain that covers snapshots `chain_at`. A
+/// batch with `chain_start == start` starts a fresh chain; any other
+/// batch must continue the carried one (`chain_at == chain_start..start`)
+/// — staging it from another tree would be silently wrong, so it is
+/// refused as a control-protocol violation, and the driver folds the
+/// worker in as dead. Only a `Completed` batch extends the chain.
+fn run_batch(
+    sim: &SimResult,
+    spec: &RunSpec,
+    seat: &mut ChannelMailbox<Msg>,
+    chain: &mut Chain,
+    chain_at: &mut Range<usize>,
+) -> Result<RankBatchOutcome, TraceError> {
+    let (start, end) = (spec.start as usize, spec.end as usize);
+    if spec.chain_start == spec.start {
+        *chain = Chain::default();
+        *chain_at = start..start;
+    } else if *chain_at != (spec.chain_start as usize..start) {
+        return Err(werr(format!(
+            "batch {start}..{end} continues the tree chain from snapshot {}, \
+             but this worker carries snapshots {chain_at:?}",
+            spec.chain_start
+        )));
+    }
     let live_k = spec.live_k as usize;
     let rec = Recorder::disabled();
-    let staged = stage_batch(
-        sim,
-        &spec.node_parts,
-        live_k,
-        &mut Chain::default(),
-        spec.chain_start as usize,
-        spec.start as usize..spec.end as usize,
-        &rec,
-    );
+    let mut staged = stage_batch(sim, &spec.node_parts, live_k, chain, start..end, &rec);
     let faults: Vec<FaultInjector> = spec
         .plans
         .iter()
@@ -608,7 +627,7 @@ fn run_batch(sim: &SimResult, spec: &RunSpec, seat: &mut ChannelMailbox<Msg>) ->
         .map(|moves| MigrationPlan { k: live_k, moves: moves.clone() });
 
     let mut mb = SteppedMailbox::new(seat, spec.epoch, &spec.route);
-    with_staged_inputs(sim, &staged, &rec, |inputs| {
+    let outcome = with_staged_inputs(sim, &staged, &rec, |inputs| {
         execute_rank_steps(
             spec.rank as usize,
             live_k,
@@ -618,7 +637,12 @@ fn run_batch(sim: &SimResult, spec: &RunSpec, seat: &mut ChannelMailbox<Msg>) ->
             migrate.as_ref(),
             &mut mb,
         )
-    })
+    });
+    if matches!(outcome, RankBatchOutcome::Completed(_)) {
+        chain.tree = staged.pop().map(|s| s.tree);
+        chain_at.end = end;
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
