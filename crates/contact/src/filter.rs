@@ -51,11 +51,6 @@ impl<const D: usize> BboxFilter<D> {
         }
         Self { boxes: merged }
     }
-
-    /// The descriptor box of a part.
-    pub fn part_box(&self, part: u32) -> &Aabb<D> {
-        &self.boxes[part as usize]
-    }
 }
 
 impl<const D: usize> GlobalFilter<D> for BboxFilter<D> {
@@ -231,7 +226,11 @@ mod tests {
             (1u32, Aabb::new(Point::new([10.0, 0.0]), Point::new([11.0, 1.0]))),
         ];
         let f = BboxFilter::from_boxes(&boxes, 2);
-        assert_eq!(f.part_box(0).max[0], 3.0);
-        assert_eq!(f.part_box(1).min[0], 10.0);
+        let mut out = Vec::new();
+        // The gap between part 0's two boxes lies inside their union.
+        f.candidate_parts(&Aabb::new(Point::new([1.5, 0.5]), Point::new([1.6, 0.6])), &mut out);
+        assert_eq!(out, vec![0]);
+        f.candidate_parts(&Aabb::new(Point::new([3.5, 0.5]), Point::new([9.5, 0.6])), &mut out);
+        assert!(out.is_empty());
     }
 }

@@ -31,12 +31,6 @@ impl<const D: usize> Point<D> {
         self.coords[dim]
     }
 
-    /// Mutable coordinate along dimension `dim`.
-    #[inline]
-    pub fn coord_mut(&mut self, dim: usize) -> &mut f64 {
-        &mut self.coords[dim]
-    }
-
     /// Component-wise addition.
     #[inline]
     pub fn add(&self, other: &Self) -> Self {
@@ -176,7 +170,5 @@ mod tests {
         let mut p = Point::new([0.0, 0.0]);
         p[1] = 7.0;
         assert_eq!(p.coord(1), 7.0);
-        *p.coord_mut(0) = -1.0;
-        assert_eq!(p[0], -1.0);
     }
 }

@@ -47,12 +47,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Sets one component of vertex `v`'s weight vector.
-    pub fn set_vwgt_component(&mut self, v: u32, j: usize, w: i64) -> &mut Self {
-        self.vwgt[v as usize * self.ncon + j] = w;
-        self
-    }
-
     /// Adds an undirected edge `{u, v}` with weight `w`. Self-loops are
     /// ignored; duplicate edges accumulate their weights.
     pub fn add_edge(&mut self, u: u32, v: u32, w: i64) -> &mut Self {
@@ -148,10 +142,9 @@ mod tests {
     fn multiconstraint_weights_roundtrip() {
         let mut b = GraphBuilder::new(2, 3);
         b.set_vwgt(0, &[1, 2, 3]);
-        b.set_vwgt_component(1, 2, 7);
         let g = b.build();
         assert_eq!(g.vwgt(0), &[1, 2, 3]);
-        assert_eq!(g.vwgt(1), &[0, 0, 7]);
+        assert_eq!(g.vwgt(1), &[0, 0, 0]);
     }
 
     #[test]

@@ -306,17 +306,10 @@ fn assemble(
     }
 }
 
-/// Projects a coarse-graph part assignment back onto the fine graph:
-/// `fine[v] = coarse[map[v]]`.
-pub fn project_assignment(map: &[u32], coarse: &[u32]) -> Vec<u32> {
-    map.iter().map(|&c| coarse[c as usize]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::metrics::edge_cut;
 
     /// Square 0-1-2-3-0 with a diagonal 0-2.
     fn square_with_diag() -> Graph {
@@ -342,16 +335,6 @@ mod tests {
         // Vertex weights summed per constraint.
         assert_eq!(cg.vwgt(0), &[2, 1]);
         assert_eq!(cg.vwgt(1), &[2, 5]);
-    }
-
-    #[test]
-    fn contraction_preserves_cut_of_projected_partition() {
-        let g = square_with_diag();
-        let map = vec![0, 0, 1, 1];
-        let cg = contract(&g, &map, 2);
-        let coarse_asg = vec![0u32, 1u32];
-        let fine_asg = project_assignment(&map, &coarse_asg);
-        assert_eq!(edge_cut(&cg, &coarse_asg), edge_cut(&g, &fine_asg));
     }
 
     #[test]

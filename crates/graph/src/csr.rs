@@ -111,13 +111,6 @@ impl Graph {
         &self.vwgt[base..base + self.ncon]
     }
 
-    /// Mutable access to the weight vector of vertex `v`.
-    #[inline]
-    pub fn vwgt_mut(&mut self, v: u32) -> &mut [i64] {
-        let base = v as usize * self.ncon;
-        &mut self.vwgt[base..base + self.ncon]
-    }
-
     /// Sum of all vertex weights, one total per constraint.
     pub fn total_vwgt(&self) -> Vec<i64> {
         let mut totals = vec![0i64; self.ncon];
@@ -269,12 +262,5 @@ mod tests {
     fn weight_mismatch_rejected() {
         // Symmetric structure but mismatched weights.
         let _ = Graph::from_csr(1, vec![0, 1, 2], vec![1, 0], vec![1, 2], vec![1, 1]);
-    }
-
-    #[test]
-    fn vwgt_mut_updates_totals() {
-        let mut g = path3();
-        g.vwgt_mut(0)[1] = 5;
-        assert_eq!(g.total_vwgt(), vec![3, 6]);
     }
 }

@@ -53,13 +53,6 @@ pub fn induced_subgraph(g: &Graph, select: &[bool]) -> Subgraph {
     Subgraph { graph: Graph::from_csr_unchecked(ncon, xadj, adjncy, adjwgt, vwgt), to_parent }
 }
 
-/// Convenience wrapper: the subgraph induced by vertices whose assignment
-/// equals `part`.
-pub fn subgraph_of_part(g: &Graph, assignment: &[u32], part: u32) -> Subgraph {
-    let select: Vec<bool> = assignment.iter().map(|&p| p == part).collect();
-    induced_subgraph(g, &select)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,20 +89,6 @@ mod tests {
         assert_eq!(sg.graph.nv(), 3);
         assert_eq!(sg.graph.ne(), 0);
         assert_eq!(sg.to_parent, vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn subgraph_of_part_selects_by_assignment() {
-        let g = path5();
-        let asg = vec![0, 0, 1, 1, 1];
-        let sg = subgraph_of_part(&g, &asg, 1);
-        assert_eq!(sg.to_parent, vec![2, 3, 4]);
-        assert_eq!(sg.graph.ne(), 2);
-        // Edge weights preserved: 2-3 weight 3, 3-4 weight 4.
-        let w: Vec<_> = sg.graph.neighbors(1).collect();
-        assert_eq!(w.len(), 2);
-        assert!(w.contains(&(0, 3)));
-        assert!(w.contains(&(2, 4)));
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! * [`Server`] — bounded queue, a fixed pool of worker threads,
 //!   content-hash cache, `server.jobs.*` counters and per-job telemetry
 //!   spans,
+//! * [`Memo`] — immutable values runners share across jobs (the traced
+//!   runner keeps one simulation per scenario), kept in the result
+//!   cache's LRU under its budgets,
 //! * [`Client`] — a blocking request/response client for one
 //!   connection, with optional connect/read timeouts and a seeded
 //!   deterministic retry policy ([`ClientConfig`]).
@@ -29,8 +32,8 @@
 //!   wrapped in `catch_unwind`: a panicking job finalizes as a typed
 //!   [`JobError::Panicked`] and its client is unblocked. The worker
 //!   counts the caught panic (`server.workers.respawned`) and keeps
-//!   serving — a job shares no state with the next one — so pool
-//!   capacity is invariant.
+//!   serving — jobs share only immutable memo entries, and a job that
+//!   does not complete adds none — so pool capacity is invariant.
 //! * **Deadlines bound every job.** [`ServerConfig::job_deadline`] is
 //!   threaded into the runner via [`JobContext::deadline`] (the traced
 //!   runner turns it into a `RunControl` time budget) and enforced where
@@ -41,7 +44,8 @@
 //!   same rule.
 //! * **The result cache is bounded** by entry count and byte budget
 //!   with least-recently-used eviction (`server.cache.evictions`,
-//!   `cache_bytes` in [`ServerStats`]).
+//!   `cache_bytes` in [`ServerStats`]). Memo entries live in the same
+//!   cache and count against the same budgets.
 //! * **Shutdown is a graceful drain**: admission stops immediately,
 //!   in-flight jobs get [`ServerConfig::drain_timeout`] to finish, then
 //!   stragglers are cancelled and worker threads joined (with a bounded
@@ -63,6 +67,7 @@ use cip_telemetry::Recorder;
 use cip_transport::frame::{read_frame, write_frame, ReadError};
 use cip_transport::CancelToken;
 use cip_transport::WireError;
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -141,12 +146,73 @@ pub struct JobContext {
     /// thread it into their own budget so they stop cooperatively at a
     /// clean boundary before the server has to force the issue.
     pub deadline: Option<Duration>,
+    /// The server's memo: immutable values shared across jobs.
+    pub memo: Memo,
+}
+
+/// A memoised value, shared by every job that reads it.
+type MemoValue = Arc<dyn Any + Send + Sync>;
+
+/// A value a job computed on a memo miss: (key, value, bytes charged).
+type Computed = (Vec<u8>, MemoValue, u64);
+
+/// A job's handle on the server's memo: immutable values that jobs
+/// share, keyed by bytes the runner chooses. Entries live in the result
+/// cache — one LRU under `cache_max_entries` / `cache_max_bytes`, an
+/// entry larger than the whole byte budget is not kept — and the server
+/// stays agnostic of what they hold.
+///
+/// A value is computed outside the server lock. If two jobs miss on one
+/// key at the same time both compute it, and the first to complete keeps
+/// its copy. A job's values join the memo only when the job completes:
+/// one that fails, panics or is cancelled leaves nothing behind.
+/// Lookups count `server.memo.hits` / `server.memo.misses`, and every
+/// value kept samples its size into `server.memo.bytes`; none of these
+/// is a job cache hit.
+#[derive(Clone)]
+pub struct Memo {
+    inner: Arc<Mutex<Inner>>,
+    rec: Recorder,
+    /// What this job computed on a miss, offered to the cache when the
+    /// job completes.
+    fresh: Arc<Mutex<Vec<Computed>>>,
+}
+
+impl fmt::Debug for Memo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Memo").finish_non_exhaustive()
+    }
+}
+
+impl Memo {
+    /// The value memoised under `key`, or the one `compute` returns with
+    /// the bytes to charge for it; the flag says whether it was reused.
+    /// A value under `key` of another type than `T` reads as a miss.
+    pub fn get_or_compute<T: Any + Send + Sync>(
+        &self,
+        key: &[u8],
+        compute: impl FnOnce() -> (T, u64),
+    ) -> (Arc<T>, bool) {
+        let found = match lock(&self.inner).cache_get(Slot::Memo(content_hash(key)), key) {
+            Some(Cached::Memo { value, .. }) => Some(Arc::clone(value)),
+            _ => None,
+        };
+        if let Some(value) = found.and_then(|v| v.downcast::<T>().ok()) {
+            self.rec.add("server.memo.hits", 1);
+            return (value, true);
+        }
+        self.rec.add("server.memo.misses", 1);
+        let (value, bytes) = compute();
+        let value = Arc::new(value);
+        lock(&self.fresh).push((key.to_vec(), Arc::clone(&value) as MemoValue, bytes));
+        (value, false)
+    }
 }
 
 /// What the server executes. Implementations decode the payload, run
 /// the work, and return result bytes; the server never interprets
-/// either side. A job carries nothing over to the next one its worker
-/// runs, so a panicking job leaves nothing behind to repair.
+/// either side. Jobs share nothing but the [`Memo`]'s immutable values,
+/// so a panicking job leaves nothing behind to repair.
 pub trait JobRunner: Send + Sync + 'static {
     /// Executes one job. `ctx.cancel` trips when the client cancels (or
     /// the job overruns its deadline); the runner should poll it at its
@@ -279,18 +345,39 @@ struct Job {
     deadline_at: Option<Instant>,
 }
 
-/// One cached result: the submission payload (kept to byte-verify hits,
-/// so hash collisions degrade to misses), the result bytes replayed on a
-/// hit, and the LRU stamp of the last touch.
+/// Where a cache entry lives: a result under its payload's content hash,
+/// a memo value under its key's. Both kinds share one map, and so one
+/// LRU and one budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot {
+    Result(u64),
+    Memo(u64),
+}
+
+/// What a cache entry holds.
+enum Cached {
+    /// A completed job's result bytes, replayed on a hit.
+    Result(Vec<u8>),
+    /// A runner's memoised value and the bytes charged for it.
+    Memo { value: MemoValue, bytes: u64 },
+}
+
+/// One cache entry: the bytes its slot hashes (a submission payload or a
+/// memo key, compared on every hit so hash collisions degrade to
+/// misses), what it holds, and the LRU stamp of the last touch.
 struct CacheEntry {
-    payload: Vec<u8>,
-    result: Vec<u8>,
+    key: Vec<u8>,
+    value: Cached,
     stamp: u64,
 }
 
 impl CacheEntry {
     fn bytes(&self) -> u64 {
-        (self.payload.len() + self.result.len()) as u64
+        let held = match &self.value {
+            Cached::Result(result) => result.len() as u64,
+            Cached::Memo { bytes, .. } => *bytes,
+        };
+        self.key.len() as u64 + held
     }
 }
 
@@ -314,7 +401,7 @@ struct Inner {
     /// Jobs whose outcome has not been delivered yet; `Result` removes
     /// the record it answers.
     jobs: HashMap<u64, Job>,
-    cache: HashMap<u64, CacheEntry>,
+    cache: HashMap<Slot, CacheEntry>,
     /// Monotone LRU clock; bumped on every cache touch.
     cache_clock: u64,
     next_id: u64,
@@ -334,11 +421,22 @@ impl Inner {
     fn state_of(&self, id: u64) -> JobState {
         self.jobs.get(&id).map_or(JobState::Failed, |j| j.state)
     }
+
+    /// What the cache holds under `slot` for exactly `key`, stamped as
+    /// the most recently used entry.
+    fn cache_get(&mut self, slot: Slot, key: &[u8]) -> Option<&Cached> {
+        self.cache_clock += 1;
+        let clock = self.cache_clock;
+        let entry = self.cache.get_mut(&slot).filter(|e| e.key == key)?;
+        entry.stamp = clock;
+        Some(&entry.value)
+    }
 }
 
 struct Shared<R: JobRunner> {
     runner: R,
-    inner: Mutex<Inner>,
+    /// Shared with every running job's [`Memo`].
+    inner: Arc<Mutex<Inner>>,
     /// Wakes workers when the queue grows (and on shutdown).
     work_cv: Condvar,
     /// Wakes result waiters when any job finalizes or starts with a
@@ -410,7 +508,7 @@ impl<R: JobRunner> Shared<R> {
         };
         job.outcome = Some(outcome);
         if let Some((hash, payload, result)) = entry {
-            self.cache_insert(inner, hash, payload, result);
+            self.cache_insert(inner, Slot::Result(hash), payload, Cached::Result(result));
         }
         inner.count(&self.rec, counter);
         self.done_cv.notify_all();
@@ -448,13 +546,15 @@ impl<R: JobRunner> Shared<R> {
         }
     }
 
-    /// Inserts a successful result into the bounded cache, evicting
-    /// least-recently-used entries until both the entry-count and the
-    /// byte budget hold. An entry larger than the whole byte budget is
-    /// simply not cached.
-    fn cache_insert(&self, inner: &mut Inner, hash: u64, payload: Vec<u8>, result: Vec<u8>) {
-        let entry_bytes = (payload.len() + result.len()) as u64;
-        if entry_bytes > self.cache_max_bytes || inner.cache.contains_key(&hash) {
+    /// Inserts a successful result or a memo value into the bounded
+    /// cache, evicting least-recently-used entries of either kind until
+    /// both the entry-count and the byte budget hold. An entry larger
+    /// than the whole byte budget is simply not cached, and an occupied
+    /// slot keeps what it holds.
+    fn cache_insert(&self, inner: &mut Inner, slot: Slot, key: Vec<u8>, value: Cached) {
+        let mut entry = CacheEntry { key, value, stamp: 0 };
+        let entry_bytes = entry.bytes();
+        if entry_bytes > self.cache_max_bytes || inner.cache.contains_key(&slot) {
             return;
         }
         while !inner.cache.is_empty()
@@ -469,9 +569,12 @@ impl<R: JobRunner> Shared<R> {
             }
             inner.count(&self.rec, EVICTIONS);
         }
+        if let Cached::Memo { bytes, .. } = entry.value {
+            self.rec.record("server.memo.bytes", bytes);
+        }
         inner.cache_clock += 1;
-        let stamp = inner.cache_clock;
-        inner.cache.insert(hash, CacheEntry { payload, result, stamp });
+        entry.stamp = inner.cache_clock;
+        inner.cache.insert(slot, entry);
         inner.stats.cache_bytes += entry_bytes;
         // Histogram sample: the byte occupancy over time (counters are
         // monotone, so the gauge lives in ServerStats and this
@@ -515,7 +618,7 @@ impl<R: JobRunner> Server<R> {
             .map_err(|e| ServerError::Io { what: "clone job listener", detail: e.to_string() })?;
         let shared = Arc::new(Shared {
             runner,
-            inner: Mutex::new(Inner {
+            inner: Arc::new(Mutex::new(Inner {
                 queue: VecDeque::new(),
                 jobs: HashMap::new(),
                 cache: HashMap::new(),
@@ -525,7 +628,7 @@ impl<R: JobRunner> Server<R> {
                     max_payload: cfg.max_payload as u64,
                     ..ServerStats::default()
                 },
-            }),
+            })),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             rec: cfg.recorder.clone(),
@@ -688,8 +791,15 @@ fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
                         // sleeps without a timeout: wake it to arm one.
                         shared.done_cv.notify_all();
                     }
-                    let ctx =
-                        JobContext { cancel: job.cancel.clone(), deadline: shared.job_deadline };
+                    let ctx = JobContext {
+                        cancel: job.cancel.clone(),
+                        deadline: shared.job_deadline,
+                        memo: Memo {
+                            inner: Arc::clone(&shared.inner),
+                            rec: shared.rec.clone(),
+                            fresh: Arc::default(),
+                        },
+                    };
                     break (id, job.payload.clone(), ctx);
                 }
                 // Admission is closed and the queue is dry: this worker
@@ -724,7 +834,16 @@ fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
             lock(&shared.inner).count(&shared.rec, RESPAWNED);
             Err(JobError::Panicked { reason: panic_reason(panic.as_ref()) })
         });
-        shared.finalize(&mut lock(&shared.inner), id, result);
+        let fresh = std::mem::take(&mut *lock(&ctx.memo.fresh));
+        let mut inner = lock(&shared.inner);
+        shared.finalize(&mut inner, id, result);
+        // Only a job that completed adds to the memo.
+        if inner.jobs.get(&id).is_some_and(|j| j.state == JobState::Done) {
+            for (key, value, bytes) in fresh {
+                let slot = Slot::Memo(content_hash(&key));
+                shared.cache_insert(&mut inner, slot, key, Cached::Memo { value, bytes });
+            }
+        }
     }
 }
 
@@ -831,12 +950,10 @@ fn submit<R: JobRunner>(shared: &Shared<R>, ticket: u32, payload: Vec<u8>) -> Jo
     // with the exact result bytes of the first run — no worker, no
     // recomputation, bit-identical totals. A hit refreshes the entry's
     // LRU stamp.
-    inner.cache_clock += 1;
-    let clock = inner.cache_clock;
-    let hit = inner.cache.get_mut(&hash).filter(|e| e.payload == payload).map(|e| {
-        e.stamp = clock;
-        JobOutcome::Done { payload: e.result.clone() }
-    });
+    let hit = match inner.cache_get(Slot::Result(hash), &payload) {
+        Some(Cached::Result(result)) => Some(JobOutcome::Done { payload: result.clone() }),
+        _ => None,
+    };
     if hit.is_none() && inner.queue.len() >= shared.queue_capacity {
         drop(inner);
         return shared.reject(ticket, "admission queue full".to_string());
@@ -907,7 +1024,9 @@ mod tests {
     /// Test runner: payload[0] selects the behavior. 0 = echo the rest
     /// reversed, 1 = spin until cancelled (checkpoint every 1 ms), 2 =
     /// fail, 3 = panic, 4 = sleep 300 ms ignoring the cancel token (a
-    /// "wedged" runner for the deadline tests).
+    /// "wedged" runner for the deadline tests). `[5, key]` memoises `key`
+    /// and then panics; `[6, key, bytes, ..]` memoises `key` charged
+    /// `bytes` and returns `[key, reused]`.
     struct TestRunner;
 
     impl JobRunner for TestRunner {
@@ -925,6 +1044,16 @@ mod tests {
                 Some(4) => {
                     std::thread::sleep(Duration::from_millis(300));
                     Ok(vec![42])
+                }
+                Some(5) => {
+                    ctx.memo.get_or_compute(&payload[1..2], || (payload[1], 1));
+                    panic!("scripted panic after a memo miss")
+                }
+                Some(6) => {
+                    let (value, reused) = ctx
+                        .memo
+                        .get_or_compute(&payload[1..2], || (payload[1], u64::from(payload[2])));
+                    Ok(vec![*value, u8::from(reused)])
                 }
                 _ => Err(JobError::Invalid { reason: "empty payload".to_string() }),
             }
@@ -1267,5 +1396,73 @@ mod tests {
         let job = client.submit(&[0, 1, 2]).expect("submit after garbage");
         let (outcome, _) = client.result(job).expect("result");
         assert_eq!(outcome, JobOutcome::Done { payload: vec![2, 1] });
+    }
+
+    fn memo_keys(server: &Server<TestRunner>) -> usize {
+        lock(&server.shared.inner).cache.keys().filter(|s| matches!(s, Slot::Memo(_))).count()
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_no_memo_entry() {
+        let rec = Recorder::enabled();
+        let (server, mut client) = start_with(ServerConfig {
+            workers: 1,
+            recorder: rec.clone(),
+            ..ServerConfig::default()
+        });
+        let (outcome, _) = client.run_job(&[5, 9]).expect("panicking job");
+        assert!(matches!(outcome, JobOutcome::Failed { ref reason } if reason.contains("panic")));
+        assert_eq!(memo_keys(&server), 0, "a panicked job must not memoise");
+
+        // The next job on that key computes it afresh, and keeps it.
+        let (outcome, _) = client.run_job(&[6, 9, 1, 0]).expect("memo miss");
+        assert_eq!(outcome, JobOutcome::Done { payload: vec![9, 0] });
+        let (outcome, _) = client.run_job(&[6, 9, 1, 1]).expect("memo hit");
+        assert_eq!(outcome, JobOutcome::Done { payload: vec![9, 1] });
+        assert_eq!(memo_keys(&server), 1);
+        assert_eq!(rec.counter_value("server.memo.misses"), 2);
+        assert_eq!(rec.counter_value("server.memo.hits"), 1);
+        assert_eq!(server.stats().cache_hits, 0, "a memo hit is not a job cache hit");
+    }
+
+    #[test]
+    fn memo_and_result_entries_are_evicted_under_one_budget() {
+        let budget = 128;
+        let rec = Recorder::enabled();
+        let (server, mut client) = start_with(ServerConfig {
+            workers: 1,
+            cache_max_entries: 64,
+            cache_max_bytes: budget,
+            recorder: rec.clone(),
+            ..ServerConfig::default()
+        });
+        let mut run = |payload: &[u8]| {
+            let (outcome, _) = client.run_job(payload).expect("run job");
+            let stats = server.stats();
+            assert!(stats.cache_bytes <= budget as u64, "{stats:?} after {payload:?}");
+            outcome
+        };
+        // A memo entry of 1 + 100 bytes beside its job's 6-byte result.
+        assert_eq!(run(&[6, 1, 100, 0]), JobOutcome::Done { payload: vec![1, 0] });
+        assert_eq!(server.stats().cache_bytes, 107);
+        // Results push it out: 15 bytes each, least recently used first.
+        for i in 0..4u8 {
+            run(&[0, i, i, i, i, i, i, i]);
+        }
+        assert_eq!(memo_keys(&server), 0, "results must evict the memo entry");
+        let evicted = server.stats().cache_evictions;
+        assert_eq!(evicted, 2, "the memo job's result, then its memo entry");
+
+        // A memo entry pushes results out in turn.
+        assert_eq!(run(&[6, 1, 100, 1]), JobOutcome::Done { payload: vec![1, 0] });
+        assert!(server.stats().cache_evictions > evicted, "{:?}", server.stats());
+        assert_eq!(memo_keys(&server), 1);
+
+        // A value larger than the whole budget is never kept.
+        assert_eq!(run(&[6, 2, 200, 0]), JobOutcome::Done { payload: vec![2, 0] });
+        assert_eq!(run(&[6, 2, 200, 1]), JobOutcome::Done { payload: vec![2, 0] });
+        assert_eq!(rec.counter_value("server.memo.misses"), 4);
+        assert_eq!(rec.counter_value("server.memo.hits"), 0);
+        assert_eq!(server.stats().cache_hits, 0);
     }
 }

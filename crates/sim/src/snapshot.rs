@@ -110,6 +110,29 @@ impl SimResult {
         topology
     }
 
+    /// Bytes the base mesh and the snapshots hold on the heap — what a
+    /// cache that keeps the run charges for it. The topology caches,
+    /// built on demand, are not counted.
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of_val;
+        let base = &self.base;
+        let mesh = size_of_val(&base.points[..])
+            + size_of_val(&base.elements[..])
+            + size_of_val(&base.body[..])
+            + size_of_val(&base.alive[..]);
+        let snapshots: usize = self
+            .snapshots
+            .iter()
+            .map(|s| {
+                size_of_val(&s.points[..])
+                    + size_of_val(&s.alive[..])
+                    + size_of_val(&s.contact.faces[..])
+                    + size_of_val(&s.contact.contact_nodes[..])
+            })
+            .sum();
+        (mesh + snapshots) as u64
+    }
+
     /// Number of snapshots.
     pub fn len(&self) -> usize {
         self.snapshots.len()

@@ -193,7 +193,9 @@ if [ "$spawns" -ne 1 ] || non_test crates/transport/src/tcp.rs | grep 'writer_lo
   echo "verify: FAIL — the TCP backend hands frames to a writer thread again"
   exit 1
 fi
-if ! non_test crates/transport/src/wire.rs | grep -q '\[\[u32; 256\]; 8\]'; then
+# (No `grep -q` after a pipe: under pipefail, its early exit can kill the
+# writer with SIGPIPE and fail a check that matched.)
+if ! non_test crates/transport/src/wire.rs | grep '\[\[u32; 256\]; 8\]' >/dev/null; then
   echo "verify: FAIL — the frame CRC is no longer slicing-by-8"
   exit 1
 fi
@@ -217,6 +219,27 @@ config_fields=$(non_test crates/partition/src/config.rs \
   | sed -n '/pub struct PartitionerConfig {/,/^[^ ]*:}/p' | grep -c ':    pub ' || true)
 if [ "$config_fields" -ne 5 ]; then
   echo "verify: FAIL — PartitionerConfig declares $config_fields pub fields (want 5)"
+  exit 1
+fi
+
+echo "==> a scenario once per server"
+# Served jobs take their simulation from the job server's memo (DESIGN.md
+# §6d): non-test service.rs builds its session over the memo, never with a
+# fresh Session::build, and the memo rides the result cache's budgets
+# rather than new knobs, so ServerConfig keeps its nine fields and
+# TraceJobRunner stays the unit struct its callers construct.
+if non_test src/service.rs | grep -E 'Session::build\('; then
+  echo "verify: FAIL — the job runner runs a fresh simulation per job again"
+  exit 1
+fi
+server_fields=$(non_test crates/server/src/lib.rs \
+  | sed -n '/pub struct ServerConfig {/,/^[^ ]*:}/p' | grep -c ':    pub ' || true)
+if [ "$server_fields" -ne 9 ]; then
+  echo "verify: FAIL — ServerConfig declares $server_fields pub fields (want 9)"
+  exit 1
+fi
+if ! non_test src/service.rs | grep 'pub struct TraceJobRunner;' >/dev/null; then
+  echo "verify: FAIL — TraceJobRunner is no longer a unit struct"
   exit 1
 fi
 

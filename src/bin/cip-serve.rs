@@ -151,4 +151,10 @@ fn main() {
         stats.cache_evictions,
         stats.workers_respawned
     );
+    let rec = &args.cfg.recorder;
+    eprintln!(
+        "cip-serve: memo hits {}, misses {}",
+        rec.counter_value("server.memo.hits"),
+        rec.counter_value("server.memo.misses")
+    );
 }

@@ -53,6 +53,17 @@ struct Args {
     client: ClientConfig,
 }
 
+/// Bad arguments: one line on stderr, exit code 2.
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("cip-trace: {message}");
+    std::process::exit(2);
+}
+
+/// `raw` as the integer `flag` takes, or the one-line failure.
+fn integer<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| fail(format!("{flag} takes an integer, got '{raw}'")))
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         opts: TraceOptions::default(),
@@ -69,21 +80,19 @@ fn parse_args() -> Args {
                 i += 2;
             }
             "--k" if i + 1 < argv.len() => {
-                args.opts.k = argv[i + 1].parse().expect("--k takes an integer");
+                args.opts.k = integer("--k", &argv[i + 1]);
                 i += 2;
             }
             "--snapshots" if i + 1 < argv.len() => {
-                args.opts.snapshots =
-                    Some(argv[i + 1].parse().expect("--snapshots takes an integer"));
+                args.opts.snapshots = Some(integer("--snapshots", &argv[i + 1]));
                 i += 2;
             }
             "--seed" if i + 1 < argv.len() => {
-                args.opts.seed = argv[i + 1].parse().expect("--seed takes an integer");
+                args.opts.seed = integer("--seed", &argv[i + 1]);
                 i += 2;
             }
             "--period" if i + 1 < argv.len() => {
-                args.opts.repartition_period =
-                    Some(argv[i + 1].parse().expect("--period takes an integer"));
+                args.opts.repartition_period = Some(integer("--period", &argv[i + 1]));
                 i += 2;
             }
             "--no-repart" => {
@@ -95,7 +104,7 @@ fn parse_args() -> Args {
                 i += 2;
             }
             "--chaos" if i + 1 < argv.len() => {
-                let seed = argv[i + 1].parse().expect("--chaos takes an integer seed");
+                let seed = integer("--chaos", &argv[i + 1]);
                 args.opts.chaos.get_or_insert_with(ChaosOptions::default).seed = seed;
                 i += 2;
             }
@@ -104,21 +113,16 @@ fn parse_args() -> Args {
                 let (step, rank) = spec
                     .split_once(':')
                     .and_then(|(s, r)| Some((s.parse().ok()?, r.parse().ok()?)))
-                    .expect("--kill takes STEP:RANK");
+                    .unwrap_or_else(|| fail(format!("--kill takes STEP:RANK, got '{spec}'")));
                 args.opts.chaos.get_or_insert_with(ChaosOptions::default).kill = Some((step, rank));
                 i += 2;
             }
             "--lookahead" if i + 1 < argv.len() => {
-                args.opts.lookahead = argv[i + 1].parse().expect("--lookahead takes an integer");
+                args.opts.lookahead = integer("--lookahead", &argv[i + 1]);
                 i += 2;
             }
             "--max-batch" if i + 1 < argv.len() => {
-                let n: usize = argv[i + 1].parse().unwrap_or(0);
-                if n < 1 {
-                    eprintln!("--max-batch takes an integer >= 1, got '{}'", argv[i + 1]);
-                    std::process::exit(2);
-                }
-                args.opts.max_batch = n;
+                args.opts.max_batch = integer("--max-batch", &argv[i + 1]);
                 i += 2;
             }
             "--transport" if i + 1 < argv.len() => {
@@ -130,18 +134,16 @@ fn parse_args() -> Args {
                 i += 2;
             }
             "--client-retries" if i + 1 < argv.len() => {
-                args.client.retries =
-                    argv[i + 1].parse().expect("--client-retries takes an integer");
+                args.client.retries = integer("--client-retries", &argv[i + 1]);
                 i += 2;
             }
             "--client-timeout-ms" if i + 1 < argv.len() => {
-                let ms: u64 =
-                    argv[i + 1].parse().expect("--client-timeout-ms takes an integer >= 1");
+                let ms: u64 = integer("--client-timeout-ms", &argv[i + 1]);
                 args.client.read_timeout = Some(std::time::Duration::from_millis(ms.max(1)));
                 i += 2;
             }
             "--retry-seed" if i + 1 < argv.len() => {
-                args.client.seed = argv[i + 1].parse().expect("--retry-seed takes an integer");
+                args.client.seed = integer("--retry-seed", &argv[i + 1]);
                 i += 2;
             }
             "--list-scenarios" => {
@@ -162,10 +164,7 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument '{other}' (try --help)");
-                std::process::exit(2);
-            }
+            other => fail(format!("unknown argument '{other}' (try --help)")),
         }
     }
     args
@@ -187,10 +186,9 @@ fn parse_transport(spec: &str) -> TransportKind {
             } else if let Some(bind) = other.strip_prefix("tcp:") {
                 TransportKind::Workers { bind: bind.to_string(), worker_bin: None }
             } else {
-                eprintln!(
+                fail(format!(
                     "--transport takes inproc, tcp-threads[:BIND], or tcp[:BIND], got '{spec}'"
-                );
-                std::process::exit(2);
+                ))
             }
         }
     }
@@ -253,8 +251,7 @@ fn run_remote(addr: &str, args: &Args) {
 fn main() {
     let args = parse_args();
     if let Err(e) = args.opts.validate() {
-        eprintln!("cip-trace: {e}");
-        std::process::exit(2);
+        fail(e);
     }
     if let Some(addr) = args.server.clone() {
         run_remote(&addr, &args);

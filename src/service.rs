@@ -20,14 +20,16 @@
 //! [`Session`]: build → advance (with the job's
 //! [`cip_runtime::CancelToken`] checked at every batch boundary, and
 //! the server's per-job deadline threaded in as the session's time
-//! budget) → totals. Nothing carries over from one job to the next:
-//! every session allocates its own partitioner scratch.
+//! budget) → totals. Jobs share only immutable memo entries: the
+//! simulation of each (scenario, snapshots) pair, kept in the server's
+//! memo ([`cip_server::Memo`]) together with the mesh topology it
+//! caches. Every session allocates its own partitioner scratch.
 
 use crate::trace::{
     ChaosOptions, RunBudget, RunControl, Session, TraceError, TraceOptions, TraceReport,
 };
 use cip_server::{CatalogEntry, JobContext, JobError, JobRunner};
-use cip_sim::scenarios;
+use cip_sim::{scenarios, SimResult};
 use cip_transport::wire::{decode_versioned, encode_versioned};
 use cip_transport::{codec_struct, WireError};
 
@@ -176,7 +178,17 @@ impl JobRunner for TraceJobRunner {
     fn run(&self, payload: &[u8], ctx: &JobContext) -> Result<Vec<u8>, JobError> {
         let req =
             JobRequest::decode(payload).map_err(|e| JobError::Invalid { reason: e.to_string() })?;
-        let mut session = Session::build(&req.opts).map_err(classify)?;
+        // One simulation per (scenario, snapshots) per server: a job
+        // reuses the run, and the topology built inside it, of any
+        // completed job before it.
+        let mut session = Session::build_with(&req.opts, |spec| {
+            ctx.memo.get_or_compute::<SimResult>(&spec.key, || {
+                let sim = spec.run();
+                let bytes = sim.heap_bytes();
+                (sim, bytes)
+            })
+        })
+        .map_err(classify)?;
         // The server's per-job deadline becomes the session's time
         // budget, so an overrunning trace stops cooperatively at a
         // batch boundary — the server only has to force the issue for

@@ -341,6 +341,38 @@ pub fn scenario_config(name: &str) -> Result<SimConfig, TraceError> {
         .ok_or_else(|| TraceError::UnknownScenario { name: name.to_string() })
 }
 
+/// The simulation a run needs: the scenario's configuration with the
+/// snapshot override applied, and the key a cache keeps the finished
+/// run under — the scenario name and the resolved snapshot count, which
+/// together fix every input of `cip_sim::run`. Both come from
+/// [`SimSpec::resolve`], so they cannot drift apart.
+#[derive(Debug, Clone)]
+pub struct SimSpec {
+    /// What `cip_sim::run` is given.
+    pub config: SimConfig,
+    /// Names the run: equal keys mean bit-identical runs.
+    pub key: Vec<u8>,
+}
+
+impl SimSpec {
+    /// Resolves `scenario` through the registry and applies `snapshots`.
+    pub fn resolve(scenario: &str, snapshots: Option<usize>) -> Result<Self, TraceError> {
+        let mut config = scenario_config(scenario)?;
+        if let Some(s) = snapshots {
+            config.snapshots = s;
+        }
+        let mut key = scenario.as_bytes().to_vec();
+        key.push(0);
+        key.extend_from_slice(&(config.snapshots as u64).to_le_bytes());
+        Ok(Self { config, key })
+    }
+
+    /// Runs the simulation.
+    pub fn run(&self) -> SimResult {
+        cip_sim::run(&self.config)
+    }
+}
+
 /// A completed traced run: the recorder (still holding every event) plus
 /// the executed totals the telemetry must agree with.
 #[derive(Debug)]
@@ -515,11 +547,20 @@ impl Session {
     /// decomposition of snapshot 0 (and, in multi-process mode, spawns the
     /// worker pool).
     pub fn build(opts: &TraceOptions) -> Result<Self, TraceError> {
+        Self::build_with(opts, |spec| (Arc::new(spec.run()), false))
+    }
+
+    /// [`Session::build`] over a simulation that `sim` supplies for the
+    /// resolved [`SimSpec`], with a flag saying whether it reused a run
+    /// rather than computing one. The job server's runner hands in its
+    /// memo here, so jobs on one scenario share one run and the mesh
+    /// topology cached inside it.
+    pub fn build_with(
+        opts: &TraceOptions,
+        sim: impl FnOnce(&SimSpec) -> (Arc<SimResult>, bool),
+    ) -> Result<Self, TraceError> {
         opts.validate()?;
-        let mut scfg = scenario_config(&opts.scenario)?;
-        if let Some(s) = opts.snapshots {
-            scfg.snapshots = s;
-        }
+        let spec = SimSpec::resolve(&opts.scenario, opts.snapshots)?;
         let k = opts.k;
 
         let rec = Recorder::enabled();
@@ -530,8 +571,9 @@ impl Session {
         rec.name_lane((k + 1) as u32, "planner");
 
         let sim = {
-            let mut span = rec.span("sim.run").attr("snapshots", scfg.snapshots);
-            let sim = Arc::new(cip_sim::run(&scfg));
+            let mut span = rec.span("sim.run").attr("snapshots", spec.config.snapshots);
+            let (sim, reused) = sim(&spec);
+            span.set_attr("reused", reused);
             span.set_attr("epochs", sim.num_epochs());
             sim
         };
@@ -558,7 +600,7 @@ impl Session {
             TransportKind::Workers { bind, worker_bin } => Some(WorkerPool::spawn(&PoolConfig {
                 k,
                 scenario: opts.scenario.clone(),
-                snapshots: scfg.snapshots,
+                snapshots: spec.config.snapshots,
                 bind: bind.clone(),
                 worker_bin: worker_bin.clone(),
             })?),

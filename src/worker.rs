@@ -32,7 +32,7 @@
 //! recovery path.
 
 use crate::staging::{stage_batch, with_staged_inputs, Chain};
-use crate::trace::{scenario_config, TraceError};
+use crate::trace::{SimSpec, TraceError};
 use cip_runtime::{
     execute_rank_steps, ExecOptions, FaultInjector, FaultPlan, MigrationPlan, Msg,
     RankBatchOutcome, RankResult, SteppedMailbox,
@@ -497,11 +497,7 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
     let hello = Ctrl::Hello { from: args.rank as u32, mesh_addr: lst.addr.to_string() };
     write_frame(&mut ctrl, &hello, 0, &mut buf).map_err(|e| werr(format!("send hello: {e}")))?;
 
-    let mut scfg = scenario_config(&args.scenario)?;
-    if let Some(s) = args.snapshots {
-        scfg.snapshots = s;
-    }
-    let sim = cip_sim::run(&scfg);
+    let sim = SimSpec::resolve(&args.scenario, args.snapshots)?.run();
 
     let mut payload = Vec::new();
     let msg = match read_frame::<Ctrl>(&mut ctrl, &mut payload) {
@@ -716,6 +712,55 @@ mod tests {
         ] {
             assert!(outcome_fits(&outcome, live_k, steps), "refused {outcome:?}");
         }
+    }
+
+    #[test]
+    fn a_batch_that_does_not_continue_the_carried_chain_is_refused() {
+        let sim = SimSpec::resolve("tiny", Some(5)).expect("registry scenario").run();
+        let mut seats = cip_runtime::connect_ranks(
+            &cip_transport::InProcess,
+            1,
+            &ExecOptions::default(),
+            &Recorder::disabled(),
+        )
+        .expect("a one-rank mesh");
+        let seat = &mut seats[0];
+        let spec = |start: u32, end: u32, chain_start: u32, epoch: u32| RunSpec {
+            start,
+            end,
+            chain_start,
+            live_k: 1,
+            rank: 0,
+            epoch,
+            node_parts: vec![0; sim.base.num_nodes()],
+            route: vec![0],
+            plans: vec![None; (end - start) as usize],
+            migrate: None,
+            timeout_ms: 2000,
+            retries: 1,
+            lookahead: 1,
+        };
+        let (mut chain, mut chain_at) = (Chain::default(), 0..0);
+        let first = run_batch(&sim, &spec(0, 2, 0, 0), seat, &mut chain, &mut chain_at);
+        assert!(matches!(first, Ok(RankBatchOutcome::Completed(_))), "{first:?}");
+        assert_eq!(chain_at, 0..2);
+        let tree = chain.tree.as_ref().map(|t| t as *const _);
+        assert!(tree.is_some(), "a completed batch carries its last tree");
+
+        // This worker carries 0..2; a batch at 3 that claims a chain from
+        // 1 would be staged from the wrong tree.
+        let refused = run_batch(&sim, &spec(3, 5, 1, 1), seat, &mut chain, &mut chain_at);
+        assert!(matches!(refused, Err(TraceError::Worker { .. })), "{refused:?}");
+        assert_eq!(chain_at, 0..2, "a refused batch stages nothing");
+        assert_eq!(chain.tree.as_ref().map(|t| t as *const _), tree);
+
+        // The same batch starting its own chain runs.
+        let fresh = run_batch(&sim, &spec(3, 5, 3, 2), seat, &mut chain, &mut chain_at);
+        assert!(
+            matches!(fresh, Ok(RankBatchOutcome::Completed(ref r)) if r.len() == 2),
+            "{fresh:?}"
+        );
+        assert_eq!(chain_at, 3..5);
     }
 
     #[test]

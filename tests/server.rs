@@ -5,18 +5,24 @@
 //! through submit → queue → worker → wire must equal, byte for byte,
 //! the totals of a direct [`run_traced`] call with the same options —
 //! under client concurrency, from the content-hash cache, after
-//! cancellations, and with chaos-mode fault injection in the job.
+//! cancellations, and with chaos-mode fault injection in the job — and
+//! whether the job ran its own simulation or shared one from the
+//! server's memo.
 
 use cip::server::{Client, JobOutcome, JobState, Server, ServerConfig};
 use cip::service::{JobRequest, TraceJobRunner, TraceTotals};
-use cip::trace::{run_traced, ChaosOptions, TraceOptions};
+use cip::trace::{run_traced, ChaosOptions, RunControl, Session, SimSpec, TraceOptions};
 use cip_telemetry::Recorder;
 use std::sync::Arc;
 use std::thread;
 
 fn start_server(workers: usize) -> (Server<TraceJobRunner>, String, Recorder) {
+    start_server_with(ServerConfig { workers, ..ServerConfig::default() })
+}
+
+fn start_server_with(cfg: ServerConfig) -> (Server<TraceJobRunner>, String, Recorder) {
     let rec = Recorder::enabled();
-    let cfg = ServerConfig { workers, recorder: rec.clone(), ..ServerConfig::default() };
+    let cfg = ServerConfig { recorder: rec.clone(), ..cfg };
     let server = Server::start(TraceJobRunner, &cfg).expect("server starts");
     let addr = server.addr().to_string();
     (server, addr, rec)
@@ -263,4 +269,64 @@ fn oversized_requests_fail_typed_and_the_server_survives() {
     assert_eq!(server.stats().panicked, 0, "{:?}", server.stats());
     let (totals, _) = submit_and_fetch(&mut client, &base);
     assert_eq!(totals, oracle_totals(&base));
+}
+
+/// The result bytes of a session built directly, with its own simulation.
+fn direct_bytes(opts: &TraceOptions) -> Vec<u8> {
+    let mut session = Session::build(opts).expect("direct session builds");
+    session.advance(&RunControl::default()).expect("direct session runs");
+    TraceTotals::from_report(&session.into_report()).encode()
+}
+
+/// Runs `opts` as a job and checks the reply byte for byte against a
+/// direct `Session::build` run.
+fn served_equals_direct(client: &mut Client, opts: &TraceOptions) {
+    let (outcome, cached) =
+        client.run_job(&JobRequest::new(opts.clone()).encode()).expect("job runs");
+    assert!(!cached, "every job here is a new payload");
+    assert_eq!(outcome, JobOutcome::Done { payload: direct_bytes(opts) }, "{opts:?}");
+}
+
+fn memo_counts(rec: &Recorder) -> (u64, u64) {
+    (rec.counter_value("server.memo.misses"), rec.counter_value("server.memo.hits"))
+}
+
+/// Jobs on one (scenario, snapshots) pair run one simulation between
+/// them, whatever their seed or rank count; the reuse is not a job cache
+/// hit, and every reply is the bytes of a direct run.
+#[test]
+fn jobs_on_one_scenario_share_one_simulation() {
+    let (server, addr, rec) = start_server(2);
+    let mut client = Client::connect(&addr).expect("client connects");
+    let jobs = [tiny_opts(2, 1), tiny_opts(2, 2), tiny_opts(3, 1), tiny_opts(4, 9)];
+    for opts in &jobs {
+        served_equals_direct(&mut client, opts);
+    }
+    let n = jobs.len() as u64;
+    assert_eq!(memo_counts(&rec), (1, n - 1), "one simulation for {n} jobs");
+    assert_eq!(server.stats().cache_hits, 0, "memo hits are not job cache hits");
+    assert_eq!(server.stats().completed, n);
+
+    // Another snapshot count is another simulation.
+    let shorter = TraceOptions { snapshots: Some(3), ..tiny_opts(2, 1) };
+    served_equals_direct(&mut client, &shorter);
+    assert_eq!(memo_counts(&rec), (2, n - 1));
+}
+
+/// A cache budget smaller than one simulation keeps none: every job
+/// computes its own, and the replies are unchanged.
+#[test]
+fn a_budget_below_one_simulation_memoises_nothing() {
+    let sim_bytes = SimSpec::resolve("tiny", None).expect("registry scenario").run().heap_bytes();
+    let (server, addr, rec) = start_server_with(ServerConfig {
+        workers: 1,
+        cache_max_bytes: sim_bytes as usize - 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr).expect("client connects");
+    for seed in 1..=3 {
+        served_equals_direct(&mut client, &tiny_opts(2, seed));
+    }
+    assert_eq!(memo_counts(&rec), (3, 0));
+    assert!(server.stats().cache_bytes < sim_bytes, "{:?}", server.stats());
 }
