@@ -5,6 +5,7 @@
 //! plumbing: workload construction at a named scale, running both
 //! algorithms, and rendering/serializing result tables.
 
+use cip_base::cli::{self, Argv, UsageError};
 use cip_core::{
     average_metrics, evaluate_mcml_dt, evaluate_ml_rcb, McmlDtConfig, MetricsRow, MlRcbConfig,
 };
@@ -57,42 +58,35 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses the process arguments ([`HarnessArgs::from_args`]); a bad
-    /// argument is one line on stderr and exit code 2.
+    /// Parses the process arguments ([`HarnessArgs::from_argv`]); a bad
+    /// argument is a usage error (one line on stderr, exit code 2).
     pub fn parse(default_ks: &[usize]) -> Self {
-        let argv: Vec<String> = std::env::args().collect();
-        Self::from_args(argv.get(1..).unwrap_or_default(), default_ks).unwrap_or_else(|e| {
-            let bin = std::path::Path::new(&argv[0]).file_name().unwrap_or_default();
-            eprintln!("{}: {e}", bin.to_string_lossy());
-            std::process::exit(2);
-        })
+        cli::parse(|argv| Self::from_argv(argv, default_ks))
     }
 
-    /// Parses `args` (the program name excluded); `--scale` defaults to
-    /// small and `--k` to `default_ks`. An unknown argument or scale, a
-    /// flag without its value, and a count that is not a positive integer
-    /// are errors.
-    pub fn from_args(args: &[String], default_ks: &[usize]) -> Result<Self, String> {
+    /// Parses `argv`; `--scale` defaults to small and `--k` to
+    /// `default_ks`. An unknown argument or scale, a flag without its
+    /// value, and a count that is not a positive integer are errors.
+    pub fn from_argv(argv: &mut Argv, default_ks: &[usize]) -> Result<Self, UsageError> {
         let mut out = Self { scale: Scale::Small, ks: default_ks.to_vec(), snapshots: None };
-        let positive = |v: &str| match v.parse() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("expected a positive integer, got '{v}'")),
-        };
-        let mut args = args.iter();
-        while let Some(flag) = args.next() {
-            match (flag.as_str(), args.next().map(String::as_str)) {
-                ("--scale", Some(v)) => {
-                    out.scale = Scale::parse(v)
-                        .ok_or(format!("unknown scale '{v}' (known: small, medium, paper)"))?;
+        let positive = |v: &str| v.parse().ok().filter(|&n| n >= 1);
+        while let Some(flag) = argv.next_flag() {
+            match flag.as_str() {
+                "--scale" => {
+                    out.scale = argv.parse_with(&flag, "small, medium or paper", Scale::parse)?
                 }
-                ("--k", Some(v)) => {
-                    out.ks = v.split(',').map(positive).collect::<Result<_, _>>()?
+                "--k" => {
+                    out.ks = argv.parse_with(&flag, "positive integers K[,K...]", |v| {
+                        v.split(',').map(positive).collect()
+                    })?
                 }
-                ("--snapshots", Some(v)) => out.snapshots = Some(positive(v)?),
-                (flag, _) => {
-                    return Err(format!(
-                        "bad argument '{flag}' (usage: --scale small|medium|paper, \
-                         --k K[,K...], --snapshots N)"
+                "--snapshots" => {
+                    out.snapshots = Some(argv.parse_with(&flag, "a positive integer", positive)?)
+                }
+                _ => {
+                    return Err(cli::unknown(
+                        &flag,
+                        "usage: --scale small|medium|paper, --k K[,K...], --snapshots N",
                     ))
                 }
             }
@@ -226,7 +220,7 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        HarnessArgs::from_args(&args, &[25, 100])
+        HarnessArgs::from_argv(&mut Argv::new(args), &[25, 100]).map_err(|e| e.0)
     }
 
     #[test]

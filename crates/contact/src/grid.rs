@@ -84,11 +84,6 @@ impl<const D: usize> UniformGrid<D> {
         Self { cell: cell_size, keys, offsets, entries, boxes: boxes.to_vec() }
     }
 
-    /// The grid's cell size.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
     /// Builds a grid with a cell size derived from the average *positive*
     /// box extent (a reasonable default for roughly uniform surface
     /// elements). Degenerate inputs — point boxes, or boxes flat in every

@@ -76,37 +76,6 @@ impl RankTraffic {
     pub fn active_pairs(&self) -> usize {
         self.matrix.iter().filter(|&&v| v > 0).count()
     }
-
-    /// The traffic matrix after losing rank `r`: its row and column are
-    /// deleted and the highest rank's label moves into the freed slot —
-    /// the same swap-style relabeling as
-    /// `cip_partition::compact_parts_after_loss`, so a post-recovery
-    /// assignment and its traffic stay label-compatible.
-    pub fn without_rank(&self, r: u32) -> RankTraffic {
-        assert!((r as usize) < self.k, "rank {r} out of range for k={}", self.k);
-        let k = self.k;
-        let r = r as usize;
-        let new_k = k - 1;
-        // old label -> new label: identity, except the top rank fills r.
-        let relabel = |p: usize| -> Option<usize> {
-            if p == r {
-                None
-            } else if p == new_k {
-                Some(r)
-            } else {
-                Some(p)
-            }
-        };
-        let mut t = RankTraffic::zeros(new_k);
-        for s in 0..k {
-            let Some(ns) = relabel(s) else { continue };
-            for d in 0..k {
-                let Some(nd) = relabel(d) else { continue };
-                t.matrix[ns * new_k + nd] += self.matrix[s * k + d];
-            }
-        }
-        t
-    }
 }
 
 /// FE-phase halo exchange: for every vertex `v` and every *distinct*
@@ -239,24 +208,6 @@ mod tests {
         assert_eq!(t.total(), 2);
         assert_eq!(t.matrix[1], 1);
         assert_eq!(t.matrix[2], 1);
-    }
-
-    #[test]
-    fn without_rank_swaps_top_label_into_the_hole() {
-        let mut t = RankTraffic::zeros(3);
-        t.add(0, 1, 5);
-        t.add(1, 2, 7);
-        t.add(2, 0, 1);
-        // Lose rank 1: rank 2 takes label 1; only the 2->0 flow survives.
-        let s = t.without_rank(1);
-        assert_eq!(s.k, 2);
-        assert_eq!(s.total(), 1);
-        assert_eq!(s.matrix[2], 1, "old 2->0 must appear as new 1->0");
-        // Lose the top rank: remaining labels untouched.
-        let s = t.without_rank(2);
-        assert_eq!(s.k, 2);
-        assert_eq!(s.total(), 5);
-        assert_eq!(s.matrix[1], 5, "0->1 flow survives in place");
     }
 
     #[test]

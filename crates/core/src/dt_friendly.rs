@@ -15,7 +15,7 @@
 //!    `G'` shuffle whole rectangular regions between parts, preserving the
 //!    axes-parallel geometry by construction.
 
-use cip_dtree::{induce, DtreeConfig, StopRule};
+use cip_dtree::{induce, DtreeConfig};
 use cip_geom::Point;
 use cip_graph::{contract, Graph};
 use cip_partition::{balance_kway, refine_kway, PartitionerConfig};
@@ -78,9 +78,7 @@ pub fn dt_friendly_correct<const D: usize>(
     let max_i = cfg.max_i.unwrap_or(rec_i);
 
     // 1. Guidance tree over all vertices.
-    let tree_cfg =
-        DtreeConfig { stop: StopRule::MaxPMaxI { max_p, max_i }, ..DtreeConfig::default() };
-    let tree = induce(positions, asg, k, &tree_cfg);
+    let tree = induce(positions, asg, k, &DtreeConfig::friendly_tree(max_p, max_i));
 
     // 2. Majority relabel: each vertex takes its leaf's majority part.
     let relabeled_parts = tree.relabel_points(positions);

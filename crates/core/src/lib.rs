@@ -53,7 +53,7 @@ pub use common::{
 pub use dt_friendly::{dt_friendly_correct, recommended_max_pi, DtFriendlyConfig, DtFriendlyStats};
 pub use known_contact::{evaluate_known_contact, KnownContactConfig};
 pub use mcml_dt::{
-    decompose, evaluate_mcml_dt, merge_live, repartition_step, Decomposed, McmlDtConfig, RankLoss,
+    decompose, evaluate_mcml_dt, merge_live, repartition_step, Decomposed, McmlDtConfig,
     RepartitionMethod, UpdatePolicy,
 };
 pub use metrics::{average_metrics, results_document, MetricsRow, SnapshotMetrics, RESULTS_SCHEMA};

@@ -17,9 +17,7 @@ use cip_contact::{n_remote, DtreeFilter};
 use cip_dtree::{induce, DtreeConfig};
 use cip_geom::Point;
 use cip_mesh::graphs::{NodalGraph, NodalGraphOptions};
-use cip_partition::{
-    diffusion_repartition, partition_kway, repartition, repartition_survivors, PartitionerConfig,
-};
+use cip_partition::{diffusion_repartition, partition_kway, repartition, PartitionerConfig};
 use cip_sim::SimResult;
 use cip_telemetry::Recorder;
 use std::ops::Range;
@@ -51,17 +49,6 @@ pub enum UpdatePolicy {
     PerStep,
 }
 
-/// A scripted rank loss for robustness evaluation: at the given
-/// snapshot, one rank disappears and its load is diffused over the
-/// survivors (cf. DESIGN.md §6b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankLoss {
-    /// Snapshot index at which the rank dies.
-    pub snapshot: usize,
-    /// The dying rank.
-    pub rank: u32,
-}
-
 /// MCML+DT configuration.
 #[derive(Debug, Clone)]
 pub struct McmlDtConfig {
@@ -84,11 +71,6 @@ pub struct McmlDtConfig {
     pub tight_filter: bool,
     /// Repartitioning algorithm for the `Hybrid` / `PerStep` policies.
     pub repartition_method: RepartitionMethod,
-    /// Optional scripted rank loss: from that snapshot on, the sweep
-    /// continues over `k - 1` (then `k - 2`, ...) parts, with the dead
-    /// rank's load diffused onto the survivors. Forces the sequential
-    /// sweep (the loss carries state between snapshots).
-    pub rank_loss: Option<RankLoss>,
 }
 
 impl McmlDtConfig {
@@ -105,7 +87,6 @@ impl McmlDtConfig {
             update: UpdatePolicy::Fixed,
             tight_filter: false,
             repartition_method: RepartitionMethod::ScratchRemap,
-            rank_loss: None,
         }
     }
 
@@ -202,60 +183,35 @@ pub fn evaluate_mcml_dt(
     // ---- Sweep the sequence. ------------------------------------------
     // Under the fixed policy the snapshots are independent given the
     // step-0 partition, so they evaluate in parallel; the repartitioning
-    // policies — and a scripted rank loss — carry state from snapshot to
-    // snapshot and stay sequential.
-    let metrics_at = |i: usize, node_parts: &[u32], k: usize| {
-        dt_snapshot_metrics(sim, i, node_parts, k, &cfg.tree, cfg.tight_filter, rec)
+    // policies carry state from snapshot to snapshot and stay sequential.
+    let metrics_at = |i: usize, node_parts: &[u32]| {
+        dt_snapshot_metrics(sim, i, node_parts, cfg.k, &cfg.tree, cfg.tight_filter, rec)
     };
-    if cfg.update == UpdatePolicy::Fixed && cfg.rank_loss.is_none() {
-        let out = fork_map(0..sim.len(), &|i| metrics_at(i, &node_parts, cfg.k));
+    if cfg.update == UpdatePolicy::Fixed {
+        let out = fork_map(0..sim.len(), &|i| metrics_at(i, &node_parts));
         return (out, stats);
     }
 
-    let mut live_k = cfg.k;
     let mut out = Vec::with_capacity(sim.len());
     for i in 0..sim.len() {
-        let loss = cfg.rank_loss.filter(|l| i == l.snapshot && (l.rank as usize) < live_k);
         let repartition_now = match cfg.update {
             UpdatePolicy::Fixed => false,
             UpdatePolicy::PerStep => i > 0,
             UpdatePolicy::Hybrid { period } => i > 0 && period > 0 && i % period == 0,
         };
-        // UpdComm: contact points migrated by the rank loss and the
-        // repartitioning, the only readers of the snapshot's graph.
-        let mut upd_comm = 0u64;
-        if loss.is_some() || repartition_now {
+        // UpdComm: contact points migrated by the repartitioning, the only
+        // reader of the snapshot's graph.
+        let upd_comm = if repartition_now {
+            let snap = &sim.snapshots[i];
             let graph = contact_graph(sim, i, cfg.graph_options(), rec);
-            let contact = &sim.snapshots[i].contact.contact_nodes;
-            // Scripted rank loss: diffuse the dead rank's load over the
-            // survivors (or collapse to a single part when too few remain).
-            if let Some(loss) = loss {
-                let new = if live_k > 2 {
-                    let old = gather(&graph.node_of_vertex, &node_parts);
-                    let (fresh, new_k) = repartition_survivors(
-                        &graph.graph,
-                        live_k,
-                        &old,
-                        &[loss.rank],
-                        &cfg.partitioner,
-                    );
-                    live_k = new_k;
-                    graph.assignment_on_nodes(&fresh)
-                } else {
-                    live_k = 1;
-                    graph.assignment_on_nodes(&vec![0u32; graph.node_of_vertex.len()])
-                };
-                upd_comm += migrated_contact_points(contact, &node_parts, &new);
-                merge_live(&mut node_parts, &new);
-            }
-            if repartition_now {
-                let points = &sim.snapshots[i].points;
-                let new = repartition_step(&graph, points, &node_parts, live_k, cfg);
-                upd_comm += migrated_contact_points(contact, &node_parts, &new);
-                merge_live(&mut node_parts, &new);
-            }
-        }
-        let metrics = metrics_at(i, &node_parts, live_k);
+            let new = repartition_step(&graph, &snap.points, &node_parts, cfg.k, cfg);
+            let moved = migrated_contact_points(&snap.contact.contact_nodes, &node_parts, &new);
+            merge_live(&mut node_parts, &new);
+            moved
+        } else {
+            0
+        };
+        let metrics = metrics_at(i, &node_parts);
         out.push(SnapshotMetrics { upd_comm, ..metrics });
     }
     (out, stats)
@@ -285,11 +241,10 @@ fn migrated_contact_points(contact: &[u32], old: &[u32], new: &[u32]) -> u64 {
 }
 
 /// One snapshot's metrics under the node partition `node_parts` over `k`
-/// live parts (after a rank loss fewer than the configured `k`), searched
-/// through a decision tree over its contact points induced under `dcfg`
-/// and queried leaf-tight when `tight`: FEComm, cut and FE balance from the
-/// epoch's topology, the rest from the snapshot itself. Nothing migrates
-/// here (`upd_comm` is 0).
+/// parts, searched through a decision tree over its contact points
+/// induced under `dcfg` and queried leaf-tight when `tight`: FEComm, cut
+/// and FE balance from the epoch's topology, the rest from the snapshot
+/// itself. Nothing migrates here (`upd_comm` is 0).
 pub(crate) fn dt_snapshot_metrics(
     sim: &SimResult,
     i: usize,
@@ -390,56 +345,6 @@ mod tests {
                 assert_eq!(m.upd_comm, 0, "snapshot {i}");
             }
         }
-    }
-
-    #[test]
-    fn rank_loss_diffuses_load_onto_survivors() {
-        let sim = tiny_sim();
-        let cfg = McmlDtConfig {
-            rank_loss: Some(RankLoss { snapshot: 1, rank: 1 }),
-            ..McmlDtConfig::paper(4)
-        };
-        let (metrics, _) = evaluate_mcml_dt(&sim, &cfg);
-        assert_eq!(metrics.len(), sim.len());
-        // Snapshot 0 runs on the full machine, untouched.
-        assert_eq!(metrics[0].upd_comm, 0);
-        // The loss snapshot migrates the dead rank's contact points (the
-        // partitioner balances the contact constraint, so a dying rank
-        // always owns some).
-        assert!(metrics[1].upd_comm > 0, "rank loss migrated nothing");
-        // The sweep keeps producing sane metrics over the 3 survivors.
-        for m in &metrics[1..] {
-            assert!(m.fe_comm > 0);
-            assert!(m.imbalance_fe >= 1.0);
-        }
-        // The survivors are rebalanced at the loss, not left lopsided
-        // with a silent hole where the dead rank was.
-        assert!(
-            metrics[1].imbalance_fe <= 1.5,
-            "post-loss FE imbalance {}",
-            metrics[1].imbalance_fe
-        );
-    }
-
-    #[test]
-    fn rank_loss_below_three_survivors_collapses_to_serial() {
-        let sim = tiny_sim();
-        let cfg = McmlDtConfig {
-            rank_loss: Some(RankLoss { snapshot: 1, rank: 0 }),
-            ..McmlDtConfig::paper(2)
-        };
-        let (metrics, _) = evaluate_mcml_dt(&sim, &cfg);
-        assert_eq!(metrics.len(), sim.len());
-        // One part left: no cross-part traffic from the loss on.
-        for (i, m) in metrics.iter().enumerate().skip(1) {
-            assert_eq!(m.fe_comm, 0, "snapshot {i} still has halo traffic");
-            assert!((m.imbalance_fe - 1.0).abs() < 1e-9, "snapshot {i}");
-        }
-        // The collapse itself migrated the other part's contact points —
-        // proof the pre-loss snapshot really ran on two ranks. (FEComm
-        // can legitimately be 0 at k=2: the two bodies share no FE edges,
-        // and the dt-friendly correction may align parts with bodies.)
-        assert!(metrics[1].upd_comm > 0, "collapse to serial migrated nothing");
     }
 
     #[test]

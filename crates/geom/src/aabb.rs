@@ -126,21 +126,6 @@ impl<const D: usize> Aabb<D> {
         self.max[dim] - self.min[dim]
     }
 
-    /// The dimension with the largest extent (ties broken towards the lower
-    /// dimension index). This is the canonical RCB cut direction.
-    pub fn longest_dim(&self) -> usize {
-        let mut best = 0;
-        let mut best_ext = self.extent(0);
-        for d in 1..D {
-            let e = self.extent(d);
-            if e > best_ext {
-                best = d;
-                best_ext = e;
-            }
-        }
-        best
-    }
-
     /// Geometric center of the box.
     #[inline]
     pub fn center(&self) -> Point<D> {
@@ -237,12 +222,9 @@ mod tests {
     }
 
     #[test]
-    fn longest_dim_and_volume() {
+    fn volume_of_a_box() {
         let b = boxed([0.0, 0.0], [2.0, 5.0]);
-        assert_eq!(b.longest_dim(), 1);
         assert!((b.volume() - 10.0).abs() < 1e-12);
-        let sq = boxed([0.0, 0.0], [3.0, 3.0]);
-        assert_eq!(sq.longest_dim(), 0, "ties break low");
     }
 
     #[test]

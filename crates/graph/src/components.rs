@@ -8,10 +8,10 @@
 
 use crate::csr::Graph;
 
-/// Labels each vertex with its connected-component id (`0..num_components`,
-/// in order of first discovery) and returns the label vector plus the
-/// component count.
-pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
+/// Labels each vertex with its component id under the edges `joined`
+/// keeps (`0..num_components`, in order of first discovery) and returns
+/// the label vector plus the component count.
+fn connected_components(g: &Graph, joined: impl Fn(u32, u32) -> bool) -> (Vec<u32>, usize) {
     let nv = g.nv();
     let mut label = vec![u32::MAX; nv];
     let mut next = 0u32;
@@ -24,7 +24,7 @@ pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
         stack.push(start);
         while let Some(v) = stack.pop() {
             for &u in g.adj(v) {
-                if label[u as usize] == u32::MAX {
+                if label[u as usize] == u32::MAX && joined(v, u) {
                     label[u as usize] = next;
                     stack.push(u);
                 }
@@ -39,25 +39,15 @@ pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
 /// part (1 = the part is connected; 0 = the part is empty).
 pub fn part_fragments(g: &Graph, assignment: &[u32], k: usize) -> Vec<usize> {
     assert_eq!(assignment.len(), g.nv());
-    let nv = g.nv();
-    let mut seen = vec![false; nv];
+    let (label, _) =
+        connected_components(g, |v, u| assignment[v as usize] == assignment[u as usize]);
+    // A component's first vertex (in index order) is where it was found.
     let mut fragments = vec![0usize; k];
-    let mut stack: Vec<u32> = Vec::new();
-    for start in 0..nv as u32 {
-        if seen[start as usize] {
-            continue;
-        }
-        let part = assignment[start as usize];
-        fragments[part as usize] += 1;
-        seen[start as usize] = true;
-        stack.push(start);
-        while let Some(v) = stack.pop() {
-            for &u in g.adj(v) {
-                if !seen[u as usize] && assignment[u as usize] == part {
-                    seen[u as usize] = true;
-                    stack.push(u);
-                }
-            }
+    let mut next = 0;
+    for (&l, &part) in label.iter().zip(assignment) {
+        if l == next {
+            fragments[part as usize] += 1;
+            next += 1;
         }
     }
     fragments
@@ -81,7 +71,7 @@ mod tests {
     #[test]
     fn finds_two_components() {
         let g = two_paths();
-        let (label, n) = connected_components(&g);
+        let (label, n) = connected_components(&g, |_, _| true);
         assert_eq!(n, 2);
         assert_eq!(label[0], label[1]);
         assert_eq!(label[1], label[2]);
@@ -98,7 +88,7 @@ mod tests {
         for v in 0..3u32 {
             b.add_edge(v, v + 1, 1);
         }
-        let (label, n) = connected_components(&b.build());
+        let (label, n) = connected_components(&b.build(), |_, _| true);
         assert_eq!(n, 1);
         assert!(label.iter().all(|&l| l == 0));
     }
@@ -106,7 +96,7 @@ mod tests {
     #[test]
     fn isolated_vertices_are_singletons() {
         let g = Graph::edgeless(3, 1);
-        let (_, n) = connected_components(&g);
+        let (_, n) = connected_components(&g, |_, _| true);
         assert_eq!(n, 3);
     }
 

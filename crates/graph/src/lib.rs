@@ -14,7 +14,7 @@
 //!   (the paper's FEComm metric),
 //! * [`contract()`] / [`subgraph`] — the coarsening and recursive-bisection
 //!   primitives (vertex-group contraction, induced subgraphs),
-//! * [`components`] — connected components and per-part fragment counts
+//! * [`components`] — per-part fragment counts
 //!   (subdomain-connectivity diagnostics).
 
 pub mod builder;
@@ -26,7 +26,7 @@ pub mod partition;
 pub mod subgraph;
 
 pub use builder::GraphBuilder;
-pub use components::{connected_components, part_fragments};
+pub use components::part_fragments;
 pub use contract::{contract, contract_with, ContractWorkspace};
 pub use csr::Graph;
 pub use metrics::{comm_volume_of_rows, cut_edges_of_rows, edge_cut, total_comm_volume};

@@ -58,12 +58,6 @@ impl Partition {
         &self.assignment
     }
 
-    /// Weight of part `p` under constraint `j`.
-    #[inline]
-    pub fn part_weight(&self, p: u32, j: usize) -> i64 {
-        self.part_weights[p as usize * self.ncon + j]
-    }
-
     /// Load imbalance under constraint `j`:
     /// `max_p w_j(V_p) / (w_j(V) / k)`. Returns 1.0 when the constraint has
     /// zero total weight (vacuously balanced).
@@ -121,10 +115,8 @@ mod tests {
     fn weights_cached_correctly() {
         let g = path(6, 2);
         let p = Partition::from_assignment(&g, 2, vec![0, 0, 0, 1, 1, 1]);
-        assert_eq!(p.part_weight(0, 0), 3);
-        assert_eq!(p.part_weight(1, 0), 3);
-        assert_eq!(p.part_weight(0, 1), 1); // vertex 1 is odd
-        assert_eq!(p.part_weight(1, 1), 2); // vertices 3, 5
+        assert!((p.imbalance(0) - 1.0).abs() < 1e-12); // 3 and 3
+        assert!((p.imbalance(1) - 4.0 / 3.0).abs() < 1e-12); // vertex 1 vs 3, 5
     }
 
     #[test]

@@ -86,16 +86,6 @@ impl<const D: usize> Mesh<D> {
         self.elements[e as usize].centroid(&self.points)
     }
 
-    /// Tight bounding box of element `e`.
-    pub fn element_bbox(&self, e: u32) -> Aabb<D> {
-        let el = &self.elements[e as usize];
-        let mut b = Aabb::empty();
-        for &n in el.nodes() {
-            b.grow(&self.points[n as usize]);
-        }
-        b
-    }
-
     /// Bounding box of the whole mesh (live nodes only).
     pub fn bounds(&self) -> Aabb<D> {
         let mask = self.live_node_mask();
@@ -182,13 +172,10 @@ mod tests {
     }
 
     #[test]
-    fn centroid_and_bbox() {
+    fn centroid_of_a_quad() {
         let m = two_quads();
         let c = m.element_centroid(0);
         assert!((c[0] - 0.5).abs() < 1e-12 && (c[1] - 0.5).abs() < 1e-12);
-        let b = m.element_bbox(1);
-        assert_eq!(b.min, Point::new([1.0, 0.0]));
-        assert_eq!(b.max, Point::new([2.0, 1.0]));
     }
 
     #[test]

@@ -54,6 +54,4 @@ pub use fm::fm_refine_with;
 pub use hungarian::max_weight_assignment;
 pub use kway::{balance_kway, balance_kway_with, refine_kway, refine_kway_with, RefineWorkspace};
 pub use rb::partition_kway;
-pub use repart::{
-    compact_parts_after_loss, remap_to_maximize_overlap, repartition, repartition_survivors,
-};
+pub use repart::{compact_parts_after_loss, remap_to_maximize_overlap, repartition};

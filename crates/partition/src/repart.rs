@@ -53,10 +53,6 @@ pub fn migration_count(old: &[u32], new: &[u32]) -> usize {
 /// labels into the freed slots (swap-style, so at most `dead.len()` parts
 /// are relabeled and no surviving vertex migrates because of the
 /// renumbering itself). Returns the new part count.
-///
-/// The same swap discipline is used by
-/// `cip_core::comm::RankTraffic::without_rank`, so traffic matrices and
-/// assignments stay label-compatible through a loss.
 pub fn compact_parts_after_loss(parts: &mut [u32], k: usize, dead: &[u32]) -> usize {
     assert!(dead.len() <= k, "cannot lose more ranks than exist");
     let mut is_dead = vec![false; k];
@@ -92,28 +88,6 @@ pub fn compact_parts_after_loss(parts: &mut [u32], k: usize, dead: &[u32]) -> us
         }
     }
     new_k
-}
-
-/// Rank-loss recovery: compacts `old` over the survivors of `dead`, then
-/// diffusion-repartitions the orphaned weight across the remaining
-/// `k - dead.len()` parts (minimal migration for the survivors). Returns
-/// the new assignment and the new part count.
-///
-/// Requires at least two survivors — with fewer there is nothing to
-/// partition, and callers should fall back to a serial step (see
-/// `cip::trace::run_traced`).
-pub fn repartition_survivors(
-    g: &Graph,
-    k: usize,
-    old: &[u32],
-    dead: &[u32],
-    cfg: &PartitionerConfig,
-) -> (Vec<u32>, usize) {
-    let mut parts = old.to_vec();
-    let new_k = compact_parts_after_loss(&mut parts, k, dead);
-    assert!(new_k >= 2, "repartition_survivors needs >= 2 survivors, got {new_k}");
-    let fresh = crate::diffusion::diffusion_repartition(g, new_k, &parts, cfg);
-    (fresh, new_k)
 }
 
 #[cfg(test)]
@@ -202,25 +176,5 @@ mod tests {
         assert_eq!(new_k, 2);
         assert_eq!(parts, vec![m, m, 1, 0, m, m]);
         assert!(parts.iter().all(|&p| p == m || (p as usize) < new_k));
-    }
-
-    #[test]
-    fn repartition_survivors_covers_everything_in_fewer_parts() {
-        let g = grid(12, 12);
-        let cfg = PartitionerConfig::with_seed(9);
-        let old = partition_kway(&g, 4, &cfg);
-        let (fresh, new_k) = repartition_survivors(&g, 4, &old, &[2], &cfg);
-        assert_eq!(new_k, 3);
-        assert_eq!(fresh.len(), g.nv());
-        assert!(fresh.iter().all(|&p| (p as usize) < new_k), "orphans must all be adopted");
-        for p in 0..new_k as u32 {
-            assert!(fresh.contains(&p), "survivor part {p} lost all its vertices");
-        }
-        // Survivors of the dead part aside, diffusion keeps migration low:
-        // vertices that stayed assigned mostly keep their (compacted) label.
-        let mut compacted = old.clone();
-        compact_parts_after_loss(&mut compacted, 4, &[2]);
-        let moved = migration_count(&compacted, &fresh);
-        assert!(moved < g.nv() / 2, "diffusion recovery moved {moved}/{} vertices", g.nv());
     }
 }

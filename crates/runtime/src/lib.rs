@@ -59,7 +59,7 @@ pub use exec::{
     SHIP_CHUNK,
 };
 pub use fault::{Fate, FaultInjector, FaultPlan, FaultRates, KillSpec};
-pub use migrate::{build_migration, build_migration_recorded, MigrationPlan};
+pub use migrate::{build_migration, MigrationPlan};
 pub use pipeline::{
     collect_batch, execute_rank_steps, execute_steps, BatchError, RankBatchOutcome,
 };

@@ -2,11 +2,8 @@
 //!
 //! When the partition changes (§4.3 repartitioning, or ML+RCB's per-step
 //! RCB update), every node whose owner changed must ship its state to the
-//! new owner. This module builds that migration plan and its traffic
-//! matrix; the tests validate it against
-//! `cip_partition::repart::migration_count`.
-
-use cip_telemetry::Recorder;
+//! new owner. This module builds that migration plan; the tests validate
+//! it against `cip_partition::repart::migration_count`.
 
 /// A migration plan: per (from, to) rank pair, the nodes that move.
 #[derive(Debug, Clone)]
@@ -36,47 +33,17 @@ impl MigrationPlan {
             }
         }
     }
-    /// Row-major `k x k` traffic matrix (node counts).
-    pub fn traffic_matrix(&self) -> Vec<u64> {
-        self.moves.iter().map(|v| v.len() as u64).collect()
-    }
 
     /// Total nodes migrated (the UpdComm-style metric).
     pub fn total_moved(&self) -> u64 {
         self.moves.iter().map(|v| v.len() as u64).sum()
-    }
-
-    /// The busiest rank's send+recv migration volume.
-    pub fn max_rank_volume(&self) -> u64 {
-        let k = self.k;
-        (0..k)
-            .map(|r| {
-                let sent: u64 = (0..k).map(|t| self.moves[r * k + t].len() as u64).sum();
-                let recv: u64 = (0..k).map(|f| self.moves[f * k + r].len() as u64).sum();
-                sent + recv
-            })
-            .max()
-            .unwrap_or(0)
     }
 }
 
 /// Builds the migration plan between two node-indexed assignments
 /// (`u32::MAX` entries — dead or unassigned nodes — never migrate).
 pub fn build_migration(old: &[u32], new: &[u32], k: usize) -> MigrationPlan {
-    build_migration_recorded(old, new, k, &Recorder::disabled())
-}
-
-/// [`build_migration`] with a telemetry sink: emits a `migrate.plan` span
-/// (node count, ranks, moved total) and a `traffic.migrated_units`
-/// counter that mirrors [`MigrationPlan::total_moved`].
-pub fn build_migration_recorded(
-    old: &[u32],
-    new: &[u32],
-    k: usize,
-    rec: &Recorder,
-) -> MigrationPlan {
     assert_eq!(old.len(), new.len(), "assignments must cover the same nodes");
-    let mut span = rec.span("migrate.plan").attr("nodes", old.len()).attr("k", k);
     let mut moves = vec![Vec::new(); k * k];
     for (n, (&o, &w)) in old.iter().zip(new.iter()).enumerate() {
         if o == u32::MAX || w == u32::MAX || o == w {
@@ -90,10 +57,7 @@ pub fn build_migration_recorded(
         );
         moves[o as usize * k + w as usize].push(n as u32);
     }
-    let plan = MigrationPlan { k, moves };
-    span.set_attr("moved", plan.total_moved());
-    rec.add("traffic.migrated_units", plan.total_moved());
-    plan
+    MigrationPlan { k, moves }
 }
 
 #[cfg(test)]
@@ -105,7 +69,6 @@ mod tests {
         let asg = vec![0u32, 1, 2, 1];
         let plan = build_migration(&asg, &asg, 3);
         assert_eq!(plan.total_moved(), 0);
-        assert_eq!(plan.max_rank_volume(), 0);
     }
 
     #[test]
@@ -117,7 +80,7 @@ mod tests {
         assert_eq!(plan.moves[2], vec![3]);
         assert_eq!(plan.total_moved(), 2);
         // Node 4 was unassigned before: not a migration.
-        assert_eq!(plan.traffic_matrix(), vec![0, 1, 1, 0]);
+        assert!(plan.moves[0].is_empty() && plan.moves[3].is_empty());
     }
 
     #[test]
@@ -126,16 +89,6 @@ mod tests {
         let new: Vec<u32> = (0..100).map(|v| (v + 1) % 4).collect();
         let plan = build_migration(&old, &new, 4);
         assert_eq!(plan.total_moved(), cip_partition::repart::migration_count(&old, &new) as u64);
-    }
-
-    #[test]
-    fn max_rank_volume_counts_both_directions() {
-        // All traffic converges on rank 0.
-        let old = vec![1u32, 2, 3];
-        let new = vec![0u32, 0, 0];
-        let plan = build_migration(&old, &new, 4);
-        assert_eq!(plan.total_moved(), 3);
-        assert_eq!(plan.max_rank_volume(), 3, "rank 0 receives everything");
     }
 
     #[test]
@@ -165,7 +118,6 @@ mod tests {
         let asg: Vec<u32> = (0..64u32).map(|v| v % 4).collect();
         let plan = build_migration(&asg, &asg, 4);
         assert!(plan.is_empty());
-        assert_eq!(plan.traffic_matrix(), vec![0u64; 16]);
         let mut applied = asg.clone();
         plan.apply(&mut applied);
         assert_eq!(applied, asg, "applying an empty plan is a no-op");
@@ -189,16 +141,5 @@ mod tests {
                 old.iter().zip(new.iter()).filter(|&(&o, &w)| o == r && w != r).count() as u64;
             assert_eq!(sent, lost, "rank {r} send volume");
         }
-    }
-
-    #[test]
-    fn recorded_migration_emits_span_and_counter() {
-        let old = vec![0u32, 0, 1, 1];
-        let new = vec![1u32, 0, 1, 0];
-        let rec = Recorder::enabled();
-        let plan = build_migration_recorded(&old, &new, 2, &rec);
-        assert_eq!(rec.counter_value("traffic.migrated_units"), plan.total_moved());
-        let summary = rec.summary().expect("recorder is enabled");
-        assert_eq!(summary.span("migrate.plan").map(|s| s.count), Some(1));
     }
 }

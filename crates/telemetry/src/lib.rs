@@ -246,12 +246,6 @@ impl Recorder {
         Self { inner: Some(Arc::new(Registry::new())) }
     }
 
-    /// Whether events are being collected.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Binds the current thread to lane `lane` (one lane per logical
     /// rank). Threads that never call this get the next free lane on
     /// their first event.
@@ -450,12 +444,6 @@ impl Counter {
         }
     }
 
-    /// Adds 1.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// Current value (0 when disabled).
     pub fn get(&self) -> u64 {
         self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
@@ -485,7 +473,6 @@ mod tests {
     #[test]
     fn disabled_recorder_is_inert() {
         let rec = Recorder::disabled();
-        assert!(!rec.is_enabled());
         {
             let mut s = rec.span("noop").attr("x", 1);
             s.set_attr("y", 2.0);
@@ -500,7 +487,7 @@ mod tests {
 
     #[test]
     fn default_is_disabled() {
-        assert!(!Recorder::default().is_enabled());
+        assert!(Recorder::default().summary().is_none());
         assert_eq!(format!("{:?}", Recorder::default()), "Recorder(disabled)");
         assert_eq!(format!("{:?}", Recorder::enabled()), "Recorder(enabled)");
     }
@@ -566,7 +553,7 @@ mod tests {
                 let c = rec.counter("hits");
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        c.incr();
+                        c.add(1);
                     }
                 })
             })

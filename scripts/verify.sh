@@ -243,4 +243,27 @@ if ! non_test src/service.rs | grep 'pub struct TraceJobRunner;' >/dev/null; the
   exit 1
 fi
 
+echo "==> one recipe each"
+# A rank loss is recovered one way, the executed one (DESIGN.md §6b:
+# Session compacts the survivors and diffusion-repartitions over them): the
+# analytic evaluator's scripted copy stays gone, and McmlDtConfig keeps its
+# eight fields. And one flag reader serves every binary: cip_base::cli alone
+# walks the process arguments and owns the usage-error contract.
+if grep -rnwE 'RankLoss|rank_loss|repartition_survivors|without_rank' \
+    src crates tests examples DESIGN.md README.md | grep -v '^crates/ladder/'; then
+  echo "verify: FAIL — a second, scripted rank-loss recovery is back"
+  exit 1
+fi
+if grep -rn --include='*.rs' 'env::args' src crates tests examples \
+    | grep -v '^crates/ladder/' | grep -v '^crates/base/src/cli\.rs:'; then
+  echo "verify: FAIL — a binary walks its arguments outside cip_base::cli"
+  exit 1
+fi
+mcml_fields=$(non_test crates/core/src/mcml_dt.rs \
+  | sed -n '/pub struct McmlDtConfig {/,/^[^ ]*:}/p' | grep -c ':    pub ' || true)
+if [ "$mcml_fields" -ne 8 ]; then
+  echo "verify: FAIL — McmlDtConfig declares $mcml_fields pub fields (want 8)"
+  exit 1
+fi
+
 echo "verify: OK"

@@ -25,6 +25,7 @@ use cip::mesh::{extract_surface, generators, Mesh};
 use cip::partition::PartitionerConfig;
 use cip::telemetry::json::ToJson;
 use cip::telemetry::json_struct;
+use cip_base::cli::{self, fail, Argv, UsageError};
 
 struct Output {
     k: usize,
@@ -53,12 +54,6 @@ json_struct!(Output {
     tree_nodes,
 });
 
-/// A failure the user's input caused: one line on stderr, exit code 2.
-fn fail(message: impl std::fmt::Display) -> ! {
-    eprintln!("cip-partition: {message}");
-    std::process::exit(2);
-}
-
 fn write(path: &str, contents: String) {
     if let Err(e) = std::fs::write(path, contents) {
         fail(format!("cannot write {path}: {e}"));
@@ -75,41 +70,18 @@ struct Args {
     friendly: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &mut Argv) -> Result<Args, UsageError> {
     let mut args =
         Args { mesh: None, demo: None, k: 8, out: None, dot: None, seed: 1, friendly: true };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--mesh" if i + 1 < argv.len() => {
-                args.mesh = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--demo" if i + 1 < argv.len() => {
-                args.demo = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--k" if i + 1 < argv.len() => {
-                args.k = argv[i + 1].parse().unwrap_or_else(|_| fail("--k takes an integer"));
-                i += 2;
-            }
-            "--out" if i + 1 < argv.len() => {
-                args.out = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--dot" if i + 1 < argv.len() => {
-                args.dot = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--seed" if i + 1 < argv.len() => {
-                args.seed = argv[i + 1].parse().unwrap_or_else(|_| fail("--seed takes an integer"));
-                i += 2;
-            }
-            "--no-friendly" => {
-                args.friendly = false;
-                i += 1;
-            }
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
+            "--mesh" => args.mesh = Some(argv.value(&flag)?),
+            "--demo" => args.demo = Some(argv.value(&flag)?),
+            "--k" => args.k = argv.integer(&flag)?,
+            "--out" => args.out = Some(argv.value(&flag)?),
+            "--dot" => args.dot = Some(argv.value(&flag)?),
+            "--seed" => args.seed = argv.integer(&flag)?,
+            "--no-friendly" => args.friendly = false,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: cip-partition [--demo FILE] [--mesh FILE --k K] \
@@ -117,20 +89,17 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument '{other}' (try --help)");
-                std::process::exit(2);
-            }
+            _ => return Err(cli::unknown(&flag, "try --help")),
         }
     }
     if args.k == 0 {
-        fail("--k must be at least 1");
+        return Err("--k must be at least 1".into());
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse(parse_args);
 
     if let Some(path) = &args.demo {
         // Two stacked boxes make a minimal two-body contact problem.
@@ -145,8 +114,7 @@ fn main() {
     }
 
     let Some(mesh_path) = &args.mesh else {
-        eprintln!("--mesh is required (or --demo to generate an input); see --help");
-        std::process::exit(2);
+        fail("--mesh is required (or --demo to generate an input); see --help");
     };
     let data = std::fs::read_to_string(mesh_path)
         .unwrap_or_else(|e| fail(format!("cannot read {mesh_path}: {e}")));

@@ -22,77 +22,29 @@
 //! ```
 
 use cip::service::TraceJobRunner;
+use cip_base::cli::{self, Argv, UsageError};
 use cip_server::{Server, ServerConfig};
 use cip_telemetry::Recorder;
 use std::io::BufRead;
+use std::time::Duration;
 
-struct Args {
-    cfg: ServerConfig,
-}
-
-/// Reports a usage error and exits (exit code 2, like the other CLIs).
-fn usage_error(msg: &str) -> ! {
-    eprintln!("cip-serve: {msg}");
-    std::process::exit(2);
-}
-
-/// Parses `--flag N` as an integer >= 1, or exits with a usage error.
-fn positive(flag: &str, value: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => usage_error(&format!("{flag} takes an integer >= 1, got '{value}'")),
-    }
-}
-
-fn parse_args() -> Args {
-    let mut args =
-        Args { cfg: ServerConfig { recorder: Recorder::enabled(), ..ServerConfig::default() } };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--bind" if i + 1 < argv.len() => {
-                args.cfg.bind = argv[i + 1].clone();
-                i += 2;
+fn parse_args(argv: &mut Argv) -> Result<ServerConfig, UsageError> {
+    let mut cfg = ServerConfig { recorder: Recorder::enabled(), ..ServerConfig::default() };
+    while let Some(flag) = argv.next_flag() {
+        let mut positive =
+            || argv.parse_with(&flag, "an integer >= 1", |v| v.parse().ok().filter(|&n| n >= 1));
+        match flag.as_str() {
+            "--bind" => cfg.bind = argv.value(&flag)?,
+            "--workers" => cfg.workers = positive()?,
+            "--queue" => cfg.queue_capacity = positive()?,
+            "--deadline-ms" => cfg.job_deadline = Some(Duration::from_millis(positive()? as u64)),
+            "--drain-ms" => {
+                let ms = argv.parse_with(&flag, "an integer >= 0", |v| v.parse().ok())?;
+                cfg.drain_timeout = Duration::from_millis(ms);
             }
-            "--workers" if i + 1 < argv.len() => {
-                args.cfg.workers = positive("--workers", &argv[i + 1]);
-                i += 2;
-            }
-            "--queue" if i + 1 < argv.len() => {
-                args.cfg.queue_capacity = positive("--queue", &argv[i + 1]);
-                i += 2;
-            }
-            "--deadline-ms" if i + 1 < argv.len() => {
-                args.cfg.job_deadline =
-                    Some(std::time::Duration::from_millis(
-                        positive("--deadline-ms", &argv[i + 1]) as u64
-                    ));
-                i += 2;
-            }
-            "--drain-ms" if i + 1 < argv.len() => {
-                let ms = match argv[i + 1].parse::<u64>() {
-                    Ok(n) => n,
-                    Err(_) => usage_error(&format!(
-                        "--drain-ms takes an integer >= 0, got '{}'",
-                        argv[i + 1]
-                    )),
-                };
-                args.cfg.drain_timeout = std::time::Duration::from_millis(ms);
-                i += 2;
-            }
-            "--max-payload" if i + 1 < argv.len() => {
-                args.cfg.max_payload = positive("--max-payload", &argv[i + 1]);
-                i += 2;
-            }
-            "--cache-entries" if i + 1 < argv.len() => {
-                args.cfg.cache_max_entries = positive("--cache-entries", &argv[i + 1]);
-                i += 2;
-            }
-            "--cache-bytes" if i + 1 < argv.len() => {
-                args.cfg.cache_max_bytes = positive("--cache-bytes", &argv[i + 1]);
-                i += 2;
-            }
+            "--max-payload" => cfg.max_payload = positive()?,
+            "--cache-entries" => cfg.cache_max_entries = positive()?,
+            "--cache-bytes" => cfg.cache_max_bytes = positive()?,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: cip-serve [--bind ADDR:PORT] [--workers N>=1] [--queue N>=1] \
@@ -101,15 +53,15 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => usage_error(&format!("unknown argument '{other}' (try --help)")),
+            _ => return Err(cli::unknown(&flag, "try --help")),
         }
     }
-    args
+    Ok(cfg)
 }
 
 fn main() {
-    let args = parse_args();
-    let mut server = match Server::start(TraceJobRunner, &args.cfg) {
+    let cfg = cli::parse(parse_args);
+    let mut server = match Server::start(TraceJobRunner, &cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cip-serve: {e}");
@@ -120,7 +72,7 @@ fn main() {
     println!("listening on {}", server.addr());
     eprintln!(
         "cip-serve: {} workers, queue capacity {} (EOF or 'quit' on stdin stops the server)",
-        args.cfg.workers, args.cfg.queue_capacity
+        cfg.workers, cfg.queue_capacity
     );
 
     let stdin = std::io::stdin();
@@ -151,7 +103,7 @@ fn main() {
         stats.cache_evictions,
         stats.workers_respawned
     );
-    let rec = &args.cfg.recorder;
+    let rec = &cfg.recorder;
     eprintln!(
         "cip-serve: memo hits {}, misses {}",
         rec.counter_value("server.memo.hits"),

@@ -40,6 +40,7 @@
 
 use cip::service::{JobRequest, TraceTotals};
 use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
+use cip_base::cli::{self, Argv, UsageError};
 use cip_server::{Client, ClientConfig, JobOutcome};
 use cip_sim::scenarios;
 
@@ -53,99 +54,49 @@ struct Args {
     client: ClientConfig,
 }
 
-/// Bad arguments: one line on stderr, exit code 2.
-fn fail(message: impl std::fmt::Display) -> ! {
-    eprintln!("cip-trace: {message}");
-    std::process::exit(2);
-}
-
-/// `raw` as the integer `flag` takes, or the one-line failure.
-fn integer<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
-    raw.parse().unwrap_or_else(|_| fail(format!("{flag} takes an integer, got '{raw}'")))
-}
-
-fn parse_args() -> Args {
+fn parse_args(argv: &mut Argv) -> Result<Args, UsageError> {
     let mut args = Args {
         opts: TraceOptions::default(),
         out_dir: "results".to_string(),
         server: None,
         client: ClientConfig::default(),
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scenario" if i + 1 < argv.len() => {
-                args.opts.scenario = argv[i + 1].clone();
-                i += 2;
-            }
-            "--k" if i + 1 < argv.len() => {
-                args.opts.k = integer("--k", &argv[i + 1]);
-                i += 2;
-            }
-            "--snapshots" if i + 1 < argv.len() => {
-                args.opts.snapshots = Some(integer("--snapshots", &argv[i + 1]));
-                i += 2;
-            }
-            "--seed" if i + 1 < argv.len() => {
-                args.opts.seed = integer("--seed", &argv[i + 1]);
-                i += 2;
-            }
-            "--period" if i + 1 < argv.len() => {
-                args.opts.repartition_period = Some(integer("--period", &argv[i + 1]));
-                i += 2;
-            }
-            "--no-repart" => {
-                args.opts.repartition_period = None;
-                i += 1;
-            }
-            "--out" if i + 1 < argv.len() => {
-                args.out_dir = argv[i + 1].clone();
-                i += 2;
-            }
-            "--chaos" if i + 1 < argv.len() => {
-                let seed = integer("--chaos", &argv[i + 1]);
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
+            "--scenario" => args.opts.scenario = argv.value(&flag)?,
+            "--k" => args.opts.k = argv.integer(&flag)?,
+            "--snapshots" => args.opts.snapshots = Some(argv.integer(&flag)?),
+            "--seed" => args.opts.seed = argv.integer(&flag)?,
+            "--period" => args.opts.repartition_period = Some(argv.integer(&flag)?),
+            "--no-repart" => args.opts.repartition_period = None,
+            "--out" => args.out_dir = argv.value(&flag)?,
+            "--chaos" => {
+                let seed = argv.integer(&flag)?;
                 args.opts.chaos.get_or_insert_with(ChaosOptions::default).seed = seed;
-                i += 2;
             }
-            "--kill" if i + 1 < argv.len() => {
-                let spec = &argv[i + 1];
-                let (step, rank) = spec
-                    .split_once(':')
-                    .and_then(|(s, r)| Some((s.parse().ok()?, r.parse().ok()?)))
-                    .unwrap_or_else(|| fail(format!("--kill takes STEP:RANK, got '{spec}'")));
-                args.opts.chaos.get_or_insert_with(ChaosOptions::default).kill = Some((step, rank));
-                i += 2;
+            "--kill" => {
+                let kill = argv.parse_with(&flag, "STEP:RANK", |spec| {
+                    let (step, rank) = spec.split_once(':')?;
+                    Some((step.parse().ok()?, rank.parse().ok()?))
+                })?;
+                args.opts.chaos.get_or_insert_with(ChaosOptions::default).kill = Some(kill);
             }
-            "--lookahead" if i + 1 < argv.len() => {
-                args.opts.lookahead = integer("--lookahead", &argv[i + 1]);
-                i += 2;
+            "--lookahead" => args.opts.lookahead = argv.integer(&flag)?,
+            "--max-batch" => args.opts.max_batch = argv.integer(&flag)?,
+            "--transport" => {
+                args.opts.transport = argv.parse_with(
+                    &flag,
+                    "inproc, tcp-threads[:BIND], or tcp[:BIND]",
+                    parse_transport,
+                )?;
             }
-            "--max-batch" if i + 1 < argv.len() => {
-                args.opts.max_batch = integer("--max-batch", &argv[i + 1]);
-                i += 2;
-            }
-            "--transport" if i + 1 < argv.len() => {
-                args.opts.transport = parse_transport(&argv[i + 1]);
-                i += 2;
-            }
-            "--server" if i + 1 < argv.len() => {
-                args.server = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--client-retries" if i + 1 < argv.len() => {
-                args.client.retries = integer("--client-retries", &argv[i + 1]);
-                i += 2;
-            }
-            "--client-timeout-ms" if i + 1 < argv.len() => {
-                let ms: u64 = integer("--client-timeout-ms", &argv[i + 1]);
+            "--server" => args.server = Some(argv.value(&flag)?),
+            "--client-retries" => args.client.retries = argv.integer(&flag)?,
+            "--client-timeout-ms" => {
+                let ms: u64 = argv.integer(&flag)?;
                 args.client.read_timeout = Some(std::time::Duration::from_millis(ms.max(1)));
-                i += 2;
             }
-            "--retry-seed" if i + 1 < argv.len() => {
-                args.client.seed = integer("--retry-seed", &argv[i + 1]);
-                i += 2;
-            }
+            "--retry-seed" => args.client.seed = argv.integer(&flag)?,
             "--list-scenarios" => {
                 for d in scenarios::list() {
                     println!("{:<16} {}", d.name, d.summary);
@@ -164,34 +115,31 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => fail(format!("unknown argument '{other}' (try --help)")),
+            _ => return Err(cli::unknown(&flag, "try --help")),
         }
     }
-    args
+    Ok(args)
 }
 
 /// Parses `inproc` (the in-memory oracle), `tcp-threads[:BIND]` (rank
 /// threads over loopback sockets), or `tcp[:BIND]` (one `cip-worker`
 /// process per rank; the worker binary comes from `$CIP_WORKER_BIN` or
 /// sits next to `cip-trace`).
-fn parse_transport(spec: &str) -> TransportKind {
+fn parse_transport(spec: &str) -> Option<TransportKind> {
     let default_bind = "127.0.0.1:0";
-    match spec {
+    Some(match spec {
         "inproc" => TransportKind::InProcess,
         "tcp-threads" => TransportKind::TcpThreads { bind: default_bind.to_string() },
         "tcp" => TransportKind::Workers { bind: default_bind.to_string(), worker_bin: None },
         other => {
             if let Some(bind) = other.strip_prefix("tcp-threads:") {
                 TransportKind::TcpThreads { bind: bind.to_string() }
-            } else if let Some(bind) = other.strip_prefix("tcp:") {
-                TransportKind::Workers { bind: bind.to_string(), worker_bin: None }
             } else {
-                fail(format!(
-                    "--transport takes inproc, tcp-threads[:BIND], or tcp[:BIND], got '{spec}'"
-                ))
+                let bind = other.strip_prefix("tcp:")?;
+                TransportKind::Workers { bind: bind.to_string(), worker_bin: None }
             }
         }
-    }
+    })
 }
 
 /// Client mode: submit the run as a job to a `cip-serve` instance, wait
@@ -249,9 +197,9 @@ fn run_remote(addr: &str, args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse(parse_args);
     if let Err(e) = args.opts.validate() {
-        fail(e);
+        cli::fail(e);
     }
     if let Some(addr) = args.server.clone() {
         run_remote(&addr, &args);

@@ -8,19 +8,9 @@
 //! the driver recovers over the survivors. See `cip::worker`.
 
 use cip::worker::{run_worker, WorkerArgs};
+use cip_base::cli::{self, Argv, UsageError};
 
-/// Bad arguments: one line on stderr, exit code 2.
-fn fail(message: impl std::fmt::Display) -> ! {
-    eprintln!("cip-worker: {message}");
-    std::process::exit(2);
-}
-
-/// `raw` as the integer `flag` takes, or the one-line failure.
-fn integer(flag: &str, raw: &str) -> usize {
-    raw.parse().unwrap_or_else(|_| fail(format!("{flag} takes an integer, got '{raw}'")))
-}
-
-fn parse_args() -> WorkerArgs {
+fn parse_args(argv: &mut Argv) -> Result<WorkerArgs, UsageError> {
     let mut args = WorkerArgs {
         connect: String::new(),
         rank: usize::MAX,
@@ -28,31 +18,31 @@ fn parse_args() -> WorkerArgs {
         scenario: "tiny".to_string(),
         snapshots: None,
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--connect" if i + 1 < argv.len() => args.connect = argv[i + 1].clone(),
-            "--rank" if i + 1 < argv.len() => args.rank = integer("--rank", &argv[i + 1]),
-            "--ranks" if i + 1 < argv.len() => args.ranks = integer("--ranks", &argv[i + 1]),
-            "--scenario" if i + 1 < argv.len() => args.scenario = argv[i + 1].clone(),
-            "--snapshots" if i + 1 < argv.len() => {
-                args.snapshots = Some(integer("--snapshots", &argv[i + 1]));
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
+            "--connect" => args.connect = argv.value(&flag)?,
+            "--rank" => args.rank = argv.integer(&flag)?,
+            "--ranks" => args.ranks = argv.integer(&flag)?,
+            "--scenario" => args.scenario = argv.value(&flag)?,
+            "--snapshots" => args.snapshots = Some(argv.integer(&flag)?),
+            _ => {
+                return Err(cli::unknown(
+                    &flag,
+                    "cip-worker is spawned by cip-trace --transport tcp",
+                ))
             }
-            other => fail(format!(
-                "unknown argument '{other}' (cip-worker is spawned by cip-trace --transport tcp)"
-            )),
         }
-        i += 2;
     }
     if args.connect.is_empty() || args.ranks == 0 || args.rank >= args.ranks {
-        fail("usage: cip-worker --connect ADDR --rank R --ranks K --scenario NAME [--snapshots N]");
+        return Err("usage: cip-worker --connect ADDR --rank R --ranks K --scenario NAME \
+                    [--snapshots N]"
+            .into());
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse(parse_args);
     if let Err(e) = run_worker(&args) {
         eprintln!("cip-worker rank {}: {e}", args.rank);
         std::process::exit(1);

@@ -903,9 +903,9 @@ impl Session {
                             .map(|(_, &w)| w)
                             .collect();
                     }
-                    self.live_k =
-                        compact_parts_after_loss(&mut self.node_parts, self.live_k, &dead);
-                    if self.live_k >= 2 {
+                    if dead.len() + 2 <= self.live_k {
+                        self.live_k =
+                            compact_parts_after_loss(&mut self.node_parts, self.live_k, &dead);
                         let (new_node_parts, plan) = plan_boundary(
                             &self.sim,
                             failed,
@@ -917,7 +917,8 @@ impl Session {
                     } else {
                         // Fewer than two survivors: collapse to a single
                         // rank — the executor degenerates to the serial
-                        // contact search with no messages.
+                        // contact search with no messages. Every live
+                        // node, the dead ranks' included, goes to rank 0.
                         self.live_k = 1;
                         for p in self.node_parts.iter_mut() {
                             if *p != u32::MAX {

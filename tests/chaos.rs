@@ -24,7 +24,7 @@ use cip::base::rng::sweep;
 use cip::runtime::{
     ExecOptions, FaultInjector, FaultPlan, FaultRates, KillSpec, RuntimeError, StepOutput,
 };
-use cip::trace::{run_traced, ChaosOptions, TraceOptions};
+use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
 use cip::transport::InProcess;
 use common::{env_seed, run_batch, stage};
 use std::time::Duration;
@@ -130,6 +130,39 @@ fn driver_recovers_from_any_single_rank_kill() {
             "victim {victim}: recovery must still detect every pair"
         );
         report.verify_totals().expect("counters equal executed traffic");
+    }
+}
+
+/// Losing one of two ranks leaves nothing to partition: the session
+/// collapses to one rank and finishes on the serial contact search, on
+/// every transport, with the clean run's pairs and exact counters.
+#[test]
+fn losing_one_of_two_ranks_falls_back_to_a_serial_run() {
+    let tiny = |transport: TransportKind, chaos: Option<ChaosOptions>| TraceOptions {
+        scenario: "tiny".into(),
+        k: 2,
+        snapshots: Some(6),
+        transport,
+        chaos,
+        ..TraceOptions::default()
+    };
+    let clean = run_traced(&tiny(TransportKind::InProcess, None)).expect("clean run");
+    let kill = ChaosOptions {
+        seed: 13 ^ env_seed(),
+        rates: FaultRates::default(),
+        kill: Some((3, 1)),
+        timeout_ms: 300,
+        retries: 2,
+    };
+    for transport in
+        [TransportKind::InProcess, TransportKind::TcpThreads { bind: "127.0.0.1:0".into() }]
+    {
+        let what = format!("{transport:?}");
+        let report = run_traced(&tiny(transport, Some(kill.clone()))).expect("chaos run");
+        assert_eq!(report.rank_losses, 1, "{what}");
+        assert_eq!(report.recorder.counter_value("recovery.serial_fallback"), 1, "{what}");
+        report.verify_totals().expect("counters equal executed traffic");
+        assert_eq!(report.contact_pairs, clean.contact_pairs, "{what}: serial search lost pairs");
     }
 }
 

@@ -1,7 +1,7 @@
 //! The binaries end to end: the `cip-partition` `--demo` mesh round-trips
 //! through `--mesh` into a JSON result, and every failure the user's
-//! input can cause — in `cip-partition`, `cip-trace` or `cip-worker` — is
-//! one line on stderr and exit code 2, never a panic.
+//! input can cause — in `cip-partition`, `cip-trace`, `cip-serve` or
+//! `cip-worker` — is one line on stderr and exit code 2, never a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -12,6 +12,10 @@ fn cip_partition(args: &[&str]) -> Output {
 
 fn cip_trace(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cip-trace")).args(args).output().expect("spawn")
+}
+
+fn cip_serve(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cip-serve")).args(args).output().expect("spawn")
 }
 
 fn cip_worker(args: &[&str]) -> Output {
@@ -55,7 +59,10 @@ fn demo_mesh_partitions_and_bad_input_exits_2_with_one_line() {
 
     std::fs::write(path("mesh.json"), "{\"points\":[]}").expect("write");
     std::fs::write(path("torn.cipmesh"), "cipmesh 1\ngarbage\n").expect("write");
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 9] = [
+        (&[], "--mesh is required"),
+        (&["--mesh", &mesh, "--bogus"], "unknown argument '--bogus'"),
+        (&["--mesh", &mesh, "--k"], "'--k' needs a value"),
         (&["--mesh", &path("absent.cipmesh")], "cannot read"),
         (&["--mesh", &path("mesh.json")], "is not a `cipmesh 1` text mesh"),
         (&["--mesh", &path("torn.cipmesh")], "cannot parse"),
@@ -69,11 +76,11 @@ fn demo_mesh_partitions_and_bad_input_exits_2_with_one_line() {
     std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
-/// Every malformed flag value `cip-trace` and `cip-worker` take is
-/// refused before any work starts.
+/// Every malformed flag value `cip-trace`, `cip-serve` and `cip-worker`
+/// take is refused before any work starts.
 #[test]
 fn malformed_flag_values_exit_2_with_one_line() {
-    let trace_cases: [(&[&str], &str); 13] = [
+    let trace_cases: [(&[&str], &str); 14] = [
         (&["--k", "four"], "--k takes an integer, got 'four'"),
         (&["--snapshots", "x"], "--snapshots takes an integer"),
         (&["--seed", "x"], "--seed takes an integer"),
@@ -87,9 +94,19 @@ fn malformed_flag_values_exit_2_with_one_line() {
         (&["--retry-seed", "x"], "--retry-seed takes an integer"),
         (&["--transport", "carrier-pigeon"], "--transport takes inproc"),
         (&["--k", "0"], "k: must be between 1 and"),
+        (&["--k"], "'--k' needs a value"),
     ];
     for (args, message) in trace_cases {
         assert_usage_error("cip-trace", args, &cip_trace(args), message);
+    }
+    let serve_cases: [(&[&str], &str); 4] = [
+        (&["--workers", "0"], "--workers takes an integer >= 1, got '0'"),
+        (&["--drain-ms", "x"], "--drain-ms takes an integer >= 0, got 'x'"),
+        (&["--bind"], "'--bind' needs a value"),
+        (&["--bogus"], "unknown argument '--bogus'"),
+    ];
+    for (args, message) in serve_cases {
+        assert_usage_error("cip-serve", args, &cip_serve(args), message);
     }
     let worker_cases: [(&[&str], &str); 2] = [
         (&["--rank", "x"], "--rank takes an integer, got 'x'"),

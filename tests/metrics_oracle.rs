@@ -11,16 +11,13 @@
 use cip::contact::{n_remote, BboxFilter, DtreeFilter, RcbRegionFilter, SurfaceElementInfo};
 use cip::core::{
     dt_friendly_correct, evaluate_known_contact, evaluate_mcml_dt, evaluate_ml_rcb, face_owner,
-    KnownContactConfig, McmlDtConfig, MlRcbConfig, RankLoss, RepartitionMethod, SnapshotMetrics,
+    KnownContactConfig, McmlDtConfig, MlRcbConfig, RepartitionMethod, SnapshotMetrics,
     SnapshotView, UpdatePolicy,
 };
 use cip::dtree::{induce, DtreeConfig};
 use cip::geom::{Aabb, RcbTree};
 use cip::graph::{edge_cut, total_comm_volume, GraphBuilder, Partition};
-use cip::partition::{
-    diffusion_repartition, max_weight_assignment, partition_kway, repartition,
-    repartition_survivors,
-};
+use cip::partition::{diffusion_repartition, max_weight_assignment, partition_kway, repartition};
 use cip::runtime::HaloPlan;
 use cip::sim::{SimConfig, SimResult};
 use cip::telemetry::Recorder;
@@ -109,39 +106,23 @@ fn dt_metrics(
 }
 
 /// MCML+DT replayed on views: partition and correct snapshot 0, then per
-/// snapshot the scripted rank loss and the policy's repartition.
+/// snapshot the policy's repartition.
 fn oracle_mcml_dt(sim: &SimResult, cfg: &McmlDtConfig) -> Vec<SnapshotMetrics> {
-    let w = cfg.contact_edge_weight;
+    let (k, w) = (cfg.k, cfg.contact_edge_weight);
     let view0 = SnapshotView::build(sim, 0, w);
     let positions = |view: &SnapshotView| -> Vec<_> {
         view.graph2.node_of_vertex.iter().map(|&n| view.mesh.points[n as usize]).collect()
     };
-    let mut asg = partition_kway(&view0.graph2.graph, cfg.k, &cfg.partitioner);
+    let mut asg = partition_kway(&view0.graph2.graph, k, &cfg.partitioner);
     if let Some(fc) = &cfg.dt_friendly {
-        dt_friendly_correct(&view0.graph2.graph, &positions(&view0), cfg.k, &mut asg, fc);
+        dt_friendly_correct(&view0.graph2.graph, &positions(&view0), k, &mut asg, fc);
     }
     let mut node_parts = view0.graph2.assignment_on_nodes(&asg);
-    let mut live_k = cfg.k;
     let mut out = Vec::new();
     for i in 0..sim.len() {
         let view = SnapshotView::build(sim, i, w);
         let g = &view.graph2.graph;
         let mut upd_comm = 0;
-        if let Some(loss) = cfg.rank_loss.filter(|l| l.snapshot == i && (l.rank as usize) < live_k)
-        {
-            let old = on_graph(&view, &node_parts);
-            let new = if live_k > 2 {
-                let (fresh, new_k) =
-                    repartition_survivors(g, live_k, &old, &[loss.rank], &cfg.partitioner);
-                live_k = new_k;
-                view.graph2.assignment_on_nodes(&fresh)
-            } else {
-                live_k = 1;
-                view.graph2.assignment_on_nodes(&vec![0; old.len()])
-            };
-            upd_comm += migrated(&view, &node_parts, &new);
-            merge(&mut node_parts, &new);
-        }
         let repartition_now = match cfg.update {
             UpdatePolicy::Fixed => false,
             UpdatePolicy::PerStep => i > 0,
@@ -150,19 +131,17 @@ fn oracle_mcml_dt(sim: &SimResult, cfg: &McmlDtConfig) -> Vec<SnapshotMetrics> {
         if repartition_now {
             let old = on_graph(&view, &node_parts);
             let mut fresh = match cfg.repartition_method {
-                RepartitionMethod::ScratchRemap => repartition(g, live_k, &old, &cfg.partitioner),
-                RepartitionMethod::Diffusion => {
-                    diffusion_repartition(g, live_k, &old, &cfg.partitioner)
-                }
+                RepartitionMethod::ScratchRemap => repartition(g, k, &old, &cfg.partitioner),
+                RepartitionMethod::Diffusion => diffusion_repartition(g, k, &old, &cfg.partitioner),
             };
             if let Some(fc) = &cfg.dt_friendly {
-                dt_friendly_correct(g, &positions(&view), live_k, &mut fresh, fc);
+                dt_friendly_correct(g, &positions(&view), k, &mut fresh, fc);
             }
             let new = view.graph2.assignment_on_nodes(&fresh);
-            upd_comm += migrated(&view, &node_parts, &new);
+            upd_comm = migrated(&view, &node_parts, &new);
             merge(&mut node_parts, &new);
         }
-        let m = dt_metrics(sim, i, &view, &node_parts, live_k, &cfg.tree, cfg.tight_filter);
+        let m = dt_metrics(sim, i, &view, &node_parts, k, &cfg.tree, cfg.tight_filter);
         out.push(SnapshotMetrics { upd_comm, ..m });
     }
     out
@@ -293,7 +272,6 @@ fn assert_same(got: &[SnapshotMetrics], want: &[SnapshotMetrics], what: &str) {
 #[test]
 fn mcml_dt_metrics_equal_the_view_oracle_under_every_policy() {
     let sim = cip::sim::run(&SimConfig::tiny());
-    let loss = Some(RankLoss { snapshot: 1, rank: 1 });
     for k in KS {
         let paper = McmlDtConfig::paper(k);
         let hybrid = McmlDtConfig { update: UpdatePolicy::Hybrid { period: 5 }, ..paper.clone() };
@@ -308,11 +286,6 @@ fn mcml_dt_metrics_equal_the_view_oracle_under_every_policy() {
             ("hybrid 5 diffusion", diffuse(&hybrid)),
             ("per-step scratch-remap", per_step.clone()),
             ("per-step diffusion", diffuse(&per_step)),
-            ("fixed, rank loss", McmlDtConfig { rank_loss: loss, ..paper.clone() }),
-            (
-                "per-step diffusion, rank loss",
-                McmlDtConfig { rank_loss: loss, ..diffuse(&per_step) },
-            ),
         ];
         for (name, cfg) in configs {
             let (got, _) = evaluate_mcml_dt(&sim, &cfg);
