@@ -2,9 +2,11 @@
 //!
 //! One [`Client`] owns one connection and speaks the strict
 //! request/response discipline the server enforces: every call writes
-//! one [`JobMsg`] request and reads exactly one reply. [`Client::result`]
-//! blocks server-side until the job finalizes, so callers get
-//! completion without polling.
+//! one [`JobMsg`] request and reads exactly one reply, through a
+//! buffered reader. [`Client::result`] blocks server-side until the job
+//! finalizes, so callers get completion without polling, and
+//! [`Client::run_job`] does submit and wait in one exchange
+//! ([`JobMsg::Run`]).
 //!
 //! # Timeouts and retries
 //!
@@ -21,15 +23,17 @@
 //! [`ServerError::Rejected`] is permanent and never retried.
 //!
 //! Sizing note: `read_timeout` bounds every reply, including the
-//! server-side-blocking [`Client::result`] wait — set it comfortably
-//! above the server's job deadline (plus expected queueing) or leave it
-//! `None` and rely on the server, which ends a `Result` wait once the
-//! awaited job overruns its deadline.
+//! server-side-blocking [`Client::result`] and [`Client::run_job`]
+//! waits — set it comfortably above the server's job deadline (plus
+//! expected queueing) or leave it `None` and rely on the server, which
+//! ends a `Result` or `Run` wait once the awaited job overruns its
+//! deadline.
 
 use crate::protocol::{CatalogInfo, JobMsg, JobOutcome, JobState, ServerStats};
 use crate::ServerError;
-use cip_transport::frame::{read_frame, write_frame, ReadError};
+use cip_transport::frame::{read_frame, write_frame, ReadError, READ_BUF};
 use cip_transport::splitmix64;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -87,7 +91,7 @@ impl ClientConfig {
 pub struct Client {
     addr: String,
     cfg: ClientConfig,
-    stream: Option<TcpStream>,
+    stream: Option<BufReader<TcpStream>>,
     ticket: u32,
     wbuf: Vec<u8>,
     rbuf: Vec<u8>,
@@ -137,7 +141,7 @@ impl Client {
             })?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(self.cfg.read_timeout).ok();
-        self.stream = Some(stream);
+        self.stream = Some(BufReader::with_capacity(READ_BUF, stream));
         Ok(())
     }
 
@@ -152,7 +156,7 @@ impl Client {
             return Err(ServerError::Protocol { what: "no connection after dial".to_string() });
         };
         let result = (|| {
-            write_frame(stream, msg, 0, &mut self.wbuf)
+            write_frame(stream.get_mut(), msg, 0, &mut self.wbuf)
                 .map_err(|e| ServerError::Io { what: "send request", detail: e.to_string() })?;
             match read_frame::<JobMsg>(stream, &mut self.rbuf) {
                 Ok((reply, _, _)) => Ok(reply),
@@ -173,10 +177,14 @@ impl Client {
         result
     }
 
+    fn next_ticket(&mut self) -> u32 {
+        self.ticket = self.ticket.wrapping_add(1);
+        self.ticket
+    }
+
     /// Submits a job payload; returns the server-assigned job id.
     pub fn submit(&mut self, payload: &[u8]) -> Result<u64, ServerError> {
-        self.ticket = self.ticket.wrapping_add(1);
-        let ticket = self.ticket;
+        let ticket = self.next_ticket();
         match self.call(&JobMsg::Submit { ticket, payload: payload.to_vec() })? {
             JobMsg::Accepted { ticket: t, job_id } if t == ticket => Ok(job_id),
             JobMsg::Rejected { ticket: t, reason } if t == ticket => {
@@ -232,20 +240,25 @@ impl Client {
         }
     }
 
-    /// Submits `payload` and waits for its outcome, retrying the whole
-    /// exchange (reconnect, resubmit, re-await) up to
+    /// Runs `payload` and waits for its outcome in one [`JobMsg::Run`]
+    /// exchange, retrying it (reconnect, resend) up to
     /// [`ClientConfig::retries`] times on transient failures. Safe to
     /// retry because job execution is a deterministic function of the
     /// payload and completed results replay from the content-hash cache
     /// bit-identically; a [`ServerError::Rejected`] is returned
     /// immediately — admission refusals are policy, not weather.
     pub fn run_job(&mut self, payload: &[u8]) -> Result<(JobOutcome, bool), ServerError> {
+        let ticket = self.next_ticket();
+        let run = JobMsg::Run { ticket, payload: payload.to_vec() };
         let attempts = self.cfg.retries.saturating_add(1);
         let mut attempt = 0u32;
         loop {
-            let outcome = self.ensure_connected().and_then(|()| {
-                let job_id = self.submit(payload)?;
-                self.result(job_id)
+            let outcome = self.call(&run).and_then(|reply| match reply {
+                JobMsg::ResultIs { outcome, cached, .. } => Ok((outcome, cached)),
+                JobMsg::Rejected { ticket: t, reason } if t == ticket => {
+                    Err(ServerError::Rejected { reason })
+                }
+                other => Err(unexpected("ResultIs/Rejected", &other)),
             });
             match outcome {
                 Ok(r) => return Ok(r),

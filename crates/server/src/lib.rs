@@ -37,9 +37,10 @@
 //! * **Deadlines bound every job.** [`ServerConfig::job_deadline`] is
 //!   threaded into the runner via [`JobContext::deadline`] (the traced
 //!   runner turns it into a `RunControl` time budget) and enforced where
-//!   the outcome is observed: a `Result` waiter sleeps no longer than the
-//!   job's deadline, then cancels it and finalizes it as a typed deadline
-//!   failure, so a wedged runner can never hold a waiter hostage.
+//!   the outcome is observed: a `Result` (or `Run`) waiter sleeps no
+//!   longer than the job's deadline, then cancels it and finalizes it as
+//!   a typed deadline failure, so a wedged runner can never hold a
+//!   waiter hostage.
 //!   `Status`, the shutdown drain and a late-returning worker apply the
 //!   same rule.
 //! * **The result cache is bounded** by entry count and byte budget
@@ -64,12 +65,13 @@ pub use client::{Client, ClientConfig};
 pub use protocol::{CatalogEntry, CatalogInfo, JobMsg, JobOutcome, JobState, ServerStats};
 
 use cip_telemetry::Recorder;
-use cip_transport::frame::{read_frame, write_frame, ReadError};
+use cip_transport::frame::{read_frame, write_frame, ReadError, READ_BUF};
 use cip_transport::CancelToken;
 use cip_transport::WireError;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::io::BufReader;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -341,8 +343,10 @@ struct Job {
     cancel: CancelToken,
     outcome: Option<JobOutcome>,
     cached: bool,
-    /// When a worker must finish this job (armed when it starts).
-    deadline_at: Option<Instant>,
+    /// When the job was admitted.
+    queued_at: Instant,
+    /// When a worker took it; its deadline runs from here.
+    started_at: Option<Instant>,
 }
 
 /// Where a cache entry lives: a result under its payload's content hash,
@@ -485,8 +489,15 @@ impl<R: JobRunner> Shared<R> {
         if job.outcome.is_some() {
             return;
         }
-        let overdue = job.deadline_at.is_some_and(|at| Instant::now() >= at);
+        let now = Instant::now();
+        let overdue = self.deadline_at(job).is_some_and(|at| now >= at);
         let result = if overdue { Err(self.deadline_error()) } else { result };
+        // A job finalized before a worker took it queued all its life.
+        let started = job.started_at.unwrap_or(now);
+        let micros = |from: Instant, to: Instant| to.saturating_duration_since(from).as_micros();
+        self.rec.record("server.job.queue_wait", micros(job.queued_at, started) as u64);
+        self.rec.record("server.job.run", micros(started, now) as u64);
+        self.rec.record("server.job.total", micros(job.queued_at, now) as u64);
         let (state, outcome, counter) = match result {
             Ok(payload) => (JobState::Done, JobOutcome::Done { payload }, COMPLETED),
             Err(JobError::Cancelled) => (JobState::Cancelled, JobOutcome::Cancelled, CANCELLED),
@@ -514,6 +525,12 @@ impl<R: JobRunner> Shared<R> {
         self.done_cv.notify_all();
     }
 
+    /// When `job` must be finished: its start plus the server's job
+    /// deadline, once a worker has taken it.
+    fn deadline_at(&self, job: &Job) -> Option<Instant> {
+        Some(job.started_at? + self.job_deadline?)
+    }
+
     fn deadline_error(&self) -> JobError {
         JobError::DeadlineExceeded {
             limit_ms: self.job_deadline.map_or(0, |d| d.as_millis() as u64),
@@ -525,7 +542,7 @@ impl<R: JobRunner> Shared<R> {
     /// deadline failure. Returns the time left of a pending deadline.
     fn enforce_deadline(&self, inner: &mut Inner, id: u64) -> Option<Duration> {
         let job = inner.jobs.get(&id).filter(|j| j.outcome.is_none())?;
-        let left = job.deadline_at?.saturating_duration_since(Instant::now());
+        let left = self.deadline_at(job)?.saturating_duration_since(Instant::now());
         if !left.is_zero() {
             return Some(left);
         }
@@ -785,8 +802,8 @@ fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
                         continue;
                     };
                     job.state = JobState::Running;
-                    job.deadline_at = shared.job_deadline.map(|d| Instant::now() + d);
-                    if job.deadline_at.is_some() {
+                    job.started_at = Some(Instant::now());
+                    if shared.job_deadline.is_some() {
                         // A waiter that arrived while the job was queued
                         // sleeps without a timeout: wake it to arm one.
                         shared.done_cv.notify_all();
@@ -880,11 +897,12 @@ fn accept_loop<R: JobRunner>(listener: &TcpListener, shared: &Arc<Shared<R>>) {
     }
 }
 
-/// One client connection: a strict request/response loop. EOF or a
-/// corrupt frame ends the connection; the jobs it submitted live on.
-/// Corrupt frames are counted (`server.recv_corrupt`) and dropped —
-/// never a panic, never a dead server.
-fn serve_connection<R: JobRunner>(shared: &Shared<R>, mut stream: TcpStream) {
+/// One client connection: a strict request/response loop, read through
+/// a buffer. EOF or a corrupt frame ends the connection; the jobs it
+/// submitted live on. Corrupt frames are counted (`server.recv_corrupt`)
+/// and dropped — never a panic, never a dead server.
+fn serve_connection<R: JobRunner>(shared: &Shared<R>, stream: TcpStream) {
+    let mut stream = BufReader::with_capacity(READ_BUF, stream);
     let mut payload = Vec::new();
     let mut buf = Vec::new();
     loop {
@@ -910,6 +928,10 @@ fn serve_connection<R: JobRunner>(shared: &Shared<R>, mut stream: TcpStream) {
                 JobMsg::StatusIs { job_id, state: inner.state_of(job_id) }
             }
             JobMsg::Result { job_id } => await_result(shared, job_id),
+            JobMsg::Run { ticket, payload } => match submit(shared, ticket, payload) {
+                JobMsg::Accepted { job_id, .. } => await_result(shared, job_id),
+                rejected => rejected,
+            },
             JobMsg::Stats => JobMsg::StatsIs(lock(&shared.inner).stats),
             JobMsg::Catalog => JobMsg::CatalogIs {
                 entries: shared.runner.catalog(),
@@ -919,7 +941,7 @@ fn serve_connection<R: JobRunner>(shared: &Shared<R>, mut stream: TcpStream) {
             // violation; drop the connection.
             _ => return,
         };
-        if write_frame(&mut stream, &reply, 0, &mut buf).is_err() {
+        if write_frame(stream.get_mut(), &reply, 0, &mut buf).is_err() {
             return;
         }
     }
@@ -968,7 +990,8 @@ fn submit<R: JobRunner>(shared: &Shared<R>, ticket: u32, payload: Vec<u8>) -> Jo
         cancel: CancelToken::new(),
         outcome: hit,
         cached,
-        deadline_at: None,
+        queued_at: Instant::now(),
+        started_at: None,
     };
     inner.jobs.insert(id, job);
     inner.count(&shared.rec, SUBMITTED);
@@ -1270,8 +1293,10 @@ mod tests {
             let (outcome, _) = client.run_job(&[0, i % 10]).expect("run job");
             assert_eq!(outcome, JobOutcome::Done { payload: vec![i % 10] });
         }
+        // One `Run` each, counted as `Submit` then `Result` counted them:
+        // a hit is submitted and a hit, and completes nothing.
         let stats = server.stats();
-        assert_eq!((stats.completed, stats.cache_hits), (10, 40), "{stats:?}");
+        assert_eq!((stats.submitted, stats.completed, stats.cache_hits), (50, 10, 40), "{stats:?}");
         assert!(lock(&server.shared.inner).jobs.is_empty(), "delivered jobs must be forgotten");
 
         // After delivery the id answers exactly as an unknown one.
@@ -1396,6 +1421,29 @@ mod tests {
         let job = client.submit(&[0, 1, 2]).expect("submit after garbage");
         let (outcome, _) = client.result(job).expect("result");
         assert_eq!(outcome, JobOutcome::Done { payload: vec![2, 1] });
+    }
+
+    #[test]
+    fn a_cold_job_records_where_its_time_went_and_a_hit_records_nothing() {
+        let rec = Recorder::enabled();
+        let (_server, mut client) = start_with(ServerConfig {
+            workers: 1,
+            recorder: rec.clone(),
+            ..ServerConfig::default()
+        });
+        let hist = |name: &str| {
+            let summary = rec.summary().expect("enabled recorder");
+            summary.histogram(name).map_or((0, 0), |h| (h.count, h.sum))
+        };
+        let names = ["server.job.queue_wait", "server.job.run", "server.job.total"];
+        client.run_job(&[0, 1, 2]).expect("cold job");
+        let [(n_queue, queue), (n_run, run), (n_total, total)] = names.map(hist);
+        assert_eq!((n_queue, n_run, n_total), (1, 1, 1));
+        assert!(queue + run <= total, "{queue} + {run} > {total}");
+
+        let (_, cached) = client.run_job(&[0, 1, 2]).expect("cache hit");
+        assert!(cached);
+        assert_eq!(names.map(|n| hist(n).0), [1, 1, 1], "a hit records nothing");
     }
 
     fn memo_keys(server: &Server<TestRunner>) -> usize {

@@ -8,11 +8,20 @@
 //! — but never for the server: the handler drops the connection and the
 //! jobs it submitted keep running.
 //!
-//! The payload of a [`JobMsg::Submit`] is opaque to this crate: the
-//! server hands it to its [`crate::JobRunner`] verbatim, and the
-//! content-hash cache keys on exactly these bytes. A `ticket` chosen by
-//! the client correlates `Submit` with `Accepted`/`Rejected` so one
-//! connection can pipeline submissions.
+//! The payload of a [`JobMsg::Submit`] or [`JobMsg::Run`] is opaque to
+//! this crate: the server hands it to its [`crate::JobRunner`] verbatim,
+//! and the content-hash cache keys on exactly these bytes. A `ticket`
+//! chosen by the client correlates a submission with the `Rejected` that
+//! may refuse it, and a `Submit` with its `Accepted`, so one connection
+//! can pipeline submissions.
+//!
+//! Two ways to run a job. `Submit` answers `Accepted` with a job id that
+//! `Status`, `Cancel` and `Result` then address — the asynchronous API.
+//! `Run` is `Submit` and `Result` in one exchange: the server admits the
+//! payload exactly as for `Submit` and answers with the job's
+//! [`JobMsg::ResultIs`] once it finalizes, or with the `Rejected` that
+//! refused it. The job id a `Run` assigns travels only in its
+//! `ResultIs`.
 //!
 //! A job's outcome is delivered once: after [`JobMsg::ResultIs`] has
 //! carried it, the server forgets the job, and `Status`, `Cancel` and
@@ -169,6 +178,16 @@ pub enum JobMsg {
         /// Whether the result came from the content-hash cache.
         cached: bool,
     },
+    /// Client → server: run `payload` and reply with its outcome —
+    /// [`JobMsg::Submit`] then [`JobMsg::Result`] in one exchange. The
+    /// reply is a [`JobMsg::ResultIs`], or the [`JobMsg::Rejected`] that
+    /// refused the submission.
+    Run {
+        /// Client-chosen correlation id, echoed by a `Rejected`.
+        ticket: u32,
+        /// The job payload (cache key: exactly these bytes).
+        payload: Vec<u8>,
+    },
     /// Client → server: report aggregate counters.
     Stats,
     /// Server → client: the counters.
@@ -222,4 +241,5 @@ codec_enum!(framed JobMsg {
     10 => StatsIs(stats),
     11 => Catalog,
     12 => CatalogIs { max_payload, entries },
+    13 => Run { ticket, payload },
 });

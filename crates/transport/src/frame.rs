@@ -27,6 +27,10 @@ pub const HEADER_LEN: usize = 30;
 const CRC_COVER: usize = HEADER_LEN - 4;
 /// Sanity ceiling on the declared payload length (64 MiB).
 pub const MAX_PAYLOAD: usize = 1 << 26;
+/// Capacity of the `BufReader` every framed socket is read through:
+/// most frames then arrive whole in one `read`, where a bare socket
+/// costs [`read_frame`] three (first byte, rest of the header, payload).
+pub const READ_BUF: usize = 64 << 10;
 
 /// A decoded frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,7 +158,8 @@ pub fn write_frame<M: Wire>(
 
 /// Read one frame from a byte stream. `payload` is reusable scratch.
 /// Returns the message, its destination rank, and the frame's total
-/// byte length.
+/// byte length. Hand it a socket wrapped in a [`READ_BUF`]-sized
+/// `BufReader`.
 pub fn read_frame<M: Wire>(
     r: &mut impl Read,
     payload: &mut Vec<u8>,

@@ -13,7 +13,7 @@
 //! whether ranks connect concurrently (worker processes) or
 //! sequentially (the in-process [`Tcp`] transport).
 
-use crate::frame::{encode_frame, read_frame, ReadError};
+use crate::frame::{encode_frame, read_frame, ReadError, READ_BUF};
 use crate::mailbox::{ChannelMailbox, Lane, MailboxConfig, StatCells, TcpLinks};
 use crate::wire::Wire;
 use crate::{Transport, TransportError};
@@ -117,9 +117,6 @@ pub fn connect_mesh(
 /// rank absorbs its inbox and retries (the mailbox module's deadlock
 /// argument).
 const SEND_SLICE: Duration = Duration::from_millis(1);
-
-/// Read-side buffer: most frames arrive whole in one `read`.
-const READ_BUF: usize = 64 << 10;
 
 /// An outgoing TCP lane: the socket the sending rank writes its own
 /// frames to, plus the frame scratch it reuses. Dropping it half-closes

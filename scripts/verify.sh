@@ -266,4 +266,26 @@ if [ "$mcml_fields" -ne 8 ]; then
   exit 1
 fi
 
+echo "==> one round trip per job"
+# Client::run_job is one JobMsg::Run exchange (DESIGN.md §6d): its body
+# sends Run and never falls back to Submit + Result. Every framed control
+# socket — the job server's connections, the client's, and both ends of
+# the cip-worker control channel — reads through a BufReader, and the
+# wire contract pins the Run frame.
+run_job=$(non_test crates/server/src/client.rs | sed -n '/pub fn run_job(/,/^[^:]*:    }$/p')
+if ! grep 'JobMsg::Run' <<<"$run_job" >/dev/null || grep -E 'self\.(submit|result)\(' <<<"$run_job"; then
+  echo "verify: FAIL — Client::run_job is not one Run exchange"
+  exit 1
+fi
+for framed in crates/server/src/lib.rs crates/server/src/client.rs src/worker.rs; do
+  if ! non_test "$framed" | grep 'BufReader' >/dev/null; then
+    echo "verify: FAIL — $framed reads its frames unbuffered"
+    exit 1
+  fi
+done
+if ! grep 'JobMsg::Run' tests/wire_contract.rs >/dev/null; then
+  echo "verify: FAIL — the wire contract does not sample JobMsg::Run"
+  exit 1
+fi
+
 echo "verify: OK"

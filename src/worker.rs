@@ -9,7 +9,9 @@
 //! ([`Ctrl::Peers`]), the workers assemble the rank-to-rank TCP mesh
 //! among themselves ([`cip_transport::tcp::connect_mesh`]), and from
 //! then on the control sockets carry only batch assignments
-//! ([`Ctrl::Run`]) and their outcomes ([`Ctrl::Done`]).
+//! ([`Ctrl::Run`]) and their outcomes ([`Ctrl::Done`]). Both ends read
+//! their control socket through a `BufReader` of
+//! [`cip_transport::frame::READ_BUF`] bytes.
 //!
 //! A worker holds the full simulation (rebuilt deterministically from
 //! the scenario name), so a [`RunSpec`] only needs the driver's mutable
@@ -39,11 +41,12 @@ use cip_runtime::{
 };
 use cip_sim::SimResult;
 use cip_telemetry::Recorder;
-use cip_transport::frame::{read_frame, write_frame, ReadError};
+use cip_transport::frame::{read_frame, write_frame, ReadError, READ_BUF};
 use cip_transport::tcp::{bind_mesh, connect_mesh, mesh_mailbox};
 use cip_transport::{
     codec_enum, codec_struct, ChannelMailbox, Mailbox, MailboxConfig, TransportStats,
 };
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -177,10 +180,11 @@ pub struct PoolConfig {
     pub worker_bin: Option<PathBuf>,
 }
 
-/// One live worker process and its control socket.
+/// One live worker process and its control socket, read through a
+/// buffer.
 struct Worker {
     child: Child,
-    ctrl: TcpStream,
+    ctrl: BufReader<TcpStream>,
 }
 
 /// `k` worker processes plus the driver-side control plumbing. Dropping
@@ -296,7 +300,7 @@ impl WorkerPool {
         let mut mesh_addrs = vec![String::new(); cfg.k];
         let mut payload = Vec::new();
         for _ in 0..cfg.k {
-            let (mut s, _) = loop {
+            let (s, _) = loop {
                 match listener.accept() {
                     Ok(pair) => break pair,
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -314,6 +318,7 @@ impl WorkerPool {
             s.set_nonblocking(false).ok();
             s.set_nodelay(true).ok();
             s.set_read_timeout(Some(Duration::from_secs(120))).ok();
+            let mut s = BufReader::with_capacity(READ_BUF, s);
             let msg = match read_frame::<Ctrl>(&mut s, &mut payload) {
                 Ok((m, _, _)) => m,
                 Err(e) => return Err(werr(format!("worker hello failed: {e:?}"))),
@@ -335,7 +340,7 @@ impl WorkerPool {
         let peers = Ctrl::Peers { mesh_addrs };
         let mut buf = Vec::new();
         for w in workers.iter_mut().flatten() {
-            write_frame(&mut w.ctrl, &peers, 0, &mut buf)
+            write_frame(w.ctrl.get_mut(), &peers, 0, &mut buf)
                 .map_err(|e| werr(format!("send peer list: {e}")))?;
         }
         Ok(Self { workers, last_stats: vec![TransportStats::default(); cfg.k] })
@@ -373,7 +378,7 @@ impl WorkerPool {
             });
             let wid = wid as usize;
             let ok = match self.workers.get_mut(wid).and_then(|w| w.as_mut()) {
-                Some(w) => write_frame(&mut w.ctrl, &run, 0, &mut buf).is_ok(),
+                Some(w) => write_frame(w.ctrl.get_mut(), &run, 0, &mut buf).is_ok(),
                 None => false,
             };
             if !ok {
@@ -396,7 +401,7 @@ impl WorkerPool {
             let outcome = match self.workers.get_mut(wid).and_then(|w| w.as_mut()) {
                 None => RankBatchOutcome::Dead { done: Vec::new() },
                 Some(w) => {
-                    w.ctrl.set_read_timeout(Some(deadline)).ok();
+                    w.ctrl.get_ref().set_read_timeout(Some(deadline)).ok();
                     match read_frame::<Ctrl>(&mut w.ctrl, &mut payload) {
                         Ok((Ctrl::Done { outcome, stats }, _, _))
                             if outcome_fits(&outcome, spec.live_k, steps) =>
@@ -446,8 +451,8 @@ impl WorkerPool {
         let Some(slot) = self.workers.get_mut(wid) else { return };
         let Some(mut w) = slot.take() else { return };
         let mut buf = Vec::new();
-        let _ = write_frame(&mut w.ctrl, &Ctrl::Exit, 0, &mut buf);
-        let _ = w.ctrl.shutdown(Shutdown::Both);
+        let _ = write_frame(w.ctrl.get_mut(), &Ctrl::Exit, 0, &mut buf);
+        let _ = w.ctrl.get_ref().shutdown(Shutdown::Both);
         let _ = w.child.kill();
         let _ = w.child.wait();
     }
@@ -490,12 +495,14 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
     // worker that dies during setup is an ordinary mid-protocol EOF for
     // the driver rather than a never-connected hole in the handshake.
     let lst = bind_mesh("127.0.0.1:0").map_err(|e| werr(format!("bind mesh listener: {e}")))?;
-    let mut ctrl = TcpStream::connect(&args.connect)
+    let ctrl = TcpStream::connect(&args.connect)
         .map_err(|e| werr(format!("dial driver at {}: {e}", args.connect)))?;
     ctrl.set_nodelay(true).ok();
+    let mut ctrl = BufReader::with_capacity(READ_BUF, ctrl);
     let mut buf = Vec::new();
     let hello = Ctrl::Hello { from: args.rank as u32, mesh_addr: lst.addr.to_string() };
-    write_frame(&mut ctrl, &hello, 0, &mut buf).map_err(|e| werr(format!("send hello: {e}")))?;
+    write_frame(ctrl.get_mut(), &hello, 0, &mut buf)
+        .map_err(|e| werr(format!("send hello: {e}")))?;
 
     let sim = SimSpec::resolve(&args.scenario, args.snapshots)?.run();
 
@@ -541,7 +548,7 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
                 let outcome = run_batch(&sim, &spec, &mut seat, &mut chain, &mut chain_at)?;
                 let died = matches!(outcome, RankBatchOutcome::Dead { .. });
                 let done = Ctrl::Done { outcome, stats: seat.stats() };
-                write_frame(&mut ctrl, &done, 0, &mut buf)
+                write_frame(ctrl.get_mut(), &done, 0, &mut buf)
                     .map_err(|e| werr(format!("report outcome: {e}")))?;
                 if died {
                     // The logical kill becomes a real process death —

@@ -9,12 +9,17 @@
 //! whether the job ran its own simulation or shared one from the
 //! server's memo.
 
-use cip::server::{Client, JobOutcome, JobState, Server, ServerConfig};
+use cip::server::{
+    Client, ClientConfig, JobMsg, JobOutcome, JobState, Server, ServerConfig, ServerError,
+};
 use cip::service::{JobRequest, TraceJobRunner, TraceTotals};
 use cip::trace::{run_traced, ChaosOptions, RunControl, Session, SimSpec, TraceOptions};
 use cip_telemetry::Recorder;
+use cip_transport::frame::{read_frame, write_frame, ReadError};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 fn start_server(workers: usize) -> (Server<TraceJobRunner>, String, Recorder) {
     start_server_with(ServerConfig { workers, ..ServerConfig::default() })
@@ -329,4 +334,70 @@ fn a_budget_below_one_simulation_memoises_nothing() {
     }
     assert_eq!(memo_counts(&rec), (3, 0));
     assert!(server.stats().cache_bytes < sim_bytes, "{:?}", server.stats());
+}
+
+/// One request on a raw framed socket: its one reply, and proof that no
+/// second frame follows it.
+fn exchange(stream: &mut TcpStream, request: &JobMsg) -> JobMsg {
+    write_frame(stream, request, 0, &mut Vec::new()).expect("send request");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("set timeout");
+    let (reply, _, _) = read_frame::<JobMsg>(stream, &mut Vec::new()).expect("one reply");
+    stream.set_read_timeout(Some(Duration::from_millis(100))).expect("set timeout");
+    match read_frame::<JobMsg>(stream, &mut Vec::new()) {
+        Err(ReadError::Io(e)) => assert!(
+            matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+            "{e}"
+        ),
+        other => panic!("a second frame or a closed socket after {reply:?}: {other:?}"),
+    }
+    reply
+}
+
+/// A `Run` is one exchange: one `ResultIs` per request, cold and then
+/// from the cache, each the bytes of a direct run, and no job record
+/// outlives its reply.
+#[test]
+fn a_run_is_one_exchange_and_leaves_no_job_behind() {
+    let opts = tiny_opts(2, 31);
+    let expected = direct_bytes(&opts);
+    let (server, addr, _rec) = start_server(1);
+    let mut stream = TcpStream::connect(&addr).expect("raw connect");
+    let payload = JobRequest::new(opts).encode();
+    let mut ids = Vec::new();
+    for (ticket, want_cached) in [(1, false), (2, true)] {
+        match exchange(&mut stream, &JobMsg::Run { ticket, payload: payload.clone() }) {
+            JobMsg::ResultIs { job_id, outcome, cached } => {
+                assert_eq!(cached, want_cached, "run {ticket}");
+                assert_eq!(outcome, JobOutcome::Done { payload: expected.clone() }, "run {ticket}");
+                ids.push(job_id);
+            }
+            other => panic!("run {ticket} got {other:?}"),
+        }
+    }
+    for job_id in ids {
+        let reply = exchange(&mut stream, &JobMsg::Status { job_id });
+        assert_eq!(reply, JobMsg::StatusIs { job_id, state: JobState::Failed }, "job {job_id}");
+    }
+    let stats = server.stats();
+    assert_eq!((stats.submitted, stats.completed, stats.cache_hits), (2, 1, 1), "{stats:?}");
+}
+
+/// A refusal ends `run_job` at once: retries are for transient
+/// failures, and the server counts exactly one rejection.
+#[test]
+fn run_job_returns_a_rejection_after_one_attempt() {
+    let (server, addr, _rec) =
+        start_server_with(ServerConfig { workers: 1, max_payload: 8, ..ServerConfig::default() });
+    let cfg = ClientConfig { retries: 3, ..ClientConfig::default() };
+    let mut client = Client::connect_with(&addr, cfg).expect("client connects");
+    let payload = JobRequest::new(tiny_opts(2, 1)).encode();
+    assert!(payload.len() > 8);
+    match client.run_job(&payload) {
+        Err(ServerError::Rejected { reason }) => {
+            assert!(reason.contains("max_payload"), "{reason}")
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    let stats = server.stats();
+    assert_eq!((stats.rejected, stats.submitted), (1, 0), "{stats:?}");
 }

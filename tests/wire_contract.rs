@@ -14,7 +14,9 @@
 //! for why that needed no version bump), and the `RankResult`s inside
 //! `Ctrl::Done` carry `ship_msgs` after `halo_msgs` — a control frame a
 //! driver exchanges only with the `cip-worker` processes it spawned from
-//! its own build. Every other sample's bytes are the original dump's.
+//! its own build. Every other sample's bytes are the original dump's,
+//! except `JobMsg::Run` (tag 13), which is newer than the dump: its golden
+//! is the derived codec's and repeats `Submit`'s layout under its own tag.
 
 mod common;
 
@@ -154,6 +156,7 @@ fn jobmsg_samples() -> Vec<Sample<JobMsg>> {
         (JobMsg::StatsIs(stats), vec![]),
         (JobMsg::Catalog, vec![]),
         (JobMsg::CatalogIs { entries, max_payload: 4096 }, vec![8, 12, 20, 33, 44]),
+        (JobMsg::Run { ticket: 7, payload: vec![1, 2, 3, 255] }, vec![4]),
     ]);
     samples
 }
@@ -387,6 +390,7 @@ const GOLDEN_JOBMSG: &[&str] = &[
     "010b000000000000000000000000000000000000000000000000413d1751",
     "010c0000000000000000000000000000000000000000300000009c0c3c4300100000000000000200000004000000\
      74696e7909000000756e6974207465737407000000686561645f6f6e00000000",
+    "010d00000000000000000000000000000000000000000c00000077b193cd0700000004000000010203ff",
 ];
 
 const GOLDEN_REQUEST: &[&str] = &[
