@@ -102,7 +102,7 @@ fn main() {
     );
     run(
         "per-step repartition",
-        &McmlDtConfig { update: UpdatePolicy::PerStep, ..McmlDtConfig::paper(k) },
+        &McmlDtConfig { update: UpdatePolicy::Hybrid { period: 1 }, ..McmlDtConfig::paper(k) },
     );
 
     // 6. The §3 known-contact method (predictable-contact baseline).

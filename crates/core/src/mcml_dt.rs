@@ -40,13 +40,11 @@ pub enum UpdatePolicy {
     Fixed,
     /// Repartition (multi-constraint, overlap-maximizing) every `period`
     /// snapshots; re-induce the tree every snapshot — the paper's
-    /// suggested hybrid.
+    /// suggested hybrid. `period: 1` repartitions at every snapshot.
     Hybrid {
         /// Snapshots between repartitionings.
         period: usize,
     },
-    /// Repartition at every snapshot.
-    PerStep,
 }
 
 /// MCML+DT configuration.
@@ -69,7 +67,7 @@ pub struct McmlDtConfig {
     /// (an extension in the spirit of §6 — fewer false positives; the
     /// paper's own semantics, used by default, answer per leaf *region*).
     pub tight_filter: bool,
-    /// Repartitioning algorithm for the `Hybrid` / `PerStep` policies.
+    /// Repartitioning algorithm for the `Hybrid` policy.
     pub repartition_method: RepartitionMethod,
 }
 
@@ -196,7 +194,6 @@ pub fn evaluate_mcml_dt(
     for i in 0..sim.len() {
         let repartition_now = match cfg.update {
             UpdatePolicy::Fixed => false,
-            UpdatePolicy::PerStep => i > 0,
             UpdatePolicy::Hybrid { period } => i > 0 && period > 0 && i % period == 0,
         };
         // UpdComm: contact points migrated by the repartitioning, the only
@@ -325,7 +322,8 @@ mod tests {
     #[test]
     fn per_step_policy_reports_migration_and_restores_balance() {
         let sim = tiny_sim();
-        let cfg = McmlDtConfig { update: UpdatePolicy::PerStep, ..McmlDtConfig::paper(4) };
+        let cfg =
+            McmlDtConfig { update: UpdatePolicy::Hybrid { period: 1 }, ..McmlDtConfig::paper(4) };
         let (metrics, _) = evaluate_mcml_dt(&sim, &cfg);
         // Late snapshots stay balanced because we repartition.
         let last = metrics.last().unwrap();

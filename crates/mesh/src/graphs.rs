@@ -1,4 +1,4 @@
-//! Nodal- and dual-graph construction (§2 of the paper).
+//! Nodal-graph construction (§2 of the paper).
 //!
 //! The partitioner in this system operates on the **nodal graph**: one
 //! vertex per (live) mesh node, one edge per mesh edge of a live element.
@@ -8,14 +8,10 @@
 //!   and `w2(v) = 1` for contact nodes, 0 otherwise (contact-search work);
 //! * boosted edge weights between pairs of contact nodes (the paper uses 5),
 //!   since cutting such an edge costs communication in *both* phases.
-//!
-//! The **dual graph** (one vertex per element, edges across shared facets)
-//! is also provided for completeness and for element-based decompositions.
 
 use crate::element::Element;
 use crate::mesh::Mesh;
-use crate::surface::FacetIndex;
-use cip_graph::{Graph, GraphBuilder};
+use cip_graph::Graph;
 
 /// Options controlling nodal-graph construction.
 #[derive(Debug, Clone, Copy)]
@@ -282,30 +278,6 @@ pub fn nodal_graph<const D: usize>(
         .graph(contact_mask, opts)
 }
 
-/// Builds the dual graph of the live part of `mesh`: one vertex per live
-/// element, edges between elements sharing a facet. Returns the graph and
-/// the `element_of_vertex` mapping.
-pub fn dual_graph<const D: usize>(mesh: &Mesh<D>) -> (Graph, Vec<u32>) {
-    let mut element_of_vertex = Vec::new();
-    let mut vertex_of_element = vec![u32::MAX; mesh.num_elements()];
-    for (e, _) in mesh.live_elements() {
-        vertex_of_element[e as usize] = element_of_vertex.len() as u32;
-        element_of_vertex.push(e);
-    }
-
-    let mut b = GraphBuilder::new(element_of_vertex.len(), 1);
-    for gv in 0..element_of_vertex.len() as u32 {
-        b.set_vwgt(gv, &[1]);
-    }
-    // A facet with two live owners is an interior facet = a dual edge.
-    FacetIndex::build(mesh).for_each_live_facet(&mesh.alive, |owners| {
-        if let &[(e, _), (f, _)] = owners {
-            b.add_edge(vertex_of_element[e as usize], vertex_of_element[f as usize], 1);
-        }
-    });
-    (b.build(), element_of_vertex)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,33 +352,5 @@ mod tests {
         let nodes = ng.assignment_on_nodes(&vec![3; ng.graph.nv()]);
         assert_eq!(nodes[0], u32::MAX);
         assert!(nodes[1..].iter().all(|&p| p == 3));
-    }
-
-    #[test]
-    fn dual_graph_of_grid() {
-        let m = grid3x3();
-        let (dg, eov) = dual_graph(&m);
-        assert_eq!(dg.nv(), 9);
-        // 3x3 quad grid: 2 * 3 * 2 = 12 element adjacencies.
-        assert_eq!(dg.ne(), 12);
-        assert_eq!(eov.len(), 9);
-    }
-
-    #[test]
-    fn dual_graph_respects_erosion() {
-        let mut m = grid3x3();
-        m.erode(4); // center element
-        let (dg, _) = dual_graph(&m);
-        assert_eq!(dg.nv(), 8);
-        assert_eq!(dg.ne(), 8, "the four adjacencies of the center vanish");
-    }
-
-    #[test]
-    fn hex_box_dual_graph() {
-        let m = generators::hex_box([2, 2, 2], Point::new([0.0, 0.0, 0.0]), [1.0; 3], 0);
-        let (dg, _) = dual_graph(&m);
-        assert_eq!(dg.nv(), 8);
-        // 2x2x2 box: 4 interior faces per axis pair = 12 adjacencies.
-        assert_eq!(dg.ne(), 12);
     }
 }

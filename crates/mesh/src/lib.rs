@@ -9,9 +9,9 @@
 //! * [`surface`] — boundary-surface extraction: the faces that belong to
 //!   exactly one live element, which are the paper's *surface (contact)
 //!   elements*, and their nodes, the *contact nodes*,
-//! * [`graphs`] — nodal-graph and dual-graph construction (§2 of the
-//!   paper), including the two-constraint vertex weights and boosted
-//!   contact-edge weights of §4.2,
+//! * [`graphs`] — nodal-graph construction (§2 of the paper), including
+//!   the two-constraint vertex weights and boosted contact-edge weights
+//!   of §4.2,
 //! * [`generators`] — structured quad/hex box meshes used by the synthetic
 //!   workload and the test suite,
 //! * [`quality`] — element volume / aspect-ratio measures and mesh quality
@@ -29,7 +29,7 @@ pub mod quality;
 pub mod surface;
 
 pub use element::{Element, ElementKind, Face};
-pub use graphs::{dual_graph, nodal_graph, EdgeIndex, NodalGraph, NodalTopology};
+pub use graphs::{nodal_graph, EdgeIndex, NodalGraph, NodalTopology};
 pub use io::{read_text, write_text, MeshIoError};
 pub use mesh::Mesh;
 pub use quality::{aspect_ratio, quality_report, QualityReport};

@@ -4,10 +4,10 @@
 #![cfg(test)]
 
 use crate::generators;
-use crate::graphs::{dual_graph, nodal_graph, NodalGraphOptions};
+use crate::graphs::{nodal_graph, NodalGraphOptions};
 use crate::io::{read_text, write_text};
 use crate::mesh::Mesh;
-use crate::surface::extract_surface;
+use crate::surface::{extract_surface, FacetIndex};
 use cip_base::rng::{sweep, Rng};
 use cip_geom::Point;
 
@@ -35,9 +35,13 @@ fn surface_counting_identity() {
         let m = eroded_box(rng, dims);
         let live = m.num_live_elements();
         let surface = extract_surface(&m);
-        let (dg, _) = dual_graph(&m);
-        // Each dual edge is one interior facet shared by two live elements.
-        assert_eq!(6 * live, surface.num_faces() + 2 * dg.ne());
+        // An interior facet is shared by exactly two live elements.
+        let mut interior = 0;
+        FacetIndex::build(&m).for_each_live_facet(&m.alive, |owners| {
+            assert!(owners.len() <= 2, "a facet with {} live owners", owners.len());
+            interior += usize::from(owners.len() == 2);
+        });
+        assert_eq!(6 * live, surface.num_faces() + 2 * interior);
     });
 }
 

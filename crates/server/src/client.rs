@@ -3,10 +3,9 @@
 //! One [`Client`] owns one connection and speaks the strict
 //! request/response discipline the server enforces: every call writes
 //! one [`JobMsg`] request and reads exactly one reply, through a
-//! buffered reader. [`Client::result`] blocks server-side until the job
-//! finalizes, so callers get completion without polling, and
-//! [`Client::run_job`] does submit and wait in one exchange
-//! ([`JobMsg::Run`]).
+//! buffered reader. [`Client::run_job`] runs a job in one exchange
+//! ([`JobMsg::Run`]): the server replies once the job finalizes, so
+//! callers get completion without polling.
 //!
 //! # Timeouts and retries
 //!
@@ -15,26 +14,26 @@
 //! error instead of an eternal block), and a seeded deterministic retry
 //! policy used by [`Client::run_job`] — exponential backoff with jitter
 //! from the shared seeded stream ([`cip_transport::fate`]). On a transient failure (connection refused/reset, a
-//! read timeout, a corrupt reply) the client reconnects and resubmits
-//! the same payload. Resubmission is idempotent by construction: jobs
+//! read timeout, a corrupt reply) the client reconnects and resends
+//! the same payload. Resending is idempotent by construction: jobs
 //! are deterministic functions of their payload bytes, and the server's
 //! content-hash cache replays an already-completed result bit-for-bit,
 //! so a retry can duplicate *work* at worst, never *results*.
-//! [`ServerError::Rejected`] is permanent and never retried.
+//! [`ServerError::Rejected`] is permanent and never retried. A dial
+//! tries every address the server's name resolves to, in order.
 //!
 //! Sizing note: `read_timeout` bounds every reply, including the
-//! server-side-blocking [`Client::result`] and [`Client::run_job`]
-//! waits — set it comfortably above the server's job deadline (plus
-//! expected queueing) or leave it `None` and rely on the server, which
-//! ends a `Result` or `Run` wait once the awaited job overruns its
-//! deadline.
+//! server-side-blocking [`Client::run_job`] wait — set it comfortably
+//! above the server's job deadline (plus expected queueing) or leave it
+//! `None` and rely on the server, which ends a `Run` wait once the
+//! awaited job overruns its deadline.
 
-use crate::protocol::{CatalogInfo, JobMsg, JobOutcome, JobState, ServerStats};
+use crate::protocol::{CatalogInfo, JobMsg, JobOutcome, ServerStats};
 use crate::ServerError;
 use cip_transport::frame::{read_frame, write_frame, ReadError, READ_BUF};
 use cip_transport::splitmix64;
 use std::io::BufReader;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Client-side resilience knobs. The default is the legacy behavior
@@ -44,7 +43,7 @@ pub struct ClientConfig {
     /// How long a dial may take before it fails typed.
     pub connect_timeout: Duration,
     /// Socket read timeout for every reply; `None` blocks indefinitely
-    /// (the server's job deadline then bounds `result` waits).
+    /// (the server's job deadline then bounds `run_job` waits).
     pub read_timeout: Option<Duration>,
     /// Extra attempts [`Client::run_job`] makes after the first one
     /// fails transiently. 0 = fail fast.
@@ -125,20 +124,24 @@ impl Client {
         if self.stream.is_some() {
             return Ok(());
         }
-        let mut addrs = self.addr.to_socket_addrs().map_err(|e| ServerError::Io {
-            what: "resolve job server address",
-            detail: e.to_string(),
-        })?;
-        let Some(sock_addr) = addrs.next() else {
+        let addrs: Vec<SocketAddr> = self
+            .addr
+            .to_socket_addrs()
+            .map_err(|e| ServerError::Io {
+                what: "resolve job server address",
+                detail: e.to_string(),
+            })?
+            .collect();
+        if addrs.is_empty() {
             return Err(ServerError::Io {
                 what: "resolve job server address",
                 detail: format!("'{}' resolved to no address", self.addr),
             });
-        };
-        let stream =
-            TcpStream::connect_timeout(&sock_addr, self.cfg.connect_timeout).map_err(|e| {
-                ServerError::Io { what: "connect to job server", detail: e.to_string() }
-            })?;
+        }
+        let stream = dial(&addrs, self.cfg.connect_timeout).map_err(|e| ServerError::Io {
+            what: "connect to job server",
+            detail: e.to_string(),
+        })?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(self.cfg.read_timeout).ok();
         self.stream = Some(BufReader::with_capacity(READ_BUF, stream));
@@ -180,47 +183,6 @@ impl Client {
     fn next_ticket(&mut self) -> u32 {
         self.ticket = self.ticket.wrapping_add(1);
         self.ticket
-    }
-
-    /// Submits a job payload; returns the server-assigned job id.
-    pub fn submit(&mut self, payload: &[u8]) -> Result<u64, ServerError> {
-        let ticket = self.next_ticket();
-        match self.call(&JobMsg::Submit { ticket, payload: payload.to_vec() })? {
-            JobMsg::Accepted { ticket: t, job_id } if t == ticket => Ok(job_id),
-            JobMsg::Rejected { ticket: t, reason } if t == ticket => {
-                Err(ServerError::Rejected { reason })
-            }
-            other => Err(unexpected("Accepted/Rejected", &other)),
-        }
-    }
-
-    /// The job's current state (non-blocking).
-    pub fn status(&mut self, job_id: u64) -> Result<JobState, ServerError> {
-        match self.call(&JobMsg::Status { job_id })? {
-            JobMsg::StatusIs { job_id: id, state } if id == job_id => Ok(state),
-            other => Err(unexpected("StatusIs", &other)),
-        }
-    }
-
-    /// Requests cancellation; returns the state after the request took
-    /// effect (a queued job reports `Cancelled` immediately, a running
-    /// one usually still reports `Running` until its next checkpoint).
-    pub fn cancel(&mut self, job_id: u64) -> Result<JobState, ServerError> {
-        match self.call(&JobMsg::Cancel { job_id })? {
-            JobMsg::StatusIs { job_id: id, state } if id == job_id => Ok(state),
-            other => Err(unexpected("StatusIs", &other)),
-        }
-    }
-
-    /// Blocks until the job finalizes; returns its outcome and whether
-    /// it was served from the content-hash cache.
-    pub fn result(&mut self, job_id: u64) -> Result<(JobOutcome, bool), ServerError> {
-        match self.call(&JobMsg::Result { job_id })? {
-            JobMsg::ResultIs { job_id: id, outcome, cached } if id == job_id => {
-                Ok((outcome, cached))
-            }
-            other => Err(unexpected("ResultIs", &other)),
-        }
     }
 
     /// Aggregate server counters.
@@ -282,6 +244,21 @@ impl Client {
     }
 }
 
+/// Connects to the first of `addrs` that accepts, trying each in order;
+/// the error is the last address's. A name such as `localhost` may
+/// resolve to `::1` before `127.0.0.1`, and a server bound to only one of
+/// them must still be reached.
+fn dial(addrs: &[SocketAddr], timeout: Duration) -> std::io::Result<TcpStream> {
+    let mut last = Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"));
+    for addr in addrs {
+        last = TcpStream::connect_timeout(addr, timeout);
+        if last.is_ok() {
+            break;
+        }
+    }
+    last
+}
+
 fn unexpected(wanted: &str, got: &JobMsg) -> ServerError {
     ServerError::Protocol { what: format!("expected {wanted}, got {got:?}") }
 }
@@ -317,5 +294,20 @@ mod tests {
     fn huge_attempt_counts_do_not_overflow_the_backoff() {
         let cfg = ClientConfig::default();
         assert_eq!(cfg.backoff(200).min(cfg.backoff_max), cfg.backoff_max);
+    }
+
+    #[test]
+    fn a_dial_tries_every_resolved_address_in_order() {
+        let closed = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let closed_addr = closed.local_addr().expect("addr");
+        drop(closed);
+        let live = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let live_addr = live.local_addr().expect("addr");
+        let timeout = Duration::from_secs(5);
+
+        let stream = dial(&[closed_addr, live_addr], timeout).expect("the second address answers");
+        assert_eq!(stream.peer_addr().expect("peer"), live_addr);
+        let err = dial(&[closed_addr], timeout).expect_err("nothing listens");
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
     }
 }

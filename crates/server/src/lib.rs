@@ -37,11 +37,10 @@
 //! * **Deadlines bound every job.** [`ServerConfig::job_deadline`] is
 //!   threaded into the runner via [`JobContext::deadline`] (the traced
 //!   runner turns it into a `RunControl` time budget) and enforced where
-//!   the outcome is observed: a `Result` (or `Run`) waiter sleeps no
-//!   longer than the job's deadline, then cancels it and finalizes it as
-//!   a typed deadline failure, so a wedged runner can never hold a
-//!   waiter hostage.
-//!   `Status`, the shutdown drain and a late-returning worker apply the
+//!   the outcome is observed: a job's `Run` waiter sleeps no longer than
+//!   the job's deadline, then cancels it and finalizes it as a typed
+//!   deadline failure, so a wedged runner can never hold a waiter
+//!   hostage. The shutdown drain and a late-returning worker apply the
 //!   same rule.
 //! * **The result cache is bounded** by entry count and byte budget
 //!   with least-recently-used eviction (`server.cache.evictions`,
@@ -52,17 +51,23 @@
 //!   stragglers are cancelled and worker threads joined (with a bounded
 //!   grace so a wedged runner cannot hang the join).
 //!
-//! Cancellation is cooperative: [`JobMsg::Cancel`] trips the job's
-//! [`CancelToken`]; a queued job is finalized immediately, a running one
-//! winds down at the runner's next checkpoint (for traced sessions,
-//! a batch boundary). Either way the worker thread survives and picks
-//! up the next job — a cancelled job never poisons the pool.
+//! One way to run a job: the connection that sends a [`JobMsg::Run`]
+//! admits the job, waits for it and replies, so it creates the job's
+//! record and removes it again — while the server admits jobs, no record
+//! outlives its waiter.
+//!
+//! Cancellation is cooperative: an overrun deadline or the shutdown
+//! drain trips the job's [`CancelToken`]; a queued job is finalized
+//! immediately, a running one winds down at the runner's next checkpoint
+//! (for traced sessions, a batch boundary). Either way the worker thread
+//! survives and picks up the next job — a cancelled job never poisons
+//! the pool.
 
 pub mod client;
 pub mod protocol;
 
 pub use client::{Client, ClientConfig};
-pub use protocol::{CatalogEntry, CatalogInfo, JobMsg, JobOutcome, JobState, ServerStats};
+pub use protocol::{CatalogEntry, CatalogInfo, JobMsg, JobOutcome, ServerStats};
 
 use cip_telemetry::Recorder;
 use cip_transport::frame::{read_frame, write_frame, ReadError, READ_BUF};
@@ -139,9 +144,9 @@ impl std::error::Error for JobError {}
 /// Per-job execution context the server hands to [`JobRunner::run`].
 #[derive(Debug, Clone)]
 pub struct JobContext {
-    /// Trips when the client cancels the job, on shutdown drain
-    /// timeout, or when the job overruns its deadline. Runners should
-    /// poll it at their checkpoints and return [`JobError::Cancelled`].
+    /// Trips on shutdown drain timeout, or when the job overruns its
+    /// deadline. Runners should poll it at their checkpoints and return
+    /// [`JobError::Cancelled`].
     pub cancel: CancelToken,
     /// The per-job wall-clock deadline, if the server enforces one.
     /// Runners with internal budget support (the traced session) should
@@ -216,8 +221,8 @@ impl Memo {
 /// either side. Jobs share nothing but the [`Memo`]'s immutable values,
 /// so a panicking job leaves nothing behind to repair.
 pub trait JobRunner: Send + Sync + 'static {
-    /// Executes one job. `ctx.cancel` trips when the client cancels (or
-    /// the job overruns its deadline); the runner should poll it at its
+    /// Executes one job. `ctx.cancel` trips when the job overruns its
+    /// deadline or the server drains; the runner should poll it at its
     /// checkpoints and return [`JobError::Cancelled`].
     fn run(&self, payload: &[u8], ctx: &JobContext) -> Result<Vec<u8>, JobError>;
 
@@ -244,7 +249,7 @@ pub enum ServerError {
         /// What went wrong.
         what: String,
     },
-    /// The server refused a submission.
+    /// The server refused a job at admission.
     Rejected {
         /// Why.
         reason: String,
@@ -298,7 +303,7 @@ pub struct ServerConfig {
     /// Longest admission queue; submissions beyond it are rejected so a
     /// flood degrades loudly instead of accumulating unbounded state.
     pub queue_capacity: usize,
-    /// Largest accepted `Submit` payload in bytes. Checked at admission
+    /// Largest accepted `Run` payload in bytes. Checked at admission
     /// — before the payload is queued or hashed into the cache — and
     /// surfaced to clients via [`CatalogInfo`] and [`ServerStats`].
     /// Independent of (and at most) the wire-level frame ceiling.
@@ -334,15 +339,14 @@ impl Default for ServerConfig {
     }
 }
 
-/// One tracked job.
+/// One job between its admission and its `Run` reply. `started_at` and
+/// `outcome` say where it is: queued, running or finished.
 struct Job {
     /// The submission payload; moved into the cache on success.
     payload: Vec<u8>,
     hash: u64,
-    state: JobState,
     cancel: CancelToken,
     outcome: Option<JobOutcome>,
-    cached: bool,
     /// When the job was admitted.
     queued_at: Instant,
     /// When a worker took it; its deadline runs from here.
@@ -402,8 +406,8 @@ const RESPAWNED: Counter = (|s| &mut s.workers_respawned, "server.workers.respaw
 /// Mutex-guarded server state.
 struct Inner {
     queue: VecDeque<u64>,
-    /// Jobs whose outcome has not been delivered yet; `Result` removes
-    /// the record it answers.
+    /// Jobs whose outcome has not been delivered yet; the `Run` that
+    /// admitted a job removes its record when it replies.
     jobs: HashMap<u64, Job>,
     cache: HashMap<Slot, CacheEntry>,
     /// Monotone LRU clock; bumped on every cache touch.
@@ -419,11 +423,6 @@ impl Inner {
     fn count(&mut self, rec: &Recorder, (field, name): Counter) {
         *field(&mut self.stats) += 1;
         rec.add(name, 1);
-    }
-
-    /// A job's state; an unknown (or delivered) id reads as failed.
-    fn state_of(&self, id: u64) -> JobState {
-        self.jobs.get(&id).map_or(JobState::Failed, |j| j.state)
     }
 
     /// What the cache holds under `slot` for exactly `key`, stamped as
@@ -476,7 +475,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl<R: JobRunner> Shared<R> {
-    /// Finalizes `id` under the lock: state, outcome, counters, cache
+    /// Finalizes `id` under the lock: outcome, counters, cache
     /// insertion for successes, and the completion broadcast. A job
     /// that already has an outcome is left untouched — a waiter past
     /// the deadline and the worker may both report the same job, and
@@ -498,19 +497,18 @@ impl<R: JobRunner> Shared<R> {
         self.rec.record("server.job.queue_wait", micros(job.queued_at, started) as u64);
         self.rec.record("server.job.run", micros(started, now) as u64);
         self.rec.record("server.job.total", micros(job.queued_at, now) as u64);
-        let (state, outcome, counter) = match result {
-            Ok(payload) => (JobState::Done, JobOutcome::Done { payload }, COMPLETED),
-            Err(JobError::Cancelled) => (JobState::Cancelled, JobOutcome::Cancelled, CANCELLED),
+        let (outcome, counter) = match result {
+            Ok(payload) => (JobOutcome::Done { payload }, COMPLETED),
+            Err(JobError::Cancelled) => (JobOutcome::Cancelled, CANCELLED),
             Err(e) => {
                 let counter = match e {
                     JobError::Panicked { .. } => PANICKED,
                     JobError::DeadlineExceeded { .. } => DEADLINE_EXCEEDED,
                     _ => FAILED,
                 };
-                (JobState::Failed, JobOutcome::Failed { reason: e.to_string() }, counter)
+                (JobOutcome::Failed { reason: e.to_string() }, counter)
             }
         };
-        job.state = state;
         let entry = match &outcome {
             JobOutcome::Done { payload } => {
                 Some((job.hash, std::mem::take(&mut job.payload), payload.clone()))
@@ -558,7 +556,7 @@ impl<R: JobRunner> Shared<R> {
             return;
         };
         job.cancel.cancel();
-        if job.state == JobState::Queued {
+        if job.started_at.is_none() {
             self.finalize(inner, id, Err(JobError::Cancelled));
         }
     }
@@ -796,12 +794,10 @@ fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
                     return;
                 }
                 if let Some(id) = inner.queue.pop_front() {
-                    // Skip entries finalized while queued (client cancel).
-                    let Some(job) = inner.jobs.get_mut(&id).filter(|j| j.state == JobState::Queued)
-                    else {
+                    // Skip entries finalized while queued (drain cancel).
+                    let Some(job) = inner.jobs.get_mut(&id).filter(|j| j.outcome.is_none()) else {
                         continue;
                     };
-                    job.state = JobState::Running;
                     job.started_at = Some(Instant::now());
                     if shared.job_deadline.is_some() {
                         // A waiter that arrived while the job was queued
@@ -855,7 +851,7 @@ fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
         let mut inner = lock(&shared.inner);
         shared.finalize(&mut inner, id, result);
         // Only a job that completed adds to the memo.
-        if inner.jobs.get(&id).is_some_and(|j| j.state == JobState::Done) {
+        if inner.jobs.get(&id).is_some_and(|j| matches!(j.outcome, Some(JobOutcome::Done { .. }))) {
             for (key, value, bytes) in fresh {
                 let slot = Slot::Memo(content_hash(&key));
                 shared.cache_insert(&mut inner, slot, key, Cached::Memo { value, bytes });
@@ -898,9 +894,9 @@ fn accept_loop<R: JobRunner>(listener: &TcpListener, shared: &Arc<Shared<R>>) {
 }
 
 /// One client connection: a strict request/response loop, read through
-/// a buffer. EOF or a corrupt frame ends the connection; the jobs it
-/// submitted live on. Corrupt frames are counted (`server.recv_corrupt`)
-/// and dropped — never a panic, never a dead server.
+/// a buffer. EOF or a corrupt frame ends the connection. Corrupt frames
+/// — a retired tag among them — are counted (`server.recv_corrupt`) and
+/// dropped: never a panic, never a dead server.
 fn serve_connection<R: JobRunner>(shared: &Shared<R>, stream: TcpStream) {
     let mut stream = BufReader::with_capacity(READ_BUF, stream);
     let mut payload = Vec::new();
@@ -916,22 +912,7 @@ fn serve_connection<R: JobRunner>(shared: &Shared<R>, stream: TcpStream) {
             Err(ReadError::Io(_)) => return,
         };
         let reply = match msg {
-            JobMsg::Submit { ticket, payload } => submit(shared, ticket, payload),
-            JobMsg::Status { job_id } => {
-                let mut inner = lock(&shared.inner);
-                shared.enforce_deadline(&mut inner, job_id);
-                JobMsg::StatusIs { job_id, state: inner.state_of(job_id) }
-            }
-            JobMsg::Cancel { job_id } => {
-                let mut inner = lock(&shared.inner);
-                shared.cancel(&mut inner, job_id);
-                JobMsg::StatusIs { job_id, state: inner.state_of(job_id) }
-            }
-            JobMsg::Result { job_id } => await_result(shared, job_id),
-            JobMsg::Run { ticket, payload } => match submit(shared, ticket, payload) {
-                JobMsg::Accepted { job_id, .. } => await_result(shared, job_id),
-                rejected => rejected,
-            },
+            JobMsg::Run { ticket, payload } => run(shared, ticket, payload),
             JobMsg::Stats => JobMsg::StatsIs(lock(&shared.inner).stats),
             JobMsg::Catalog => JobMsg::CatalogIs {
                 entries: shared.runner.catalog(),
@@ -947,8 +928,14 @@ fn serve_connection<R: JobRunner>(shared: &Shared<R>, stream: TcpStream) {
     }
 }
 
-/// Admission: size check, cache lookup, bounded queue, accept/reject.
-fn submit<R: JobRunner>(shared: &Shared<R>, ticket: u32, payload: Vec<u8>) -> JobMsg {
+/// One `Run`: admission (size check, cache lookup, bounded queue), then
+/// the job's outcome once it finalizes (or the server shuts down). A
+/// cache hit replies at once and leaves no record; any other admitted
+/// job's record lives exactly as long as this wait. With a server-side
+/// job deadline the wait never outlives the queue backlog plus one
+/// deadline: it sleeps no longer than the running job's time left, then
+/// finalizes an overrunner itself.
+fn run<R: JobRunner>(shared: &Shared<R>, ticket: u32, payload: Vec<u8>) -> JobMsg {
     if shared.draining.load(Ordering::Acquire) || shared.shutdown.load(Ordering::Acquire) {
         return shared.reject(ticket, "server shutting down".to_string());
     }
@@ -980,55 +967,37 @@ fn submit<R: JobRunner>(shared: &Shared<R>, ticket: u32, payload: Vec<u8>) -> Jo
         drop(inner);
         return shared.reject(ticket, "admission queue full".to_string());
     }
-    let id = inner.next_id;
+    let job_id = inner.next_id;
     inner.next_id += 1;
-    let cached = hit.is_some();
+    inner.count(&shared.rec, SUBMITTED);
+    if let Some(outcome) = hit {
+        inner.count(&shared.rec, CACHE_HITS);
+        return JobMsg::ResultIs { job_id, outcome, cached: true };
+    }
     let job = Job {
-        payload: if cached { Vec::new() } else { payload },
+        payload,
         hash,
-        state: if cached { JobState::Done } else { JobState::Queued },
         cancel: CancelToken::new(),
-        outcome: hit,
-        cached,
+        outcome: None,
         queued_at: Instant::now(),
         started_at: None,
     };
-    inner.jobs.insert(id, job);
-    inner.count(&shared.rec, SUBMITTED);
-    if cached {
-        inner.count(&shared.rec, CACHE_HITS);
-    } else {
-        inner.queue.push_back(id);
-        shared.work_cv.notify_one();
-    }
-    JobMsg::Accepted { ticket, job_id: id }
-}
+    inner.jobs.insert(job_id, job);
+    inner.queue.push_back(job_id);
+    shared.work_cv.notify_one();
 
-/// Blocks until the job finalizes (or the server shuts down), then
-/// delivers its outcome once: the record leaves the table and the id
-/// reads as unknown from then on. With a server-side job deadline the
-/// wait never outlives the queue backlog plus one deadline: it sleeps no
-/// longer than the running job's time left, then finalizes an overrunner
-/// itself.
-fn await_result<R: JobRunner>(shared: &Shared<R>, job_id: u64) -> JobMsg {
-    let failed = |reason: &str| JobMsg::ResultIs {
-        job_id,
-        outcome: JobOutcome::Failed { reason: reason.to_string() },
-        cached: false,
-    };
-    let mut inner = lock(&shared.inner);
     loop {
         let left = shared.enforce_deadline(&mut inner, job_id);
-        let Some(job) = inner.jobs.get_mut(&job_id) else {
-            return failed("unknown job");
-        };
-        if let Some(outcome) = job.outcome.take() {
-            let cached = job.cached;
+        let outcome = inner.jobs.get_mut(&job_id).and_then(|j| j.outcome.take());
+        if let Some(outcome) = outcome {
             inner.jobs.remove(&job_id);
-            return JobMsg::ResultIs { job_id, outcome, cached };
+            return JobMsg::ResultIs { job_id, outcome, cached: false };
         }
         if shared.shutdown.load(Ordering::Acquire) {
-            return failed("server shutting down");
+            // The record stays for the worker's late finalize to count;
+            // admission is closed, so such records cannot accumulate.
+            let outcome = JobOutcome::Failed { reason: "server shutting down".to_string() };
+            return JobMsg::ResultIs { job_id, outcome, cached: false };
         }
         inner = match left {
             Some(left) => {
@@ -1097,17 +1066,36 @@ mod tests {
         start_with(ServerConfig { workers: 1, ..ServerConfig::default() })
     }
 
+    /// Runs `payload` on a client of its own, on a thread of its own.
+    fn spawn_run(
+        server: &Server<TestRunner>,
+        payload: &'static [u8],
+    ) -> JoinHandle<Result<(JobOutcome, bool), ServerError>> {
+        let addr = server.addr().to_string();
+        std::thread::spawn(move || Client::connect(&addr)?.run_job(payload))
+    }
+
+    /// Waits until the server has admitted `n` jobs.
+    fn await_submitted(server: &Server<TestRunner>, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().submitted < n {
+            assert!(Instant::now() < deadline, "{n} jobs never arrived: {:?}", server.stats());
+            std::thread::yield_now();
+        }
+    }
+
+    fn outcome_of(h: JoinHandle<Result<(JobOutcome, bool), ServerError>>) -> JobOutcome {
+        h.join().expect("client thread").expect("run job").0
+    }
+
     #[test]
     fn echo_job_roundtrips_and_is_cached_on_resubmit() {
         let (server, mut client) = start();
-        let job = client.submit(&[0, 1, 2, 3]).expect("submit");
-        let (outcome, cached) = client.result(job).expect("result");
+        let (outcome, cached) = client.run_job(&[0, 1, 2, 3]).expect("run");
         assert_eq!(outcome, JobOutcome::Done { payload: vec![3, 2, 1] });
         assert!(!cached);
 
-        let again = client.submit(&[0, 1, 2, 3]).expect("resubmit");
-        assert_ne!(again, job, "every submission is its own job");
-        let (outcome2, cached2) = client.result(again).expect("cached result");
+        let (outcome2, cached2) = client.run_job(&[0, 1, 2, 3]).expect("cached run");
         assert_eq!(outcome2, JobOutcome::Done { payload: vec![3, 2, 1] });
         assert!(cached2, "byte-identical resubmission must hit the cache");
 
@@ -1119,43 +1107,13 @@ mod tests {
     }
 
     #[test]
-    fn queued_cancel_is_deterministic_and_pool_stays_serviceable() {
+    fn failures_are_reported_not_fatal_and_never_cached() {
         let (_server, mut client) = start();
-        // One worker: occupy it, then cancel a job that is still queued.
-        let blocker = client.submit(&[1]).expect("submit blocker");
-        let queued = client.submit(&[0, 9]).expect("submit queued");
-        let state = client.cancel(queued).expect("cancel");
-        assert_eq!(state, JobState::Cancelled, "a queued job cancels synchronously");
-        let (outcome, _) = client.result(queued).expect("result");
-        assert_eq!(outcome, JobOutcome::Cancelled);
-
-        // Now cancel the running blocker; its token checkpoint fires.
-        client.cancel(blocker).expect("cancel blocker");
-        let (outcome, _) = client.result(blocker).expect("blocker result");
-        assert_eq!(outcome, JobOutcome::Cancelled);
-
-        // The single worker must still serve new jobs.
-        let after = client.submit(&[0, 7]).expect("submit after cancels");
-        let (outcome, _) = client.result(after).expect("post-cancel result");
-        assert_eq!(outcome, JobOutcome::Done { payload: vec![7] });
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.cancelled, 2);
-    }
-
-    #[test]
-    fn failures_and_unknown_jobs_are_reported_not_fatal() {
-        let (_server, mut client) = start();
-        let job = client.submit(&[2]).expect("submit");
-        let (outcome, _) = client.result(job).expect("result");
+        let (outcome, _) = client.run_job(&[2]).expect("run");
         assert!(
             matches!(outcome, JobOutcome::Failed { ref reason } if reason.contains("scripted"))
         );
-        assert_eq!(client.status(99_999).expect("status"), JobState::Failed);
-        let (outcome, _) = client.result(99_999).expect("unknown result");
-        assert!(matches!(outcome, JobOutcome::Failed { .. }));
-        // Failed results are not cached.
-        let again = client.submit(&[2]).expect("resubmit failure");
-        let (outcome, cached) = client.result(again).expect("result");
+        let (outcome, cached) = client.run_job(&[2]).expect("rerun failure");
         assert!(matches!(outcome, JobOutcome::Failed { .. }));
         assert!(!cached);
     }
@@ -1178,32 +1136,44 @@ mod tests {
 
     #[test]
     fn shutdown_finalizes_queued_jobs_and_joins() {
-        let (mut server, mut client) = start();
-        let blocker = client.submit(&[1]).expect("submit blocker");
-        let queued = client.submit(&[0, 1]).expect("submit queued");
-        // Cancel the blocker so the worker can exit, then shut down.
-        client.cancel(blocker).expect("cancel blocker");
-        let (outcome, _) = client.result(blocker).expect("blocker result");
-        assert_eq!(outcome, JobOutcome::Cancelled);
+        let (mut server, _client) = start_with(ServerConfig {
+            workers: 1,
+            drain_timeout: Duration::from_millis(50),
+            ..ServerConfig::default()
+        });
+        // The blocker spins until cancelled, so the second job is still
+        // queued when the drain runs out.
+        let blocker = spawn_run(&server, &[1]);
+        await_submitted(&server, 1);
+        let queued = spawn_run(&server, &[0, 1]);
+        await_submitted(&server, 2);
         server.shutdown();
+        assert_eq!(
+            outcome_of(queued),
+            JobOutcome::Cancelled,
+            "its waiter gets the drain's outcome"
+        );
+        let blocked = outcome_of(blocker);
+        assert!(
+            matches!(blocked, JobOutcome::Cancelled | JobOutcome::Failed { .. }),
+            "the running job is cancelled or abandoned, got {blocked:?}"
+        );
         let stats = server.stats();
         assert!(stats.cancelled >= 1, "shutdown cancels what never ran: {stats:?}");
-        let _ = queued;
+        assert_eq!(stats.completed, 0, "{stats:?}");
     }
 
     #[test]
     fn a_panicking_job_finalizes_typed_and_its_worker_serves_the_next_job() {
         let (server, mut client) = start();
-        let job = client.submit(&[3]).expect("submit panicking job");
-        let (outcome, _) = client.result(job).expect("panic result arrives");
+        let (outcome, _) = client.run_job(&[3]).expect("panic result arrives");
         assert!(
             matches!(outcome, JobOutcome::Failed { ref reason } if reason.contains("panic")),
             "panic must surface as a typed failure, got {outcome:?}"
         );
 
         // The same (only) worker serves the next job.
-        let after = client.submit(&[0, 5, 6]).expect("submit after panic");
-        let (outcome, _) = client.result(after).expect("post-panic result");
+        let (outcome, _) = client.run_job(&[0, 5, 6]).expect("post-panic result");
         assert_eq!(outcome, JobOutcome::Done { payload: vec![6, 5] });
         let stats = server.stats();
         assert_eq!(stats.panicked, 1, "{stats:?}");
@@ -1228,8 +1198,7 @@ mod tests {
         // Payload [4] sleeps 300 ms and never polls the cancel token —
         // the waiting client must be unblocked long before that.
         let t0 = Instant::now();
-        let job = client.submit(&[4]).expect("submit wedged job");
-        let (outcome, _) = client.result(job).expect("deadline result arrives");
+        let (outcome, _) = client.run_job(&[4]).expect("deadline result arrives");
         let waited = t0.elapsed();
         assert!(
             is_deadline_failure(&outcome),
@@ -1242,8 +1211,7 @@ mod tests {
         );
 
         // A cooperative job (well under the deadline) still completes.
-        let after = client.submit(&[0, 1]).expect("submit after deadline");
-        let (outcome, _) = client.result(after).expect("post-deadline result");
+        let (outcome, _) = client.run_job(&[0, 1]).expect("post-deadline result");
         assert_eq!(outcome, JobOutcome::Done { payload: vec![1] });
         let stats = server.stats();
         assert_eq!(stats.deadline_exceeded, 1, "{stats:?}");
@@ -1251,19 +1219,17 @@ mod tests {
 
     #[test]
     fn a_waiter_that_arrives_before_its_job_starts_still_gets_the_deadline() {
-        let (_server, mut client) = start_with(with_deadline(40));
+        let (server, mut client) = start_with(with_deadline(40));
         // The blocker holds the only worker for 300 ms, so the second job
         // is still queued — with no deadline armed — when its waiter
         // arrives. It starts at ~300 ms and overruns at ~340 ms; its
-        // runner would return at ~600 ms.
+        // runner would return at ~600 ms. The blocker's own waiter fails
+        // it at ~40 ms, so its runner's return at ~300 ms finds no record
+        // and wakes no one: only the second job's start can.
         let t0 = Instant::now();
-        let blocker = client.submit(&[4]).expect("submit blocker");
-        let job = client.submit(&[4]).expect("submit queued job");
-        // Fail the blocker early, so its runner's return at ~300 ms is
-        // ignored and wakes no one: only the second job's start can.
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(client.status(blocker).expect("blocker status"), JobState::Failed);
-        let (outcome, _) = client.result(job).expect("deadline result arrives");
+        let blocker = spawn_run(&server, &[4]);
+        await_submitted(&server, 1);
+        let (outcome, _) = client.run_job(&[4]).expect("deadline result arrives");
         let waited = t0.elapsed();
         assert!(is_deadline_failure(&outcome), "got {outcome:?}");
         assert!(waited >= Duration::from_millis(340), "the client waited only {waited:?}");
@@ -1271,17 +1237,7 @@ mod tests {
             waited < Duration::from_millis(520),
             "the client waited {waited:?}: the job's start did not arm its waiter's deadline"
         );
-    }
-
-    #[test]
-    fn status_fails_an_overdue_job_that_no_one_awaits() {
-        let (server, mut client) = start_with(with_deadline(40));
-        let job = client.submit(&[4]).expect("submit wedged job");
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(client.status(job).expect("status"), JobState::Failed);
-        assert_eq!(server.stats().deadline_exceeded, 1, "{:?}", server.stats());
-        let (outcome, _) = client.result(job).expect("result");
-        assert!(is_deadline_failure(&outcome), "got {outcome:?}");
+        assert!(is_deadline_failure(&outcome_of(blocker)));
     }
 
     #[test]
@@ -1293,19 +1249,10 @@ mod tests {
             let (outcome, _) = client.run_job(&[0, i % 10]).expect("run job");
             assert_eq!(outcome, JobOutcome::Done { payload: vec![i % 10] });
         }
-        // One `Run` each, counted as `Submit` then `Result` counted them:
-        // a hit is submitted and a hit, and completes nothing.
+        // A hit is submitted and a hit, and completes nothing.
         let stats = server.stats();
         assert_eq!((stats.submitted, stats.completed, stats.cache_hits), (50, 10, 40), "{stats:?}");
         assert!(lock(&server.shared.inner).jobs.is_empty(), "delivered jobs must be forgotten");
-
-        // After delivery the id answers exactly as an unknown one.
-        let job = client.submit(&[0, 1]).expect("submit");
-        client.result(job).expect("first result");
-        let unknown = 99_999;
-        assert_eq!(client.status(job).ok(), client.status(unknown).ok());
-        assert_eq!(client.cancel(job).ok(), client.cancel(unknown).ok());
-        assert_eq!(client.result(job).ok(), client.result(unknown).ok());
     }
 
     #[test]
@@ -1319,8 +1266,7 @@ mod tests {
         });
         // 100 distinct jobs sweep far more bytes than the budget.
         for i in 0..100u8 {
-            let job = client.submit(&[0, i, i, i, i, i, i, i]).expect("submit sweep job");
-            let (outcome, _) = client.result(job).expect("sweep result");
+            let (outcome, _) = client.run_job(&[0, i, i, i, i, i, i, i]).expect("sweep result");
             assert!(matches!(outcome, JobOutcome::Done { .. }));
             let stats = server.stats();
             assert!(
@@ -1335,14 +1281,9 @@ mod tests {
 
         // The most recent payload is still resident (LRU keeps the
         // newest), an early one was evicted and recomputes.
-        let (_, cached_recent) = {
-            let job = client.submit(&[0, 99, 99, 99, 99, 99, 99, 99]).expect("resubmit newest");
-            let (o, c) = client.result(job).expect("newest result");
-            (o, c)
-        };
+        let (_, cached_recent) = client.run_job(&[0, 99, 99, 99, 99, 99, 99, 99]).expect("newest");
         assert!(cached_recent, "the newest entry must survive eviction");
-        let job = client.submit(&[0, 0, 0, 0, 0, 0, 0, 0]).expect("resubmit oldest");
-        let (_, cached_old) = client.result(job).expect("oldest result");
+        let (_, cached_old) = client.run_job(&[0, 0, 0, 0, 0, 0, 0, 0]).expect("oldest");
         assert!(!cached_old, "the oldest entry must have been evicted");
     }
 
@@ -1350,7 +1291,7 @@ mod tests {
     fn oversized_submissions_are_rejected_at_admission() {
         let (server, mut client) =
             start_with(ServerConfig { workers: 1, max_payload: 8, ..ServerConfig::default() });
-        let err = client.submit(&[0; 16]).expect_err("oversized submit must be rejected");
+        let err = client.run_job(&[0; 16]).expect_err("oversized run must be rejected");
         assert!(
             matches!(err, ServerError::Rejected { ref reason } if reason.contains("max_payload")),
             "got {err:?}"
@@ -1360,43 +1301,51 @@ mod tests {
         assert_eq!(stats.submitted, 0, "a rejected payload is never admitted");
         assert_eq!(stats.max_payload, 8, "the limit is surfaced in stats");
         // At the limit is fine.
-        let job = client.submit(&[0, 1, 2, 3, 4, 5, 6, 7]).expect("limit-sized submit");
-        let (outcome, _) = client.result(job).expect("result");
+        let (outcome, _) = client.run_job(&[0, 1, 2, 3, 4, 5, 6, 7]).expect("limit-sized run");
         assert!(matches!(outcome, JobOutcome::Done { .. }));
     }
 
     #[test]
     fn drain_shutdown_finishes_inflight_work() {
-        let rec = Recorder::enabled();
-        let (mut server, mut client) = start_with(ServerConfig {
+        let (mut server, _client) = start_with(ServerConfig {
             workers: 1,
             drain_timeout: Duration::from_secs(10),
-            recorder: rec.clone(),
             ..ServerConfig::default()
         });
-        // Several quick jobs: the drain must let all of them finish.
-        let jobs: Vec<u64> =
-            (0..4u8).map(|i| client.submit(&[0, i]).expect("submit drain job")).collect();
+        // A 300-ms job holds the only worker while three quick ones
+        // queue behind it: the drain must let all four finish.
+        let mut runs = vec![spawn_run(&server, &[4])];
+        await_submitted(&server, 1);
+        let quick: [&'static [u8]; 3] = [&[0, 1], &[0, 2], &[0, 3]];
+        runs.extend(quick.map(|payload| spawn_run(&server, payload)));
+        await_submitted(&server, 4);
         server.shutdown();
         let stats = server.stats();
         assert_eq!(stats.completed, 4, "drain must finish queued work: {stats:?}");
         assert_eq!(stats.cancelled, 0, "{stats:?}");
-        let _ = jobs;
+        for run in runs {
+            assert!(matches!(outcome_of(run), JobOutcome::Done { .. }));
+        }
     }
 
     #[test]
     fn zero_drain_shutdown_cancels_immediately() {
-        let (mut server, mut client) = start_with(ServerConfig {
+        let (mut server, _client) = start_with(ServerConfig {
             workers: 1,
             drain_timeout: Duration::ZERO,
             ..ServerConfig::default()
         });
-        let blocker = client.submit(&[1]).expect("submit blocker");
-        let queued = client.submit(&[0, 1]).expect("submit queued");
+        let blocker = spawn_run(&server, &[1]);
+        await_submitted(&server, 1);
+        let queued = spawn_run(&server, &[0, 1]);
+        await_submitted(&server, 2);
         server.shutdown();
         let stats = server.stats();
         assert!(stats.cancelled >= 1, "zero drain cancels pending work: {stats:?}");
-        let _ = (blocker, queued);
+        for run in [blocker, queued] {
+            let outcome = outcome_of(run);
+            assert!(!matches!(outcome, JobOutcome::Done { .. }), "got {outcome:?}");
+        }
     }
 
     #[test]
@@ -1418,8 +1367,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(rec.counter_value("server.recv_corrupt") >= 1, "corruption must be counted");
-        let job = client.submit(&[0, 1, 2]).expect("submit after garbage");
-        let (outcome, _) = client.result(job).expect("result");
+        let (outcome, _) = client.run_job(&[0, 1, 2]).expect("run after garbage");
         assert_eq!(outcome, JobOutcome::Done { payload: vec![2, 1] });
     }
 

@@ -5,44 +5,25 @@
 //! ([`cip_transport::frame`]: versioned header + CRC), so the wire
 //! corruption guarantees are shared with the data plane. Control
 //! corruption is fatal for the connection — there is no NACK layer here
-//! — but never for the server: the handler drops the connection and the
-//! jobs it submitted keep running.
+//! — but never for the server: the handler drops the connection.
 //!
-//! The payload of a [`JobMsg::Submit`] or [`JobMsg::Run`] is opaque to
-//! this crate: the server hands it to its [`crate::JobRunner`] verbatim,
-//! and the content-hash cache keys on exactly these bytes. A `ticket`
-//! chosen by the client correlates a submission with the `Rejected` that
-//! may refuse it, and a `Submit` with its `Accepted`, so one connection
-//! can pipeline submissions.
+//! One way to run a job: a [`JobMsg::Run`] carries the payload, and the
+//! server answers it once, with the job's [`JobMsg::ResultIs`] when it
+//! finalizes or with the [`JobMsg::Rejected`] that refused it at
+//! admission. The payload is opaque to this crate: the server hands it
+//! to its [`crate::JobRunner`] verbatim, and the content-hash cache keys
+//! on exactly these bytes. The client-chosen `ticket` correlates a `Run`
+//! with the `Rejected` that may refuse it; the job id the server assigns
+//! travels only in the `ResultIs`, and the job is forgotten once that
+//! reply is sent. Besides `Run` a client may ask for `Stats` and the
+//! `Catalog`.
 //!
-//! Two ways to run a job. `Submit` answers `Accepted` with a job id that
-//! `Status`, `Cancel` and `Result` then address — the asynchronous API.
-//! `Run` is `Submit` and `Result` in one exchange: the server admits the
-//! payload exactly as for `Submit` and answers with the job's
-//! [`JobMsg::ResultIs`] once it finalizes, or with the `Rejected` that
-//! refused it. The job id a `Run` assigns travels only in its
-//! `ResultIs`.
-//!
-//! A job's outcome is delivered once: after [`JobMsg::ResultIs`] has
-//! carried it, the server forgets the job, and `Status`, `Cancel` and
-//! `Result` answer for its id exactly as for an id it never issued.
+//! Wire tags 1, 2 and 4–7 belonged to an asynchronous job API (submit,
+//! then poll, cancel or wait by job id) that is gone. They are never
+//! reused: a frame carrying one is refused as
+//! [`cip_transport::WireError::BadTag`], like any unknown tag.
 
 use cip_transport::{codec_enum, codec_struct};
-
-/// Where a job is in its life cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
-    /// Accepted, waiting for a worker.
-    Queued,
-    /// A worker is executing it.
-    Running,
-    /// Finished; the result is available.
-    Done,
-    /// The runner rejected or aborted it.
-    Failed,
-    /// Cancelled before or during execution.
-    Cancelled,
-}
 
 /// How a job ended — the payload of a [`JobMsg::ResultIs`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,9 +71,8 @@ pub struct ServerStats {
     /// Jobs whose runner panicked (caught; finalized as failed).
     pub panicked: u64,
     /// Jobs that overran their per-job deadline: stopped by their own
-    /// budget, or finalized by the server when a `Result` waiter, a
-    /// `Status` query, the shutdown drain or their late-returning worker
-    /// found them overdue.
+    /// budget, or finalized by the server when their `Run` waiter, the
+    /// shutdown drain or their late-returning worker found them overdue.
     pub deadline_exceeded: u64,
     /// Result-cache entries evicted to stay inside the budget.
     pub cache_evictions: u64,
@@ -102,7 +82,7 @@ pub struct ServerStats {
     /// Jobs whose panic a worker caught (the worker thread itself keeps
     /// serving; one per caught panic).
     pub workers_respawned: u64,
-    /// The server's `Submit` payload ceiling in bytes (a limit, not a
+    /// The server's `Run` payload ceiling in bytes (a limit, not a
     /// counter — surfaced here so clients can size submissions).
     pub max_payload: u64,
 }
@@ -113,79 +93,39 @@ pub struct ServerStats {
 pub struct CatalogInfo {
     /// One row per advertised workload.
     pub entries: Vec<CatalogEntry>,
-    /// The server's `Submit` payload ceiling in bytes.
+    /// The server's `Run` payload ceiling in bytes.
     pub max_payload: u64,
 }
 
 /// Messages on a client connection. Requests flow client → server,
-/// `*Is`/`Accepted`/`Rejected` replies flow server → client.
+/// `*Is`/`Rejected` replies flow server → client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobMsg {
-    /// Client → server: run `payload` (opaque to the transport; the
-    /// server's [`crate::JobRunner`] decodes it).
-    Submit {
-        /// Client-chosen correlation id, echoed by the reply.
-        ticket: u32,
-        /// The job payload (cache key: exactly these bytes).
-        payload: Vec<u8>,
-    },
-    /// Server → client: the submission was accepted as job `job_id`.
-    Accepted {
-        /// Echo of the submit ticket.
-        ticket: u32,
-        /// Server-assigned job id.
-        job_id: u64,
-    },
-    /// Server → client: the submission was refused (queue full,
-    /// shutting down).
+    /// Server → client: the `Run` was refused at admission (oversized
+    /// payload, queue full, shutting down).
     Rejected {
-        /// Echo of the submit ticket.
+        /// Echo of the `Run` ticket.
         ticket: u32,
         /// Why.
         reason: String,
     },
-    /// Client → server: where is this job?
-    Status {
-        /// The job to query.
-        job_id: u64,
-    },
-    /// Server → client: the job's current state.
-    StatusIs {
-        /// Echo of the queried job.
-        job_id: u64,
-        /// Its state.
-        state: JobState,
-    },
-    /// Client → server: cancel this job (idempotent; unknown and
-    /// delivered ids are reported via [`JobMsg::StatusIs`] as
-    /// [`JobState::Failed`]).
-    Cancel {
-        /// The job to cancel.
-        job_id: u64,
-    },
-    /// Client → server: block until the job completes, then send
-    /// [`JobMsg::ResultIs`] — once; the job is forgotten after it.
-    Result {
-        /// The job to wait for.
-        job_id: u64,
-    },
     /// Server → client: the job's final outcome.
     ResultIs {
-        /// Echo of the awaited job.
+        /// The server-assigned job id.
         job_id: u64,
         /// How it ended.
         outcome: JobOutcome,
         /// Whether the result came from the content-hash cache.
         cached: bool,
     },
-    /// Client → server: run `payload` and reply with its outcome —
-    /// [`JobMsg::Submit`] then [`JobMsg::Result`] in one exchange. The
-    /// reply is a [`JobMsg::ResultIs`], or the [`JobMsg::Rejected`] that
-    /// refused the submission.
+    /// Client → server: run `payload` and reply with its outcome — a
+    /// [`JobMsg::ResultIs`], or the [`JobMsg::Rejected`] that refused it.
     Run {
         /// Client-chosen correlation id, echoed by a `Rejected`.
         ticket: u32,
-        /// The job payload (cache key: exactly these bytes).
+        /// The job payload (opaque to the transport; the server's
+        /// [`crate::JobRunner`] decodes it; cache key: exactly these
+        /// bytes).
         payload: Vec<u8>,
     },
     /// Client → server: report aggregate counters.
@@ -198,12 +138,10 @@ pub enum JobMsg {
     CatalogIs {
         /// One row per advertised workload.
         entries: Vec<CatalogEntry>,
-        /// The server's `Submit` payload ceiling in bytes.
+        /// The server's `Run` payload ceiling in bytes.
         max_payload: u64,
     },
 }
-
-codec_enum!(JobState { 0 => Queued, 1 => Running, 2 => Done, 3 => Failed, 4 => Cancelled });
 
 codec_enum!(JobOutcome {
     0 => Done { payload },
@@ -228,14 +166,9 @@ codec_struct!(ServerStats {
     max_payload
 });
 
+// Tags 1, 2 and 4–7 are retired (see the module doc) and never reused.
 codec_enum!(framed JobMsg {
-    1 => Submit { ticket, payload },
-    2 => Accepted { ticket, job_id },
     3 => Rejected { ticket, reason },
-    4 => Status { job_id },
-    5 => StatusIs { job_id, state },
-    6 => Cancel { job_id },
-    7 => Result { job_id },
     8 => ResultIs { job_id, cached, outcome },
     9 => Stats,
     10 => StatsIs(stats),

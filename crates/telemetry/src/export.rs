@@ -286,13 +286,7 @@ pub(crate) fn summarize(reg: &Registry) -> Summary {
     let mut spans: Vec<SpanSummary> = by_name.into_values().collect();
     spans.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(b.name)));
 
-    let counters = reg
-        .counters
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(name, v)| (*name, v.load(std::sync::atomic::Ordering::Relaxed)))
-        .collect();
+    let counters = reg.counters.lock().unwrap().iter().map(|(&name, &v)| (name, v)).collect();
 
     let histograms = reg
         .histograms
@@ -300,7 +294,6 @@ pub(crate) fn summarize(reg: &Registry) -> Summary {
         .unwrap()
         .iter()
         .map(|(name, h)| {
-            let h = h.lock().unwrap();
             let buckets = (0..HIST_BUCKETS)
                 .filter(|&b| h.buckets[b] > 0)
                 .map(|b| {

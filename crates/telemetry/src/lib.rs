@@ -14,8 +14,7 @@
 //!   stack links each span to its parent, and each span lands on a *lane*
 //!   (one per logical rank/thread, see [`Recorder::set_lane`]) so the
 //!   chrome trace shows one row per rank.
-//! * **Counters** — monotonic `u64` counters ([`Recorder::add`], or a
-//!   pre-resolved [`Counter`] handle for hot loops).
+//! * **Counters** — monotonic `u64` counters ([`Recorder::add`]).
 //! * **Histograms** — power-of-two-bucket histograms for message-size
 //!   style distributions ([`Recorder::record`]).
 //! * **Exporters** ([`export`]) — `chrome://tracing` / Perfetto JSON with
@@ -46,7 +45,7 @@ pub mod json;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -173,8 +172,8 @@ pub(crate) struct Registry {
     next_span: AtomicU32,
     next_lane: AtomicU32,
     pub(crate) events: Mutex<Vec<SpanEvent>>,
-    pub(crate) counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
-    pub(crate) histograms: Mutex<BTreeMap<&'static str, Arc<Mutex<Hist>>>>,
+    pub(crate) counters: Mutex<BTreeMap<&'static str, u64>>,
+    pub(crate) histograms: Mutex<BTreeMap<&'static str, Hist>>,
     /// Custom lane labels (e.g. "driver"); unnamed lanes render `rank <n>`.
     pub(crate) lane_names: Mutex<BTreeMap<u32, &'static str>>,
 }
@@ -296,53 +295,24 @@ impl Recorder {
         reg.events.lock().unwrap().push(ev);
     }
 
-    /// Resolves a counter handle. Hot loops should resolve once and call
-    /// [`Counter::add`] (a relaxed atomic add) per event.
-    pub fn counter(&self, name: &'static str) -> Counter {
-        match &self.inner {
-            None => Counter { cell: None },
-            Some(reg) => {
-                let mut counters = reg.counters.lock().unwrap();
-                let cell = counters.entry(name).or_insert_with(|| Arc::new(AtomicU64::new(0)));
-                Counter { cell: Some(cell.clone()) }
-            }
-        }
-    }
-
-    /// Adds `delta` to counter `name` (resolving it each call; prefer
-    /// [`Recorder::counter`] in loops).
+    /// Adds `delta` to counter `name`.
     #[inline]
     pub fn add(&self, name: &'static str, delta: u64) {
-        if self.inner.is_some() {
-            self.counter(name).add(delta);
-        }
+        let Some(reg) = &self.inner else { return };
+        *reg.counters.lock().unwrap().entry(name).or_default() += delta;
     }
 
     /// The current value of counter `name` (0 if absent or disabled).
     pub fn counter_value(&self, name: &str) -> u64 {
         let Some(reg) = &self.inner else { return 0 };
-        let counters = reg.counters.lock().unwrap();
-        counters.get(name).map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// Resolves a histogram handle for hot loops.
-    pub fn histogram(&self, name: &'static str) -> Histogram {
-        match &self.inner {
-            None => Histogram { cell: None },
-            Some(reg) => {
-                let mut hists = reg.histograms.lock().unwrap();
-                let cell = hists.entry(name).or_insert_with(|| Arc::new(Mutex::new(Hist::new())));
-                Histogram { cell: Some(cell.clone()) }
-            }
-        }
+        reg.counters.lock().unwrap().get(name).copied().unwrap_or(0)
     }
 
     /// Records `value` into the power-of-two histogram `name`.
     #[inline]
     pub fn record(&self, name: &'static str, value: u64) {
-        if self.inner.is_some() {
-            self.histogram(name).record(value);
-        }
+        let Some(reg) = &self.inner else { return };
+        reg.histograms.lock().unwrap().entry(name).or_insert_with(Hist::new).record(value);
     }
 
     /// Exports all completed spans as chrome://tracing JSON (load the
@@ -426,43 +396,6 @@ impl Drop for Span {
             attrs: a.attrs,
         };
         a.reg.events.lock().unwrap().push(ev);
-    }
-}
-
-/// Pre-resolved counter handle: one relaxed atomic add per event.
-#[derive(Clone)]
-pub struct Counter {
-    cell: Option<Arc<AtomicU64>>,
-}
-
-impl Counter {
-    /// Adds `delta`.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        if let Some(c) = &self.cell {
-            c.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 when disabled).
-    pub fn get(&self) -> u64 {
-        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// Pre-resolved histogram handle.
-#[derive(Clone)]
-pub struct Histogram {
-    cell: Option<Arc<Mutex<Hist>>>,
-}
-
-impl Histogram {
-    /// Records one observation.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        if let Some(h) = &self.cell {
-            h.lock().unwrap().record(value);
-        }
     }
 }
 
@@ -550,10 +483,10 @@ mod tests {
         let rec = Recorder::enabled();
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let c = rec.counter("hits");
+                let rec = rec.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        c.add(1);
+                        rec.add("hits", 1);
                     }
                 })
             })

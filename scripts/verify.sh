@@ -288,4 +288,19 @@ if ! grep 'JobMsg::Run' tests/wire_contract.rs >/dev/null; then
   exit 1
 fi
 
+echo "==> one way to run a job"
+# JobMsg::Run is the only way to run a job (DESIGN.md §6d): the
+# asynchronous verbs, their job states and the Client methods that sent
+# them stay gone, and their wire tags stay retired (§6c).
+if grep -rnE --include='*.rs' \
+    'JobState|JobMsg::(Submit|Accepted|Status|StatusIs|Cancel|Result)\b' \
+    src crates tests examples | grep -v '^crates/ladder/'; then
+  echo "verify: FAIL — a retired job verb or JobState is back"
+  exit 1
+fi
+if non_test crates/server/src/client.rs | grep -E 'fn (submit|status|cancel|result)\b'; then
+  echo "verify: FAIL — Client grew an asynchronous job method again"
+  exit 1
+fi
+
 echo "verify: OK"

@@ -10,6 +10,7 @@
 //! driver on its own lane above them) and a flat summary whose traffic
 //! counters equal the executed [`cip_runtime::TrafficLog`] exactly.
 
+use crate::service::TraceTotals;
 use crate::staging::{stage_batch, with_staged_inputs, Chain};
 use crate::worker::{BatchSpec, PoolConfig, WorkerPool};
 use cip_core::{
@@ -410,33 +411,13 @@ impl TraceReport {
         self.recorder.summary().expect("trace recorder is always enabled")
     }
 
-    /// The executed totals as a JSON object (the `totals` field of
-    /// `summary.json`).
-    pub fn totals_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"k\":{},\"steps\":{},\"halo\":{},\"shipments\":{},",
-                "\"migrated\":{},\"contact_pairs\":{},\"repartitions\":{},",
-                "\"rank_losses\":{}}}"
-            ),
-            self.k,
-            self.steps,
-            self.halo,
-            self.shipments,
-            self.migrated,
-            self.contact_pairs,
-            self.repartitions,
-            self.rank_losses,
-        )
-    }
-
     /// The full `summary.json` document: executed totals next to the
     /// telemetry summary, wrapped in the shared results envelope
     /// ([`cip_core::RESULTS_SCHEMA`]).
     pub fn summary_json(&self) -> String {
         let payload = format!(
             "{{\"totals\":{},\"telemetry\":{}}}",
-            self.totals_json(),
+            TraceTotals::from_report(self).to_json(),
             self.summary().to_json()
         );
         cip_core::results_document("trace-summary", &payload)

@@ -125,7 +125,6 @@ fn oracle_mcml_dt(sim: &SimResult, cfg: &McmlDtConfig) -> Vec<SnapshotMetrics> {
         let mut upd_comm = 0;
         let repartition_now = match cfg.update {
             UpdatePolicy::Fixed => false,
-            UpdatePolicy::PerStep => i > 0,
             UpdatePolicy::Hybrid { period } => i > 0 && i % period == 0,
         };
         if repartition_now {
@@ -275,7 +274,7 @@ fn mcml_dt_metrics_equal_the_view_oracle_under_every_policy() {
     for k in KS {
         let paper = McmlDtConfig::paper(k);
         let hybrid = McmlDtConfig { update: UpdatePolicy::Hybrid { period: 5 }, ..paper.clone() };
-        let per_step = McmlDtConfig { update: UpdatePolicy::PerStep, ..paper.clone() };
+        let per_step = McmlDtConfig { update: UpdatePolicy::Hybrid { period: 1 }, ..paper.clone() };
         let diffuse = |c: &McmlDtConfig| McmlDtConfig {
             repartition_method: RepartitionMethod::Diffusion,
             ..c.clone()

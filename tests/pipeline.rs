@@ -77,7 +77,8 @@ fn sequence_metrics_follow_the_penetration() {
 fn update_policies_are_consistent_on_snapshot_zero() {
     let s = sim();
     let fixed = McmlDtConfig::paper(3);
-    let per_step = McmlDtConfig { update: UpdatePolicy::PerStep, ..McmlDtConfig::paper(3) };
+    let per_step =
+        McmlDtConfig { update: UpdatePolicy::Hybrid { period: 1 }, ..McmlDtConfig::paper(3) };
     let (m_fixed, _) = evaluate_mcml_dt(&s, &fixed);
     let (m_step, _) = evaluate_mcml_dt(&s, &per_step);
     // Snapshot 0 is identical under every policy (no update happened yet).

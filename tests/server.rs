@@ -2,20 +2,19 @@
 //! the in-process oracle.
 //!
 //! The service's correctness contract is bit-identity: totals fetched
-//! through submit → queue → worker → wire must equal, byte for byte,
+//! through run → queue → worker → wire must equal, byte for byte,
 //! the totals of a direct [`run_traced`] call with the same options —
-//! under client concurrency, from the content-hash cache, after
-//! cancellations, and with chaos-mode fault injection in the job — and
+//! under client concurrency, from the content-hash cache, after invalid
+//! payloads, and with chaos-mode fault injection in the job — and
 //! whether the job ran its own simulation or shared one from the
 //! server's memo.
 
-use cip::server::{
-    Client, ClientConfig, JobMsg, JobOutcome, JobState, Server, ServerConfig, ServerError,
-};
+use cip::server::{Client, ClientConfig, JobMsg, JobOutcome, Server, ServerConfig, ServerError};
 use cip::service::{JobRequest, TraceJobRunner, TraceTotals};
 use cip::trace::{run_traced, ChaosOptions, RunControl, Session, SimSpec, TraceOptions};
 use cip_telemetry::Recorder;
 use cip_transport::frame::{read_frame, write_frame, ReadError};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
@@ -39,9 +38,8 @@ fn oracle_totals(opts: &TraceOptions) -> TraceTotals {
     TraceTotals::from_report(&report)
 }
 
-fn submit_and_fetch(client: &mut Client, opts: &TraceOptions) -> (TraceTotals, bool) {
-    let job = client.submit(&JobRequest::new(opts.clone()).encode()).expect("submit");
-    let (outcome, cached) = client.result(job).expect("result");
+fn run_and_fetch(client: &mut Client, opts: &TraceOptions) -> (TraceTotals, bool) {
+    let (outcome, cached) = client.run_job(&JobRequest::new(opts.clone()).encode()).expect("run");
     match outcome {
         JobOutcome::Done { payload } => {
             (TraceTotals::decode(&payload).expect("totals decode"), cached)
@@ -95,7 +93,7 @@ fn concurrent_clients_get_bit_identical_totals() {
             let mixes = Arc::clone(&mixes);
             thread::spawn(move || {
                 let mut client = Client::connect(&addr).expect("client connects");
-                submit_and_fetch(&mut client, &mixes[i]).0
+                run_and_fetch(&mut client, &mixes[i]).0
             })
         })
         .collect();
@@ -121,17 +119,17 @@ fn repeat_submissions_hit_the_cache_bit_identically() {
     let (server, addr, rec) = start_server(2);
 
     let mut first_client = Client::connect(&addr).expect("client 1");
-    let (first, cached_first) = submit_and_fetch(&mut first_client, &opts);
+    let (first, cached_first) = run_and_fetch(&mut first_client, &opts);
     assert!(!cached_first, "first submission must compute");
 
     let mut second_client = Client::connect(&addr).expect("client 2");
-    let (second, cached_second) = submit_and_fetch(&mut second_client, &opts);
+    let (second, cached_second) = run_and_fetch(&mut second_client, &opts);
     assert!(cached_second, "identical resubmission must hit the cache");
     assert_eq!(second, first, "cached totals must be bit-identical");
     assert_eq!(second.encode(), first.encode());
 
     // A different seed is a different payload — cache miss.
-    let (third, cached_third) = submit_and_fetch(&mut second_client, &tiny_opts(3, 14));
+    let (third, cached_third) = run_and_fetch(&mut second_client, &tiny_opts(3, 14));
     assert!(!cached_third);
     let _ = third;
 
@@ -141,54 +139,6 @@ fn repeat_submissions_hit_the_cache_bit_identically() {
     assert_eq!(stats.completed, 2, "the cached reply must not recompute");
     assert_eq!(rec.counter_value("server.jobs.cache_hits"), 1);
     assert_eq!(rec.counter_value("server.jobs.submitted"), 3);
-}
-
-/// Cancelling jobs — one mid-flight, one straight after submission —
-/// must leave the worker pool fully serviceable: a subsequent job on the
-/// same server completes with oracle-identical totals.
-#[test]
-fn cancel_leaves_the_pool_serviceable() {
-    let (server, addr, _rec) = start_server(1);
-    let mut client = Client::connect(&addr).expect("client connects");
-
-    // Occupy the single worker, then pile up and cancel a second job.
-    let blocker_opts = TraceOptions::builder()
-        .scenario("head_on")
-        .k(4)
-        .snapshots(8)
-        .seed(3)
-        .repartition_period(Some(2))
-        .build()
-        .expect("valid options");
-    let blocker = client.submit(&JobRequest::new(blocker_opts).encode()).expect("submit blocker");
-    let queued = client.submit(&JobRequest::new(tiny_opts(2, 77)).encode()).expect("submit queued");
-
-    let state = client.cancel(queued).expect("cancel queued");
-    assert!(
-        matches!(state, JobState::Cancelled | JobState::Running | JobState::Done),
-        "unexpected state after cancel: {state:?}"
-    );
-    let (outcome, _) = client.result(queued).expect("queued outcome");
-    assert!(
-        matches!(outcome, JobOutcome::Cancelled | JobOutcome::Done { .. }),
-        "cancel must yield a clean outcome, got {outcome:?}"
-    );
-
-    // Cancel the blocker mid-run; the session winds down at a batch
-    // boundary (or finishes if it already passed the last one).
-    client.cancel(blocker).expect("cancel blocker");
-    let (outcome, _) = client.result(blocker).expect("blocker outcome");
-    assert!(
-        matches!(outcome, JobOutcome::Cancelled | JobOutcome::Done { .. }),
-        "mid-job cancel must yield a clean outcome, got {outcome:?}"
-    );
-
-    // The pool must still serve fresh work, bit-identically.
-    let opts = tiny_opts(2, 21);
-    let expected = oracle_totals(&opts);
-    let (totals, _) = submit_and_fetch(&mut client, &opts);
-    assert_eq!(totals, expected, "post-cancel job must match the oracle");
-    assert!(server.stats().completed >= 1);
 }
 
 /// A chaos-seeded job (deterministic message faults + a scripted rank
@@ -218,7 +168,7 @@ fn chaos_job_through_the_job_api_matches_the_oracle() {
 
     let (_server, addr, _rec) = start_server(2);
     let mut client = Client::connect(&addr).expect("client connects");
-    let (totals, _) = submit_and_fetch(&mut client, &opts);
+    let (totals, _) = run_and_fetch(&mut client, &opts);
     assert_eq!(totals, expected, "chaos job must match the direct chaos run");
 }
 
@@ -235,14 +185,13 @@ fn catalog_and_invalid_payloads() {
     assert!(names.contains(&"head_on") && names.contains(&"tiny"), "{names:?}");
     assert_eq!(info.max_payload, ServerConfig::default().max_payload as u64);
 
-    let job = client.submit(&[0xFF, 0xEE]).expect("garbage submits fine");
-    let (outcome, _) = client.result(job).expect("result");
+    let (outcome, _) = client.run_job(&[0xFF, 0xEE]).expect("garbage runs fine");
     assert!(matches!(outcome, JobOutcome::Failed { .. }), "got {outcome:?}");
 
     // The server survives: a real job still works.
     let opts = tiny_opts(2, 1);
     let expected = oracle_totals(&opts);
-    let (totals, _) = submit_and_fetch(&mut client, &opts);
+    let (totals, _) = run_and_fetch(&mut client, &opts);
     assert_eq!(totals, expected);
 }
 
@@ -264,15 +213,14 @@ fn oversized_requests_fail_typed_and_the_server_survives() {
         ("max_batch", TraceOptions { max_batch: huge, ..base.clone() }),
     ];
     for (field, opts) in hostile {
-        let job = client.submit(&JobRequest::new(opts).encode()).expect("submits fine");
-        let (outcome, _) = client.result(job).expect("result");
+        let (outcome, _) = client.run_job(&JobRequest::new(opts).encode()).expect("runs fine");
         match outcome {
             JobOutcome::Failed { reason } => assert!(reason.contains(field), "{field}: {reason}"),
             other => panic!("{field} = 2^40 was not refused: {other:?}"),
         }
     }
     assert_eq!(server.stats().panicked, 0, "{:?}", server.stats());
-    let (totals, _) = submit_and_fetch(&mut client, &base);
+    let (totals, _) = run_and_fetch(&mut client, &base);
     assert_eq!(totals, oracle_totals(&base));
 }
 
@@ -354,8 +302,8 @@ fn exchange(stream: &mut TcpStream, request: &JobMsg) -> JobMsg {
 }
 
 /// A `Run` is one exchange: one `ResultIs` per request, cold and then
-/// from the cache, each the bytes of a direct run, and no job record
-/// outlives its reply.
+/// from the cache, each the bytes of a direct run. Its job record lives
+/// only while the `Run` waits, so none outlives the reply.
 #[test]
 fn a_run_is_one_exchange_and_leaves_no_job_behind() {
     let opts = tiny_opts(2, 31);
@@ -363,20 +311,14 @@ fn a_run_is_one_exchange_and_leaves_no_job_behind() {
     let (server, addr, _rec) = start_server(1);
     let mut stream = TcpStream::connect(&addr).expect("raw connect");
     let payload = JobRequest::new(opts).encode();
-    let mut ids = Vec::new();
     for (ticket, want_cached) in [(1, false), (2, true)] {
         match exchange(&mut stream, &JobMsg::Run { ticket, payload: payload.clone() }) {
-            JobMsg::ResultIs { job_id, outcome, cached } => {
+            JobMsg::ResultIs { outcome, cached, .. } => {
                 assert_eq!(cached, want_cached, "run {ticket}");
                 assert_eq!(outcome, JobOutcome::Done { payload: expected.clone() }, "run {ticket}");
-                ids.push(job_id);
             }
             other => panic!("run {ticket} got {other:?}"),
         }
-    }
-    for job_id in ids {
-        let reply = exchange(&mut stream, &JobMsg::Status { job_id });
-        assert_eq!(reply, JobMsg::StatusIs { job_id, state: JobState::Failed }, "job {job_id}");
     }
     let stats = server.stats();
     assert_eq!((stats.submitted, stats.completed, stats.cache_hits), (2, 1, 1), "{stats:?}");
@@ -400,4 +342,34 @@ fn run_job_returns_a_rejection_after_one_attempt() {
     }
     let stats = server.stats();
     assert_eq!((stats.rejected, stats.submitted), (1, 0), "{stats:?}");
+}
+
+/// The frame `Submit { ticket: 7, payload: [1, 2, 3, 255] }` had under
+/// the retired tag 1 (the wire contract's golden for it).
+const RETIRED_SUBMIT_FRAME: &str =
+    "010100000000000000000000000000000000000000000c000000b64a667f0700000004000000010203ff";
+
+/// A client still speaking the retired asynchronous API is refused like
+/// any corrupt frame: its connection is dropped, the server counts it,
+/// and a `Run` on a fresh connection is served as before.
+#[test]
+fn a_retired_submit_frame_is_refused_and_the_server_survives() {
+    let (_server, addr, rec) = start_server(1);
+    let frame: Vec<u8> = (0..RETIRED_SUBMIT_FRAME.len() / 2)
+        .map(|i| u8::from_str_radix(&RETIRED_SUBMIT_FRAME[2 * i..2 * i + 2], 16).expect("hex"))
+        .collect();
+    let mut old = TcpStream::connect(&addr).expect("raw connect");
+    old.write_all(&frame).expect("write the retired frame");
+    old.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
+    let mut sink = [0u8; 64];
+    let got = old.read(&mut sink);
+    assert!(matches!(got, Ok(0) | Err(_)), "expected a dropped connection, got {got:?}");
+    assert_eq!(rec.counter_value("server.recv_corrupt"), 1);
+
+    let opts = tiny_opts(2, 3);
+    let mut client = Client::connect(&addr).expect("fresh client connects");
+    let (outcome, cached) =
+        client.run_job(&JobRequest::new(opts.clone()).encode()).expect("job runs");
+    assert!(!cached);
+    assert_eq!(outcome, JobOutcome::Done { payload: direct_bytes(&opts) });
 }

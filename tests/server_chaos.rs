@@ -140,8 +140,7 @@ fn quiet_proxy_is_transparent() {
         .expect("proxy starts");
     let mut client =
         Client::connect(&proxy.addr().to_string()).expect("client connects through the proxy");
-    let job = client.submit(&JobRequest::new(opts).encode()).expect("submit");
-    let (outcome, cached) = client.result(job).expect("result");
+    let (outcome, cached) = client.run_job(&JobRequest::new(opts).encode()).expect("run");
     let JobOutcome::Done { payload } = outcome else { panic!("job did not finish: {outcome:?}") };
     assert!(!cached);
     assert_eq!(TraceTotals::decode(&payload).expect("decode"), expected);
@@ -219,9 +218,9 @@ fn live_server_counts_and_drops_corrupt_frames() {
     use std::io::{Read, Write};
     let (server, rec) = start_server(1);
 
-    // A tampered Submit frame: valid header shape, corrupted payload.
+    // A tampered Run frame: valid header shape, corrupted payload.
     let mut buf = Vec::new();
-    encode_frame(&JobMsg::Submit { ticket: 1, payload: vec![9; 32] }, 0, &mut buf);
+    encode_frame(&JobMsg::Run { ticket: 1, payload: vec![9; 32] }, 0, &mut buf);
     let last = buf.len() - 1;
     buf[last] ^= 0xFF;
     let mut evil = std::net::TcpStream::connect(server.addr()).expect("connect");

@@ -16,14 +16,16 @@
 //! driver exchanges only with the `cip-worker` processes it spawned from
 //! its own build. Every other sample's bytes are the original dump's,
 //! except `JobMsg::Run` (tag 13), which is newer than the dump: its golden
-//! is the derived codec's and repeats `Submit`'s layout under its own tag.
+//! is the derived codec's and repeats the retired tag 1's layout under its
+//! own tag. The ten goldens of the retired `JobMsg` tags 1, 2 and 4–7 stay
+//! as `RETIRED_JOBMSG`, and every one must now be refused.
 
 mod common;
 
 use cip::runtime::{
     Fate, FaultPlan, FaultRates, KillSpec, Msg, RankBatchOutcome, RankResult, ShippedElement,
 };
-use cip::server::{CatalogEntry, JobMsg, JobOutcome, JobState, ServerStats};
+use cip::server::{CatalogEntry, JobMsg, JobOutcome, ServerStats};
 use cip::service::{JobRequest, TraceTotals};
 use cip::trace::{ChaosOptions, TraceOptions};
 use cip::worker::{Ctrl, RunSpec};
@@ -132,23 +134,8 @@ fn jobmsg_samples() -> Vec<Sample<JobMsg>> {
         CatalogEntry { name: "head_on".into(), summary: String::new() },
     ];
     let result_is = |job_id, outcome, cached| JobMsg::ResultIs { job_id, outcome, cached };
-    let mut samples = vec![
-        (JobMsg::Submit { ticket: 7, payload: vec![1, 2, 3, 255] }, vec![4]),
-        (JobMsg::Accepted { ticket: 7, job_id: 42 }, vec![]),
+    vec![
         (JobMsg::Rejected { ticket: 9, reason: "queue full".into() }, vec![4]),
-        (JobMsg::Status { job_id: 42 }, vec![]),
-    ];
-    let states = [
-        JobState::Queued,
-        JobState::Running,
-        JobState::Done,
-        JobState::Failed,
-        JobState::Cancelled,
-    ];
-    samples.extend(states.map(|state| (JobMsg::StatusIs { job_id: 42, state }, vec![])));
-    samples.extend([
-        (JobMsg::Cancel { job_id: 42 }, vec![]),
-        (JobMsg::Result { job_id: 42 }, vec![]),
         (result_is(42, JobOutcome::Done { payload: b"totals".to_vec() }, true), vec![10]),
         (result_is(1, JobOutcome::Failed { reason: "x".into() }, false), vec![10]),
         (result_is(2, JobOutcome::Cancelled, false), vec![]),
@@ -157,8 +144,7 @@ fn jobmsg_samples() -> Vec<Sample<JobMsg>> {
         (JobMsg::Catalog, vec![]),
         (JobMsg::CatalogIs { entries, max_payload: 4096 }, vec![8, 12, 20, 33, 44]),
         (JobMsg::Run { ticket: 7, payload: vec![1, 2, 3, 255] }, vec![4]),
-    ]);
-    samples
+    ]
 }
 
 fn request_samples() -> Vec<JobRequest> {
@@ -195,6 +181,12 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len() / 2)
+        .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
+        .collect()
+}
+
 /// Sample `i`, framed for rank `to`, is exactly `golden[i]`.
 fn assert_golden<M: Wire + std::fmt::Debug>(samples: &[Sample<M>], to: u32, golden: &[&str]) {
     assert_eq!(samples.len(), golden.len());
@@ -219,9 +211,7 @@ fn msg_frames_keep_the_contract_and_the_golden_bytes() {
 /// none can mis-read it. `WIRE_VERSION` therefore did not move.
 #[test]
 fn a_v1_single_element_frame_is_refused_not_misread() {
-    let v1: Vec<u8> = (0..V1_ELEMENT_FRAME.len() / 2)
-        .map(|i| u8::from_str_radix(&V1_ELEMENT_FRAME[2 * i..2 * i + 2], 16).expect("hex"))
-        .collect();
+    let v1 = unhex(V1_ELEMENT_FRAME);
     assert_eq!(
         decode_frame::<Msg>(&v1).map(drop),
         Err(WireError::Malformed { what: "declared count exceeds payload" })
@@ -245,13 +235,25 @@ fn jobmsg_frames_keep_the_contract_and_the_golden_bytes() {
     wire_contract(&jobmsg_samples());
     assert_golden(&jobmsg_samples(), 0, GOLDEN_JOBMSG);
     // Bulk payloads take the one-`memcpy` path; size is no special case.
-    let big = JobMsg::Submit { ticket: 1, payload: (0..100_000u32).map(|i| i as u8).collect() };
+    let big = JobMsg::Run { ticket: 1, payload: (0..100_000u32).map(|i| i as u8).collect() };
     let mut buf = Vec::new();
     encode_frame(&big, 0, &mut buf);
     assert_eq!(
         decode_frame::<JobMsg>(&buf).map(|(msg, _, used)| (msg, used)),
         Ok((big, buf.len()))
     );
+}
+
+/// The retired asynchronous job verbs' frames are well formed — header,
+/// CRC and all — and still refused: their tags are never reused.
+#[test]
+fn retired_jobmsg_frames_are_refused_as_bad_tags() {
+    for want in RETIRED_JOBMSG {
+        let frame = unhex(want);
+        let got = frame[1];
+        assert!([1, 2, 4, 5, 6, 7].contains(&got), "{want}");
+        assert_eq!(decode_frame::<JobMsg>(&frame).map(drop), Err(WireError::BadTag { got }));
+    }
 }
 
 #[test]
@@ -367,18 +369,8 @@ const GOLDEN_CTRL: &[&str] = &[
 ];
 
 const GOLDEN_JOBMSG: &[&str] = &[
-    "010100000000000000000000000000000000000000000c000000b64a667f0700000004000000010203ff",
-    "010200000000000000000000000000000000000000000c000000f70aec74070000002a00000000000000",
     "0103000000000000000000000000000000000000000012000000fa878c10090000000a0000007175657565206675\
      6c6c",
-    "0104000000000000000000000000000000000000000008000000b07683d02a00000000000000",
-    "0105000000000000000000000000000000000000000009000000c457a7e02a0000000000000000",
-    "01050000000000000000000000000000000000000000090000005267a0972a0000000000000001",
-    "0105000000000000000000000000000000000000000009000000e836a90e2a0000000000000002",
-    "01050000000000000000000000000000000000000000090000007e06ae792a0000000000000003",
-    "0105000000000000000000000000000000000000000009000000dd93cae72a0000000000000004",
-    "0106000000000000000000000000000000000000000008000000565766bd2a00000000000000",
-    "0107000000000000000000000000000000000000000008000000a5c7948b2a00000000000000",
     "01080000000000000000000000000000000000000000140000001ad2b28b2a00000000000000010006000000746f\
      74616c73",
     "010800000000000000000000000000000000000000000f000000c9df6fae010000000000000000010100000078",
@@ -391,6 +383,22 @@ const GOLDEN_JOBMSG: &[&str] = &[
     "010c0000000000000000000000000000000000000000300000009c0c3c4300100000000000000200000004000000\
      74696e7909000000756e6974207465737407000000686561645f6f6e00000000",
     "010d00000000000000000000000000000000000000000c00000077b193cd0700000004000000010203ff",
+];
+
+/// The frames of the retired `JobMsg` tags, as the last encoder that
+/// knew them wrote them: `Submit`, `Accepted`, `Status`, `StatusIs` for
+/// each of the five job states, `Cancel` and `Result`.
+const RETIRED_JOBMSG: &[&str] = &[
+    "010100000000000000000000000000000000000000000c000000b64a667f0700000004000000010203ff",
+    "010200000000000000000000000000000000000000000c000000f70aec74070000002a00000000000000",
+    "0104000000000000000000000000000000000000000008000000b07683d02a00000000000000",
+    "0105000000000000000000000000000000000000000009000000c457a7e02a0000000000000000",
+    "01050000000000000000000000000000000000000000090000005267a0972a0000000000000001",
+    "0105000000000000000000000000000000000000000009000000e836a90e2a0000000000000002",
+    "01050000000000000000000000000000000000000000090000007e06ae792a0000000000000003",
+    "0105000000000000000000000000000000000000000009000000dd93cae72a0000000000000004",
+    "0106000000000000000000000000000000000000000008000000565766bd2a00000000000000",
+    "0107000000000000000000000000000000000000000008000000a5c7948b2a00000000000000",
 ];
 
 const GOLDEN_REQUEST: &[&str] = &[
