@@ -25,12 +25,10 @@ pub mod filter;
 pub mod grid;
 mod hull;
 pub mod local;
-pub mod node_search;
 pub mod search;
 
 pub use exchange::{build_exchange, distributed_contact_pairs, serial_contact_pairs, Exchange};
 pub use filter::{BboxFilter, DtreeFilter, GlobalFilter, RcbRegionFilter};
 pub use grid::{GridScratch, UniformGrid};
 pub use local::{find_contact_pairs, search_contact_zone, ContactPair, ZoneSearch};
-pub use node_search::{find_node_face_contacts, NodeFaceContact};
 pub use search::{global_search, n_remote, SurfaceElementInfo};

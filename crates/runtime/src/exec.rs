@@ -21,8 +21,8 @@
 //! bounded by [`ExecOptions::timeout`] with [`ExecOptions::retries`]
 //! repair rounds; peers still unaccounted for after that are declared
 //! dead and the batch fails with [`crate::RuntimeError::RankLost`]
-//! carrying the survivors' partial output, so the driver can repartition
-//! over the survivors and re-execute. All of this lives behind
+//! naming them, so the driver can repartition over the survivors and
+//! re-execute the step. All of this lives behind
 //! [`FaultInjector`]: with a step's injector disabled (the default) the
 //! send path is the plain streaming loop plus one `Option` discriminant
 //! test per message, and the receive side needs no history, no dedup
@@ -430,9 +430,9 @@ pub(crate) fn search_rank<F: GlobalFilter<3> + Sync>(
     (pairs, zone.active)
 }
 
-/// Folds the per-rank results (dead ranks contribute nothing) into one
+/// Folds one step's `k` per-rank results, in rank order, into one
 /// [`StepOutput`].
-pub(crate) fn aggregate(k: usize, partials: Vec<Option<RankResult>>) -> StepOutput {
+pub(crate) fn aggregate(k: usize, results: impl Iterator<Item = RankResult>) -> StepOutput {
     let mut traffic = TrafficLog {
         k,
         halo: vec![0; k * k],
@@ -441,8 +441,7 @@ pub(crate) fn aggregate(k: usize, partials: Vec<Option<RankResult>>) -> StepOutp
     };
     let mut contact_pairs = Vec::new();
     let mut ghost_mismatches = 0;
-    for (r, res) in partials.into_iter().enumerate() {
-        let Some(res) = res else { continue };
+    for (r, res) in results.enumerate() {
         for dest in 0..k {
             traffic.halo[r * k + dest] += res.halo_sent[dest];
             traffic.shipments[r * k + dest] += res.shipments_sent[dest];
@@ -722,7 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn killed_rank_reports_rank_lost_with_partial_output() {
+    fn killed_rank_reports_rank_lost_naming_the_dead() {
         let (d, positions, elements, bodies) = two_rank_setup();
         let boxes: Vec<(u32, Aabb<3>)> = elements.iter().map(|e| (e.owner, e.bbox)).collect();
         let filter = BboxFilter::from_boxes(&boxes, 2);
@@ -748,13 +747,7 @@ mod tests {
         )
         .expect_err("a killed rank must surface as an error");
         match err {
-            RuntimeError::RankLost { dead, partial } => {
-                assert_eq!(dead, vec![1]);
-                // The survivor's row of the traffic matrix is intact; the
-                // dead rank's row is empty.
-                assert!(partial.traffic.sent_by(0).0 > 0, "survivor halo row missing");
-                assert_eq!(partial.traffic.sent_by(1), (0, 0), "dead rank must contribute nothing");
-            }
+            RuntimeError::RankLost { dead } => assert_eq!(dead, vec![1]),
             other => panic!("expected RankLost, got {other}"),
         }
         assert_eq!(rec.counter_value("fault.killed_ranks"), 1);

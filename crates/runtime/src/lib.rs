@@ -78,15 +78,12 @@ pub enum RuntimeError {
         /// The panicking rank.
         rank: u32,
     },
-    /// One or more ranks died mid-step. The survivors drained what they
-    /// could; `partial` holds their aggregated output so the driver can
-    /// inspect it before repartitioning over the `k - dead.len()`
-    /// survivors and re-executing the step.
+    /// One or more ranks died mid-step. The step produced nothing the
+    /// driver keeps: it repartitions over the `k - dead.len()` survivors
+    /// and re-executes the step.
     RankLost {
         /// The dead ranks, ascending.
         dead: Vec<u32>,
-        /// Aggregated output of the surviving ranks.
-        partial: Box<StepOutput>,
     },
     /// The transport layer failed before or during the step: mesh
     /// construction, socket I/O, or a fatal wire-format violation.
@@ -99,13 +96,9 @@ impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::RankPanicked { rank } => write!(f, "rank {rank} panicked during the step"),
-            Self::RankLost { dead, partial } => write!(
-                f,
-                "{} rank(s) lost mid-step ({:?}); {} survivor pairs salvaged",
-                dead.len(),
-                dead,
-                partial.contact_pairs.len()
-            ),
+            Self::RankLost { dead } => {
+                write!(f, "{} rank(s) lost mid-step ({dead:?})", dead.len())
+            }
             Self::Transport(e) => write!(f, "transport failed: {e}"),
         }
     }
@@ -153,19 +146,7 @@ mod tests {
     fn runtime_error_display_names_the_culprits() {
         let e = RuntimeError::RankPanicked { rank: 3 };
         assert!(e.to_string().contains("rank 3"));
-        let e = RuntimeError::RankLost {
-            dead: vec![1, 2],
-            partial: Box::new(StepOutput {
-                contact_pairs: Vec::new(),
-                traffic: TrafficLog {
-                    k: 4,
-                    halo: vec![0; 16],
-                    shipments: vec![0; 16],
-                    phases: PhaseTraffic::default(),
-                },
-                ghost_mismatches: 0,
-            }),
-        };
+        let e = RuntimeError::RankLost { dead: vec![1, 2] };
         let s = e.to_string();
         assert!(s.contains("[1, 2]"), "{s}");
         let _dyn: &dyn std::error::Error = &e;

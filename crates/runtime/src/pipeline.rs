@@ -268,12 +268,10 @@ pub enum RankBatchOutcome {
         done: Vec<RankResult>,
     },
     /// Gave up on `dead` peers after exhausting the repair budget at
-    /// step `done.len()`; `partial` holds what that step received.
+    /// step `done.len()`, which the driver re-executes.
     Lost {
         /// Full results for the steps completed before the stall.
         done: Vec<RankResult>,
-        /// Best-effort result for the failed step.
-        partial: Option<RankResult>,
         /// The peers declared dead.
         dead: Vec<u32>,
     },
@@ -577,7 +575,7 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                 Err(_) => {
                     let dead = inb.mig.unaccounted();
                     span.set_attr("stalled_peers", dead.len());
-                    return RankBatchOutcome::Lost { done: results, partial: None, dead };
+                    return RankBatchOutcome::Lost { done: results, dead };
                 }
             }
         }
@@ -666,8 +664,11 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                             // Data-satisfied but the completion round
                             // stalled: the uncompleted peers are the ones
                             // in trouble, and the last step cannot commit.
-                            let (dead, partial) = (inb.uncompleted(), results.pop());
-                            return RankBatchOutcome::Lost { done: results, partial, dead };
+                            results.pop();
+                            return RankBatchOutcome::Lost {
+                                done: results,
+                                dead: inb.uncompleted(),
+                            };
                         }
                     }
                 }
@@ -714,37 +715,29 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             }
             // The mesh closed or the repair budget is spent.
             Err(_) if killed.is_some() => return RankBatchOutcome::Dead { done: results },
-            Err(_) => return lose_step(r, k, steps, &inb, &send, completed, results),
+            Err(_) => return lose_step(k, &inb, completed, results),
         }
     }
 }
 
-/// Builds the `Lost` outcome for a rank stalled at `completed`: names
-/// the unaccounted peers and salvages a best-effort result for the
-/// failed step from whatever did arrive.
-fn lose_step<F: GlobalFilter<3> + Sync>(
-    r: usize,
+/// Builds the `Lost` outcome for a rank stalled at step `completed`: it
+/// blames the peers unaccounted for in that step or, failing that (the
+/// completion round handles `completed == n`), the peers that never
+/// completed the batch.
+fn lose_step(
     k: usize,
-    steps: &[StepInput<'_, F>],
     inb: &Inbound,
-    send: &[StepSend],
     completed: usize,
     results: Vec<RankResult>,
 ) -> RankBatchOutcome {
-    let s = completed;
-    if s >= steps.len() {
-        // Cannot happen (the completion round handles `completed == n`),
-        // but stay total: blame the peers that never completed.
-        return RankBatchOutcome::Lost { done: results, partial: None, dead: inb.uncompleted() };
-    }
-    let mut dead = inb.recv[s].unaccounted(inb.chaos[s].is_some(), k);
+    let mut dead = match inb.recv.get(completed) {
+        Some(rs) => rs.unaccounted(inb.chaos[completed].is_some(), k),
+        None => Vec::new(),
+    };
     if dead.is_empty() {
         dead = inb.uncompleted();
     }
-    let input = &steps[s];
-    let (pairs, _) = search_rank(&input.decomposition.ranks[r], input, &inb.recv[s].received);
-    let partial = send[s].result(pairs, inb.recv[s].ghost_mismatches);
-    RankBatchOutcome::Lost { done: results, partial: Some(partial), dead }
+    RankBatchOutcome::Lost { done: results, dead }
 }
 
 /// Executes a batch of steps, one thread per seat of the connected mesh
@@ -769,9 +762,9 @@ fn lose_step<F: GlobalFilter<3> + Sync>(
 /// Errors carry the committed prefix: [`BatchError::completed`] holds
 /// the outputs of every step all ranks finished before the failure, and
 /// [`BatchError::error`] says why step [`BatchError::failed_step`]
-/// failed — [`RuntimeError::RankLost`] with the survivors' partial
-/// output when ranks died (the caller is expected to repartition over
-/// the survivors and re-execute), [`RuntimeError::RankPanicked`], or
+/// failed — [`RuntimeError::RankLost`] naming the dead when ranks died
+/// (the caller is expected to repartition over the survivors and
+/// re-execute), [`RuntimeError::RankPanicked`], or
 /// [`RuntimeError::Transport`] for a batch that does not fit the mesh.
 pub fn execute_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     steps: &[StepInput<'_, F>],
@@ -834,28 +827,21 @@ pub fn collect_batch(
     let mut killed: Vec<u32> = Vec::new();
     let mut declared: Vec<u32> = Vec::new();
     let mut done: Vec<std::vec::IntoIter<RankResult>> = Vec::with_capacity(k);
-    let mut partials: Vec<Option<RankResult>> = Vec::with_capacity(k);
     let mut commit = n;
     for (r, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            RankBatchOutcome::Completed(res) => {
-                commit = commit.min(res.len());
-                done.push(res.into_iter());
-                partials.push(None);
-            }
-            RankBatchOutcome::Dead { done: res } => {
+        let res = match outcome {
+            RankBatchOutcome::Completed(res) => res,
+            RankBatchOutcome::Dead { done } => {
                 killed.push(r as u32);
-                commit = commit.min(res.len());
-                done.push(res.into_iter());
-                partials.push(None);
+                done
             }
-            RankBatchOutcome::Lost { done: res, partial, dead } => {
+            RankBatchOutcome::Lost { done, dead } => {
                 declared.extend(dead);
-                commit = commit.min(res.len());
-                done.push(res.into_iter());
-                partials.push(partial);
+                done
             }
-        }
+        };
+        commit = commit.min(res.len());
+        done.push(res.into_iter());
     }
 
     // Commit the prefix every rank finished: these steps aggregate all k
@@ -865,8 +851,8 @@ pub fn collect_batch(
     // lost step.
     let mut outputs = Vec::with_capacity(commit);
     for rec in recorders.iter().take(commit) {
-        let step_results: Vec<Option<RankResult>> = done.iter_mut().map(|it| it.next()).collect();
-        let out = aggregate(k, step_results);
+        // Every rank holds at least `commit` results: one from each.
+        let out = aggregate(k, done.iter_mut().filter_map(|it| it.next()));
         rec.add("traffic.halo_units", out.traffic.phases.halo_units);
         rec.add("traffic.shipment_units", out.traffic.total_shipments());
         let p = &out.traffic.phases;
@@ -888,20 +874,11 @@ pub fn collect_batch(
     }
     dead.sort_unstable();
     dead.dedup();
-    // Salvage a partial output for the failed step from whatever each
-    // rank has: a rank that progressed past `commit` contributes its full
-    // result, a stalled rank its partial, a dead rank nothing.
-    let salvage: Vec<Option<RankResult>> = done
-        .iter_mut()
-        .zip(partials.iter_mut())
-        .map(|(it, p)| it.next().or_else(|| p.take()))
-        .collect();
-    let partial = aggregate(k, salvage);
     recorders[commit].add("recovery.rank_dead", dead.len() as u64);
     Err(BatchError {
         completed: outputs,
         failed_step: commit,
-        error: RuntimeError::RankLost { dead, partial: Box::new(partial) },
+        error: RuntimeError::RankLost { dead },
     })
 }
 
@@ -1101,10 +1078,7 @@ mod tests {
         assert_eq!(err.failed_step, 2);
         assert_eq!(err.completed.len(), 2);
         match &err.error {
-            RuntimeError::RankLost { dead, partial } => {
-                assert_eq!(dead, &vec![1]);
-                assert_eq!(partial.traffic.sent_by(1), (0, 0), "dead rank contributes nothing");
-            }
+            RuntimeError::RankLost { dead } => assert_eq!(dead, &vec![1]),
             other => panic!("expected RankLost, got {other}"),
         }
         // The committed steps match a clean run of the same prefix.

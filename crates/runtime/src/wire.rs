@@ -35,8 +35,10 @@ codec_struct!(RankResult {
     ghost_mismatches
 });
 
+// Tag 2 (`Lost` with a salvaged partial result) is retired and never
+// reused.
 codec_enum!(RankBatchOutcome {
     0 => Completed(done),
     1 => Dead { done },
-    2 => Lost { done, partial, dead },
+    3 => Lost { done, dead },
 });

@@ -34,14 +34,14 @@
 //!   counts the caught panic (`server.workers.respawned`) and keeps
 //!   serving — jobs share only immutable memo entries, and a job that
 //!   does not complete adds none — so pool capacity is invariant.
-//! * **Deadlines bound every job.** [`ServerConfig::job_deadline`] is
-//!   threaded into the runner via [`JobContext::deadline`] (the traced
-//!   runner turns it into a `RunControl` time budget) and enforced where
-//!   the outcome is observed: a job's `Run` waiter sleeps no longer than
-//!   the job's deadline, then cancels it and finalizes it as a typed
+//! * **Deadlines bound every job.** The server alone owns
+//!   [`ServerConfig::job_deadline`] and enforces it where the outcome is
+//!   observed: a job's `Run` waiter sleeps no longer than the job's
+//!   deadline, then trips its [`CancelToken`] and finalizes it as a typed
 //!   deadline failure, so a wedged runner can never hold a waiter
-//!   hostage. The shutdown drain and a late-returning worker apply the
-//!   same rule.
+//!   hostage. The shutdown drain applies the same rule, and `finalize`
+//!   turns any outcome that arrives past the deadline into one. A runner
+//!   learns of an overrun only through its token.
 //! * **The result cache is bounded** by entry count and byte budget
 //!   with least-recently-used eviction (`server.cache.evictions`,
 //!   `cache_bytes` in [`ServerStats`]). Memo entries live in the same
@@ -118,7 +118,7 @@ pub enum JobError {
         reason: String,
     },
     /// The job overran its [`ServerConfig::job_deadline`]; the server
-    /// (or the runner's own budget checkpoint) stopped it.
+    /// tripped its cancel token and reported it so.
     DeadlineExceeded {
         /// The deadline that was exceeded, in milliseconds.
         limit_ms: u64,
@@ -146,13 +146,9 @@ impl std::error::Error for JobError {}
 pub struct JobContext {
     /// Trips on shutdown drain timeout, or when the job overruns its
     /// deadline. Runners should poll it at their checkpoints and return
-    /// [`JobError::Cancelled`].
+    /// [`JobError::Cancelled`]; the server owns the deadline and reports
+    /// an overrun job as [`JobError::DeadlineExceeded`] itself.
     pub cancel: CancelToken,
-    /// The per-job wall-clock deadline, if the server enforces one.
-    /// Runners with internal budget support (the traced session) should
-    /// thread it into their own budget so they stop cooperatively at a
-    /// clean boundary before the server has to force the issue.
-    pub deadline: Option<Duration>,
     /// The server's memo: immutable values shared across jobs.
     pub memo: Memo,
 }
@@ -806,7 +802,6 @@ fn worker_loop<R: JobRunner>(shared: &Shared<R>, wid: usize) {
                     }
                     let ctx = JobContext {
                         cancel: job.cancel.clone(),
-                        deadline: shared.job_deadline,
                         memo: Memo {
                             inner: Arc::clone(&shared.inner),
                             rec: shared.rec.clone(),

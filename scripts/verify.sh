@@ -303,4 +303,21 @@ if non_test crates/server/src/client.rs | grep -E 'fn (submit|status|cancel|resu
   exit 1
 fi
 
+echo "==> a lost step is re-run, not salvaged"
+# A rank loss reports only who died (DESIGN.md §6b): the driver re-runs
+# the step over the survivors, so no partial step output is searched,
+# sent or folded — the loss outcome, its wire layout and RuntimeError
+# carry no `partial` field. And the server alone owns a job's deadline
+# (§6e): JobContext hands the runner its cancel token, not a deadline
+# to budget by.
+if non_test crates/runtime/src/{lib,pipeline,wire}.rs | grep -E '\bpartial\b[[:space:]]*[:,}]'; then
+  echo "verify: FAIL — a rank loss salvages a partial step output again"
+  exit 1
+fi
+if non_test crates/server/src/lib.rs | sed -n '/pub struct JobContext {/,/^[^ ]*:}/p' \
+    | grep -E 'pub deadline\b'; then
+  echo "verify: FAIL — JobContext hands the runner a deadline again"
+  exit 1
+fi
+
 echo "verify: OK"

@@ -18,15 +18,15 @@
 //!
 //! [`TraceJobRunner`] implements [`JobRunner`] on top of
 //! [`Session`]: build → advance (with the job's
-//! [`cip_runtime::CancelToken`] checked at every batch boundary, and
-//! the server's per-job deadline threaded in as the session's time
-//! budget) → totals. Jobs share only immutable memo entries: the
+//! [`cip_runtime::CancelToken`] checked at every batch boundary; the
+//! server alone owns the job's deadline and trips that token when it
+//! passes) → totals. Jobs share only immutable memo entries: the
 //! simulation of each (scenario, snapshots) pair, kept in the server's
 //! memo ([`cip_server::Memo`]) together with the mesh topology it
 //! caches. Every session allocates its own partitioner scratch.
 
 use crate::trace::{
-    ChaosOptions, RunBudget, RunControl, Session, TraceError, TraceOptions, TraceReport,
+    Advance, ChaosOptions, RunControl, Session, TraceError, TraceOptions, TraceReport,
 };
 use cip_server::{CatalogEntry, JobContext, JobError, JobRunner};
 use cip_sim::{scenarios, SimResult};
@@ -189,21 +189,12 @@ impl JobRunner for TraceJobRunner {
             })
         })
         .map_err(classify)?;
-        // The server's per-job deadline becomes the session's time
-        // budget, so an overrunning trace stops cooperatively at a
-        // batch boundary — the server only has to force the issue for
-        // runners that ignore their budget.
-        let ctrl = RunControl {
-            cancel: ctx.cancel.clone(),
-            budget: RunBudget { max_time: ctx.deadline, ..RunBudget::default() },
-        };
-        match session.advance(&ctrl).map_err(classify)? {
-            crate::trace::Advance::Cancelled => return Err(JobError::Cancelled),
-            crate::trace::Advance::BudgetExhausted => {
-                let limit_ms = ctx.deadline.map_or(0, |d| d.as_millis() as u64);
-                return Err(JobError::DeadlineExceeded { limit_ms });
-            }
-            crate::trace::Advance::Finished => {}
+        // The session polls the job's token at every batch boundary; the
+        // server trips it on an overrun deadline or a drain, and turns
+        // the outcome of an overrun job into a deadline failure.
+        let ctrl = RunControl { cancel: ctx.cancel.clone(), ..RunControl::default() };
+        if session.advance(&ctrl).map_err(classify)? == Advance::Cancelled {
+            return Err(JobError::Cancelled);
         }
         let report = session.into_report();
         report.verify_totals().map_err(classify)?;

@@ -29,7 +29,7 @@ use cip_transport::{ChannelMailbox, InProcess, TransportError, WireError};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A failed traced run — every way [`run_traced`] / [`Session`] can go
 /// wrong, as a typed error instead of a formatted string, so callers
@@ -253,9 +253,28 @@ impl TraceOptions {
                 return reject(field, &format!("must be between 1 and {max}, got {value}"));
             }
         }
+        // A surviving rank waits up to `timeout_ms × (retries + 1)` on a
+        // stalled peer without polling any cancel token, so these bound
+        // how long a job can hold a server worker past its deadline.
+        const MAX_CHAOS_TIMEOUT_MS: u64 = 60_000;
+        const MAX_CHAOS_RETRIES: u32 = 32;
         if let Some(c) = &self.chaos {
             if c.timeout_ms == 0 {
                 return reject("chaos", "drain timeout must be non-zero");
+            }
+            if c.timeout_ms > MAX_CHAOS_TIMEOUT_MS {
+                let got = c.timeout_ms;
+                return reject(
+                    "chaos",
+                    &format!("drain timeout exceeds {MAX_CHAOS_TIMEOUT_MS} ms, got {got}"),
+                );
+            }
+            if c.retries > MAX_CHAOS_RETRIES {
+                let got = c.retries;
+                return reject(
+                    "chaos",
+                    &format!("more than {MAX_CHAOS_RETRIES} repair rounds, got {got}"),
+                );
             }
             if c.rates.in_order().iter().any(|&permille| permille > 1000) {
                 return reject("chaos", "a fault rate exceeds 1000 permille");
@@ -452,26 +471,23 @@ pub struct RunControl {
     /// down cleanly and returns [`Advance::Cancelled`]. Committed steps
     /// stay committed — the session can still report what it executed.
     pub cancel: CancelToken,
-    /// Step/time budget for this `advance` call.
+    /// Step budget for this `advance` call.
     pub budget: RunBudget,
 }
 
-/// A step/time budget for one [`Session::advance`] call — the unit a
-/// job scheduler hands out per quantum. Either bound may be `None`
-/// (unlimited); both are checked at batch boundaries, so a budget never
-/// tears a batch.
+/// A step budget for one [`Session::advance`] call — the quantum a
+/// caller slices a session into. `None` is unlimited; the bound is
+/// checked at batch boundaries, so a budget never tears a batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunBudget {
     /// Commit at most this many steps in this call.
     pub max_steps: Option<usize>,
-    /// Stop starting new batches after this much wall time.
-    pub max_time: Option<Duration>,
 }
 
 impl RunBudget {
     /// A budget of at most `n` committed steps.
     pub fn steps(n: usize) -> Self {
-        Self { max_steps: Some(n), max_time: None }
+        Self { max_steps: Some(n) }
     }
 }
 
@@ -480,8 +496,8 @@ impl RunBudget {
 pub enum Advance {
     /// Every step has been executed; [`Session::into_report`] is ready.
     Finished,
-    /// The step/time budget ran out at a batch boundary; call `advance`
-    /// again to continue.
+    /// The step budget ran out at a batch boundary; call `advance` again
+    /// to continue.
     BudgetExhausted,
     /// The cancel token tripped; the session stops scheduling batches.
     Cancelled,
@@ -672,7 +688,6 @@ impl Session {
     /// boundaries, so batches always commit (or recover) whole.
     pub fn advance(&mut self, ctrl: &RunControl) -> Result<Advance, TraceError> {
         let start_step = self.next_step;
-        let t0 = Instant::now();
         let rec = self.rec.clone();
         let k = self.opts.k;
         let max_batch = self.opts.max_batch.max(1);
@@ -684,11 +699,6 @@ impl Session {
             }
             if let Some(max) = ctrl.budget.max_steps {
                 if self.next_step - start_step >= max {
-                    return Ok(Advance::BudgetExhausted);
-                }
-            }
-            if let Some(limit) = ctrl.budget.max_time {
-                if t0.elapsed() >= limit {
                     return Ok(Advance::BudgetExhausted);
                 }
             }

@@ -234,9 +234,9 @@ fn outcome_fits(outcome: &RankBatchOutcome, live_k: usize, steps: usize) -> bool
     match outcome {
         RankBatchOutcome::Completed(done) => done.len() == steps && done.iter().all(fits),
         RankBatchOutcome::Dead { done } => done.len() < steps && done.iter().all(fits),
-        RankBatchOutcome::Lost { done, partial, dead } => {
+        RankBatchOutcome::Lost { done, dead } => {
             done.len() < steps
-                && done.iter().chain(partial).all(fits)
+                && done.iter().all(fits)
                 && !dead.is_empty()
                 && dead.iter().all(|&d| (d as usize) < live_k)
         }
@@ -681,10 +681,10 @@ mod tests {
             RankBatchOutcome::Completed(vec![sample_result(1)]),
             RankBatchOutcome::Completed(vec![sample_result(1); steps + 1]),
             RankBatchOutcome::Dead { done: full() },
-            RankBatchOutcome::Lost { done: full(), partial: None, dead: vec![1] },
-            RankBatchOutcome::Lost { done: Vec::new(), partial: Some(short), dead: vec![1] },
-            RankBatchOutcome::Lost { done: Vec::new(), partial: None, dead: vec![live_k as u32] },
-            RankBatchOutcome::Lost { done: Vec::new(), partial: None, dead: Vec::new() },
+            RankBatchOutcome::Lost { done: full(), dead: vec![1] },
+            RankBatchOutcome::Lost { done: vec![short], dead: vec![1] },
+            RankBatchOutcome::Lost { done: Vec::new(), dead: vec![live_k as u32] },
+            RankBatchOutcome::Lost { done: Vec::new(), dead: Vec::new() },
         ];
         for outcome in hostile {
             let done = Ctrl::Done { outcome, stats: TransportStats::default() };
@@ -711,11 +711,7 @@ mod tests {
             RankBatchOutcome::Completed(full()),
             RankBatchOutcome::Dead { done: vec![sample_result(0)] },
             RankBatchOutcome::Dead { done: Vec::new() },
-            RankBatchOutcome::Lost {
-                done: vec![sample_result(2)],
-                partial: Some(sample_result(0)),
-                dead: vec![0, 2],
-            },
+            RankBatchOutcome::Lost { done: vec![sample_result(2)], dead: vec![0, 2] },
         ] {
             assert!(outcome_fits(&outcome, live_k, steps), "refused {outcome:?}");
         }

@@ -6,9 +6,9 @@
 //! * **zero-cost arming** — an armed all-zero-rate plan produces output
 //!   bit-identical to the disabled injector;
 //! * **rank loss** — killing any rank makes the step fail with a typed
-//!   [`RuntimeError::RankLost`] carrying the survivors' partial output,
-//!   and the traced driver recovers by repartitioning over the survivors
-//!   while still detecting exactly the clean run's contact pairs;
+//!   [`RuntimeError::RankLost`] naming exactly the victim, and the traced
+//!   driver recovers by repartitioning over the survivors and re-running
+//!   the step while still detecting exactly the clean run's contact pairs;
 //! * **message faults** (seeded sweep) — under random drop/duplicate/delay/
 //!   reorder rates the repair protocol converges: the step succeeds, the
 //!   detected pairs equal the serial oracle, and the traffic invariants
@@ -72,7 +72,7 @@ fn armed_quiet_plan_is_bit_identical_to_disabled() {
 }
 
 #[test]
-fn killing_each_rank_is_detected_and_survivors_report_partials() {
+fn killing_each_rank_is_detected_as_rank_lost() {
     for k in [2usize, 3, 4] {
         for victim in 0..k as u32 {
             let plan = FaultPlan {
@@ -86,12 +86,7 @@ fn killing_each_rank_is_detected_and_survivors_report_partials() {
             };
             let (out, _) = run_step(k, FaultInjector::with_plan(plan), &opts);
             match out {
-                Err(RuntimeError::RankLost { dead, partial }) => {
-                    assert_eq!(dead, vec![victim], "k={k}");
-                    // The dead rank sent nothing; survivors' rows exist.
-                    let (h, s) = partial.traffic.sent_by(victim as usize);
-                    assert_eq!((h, s), (0, 0), "k={k} victim={victim}");
-                }
+                Err(RuntimeError::RankLost { dead }) => assert_eq!(dead, vec![victim], "k={k}"),
                 other => panic!("k={k} victim={victim}: expected RankLost, got {other:?}"),
             }
         }

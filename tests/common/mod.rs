@@ -5,15 +5,14 @@
 #![allow(dead_code)]
 
 use cip::contact::{
-    serial_contact_pairs, ContactPair, DtreeFilter, GlobalFilter, NodeFaceContact,
-    SurfaceElementInfo,
+    serial_contact_pairs, ContactPair, DtreeFilter, GlobalFilter, SurfaceElementInfo,
 };
 use cip::core::{
     contact_graph, decompose, face_bodies, gather, merge_live, repartition_step, surface_elements,
     FeCost, McmlDtConfig, RepartitionMethod,
 };
 use cip::dtree::{induce, refresh, DecisionTree, DtreeConfig};
-use cip::geom::{Aabb, Point};
+use cip::geom::Aabb;
 use cip::graph::{Graph, GraphBuilder};
 use cip::partition::PartitionerConfig;
 use cip::runtime::{
@@ -259,33 +258,6 @@ pub fn brute_force_pairs<const D: usize>(
         }
     }
     pairs
-}
-
-/// The node-face oracle, likewise by trying every (node, face): bodies
-/// differ, the face box is non-empty, meets the node's inflated point box
-/// and lies within `tolerance` of the node.
-pub fn brute_force_node_faces<const D: usize>(
-    nodes: &[Point<D>],
-    node_body: &[u16],
-    faces: &[Aabb<D>],
-    face_body: &[u16],
-    tolerance: f64,
-) -> Vec<NodeFaceContact> {
-    let mut hits = Vec::new();
-    for (n, p) in nodes.iter().enumerate() {
-        let q = Aabb::from_point(*p).inflate(tolerance);
-        for (f, face) in faces.iter().enumerate() {
-            let dist2 = face.dist2_to_point(p);
-            if node_body[n] != face_body[f]
-                && !face.is_empty()
-                && q.intersects(face)
-                && dist2 <= tolerance * tolerance
-            {
-                hits.push(NodeFaceContact { node: n as u32, face: f as u32, dist2 });
-            }
-        }
-    }
-    hits
 }
 
 /// Re-derives a frame's checksum after tampering, so the targeted

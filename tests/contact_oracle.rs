@@ -3,8 +3,8 @@
 //! Every "distributed == serial" check in the tree compares
 //! `find_contact_pairs` with itself, so a pair the body-aware cull wrongly
 //! dropped would vanish from both sides. Here the searches are held to
-//! `common::brute_force_pairs` / `common::brute_force_node_faces`, which
-//! try every combination and share no code with them: seeded sweeps in 2-D
+//! `common::brute_force_pairs`, which tries every combination and shares
+//! no code with them: seeded sweeps in 2-D
 //! and 3-D over 1–6 bodies with sparse ids, empty boxes, clouds that
 //! overlap, touch or sit apart, and coordinates on the 0.1 lattice, where
 //! `x + t` and `y − t` round differently — the case the cull's two-sided
@@ -12,10 +12,10 @@
 
 mod common;
 
-use cip::contact::{find_contact_pairs, find_node_face_contacts, search_contact_zone};
+use cip::contact::{find_contact_pairs, search_contact_zone};
 use cip::geom::{Aabb, Point};
 use cip_transport::splitmix64;
-use common::{brute_force_node_faces, brute_force_pairs};
+use common::brute_force_pairs;
 use std::array::from_fn;
 
 /// Sparse body ids, the ends of `u16` among them: a table indexed by the
@@ -192,30 +192,4 @@ fn interleaved_bodies_keep_every_element_active() {
         assert_eq!(zone.pairs, brute_force_pairs(&boxes, &body, 0.0));
         assert_eq!(zone.pairs.len(), 59, "each box touches its successor, of another body");
     }
-}
-
-#[test]
-fn node_face_search_equals_the_brute_force_oracle_on_seeded_surfaces() {
-    fn sweep<const D: usize>(cases: u64) -> usize {
-        let mut found = 0;
-        for seed in 0..cases {
-            let mut d = Draws { seed: seed ^ common::env_seed(), i: 0 };
-            let (faces, face_body, tolerance) = random_surface::<D>(&mut d);
-            // Nodes: the low corners of a second surface's boxes.
-            let (from, from_body, _) = random_surface::<D>(&mut d);
-            let (nodes, node_body): (Vec<Point<D>>, Vec<u16>) = from
-                .iter()
-                .zip(&from_body)
-                .filter(|(b, _)| !b.is_empty())
-                .map(|(b, &body)| (b.min, body))
-                .unzip();
-            let hits = find_node_face_contacts(&nodes, &node_body, &faces, &face_body, tolerance);
-            let oracle = brute_force_node_faces(&nodes, &node_body, &faces, &face_body, tolerance);
-            assert_eq!(hits, oracle, "{D}-D seed {seed}, tolerance {tolerance}");
-            found += oracle.len();
-        }
-        found
-    }
-    let (found2, found3) = (sweep::<2>(300), sweep::<3>(300));
-    assert!(found2 > 1000 && found3 > 200, "{found2} / {found3} contacts over the sweeps");
 }

@@ -195,11 +195,19 @@ fn catalog_and_invalid_payloads() {
     assert_eq!(totals, expected);
 }
 
-/// A payload may carry any `u64` where a size goes; sizes past the
-/// validation ceilings are refused as a typed configuration error at
-/// `Session::build` — never handed to an allocator or a thread spawner,
-/// whose failure would abort the process where no `catch_unwind` can
-/// catch it. Nothing panics, and the server keeps serving.
+/// A chaos plan that kills rank 1 at step 1, with the given drain
+/// timeout and repair rounds.
+fn stall(timeout_ms: u64, retries: u32) -> ChaosOptions {
+    ChaosOptions { kill: Some((1, 1)), timeout_ms, retries, ..ChaosOptions::default() }
+}
+
+/// A payload may carry any `u64` where a size or a wait goes; values
+/// past the validation ceilings are refused as a typed configuration
+/// error at `Session::build` — never handed to an allocator or a thread
+/// spawner, whose failure would abort the process where no
+/// `catch_unwind` can catch it, nor to a drain wait that would hold a
+/// worker past any deadline. Nothing panics, and the server keeps
+/// serving.
 #[test]
 fn oversized_requests_fail_typed_and_the_server_survives() {
     let (server, addr, _rec) = start_server(1);
@@ -211,12 +219,16 @@ fn oversized_requests_fail_typed_and_the_server_survives() {
         ("snapshots", TraceOptions { snapshots: Some(huge), ..base.clone() }),
         ("lookahead", TraceOptions { lookahead: huge, ..base.clone() }),
         ("max_batch", TraceOptions { max_batch: huge, ..base.clone() }),
+        // A kill makes survivors wait `timeout × (retries + 1)` on the
+        // victim, deaf to the job's cancel token.
+        ("chaos", TraceOptions { chaos: Some(stall(u64::MAX, 2)), ..base.clone() }),
+        ("chaos", TraceOptions { chaos: Some(stall(300, u32::MAX)), ..base.clone() }),
     ];
     for (field, opts) in hostile {
         let (outcome, _) = client.run_job(&JobRequest::new(opts).encode()).expect("runs fine");
         match outcome {
             JobOutcome::Failed { reason } => assert!(reason.contains(field), "{field}: {reason}"),
-            other => panic!("{field} = 2^40 was not refused: {other:?}"),
+            other => panic!("an oversized {field} was not refused: {other:?}"),
         }
     }
     assert_eq!(server.stats().panicked, 0, "{:?}", server.stats());
@@ -372,4 +384,37 @@ fn a_retired_submit_frame_is_refused_and_the_server_survives() {
         client.run_job(&JobRequest::new(opts.clone()).encode()).expect("job runs");
     assert!(!cached);
     assert_eq!(outcome, JobOutcome::Done { payload: direct_bytes(&opts) });
+}
+
+/// The server alone owns a job's deadline: the `Run` waiter trips the
+/// job's token and answers with the deadline failure, and the session
+/// stops on that token at its next batch boundary, so shutdown finds
+/// every worker back and abandons none.
+#[test]
+fn overdue_jobs_fail_on_the_deadline_and_their_sessions_stop() {
+    let cfg = ServerConfig {
+        workers: 1,
+        job_deadline: Some(Duration::from_millis(1)),
+        ..ServerConfig::default()
+    };
+    let (mut server, addr, rec) = start_server_with(cfg);
+    let mut client = Client::connect(&addr).expect("client connects");
+    for seed in [1, 2] {
+        let opts = TraceOptions::builder()
+            .scenario("head_on")
+            .k(2)
+            .snapshots(4)
+            .seed(seed)
+            .build()
+            .expect("valid options");
+        let (outcome, _) = client.run_job(&JobRequest::new(opts).encode()).expect("runs fine");
+        match outcome {
+            JobOutcome::Failed { reason } => assert!(reason.contains("deadline"), "{reason}"),
+            other => panic!("seed {seed}: expected a deadline failure, got {other:?}"),
+        }
+    }
+    let stats = server.stats();
+    assert_eq!((stats.deadline_exceeded, stats.panicked), (2, 0), "{stats:?}");
+    server.shutdown();
+    assert_eq!(rec.counter_value("server.workers.abandoned"), 0);
 }

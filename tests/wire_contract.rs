@@ -18,7 +18,10 @@
 //! except `JobMsg::Run` (tag 13), which is newer than the dump: its golden
 //! is the derived codec's and repeats the retired tag 1's layout under its
 //! own tag. The ten goldens of the retired `JobMsg` tags 1, 2 and 4–7 stay
-//! as `RETIRED_JOBMSG`, and every one must now be refused.
+//! as `RETIRED_JOBMSG`, and every one must now be refused. Likewise the
+//! two `Ctrl::Done` goldens of the retired `RankBatchOutcome` tag 2 stay
+//! as `RETIRED_CTRL`; their tag-3 successors drop the salvaged partial
+//! and are otherwise the same bytes.
 
 mod common;
 
@@ -31,7 +34,7 @@ use cip::trace::{ChaosOptions, TraceOptions};
 use cip::worker::{Ctrl, RunSpec};
 use cip_transport::chaos::{ChaosFate, ChaosPlan};
 use cip_transport::frame::{decode_frame, encode_frame};
-use cip_transport::{splitmix64, TransportStats, Wire, WireError};
+use cip_transport::{splitmix64, TransportStats, Wire, WireError, HEADER_LEN};
 use common::{decoder_contract, wire_contract};
 
 /// A message and the payload offsets of its sequence counts.
@@ -98,9 +101,8 @@ fn ctrl_samples() -> Vec<Sample<Ctrl>> {
         recv_corrupt: 1,
     };
     let completed = RankBatchOutcome::Completed(vec![result(2), result(0)]);
-    let lost =
-        RankBatchOutcome::Lost { done: vec![result(3)], partial: Some(result(1)), dead: vec![2] };
-    let stalled = RankBatchOutcome::Lost { done: Vec::new(), partial: None, dead: vec![0, 1] };
+    let lost = RankBatchOutcome::Lost { done: vec![result(3)], dead: vec![2] };
+    let stalled = RankBatchOutcome::Lost { done: Vec::new(), dead: vec![0, 1] };
     vec![
         (Ctrl::Hello { from: 3, mesh_addr: "127.0.0.1:45123".into() }, vec![0]),
         (Ctrl::Peers { mesh_addrs: vec!["127.0.0.1:1".into(), "[::1]:2".into()] }, vec![0, 4, 19]),
@@ -108,8 +110,8 @@ fn ctrl_samples() -> Vec<Sample<Ctrl>> {
         (Ctrl::Run(run_spec(false)), vec![40, 44, 48]),
         (Ctrl::Done { outcome: completed, stats }, vec![1, 5, 25, 53, 113, 117, 145]),
         (done(RankBatchOutcome::Dead { done: vec![result(1)] }), vec![1, 5, 17, 45]),
-        (done(lost), vec![1, 5, 33, 61, 122, 134, 162, 222]),
-        (done(stalled), vec![1, 6]),
+        (done(lost), vec![1, 5, 33, 61, 121]),
+        (done(stalled), vec![1, 5]),
         (Ctrl::Exit, vec![]),
     ]
 }
@@ -228,6 +230,18 @@ fn a_v1_single_element_frame_is_refused_not_misread() {
 fn ctrl_frames_keep_the_contract_and_the_golden_bytes() {
     wire_contract(&ctrl_samples());
     assert_golden(&ctrl_samples(), 0, GOLDEN_CTRL);
+}
+
+/// A worker's `Done` frame with the retired `Lost` layout is well formed
+/// and still refused: outcome tag 2 is never reused.
+#[test]
+fn retired_lost_outcomes_are_refused_as_bad_tags() {
+    for want in RETIRED_CTRL {
+        let frame = unhex(want);
+        // A `Done` payload opens with its outcome's tag.
+        assert_eq!(frame[HEADER_LEN], 2, "{want}");
+        assert_eq!(decode_frame::<Ctrl>(&frame).map(drop), Err(WireError::BadTag { got: 2 }));
+    }
 }
 
 #[test]
@@ -356,6 +370,20 @@ const GOLDEN_CTRL: &[&str] = &[
      00030000000300000000000000000000000000000007000000000000000300000000000000000000000200000000\
      00000000000000000000000500000000000000010000000000000002000000000000000000000000000000000000\
      00000000000000000000000000000000000000000000000000000000000000000000000000",
+    "01040000000000000000000000000000000000000000a9000000d341ffe003010000000300000001000000090000\
+     00010000000900000001000000090000000300000003000000000000000000000000000000070000000000000003\
+     00000000000000000000000200000000000000000000000000000005000000000000000100000000000000020000\
+     00000000000000000000000000010000000200000000000000000000000000000000000000000000000000000000\
+     000000000000000000000000000000",
+    "01040000000000000000000000000000000000000000390000000106031a03000000000200000000000000010000\
+     0000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "010500000000000000000000000000000000000000000000000050c2c716",
+];
+
+/// The `Ctrl::Done` frames whose outcome is the retired `Lost` layout
+/// (`RankBatchOutcome` tag 2, which carried a salvaged partial result),
+/// as the last encoder that knew it wrote them.
+const RETIRED_CTRL: &[&str] = &[
     "010400000000000000000000000000000000000000000e01000009f1e47c02010000000300000001000000090000\
      00010000000900000001000000090000000300000003000000000000000000000000000000070000000000000003\
      00000000000000000000000200000000000000000000000000000005000000000000000100000000000000020000\
@@ -365,7 +393,6 @@ const GOLDEN_CTRL: &[&str] = &[
      000000000000000000000000000000000000000000000000",
     "010400000000000000000000000000000000000000003a000000e97d134902000000000002000000000000000100\
      000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
-    "010500000000000000000000000000000000000000000000000050c2c716",
 ];
 
 const GOLDEN_JOBMSG: &[&str] = &[
