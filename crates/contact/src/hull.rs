@@ -2,8 +2,8 @@
 //!
 //! Contact is only ever reported between *different* bodies, and in a
 //! penetration problem the bodies touch in a small zone, so most of a
-//! surface can be rejected against a handful of boxes before any grid is
-//! built: an element can only pair with an element of body `Y` if it comes
+//! surface can be rejected against a handful of boxes before the sweep
+//! runs: an element can only pair with an element of body `Y` if it comes
 //! within the capture distance of `Y`'s hull (the AABB of `Y`'s non-empty
 //! boxes). The cost is `O(n · B)` with `B` the number of bodies *present*
 //! — the hulls live in a short list sorted by body id, never in a table

@@ -7,10 +7,18 @@
 //! inflated boxes intersect. The search is body-aware from the start: the
 //! elements are first culled to the cross-body contact zone (`hull.rs`
 //! holds the helper and the exactness argument), and only that zone — a
-//! few percent of a surface in a penetration problem — goes through the
-//! uniform-grid broad phase.
+//! few percent of a surface in a penetration problem — is swept: sorted by
+//! the lower end of its interval on one axis, each element is tested
+//! against the elements whose intervals start before its own ends.
+//!
+//! The sweep is exact for the same reason the cull is: its intervals are
+//! widened by `reach = max(t, 0)` on both ends, and by monotone rounding a
+//! reported pair has `fl(a.min − reach) ≤ fl(a.min − t) ≤ b.max ≤
+//! fl(b.max + reach)` and `fl(b.min − reach) ≤ b.min ≤ fl(a.max + t) ≤
+//! fl(a.max + reach)` on every axis, so the two widened intervals meet and
+//! the scan from whichever sorts first reaches the other. The axis changes
+//! how many candidates are tested, never which pairs are reported.
 
-use crate::grid::UniformGrid;
 use crate::hull::BodyHulls;
 use cip_base::par;
 use cip_geom::Aabb;
@@ -32,7 +40,7 @@ pub struct ZoneSearch {
     /// The candidate pairs, sorted ascending.
     pub pairs: Vec<ContactPair>,
     /// Elements within the capture distance of another body's hull — the
-    /// only ones that entered the grid.
+    /// only ones that entered the sweep.
     pub active: usize,
 }
 
@@ -41,6 +49,8 @@ pub struct ZoneSearch {
 /// in penetration problems where a body's own faces stay connected), whose
 /// boxes inflated by `tolerance` intersect.
 ///
+/// The predicate is [`search_contact_zone`]'s, and holds as stated for a
+/// negative `tolerance` too: the lower-index box shrinks, and may invert.
 /// Returns pairs sorted ascending. Deterministic.
 pub fn find_contact_pairs<const D: usize>(
     boxes: &[Aabb<D>],
@@ -54,17 +64,17 @@ pub fn find_contact_pairs<const D: usize>(
 ///
 /// The pair `(a, b)`, `a < b`, is reported when the bodies differ, both
 /// boxes are non-empty and `boxes[a].inflate(tolerance)` intersects
-/// `boxes[b]`. Elements outside the contact zone cannot satisfy that (the
-/// argument is in `hull.rs`), so the grid is built over the zone
-/// alone and only the zone queries it.
+/// `boxes[b]`, for any `tolerance`, negative ones included. Elements
+/// outside the contact zone cannot satisfy that (the argument is in
+/// `hull.rs`), so only the zone is swept.
 pub fn search_contact_zone<const D: usize>(
     boxes: &[Aabb<D>],
     body: &[u16],
     tolerance: f64,
 ) -> ZoneSearch {
     assert_eq!(boxes.len(), body.len(), "one body id per element");
-    // A negative tolerance shrinks the query inside its box; culling with
-    // zero then keeps a superset of what it can reach.
+    // A negative tolerance shrinks the query inside its box; culling and
+    // sweeping with zero then keep a superset of what it can reach.
     let reach = tolerance.max(0.0);
     let items = || body.iter().copied().zip(boxes.iter().copied());
     let all = BodyHulls::of(items(), reach);
@@ -72,27 +82,50 @@ pub fn search_contact_zone<const D: usize>(
     if hulls.len() < 2 {
         return ZoneSearch { pairs: Vec::new(), active: 0 };
     }
-    // Ascending caller indices, so `b > a` means the same in the zone.
     let active = hulls.zone(&hulls, items(), reach);
-    let zone_boxes: Vec<Aabb<D>> = active.iter().map(|&e| boxes[e as usize]).collect();
-    let zone_body: Vec<u16> = active.iter().map(|&e| body[e as usize]).collect();
-    let grid = UniformGrid::build_auto(&zone_boxes);
-    // One (stamp scratch, candidate buffer) per part, so the hot query
-    // loop does not allocate per element.
-    let mut pairs = par::flat_parts(0..active.len(), |_, zone| {
-        let (mut scratch, mut out, mut pairs) = (grid.scratch(), Vec::new(), Vec::new());
-        for a in zone {
-            let q = zone_boxes[a].inflate(tolerance);
-            let mine = zone_body[a];
-            grid.query_where(&q, &mut scratch, &mut out, |b| {
-                b as usize > a && zone_body[b as usize] != mine
-            });
-            pairs.extend(out.iter().map(|&b| ContactPair { a: active[a], b: active[b as usize] }));
+    // Sweep along the axis the zone spreads most along: the fewer
+    // intervals overlap there, the fewer candidates each row scans.
+    let spread = active.iter().fold(Aabb::empty(), |h, &e| h.union(&boxes[e as usize]));
+    let axis = (0..D).max_by(|&x, &y| spread.extent(x).total_cmp(&spread.extent(y))).unwrap_or(0);
+    let mut rows: Vec<Row<D>> = active
+        .iter()
+        .map(|&e| {
+            let bbox = boxes[e as usize];
+            let (lo, hi) = (bbox.min[axis] - reach, bbox.max[axis] + reach);
+            Row { lo, hi, e, body: body[e as usize], bbox }
+        })
+        .collect();
+    rows.sort_unstable_by(|x, y| x.lo.total_cmp(&y.lo).then(x.e.cmp(&y.e)));
+    let mut pairs = par::flat_parts(0..rows.len(), |_, part| {
+        let mut pairs = Vec::new();
+        for i in part {
+            let r = &rows[i];
+            for s in rows[i + 1..].iter().take_while(|s| s.lo <= r.hi) {
+                if s.body == r.body {
+                    continue;
+                }
+                let (a, b) = if r.e < s.e { (r, s) } else { (s, r) };
+                if a.bbox.inflate(tolerance).intersects(&b.bbox) {
+                    pairs.push(ContactPair { a: a.e, b: b.e });
+                }
+            }
         }
         pairs
     });
     pairs.sort_unstable();
     ZoneSearch { pairs, active: active.len() }
+}
+
+/// One active element in the sweep: its interval on the sweep axis,
+/// widened by the reach, and what the pair test needs, kept together so
+/// the forward scan reads one array.
+struct Row<const D: usize> {
+    lo: f64,
+    hi: f64,
+    /// The caller's index of the element.
+    e: u32,
+    body: u16,
+    bbox: Aabb<D>,
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! search-tree statistics — into one struct with a formatted rendering,
 //! for the CLI and for users validating their own decompositions.
 
+use cip_dtree::tree::DtNode;
 use cip_dtree::DecisionTree;
 use cip_graph::{edge_cut, part_fragments, total_comm_volume, Graph, Partition};
 use std::fmt::Write as _;
@@ -47,12 +48,15 @@ pub fn quality_report(
     let disconnected = fragments.iter().filter(|&&f| f > 1).count();
     let (tree_nodes, tree_depth, max_leaves) = match tree {
         Some(t) => {
-            let s = t.stats(k);
-            (
-                Some(s.nodes),
-                Some(s.depth),
-                Some(s.leaves_per_part.iter().copied().max().unwrap_or(0)),
-            )
+            let mut leaves = vec![0usize; k];
+            for node in t.nodes() {
+                if let DtNode::Leaf { part, .. } = node {
+                    if let Some(n) = leaves.get_mut(*part as usize) {
+                        *n += 1;
+                    }
+                }
+            }
+            (Some(t.num_nodes()), Some(t.depth()), Some(leaves.into_iter().max().unwrap_or(0)))
         }
         None => (None, None, None),
     };
@@ -155,5 +159,14 @@ mod tests {
         assert_eq!(r.tree_nodes, Some(3));
         assert_eq!(r.max_leaves_per_part, Some(1));
         assert!(r.render().contains("search tree: 3 nodes"));
+        // Part 0 split into two spatial fragments -> two leaves.
+        let asg = vec![0, 1, 0];
+        let pts: Vec<Point<3>> = (0..3).map(|i| Point::new([i as f64, 0.0, 0.0])).collect();
+        let tree = induce(&pts, &asg, 2, &DtreeConfig::search_tree());
+        let r = quality_report(&path(3), &asg, 2, Some(&tree));
+        assert_eq!(
+            (r.tree_nodes, r.tree_depth, r.max_leaves_per_part),
+            (Some(5), Some(2), Some(2))
+        );
     }
 }

@@ -1,75 +1,12 @@
-//! Tree inspection: statistics and Graphviz export.
+//! Tree inspection: Graphviz export.
 //!
-//! The paper discusses the search complexity in terms of tree height and
-//! the number of leaves describing each subdomain ("each subdomain will in
-//! general be described by more than one leaf node"); [`TreeStats`]
-//! quantifies exactly that, and [`DecisionTree::to_dot`] renders the tree for
-//! inspection, mirroring Figures 1(c) and 2(b).
+//! [`DecisionTree::to_dot`] renders the tree for inspection, mirroring the
+//! paper's Figures 1(c) and 2(b).
 
 use crate::tree::{DecisionTree, DtNode};
 use std::fmt::Write as _;
 
-/// Structural statistics of a decision tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeStats {
-    /// Total nodes (the NTNodes metric).
-    pub nodes: usize,
-    /// Leaf count.
-    pub leaves: usize,
-    /// Impure leaves (only non-zero for `max_i`-stopped trees or
-    /// coincident points).
-    pub impure_leaves: usize,
-    /// Maximum root-to-leaf depth.
-    pub depth: usize,
-    /// Point-weighted average leaf depth — the expected cost of locating
-    /// one contact point.
-    pub mean_point_depth: f64,
-    /// Number of leaves describing each partition (indexed by part id) —
-    /// the paper's "subdomains consist of several rectangles" measure.
-    pub leaves_per_part: Vec<usize>,
-}
-
 impl<const D: usize> DecisionTree<D> {
-    /// Computes the structural statistics of this tree for `k` parts.
-    pub fn stats(&self, k: usize) -> TreeStats {
-        let mut stats = TreeStats {
-            nodes: self.num_nodes(),
-            leaves: 0,
-            impure_leaves: 0,
-            depth: 0,
-            mean_point_depth: 0.0,
-            leaves_per_part: vec![0; k],
-        };
-        let mut total_points = 0u64;
-        let mut weighted_depth = 0u64;
-        // Iterative DFS carrying depths.
-        let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-        while let Some((at, depth)) = stack.pop() {
-            match &self.nodes()[at as usize] {
-                DtNode::Leaf { part, count, pure, .. } => {
-                    stats.leaves += 1;
-                    if !pure {
-                        stats.impure_leaves += 1;
-                    }
-                    stats.depth = stats.depth.max(depth);
-                    if (*part as usize) < k {
-                        stats.leaves_per_part[*part as usize] += 1;
-                    }
-                    total_points += u64::from(*count);
-                    weighted_depth += u64::from(*count) * depth as u64;
-                }
-                DtNode::Internal { left, right, .. } => {
-                    stack.push((*left, depth + 1));
-                    stack.push((*right, depth + 1));
-                }
-            }
-        }
-        if total_points > 0 {
-            stats.mean_point_depth = weighted_depth as f64 / total_points as f64;
-        }
-        stats
-    }
-
     /// Renders the tree in Graphviz DOT format. Internal nodes show their
     /// decision hyperplane (`x <= 4.75?` with yes/no edge labels, as in
     /// the paper's Figure 1(c)); leaves show their partition and point
@@ -115,29 +52,6 @@ mod tests {
             }
         }
         induce(&pts, &labels, 3, &DtreeConfig::search_tree())
-    }
-
-    #[test]
-    fn stats_of_banded_tree() {
-        let t = banded();
-        let s = t.stats(3);
-        assert_eq!(s.nodes, 5);
-        assert_eq!(s.leaves, 3);
-        assert_eq!(s.impure_leaves, 0);
-        assert_eq!(s.depth, 2);
-        assert_eq!(s.leaves_per_part, vec![1, 1, 1]);
-        assert!(s.mean_point_depth >= 1.0 && s.mean_point_depth <= 2.0);
-    }
-
-    #[test]
-    fn stats_count_fragmented_parts() {
-        // Part 0 split into two spatial fragments -> two leaves.
-        let pts = vec![Point::new([0.0, 0.0]), Point::new([10.0, 0.0]), Point::new([20.0, 0.0])];
-        let labels = vec![0, 1, 0];
-        let t = induce(&pts, &labels, 2, &DtreeConfig::search_tree());
-        let s = t.stats(2);
-        assert_eq!(s.leaves_per_part[0], 2);
-        assert_eq!(s.leaves_per_part[1], 1);
     }
 
     #[test]

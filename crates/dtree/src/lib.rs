@@ -32,7 +32,6 @@ mod proptests;
 pub mod refresh;
 pub mod tree;
 
-pub use export::TreeStats;
 pub use induce::{induce, induce_recorded, DtreeConfig, Splitter, StopRule};
 pub use refresh::{refresh, refresh_recorded, RefreshStats};
 pub use tree::{DecisionTree, LeafInfo};

@@ -15,22 +15,6 @@ fn points_labels_3d(rng: &mut Rng, max_pts: i64, k: u32) -> (Vec<Point<3>>, Vec<
     (pts, labels)
 }
 
-/// Structural identity: a binary tree has `2 * leaves - 1` nodes, and
-/// the stats agree with the direct counters.
-#[test]
-fn stats_are_structurally_consistent() {
-    sweep(48, |rng| {
-        let (pts, labels) = points_labels_3d(rng, 60, 3);
-        let t = induce(&pts, &labels, 3, &DtreeConfig::search_tree());
-        let s = t.stats(3);
-        assert_eq!(s.nodes, 2 * s.leaves - 1);
-        assert_eq!(s.nodes, t.num_nodes());
-        assert_eq!(s.leaves, t.num_leaves());
-        assert_eq!(s.depth, t.depth());
-        assert_eq!(s.leaves_per_part.iter().sum::<usize>(), s.leaves);
-    });
-}
-
 /// The tight query is a subset of the region query, and both contain
 /// every label owning a point in the query box.
 #[test]

@@ -136,26 +136,6 @@ impl<const D: usize> Aabb<D> {
         c
     }
 
-    /// Squared Euclidean distance from `p` to the box (0 when inside).
-    #[inline]
-    pub fn dist2_to_point(&self, p: &Point<D>) -> f64 {
-        let mut acc = 0.0;
-        for d in 0..D {
-            let c = p[d];
-            let lo = self.min[d];
-            let hi = self.max[d];
-            let delta = if c < lo {
-                lo - c
-            } else if c > hi {
-                c - hi
-            } else {
-                0.0
-            };
-            acc += delta * delta;
-        }
-        acc
-    }
-
     /// D-dimensional volume (area in 2D). Empty boxes report zero.
     pub fn volume(&self) -> f64 {
         if self.is_empty() {
@@ -231,16 +211,6 @@ mod tests {
     fn center_of_unit_box() {
         let b = boxed([0.0, 0.0], [1.0, 1.0]);
         assert_eq!(b.center(), Point::new([0.5, 0.5]));
-    }
-
-    #[test]
-    fn point_box_distance() {
-        let b = boxed([0.0, 0.0], [2.0, 2.0]);
-        assert_eq!(b.dist2_to_point(&Point::new([1.0, 1.0])), 0.0, "inside");
-        assert_eq!(b.dist2_to_point(&Point::new([2.0, 2.0])), 0.0, "on corner");
-        assert_eq!(b.dist2_to_point(&Point::new([3.0, 2.0])), 1.0, "beside");
-        assert_eq!(b.dist2_to_point(&Point::new([3.0, 3.0])), 2.0, "diagonal");
-        assert_eq!(b.dist2_to_point(&Point::new([-2.0, 1.0])), 4.0);
     }
 
     #[test]

@@ -109,16 +109,18 @@ if grep -rn --include='*.rs' 'Msg::Element {' src crates tests examples \
 fi
 
 echo "==> one broad phase"
-# The local search culls to the cross-body contact zone and rebuilds a
-# small grid per call (DESIGN.md §5, cip-contact): the incremental grid
-# cache that this replaced must not come back as a second path.
-if grep -rn --include='*.rs' -E 'SearchCache|find_contact_pairs_cached|GridUpdate' \
-    src crates tests examples | grep -v '^crates/ladder/'; then
-  echo "verify: FAIL — the incremental broad-phase cache is back"
+# The local search culls to the cross-body contact zone and sweeps it along
+# one axis (DESIGN.md §5, cip-contact): neither the uniform grid that sweep
+# replaced nor the incremental grid cache before it may come back as a
+# second path.
+if [ -e crates/contact/src/grid.rs ]; then
+  echo "verify: FAIL — crates/contact/src/grid.rs is back"
   exit 1
 fi
-if grep -n 'fn update' crates/contact/src/grid.rs; then
-  echo "verify: FAIL — UniformGrid grew an in-place update again"
+if grep -rn --include='*.rs' -E \
+    '\b(UniformGrid|GridScratch|for_each_cell|SearchCache|find_contact_pairs_cached|GridUpdate)\b' \
+    src crates tests examples | grep -v '^crates/ladder/'; then
+  echo "verify: FAIL — a grid broad phase or its incremental cache is back"
   exit 1
 fi
 
