@@ -3,7 +3,7 @@
 //! every part but the first asks for a **permit** before it forks; with no
 //! permit free it runs on the caller. The permits are one process-wide
 //! counter (`available_parallelism − 1`), so k rank threads, two server
-//! workers and a background replanner that all reach a parallel loop at
+//! workers and a boundary planner that all reach a parallel loop at
 //! once share the machine's spare cores instead of each claiming them.
 //!
 //! Results never depend on any of this: [`parts`] hands every part its

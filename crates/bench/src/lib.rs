@@ -17,11 +17,11 @@ use std::time::Instant;
 /// Workload scale selector (command-line `--scale`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// ~20k nodes; seconds per experiment. Default.
+    /// 11,785 nodes, 8,352 elements; seconds per experiment. Default.
     Small,
-    /// ~80k nodes; minutes for the full Table 1.
+    /// 44,275 nodes, 34,304 elements; minutes for the full Table 1.
     Medium,
-    /// ~150k nodes (the paper's node count).
+    /// 116,659 nodes, 95,160 elements (the paper's mesh has 156,601 nodes).
     Paper,
 }
 

@@ -35,9 +35,8 @@
 //!   duplication / delay / reorder, mid-step rank kills) behind a
 //!   zero-cost-when-disabled hook,
 //! * [`migrate`] — migration plans between successive decompositions
-//!   (the executable counterpart of the UpdComm metric),
-//! * [`replan`] — the background repartition planner that hides
-//!   migration planning behind a running batch (DESIGN.md §6b).
+//!   (the executable counterpart of the UpdComm metric; the driver plans
+//!   each repartition beside a running batch, DESIGN.md §6b).
 //!
 //! Failures surface as typed [`RuntimeError`]s instead of panics, so a
 //! driver can recover — repartition over the surviving ranks, migrate,
@@ -51,7 +50,6 @@ pub mod migrate;
 pub mod pipeline;
 pub mod plan;
 pub mod remote;
-pub mod replan;
 pub mod wire;
 
 pub use exec::{
@@ -65,7 +63,6 @@ pub use pipeline::{
 };
 pub use plan::{build_decomposition, Decomposition, HaloPlan, HaloSends, RankPlan};
 pub use remote::{connect_ranks, SteppedMailbox};
-pub use replan::Replanner;
 
 pub use cip_transport::CancelToken;
 

@@ -45,12 +45,11 @@ echo "==> no panics on the runtime step hot path"
 # The executor must fail with typed RuntimeError values, never panic:
 # scan the non-test portion (everything before #[cfg(test)]) of the
 # step executor (the rank loop and driver in pipeline.rs, the send and
-# receive primitives in exec.rs), the background repartition planner (a
-# panicked planner must degrade to the synchronous path, DESIGN.md §6b),
-# the whole transport crate (corrupt frames and dead sockets are typed
-# errors, DESIGN.md §6c), and the worker-pool driver.
+# receive primitives in exec.rs), the whole transport crate (corrupt
+# frames and dead sockets are typed errors, DESIGN.md §6c), and the
+# worker-pool driver.
 for hot_path in crates/runtime/src/exec.rs crates/runtime/src/pipeline.rs \
-    crates/runtime/src/replan.rs crates/transport/src/*.rs src/worker.rs \
+    crates/transport/src/*.rs src/worker.rs \
     crates/server/src/*.rs src/service.rs src/bin/cip-serve.rs; do
   if sed '/#\[cfg(test)\]/q' "$hot_path" \
       | grep -nE '\.unwrap\(\)|\.expect\(|panic!'; then
@@ -319,6 +318,24 @@ fi
 if non_test crates/server/src/lib.rs | sed -n '/pub struct JobContext {/,/^[^ ]*:}/p' \
     | grep -E 'pub deadline\b'; then
   echo "verify: FAIL — JobContext hands the runner a deadline again"
+  exit 1
+fi
+
+echo "==> one boundary planner"
+# The next boundary's plan is a plain value in Session, made on a scoped
+# thread beside one batch (DESIGN.md §6b): the detached planner module,
+# its versioned keys and a spawned thread in the driver stay gone.
+if [ -e crates/runtime/src/replan.rs ]; then
+  echo "verify: FAIL — crates/runtime/src/replan.rs is back"
+  exit 1
+fi
+if grep -rnwE --include='*.rs' 'Replanner|plan_version' src crates tests examples \
+    | grep -v '^crates/ladder/'; then
+  echo "verify: FAIL — a detached boundary planner or its plan version is back"
+  exit 1
+fi
+if non_test src/trace.rs | grep 'thread::spawn'; then
+  echo "verify: FAIL — the traced driver spawns a detached thread again"
   exit 1
 fi
 

@@ -21,8 +21,10 @@
 //!
 //! Steps run in batches of up to `--max-batch` on persistent rank
 //! threads; inside a batch a rank's sends may run `--lookahead` steps
-//! ahead of its drains, and the next repartition boundary is planned in
-//! the background (DESIGN.md §6b). Neither knob changes the totals.
+//! ahead of its drains, and the next repartition boundary is planned on a
+//! scoped thread beside the batch that starts with no plan stored, and
+//! kept until the boundary (DESIGN.md §6b). Neither knob changes the
+//! totals.
 //!
 //! ```text
 //! cip-trace --scenario head_on --k 8 --snapshots 20 --out results

@@ -20,7 +20,7 @@ use cip_partition::{compact_parts_after_loss, PartitionerConfig};
 use cip_runtime::{
     build_migration, collect_batch, connect_ranks, execute_steps, BatchError, CancelToken,
     ConfigError, ExecOptions, FaultInjector, FaultPlan, FaultRates, KillSpec, MigrationPlan, Msg,
-    Replanner, RuntimeError,
+    RuntimeError,
 };
 use cip_sim::{scenarios, SimConfig, SimResult};
 use cip_telemetry::{export::Summary, Recorder};
@@ -29,7 +29,7 @@ use cip_transport::{ChannelMailbox, InProcess, TransportError, WireError};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A failed traced run — every way [`run_traced`] / [`Session`] can go
 /// wrong, as a typed error instead of a formatted string, so callers
@@ -230,7 +230,7 @@ impl TraceOptions {
     /// deserialized from a job payload. [`Session::build`] calls this, so
     /// no invalid configuration reaches execution by any path.
     pub fn validate(&self) -> Result<(), TraceError> {
-        scenario_config(&self.scenario)?;
+        let snapshots = SimSpec::resolve(&self.scenario, self.snapshots)?.config.snapshots;
         let reject = |field: &'static str, reason: &str| {
             Err(TraceError::Config(ConfigError { field, reason: reason.to_string() }))
         };
@@ -278,6 +278,20 @@ impl TraceOptions {
             }
             if c.rates.in_order().iter().any(|&permille| permille > 1000) {
                 return reject("chaos", "a fault rate exceeds 1000 permille");
+            }
+            // A kill that cannot fire, or that leaves no survivor, is
+            // refused rather than ignored.
+            if let Some((step, rank)) = c.kill {
+                if self.k < 2 {
+                    return reject("chaos", "a rank kill needs k >= 2 to leave a survivor");
+                }
+                if rank as usize >= self.k || step >= snapshots {
+                    let k = self.k;
+                    return reject(
+                        "chaos",
+                        &format!("kill {step}:{rank} names no rank < {k} at a step < {snapshots}"),
+                    );
+                }
             }
         }
         Ok(())
@@ -533,8 +547,7 @@ pub struct Session {
     report: TraceReport,
     spent: Vec<bool>,
     boundaries_done: usize,
-    planner: Replanner<(Vec<u32>, MigrationPlan)>,
-    plan_version: u64,
+    next_plan: Option<(usize, (Vec<u32>, MigrationPlan))>,
     pending_migrate: Option<MigrationPlan>,
     next_step: usize,
 }
@@ -562,7 +575,7 @@ impl Session {
 
         let rec = Recorder::enabled();
         // Ranks own lanes 0..k; the driver thread sits above them, and
-        // the background repartition planner above the driver.
+        // the boundary planner beside each batch above the driver.
         rec.set_lane(k as u32);
         rec.name_lane(k as u32, "driver");
         rec.name_lane((k + 1) as u32, "planner");
@@ -652,14 +665,13 @@ impl Session {
             // the monotone region counter makes re-firing impossible by
             // construction.
             boundaries_done: 0,
-            // Repartition state (DESIGN.md §6b): the background
-            // planner, the rank-space version its plans are
-            // keyed under (bumped on every recovery, so a plan computed
-            // over dead ranks can never be applied), and a plan accepted
-            // at the last boundary whose node migration still has to
-            // ride the next batch's Migrate prologue.
-            planner: Replanner::new(),
-            plan_version: 0,
+            // Repartition state (DESIGN.md §6b): the next boundary's
+            // plan, made beside a committed batch and keyed by that
+            // boundary (a recovery drops it with the assignment it was
+            // computed from), and a plan accepted at the last boundary
+            // whose node migration still has to ride the next batch's
+            // Migrate prologue.
+            next_plan: None,
             pending_migrate: None,
             next_step: 0,
         })
@@ -705,9 +717,9 @@ impl Session {
             let i = self.next_step;
             // §4.3 hybrid policy: periodic diffusion repartition +
             // executed migration. Boundaries end every batch; the plan
-            // was computed in the background during the preceding batch
-            // and the driver only flips `node_parts` here — the
-            // migration itself rides the next batch as a prologue.
+            // was made beside an earlier batch of the region and the
+            // driver only flips `node_parts` here — the migration itself
+            // rides the next batch as a prologue.
             let period = self.opts.repartition_period.filter(|&p| p > 0);
             if let Some(period) = period {
                 let region = i / period;
@@ -717,15 +729,16 @@ impl Session {
                     && self.live_k >= 2
                 {
                     self.boundaries_done = region;
-                    let (new_node_parts, plan) =
-                        self.planner.take(i, self.plan_version, &rec).unwrap_or_else(|| {
-                            // Planner miss (nothing in flight, a stale
-                            // key, a panicked planner): plan here. The
-                            // whole plan is a stall, charged to the span
-                            // `Replanner::take` uses for its join wait.
+                    let stored = self.next_plan.take().filter(|(at, _)| *at == i);
+                    let (new_node_parts, plan) = match stored {
+                        Some((_, plan)) => plan,
+                        // Nothing stored: plan here, the same call a
+                        // recovery makes. The whole plan is a stall.
+                        None => {
                             let _stall = rec.span("repartition.stall").attr("boundary", i as u64);
                             plan_boundary(&self.sim, i, self.live_k, &self.node_parts, &self.cfg)
-                        });
+                        }
+                    };
                     self.commit_repartition(&new_node_parts, &plan);
                     if !plan.is_empty() {
                         self.pending_migrate = Some(plan);
@@ -741,30 +754,19 @@ impl Session {
             // (capped at `max_batch` so the per-batch state stays
             // small) and hand the whole stretch to the executor.
             let mut end = (i + max_batch).min(self.sim.len());
+            let mut plan_at = None;
             if let Some(period) = period {
                 let boundary = (i / period + 1) * period;
                 end = end.min(boundary);
-                // Plan the region's closing boundary in the background
-                // from the moment its inputs exist — the region's first
-                // batch, or the first after a recovery discarded the
-                // plan and bumped the version — so the plan has the whole
-                // region to hide behind, not just its last batch. The
-                // simulation snapshots are precomputed, so the planner
-                // reads exactly the inputs the boundary will read — the
-                // plan is bit-identical to the synchronous one by
-                // construction (DESIGN.md §6b, snapshot-staleness rule).
-                if self.live_k >= 2 && boundary < self.sim.len() && !self.planner.has_pending() {
-                    let sim2 = Arc::clone(&self.sim);
-                    let parts = self.node_parts.clone();
-                    let cfg2 = self.cfg.clone();
-                    let (live_k, lane) = (self.live_k, (k + 1) as u32);
-                    self.planner.submit(boundary, self.plan_version, &rec, move || {
-                        let rec2 = &cfg2.partitioner.recorder;
-                        rec2.set_lane(lane);
-                        let _compute =
-                            rec2.span("replan.compute").attr("boundary", boundary as u64);
-                        plan_boundary(&sim2, boundary, live_k, &parts, &cfg2)
-                    });
+                // Plan the region's closing boundary beside the first
+                // batch that starts with no plan stored — the region's
+                // first, or the first after a recovery dropped the plan.
+                // The simulation snapshots are precomputed, so the
+                // planner reads exactly the inputs the boundary will
+                // read — the plan is bit-identical to the synchronous one
+                // by construction (DESIGN.md §6b, snapshot-staleness rule).
+                if self.next_plan.is_none() && self.live_k >= 2 && boundary < self.sim.len() {
+                    plan_at = Some(boundary);
                 }
             }
 
@@ -782,58 +784,84 @@ impl Session {
             // A serial survivor (live_k == 1) exchanges no messages, so
             // the pool adds nothing — run it in-process like the other
             // modes.
-            let (result, carried_tree) = match self.pool.as_mut().filter(|_| self.live_k >= 2) {
-                Some(pool) => {
-                    // The workers stage the step inputs themselves
-                    // (each carries its own tree chain), so the
-                    // driver only ships its mutable state and folds the
-                    // reported outcomes — the same fold the in-process
-                    // executor applies to its joined threads.
-                    let spec = BatchSpec {
-                        start: i,
-                        end,
-                        chain_start: self.chain_start,
-                        live_k: self.live_k,
-                        epoch: self.epoch,
-                        node_parts: &self.node_parts,
-                        plans: faults.iter().map(|f| f.plan().cloned()).collect(),
-                        migrate: self.pending_migrate.as_ref(),
-                        timeout_ms: exec_opts.timeout.as_millis() as u64,
-                        retries: exec_opts.retries,
-                        lookahead: exec_opts.lookahead,
-                    };
-                    let outcomes = pool.execute_batch(&spec, &self.route, &rec);
-                    let recorders = vec![rec.clone(); end - i];
-                    (collect_batch(self.live_k, &recorders, outcomes), None)
-                }
-                None => {
-                    if self.seats.len() != self.live_k {
-                        self.seats = match &self.opts.transport {
-                            TransportKind::TcpThreads { bind } => {
-                                let tcp = Tcp { bind: bind.clone() };
-                                connect_ranks(&tcp, self.live_k, &exec_opts, &rec)
-                            }
-                            _ => connect_ranks(&InProcess, self.live_k, &exec_opts, &rec),
-                        }?;
+            let pooled = self.live_k >= 2 && self.pool.is_some();
+            if !pooled && self.seats.len() != self.live_k {
+                self.seats = match &self.opts.transport {
+                    TransportKind::TcpThreads { bind } => {
+                        let tcp = Tcp { bind: bind.clone() };
+                        connect_ranks(&tcp, self.live_k, &exec_opts, &rec)
                     }
-                    // Staging is executor-independent, so the whole
-                    // batch is prepared before any rank thread starts.
-                    let mut staged = stage_batch(
-                        &self.sim,
-                        &self.node_parts,
-                        self.live_k,
-                        &mut self.chain,
-                        i..end,
-                        &rec,
-                    );
-                    let migrate = self.pending_migrate.as_ref();
-                    let (seats, epoch) = (&mut self.seats, self.epoch);
-                    let result = with_staged_inputs(&self.sim, &staged, &rec, |inputs| {
-                        execute_steps(inputs, &faults, &exec_opts, migrate, seats, epoch)
+                    _ => connect_ranks(&InProcess, self.live_k, &exec_opts, &rec),
+                }?;
+            }
+            let (sim, node_parts, cfg, live_k) =
+                (&*self.sim, &self.node_parts, &self.cfg, self.live_k);
+            let ((result, carried_tree), planned) = std::thread::scope(|scope| {
+                // The planner borrows what the batch only reads, on a
+                // thread that lives as long as the batch.
+                let planner = plan_at.map(|boundary| {
+                    let handle = scope.spawn(move || {
+                        let rec = &cfg.partitioner.recorder;
+                        rec.set_lane((k + 1) as u32);
+                        let _compute = rec.span("replan.compute").attr("boundary", boundary as u64);
+                        let t0 = Instant::now();
+                        let plan = plan_boundary(sim, boundary, live_k, node_parts, cfg);
+                        (plan, t0.elapsed())
                     });
-                    (result, staged.pop().map(|s| s.tree))
-                }
-            };
+                    (boundary, handle)
+                });
+                let ran = match self.pool.as_mut().filter(|_| pooled) {
+                    Some(pool) => {
+                        // The workers stage the step inputs themselves
+                        // (each carries its own tree chain), so the
+                        // driver only ships its mutable state and folds the
+                        // reported outcomes — the same fold the in-process
+                        // executor applies to its joined threads.
+                        let spec = BatchSpec {
+                            start: i,
+                            end,
+                            chain_start: self.chain_start,
+                            live_k,
+                            epoch: self.epoch,
+                            node_parts,
+                            plans: faults.iter().map(|f| f.plan().cloned()).collect(),
+                            migrate: self.pending_migrate.as_ref(),
+                            timeout_ms: exec_opts.timeout.as_millis() as u64,
+                            retries: exec_opts.retries,
+                            lookahead: exec_opts.lookahead,
+                        };
+                        let outcomes = pool.execute_batch(&spec, &self.route, &rec);
+                        let recorders = vec![rec.clone(); end - i];
+                        (collect_batch(live_k, &recorders, outcomes), None)
+                    }
+                    None => {
+                        // Staging is executor-independent, so the whole
+                        // batch is prepared before any rank thread starts.
+                        let mut staged =
+                            stage_batch(sim, node_parts, live_k, &mut self.chain, i..end, &rec);
+                        let migrate = self.pending_migrate.as_ref();
+                        let (seats, epoch) = (&mut self.seats, self.epoch);
+                        let result = with_staged_inputs(sim, &staged, &rec, |inputs| {
+                            execute_steps(inputs, &faults, &exec_opts, migrate, seats, epoch)
+                        });
+                        (result, staged.pop().map(|s| s.tree))
+                    }
+                };
+                // Join after the batch: any wait here is the plan's stall.
+                let planned = planner.map(|(boundary, handle)| {
+                    let mut span = rec.span("repartition.stall").attr("boundary", boundary as u64);
+                    let waited = Instant::now();
+                    let (plan, compute) =
+                        handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                    let stall = waited.elapsed();
+                    let hidden = compute.saturating_sub(stall);
+                    span.set_attr("stall_us", stall.as_micros() as u64);
+                    span.set_attr("hidden_us", hidden.as_micros() as u64);
+                    rec.add("repartition.overlap.hidden_ms", hidden.as_millis() as u64);
+                    (boundary, plan)
+                });
+                (ran, planned)
+            });
             self.epoch += (end - i) as u32;
 
             match result {
@@ -846,8 +874,19 @@ impl Session {
                     self.pending_migrate = None;
                     self.chain.tree = carried_tree;
                     self.next_step = end;
+                    if planned.is_some() {
+                        rec.add("repartition.overlap.planned", 1);
+                        self.next_plan = planned;
+                    }
                 }
                 Err(BatchError { completed, failed_step, error }) => {
+                    // The plan made beside this batch, or stored before
+                    // it, was computed from the assignment the recovery
+                    // is about to change: drop it. The next boundary is
+                    // planned again over the survivors.
+                    if planned.or(self.next_plan.take()).is_some() {
+                        rec.add("repartition.plan.discarded", 1);
+                    }
                     for (off, out) in completed.iter().enumerate() {
                         commit_step(&mut self.report, i + off, out);
                     }
@@ -865,14 +904,6 @@ impl Session {
                     let mut span = rec.span("recovery.repartition").attr("step", failed);
                     span.set_attr("dead", dead.len());
                     self.report.rank_losses += dead.len();
-                    // The rank space is about to change: any in-flight
-                    // background plan — including one landing exactly in
-                    // this planning window — was computed over dead
-                    // ranks. Discard it and bump the version so a plan
-                    // the recovery races with can never be applied; the
-                    // next boundary is recomputed over the survivors.
-                    self.planner.discard(&rec);
-                    self.plan_version += 1;
                     self.pending_migrate = None;
                     // The survivors get a mesh of their own size.
                     self.seats.clear();
@@ -961,8 +992,8 @@ pub fn run_traced(opts: &TraceOptions) -> Result<TraceReport, TraceError> {
 /// Computes the repartition of snapshot `at` from the current
 /// assignment over the `live_k` ranks — a boundary's or a recovery's:
 /// the new node assignment and the migration plan to it. The plan is
-/// deliberately **unrecorded** — a background plan may be discarded
-/// before it is applied, and a discarded plan must not pollute the
+/// deliberately **unrecorded** — a plan made beside a batch may be
+/// dropped before it is applied, and a dropped plan must not pollute the
 /// traffic counters. [`Session::commit_repartition`] charges telemetry on
 /// acceptance. (The topology lookup does report: a topology built for a
 /// discarded plan still serves the following steps.)
@@ -1117,6 +1148,11 @@ mod tests {
         assert_eq!(resumed.contact_pairs, oneshot.contact_pairs);
         assert_eq!(resumed.migrated, oneshot.migrated);
         assert_eq!(resumed.repartitions, oneshot.repartitions);
+        // The boundary-2 plan made beside batch [0, 1) outlives that
+        // `advance` call and is the one the boundary uses.
+        assert_eq!(resumed.recorder.counter_value("repartition.overlap.planned"), 1);
+        assert_eq!(resumed.recorder.counter_value("repartition.plan.discarded"), 0);
+        assert_eq!(resumed.repartitions, 1);
         resumed.verify_totals().expect("budgeted counters stay exact");
     }
 

@@ -80,7 +80,7 @@ fn demo_mesh_partitions_and_bad_input_exits_2_with_one_line() {
 /// take is refused before any work starts.
 #[test]
 fn malformed_flag_values_exit_2_with_one_line() {
-    let trace_cases: [(&[&str], &str); 14] = [
+    let trace_cases: [(&[&str], &str); 17] = [
         (&["--k", "four"], "--k takes an integer, got 'four'"),
         (&["--snapshots", "x"], "--snapshots takes an integer"),
         (&["--seed", "x"], "--seed takes an integer"),
@@ -95,6 +95,9 @@ fn malformed_flag_values_exit_2_with_one_line() {
         (&["--transport", "carrier-pigeon"], "--transport takes inproc"),
         (&["--k", "0"], "k: must be between 1 and"),
         (&["--k"], "'--k' needs a value"),
+        (&["--scenario", "tiny", "--k", "4", "--kill", "3:9"], "chaos: kill 3:9 names no rank < 4"),
+        (&["--scenario", "tiny", "--k", "4", "--kill", "500:1"], "chaos: kill 500:1 names no rank"),
+        (&["--scenario", "tiny", "--k", "1", "--kill", "2:0"], "chaos: a rank kill needs k >= 2"),
     ];
     for (args, message) in trace_cases {
         assert_usage_error("cip-trace", args, &cip_trace(args), message);

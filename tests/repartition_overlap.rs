@@ -1,18 +1,19 @@
-//! Background-repartitioning suite against ground truth (DESIGN.md §6b).
+//! Repartition-overlap suite against ground truth (DESIGN.md §6b).
 //!
-//! The driver plans each repartition boundary on a background thread
-//! while the preceding batch executes and splices the node migration
-//! into the next batch as a `Migrate` prologue — and none of that may
-//! show in the result. This suite proves it end to end through the
+//! The driver plans each repartition boundary on a scoped thread beside
+//! the first batch of its region that starts with no plan stored, keeps
+//! the plan until the boundary, and splices the node migration into the
+//! next batch as a `Migrate` prologue — and none of that may show in the
+//! result. This suite proves it end to end through the
 //! traced driver: every executed total — halo units, element shipments,
 //! migrated nodes, contact pairs, repartition count — must equal what an
 //! independent serial loop predicts (`common::serial_reference`) at 2,
 //! 4, and 8 ranks, over every transport, under seeded message chaos (CI
 //! sweeps seeds 7/21/1337 via `CHAOS_SEED`), and a rank dying while a
-//! background plan is in flight must discard that plan and recompute it
-//! over the survivors. It also pins the repartition-boundary guard
-//! regressions: period 1 and period == max_batch fire exactly once per
-//! boundary.
+//! plan is being made beside the batch, or is stored, must drop that plan
+//! and recompute it over the survivors. It also pins the
+//! repartition-boundary guard regressions: period 1 and period ==
+//! max_batch fire exactly once per boundary.
 
 mod common;
 
@@ -50,7 +51,7 @@ fn executed_totals_equal_the_serial_reference_across_rank_counts() {
         assert_eq!(run.repartitions, 2, "k={k}: boundaries at 3 and 6");
         run.verify_totals().expect("counters equal executed traffic");
         // Every boundary charges its wait to the stall span, and the
-        // accepted background plans are accounted.
+        // stored plans are accounted.
         assert_eq!(run.summary().span("repartition.stall").map(|s| s.count), Some(2), "k={k}");
         assert!(run.recorder.counter_value("repartition.overlap.planned") >= 1, "k={k}");
         assert_eq!(run.recorder.counter_value("repartition.plan.discarded"), 0, "k={k}");
@@ -99,33 +100,45 @@ fn message_chaos_repairs_to_the_clean_totals() {
 
 #[test]
 fn kill_in_the_planning_window_discards_the_plan_and_recovers() {
-    // Step 4 sits inside batch [3, 6) — exactly while the background
-    // planner is computing boundary 6. The kill must invalidate that
-    // plan (computed over the old rank space) and the boundary must be
-    // recomputed over the survivors, landing on the totals of the
-    // one-step-at-a-time run, which has no plan in flight at step 4.
-    let chaos = ChaosOptions {
+    // First case: step 4 sits inside batch [3, 6) — exactly while the
+    // planner beside it is computing boundary 6. Second case: the
+    // boundary-6 plan is made beside batch [0, 2) and stored, and the kill
+    // at step 3 lands in batch [2, 4). Either way the plan was computed
+    // over the old rank space: the recovery must drop it and the boundary
+    // must be recomputed over the survivors, landing on the totals of the
+    // one-step-at-a-time run.
+    let kill = |step| ChaosOptions {
         seed: 13 ^ env_seed(),
-        kill: Some((4, 1)),
+        kill: Some((step, 1)),
         timeout_ms: 300,
         retries: 2,
         ..ChaosOptions::default()
     };
-    let killed = TraceOptions { chaos: Some(chaos), ..opts(3) };
-    let stepwise = run_traced(&TraceOptions { lookahead: 1, max_batch: 1, ..killed.clone() })
-        .expect("stepwise kill run");
-    let batched = run_traced(&killed).expect("batched kill run");
-    assert_eq!(totals(&batched), totals(&stepwise));
-    assert_eq!(batched.rank_losses, 1);
-    assert_eq!(stepwise.rank_losses, 1);
-    assert!(batched.repartitions >= 3, "boundaries 3 and 6 plus the recovery repartition");
-    assert!(
-        batched.recorder.counter_value("repartition.plan.discarded") >= 1,
-        "the in-flight boundary-6 plan was computed over a dead rank"
-    );
-    assert_eq!(batched.contact_pairs, serial_reference(&opts(3)).4, "pairs equal the clean run");
-    batched.verify_totals().expect("counters stay exact across a recovery");
-    stepwise.verify_totals().expect("counters stay exact across a recovery");
+    let beside = TraceOptions { chaos: Some(kill(4)), ..opts(3) };
+    let stored =
+        TraceOptions { chaos: Some(kill(3)), repartition_period: Some(6), max_batch: 2, ..opts(3) };
+    // Boundaries 3 and 6 plus the recovery; boundary 6 plus the recovery.
+    for (killed, repartitions) in [(beside, 3), (stored, 2)] {
+        let case = format!("period {:?}", killed.repartition_period);
+        let stepwise = run_traced(&TraceOptions { lookahead: 1, max_batch: 1, ..killed.clone() })
+            .expect("stepwise kill run");
+        let batched = run_traced(&killed).expect("batched kill run");
+        assert_eq!(totals(&batched), totals(&stepwise), "{case}");
+        assert_eq!(batched.rank_losses, 1, "{case}");
+        assert_eq!(stepwise.rank_losses, 1, "{case}");
+        assert!(batched.repartitions >= repartitions, "{case}");
+        assert!(
+            batched.recorder.counter_value("repartition.plan.discarded") >= 1,
+            "{case}: the boundary-6 plan was computed over a dead rank"
+        );
+        assert_eq!(
+            batched.contact_pairs,
+            serial_reference(&opts(3)).4,
+            "{case}: pairs equal the clean run"
+        );
+        batched.verify_totals().expect("counters stay exact across a recovery");
+        stepwise.verify_totals().expect("counters stay exact across a recovery");
+    }
 }
 
 #[test]
