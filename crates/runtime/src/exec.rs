@@ -15,20 +15,20 @@
 //! The protocol is fault tolerant (DESIGN.md §6b). Every payload
 //! message carries a per-`(from, to, step)` sequence number and every
 //! `Done` marker carries the count of payloads the sender
-//! first-transmitted to that receiver, so a draining rank can *detect*
-//! loss and duplication instead of miscounting, and repair loss with a
-//! `Resend` request served from the sender's history buffer. Draining is
-//! bounded by [`ExecOptions::timeout`] with [`ExecOptions::retries`]
-//! repair rounds; peers still unaccounted for after that are declared
-//! dead and the batch fails with [`crate::RuntimeError::RankLost`]
-//! naming them, so the driver can repartition over the survivors and
-//! re-execute the step. All of this lives behind
-//! [`FaultInjector`]: with a step's injector disabled (the default) the
-//! send path is the plain streaming loop plus one `Option` discriminant
-//! test per message, and the receive side needs no history, no dedup
-//! bitmap, and no completion round.
+//! first-transmitted to that receiver, so a draining rank *detects* loss
+//! and duplication on every step instead of miscounting. A step armed
+//! with a [`FaultPlan`] also repairs loss with a `Resend` request served
+//! from the sender's history buffer; a payload lost on a clean step (a
+//! frame dropped as corrupt) stalls the step.
+//! Draining is bounded by [`ExecOptions::timeout`] with
+//! [`ExecOptions::retries`] repair rounds; peers still unaccounted for
+//! after that are declared dead and the batch fails with
+//! [`crate::RuntimeError::RankLost`] naming them, so the driver can
+//! repartition over the survivors and re-execute the step. A clean step's
+//! send path is the plain streaming loop: no history, no clones and no
+//! completion round.
 
-use crate::fault::{Fate, FaultInjector};
+use crate::fault::{Fate, FaultPlan};
 use crate::plan::{Decomposition, RankPlan};
 use cip_contact::{search_contact_zone, ContactPair, GlobalFilter, SurfaceElementInfo};
 use cip_geom::{Aabb, Point};
@@ -89,9 +89,9 @@ pub enum Msg {
         /// Missing sequence numbers.
         seqs: Vec<u64>,
     },
-    /// Chaos-mode completion round: the sender has received everything
-    /// it expects and will need no further resends (only used with an
-    /// armed [`FaultInjector`]; one round per batch).
+    /// Completion round: the sender has received everything it expects
+    /// and will need no further resends (only sent in a batch with a
+    /// step armed with a [`FaultPlan`]; one round per batch).
     Complete {
         /// Sending rank.
         from: u32,
@@ -233,7 +233,7 @@ pub struct StepOutput {
 
 /// Execution policy of the step executor: drain timeout, repair budget,
 /// lookahead window, lane capacity. Fault injection travels separately,
-/// one [`FaultInjector`] per step of a batch.
+/// one `Option<FaultPlan>` per step of a batch.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// How long a draining rank waits for any message before starting a
@@ -269,7 +269,9 @@ impl ExecOptions {
 /// Per-destination chaos bookkeeping on the send side, one per armed
 /// step of a batch (histories are retained until the batch's completion
 /// round, so any step can still be repaired).
-pub(crate) struct ChaosState {
+pub(crate) struct ChaosState<'a> {
+    /// The step's fault plan.
+    pub(crate) plan: &'a FaultPlan,
     /// Every first-transmitted payload, indexed `[dest][seq]` — the
     /// resend service replays from here, bypassing injection.
     pub(crate) history: Vec<Vec<Msg>>,
@@ -279,9 +281,10 @@ pub(crate) struct ChaosState {
     pub(crate) delayed: Vec<Vec<Msg>>,
 }
 
-impl ChaosState {
-    pub(crate) fn new(k: usize) -> Self {
+impl<'a> ChaosState<'a> {
+    pub(crate) fn new(plan: &'a FaultPlan, k: usize) -> Self {
         Self {
+            plan,
             history: (0..k).map(|_| Vec::new()).collect(),
             held: (0..k).map(|_| None).collect(),
             delayed: (0..k).map(|_| Vec::new()).collect(),
@@ -293,9 +296,8 @@ impl ChaosState {
 /// recorded in the history buffer first, whatever its fate, so a `Resend`
 /// can always repair it.
 pub(crate) fn chaos_send<MB: Mailbox<Msg>>(
-    st: &mut ChaosState,
+    st: &mut ChaosState<'_>,
     mb: &mut MB,
-    fault: &FaultInjector,
     rec: &Recorder,
     me: u32,
     dest: usize,
@@ -303,7 +305,7 @@ pub(crate) fn chaos_send<MB: Mailbox<Msg>>(
 ) {
     let seq = st.history[dest].len() as u64;
     st.history[dest].push(msg.clone());
-    let fate = fault.fate(me, dest as u32, seq);
+    let fate = st.plan.fate(me, dest as u32, seq);
     match fate {
         Fate::Deliver => {
             mb.send(dest, msg);
@@ -461,7 +463,7 @@ pub(crate) fn aggregate(k: usize, results: impl Iterator<Item = RankResult>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultRates, KillSpec};
+    use crate::fault::{FaultRates, KillSpec};
     use crate::pipeline::execute_steps;
     use crate::plan::build_decomposition;
     use crate::remote::connect_ranks;
@@ -509,7 +511,7 @@ mod tests {
     /// One step through the batch executor: a one-element slice.
     fn execute_one(
         input: StepInput<'_, BboxFilter<3>>,
-        fault: FaultInjector,
+        fault: Option<FaultPlan>,
         opts: &ExecOptions,
     ) -> Result<StepOutput, RuntimeError> {
         let k = input.decomposition.k;
@@ -520,7 +522,7 @@ mod tests {
     }
 
     fn execute_clean(input: StepInput<'_, BboxFilter<3>>) -> StepOutput {
-        execute_one(input, FaultInjector::none(), &ExecOptions::default()).expect("step executes")
+        execute_one(input, None, &ExecOptions::default()).expect("step executes")
     }
 
     #[test]
@@ -662,7 +664,7 @@ mod tests {
         let (d, positions, elements, bodies) = two_rank_setup();
         let boxes: Vec<(u32, Aabb<3>)> = elements.iter().map(|e| (e.owner, e.bbox)).collect();
         let filter = BboxFilter::from_boxes(&boxes, 2);
-        let mk = |fault: FaultInjector, opts: &ExecOptions| {
+        let mk = |fault: Option<FaultPlan>, opts: &ExecOptions| {
             execute_one(
                 StepInput {
                     decomposition: &d,
@@ -678,8 +680,8 @@ mod tests {
             )
             .expect("step executes")
         };
-        let plain = mk(FaultInjector::none(), &ExecOptions::default());
-        let armed = mk(FaultInjector::with_plan(FaultPlan::quiet(42)), &chaos_opts());
+        let plain = mk(None, &ExecOptions::default());
+        let armed = mk(Some(FaultPlan::quiet(42)), &chaos_opts());
         assert_eq!(plain, armed, "arming a quiet plan must not change the output");
     }
 
@@ -709,7 +711,7 @@ mod tests {
                     tolerance: 0.2,
                     recorder: Recorder::disabled(),
                 },
-                FaultInjector::with_plan(plan),
+                Some(plan),
                 &chaos_opts(),
             )
             .expect("message-level faults must be repaired");
@@ -738,7 +740,7 @@ mod tests {
                 tolerance: 0.2,
                 recorder: rec.clone(),
             },
-            FaultInjector::with_plan(plan),
+            Some(plan),
             &ExecOptions {
                 timeout: Duration::from_millis(100),
                 retries: 1,

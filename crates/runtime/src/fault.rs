@@ -4,11 +4,11 @@
 //! `(from, to, seq)`, whether that message is delivered, dropped,
 //! duplicated, delayed past the sender's `Done` marker, or reordered with
 //! the next message to the same destination — and whether a rank is
-//! killed mid-step. The plan is carried into [`crate::execute_steps`], one
-//! per step, behind a [`FaultInjector`] handle that follows the same
-//! `Option<Arc<_>>` pattern as [`cip_telemetry::Recorder`]: the default
-//! [`FaultInjector::none`] costs one `None` branch per send and allocates
-//! nothing, so production builds pay nothing for the chaos machinery.
+//! killed mid-step. [`crate::execute_steps`] takes one `Option<FaultPlan>`
+//! per step. A `None` step is clean: it keeps no history and needs no
+//! completion round, so production runs pay nothing for the chaos
+//! machinery, yet its `Done` counts still detect a lost payload (which
+//! fails the step as a rank loss instead of repairing it).
 //!
 //! Two rules keep chaos runs provably convergent:
 //!
@@ -22,7 +22,6 @@
 //!   the timeout path detects.
 
 use cip_transport::{codec_struct, permille_pick, splitmix64};
-use std::sync::Arc;
 
 /// The fate of one first-transmission payload message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +94,9 @@ codec_struct!(FaultRates { drop_permille, dup_permille, delay_permille, reorder_
 codec_struct!(FaultPlan { seed, rates, kill });
 
 impl FaultPlan {
-    /// A plan that injects nothing (useful as a baseline: arming the
-    /// executor's chaos path without any fault must not change output).
+    /// A plan that injects nothing (useful as a baseline: arming a step
+    /// with it adds history, resends and the `Complete` round, and must
+    /// not change the output).
     pub fn quiet(seed: u64) -> Self {
         Self { seed, ..Self::default() }
     }
@@ -123,57 +123,10 @@ impl FaultPlan {
             None => Fate::Deliver,
         }
     }
-}
-
-/// The zero-cost-when-disabled handle the executor carries.
-///
-/// `FaultInjector::none()` holds no allocation; every hook reduces to an
-/// `Option` discriminant test, mirroring the disabled
-/// [`cip_telemetry::Recorder`].
-#[derive(Debug, Clone, Default)]
-pub struct FaultInjector(Option<Arc<FaultPlan>>);
-
-impl FaultInjector {
-    /// The disabled injector (the executor's default).
-    pub fn none() -> Self {
-        Self(None)
-    }
-
-    /// An injector executing `plan`.
-    pub fn with_plan(plan: FaultPlan) -> Self {
-        Self(Some(Arc::new(plan)))
-    }
-
-    /// Whether any plan is armed. Arming a [`FaultPlan::quiet`] plan
-    /// still routes the executor through the chaos drain protocol
-    /// (count trailers, completion round) without changing its output.
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// The armed plan, if any.
-    pub fn plan(&self) -> Option<&FaultPlan> {
-        self.0.as_deref()
-    }
-
-    /// The fate of first transmission `(from, to, seq)`; always
-    /// [`Fate::Deliver`] when disabled.
-    #[inline]
-    pub fn fate(&self, from: u32, to: u32, seq: u64) -> Fate {
-        match &self.0 {
-            None => Fate::Deliver,
-            Some(p) => p.fate(from, to, seq),
-        }
-    }
 
     /// Whether `rank` dies once it has made `sends_so_far` payload sends.
-    #[inline]
-    pub fn should_kill(&self, rank: u32, sends_so_far: u64) -> bool {
-        match &self.0 {
-            None => false,
-            Some(p) => p.kill.is_some_and(|k| k.rank == rank && sends_so_far >= k.after_sends),
-        }
+    pub fn kills(&self, rank: u32, sends_so_far: u64) -> bool {
+        self.kill.is_some_and(|k| k.rank == rank && sends_so_far >= k.after_sends)
     }
 }
 
@@ -182,23 +135,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_injector_delivers_everything() {
-        let inj = FaultInjector::none();
-        assert!(!inj.is_active());
-        for seq in 0..100 {
-            assert_eq!(inj.fate(0, 1, seq), Fate::Deliver);
-        }
-        assert!(!inj.should_kill(0, 0));
-    }
-
-    #[test]
     fn quiet_plan_is_armed_but_injects_nothing() {
-        let inj = FaultInjector::with_plan(FaultPlan::quiet(99));
-        assert!(inj.is_active());
+        let plan = FaultPlan::quiet(99);
+        assert!(!plan.kills(0, 0));
         for from in 0..4 {
             for to in 0..4 {
                 for seq in 0..50 {
-                    assert_eq!(inj.fate(from, to, seq), Fate::Deliver);
+                    assert_eq!(plan.fate(from, to, seq), Fate::Deliver);
                 }
             }
         }
@@ -233,14 +176,12 @@ mod tests {
 
     #[test]
     fn kill_threshold_semantics() {
-        let inj = FaultInjector::with_plan(FaultPlan {
-            kill: Some(KillSpec { rank: 2, after_sends: 3 }),
-            ..FaultPlan::quiet(1)
-        });
-        assert!(!inj.should_kill(2, 0));
-        assert!(!inj.should_kill(2, 2));
-        assert!(inj.should_kill(2, 3));
-        assert!(inj.should_kill(2, 10));
-        assert!(!inj.should_kill(1, 10), "only the named rank dies");
+        let plan =
+            FaultPlan { kill: Some(KillSpec { rank: 2, after_sends: 3 }), ..FaultPlan::quiet(1) };
+        assert!(!plan.kills(2, 0));
+        assert!(!plan.kills(2, 2));
+        assert!(plan.kills(2, 3));
+        assert!(plan.kills(2, 10));
+        assert!(!plan.kills(1, 10), "only the named rank dies");
     }
 }

@@ -56,7 +56,7 @@ pub use exec::{
     ExecOptions, Msg, PhaseTraffic, RankResult, ShippedElement, StepInput, StepOutput, TrafficLog,
     SHIP_CHUNK,
 };
-pub use fault::{Fate, FaultInjector, FaultPlan, FaultRates, KillSpec};
+pub use fault::{Fate, FaultPlan, FaultRates, KillSpec};
 pub use migrate::{build_migration, MigrationPlan};
 pub use pipeline::{
     collect_batch, execute_rank_steps, execute_steps, BatchError, RankBatchOutcome,

@@ -24,22 +24,26 @@
 //! allocates nothing beyond the message payloads themselves. One inbox
 //! per rank is partitioned by the `step` tag every message carries.
 //!
-//! Fault injection and recovery: fates are evaluated per
-//! `(from, to, step, seq)`, so a step's injected faults do not depend on
-//! the lookahead or on how the trace was cut into batches. A kill turns
-//! the rank into a *zombie* that still drains and searches the steps
-//! before its death (so every step the batch commits aggregates all `k`
-//! ranks) and serves resend requests for those steps, and the chaos
-//! completion round runs once per batch. Idle time — a rank actually
-//! blocking on an empty inbox — is charged to `exec.idle` spans, and
-//! `exec.overlap.steps_in_flight` records the send/completion cursor
+//! Fault injection and recovery: every step, armed or clean, completes
+//! by one rule — each peer's `Done` has announced `sent` and that many
+//! distinct payloads have arrived — so a lost payload is detected on
+//! every step; an armed step repairs it from the sender's history, a
+//! clean step stalls into a rank loss the driver re-runs. Fates are
+//! evaluated per `(from, to, step, seq)`, so a step's injected faults do
+//! not depend on the lookahead or on how the trace was cut into batches.
+//! A kill turns the rank into a *zombie* that still drains and searches
+//! the steps before its death (so every step the batch commits aggregates
+//! all `k` ranks) and serves resend requests for those steps, and the
+//! chaos completion round runs once per batch. Idle time — a rank
+//! actually blocking on an empty inbox — is charged to `exec.idle` spans,
+//! and `exec.overlap.steps_in_flight` records the send/completion cursor
 //! spread after every step sent.
 
 use crate::exec::{
     aggregate, chaos_send, mark_new, missing_seqs, recv_or_idle, search_rank, ChaosState,
     ExecOptions, Msg, RankResult, ShippedElement, StepInput, StepOutput, SHIP_CHUNK,
 };
-use crate::fault::FaultInjector;
+use crate::fault::FaultPlan;
 use crate::migrate::MigrationPlan;
 use crate::remote::SteppedMailbox;
 use crate::RuntimeError;
@@ -83,16 +87,13 @@ impl std::error::Error for BatchError {
 
 /// Per-step receive-side state of one rank (all peers).
 struct StepRecv {
-    /// Chaos path: announced first-transmission count per peer.
+    /// Announced first-transmission count per peer (`None` until its
+    /// `Done` arrives).
     exp: Vec<Option<u64>>,
-    /// Chaos path: distinct payloads received per peer.
+    /// Distinct payloads received per peer.
     got: Vec<u64>,
-    /// Chaos path: per-peer dedup bitmap.
+    /// Per-peer dedup bitmap.
     seen: Vec<Vec<bool>>,
-    /// Fast path: which peers' `Done` trailers arrived.
-    done_from: Vec<bool>,
-    /// Fast path: number of `true`s in `done_from` (self included).
-    done_count: usize,
     /// Elements shipped to this rank for this step.
     received: Vec<(u32, Aabb<3>, u16)>,
     /// Halo values that disagreed with the oracle position.
@@ -102,27 +103,19 @@ struct StepRecv {
 impl StepRecv {
     fn new(k: usize, r: usize) -> Self {
         let mut exp = vec![None; k];
-        let mut done_from = vec![false; k];
         exp[r] = Some(0);
-        done_from[r] = true;
         Self {
             exp,
             got: vec![0; k],
             seen: vec![Vec::new(); k],
-            done_from,
-            done_count: 1,
             received: Vec::new(),
             ghost_mismatches: 0,
         }
     }
 
-    /// Whether payload `seq` from `from` is news: always on the fast
-    /// path, on first sight under chaos (a duplicate or an
-    /// already-repaired resend is counted and dropped).
-    fn admit(&mut self, chaos_armed: bool, from: usize, seq: u64, rec: &Recorder) -> bool {
-        if !chaos_armed {
-            return true;
-        }
+    /// Whether payload `seq` from `from` is news: a duplicate or an
+    /// already-repaired resend is counted and dropped.
+    fn admit(&mut self, from: usize, seq: u64, rec: &Recorder) -> bool {
         let fresh = mark_new(&mut self.seen[from], seq);
         if fresh {
             self.got[from] += 1;
@@ -132,27 +125,20 @@ impl StepRecv {
         fresh
     }
 
+    /// Whether peer `p`'s data for this step has fully arrived: its
+    /// `Done` has announced `sent` and that many distinct payloads came.
+    fn peer_complete(&self, p: usize) -> bool {
+        matches!(self.exp[p], Some(e) if self.got[p] >= e)
+    }
+
     /// Whether every peer's data for this step has fully arrived.
-    fn data_complete(&self, chaos_armed: bool, k: usize) -> bool {
-        if chaos_armed {
-            (0..k).all(|p| matches!(self.exp[p], Some(e) if self.got[p] >= e))
-        } else {
-            self.done_count == k
-        }
+    fn data_complete(&self, k: usize) -> bool {
+        (0..k).all(|p| self.peer_complete(p))
     }
 
     /// Peers whose data for this step is still unaccounted for.
-    fn unaccounted(&self, chaos_armed: bool, k: usize) -> Vec<u32> {
-        (0..k)
-            .filter(|&p| {
-                if chaos_armed {
-                    !matches!(self.exp[p], Some(e) if self.got[p] >= e)
-                } else {
-                    !self.done_from[p]
-                }
-            })
-            .map(|p| p as u32)
-            .collect()
+    fn unaccounted(&self, k: usize) -> Vec<u32> {
+        (0..k).filter(|&p| !self.peer_complete(p)).map(|p| p as u32).collect()
     }
 }
 
@@ -281,28 +267,28 @@ pub enum RankBatchOutcome {
 /// destination: one [`Msg::Elements`] per peer with anything to ship),
 /// and `Done` trailers, every message tagged `step: s` and sequence
 /// numbers restarting per step, so injected fates depend on the step
-/// alone.
+/// alone. `st` is the step's chaos state if the step is armed.
 /// Returns `false` if the fault plan killed the rank mid-step (trailers
 /// are all-or-nothing: a dead rank announces nothing).
-#[allow(clippy::too_many_arguments)]
 fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     me: u32,
     r: usize,
     s: usize,
     input: &StepInput<'_, F>,
-    fault: &FaultInjector,
-    mut st: Option<&mut ChaosState>,
+    mut st: Option<&mut ChaosState<'_>>,
     mb: &mut MB,
     stats: &mut StepSend,
 ) -> bool {
     let rec = &input.recorder;
     let plan = &input.decomposition.ranks[r];
+    let fault = st.as_ref().map(|cs| cs.plan);
+    let dies = |sends| fault.is_some_and(|f| f.kills(me, sends));
     let mut payload_sends = 0u64;
 
     {
         let _span = rec.span("exec.halo").attr("rank", me).attr("step", s);
         for (dest, nodes) in plan.send_halo.iter() {
-            if fault.should_kill(me, payload_sends) {
+            if dies(payload_sends) {
                 rec.add("fault.killed_ranks", 1);
                 return false;
             }
@@ -317,7 +303,7 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             payload_sends += 1;
             match st.as_deref_mut() {
                 None => mb.send(dest, msg),
-                Some(cs) => chaos_send(cs, mb, fault, rec, me, dest, msg),
+                Some(cs) => chaos_send(cs, mb, rec, me, dest, msg),
             }
         }
     }
@@ -345,7 +331,7 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         }
         for (dest, bucket) in buckets.iter().enumerate() {
             for items in bucket.chunks(SHIP_CHUNK) {
-                if fault.should_kill(me, payload_sends) {
+                if dies(payload_sends) {
                     rec.add("fault.killed_ranks", 1);
                     return false;
                 }
@@ -362,11 +348,11 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                 payload_sends += 1;
                 match st.as_deref_mut() {
                     None => mb.send(dest, msg),
-                    Some(cs) => chaos_send(cs, mb, fault, rec, me, dest, msg),
+                    Some(cs) => chaos_send(cs, mb, rec, me, dest, msg),
                 }
             }
         }
-        if fault.should_kill(me, payload_sends) {
+        if dies(payload_sends) {
             rec.add("fault.killed_ranks", 1);
             return false;
         }
@@ -397,9 +383,9 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
 
 /// One rank's receive side of a batch: everything an inbound message is
 /// routed into.
-struct Inbound {
-    /// Per-step chaos bookkeeping (`None` = the step is unarmed).
-    chaos: Vec<Option<ChaosState>>,
+struct Inbound<'a> {
+    /// Per-step chaos bookkeeping (`None` = the step is clean).
+    chaos: Vec<Option<ChaosState<'a>>>,
     /// Per-step receive tables.
     recv: Vec<StepRecv>,
     /// Whose `Complete` has arrived (self included).
@@ -408,7 +394,7 @@ struct Inbound {
     mig: MigrateRecv,
 }
 
-impl Inbound {
+impl Inbound<'_> {
     /// Peers that have not completed the batch.
     fn uncompleted(&self) -> Vec<u32> {
         (0..self.completed_peers.len() as u32)
@@ -437,7 +423,7 @@ impl Inbound {
                     return;
                 }
                 let rs = &mut recv[s];
-                if rs.admit(chaos[s].is_some(), from as usize, seq, &steps[s].recorder) {
+                if rs.admit(from as usize, seq, &steps[s].recorder) {
                     for (node, pos) in values {
                         if steps[s].positions[node as usize].coords != pos {
                             rs.ghost_mismatches += 1;
@@ -451,7 +437,7 @@ impl Inbound {
                     return;
                 }
                 let rs = &mut recv[s];
-                if rs.admit(chaos[s].is_some(), from as usize, seq, &steps[s].recorder) {
+                if rs.admit(from as usize, seq, &steps[s].recorder) {
                     // `Aabb::new` debug-asserts min <= max; a corrupt frame
                     // must yield a value, not a panic, so build it raw.
                     rs.received.extend(items.into_iter().map(|it| {
@@ -467,16 +453,12 @@ impl Inbound {
                 }
                 let f = from as usize;
                 let rs = &mut recv[s];
-                if chaos[s].is_some() {
-                    rs.exp[f] = Some(sent);
-                    if rs.got[f] < sent {
-                        steps[s].recorder.add("recovery.resend_requests", 1);
-                        let seqs = missing_seqs(&rs.seen[f], sent);
-                        mb.send(f, Msg::Resend { from: me, step, seqs });
-                    }
-                } else if !rs.done_from[f] {
-                    rs.done_from[f] = true;
-                    rs.done_count += 1;
+                rs.exp[f] = Some(sent);
+                // Only an armed step keeps the history a resend replays.
+                if chaos[s].is_some() && rs.got[f] < sent {
+                    steps[s].recorder.add("recovery.resend_requests", 1);
+                    let seqs = missing_seqs(&rs.seen[f], sent);
+                    mb.send(f, Msg::Resend { from: me, step, seqs });
                 }
             }
             Msg::Resend { from, step, seqs } => {
@@ -508,14 +490,14 @@ impl Inbound {
 /// two cursors. [`execute_steps`] runs one per rank thread; a remote
 /// worker process calls it directly for its rank, with the driver
 /// folding the reported [`RankBatchOutcome`]s via [`collect_batch`].
-/// `faults` is empty (no injection) or one injector per step; `migrate`
+/// `faults` is empty (no injection) or one plan per step; `migrate`
 /// is the repartition stage spliced in front of the batch, if the driver
 /// accepted one.
 pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     r: usize,
     k: usize,
     steps: &[StepInput<'_, F>],
-    faults: &[FaultInjector],
+    faults: &[Option<FaultPlan>],
     opts: &ExecOptions,
     migrate: Option<&MigrationPlan>,
     mb: &mut MB,
@@ -526,12 +508,14 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         return RankBatchOutcome::Completed(Vec::new());
     }
     let lookahead = opts.lookahead.max(1);
-    let no_fault = FaultInjector::none();
-    let fault_of = |s: usize| if faults.len() == n { &faults[s] } else { &no_fault };
+    // Any `faults` length but one plan per step arms nothing.
+    let plans = if faults.len() == n { faults } else { &[] };
     let rec0 = steps[0].recorder.clone();
     rec0.set_lane(me);
     let mut inb = Inbound {
-        chaos: (0..n).map(|s| fault_of(s).is_active().then(|| ChaosState::new(k))).collect(),
+        chaos: (0..n)
+            .map(|s| plans.get(s).and_then(Option::as_ref).map(|p| ChaosState::new(p, k)))
+            .collect(),
         recv: (0..n).map(|_| StepRecv::new(k, r)).collect(),
         completed_peers: (0..k).map(|p| p == r).collect(),
         mig: MigrateRecv::idle(),
@@ -590,8 +574,7 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         // ---- Send while inside the lookahead window. ------------------
         while killed.is_none() && next_send < n && next_send < completed + lookahead {
             let s = next_send;
-            let st = inb.chaos[s].as_mut();
-            if !send_step(me, r, s, &steps[s], fault_of(s), st, mb, &mut send[s]) {
+            if !send_step(me, r, s, &steps[s], inb.chaos[s].as_mut(), mb, &mut send[s]) {
                 killed = Some(s);
                 break;
             }
@@ -609,10 +592,7 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         // be recorded with its outbound traffic still unsent.
         let cap = killed.unwrap_or(n);
         let mut progressed = false;
-        while completed < cap
-            && completed < next_send
-            && inb.recv[completed].data_complete(inb.chaos[completed].is_some(), k)
-        {
+        while completed < cap && completed < next_send && inb.recv[completed].data_complete(k) {
             let s = completed;
             let input = &steps[s];
             let rs = &inb.recv[s];
@@ -731,7 +711,7 @@ fn lose_step(
     results: Vec<RankResult>,
 ) -> RankBatchOutcome {
     let mut dead = match inb.recv.get(completed) {
-        Some(rs) => rs.unaccounted(inb.chaos[completed].is_some(), k),
+        Some(rs) => rs.unaccounted(k),
         None => Vec::new(),
     };
     if dead.is_empty() {
@@ -753,7 +733,8 @@ fn lose_step(
 /// rank's frames and a live rank's unread ones; reconnect rather than
 /// reuse them.
 ///
-/// `faults` is empty (no injection) or one injector per step. `migrate`
+/// `faults` is empty (no injection) or one plan per step (`None` = a
+/// clean step); any other length arms nothing. `migrate`
 /// is an accepted repartition plan to execute as the batch's prologue:
 /// the driver has already flipped `node_parts` to the new decomposition
 /// when it hands the plan over, so the stage is *executed traffic*, not a
@@ -768,7 +749,7 @@ fn lose_step(
 /// [`RuntimeError::Transport`] for a batch that does not fit the mesh.
 pub fn execute_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     steps: &[StepInput<'_, F>],
-    faults: &[FaultInjector],
+    faults: &[Option<FaultPlan>],
     opts: &ExecOptions,
     migrate: Option<&MigrationPlan>,
     seats: &mut [MB],
@@ -776,7 +757,7 @@ pub fn execute_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
 ) -> Result<Vec<StepOutput>, BatchError> {
     debug_assert!(
         faults.is_empty() || faults.len() == steps.len(),
-        "faults must be empty or one injector per step"
+        "faults must be empty or one plan per step"
     );
     let fail = |error| BatchError { completed: Vec::new(), failed_step: 0, error };
     let k = seats.len();
@@ -885,14 +866,14 @@ pub fn collect_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultRates, KillSpec};
+    use crate::fault::{FaultRates, KillSpec};
     use crate::plan::{build_decomposition, Decomposition};
     use crate::remote::connect_ranks;
     use cip_contact::{BboxFilter, SurfaceElementInfo};
     use cip_geom::{Aabb, Point};
     use cip_graph::GraphBuilder;
     use cip_telemetry::Recorder;
-    use cip_transport::InProcess;
+    use cip_transport::{InProcess, TryRecvError};
     use std::time::Duration;
 
     /// Owned data for an `n_steps`-step batch over a 1D chain of nodes
@@ -972,7 +953,7 @@ mod tests {
     /// One batch over a mesh of its own.
     fn run_spliced(
         steps: &[StepInput<'_, BboxFilter<3>>],
-        faults: &[FaultInjector],
+        faults: &[Option<FaultPlan>],
         opts: &ExecOptions,
         migrate: Option<&MigrationPlan>,
     ) -> Result<Vec<StepOutput>, BatchError> {
@@ -984,7 +965,7 @@ mod tests {
 
     fn run(
         steps: &[StepInput<'_, BboxFilter<3>>],
-        faults: &[FaultInjector],
+        faults: &[Option<FaultPlan>],
         opts: &ExecOptions,
     ) -> Result<Vec<StepOutput>, BatchError> {
         run_spliced(steps, faults, opts, None)
@@ -1017,6 +998,68 @@ mod tests {
         }
     }
 
+    /// A seat that silently loses the first `Msg::Elements` its rank
+    /// sends while `lose_next_shipment` is set: what the rank loop sees
+    /// when the transport drops a frame as corrupt.
+    struct LosesAShipment<MB> {
+        seat: MB,
+        lose_next_shipment: bool,
+    }
+
+    impl<MB: Mailbox<Msg>> Mailbox<Msg> for LosesAShipment<MB> {
+        fn send(&mut self, to: usize, msg: Msg) {
+            if self.lose_next_shipment && matches!(msg, Msg::Elements { .. }) {
+                self.lose_next_shipment = false;
+                return;
+            }
+            self.seat.send(to, msg);
+        }
+
+        fn try_recv(&mut self) -> Result<Msg, TryRecvError> {
+            self.seat.try_recv()
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Msg, RecvTimeoutError> {
+            self.seat.recv_timeout(timeout)
+        }
+    }
+
+    #[test]
+    fn a_clean_step_that_loses_a_payload_fails_instead_of_committing() {
+        let sc = chain_scenario(2, 1);
+        let steps = inputs(&sc, &Recorder::disabled());
+        let opts = ExecOptions {
+            timeout: Duration::from_millis(50),
+            retries: 1,
+            ..ExecOptions::default()
+        };
+        let mut seats: Vec<_> = connect_ranks(&InProcess, 2, &opts, &Recorder::disabled())
+            .expect("mesh connects")
+            .into_iter()
+            .enumerate()
+            .map(|(r, seat)| LosesAShipment { seat, lose_next_shipment: r == 0 })
+            .collect();
+        // No plan arms the step: the `Done` count alone reveals the gap.
+        match execute_steps(&steps, &[], &opts, None, &mut seats, 0) {
+            Err(err) => {
+                assert!(err.completed.is_empty());
+                match err.error {
+                    RuntimeError::RankLost { dead } => assert_eq!(dead, vec![0]),
+                    other => panic!("expected RankLost, got {other}"),
+                }
+            }
+            Ok(outs) => {
+                let serial = cip_contact::serial_contact_pairs(&sc.elements[0], &sc.bodies, 0.2);
+                panic!(
+                    "committed a step that lost a payload: {} of {} pairs",
+                    outs[0].contact_pairs.len(),
+                    serial.len()
+                );
+            }
+        }
+        assert!(!seats[0].lose_next_shipment, "rank 0 shipped something to lose");
+    }
+
     #[test]
     fn empty_batch_is_a_noop() {
         let steps: Vec<StepInput<'_, BboxFilter<3>>> = Vec::new();
@@ -1039,8 +1082,7 @@ mod tests {
                 },
                 ..FaultPlan::quiet(seed)
             };
-            let faults: Vec<FaultInjector> =
-                (0..4).map(|s| FaultInjector::with_plan(base.for_step(s))).collect();
+            let faults: Vec<Option<FaultPlan>> = (0..4).map(|s| Some(base.for_step(s))).collect();
             for lookahead in [1usize, 2] {
                 // Traffic counts first transmissions only, so a repaired
                 // batch equals the clean one field for field.
@@ -1057,15 +1099,15 @@ mod tests {
         let rec = Recorder::enabled();
         let steps = inputs(&sc, &rec);
         // Rank 1 dies during step 2's sends; steps 0 and 1 must commit.
-        let faults: Vec<FaultInjector> = (0..4)
+        let faults: Vec<Option<FaultPlan>> = (0..4)
             .map(|s| {
                 if s == 2 {
-                    FaultInjector::with_plan(FaultPlan {
+                    Some(FaultPlan {
                         kill: Some(KillSpec { rank: 1, after_sends: 0 }),
                         ..FaultPlan::quiet(5)
                     })
                 } else {
-                    FaultInjector::none()
+                    None
                 }
             })
             .collect();
@@ -1130,7 +1172,7 @@ mod tests {
     fn migrate_prologue_rides_chaos_batches_unchanged() {
         let sc = chain_scenario(4, 3);
         let fault = |seed: u64| {
-            FaultInjector::with_plan(FaultPlan {
+            Some(FaultPlan {
                 rates: FaultRates {
                     drop_permille: 150,
                     dup_permille: 80,
@@ -1140,7 +1182,7 @@ mod tests {
                 ..FaultPlan::quiet(seed)
             })
         };
-        let faults: Vec<FaultInjector> = (0..3).map(|s| fault(11 + s)).collect();
+        let faults: Vec<Option<FaultPlan>> = (0..3).map(|s| fault(11 + s)).collect();
         let quiet = Recorder::disabled();
         let steps = inputs(&sc, &quiet);
         let plain = run(&steps, &faults, &opts_with(2)).expect("chaotic batch converges");
@@ -1188,8 +1230,7 @@ mod tests {
             },
             ..FaultPlan::quiet(7)
         };
-        let faults: Vec<FaultInjector> =
-            (0..2).map(|s| FaultInjector::with_plan(plan.for_step(s))).collect();
+        let faults: Vec<Option<FaultPlan>> = (0..2).map(|s| Some(plan.for_step(s))).collect();
         let first = execute_steps(&steps[..2], &faults, &opts, None, &mut seats, 0)
             .expect("chaos batch repairs");
         assert_eq!(first, clean[..2]);

@@ -68,8 +68,9 @@ pub struct TransportStats {
     pub frames_sent: u64,
     /// Frames read and decoded.
     pub frames_recv: u64,
-    /// Frames dropped for CRC/decode corruption; the runtime's NACK
-    /// repair re-requests their contents.
+    /// Frames dropped for CRC/decode corruption. The runtime detects
+    /// each lost payload by its `Done` counts: an armed step re-requests
+    /// it, a clean step fails as a rank loss and is re-run.
     pub recv_corrupt: u64,
 }
 

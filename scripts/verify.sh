@@ -339,4 +339,15 @@ if non_test src/trace.rs | grep 'thread::spawn'; then
   exit 1
 fi
 
+echo "==> one fault path"
+# A step's faults are one Option<FaultPlan> from the driver to the rank
+# loop, and every step completes by its Done counts (DESIGN.md §6b): the
+# injector wrapper, the clean-step completion rule and the driver's copy
+# of RunSpec stay gone.
+if grep -rnwE --include='*.rs' 'FaultInjector|done_from|done_count|BatchSpec' \
+    src crates tests examples | grep -v '^crates/ladder/'; then
+  echo "verify: FAIL — a second fault path or completion rule is back"
+  exit 1
+fi
+
 echo "verify: OK"

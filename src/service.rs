@@ -167,7 +167,7 @@ pub struct TraceJobRunner;
 
 fn classify(e: TraceError) -> JobError {
     match e {
-        TraceError::UnknownScenario { .. } | TraceError::Config(_) | TraceError::Wire(_) => {
+        TraceError::UnknownScenario { .. } | TraceError::Config(_) => {
             JobError::Invalid { reason: e.to_string() }
         }
         other => JobError::Failed { reason: other.to_string() },

@@ -12,20 +12,19 @@
 
 use crate::service::TraceTotals;
 use crate::staging::{stage_batch, with_staged_inputs, Chain};
-use crate::worker::{BatchSpec, PoolConfig, WorkerPool};
+use crate::worker::{PoolConfig, RunSpec, WorkerPool};
 use cip_core::{
     contact_graph, decompose, merge_live, repartition_step, McmlDtConfig, RepartitionMethod,
 };
 use cip_partition::{compact_parts_after_loss, PartitionerConfig};
 use cip_runtime::{
     build_migration, collect_batch, connect_ranks, execute_steps, BatchError, CancelToken,
-    ConfigError, ExecOptions, FaultInjector, FaultPlan, FaultRates, KillSpec, MigrationPlan, Msg,
-    RuntimeError,
+    ConfigError, ExecOptions, FaultPlan, FaultRates, KillSpec, MigrationPlan, Msg, RuntimeError,
 };
 use cip_sim::{scenarios, SimConfig, SimResult};
 use cip_telemetry::{export::Summary, Recorder};
 use cip_transport::tcp::Tcp;
-use cip_transport::{ChannelMailbox, InProcess, TransportError, WireError};
+use cip_transport::{ChannelMailbox, InProcess, TransportError};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -47,9 +46,6 @@ pub enum TraceError {
     /// Step execution failed beyond recovery (transport breakdown; rank
     /// deaths are recovered internally and never surface here).
     Runtime(RuntimeError),
-    /// A wire-format violation outside the executor (worker control
-    /// protocol).
-    Wire(WireError),
     /// The worker pool could not be brought up or driven (spawn,
     /// handshake, control socket).
     Worker {
@@ -76,7 +72,6 @@ impl fmt::Display for TraceError {
             }
             Self::Config(e) => write!(f, "{e}"),
             Self::Runtime(e) => write!(f, "execution failed: {e}"),
-            Self::Wire(e) => write!(f, "wire protocol violation: {e}"),
             Self::Worker { what } => write!(f, "worker pool: {what}"),
             Self::TotalsMismatch { counter, got, expected } => {
                 write!(f, "counter {counter} = {got}, executed total = {expected}")
@@ -90,7 +85,6 @@ impl std::error::Error for TraceError {
         match self {
             Self::Config(e) => Some(e),
             Self::Runtime(e) => Some(e),
-            Self::Wire(e) => Some(e),
             _ => None,
         }
     }
@@ -111,12 +105,6 @@ impl From<RuntimeError> for TraceError {
 impl From<TransportError> for TraceError {
     fn from(e: TransportError) -> Self {
         Self::Runtime(RuntimeError::Transport(e))
-    }
-}
-
-impl From<WireError> for TraceError {
-    fn from(e: WireError) -> Self {
-        Self::Wire(e)
     }
 }
 
@@ -770,10 +758,10 @@ impl Session {
                 }
             }
 
-            let faults: Vec<FaultInjector> = (i..end)
+            let faults: Vec<Option<FaultPlan>> = (i..end)
                 .map(|j| {
                     if self.spent[j] {
-                        FaultInjector::none()
+                        None
                     } else {
                         step_fault(&self.opts.chaos, j, self.live_k)
                     }
@@ -817,20 +805,22 @@ impl Session {
                         // driver only ships its mutable state and folds the
                         // reported outcomes — the same fold the in-process
                         // executor applies to its joined threads.
-                        let spec = BatchSpec {
-                            start: i,
-                            end,
-                            chain_start: self.chain_start,
-                            live_k,
+                        let spec = RunSpec {
+                            start: i as u32,
+                            end: end as u32,
+                            chain_start: self.chain_start as u32,
+                            live_k: live_k as u32,
+                            rank: 0, // set per worker by `execute_batch`
                             epoch: self.epoch,
-                            node_parts,
-                            plans: faults.iter().map(|f| f.plan().cloned()).collect(),
-                            migrate: self.pending_migrate.as_ref(),
+                            node_parts: node_parts.clone(),
+                            route: self.route.clone(),
+                            plans: faults,
+                            migrate: self.pending_migrate.as_ref().map(|p| p.moves.clone()),
                             timeout_ms: exec_opts.timeout.as_millis() as u64,
                             retries: exec_opts.retries,
-                            lookahead: exec_opts.lookahead,
+                            lookahead: exec_opts.lookahead as u32,
                         };
-                        let outcomes = pool.execute_batch(&spec, &self.route, &rec);
+                        let outcomes = pool.execute_batch(spec, &rec);
                         let recorders = vec![rec.clone(); end - i];
                         (collect_batch(live_k, &recorders, outcomes), None)
                     }
@@ -1019,23 +1009,21 @@ fn commit_step(report: &mut TraceReport, step: usize, out: &cip_runtime::StepOut
     report.contact_pairs += out.contact_pairs.len() as u64;
 }
 
-/// The per-step fault injector of a chaos run (disabled outside chaos
-/// mode, and for ranks that no longer exist).
-fn step_fault(chaos: &Option<ChaosOptions>, step: usize, live_k: usize) -> FaultInjector {
-    let Some(c) = chaos else {
-        return FaultInjector::none();
-    };
+/// The per-step fault plan of a chaos run (`None` outside chaos mode;
+/// a kill only names a rank that still exists).
+fn step_fault(chaos: &Option<ChaosOptions>, step: usize, live_k: usize) -> Option<FaultPlan> {
+    let c = chaos.as_ref()?;
     let mut plan = FaultPlan { seed: c.seed, rates: c.rates, kill: None }.for_step(step as u64);
     if let Some((kill_step, rank)) = c.kill {
         if kill_step == step && (rank as usize) < live_k {
             plan.kill = Some(KillSpec { rank, after_sends: 0 });
         }
     }
-    FaultInjector::with_plan(plan)
+    Some(plan)
 }
 
 /// Executor options for one batch: chaos runs get the configured
-/// loss-detection budget, clean runs the defaults. Per-step injectors
+/// loss-detection budget, clean runs the defaults. Per-step fault plans
 /// travel separately through the executor's `faults` slice.
 fn exec_options(opts: &TraceOptions) -> ExecOptions {
     let base = ExecOptions { lookahead: opts.lookahead, ..ExecOptions::default() };

@@ -36,8 +36,8 @@
 use crate::staging::{stage_batch, with_staged_inputs, Chain};
 use crate::trace::{SimSpec, TraceError};
 use cip_runtime::{
-    execute_rank_steps, ExecOptions, FaultInjector, FaultPlan, MigrationPlan, Msg,
-    RankBatchOutcome, RankResult, SteppedMailbox,
+    execute_rank_steps, ExecOptions, FaultPlan, MigrationPlan, Msg, RankBatchOutcome, RankResult,
+    SteppedMailbox,
 };
 use cip_sim::SimResult;
 use cip_telemetry::Recorder;
@@ -194,34 +194,6 @@ pub struct WorkerPool {
     last_stats: Vec<TransportStats>,
 }
 
-/// One batch assignment from the driver's point of view; per-rank
-/// [`RunSpec`]s are derived from it.
-#[derive(Debug)]
-pub struct BatchSpec<'a> {
-    /// First snapshot index.
-    pub start: usize,
-    /// One past the last snapshot index.
-    pub end: usize,
-    /// Where the live tree chain was induced.
-    pub chain_start: usize,
-    /// Live rank count.
-    pub live_k: usize,
-    /// Epoch base of this attempt.
-    pub epoch: u32,
-    /// Node assignment.
-    pub node_parts: &'a [u32],
-    /// Per-step fault plans.
-    pub plans: Vec<Option<FaultPlan>>,
-    /// Repartition migrate stage riding this batch.
-    pub migrate: Option<&'a MigrationPlan>,
-    /// Executor drain timeout, milliseconds.
-    pub timeout_ms: u64,
-    /// Executor repair rounds.
-    pub retries: u32,
-    /// Send-ahead window of the rank loop.
-    pub lookahead: usize,
-}
-
 /// Whether a worker-reported outcome is one the rank loop could have
 /// produced for a `steps`-step batch over `live_k` ranks. A frame can be
 /// CRC-valid and still come from a skewed or buggy worker, and
@@ -346,36 +318,30 @@ impl WorkerPool {
         Ok(Self { workers, last_stats: vec![TransportStats::default(); cfg.k] })
     }
 
-    /// Run one batch across the live workers named by `route`
-    /// (`route[live]` = worker id). Returns one outcome per live rank,
+    /// Run one batch across the live workers named by `spec.route`
+    /// (`route[live]` = worker id), sending each `spec` with `rank` set
+    /// to the live rank it plays. Returns one outcome per live rank,
     /// ready for [`cip_runtime::collect_batch`]; a worker that cannot
     /// report (dead process, broken control channel) or reports an
     /// outcome that does not fit the batch (`outcome_fits`) comes back
     /// as [`RankBatchOutcome::Dead`] at step 0. Per-batch transport byte
     /// deltas are folded into `rec`'s `transport.*` counters.
-    pub fn execute_batch(
-        &mut self,
-        spec: &BatchSpec<'_>,
-        route: &[u32],
-        rec: &Recorder,
-    ) -> Vec<RankBatchOutcome> {
+    pub fn execute_batch(&mut self, spec: RunSpec, rec: &Recorder) -> Vec<RankBatchOutcome> {
+        // A worker is never slower than its own executor's give-up
+        // budget plus the batch prep; anything beyond that is a dead
+        // process, not a slow one.
+        let (live_k, steps) = (spec.live_k as usize, (spec.end - spec.start) as usize);
+        let deadline = Duration::from_millis(
+            60_000
+                + steps.max(1) as u64 * spec.timeout_ms.max(1_000) * (u64::from(spec.retries) + 2),
+        );
+        let route = spec.route.clone();
+        let mut run = Ctrl::Run(spec);
         let mut buf = Vec::new();
-        for (live, &wid) in route.iter().enumerate().take(spec.live_k) {
-            let run = Ctrl::Run(RunSpec {
-                start: spec.start as u32,
-                end: spec.end as u32,
-                chain_start: spec.chain_start as u32,
-                live_k: spec.live_k as u32,
-                rank: live as u32,
-                epoch: spec.epoch,
-                node_parts: spec.node_parts.to_vec(),
-                route: route.to_vec(),
-                plans: spec.plans.clone(),
-                migrate: spec.migrate.map(|p| p.moves.clone()),
-                timeout_ms: spec.timeout_ms,
-                retries: spec.retries,
-                lookahead: spec.lookahead as u32,
-            });
+        for (live, &wid) in route.iter().enumerate().take(live_k) {
+            if let Ctrl::Run(spec) = &mut run {
+                spec.rank = live as u32;
+            }
             let wid = wid as usize;
             let ok = match self.workers.get_mut(wid).and_then(|w| w.as_mut()) {
                 Some(w) => write_frame(w.ctrl.get_mut(), &run, 0, &mut buf).is_ok(),
@@ -386,17 +352,9 @@ impl WorkerPool {
             }
         }
 
-        // A worker is never slower than its own executor's give-up
-        // budget plus the batch prep; anything beyond that is a dead
-        // process, not a slow one.
-        let steps = spec.end - spec.start;
-        let deadline = Duration::from_millis(
-            60_000
-                + steps.max(1) as u64 * spec.timeout_ms.max(1_000) * (u64::from(spec.retries) + 2),
-        );
         let mut payload = Vec::new();
-        let mut outcomes = Vec::with_capacity(spec.live_k);
-        for &wid in route.iter().take(spec.live_k) {
+        let mut outcomes = Vec::with_capacity(live_k);
+        for &wid in route.iter().take(live_k) {
             let wid = wid as usize;
             let outcome = match self.workers.get_mut(wid).and_then(|w| w.as_mut()) {
                 None => RankBatchOutcome::Dead { done: Vec::new() },
@@ -404,7 +362,7 @@ impl WorkerPool {
                     w.ctrl.get_ref().set_read_timeout(Some(deadline)).ok();
                     match read_frame::<Ctrl>(&mut w.ctrl, &mut payload) {
                         Ok((Ctrl::Done { outcome, stats }, _, _))
-                            if outcome_fits(&outcome, spec.live_k, steps) =>
+                            if outcome_fits(&outcome, live_k, steps) =>
                         {
                             let prev = self.last_stats[wid];
                             rec.add(
@@ -605,14 +563,6 @@ fn run_batch(
     let live_k = spec.live_k as usize;
     let rec = Recorder::disabled();
     let mut staged = stage_batch(sim, &spec.node_parts, live_k, chain, start..end, &rec);
-    let faults: Vec<FaultInjector> = spec
-        .plans
-        .iter()
-        .map(|p| match p {
-            None => FaultInjector::none(),
-            Some(plan) => FaultInjector::with_plan(plan.clone()),
-        })
-        .collect();
     let opts = ExecOptions {
         timeout: Duration::from_millis(spec.timeout_ms),
         retries: spec.retries,
@@ -635,7 +585,7 @@ fn run_batch(
             spec.rank as usize,
             live_k,
             inputs,
-            &faults,
+            &spec.plans,
             &opts,
             migrate.as_ref(),
             &mut mb,

@@ -21,9 +21,7 @@ use cip::contact::serial_contact_pairs;
 mod common;
 
 use cip::base::rng::sweep;
-use cip::runtime::{
-    ExecOptions, FaultInjector, FaultPlan, FaultRates, KillSpec, RuntimeError, StepOutput,
-};
+use cip::runtime::{ExecOptions, FaultPlan, FaultRates, KillSpec, RuntimeError, StepOutput};
 use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
 use cip::transport::InProcess;
 use common::{env_seed, run_batch, stage};
@@ -34,7 +32,7 @@ use std::time::Duration;
 /// pairs and the decomposition's halo volume for invariant checks.
 fn run_step(
     k: usize,
-    fault: FaultInjector,
+    fault: Option<FaultPlan>,
     opts: &ExecOptions,
 ) -> (Result<StepOutput, RuntimeError>, StepOutput2) {
     let staged = stage(k, &[5]);
@@ -61,8 +59,8 @@ fn chaos_exec_options() -> ExecOptions {
 
 #[test]
 fn armed_quiet_plan_is_bit_identical_to_disabled() {
-    let (clean, _) = run_step(3, FaultInjector::none(), &ExecOptions::default());
-    let quiet = FaultInjector::with_plan(FaultPlan::quiet(11 ^ env_seed()));
+    let (clean, _) = run_step(3, None, &ExecOptions::default());
+    let quiet = Some(FaultPlan::quiet(11 ^ env_seed()));
     let (armed, _) = run_step(3, quiet, &chaos_exec_options());
     assert_eq!(
         clean.expect("clean step executes"),
@@ -84,7 +82,7 @@ fn killing_each_rank_is_detected_as_rank_lost() {
                 retries: 1,
                 ..ExecOptions::default()
             };
-            let (out, _) = run_step(k, FaultInjector::with_plan(plan), &opts);
+            let (out, _) = run_step(k, Some(plan), &opts);
             match out {
                 Err(RuntimeError::RankLost { dead }) => assert_eq!(dead, vec![victim], "k={k}"),
                 other => panic!("k={k} victim={victim}: expected RankLost, got {other:?}"),
@@ -176,7 +174,7 @@ fn message_faults_converge_to_the_fault_free_answer() {
             reorder_permille: permille(150),
         };
         let plan = FaultPlan { rates, ..FaultPlan::quiet(rng.next_u64() ^ env_seed()) };
-        let (out, oracle) = run_step(k, FaultInjector::with_plan(plan), &chaos_exec_options());
+        let (out, oracle) = run_step(k, Some(plan), &chaos_exec_options());
         let out = out.expect("message faults alone must never fail the step");
         assert_eq!(&out.contact_pairs, &oracle.serial);
         assert_eq!(out.ghost_mismatches, 0);

@@ -17,7 +17,7 @@ use cip::graph::{Graph, GraphBuilder};
 use cip::partition::PartitionerConfig;
 use cip::runtime::{
     build_migration, connect_ranks, execute_steps, BatchError, Decomposition, ExecOptions,
-    FaultInjector, FaultRates, HaloPlan, StepInput, StepOutput,
+    FaultPlan, FaultRates, HaloPlan, StepInput, StepOutput,
 };
 use cip::sim::{SimConfig, SimResult};
 use cip::telemetry::Recorder;
@@ -147,7 +147,7 @@ pub fn with_inputs<R>(
 pub fn run_batch<T: Transport>(
     staged: &[Staged],
     tolerance: f64,
-    faults: &[FaultInjector],
+    faults: &[Option<FaultPlan>],
     opts: &ExecOptions,
     transport: &T,
 ) -> Result<Vec<StepOutput>, BatchError> {

@@ -18,9 +18,7 @@
 mod common;
 
 use cip::contact::serial_contact_pairs;
-use cip::runtime::{
-    BatchError, ExecOptions, FaultInjector, FaultPlan, FaultRates, RuntimeError, StepOutput,
-};
+use cip::runtime::{BatchError, ExecOptions, FaultPlan, FaultRates, RuntimeError, StepOutput};
 use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
 use cip_transport::tcp::Tcp;
 use cip_transport::{InProcess, Transport};
@@ -34,7 +32,7 @@ use std::time::Duration;
 /// One clean-or-chaotic batch over `transport`.
 fn run_over<T: Transport>(
     staged: &[Staged],
-    faults: &[FaultInjector],
+    faults: &[Option<FaultPlan>],
     opts: &ExecOptions,
     transport: &T,
 ) -> Result<Vec<StepOutput>, BatchError> {
@@ -71,8 +69,7 @@ fn loopback_tcp_matches_in_process_under_message_chaos() {
         },
         ..FaultPlan::quiet(29 ^ env_seed())
     };
-    let faults: Vec<FaultInjector> =
-        (0..staged.len()).map(|_| FaultInjector::with_plan(plan.clone())).collect();
+    let faults: Vec<Option<FaultPlan>> = (0..staged.len()).map(|_| Some(plan.clone())).collect();
     let opts =
         ExecOptions { timeout: Duration::from_millis(300), retries: 2, ..ExecOptions::default() };
     let inproc =
