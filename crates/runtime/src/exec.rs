@@ -12,21 +12,18 @@
 //! no barrier — each rank streams a step's sends and searches that step
 //! as soon as every peer's `Done` trailer for it has arrived.
 //!
-//! The protocol is fault tolerant (DESIGN.md §6b). Every payload
-//! message carries a per-`(from, to, step)` sequence number and every
-//! `Done` marker carries the count of payloads the sender
-//! first-transmitted to that receiver, so a draining rank *detects* loss
-//! and duplication on every step instead of miscounting. A step armed
-//! with a [`FaultPlan`] also repairs loss with a `Resend` request served
-//! from the sender's history buffer; a payload lost on a clean step (a
-//! frame dropped as corrupt) stalls the step.
-//! Draining is bounded by [`ExecOptions::timeout`] with
-//! [`ExecOptions::retries`] repair rounds; peers still unaccounted for
-//! after that are declared dead and the batch fails with
-//! [`crate::RuntimeError::RankLost`] naming them, so the driver can
-//! repartition over the survivors and re-execute the step. A clean step's
-//! send path is the plain streaming loop: no history, no clones and no
-//! completion round.
+//! The protocol is fault tolerant (DESIGN.md §6b), and every step runs
+//! all of it. Every payload message carries a per-`(from, to, step)`
+//! sequence number and every `Done` marker carries the count of payloads
+//! the sender first-transmitted to that receiver, so a draining rank
+//! *detects* loss and duplication instead of miscounting, and repairs a
+//! loss with a `Resend` request served from the sender's per-step
+//! history — whether a [`FaultPlan`] dropped the payload or the transport
+//! lost it (a frame dropped as corrupt). Draining is bounded by
+//! [`ExecOptions::timeout`] with [`ExecOptions::retries`] repair rounds;
+//! peers still unaccounted for after that are declared dead and the
+//! batch fails with [`crate::RuntimeError::RankLost`] naming them, so the
+//! driver can repartition over the survivors and re-execute the step.
 
 use crate::fault::{Fate, FaultPlan};
 use crate::plan::{Decomposition, RankPlan};
@@ -90,8 +87,7 @@ pub enum Msg {
         seqs: Vec<u64>,
     },
     /// Completion round: the sender has received everything it expects
-    /// and will need no further resends (only sent in a batch with a
-    /// step armed with a [`FaultPlan`]; one round per batch).
+    /// and will need no further resends (one round closes every batch).
     Complete {
         /// Sending rank.
         from: u32,
@@ -112,6 +108,20 @@ pub enum Msg {
         /// Global node ids handed to the receiver, in plan order.
         nodes: Vec<u32>,
     },
+}
+
+impl Msg {
+    /// The sending rank (for `Resend`, the requesting one).
+    pub(crate) fn sender(&self) -> u32 {
+        match self {
+            Msg::Halo { from, .. }
+            | Msg::Elements { from, .. }
+            | Msg::Done { from, .. }
+            | Msg::Resend { from, .. }
+            | Msg::Complete { from }
+            | Msg::Migrate { from, .. } => *from,
+        }
+    }
 }
 
 /// One surface element inside a [`Msg::Elements`] shipment.
@@ -266,76 +276,108 @@ impl ExecOptions {
     }
 }
 
-/// Per-destination chaos bookkeeping on the send side, one per armed
-/// step of a batch (histories are retained until the batch's completion
-/// round, so any step can still be repaired).
-pub(crate) struct ChaosState<'a> {
-    /// The step's fault plan.
-    pub(crate) plan: &'a FaultPlan,
+/// One step's send side on one rank: every payload it first-transmitted,
+/// per destination (histories are retained until the batch's completion
+/// round, so a lost payload of any step can still be re-sent), the fault
+/// plan's reorder and delay buffers, and the step's traffic counts.
+pub(crate) struct StepSend<'a> {
+    /// The step's fault plan (`None` = a clean step: nothing is injected).
+    pub(crate) plan: Option<&'a FaultPlan>,
     /// Every first-transmitted payload, indexed `[dest][seq]` — the
-    /// resend service replays from here, bypassing injection.
+    /// resend service replays from here, bypassing injection. A
+    /// destination's length is its next `seq` and, once the step's sends
+    /// are out, the `sent` count of its `Done`.
     pub(crate) history: Vec<Vec<Msg>>,
     /// One-slot reorder buffer per destination.
     pub(crate) held: Vec<Option<Msg>>,
     /// Messages delayed past the `Done` marker, per destination.
     pub(crate) delayed: Vec<Vec<Msg>>,
+    pub(crate) halo_sent: Vec<u64>,
+    pub(crate) shipments_sent: Vec<u64>,
+    pub(crate) halo_msgs: u64,
+    pub(crate) ship_msgs: u64,
+    pub(crate) done_msgs: u64,
 }
 
-impl<'a> ChaosState<'a> {
-    pub(crate) fn new(plan: &'a FaultPlan, k: usize) -> Self {
+impl<'a> StepSend<'a> {
+    pub(crate) fn new(plan: Option<&'a FaultPlan>, k: usize) -> Self {
         Self {
             plan,
-            history: (0..k).map(|_| Vec::new()).collect(),
-            held: (0..k).map(|_| None).collect(),
-            delayed: (0..k).map(|_| Vec::new()).collect(),
+            history: vec![Vec::new(); k],
+            held: vec![None; k],
+            delayed: vec![Vec::new(); k],
+            halo_sent: vec![0; k],
+            shipments_sent: vec![0; k],
+            halo_msgs: 0,
+            ship_msgs: 0,
+            done_msgs: 0,
         }
     }
-}
 
-/// Applies the injected fate of one first transmission. The message is
-/// recorded in the history buffer first, whatever its fate, so a `Resend`
-/// can always repair it.
-pub(crate) fn chaos_send<MB: Mailbox<Msg>>(
-    st: &mut ChaosState<'_>,
-    mb: &mut MB,
-    rec: &Recorder,
-    me: u32,
-    dest: usize,
-    msg: Msg,
-) {
-    let seq = st.history[dest].len() as u64;
-    st.history[dest].push(msg.clone());
-    let fate = st.plan.fate(me, dest as u32, seq);
-    match fate {
-        Fate::Deliver => {
-            mb.send(dest, msg);
-        }
-        Fate::Drop => {
-            rec.add("fault.dropped", 1);
-        }
-        Fate::Duplicate => {
-            rec.add("fault.duplicated", 1);
-            mb.send(dest, msg.clone());
-            mb.send(dest, msg);
-        }
-        Fate::Delay => {
-            rec.add("fault.delayed", 1);
-            st.delayed[dest].push(msg);
-        }
-        Fate::Reorder => {
-            rec.add("fault.reordered", 1);
-            if st.held[dest].is_none() {
-                st.held[dest] = Some(msg);
-            } else {
+    /// The `seq` of the next payload to `dest`.
+    pub(crate) fn next_seq(&self, dest: usize) -> u64 {
+        self.history[dest].len() as u64
+    }
+
+    /// First-transmits one payload: records it in the history, whatever
+    /// its fate, so a `Resend` can always repair it, then applies the
+    /// fate the step's plan draws for it (a clean step delivers).
+    pub(crate) fn send<MB: Mailbox<Msg>>(
+        &mut self,
+        mb: &mut MB,
+        rec: &Recorder,
+        me: u32,
+        dest: usize,
+        msg: Msg,
+    ) {
+        let seq = self.next_seq(dest);
+        self.history[dest].push(msg.clone());
+        let fate = self.plan.map_or(Fate::Deliver, |p| p.fate(me, dest as u32, seq));
+        match fate {
+            Fate::Deliver => {
                 mb.send(dest, msg);
+            }
+            Fate::Drop => {
+                rec.add("fault.dropped", 1);
+            }
+            Fate::Duplicate => {
+                rec.add("fault.duplicated", 1);
+                mb.send(dest, msg.clone());
+                mb.send(dest, msg);
+            }
+            Fate::Delay => {
+                rec.add("fault.delayed", 1);
+                self.delayed[dest].push(msg);
+            }
+            Fate::Reorder => {
+                rec.add("fault.reordered", 1);
+                if self.held[dest].is_none() {
+                    self.held[dest] = Some(msg);
+                } else {
+                    mb.send(dest, msg);
+                }
+            }
+        }
+        // A non-reorder send releases the held predecessor *after* itself —
+        // the two messages swap places on the wire.
+        if fate != Fate::Reorder {
+            if let Some(h) = self.held[dest].take() {
+                mb.send(dest, h);
             }
         }
     }
-    // A non-reorder send releases the held predecessor *after* itself —
-    // the two messages swap places on the wire.
-    if fate != Fate::Reorder {
-        if let Some(h) = st.held[dest].take() {
-            mb.send(dest, h);
+
+    /// This step's send-side counts plus what the rank found and
+    /// received, as the rank's result for the step.
+    pub(crate) fn result(&self, pairs: Vec<(u32, u32)>, ghost_mismatches: usize) -> RankResult {
+        RankResult {
+            pairs,
+            halo_sent: self.halo_sent.clone(),
+            shipments_sent: self.shipments_sent.clone(),
+            halo_msgs: self.halo_msgs,
+            ship_msgs: self.ship_msgs,
+            done_msgs: self.done_msgs,
+            ghost_mismatches,
         }
     }
 }

@@ -5,10 +5,9 @@
 //! duplicated, delayed past the sender's `Done` marker, or reordered with
 //! the next message to the same destination — and whether a rank is
 //! killed mid-step. [`crate::execute_steps`] takes one `Option<FaultPlan>`
-//! per step. A `None` step is clean: it keeps no history and needs no
-//! completion round, so production runs pay nothing for the chaos
-//! machinery, yet its `Done` counts still detect a lost payload (which
-//! fails the step as a rank loss instead of repairing it).
+//! per step, and a plan only decides fates and kills: every step, `None`
+//! (clean) or armed, runs the same delivery and repair protocol, so a
+//! clean step draws no fates and re-sends a payload the transport lost.
 //!
 //! Two rules keep chaos runs provably convergent:
 //!
@@ -16,7 +15,7 @@
 //!   retry/resend path replays messages verbatim from its history buffer,
 //!   bypassing injection, so one retry round always repairs pure
 //!   message-level faults;
-//! * only payload messages (`Halo`, `Element`) are injectable — `Done`
+//! * only payload messages (`Halo`, `Elements`) are injectable — `Done`
 //!   trailers and the recovery-control messages model a reliable control
 //!   plane, so the only way a `Done` goes missing is a killed rank, which
 //!   the timeout path detects.
@@ -95,8 +94,8 @@ codec_struct!(FaultPlan { seed, rates, kill });
 
 impl FaultPlan {
     /// A plan that injects nothing (useful as a baseline: arming a step
-    /// with it adds history, resends and the `Complete` round, and must
-    /// not change the output).
+    /// with it only adds one fate draw per payload, and must not change
+    /// the output).
     pub fn quiet(seed: u64) -> Self {
         Self { seed, ..Self::default() }
     }

@@ -32,8 +32,9 @@
 //!   ([`connect_ranks`]) and the epoch fence that keeps one batch's late
 //!   frames out of the next ([`SteppedMailbox`]),
 //! * [`fault`] — deterministic, seeded fault injection (message drop /
-//!   duplication / delay / reorder, mid-step rank kills) behind a
-//!   zero-cost-when-disabled hook,
+//!   duplication / delay / reorder, mid-step rank kills): an optional plan
+//!   per step that decides fates and kills, over the one repair protocol
+//!   every step runs,
 //! * [`migrate`] — migration plans between successive decompositions
 //!   (the executable counterpart of the UpdComm metric; the driver plans
 //!   each repartition beside a running batch, DESIGN.md §6b).
@@ -85,7 +86,8 @@ pub enum RuntimeError {
     /// The transport layer failed before or during the step: mesh
     /// construction, socket I/O, or a fatal wire-format violation.
     /// Frame-local corruption never surfaces here — readers drop the
-    /// frame and the NACK protocol repairs it.
+    /// frame, and the receiving rank re-requests the lost payload
+    /// (`Resend`) from the sender's history, on every step.
     Transport(cip_transport::TransportError),
 }
 

@@ -24,24 +24,24 @@
 //! allocates nothing beyond the message payloads themselves. One inbox
 //! per rank is partitioned by the `step` tag every message carries.
 //!
-//! Fault injection and recovery: every step, armed or clean, completes
-//! by one rule — each peer's `Done` has announced `sent` and that many
-//! distinct payloads have arrived — so a lost payload is detected on
-//! every step; an armed step repairs it from the sender's history, a
-//! clean step stalls into a rank loss the driver re-runs. Fates are
+//! Delivery and repair are one protocol for every step: a step completes
+//! when each peer's `Done` has announced `sent` and that many distinct
+//! payloads have arrived; a gap the `Done` reveals is re-requested from
+//! the sender's per-step history, and one completion round per batch
+//! keeps every rank serving resends until no peer needs one. A step's
+//! optional [`FaultPlan`] only decides fates and kills. Fates are
 //! evaluated per `(from, to, step, seq)`, so a step's injected faults do
 //! not depend on the lookahead or on how the trace was cut into batches.
 //! A kill turns the rank into a *zombie* that still drains and searches
 //! the steps before its death (so every step the batch commits aggregates
-//! all `k` ranks) and serves resend requests for those steps, and the
-//! chaos completion round runs once per batch. Idle time — a rank
-//! actually blocking on an empty inbox — is charged to `exec.idle` spans,
-//! and `exec.overlap.steps_in_flight` records the send/completion cursor
-//! spread after every step sent.
+//! all `k` ranks) and serves resend requests for those steps. Idle time —
+//! a rank actually blocking on an empty inbox — is charged to `exec.idle`
+//! spans, and `exec.overlap.steps_in_flight` records the send/completion
+//! cursor spread after every step sent.
 
 use crate::exec::{
-    aggregate, chaos_send, mark_new, missing_seqs, recv_or_idle, search_rank, ChaosState,
-    ExecOptions, Msg, RankResult, ShippedElement, StepInput, StepOutput, SHIP_CHUNK,
+    aggregate, mark_new, missing_seqs, recv_or_idle, search_rank, ExecOptions, Msg, RankResult,
+    ShippedElement, StepInput, StepOutput, StepSend, SHIP_CHUNK,
 };
 use crate::fault::FaultPlan;
 use crate::migrate::MigrationPlan;
@@ -142,43 +142,6 @@ impl StepRecv {
     }
 }
 
-/// Per-step send-side bookkeeping of one rank.
-struct StepSend {
-    sent_to: Vec<u64>,
-    halo_sent: Vec<u64>,
-    shipments_sent: Vec<u64>,
-    halo_msgs: u64,
-    ship_msgs: u64,
-    done_msgs: u64,
-}
-
-impl StepSend {
-    fn new(k: usize) -> Self {
-        Self {
-            sent_to: vec![0; k],
-            halo_sent: vec![0; k],
-            shipments_sent: vec![0; k],
-            halo_msgs: 0,
-            ship_msgs: 0,
-            done_msgs: 0,
-        }
-    }
-
-    /// This step's send-side counts plus what the rank found and
-    /// received, as the rank's result for the step.
-    fn result(&self, pairs: Vec<(u32, u32)>, ghost_mismatches: usize) -> RankResult {
-        RankResult {
-            pairs,
-            halo_sent: self.halo_sent.clone(),
-            shipments_sent: self.shipments_sent.clone(),
-            halo_msgs: self.halo_msgs,
-            ship_msgs: self.ship_msgs,
-            done_msgs: self.done_msgs,
-            ghost_mismatches,
-        }
-    }
-}
-
 /// Receive-side state of the batch-prologue migrate stage (DESIGN.md
 /// §6b): which peers still owe this rank a [`Msg::Migrate`], and the
 /// node list each must carry under the accepted plan. Receivers know
@@ -244,8 +207,8 @@ impl MigrateRecv {
 /// its joined threads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RankBatchOutcome {
-    /// Every step drained, searched, and (if any step was chaos-armed)
-    /// the batch completion round closed.
+    /// Every step drained and searched, and the batch completion round
+    /// closed.
     Completed(Vec<RankResult>),
     /// Killed by the fault plan while sending step `done.len()`; the
     /// zombie still finished the steps before its death.
@@ -267,7 +230,7 @@ pub enum RankBatchOutcome {
 /// destination: one [`Msg::Elements`] per peer with anything to ship),
 /// and `Done` trailers, every message tagged `step: s` and sequence
 /// numbers restarting per step, so injected fates depend on the step
-/// alone. `st` is the step's chaos state if the step is armed.
+/// alone. Every payload goes through `st`, the step's send record.
 /// Returns `false` if the fault plan killed the rank mid-step (trailers
 /// are all-or-nothing: a dead rank announces nothing).
 fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
@@ -275,13 +238,12 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     r: usize,
     s: usize,
     input: &StepInput<'_, F>,
-    mut st: Option<&mut ChaosState<'_>>,
+    st: &mut StepSend<'_>,
     mb: &mut MB,
-    stats: &mut StepSend,
 ) -> bool {
     let rec = &input.recorder;
     let plan = &input.decomposition.ranks[r];
-    let fault = st.as_ref().map(|cs| cs.plan);
+    let fault = st.plan;
     let dies = |sends| fault.is_some_and(|f| f.kills(me, sends));
     let mut payload_sends = 0u64;
 
@@ -295,16 +257,12 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             let dest = *dest as usize;
             let values: Vec<_> =
                 nodes.iter().map(|&n| (n, input.positions[n as usize].coords)).collect();
-            stats.halo_sent[dest] += values.len() as u64;
-            stats.halo_msgs += 1;
+            st.halo_sent[dest] += values.len() as u64;
+            st.halo_msgs += 1;
             rec.record("exec.halo_msg_nodes", values.len() as u64);
-            let msg = Msg::Halo { from: me, step: s as u32, seq: stats.sent_to[dest], values };
-            stats.sent_to[dest] += 1;
+            let msg = Msg::Halo { from: me, step: s as u32, seq: st.next_seq(dest), values };
             payload_sends += 1;
-            match st.as_deref_mut() {
-                None => mb.send(dest, msg),
-                Some(cs) => chaos_send(cs, mb, rec, me, dest, msg),
-            }
+            st.send(mb, rec, me, dest, msg);
         }
     }
 
@@ -335,48 +293,36 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                     rec.add("fault.killed_ranks", 1);
                     return false;
                 }
-                stats.shipments_sent[dest] += items.len() as u64;
-                stats.ship_msgs += 1;
+                st.shipments_sent[dest] += items.len() as u64;
+                st.ship_msgs += 1;
                 rec.record("exec.ship_msg_elements", items.len() as u64);
                 let msg = Msg::Elements {
                     from: me,
                     step: s as u32,
-                    seq: stats.sent_to[dest],
+                    seq: st.next_seq(dest),
                     items: items.to_vec(),
                 };
-                stats.sent_to[dest] += 1;
                 payload_sends += 1;
-                match st.as_deref_mut() {
-                    None => mb.send(dest, msg),
-                    Some(cs) => chaos_send(cs, mb, rec, me, dest, msg),
-                }
+                st.send(mb, rec, me, dest, msg);
             }
         }
         if dies(payload_sends) {
             rec.add("fault.killed_ranks", 1);
             return false;
         }
-        if let Some(cs) = st.as_deref_mut() {
-            for dest in 0..k {
-                if let Some(m) = cs.held[dest].take() {
-                    mb.send(dest, m);
-                }
+        // Per destination: the held reorder slot, the trailer, then
+        // whatever the plan delayed past it.
+        for dest in (0..k).filter(|&dest| dest != r) {
+            if let Some(m) = st.held[dest].take() {
+                mb.send(dest, m);
+            }
+            mb.send(dest, Msg::Done { from: me, step: s as u32, sent: st.next_seq(dest) });
+            st.done_msgs += 1;
+            for m in st.delayed[dest].drain(..) {
+                mb.send(dest, m);
             }
         }
-        for dest in 0..k {
-            if dest != r {
-                mb.send(dest, Msg::Done { from: me, step: s as u32, sent: stats.sent_to[dest] });
-                stats.done_msgs += 1;
-            }
-        }
-        if let Some(cs) = st {
-            for dest in 0..k {
-                for m in cs.delayed[dest].drain(..) {
-                    mb.send(dest, m);
-                }
-            }
-        }
-        span.set_attr("shipped", stats.shipments_sent.iter().sum::<u64>());
+        span.set_attr("shipped", st.shipments_sent.iter().sum::<u64>());
     }
     true
 }
@@ -384,8 +330,8 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
 /// One rank's receive side of a batch: everything an inbound message is
 /// routed into.
 struct Inbound<'a> {
-    /// Per-step chaos bookkeeping (`None` = the step is clean).
-    chaos: Vec<Option<ChaosState<'a>>>,
+    /// Per-step send records (the resend service replays their history).
+    send: Vec<StepSend<'a>>,
     /// Per-step receive tables.
     recv: Vec<StepRecv>,
     /// Whose `Complete` has arrived (self included).
@@ -402,10 +348,11 @@ impl Inbound<'_> {
             .collect()
     }
 
-    /// Routes one inbound message into the per-step state tables. Resend
-    /// requests are only served for steps below `serve_below` (a zombie
-    /// must not replay the step it died in: a dead rank announced nothing
-    /// for it).
+    /// Routes one inbound message into the per-step state tables; one
+    /// from a rank outside the batch (a skewed peer, a stale frame) is
+    /// dropped. Resend requests are only served for steps below
+    /// `serve_below` (a zombie must not replay the step it died in: a
+    /// dead rank announced nothing for it).
     fn dispatch<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         &mut self,
         msg: Msg,
@@ -414,7 +361,10 @@ impl Inbound<'_> {
         mb: &mut MB,
         serve_below: usize,
     ) {
-        let Self { chaos, recv, completed_peers, mig } = self;
+        let Self { send, recv, completed_peers, mig } = self;
+        if msg.sender() as usize >= completed_peers.len() {
+            return;
+        }
         let n = steps.len();
         match msg {
             Msg::Halo { from, step, seq, values } => {
@@ -454,8 +404,7 @@ impl Inbound<'_> {
                 let f = from as usize;
                 let rs = &mut recv[s];
                 rs.exp[f] = Some(sent);
-                // Only an armed step keeps the history a resend replays.
-                if chaos[s].is_some() && rs.got[f] < sent {
+                if rs.got[f] < sent {
                     steps[s].recorder.add("recovery.resend_requests", 1);
                     let seqs = missing_seqs(&rs.seen[f], sent);
                     mb.send(f, Msg::Resend { from: me, step, seqs });
@@ -466,13 +415,11 @@ impl Inbound<'_> {
                 if s >= serve_below {
                     return;
                 }
-                if let Some(cs) = chaos.get(s).and_then(|c| c.as_ref()) {
-                    let f = from as usize;
-                    for q in seqs {
-                        if let Some(m) = cs.history[f].get(q as usize).cloned() {
-                            steps[s].recorder.add("recovery.resent", 1);
-                            mb.send(f, m);
-                        }
+                let f = from as usize;
+                for q in seqs {
+                    if let Some(m) = send[s].history[f].get(q as usize).cloned() {
+                        steps[s].recorder.add("recovery.resent", 1);
+                        mb.send(f, m);
                     }
                 }
             }
@@ -513,14 +460,11 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     let rec0 = steps[0].recorder.clone();
     rec0.set_lane(me);
     let mut inb = Inbound {
-        chaos: (0..n)
-            .map(|s| plans.get(s).and_then(Option::as_ref).map(|p| ChaosState::new(p, k)))
-            .collect(),
+        send: (0..n).map(|s| StepSend::new(plans.get(s).and_then(Option::as_ref), k)).collect(),
         recv: (0..n).map(|_| StepRecv::new(k, r)).collect(),
         completed_peers: (0..k).map(|p| p == r).collect(),
         mig: MigrateRecv::idle(),
     };
-    let mut send: Vec<StepSend> = (0..n).map(|_| StepSend::new(k)).collect();
     let mut results: Vec<RankResult> = Vec::with_capacity(n);
     let mut completed = 0usize;
     let mut next_send = 0usize;
@@ -574,7 +518,7 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         // ---- Send while inside the lookahead window. ------------------
         while killed.is_none() && next_send < n && next_send < completed + lookahead {
             let s = next_send;
-            if !send_step(me, r, s, &steps[s], inb.chaos[s].as_mut(), mb, &mut send[s]) {
+            if !send_step(me, r, s, &steps[s], &mut inb.send[s], mb) {
                 killed = Some(s);
                 break;
             }
@@ -613,7 +557,7 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                 input.recorder.record("exec.search_active", active as u64);
                 pairs
             };
-            results.push(send[s].result(pairs, rs.ghost_mismatches));
+            results.push(inb.send[s].result(pairs, rs.ghost_mismatches));
             completed += 1;
             progressed = true;
             retries_left = opts.retries;
@@ -625,31 +569,27 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             continue;
         }
 
-        // ---- Batch finished: run the chaos completion round. ----------
+        // ---- Batch finished: run the completion round. ----------------
+        // Keep serving resends until every peer has all it expects.
         if killed.is_none() && completed == n {
-            if inb.chaos.iter().any(|c| c.is_some()) {
-                for dest in 0..k {
-                    if dest != r {
-                        mb.send(dest, Msg::Complete { from: me });
-                    }
+            for dest in 0..k {
+                if dest != r {
+                    mb.send(dest, Msg::Complete { from: me });
                 }
-                while !inb.completed_peers.iter().all(|&c| c) {
-                    match recv_or_idle(&rec0, mb, opts.timeout) {
-                        Ok(msg) => inb.dispatch(msg, me, steps, mb, n),
-                        Err(RecvTimeoutError::Timeout) if retries_left > 0 => {
-                            retries_left -= 1;
-                            rec0.add("recovery.retries", 1);
-                        }
-                        Err(_) => {
-                            // Data-satisfied but the completion round
-                            // stalled: the uncompleted peers are the ones
-                            // in trouble, and the last step cannot commit.
-                            results.pop();
-                            return RankBatchOutcome::Lost {
-                                done: results,
-                                dead: inb.uncompleted(),
-                            };
-                        }
+            }
+            while !inb.completed_peers.iter().all(|&c| c) {
+                match recv_or_idle(&rec0, mb, opts.timeout) {
+                    Ok(msg) => inb.dispatch(msg, me, steps, mb, n),
+                    Err(RecvTimeoutError::Timeout) if retries_left > 0 => {
+                        retries_left -= 1;
+                        rec0.add("recovery.retries", 1);
+                    }
+                    Err(_) => {
+                        // Data-satisfied but the completion round stalled:
+                        // the uncompleted peers are the ones in trouble,
+                        // and the last step cannot commit.
+                        results.pop();
+                        return RankBatchOutcome::Lost { done: results, dead: inb.uncompleted() };
                     }
                 }
             }
@@ -680,9 +620,6 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                 // Repair round: re-request every known gap of every step
                 // still in flight.
                 for (s, input) in steps.iter().enumerate().take(next_send).skip(completed) {
-                    if inb.chaos[s].is_none() {
-                        continue;
-                    }
                     let rs = &inb.recv[s];
                     for p in (0..k).filter(|&p| p != r) {
                         if let Some(e) = rs.exp[p].filter(|&e| rs.got[p] < e) {
@@ -734,7 +671,8 @@ fn lose_step(
 /// reuse them.
 ///
 /// `faults` is empty (no injection) or one plan per step (`None` = a
-/// clean step); any other length arms nothing. `migrate`
+/// clean step); any other length arms nothing. Every step, clean or
+/// not, re-sends a payload lost in transport. `migrate`
 /// is an accepted repartition plan to execute as the batch's prologue:
 /// the driver has already flipped `node_parts` to the new decomposition
 /// when it hands the plan over, so the stage is *executed traffic*, not a
@@ -873,7 +811,8 @@ mod tests {
     use cip_geom::{Aabb, Point};
     use cip_graph::GraphBuilder;
     use cip_telemetry::Recorder;
-    use cip_transport::{InProcess, TryRecvError};
+    use cip_transport::tcp::Tcp;
+    use cip_transport::{InProcess, Transport, TryRecvError};
     use std::time::Duration;
 
     /// Owned data for an `n_steps`-step batch over a 1D chain of nodes
@@ -998,18 +937,19 @@ mod tests {
         }
     }
 
-    /// A seat that silently loses the first `Msg::Elements` its rank
-    /// sends while `lose_next_shipment` is set: what the rank loop sees
-    /// when the transport drops a frame as corrupt.
-    struct LosesAShipment<MB> {
+    /// A seat that silently loses the next `lose` `Msg::Elements` its
+    /// rank sends, resends included: what the rank loop sees when the
+    /// transport drops a frame as corrupt.
+    struct LosesShipments<MB> {
         seat: MB,
-        lose_next_shipment: bool,
+        lose: usize,
+        lost: usize,
     }
 
-    impl<MB: Mailbox<Msg>> Mailbox<Msg> for LosesAShipment<MB> {
+    impl<MB: Mailbox<Msg>> Mailbox<Msg> for LosesShipments<MB> {
         fn send(&mut self, to: usize, msg: Msg) {
-            if self.lose_next_shipment && matches!(msg, Msg::Elements { .. }) {
-                self.lose_next_shipment = false;
+            if self.lost < self.lose && matches!(msg, Msg::Elements { .. }) {
+                self.lost += 1;
                 return;
             }
             self.seat.send(to, msg);
@@ -1024,40 +964,87 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_clean_step_that_loses_a_payload_fails_instead_of_committing() {
-        let sc = chain_scenario(2, 1);
-        let steps = inputs(&sc, &Recorder::disabled());
-        let opts = ExecOptions {
-            timeout: Duration::from_millis(50),
-            retries: 1,
-            ..ExecOptions::default()
-        };
-        let mut seats: Vec<_> = connect_ranks(&InProcess, 2, &opts, &Recorder::disabled())
+    /// Runs a clean `steps` batch over a fresh `transport` mesh whose rank
+    /// 0 loses its next `lose` shipments; returns the outcome and the
+    /// batch's `recovery.resent` count.
+    fn run_losing<T: Transport>(
+        transport: &T,
+        sc: &Scenario,
+        lose: usize,
+        opts: &ExecOptions,
+    ) -> (Result<Vec<StepOutput>, BatchError>, u64) {
+        let rec = Recorder::enabled();
+        let steps = inputs(sc, &rec);
+        let k = sc.decomposition.k;
+        let mut seats: Vec<_> = connect_ranks(transport, k, opts, &Recorder::disabled())
             .expect("mesh connects")
             .into_iter()
             .enumerate()
-            .map(|(r, seat)| LosesAShipment { seat, lose_next_shipment: r == 0 })
+            .map(|(r, seat)| LosesShipments { seat, lose: if r == 0 { lose } else { 0 }, lost: 0 })
             .collect();
-        // No plan arms the step: the `Done` count alone reveals the gap.
-        match execute_steps(&steps, &[], &opts, None, &mut seats, 0) {
-            Err(err) => {
-                assert!(err.completed.is_empty());
-                match err.error {
-                    RuntimeError::RankLost { dead } => assert_eq!(dead, vec![0]),
-                    other => panic!("expected RankLost, got {other}"),
-                }
-            }
-            Ok(outs) => {
-                let serial = cip_contact::serial_contact_pairs(&sc.elements[0], &sc.bodies, 0.2);
-                panic!(
-                    "committed a step that lost a payload: {} of {} pairs",
-                    outs[0].contact_pairs.len(),
-                    serial.len()
-                );
+        // No plan arms a step: the `Done` count alone reveals the gap.
+        let out = execute_steps(&steps, &[], opts, None, &mut seats, 0);
+        assert!(seats[0].lost > 0, "rank 0 shipped something to lose");
+        (out, rec.counter_value("recovery.resent"))
+    }
+
+    #[test]
+    fn a_clean_step_that_loses_a_payload_resends_it() {
+        fn check<T: Transport>(transport: &T, k: usize) {
+            let sc = chain_scenario(k, 2);
+            let opts = opts_with(2);
+            let clean = run(&inputs(&sc, &Recorder::disabled()), &[], &opts).expect("clean batch");
+            let (out, resent) = run_losing(transport, &sc, 1, &opts);
+            assert_eq!(out.expect("the lost shipment is re-sent"), clean, "k={k}");
+            assert_eq!(resent, 1, "k={k}");
+        }
+        for k in [2usize, 3, 4] {
+            check(&InProcess, k);
+            check(&Tcp::loopback(), k);
+        }
+    }
+
+    #[test]
+    fn a_payload_lost_beyond_repair_fails_the_step_uncommitted() {
+        fn check<T: Transport>(transport: &T) {
+            let sc = chain_scenario(2, 2);
+            let opts = ExecOptions {
+                timeout: Duration::from_millis(50),
+                retries: 1,
+                ..ExecOptions::default()
+            };
+            let err = run_losing(transport, &sc, usize::MAX, &opts)
+                .0
+                .expect_err("a shipment that never arrives must fail the step");
+            assert!(err.completed.is_empty());
+            assert_eq!(err.failed_step, 0);
+            match err.error {
+                RuntimeError::RankLost { dead } => assert!(dead.contains(&0), "{dead:?}"),
+                other => panic!("expected RankLost, got {other}"),
             }
         }
-        assert!(!seats[0].lose_next_shipment, "rank 0 shipped something to lose");
+        check(&InProcess);
+        check(&Tcp::loopback());
+    }
+
+    #[test]
+    fn messages_from_a_rank_outside_the_batch_are_dropped() {
+        let sc = chain_scenario(2, 2);
+        let steps = inputs(&sc, &Recorder::disabled());
+        let opts = opts_with(2);
+        let clean = run(&steps, &[], &opts).expect("clean batch executes");
+        let mut seats =
+            connect_ranks(&InProcess, 2, &opts, &Recorder::disabled()).expect("mesh connects");
+        // Raw frames from a rank 9 of some other mesh (a skewed worker, or
+        // a stale `Complete`, which the epoch fence does not tag).
+        for to in 0..2 {
+            seats[1 - to].send(to, Msg::Complete { from: 9 });
+            seats[1 - to].send(to, Msg::Done { from: 9, step: 0, sent: 1 });
+            seats[1 - to].send(to, Msg::Resend { from: 9, step: 0, seqs: vec![0] });
+        }
+        let out = execute_steps(&steps, &[], &opts, None, &mut seats, 0)
+            .expect("the batch ignores a rank it does not have");
+        assert_eq!(out, clean);
     }
 
     #[test]

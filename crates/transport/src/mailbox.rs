@@ -69,8 +69,8 @@ pub struct TransportStats {
     /// Frames read and decoded.
     pub frames_recv: u64,
     /// Frames dropped for CRC/decode corruption. The runtime detects
-    /// each lost payload by its `Done` counts: an armed step re-requests
-    /// it, a clean step fails as a rank loss and is re-run.
+    /// each lost payload by its `Done` counts and re-requests it from
+    /// the sender's history.
     pub recv_corrupt: u64,
 }
 

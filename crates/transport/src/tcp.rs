@@ -194,9 +194,8 @@ fn reader_loop<M: Wire>(
                 }
             }
             // Frame-local corruption: drop the frame and keep reading.
-            // The runtime's `Done` counts reveal the lost payload: a step
-            // armed with a fault plan re-requests it from the sender's
-            // history, a clean step fails as a rank loss and is re-run.
+            // The runtime's `Done` counts reveal the lost payload, and the
+            // receiver re-requests it from the sender's history.
             Err(ReadError::Corrupt(_)) => {
                 stats.recv_corrupt.fetch_add(1, Ordering::Relaxed);
                 rec.add("transport.recv_corrupt", 1);

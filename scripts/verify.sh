@@ -350,4 +350,15 @@ if grep -rnwE --include='*.rs' 'FaultInjector|done_from|done_count|BatchSpec' \
   exit 1
 fi
 
+echo "==> one delivery path"
+# Every step keeps its send history, answers Resend and closes its batch
+# with the Complete round (DESIGN.md §6b): a fault plan only decides fates
+# and kills, so the armed-only send record and the clean path's separate
+# sequence counter stay gone.
+if grep -rnwE --include='*.rs' 'ChaosState|sent_to' src crates tests examples \
+    | grep -v '^crates/ladder/'; then
+  echo "verify: FAIL — a second delivery path is back"
+  exit 1
+fi
+
 echo "verify: OK"
