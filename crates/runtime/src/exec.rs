@@ -91,20 +91,23 @@ pub enum Msg {
     Complete {
         /// Sending rank.
         from: u32,
+        /// The batch's last step, so the epoch fence drops a `Complete`
+        /// of an earlier batch like any other stale frame.
+        step: u32,
     },
     /// Repartition hand-off (DESIGN.md §6b): the nodes this rank
     /// surrenders to the receiver under an accepted
-    /// [`crate::MigrationPlan`]. Spliced in front of a batch as a tagged
-    /// stage, so the decomposition flip rides the normal message schedule
-    /// instead of a driver barrier. Control-plane: never routed through
-    /// fault injection and never counted as payload traffic, so a step's
-    /// fate stream does not depend on whether a stage precedes it.
+    /// [`crate::MigrationPlan`]. A payload of the batch's step 0, sent
+    /// after its halos and shipments: it takes the next `seq`, a fate, a
+    /// history slot and a place in `Done.sent` like them, but is never
+    /// counted as traffic.
     Migrate {
         /// Sending rank (the old owner).
         from: u32,
-        /// Batch-local step the stage precedes (always 0; epoch-lifted by
-        /// the multi-process fence exactly like payload steps).
+        /// Batch-local step the payload belongs to (always 0).
         step: u32,
+        /// Position in the sender's payload stream to this receiver.
+        seq: u64,
         /// Global node ids handed to the receiver, in plan order.
         nodes: Vec<u32>,
     },
@@ -118,8 +121,20 @@ impl Msg {
             | Msg::Elements { from, .. }
             | Msg::Done { from, .. }
             | Msg::Resend { from, .. }
-            | Msg::Complete { from }
+            | Msg::Complete { from, .. }
             | Msg::Migrate { from, .. } => *from,
+        }
+    }
+
+    /// The batch-local step the message belongs to.
+    pub(crate) fn step_mut(&mut self) -> &mut u32 {
+        match self {
+            Msg::Halo { step, .. }
+            | Msg::Elements { step, .. }
+            | Msg::Done { step, .. }
+            | Msg::Resend { step, .. }
+            | Msg::Complete { step, .. }
+            | Msg::Migrate { step, .. } => step,
         }
     }
 }

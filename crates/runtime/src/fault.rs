@@ -15,10 +15,11 @@
 //!   retry/resend path replays messages verbatim from its history buffer,
 //!   bypassing injection, so one retry round always repairs pure
 //!   message-level faults;
-//! * only payload messages (`Halo`, `Elements`) are injectable — `Done`
-//!   trailers and the recovery-control messages model a reliable control
-//!   plane, so the only way a `Done` goes missing is a killed rank, which
-//!   the timeout path detects.
+//! * only payload messages (`Halo`, `Elements`, `Migrate`) are
+//!   injectable — `Done` trailers and the recovery-control messages are
+//!   never given a fate; a `Done` the transport loses is requested again
+//!   by the timeout path, and one a killed rank never sent is how it
+//!   detects the death.
 
 use cip_transport::{codec_struct, permille_pick, splitmix64};
 

@@ -14,8 +14,8 @@
 //!   are still finishing step `s`, bounded by [`ExecOptions::lookahead`]
 //!   (at lookahead 1 a rank finishes step `s` before it sends `s + 1`);
 //! * repartition boundaries end the batch; the migration of the accepted
-//!   plan rides the next batch as a [`Msg::Migrate`] prologue instead of
-//!   a stop-the-world stage of its own.
+//!   plan rides the next batch's step 0 as [`Msg::Migrate`] payloads
+//!   instead of a stop-the-world stage of its own.
 //!
 //! The scheduler is a pair of cursors (`next_send`, `completed`) over
 //! per-step state tables allocated once at batch start: the ready set is
@@ -24,11 +24,14 @@
 //! allocates nothing beyond the message payloads themselves. One inbox
 //! per rank is partitioned by the `step` tag every message carries.
 //!
-//! Delivery and repair are one protocol for every step: a step completes
-//! when each peer's `Done` has announced `sent` and that many distinct
-//! payloads have arrived; a gap the `Done` reveals is re-requested from
+//! Delivery and repair are one protocol for every message a step waits
+//! on, migration included: a step completes when each peer's `Done` has
+//! announced `sent` and that many distinct payloads have arrived; a gap
+//! the `Done` reveals, or a `Done` that never came, is re-requested from
 //! the sender's per-step history, and one completion round per batch
-//! keeps every rank serving resends until no peer needs one. A step's
+//! keeps every rank serving resends until no peer needs one. The loop
+//! has one blocking receive for all of it — sending, draining, the
+//! completion round and a zombie's service — and one retry budget. A step's
 //! optional [`FaultPlan`] only decides fates and kills. Fates are
 //! evaluated per `(from, to, step, seq)`, so a step's injected faults do
 //! not depend on the lookahead or on how the trace was cut into batches.
@@ -86,7 +89,7 @@ impl std::error::Error for BatchError {
 }
 
 /// Per-step receive-side state of one rank (all peers).
-struct StepRecv {
+struct StepRecv<'a> {
     /// Announced first-transmission count per peer (`None` until its
     /// `Done` arrives).
     exp: Vec<Option<u64>>,
@@ -96,12 +99,16 @@ struct StepRecv {
     seen: Vec<Vec<bool>>,
     /// Elements shipped to this rank for this step.
     received: Vec<(u32, Aabb<3>, u16)>,
-    /// Halo values that disagreed with the oracle position.
+    /// Halo values that disagreed with the oracle position, and migrate
+    /// rows that disagreed with the plan.
     ghost_mismatches: usize,
+    /// Per peer, the migration plan row it still owes this rank (step 0
+    /// of a batch that carries a plan; empty otherwise).
+    owed: Vec<Option<&'a [u32]>>,
 }
 
-impl StepRecv {
-    fn new(k: usize, r: usize) -> Self {
+impl<'a> StepRecv<'a> {
+    fn new(k: usize, r: usize, owed: Vec<Option<&'a [u32]>>) -> Self {
         let mut exp = vec![None; k];
         exp[r] = Some(0);
         Self {
@@ -110,6 +117,7 @@ impl StepRecv {
             seen: vec![Vec::new(); k],
             received: Vec::new(),
             ghost_mismatches: 0,
+            owed,
         }
     }
 
@@ -140,64 +148,11 @@ impl StepRecv {
     fn unaccounted(&self, k: usize) -> Vec<u32> {
         (0..k).filter(|&p| !self.peer_complete(p)).map(|p| p as u32).collect()
     }
-}
 
-/// Receive-side state of the batch-prologue migrate stage (DESIGN.md
-/// §6b): which peers still owe this rank a [`Msg::Migrate`], and the
-/// node list each must carry under the accepted plan. Receivers know
-/// both statically from the plan, so the stage needs no `Done` trailer
-/// and no sequence space — one message per non-empty plan row.
-struct MigrateRecv {
-    /// Expected node list per peer; `None` once received (or never owed).
-    expect: Vec<Option<Vec<u32>>>,
-    /// Peers whose stage has not arrived yet.
-    pending: usize,
-    /// Received stages that disagreed with the plan row (must be 0;
-    /// folded into step 0's `ghost_mismatches` so the driver's commit
-    /// assertion catches any splice bug loudly).
-    mismatches: usize,
-    /// Node ids received across all stages.
-    nodes_received: u64,
-}
-
-impl MigrateRecv {
-    /// No migrate stage in this batch: nothing expected, strays ignored.
-    fn idle() -> Self {
-        Self { expect: Vec::new(), pending: 0, mismatches: 0, nodes_received: 0 }
-    }
-
-    /// Arms rank `r`'s expectations: one stage per peer whose plan row
-    /// toward `r` is non-empty.
-    fn arm(plan: &MigrationPlan, r: usize, k: usize) -> Self {
-        let mut expect: Vec<Option<Vec<u32>>> = vec![None; k];
-        let mut pending = 0usize;
-        for (src, slot) in expect.iter_mut().enumerate() {
-            if src == r {
-                continue;
-            }
-            let row = &plan.moves[src * k + r];
-            if !row.is_empty() {
-                *slot = Some(row.clone());
-                pending += 1;
-            }
-        }
-        Self { expect, pending, mismatches: 0, nodes_received: 0 }
-    }
-
-    /// Folds one received stage in. Duplicates and unexpected senders
-    /// are dropped — the plan is authoritative about who owes what.
-    fn accept(&mut self, from: usize, nodes: &[u32]) {
-        let Some(want) = self.expect.get_mut(from).and_then(Option::take) else { return };
-        self.pending -= 1;
-        self.nodes_received += nodes.len() as u64;
-        if want.as_slice() != nodes {
-            self.mismatches += 1;
-        }
-    }
-
-    /// Peers whose stage never arrived.
-    fn unaccounted(&self) -> Vec<u32> {
-        self.expect.iter().enumerate().filter(|(_, e)| e.is_some()).map(|(p, _)| p as u32).collect()
+    /// Mismatches of the complete step: a plan row still owed once every
+    /// peer's data is in never came, so it counts as one too.
+    fn mismatches(&self) -> usize {
+        self.ghost_mismatches + self.owed.iter().flatten().count()
     }
 }
 
@@ -228,30 +183,38 @@ pub enum RankBatchOutcome {
 
 /// Streams one step's halo values, element shipments (bucketed per
 /// destination: one [`Msg::Elements`] per peer with anything to ship),
-/// and `Done` trailers, every message tagged `step: s` and sequence
-/// numbers restarting per step, so injected fates depend on the step
-/// alone. Every payload goes through `st`, the step's send record.
-/// Returns `false` if the fault plan killed the rank mid-step (trailers
-/// are all-or-nothing: a dead rank announces nothing).
+/// the rows of `migrate` (step 0 of a batch that carries a plan), and
+/// `Done` trailers, every message tagged `step: s` and sequence numbers
+/// restarting per step, so injected fates depend on the step alone.
+/// Every payload goes through `st`, the step's send record. Returns
+/// `false` if the fault plan killed the rank mid-step (trailers are
+/// all-or-nothing: a dead rank announces nothing).
 fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     me: u32,
     r: usize,
     s: usize,
     input: &StepInput<'_, F>,
+    migrate: Option<&MigrationPlan>,
     st: &mut StepSend<'_>,
     mb: &mut MB,
 ) -> bool {
     let rec = &input.recorder;
     let plan = &input.decomposition.ranks[r];
+    let k = input.decomposition.k;
     let fault = st.plan;
-    let dies = |sends| fault.is_some_and(|f| f.kills(me, sends));
+    let dies = |sends| {
+        let dead = fault.is_some_and(|f| f.kills(me, sends));
+        if dead {
+            rec.add("fault.killed_ranks", 1);
+        }
+        dead
+    };
     let mut payload_sends = 0u64;
 
     {
         let _span = rec.span("exec.halo").attr("rank", me).attr("step", s);
         for (dest, nodes) in plan.send_halo.iter() {
             if dies(payload_sends) {
-                rec.add("fault.killed_ranks", 1);
                 return false;
             }
             let dest = *dest as usize;
@@ -272,7 +235,6 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             .attr("rank", me)
             .attr("step", s)
             .attr("owned", plan.owned_surface.len());
-        let k = input.decomposition.k;
         let mut buckets: Vec<Vec<ShippedElement>> = vec![Vec::new(); k];
         let mut candidates = Vec::new();
         for &e in &plan.owned_surface {
@@ -290,7 +252,6 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         for (dest, bucket) in buckets.iter().enumerate() {
             for items in bucket.chunks(SHIP_CHUNK) {
                 if dies(payload_sends) {
-                    rec.add("fault.killed_ranks", 1);
                     return false;
                 }
                 st.shipments_sent[dest] += items.len() as u64;
@@ -306,23 +267,40 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                 st.send(mb, rec, me, dest, msg);
             }
         }
-        if dies(payload_sends) {
-            rec.add("fault.killed_ranks", 1);
-            return false;
-        }
-        // Per destination: the held reorder slot, the trailer, then
-        // whatever the plan delayed past it.
-        for dest in (0..k).filter(|&dest| dest != r) {
-            if let Some(m) = st.held[dest].take() {
-                mb.send(dest, m);
-            }
-            mb.send(dest, Msg::Done { from: me, step: s as u32, sent: st.next_seq(dest) });
-            st.done_msgs += 1;
-            for m in st.delayed[dest].drain(..) {
-                mb.send(dest, m);
-            }
-        }
         span.set_attr("shipped", st.shipments_sent.iter().sum::<u64>());
+    }
+    if dies(payload_sends) {
+        return false;
+    }
+
+    // The migration follows the step's halos and shipments, so theirs keep
+    // their `seq`s and fates, and a kill threshold never counts it.
+    if let Some(mig) = migrate {
+        let _span = rec.span("exec.migrate").attr("rank", me);
+        let mut nodes_sent = 0u64;
+        for dest in (0..k).filter(|&dest| dest != r) {
+            let row = &mig.moves[r * k + dest];
+            if !row.is_empty() {
+                nodes_sent += row.len() as u64;
+                let seq = st.next_seq(dest);
+                let msg = Msg::Migrate { from: me, step: s as u32, seq, nodes: row.clone() };
+                st.send(mb, rec, me, dest, msg);
+            }
+        }
+        rec.add("exec.migrate.nodes_sent", nodes_sent);
+    }
+
+    // Per destination: the held reorder slot, the trailer, then whatever
+    // the plan delayed past it.
+    for dest in (0..k).filter(|&dest| dest != r) {
+        if let Some(m) = st.held[dest].take() {
+            mb.send(dest, m);
+        }
+        mb.send(dest, Msg::Done { from: me, step: s as u32, sent: st.next_seq(dest) });
+        st.done_msgs += 1;
+        for m in st.delayed[dest].drain(..) {
+            mb.send(dest, m);
+        }
     }
     true
 }
@@ -333,11 +311,9 @@ struct Inbound<'a> {
     /// Per-step send records (the resend service replays their history).
     send: Vec<StepSend<'a>>,
     /// Per-step receive tables.
-    recv: Vec<StepRecv>,
+    recv: Vec<StepRecv<'a>>,
     /// Whose `Complete` has arrived (self included).
     completed_peers: Vec<bool>,
-    /// The migrate prologue's expectations.
-    mig: MigrateRecv,
 }
 
 impl Inbound<'_> {
@@ -349,31 +325,27 @@ impl Inbound<'_> {
     }
 
     /// Routes one inbound message into the per-step state tables; one
-    /// from a rank outside the batch (a skewed peer, a stale frame) is
-    /// dropped. Resend requests are only served for steps below
-    /// `serve_below` (a zombie must not replay the step it died in: a
-    /// dead rank announced nothing for it).
+    /// from a rank outside the batch (a skewed peer) or for a step past
+    /// its end is dropped. Resend requests are only served for steps
+    /// below `next_send` (a zombie must not replay the step it died in:
+    /// a dead rank announced nothing for it).
     fn dispatch<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         &mut self,
-        msg: Msg,
+        mut msg: Msg,
         me: u32,
         steps: &[StepInput<'_, F>],
         mb: &mut MB,
-        serve_below: usize,
+        next_send: usize,
     ) {
-        let Self { send, recv, completed_peers, mig } = self;
-        if msg.sender() as usize >= completed_peers.len() {
+        let (f, s) = (msg.sender() as usize, *msg.step_mut() as usize);
+        if f >= self.completed_peers.len() || s >= steps.len() {
             return;
         }
-        let n = steps.len();
+        let Self { send, recv, completed_peers } = self;
+        let (rs, rec) = (&mut recv[s], &steps[s].recorder);
         match msg {
-            Msg::Halo { from, step, seq, values } => {
-                let s = step as usize;
-                if s >= n {
-                    return;
-                }
-                let rs = &mut recv[s];
-                if rs.admit(from as usize, seq, &steps[s].recorder) {
+            Msg::Halo { seq, values, .. } => {
+                if rs.admit(f, seq, rec) {
                     for (node, pos) in values {
                         if steps[s].positions[node as usize].coords != pos {
                             rs.ghost_mismatches += 1;
@@ -381,13 +353,8 @@ impl Inbound<'_> {
                     }
                 }
             }
-            Msg::Elements { from, step, seq, items } => {
-                let s = step as usize;
-                if s >= n {
-                    return;
-                }
-                let rs = &mut recv[s];
-                if rs.admit(from as usize, seq, &steps[s].recorder) {
+            Msg::Elements { seq, items, .. } => {
+                if rs.admit(f, seq, rec) {
                     // `Aabb::new` debug-asserts min <= max; a corrupt frame
                     // must yield a value, not a panic, so build it raw.
                     rs.received.extend(items.into_iter().map(|it| {
@@ -396,39 +363,40 @@ impl Inbound<'_> {
                     }));
                 }
             }
-            Msg::Done { from, step, sent } => {
-                let s = step as usize;
-                if s >= n {
-                    return;
-                }
-                let f = from as usize;
-                let rs = &mut recv[s];
-                rs.exp[f] = Some(sent);
-                if rs.got[f] < sent {
-                    steps[s].recorder.add("recovery.resend_requests", 1);
-                    let seqs = missing_seqs(&rs.seen[f], sent);
-                    mb.send(f, Msg::Resend { from: me, step, seqs });
+            Msg::Migrate { seq, nodes, .. } => {
+                if rs.admit(f, seq, rec) {
+                    rec.add("exec.migrate.nodes_received", nodes.len() as u64);
+                    // The plan is authoritative about who owes what: a row
+                    // it does not owe, or a wrong one, is a mismatch.
+                    if rs.owed.get_mut(f).and_then(Option::take) != Some(nodes.as_slice()) {
+                        rs.ghost_mismatches += 1;
+                    }
                 }
             }
-            Msg::Resend { from, step, seqs } => {
-                let s = step as usize;
-                if s >= serve_below {
-                    return;
+            Msg::Done { sent, .. } => {
+                rs.exp[f] = Some(sent);
+                if rs.got[f] < sent {
+                    rec.add("recovery.resend_requests", 1);
+                    let seqs = missing_seqs(&rs.seen[f], sent);
+                    mb.send(f, Msg::Resend { from: me, step: s as u32, seqs });
                 }
-                let f = from as usize;
+            }
+            Msg::Resend { seqs, .. } if s < next_send => {
+                // An empty request asks for the step's `Done` again; it
+                // is repair, not traffic, so `done_msgs` does not move.
+                if seqs.is_empty() {
+                    rec.add("recovery.resent", 1);
+                    mb.send(f, Msg::Done { from: me, step: s as u32, sent: send[s].next_seq(f) });
+                }
                 for q in seqs {
                     if let Some(m) = send[s].history[f].get(q as usize).cloned() {
-                        steps[s].recorder.add("recovery.resent", 1);
+                        rec.add("recovery.resent", 1);
                         mb.send(f, m);
                     }
                 }
             }
-            Msg::Complete { from } => {
-                completed_peers[from as usize] = true;
-            }
-            Msg::Migrate { from, nodes, .. } => {
-                mig.accept(from as usize, &nodes);
-            }
+            Msg::Resend { .. } => {}
+            Msg::Complete { .. } => completed_peers[f] = true,
         }
     }
 }
@@ -438,8 +406,8 @@ impl Inbound<'_> {
 /// worker process calls it directly for its rank, with the driver
 /// folding the reported [`RankBatchOutcome`]s via [`collect_batch`].
 /// `faults` is empty (no injection) or one plan per step; `migrate`
-/// is the repartition stage spliced in front of the batch, if the driver
-/// accepted one.
+/// is the accepted repartition plan whose rows ride step 0, if the
+/// driver carries one into this batch.
 pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     r: usize,
     k: usize,
@@ -457,13 +425,20 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     let lookahead = opts.lookahead.max(1);
     // Any `faults` length but one plan per step arms nothing.
     let plans = if faults.len() == n { faults } else { &[] };
+    // Step 0 carries the migration (DESIGN.md §6b): each peer owes this
+    // rank its plan row toward it, and this rank sends its own rows.
+    let migrate = migrate.filter(|plan| plan.k == k);
+    let owed = |s: usize| -> Vec<Option<&[u32]>> {
+        let Some(plan) = migrate.filter(|_| s == 0) else { return Vec::new() };
+        let row = |p: usize| Some(plan.moves[p * k + r].as_slice()).filter(|row| !row.is_empty());
+        (0..k).map(|p| row(p).filter(|_| p != r)).collect()
+    };
     let rec0 = steps[0].recorder.clone();
     rec0.set_lane(me);
     let mut inb = Inbound {
         send: (0..n).map(|s| StepSend::new(plans.get(s).and_then(Option::as_ref), k)).collect(),
-        recv: (0..n).map(|_| StepRecv::new(k, r)).collect(),
+        recv: (0..n).map(|s| StepRecv::new(k, r, owed(s))).collect(),
         completed_peers: (0..k).map(|p| p == r).collect(),
-        mig: MigrateRecv::idle(),
     };
     let mut results: Vec<RankResult> = Vec::with_capacity(n);
     let mut completed = 0usize;
@@ -471,55 +446,16 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     let mut killed: Option<usize> = None;
     let mut retries_left = opts.retries;
 
-    // ---- Migrate prologue (DESIGN.md §6b). ----------------------------
-    // An accepted repartition plan is spliced in front of the batch: the
-    // rank streams the node ids it surrenders under the already-flipped
-    // decomposition, then drains until every stage *it* is owed has
-    // arrived — and goes straight into its step-0 sends while stragglers
-    // are still migrating; there is no global join. The stage is
-    // control-plane: it bypasses fault injection and the payload
-    // sequence space, so it leaves every step's fate stream untouched.
-    if let Some(plan) = migrate.filter(|plan| plan.k == k) {
-        let mut span = rec0.span("exec.migrate").attr("rank", me);
-        let mut sent = 0u64;
-        for dest in 0..k {
-            let row = &plan.moves[r * k + dest];
-            if dest == r || row.is_empty() {
-                continue;
-            }
-            sent += row.len() as u64;
-            mb.send(dest, Msg::Migrate { from: me, step: 0, nodes: row.clone() });
-        }
-        rec0.add("exec.migrate.nodes_sent", sent);
-        inb.mig = MigrateRecv::arm(plan, r, k);
-        let mut patience = opts.retries;
-        while inb.mig.pending > 0 {
-            match recv_or_idle(&rec0, mb, opts.timeout) {
-                Ok(msg) => inb.dispatch(msg, me, steps, mb, n),
-                Err(RecvTimeoutError::Timeout) if patience > 0 => {
-                    patience -= 1;
-                    rec0.add("recovery.retries", 1);
-                }
-                Err(_) => {
-                    let dead = inb.mig.unaccounted();
-                    span.set_attr("stalled_peers", dead.len());
-                    return RankBatchOutcome::Lost { done: results, dead };
-                }
-            }
-        }
-        rec0.add("exec.migrate.nodes_received", inb.mig.nodes_received);
-        span.set_attr("mismatches", inb.mig.mismatches);
-        // A stage that disagreed with the plan poisons step 0 the same way
-        // a wrong ghost value would — the driver's commit assertion fires.
-        inb.recv[0].ghost_mismatches += inb.mig.mismatches;
-    }
-
     loop {
         // ---- Send while inside the lookahead window. ------------------
         while killed.is_none() && next_send < n && next_send < completed + lookahead {
             let s = next_send;
-            if !send_step(me, r, s, &steps[s], &mut inb.send[s], mb) {
+            let mig = migrate.filter(|_| s == 0);
+            if !send_step(me, r, s, &steps[s], mig, &mut inb.send[s], mb) {
+                // A zombie keeps one round more than the survivors it
+                // serves.
                 killed = Some(s);
+                retries_left = opts.retries + 1;
                 break;
             }
             next_send += 1;
@@ -533,10 +469,10 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         // complete (`completed < next_send`): peers running ahead — or
         // k = 1, where no inbound is ever pending — must not let the
         // completion cursor overtake the send cursor, or the step would
-        // be recorded with its outbound traffic still unsent.
-        let cap = killed.unwrap_or(n);
+        // be recorded with its outbound traffic still unsent. A killed
+        // rank's `next_send` is the step it died in.
         let mut progressed = false;
-        while completed < cap && completed < next_send && inb.recv[completed].data_complete(k) {
+        while completed < next_send && inb.recv[completed].data_complete(k) {
             let s = completed;
             let input = &steps[s];
             let rs = &inb.recv[s];
@@ -557,104 +493,65 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                 input.recorder.record("exec.search_active", active as u64);
                 pairs
             };
-            results.push(inb.send[s].result(pairs, rs.ghost_mismatches));
+            results.push(inb.send[s].result(pairs, rs.mismatches()));
             completed += 1;
             progressed = true;
-            retries_left = opts.retries;
+            retries_left = opts.retries + u32::from(killed.is_some());
             input.recorder.record("exec.overlap.steps_in_flight", (next_send - completed) as u64);
+            if completed == n {
+                // The completion round: keep serving resends until every
+                // peer has all it expects.
+                for dest in (0..k).filter(|&dest| dest != r) {
+                    mb.send(dest, Msg::Complete { from: me, step: s as u32 });
+                }
+            }
         }
         if progressed {
             // Completing a step widens the send window; re-check it
             // before blocking on the inbox.
             continue;
         }
-
-        // ---- Batch finished: run the completion round. ----------------
-        // Keep serving resends until every peer has all it expects.
-        if killed.is_none() && completed == n {
-            for dest in 0..k {
-                if dest != r {
-                    mb.send(dest, Msg::Complete { from: me });
-                }
-            }
-            while !inb.completed_peers.iter().all(|&c| c) {
-                match recv_or_idle(&rec0, mb, opts.timeout) {
-                    Ok(msg) => inb.dispatch(msg, me, steps, mb, n),
-                    Err(RecvTimeoutError::Timeout) if retries_left > 0 => {
-                        retries_left -= 1;
-                        rec0.add("recovery.retries", 1);
-                    }
-                    Err(_) => {
-                        // Data-satisfied but the completion round stalled:
-                        // the uncompleted peers are the ones in trouble,
-                        // and the last step cannot commit.
-                        results.pop();
-                        return RankBatchOutcome::Lost { done: results, dead: inb.uncompleted() };
-                    }
-                }
-            }
+        if completed == n && inb.completed_peers.iter().all(|&c| c) {
             return RankBatchOutcome::Completed(results);
         }
 
-        // ---- Zombie: killed and every earlier step is finished. -------
-        if killed == Some(completed) {
-            // Survivors may still need this rank's history to repair the
-            // steps that will commit; serve them until they finish (or
-            // declare us dead and hang up).
-            let mut patience = opts.retries + 1;
-            loop {
-                match recv_or_idle(&rec0, mb, opts.timeout) {
-                    Ok(msg) => inb.dispatch(msg, me, steps, mb, completed),
-                    Err(RecvTimeoutError::Timeout) if patience > 0 => patience -= 1,
-                    Err(_) => return RankBatchOutcome::Dead { done: results },
-                }
-            }
-        }
-
-        // ---- Block on the inbox. --------------------------------------
+        // ---- Block on the inbox: the one wait of every state. ---------
         match recv_or_idle(&rec0, mb, opts.timeout) {
-            Ok(msg) => inb.dispatch(msg, me, steps, mb, killed.unwrap_or(n)),
+            Ok(msg) => inb.dispatch(msg, me, steps, mb, next_send),
             Err(RecvTimeoutError::Timeout) if retries_left > 0 => {
                 retries_left -= 1;
                 rec0.add("recovery.retries", 1);
                 // Repair round: re-request every known gap of every step
-                // still in flight.
+                // still in flight, and a `Done` that never came with an
+                // empty list.
                 for (s, input) in steps.iter().enumerate().take(next_send).skip(completed) {
                     let rs = &inb.recv[s];
-                    for p in (0..k).filter(|&p| p != r) {
-                        if let Some(e) = rs.exp[p].filter(|&e| rs.got[p] < e) {
-                            input.recorder.add("recovery.resend_requests", 1);
-                            let seqs = missing_seqs(&rs.seen[p], e);
-                            mb.send(p, Msg::Resend { from: me, step: s as u32, seqs });
-                        }
+                    for p in (0..k).filter(|&p| !rs.peer_complete(p)) {
+                        let seqs =
+                            rs.exp[p].map_or_else(Vec::new, |e| missing_seqs(&rs.seen[p], e));
+                        input.recorder.add("recovery.resend_requests", 1);
+                        mb.send(p, Msg::Resend { from: me, step: s as u32, seqs });
                     }
                 }
             }
             // The mesh closed or the repair budget is spent.
             Err(_) if killed.is_some() => return RankBatchOutcome::Dead { done: results },
-            Err(_) => return lose_step(k, &inb, completed, results),
+            Err(_) => {
+                let dead = match inb.recv.get(completed) {
+                    // Stalled at a step: blame the peers unaccounted for.
+                    Some(rs) => rs.unaccounted(k),
+                    // Every step is in but the completion round stalled:
+                    // the uncompleted peers are the ones in trouble, and
+                    // the last step cannot commit.
+                    None => {
+                        results.pop();
+                        inb.uncompleted()
+                    }
+                };
+                return RankBatchOutcome::Lost { done: results, dead };
+            }
         }
     }
-}
-
-/// Builds the `Lost` outcome for a rank stalled at step `completed`: it
-/// blames the peers unaccounted for in that step or, failing that (the
-/// completion round handles `completed == n`), the peers that never
-/// completed the batch.
-fn lose_step(
-    k: usize,
-    inb: &Inbound,
-    completed: usize,
-    results: Vec<RankResult>,
-) -> RankBatchOutcome {
-    let mut dead = match inb.recv.get(completed) {
-        Some(rs) => rs.unaccounted(k),
-        None => Vec::new(),
-    };
-    if dead.is_empty() {
-        dead = inb.uncompleted();
-    }
-    RankBatchOutcome::Lost { done: results, dead }
 }
 
 /// Executes a batch of steps, one thread per seat of the connected mesh
@@ -673,10 +570,10 @@ fn lose_step(
 /// `faults` is empty (no injection) or one plan per step (`None` = a
 /// clean step); any other length arms nothing. Every step, clean or
 /// not, re-sends a payload lost in transport. `migrate`
-/// is an accepted repartition plan to execute as the batch's prologue:
+/// is an accepted repartition plan whose rows ride step 0 as payloads:
 /// the driver has already flipped `node_parts` to the new decomposition
-/// when it hands the plan over, so the stage is *executed traffic*, not a
-/// state change (see the prologue in [`execute_rank_steps`]).
+/// when it hands the plan over, so the migration is *executed traffic*,
+/// not a state change.
 ///
 /// Errors carry the committed prefix: [`BatchError::completed`] holds
 /// the outputs of every step all ranks finished before the failure, and
@@ -744,7 +641,8 @@ pub fn collect_batch(
 ) -> Result<Vec<StepOutput>, BatchError> {
     let n = recorders.len();
     let mut killed: Vec<u32> = Vec::new();
-    let mut declared: Vec<u32> = Vec::new();
+    // Each `Lost` rank's verdict, beside how far it got.
+    let mut declared: Vec<(usize, Vec<u32>)> = Vec::new();
     let mut done: Vec<std::vec::IntoIter<RankResult>> = Vec::with_capacity(k);
     let mut commit = n;
     for (r, outcome) in outcomes.into_iter().enumerate() {
@@ -755,7 +653,7 @@ pub fn collect_batch(
                 done
             }
             RankBatchOutcome::Lost { done, dead } => {
-                declared.extend(dead);
+                declared.push((done.len(), dead));
                 done
             }
         };
@@ -784,12 +682,16 @@ pub fn collect_batch(
 
     // Ranks the plan actually killed are authoritative; survivors' timeout
     // verdicts (which can falsely accuse a merely slow peer) only stand in
-    // when no rank observed its own death.
+    // when no rank observed its own death. Of those, the ranks stalled at
+    // the failed step name the culprit: a rank that got further only
+    // blames them for never completing the batch.
     let mut dead = killed;
     if dead.is_empty() {
-        declared.sort_unstable();
-        declared.dedup();
-        dead = declared;
+        let stalled = declared.iter().filter(|(got, _)| *got == commit);
+        dead = stalled.flat_map(|(_, d)| d.iter().copied()).collect();
+    }
+    if dead.is_empty() {
+        dead = declared.into_iter().flat_map(|(_, d)| d).collect();
     }
     dead.sort_unstable();
     dead.dedup();
@@ -937,18 +839,19 @@ mod tests {
         }
     }
 
-    /// A seat that silently loses the next `lose` `Msg::Elements` its
-    /// rank sends, resends included: what the rank loop sees when the
-    /// transport drops a frame as corrupt.
-    struct LosesShipments<MB> {
+    /// A seat that silently loses the next `lose` messages its rank sends
+    /// for which `hits` holds, resends included: what the rank loop sees
+    /// when the transport drops a frame as corrupt.
+    struct Loses<MB> {
         seat: MB,
+        hits: fn(&Msg) -> bool,
         lose: usize,
         lost: usize,
     }
 
-    impl<MB: Mailbox<Msg>> Mailbox<Msg> for LosesShipments<MB> {
+    impl<MB: Mailbox<Msg>> Mailbox<Msg> for Loses<MB> {
         fn send(&mut self, to: usize, msg: Msg) {
-            if self.lost < self.lose && matches!(msg, Msg::Elements { .. }) {
+            if self.lost < self.lose && (self.hits)(&msg) {
                 self.lost += 1;
                 return;
             }
@@ -964,14 +867,21 @@ mod tests {
         }
     }
 
-    /// Runs a clean `steps` batch over a fresh `transport` mesh whose rank
-    /// 0 loses its next `lose` shipments; returns the outcome and the
-    /// batch's `recovery.resent` count.
+    fn shipments(msg: &Msg) -> bool {
+        matches!(msg, Msg::Elements { .. })
+    }
+
+    /// Runs a clean `steps` batch (carrying `migrate`) over a fresh
+    /// `transport` mesh whose rank 0 loses its next `lose` messages that
+    /// `hits` picks; returns the outcome and the batch's `recovery.resent`
+    /// count.
     fn run_losing<T: Transport>(
         transport: &T,
         sc: &Scenario,
+        hits: fn(&Msg) -> bool,
         lose: usize,
         opts: &ExecOptions,
+        migrate: Option<&MigrationPlan>,
     ) -> (Result<Vec<StepOutput>, BatchError>, u64) {
         let rec = Recorder::enabled();
         let steps = inputs(sc, &rec);
@@ -980,11 +890,11 @@ mod tests {
             .expect("mesh connects")
             .into_iter()
             .enumerate()
-            .map(|(r, seat)| LosesShipments { seat, lose: if r == 0 { lose } else { 0 }, lost: 0 })
+            .map(|(r, seat)| Loses { seat, hits, lose: if r == 0 { lose } else { 0 }, lost: 0 })
             .collect();
         // No plan arms a step: the `Done` count alone reveals the gap.
-        let out = execute_steps(&steps, &[], opts, None, &mut seats, 0);
-        assert!(seats[0].lost > 0, "rank 0 shipped something to lose");
+        let out = execute_steps(&steps, &[], opts, migrate, &mut seats, 0);
+        assert!(seats[0].lost > 0, "rank 0 sent something to lose");
         (out, rec.counter_value("recovery.resent"))
     }
 
@@ -994,7 +904,7 @@ mod tests {
             let sc = chain_scenario(k, 2);
             let opts = opts_with(2);
             let clean = run(&inputs(&sc, &Recorder::disabled()), &[], &opts).expect("clean batch");
-            let (out, resent) = run_losing(transport, &sc, 1, &opts);
+            let (out, resent) = run_losing(transport, &sc, shipments, 1, &opts, None);
             assert_eq!(out.expect("the lost shipment is re-sent"), clean, "k={k}");
             assert_eq!(resent, 1, "k={k}");
         }
@@ -1002,6 +912,38 @@ mod tests {
             check(&InProcess, k);
             check(&Tcp::loopback(), k);
         }
+    }
+
+    #[test]
+    fn a_lost_done_is_requested_again() {
+        fn check<T: Transport>(transport: &T, k: usize) {
+            let sc = chain_scenario(k, 2);
+            let opts = ExecOptions { timeout: Duration::from_millis(50), ..opts_with(2) };
+            let clean = run(&inputs(&sc, &Recorder::disabled()), &[], &opts).expect("clean batch");
+            let dones = |m: &Msg| matches!(m, Msg::Done { .. });
+            let (out, _) = run_losing(transport, &sc, dones, 1, &opts, None);
+            assert_eq!(out.expect("the lost Done is re-sent"), clean, "k={k}");
+        }
+        for k in [2usize, 3] {
+            check(&InProcess, k);
+            check(&Tcp::loopback(), k);
+        }
+    }
+
+    #[test]
+    fn a_lost_migrate_payload_is_resent() {
+        fn check<T: Transport>(transport: &T) {
+            let sc = chain_scenario(2, 2);
+            let opts = opts_with(2);
+            let clean = run(&inputs(&sc, &Recorder::disabled()), &[], &opts).expect("clean batch");
+            let plan = MigrationPlan { k: 2, moves: vec![vec![], vec![3, 4], vec![7], vec![]] };
+            let migrates = |m: &Msg| matches!(m, Msg::Migrate { .. });
+            let (out, resent) = run_losing(transport, &sc, migrates, 1, &opts, Some(&plan));
+            assert_eq!(out.expect("the lost migrate payload is re-sent"), clean);
+            assert!(resent >= 1, "resent {resent}");
+        }
+        check(&InProcess);
+        check(&Tcp::loopback());
     }
 
     #[test]
@@ -1013,13 +955,13 @@ mod tests {
                 retries: 1,
                 ..ExecOptions::default()
             };
-            let err = run_losing(transport, &sc, usize::MAX, &opts)
+            let err = run_losing(transport, &sc, shipments, usize::MAX, &opts, None)
                 .0
                 .expect_err("a shipment that never arrives must fail the step");
             assert!(err.completed.is_empty());
             assert_eq!(err.failed_step, 0);
             match err.error {
-                RuntimeError::RankLost { dead } => assert!(dead.contains(&0), "{dead:?}"),
+                RuntimeError::RankLost { dead } => assert_eq!(dead, [0]),
                 other => panic!("expected RankLost, got {other}"),
             }
         }
@@ -1035,10 +977,9 @@ mod tests {
         let clean = run(&steps, &[], &opts).expect("clean batch executes");
         let mut seats =
             connect_ranks(&InProcess, 2, &opts, &Recorder::disabled()).expect("mesh connects");
-        // Raw frames from a rank 9 of some other mesh (a skewed worker, or
-        // a stale `Complete`, which the epoch fence does not tag).
+        // Raw frames from a rank 9 of some other mesh (a skewed worker).
         for to in 0..2 {
-            seats[1 - to].send(to, Msg::Complete { from: 9 });
+            seats[1 - to].send(to, Msg::Complete { from: 9, step: 0 });
             seats[1 - to].send(to, Msg::Done { from: 9, step: 0, sent: 1 });
             seats[1 - to].send(to, Msg::Resend { from: 9, step: 0, seqs: vec![0] });
         }
@@ -1173,8 +1114,9 @@ mod tests {
         let quiet = Recorder::disabled();
         let steps = inputs(&sc, &quiet);
         let plain = run(&steps, &faults, &opts_with(2)).expect("chaotic batch converges");
-        // The stage bypasses injection entirely, so the fate stream — and
-        // with it every repaired payload — is unchanged.
+        // The migration follows every step-0 halo and shipment, so their
+        // seqs and fates are unchanged; its own payloads draw fates and
+        // are repaired like any other.
         let plan = MigrationPlan {
             k: 4,
             moves: (0..16).map(|i| if i == 1 { vec![2, 3] } else { vec![] }).collect(),

@@ -7,9 +7,10 @@
 //! late, a duplicate, a halo a dying rank managed to push) would
 //! otherwise be delivered into the *next* batch and corrupt it.
 //!
-//! [`SteppedMailbox`] solves this by tagging every step-carrying message
-//! with a driver-assigned **epoch base**: batch-local step `s` travels
-//! as `base + s`, and the receive side drops anything tagged below the
+//! [`SteppedMailbox`] solves this by tagging every message — each
+//! carries a step, a batch's `Complete` its last one — with a
+//! driver-assigned **epoch base**: batch-local step `s` travels as
+//! `base + s`, and the receive side drops anything tagged below the
 //! current base before handing it to the executor (which already ignores
 //! steps at or past the batch length). As long as the driver hands out
 //! strictly increasing, non-overlapping base ranges — `base` must grow
@@ -70,44 +71,26 @@ impl<'a, MB: Mailbox<Msg>> SteppedMailbox<'a, MB> {
     }
 
     /// Re-tag an outgoing message from batch-local to global steps.
-    fn lift(&self, msg: &mut Msg) {
-        match msg {
-            Msg::Halo { step, .. }
-            | Msg::Elements { step, .. }
-            | Msg::Done { step, .. }
-            | Msg::Resend { step, .. }
-            | Msg::Migrate { step, .. } => *step += self.base,
-            Msg::Complete { .. } => {}
-        }
+    fn lift(&self, mut msg: Msg) -> Msg {
+        *msg.step_mut() += self.base;
+        msg
     }
 
     /// Map an inbound message back to batch-local steps; `None` means
     /// the frame belongs to an earlier epoch and must be dropped.
     fn lower(&self, mut msg: Msg) -> Option<Msg> {
-        match &mut msg {
-            Msg::Halo { step, .. }
-            | Msg::Elements { step, .. }
-            | Msg::Done { step, .. }
-            | Msg::Resend { step, .. }
-            | Msg::Migrate { step, .. } => {
-                if *step < self.base {
-                    return None;
-                }
-                *step -= self.base;
-            }
-            Msg::Complete { .. } => {}
-        }
+        let step = msg.step_mut();
+        *step = step.checked_sub(self.base)?;
         Some(msg)
     }
 }
 
 impl<MB: Mailbox<Msg>> Mailbox<Msg> for SteppedMailbox<'_, MB> {
-    fn send(&mut self, to: usize, mut msg: Msg) {
-        self.lift(&mut msg);
+    fn send(&mut self, to: usize, msg: Msg) {
         // An unrouted rank cannot happen in a well-formed batch; treat
         // it as a dead peer (silent drop) rather than misdelivering.
         let Some(&peer) = self.route.get(to) else { return };
-        self.inner.send(peer as usize, msg);
+        self.inner.send(peer as usize, self.lift(msg));
     }
 
     fn try_recv(&mut self) -> Result<Msg, TryRecvError> {
@@ -169,14 +152,16 @@ mod tests {
     fn stale_epochs_are_dropped_completes_pass() {
         let mut mbs = mesh(2);
         let (a, b) = mbs.split_at_mut(1);
-        // A frame from epoch 40 arrives while the receiver is in epoch
-        // 200: dropped. A Complete and a current-epoch frame pass.
+        // Frames from epoch 40 arrive while the receiver is in epoch 200:
+        // dropped, a `Complete` of that aborted batch included. The
+        // current epoch's `Complete` and payload trailer pass.
         a[0].send(1, Msg::Done { from: 0, step: 40, sent: 1 });
-        a[0].send(1, Msg::Complete { from: 0 });
+        a[0].send(1, Msg::Complete { from: 0, step: 41 });
+        a[0].send(1, Msg::Complete { from: 0, step: 207 });
         a[0].send(1, Msg::Done { from: 0, step: 207, sent: 2 });
         let route = [0u32, 1];
         let mut rx = SteppedMailbox::new(&mut b[0], 200, &route);
-        assert_eq!(rx.try_recv(), Ok(Msg::Complete { from: 0 }));
+        assert_eq!(rx.try_recv(), Ok(Msg::Complete { from: 0, step: 7 }));
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5)),
             Ok(Msg::Done { from: 0, step: 7, sent: 2 })
@@ -191,13 +176,13 @@ mod tests {
         let route = [0u32, 1];
         // A migrate stage from a pre-recovery epoch must be dropped; the
         // current epoch's stage passes and lowers to batch-local step 0.
-        a[0].send(1, Msg::Migrate { from: 0, step: 40, nodes: vec![7] });
+        a[0].send(1, Msg::Migrate { from: 0, step: 40, seq: 0, nodes: vec![7] });
         let mut tx = SteppedMailbox::new(&mut a[0], 200, &route);
-        tx.send(1, Msg::Migrate { from: 0, step: 0, nodes: vec![8, 9] });
+        tx.send(1, Msg::Migrate { from: 0, step: 0, seq: 1, nodes: vec![8, 9] });
         let mut rx = SteppedMailbox::new(&mut b[0], 200, &route);
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5)),
-            Ok(Msg::Migrate { from: 0, step: 0, nodes: vec![8, 9] })
+            Ok(Msg::Migrate { from: 0, step: 0, seq: 1, nodes: vec![8, 9] })
         );
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     }
@@ -209,10 +194,10 @@ mod tests {
         let route = [0u32, 2];
         let (a, rest) = mbs.split_at_mut(1);
         let mut tx = SteppedMailbox::new(&mut a[0], 0, &route);
-        tx.send(1, Msg::Complete { from: 0 });
+        tx.send(1, Msg::Complete { from: 0, step: 0 });
         // Out-of-route live ranks drop silently instead of misrouting.
-        tx.send(5, Msg::Complete { from: 0 });
-        assert_eq!(rest[1].try_recv(), Ok(Msg::Complete { from: 0 }));
+        tx.send(5, Msg::Complete { from: 0, step: 0 });
+        assert_eq!(rest[1].try_recv(), Ok(Msg::Complete { from: 0, step: 0 }));
         assert_eq!(rest[0].try_recv(), Err(TryRecvError::Empty));
         assert_eq!(rest[1].try_recv(), Err(TryRecvError::Empty));
     }

@@ -19,8 +19,8 @@ codec_enum!(framed Msg {
     2 => Elements { [from, step, seq] items },
     3 => Done { [from, step] sent },
     4 => Resend { [from, step] seqs },
-    5 => Complete { [from] },
-    6 => Migrate { [from, step] nodes },
+    5 => Complete { [from, step] },
+    6 => Migrate { [from, step, seq] nodes },
 });
 
 codec_struct!(ShippedElement { id, bbox, body });

@@ -361,4 +361,21 @@ if grep -rnwE --include='*.rs' 'ChaosState|sent_to' src crates tests examples \
   exit 1
 fi
 
+echo "==> one rank loop"
+# Everything a step waits on is received at one blocking site of the rank
+# loop with one retry budget (DESIGN.md §6b): payloads, the migration that
+# rides step 0, Done trailers, the completion round and a zombie's resend
+# service. The Migrate prologue's receive table stays gone, and non-test
+# pipeline.rs calls recv_or_idle exactly once.
+if grep -rnw --include='*.rs' 'MigrateRecv' src crates tests examples \
+    | grep -v '^crates/ladder/'; then
+  echo "verify: FAIL — the Migrate prologue is back"
+  exit 1
+fi
+recv_sites=$(non_test crates/runtime/src/pipeline.rs | grep -c 'recv_or_idle(' || true)
+if [ "$recv_sites" -ne 1 ]; then
+  echo "verify: FAIL — $recv_sites blocking receives in the rank loop (want 1)"
+  exit 1
+fi
+
 echo "verify: OK"

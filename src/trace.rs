@@ -658,7 +658,7 @@ impl Session {
             // boundary (a recovery drops it with the assignment it was
             // computed from), and a plan accepted at the last boundary
             // whose node migration still has to ride the next batch's
-            // Migrate prologue.
+            // step 0.
             next_plan: None,
             pending_migrate: None,
             next_step: 0,
@@ -707,7 +707,7 @@ impl Session {
             // executed migration. Boundaries end every batch; the plan
             // was made beside an earlier batch of the region and the
             // driver only flips `node_parts` here — the migration itself
-            // rides the next batch as a prologue.
+            // rides the next batch's step 0.
             let period = self.opts.repartition_period.filter(|&p| p > 0);
             if let Some(period) = period {
                 let region = i / period;
@@ -859,8 +859,8 @@ impl Session {
                     for (off, out) in outs.iter().enumerate() {
                         commit_step(&mut self.report, i + off, out);
                     }
-                    // The Migrate prologue (if any) executed with the
-                    // batch.
+                    // The migration (if any) executed with the batch's
+                    // step 0.
                     self.pending_migrate = None;
                     self.chain.tree = carried_tree;
                     self.next_step = end;

@@ -84,9 +84,9 @@ pub struct RunSpec {
     /// Per-step fault plans (`None` = clean step); same length as the
     /// batch.
     pub plans: Vec<Option<FaultPlan>>,
-    /// Repartition migrate stage riding this batch: the accepted
+    /// Repartition migration riding this batch's step 0: the accepted
     /// [`MigrationPlan`]'s `moves` matrix (`live_k * live_k` rows,
-    /// `moves[from * live_k + to]`), or `None` for no stage
+    /// `moves[from * live_k + to]`), or `None` for no migration
     /// (DESIGN.md §6b).
     pub migrate: Option<Vec<Vec<u32>>>,
     /// Executor drain timeout, milliseconds.
@@ -570,9 +570,9 @@ fn run_batch(
         ..ExecOptions::default()
     };
 
-    // Rebuild the migrate stage's plan from the shipped moves matrix; a
-    // size mismatch (hostile or corrupt control data) degrades to no
-    // stage rather than an out-of-bounds index in the prologue.
+    // Rebuild the migration plan from the shipped moves matrix; a size
+    // mismatch (hostile or corrupt control data) degrades to no migration
+    // rather than an out-of-bounds index in the rank loop.
     let migrate = spec
         .migrate
         .as_ref()

@@ -20,8 +20,8 @@ use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
 use common::{env_seed, message_chaos, serial_reference, totals};
 
 /// A tiny run with repartitioning mid-sequence (period 3 over 7 steps →
-/// migration happens inside the batched region, so a Migrate prologue
-/// rides the batches that follow a boundary).
+/// migration happens inside the batched region, so `Migrate` payloads
+/// ride step 0 of the batches that follow a boundary).
 fn opts(k: usize) -> TraceOptions {
     TraceOptions {
         scenario: "tiny".into(),

@@ -2,8 +2,8 @@
 //!
 //! The driver plans each repartition boundary on a scoped thread beside
 //! the first batch of its region that starts with no plan stored, keeps
-//! the plan until the boundary, and splices the node migration into the
-//! next batch as a `Migrate` prologue — and none of that may show in the
+//! the plan until the boundary, and sends the node migration as `Migrate`
+//! payloads of the next batch's step 0 — and none of that may show in the
 //! result. This suite proves it end to end through the
 //! traced driver: every executed total — halo units, element shipments,
 //! migrated nodes, contact pairs, repartition count — must equal what an

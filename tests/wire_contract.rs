@@ -53,8 +53,8 @@ fn msg_samples() -> Vec<Sample<Msg>> {
         (Msg::Elements { from: 2, step: 0, seq: 0, items: Vec::new() }, vec![0]),
         (Msg::Done { from: 3, step: 7, sent: u64::MAX }, vec![]),
         (Msg::Resend { from: 1, step: 4, seqs: vec![0, 5, 1 << 40] }, vec![0]),
-        (Msg::Complete { from: 9 }, vec![]),
-        (Msg::Migrate { from: 2, step: 0, nodes: vec![1, 9, u32::MAX] }, vec![0]),
+        (Msg::Complete { from: 9, step: 0 }, vec![]),
+        (Msg::Migrate { from: 2, step: 0, seq: 0, nodes: vec![1, 9, u32::MAX] }, vec![0]),
     ]
 }
 
