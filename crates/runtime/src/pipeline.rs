@@ -430,8 +430,8 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     let migrate = migrate.filter(|plan| plan.k == k);
     let owed = |s: usize| -> Vec<Option<&[u32]>> {
         let Some(plan) = migrate.filter(|_| s == 0) else { return Vec::new() };
-        let row = |p: usize| Some(plan.moves[p * k + r].as_slice()).filter(|row| !row.is_empty());
-        (0..k).map(|p| row(p).filter(|_| p != r)).collect()
+        let row = |p: usize| plan.moves[p * k + r].as_slice();
+        (0..k).map(|p| Some(row(p)).filter(|row| p != r && !row.is_empty())).collect()
     };
     let rec0 = steps[0].recorder.clone();
     rec0.set_lane(me);
