@@ -918,7 +918,10 @@ mod tests {
     fn a_lost_done_is_requested_again() {
         fn check<T: Transport>(transport: &T, k: usize) {
             let sc = chain_scenario(k, 2);
-            let opts = ExecOptions { timeout: Duration::from_millis(50), ..opts_with(2) };
+            // The short timeout forces the repair round early; the wide
+            // budget keeps a loaded machine from spending it by chance.
+            let opts =
+                ExecOptions { timeout: Duration::from_millis(50), retries: 20, ..opts_with(2) };
             let clean = run(&inputs(&sc, &Recorder::disabled()), &[], &opts).expect("clean batch");
             let dones = |m: &Msg| matches!(m, Msg::Done { .. });
             let (out, _) = run_losing(transport, &sc, dones, 1, &opts, None);
@@ -944,6 +947,48 @@ mod tests {
         }
         check(&InProcess);
         check(&Tcp::loopback());
+    }
+
+    /// A clean k = 2 batch in which each rank carries its own migration
+    /// plan (`None` = none), folded as `execute_steps` folds its ranks.
+    fn run_with_plans(sc: &Scenario, plans: [Option<&MigrationPlan>; 2]) -> Vec<StepOutput> {
+        let rec = Recorder::disabled();
+        let (steps, opts) = (&inputs(sc, &rec), &opts_with(2));
+        let mut seats =
+            connect_ranks(&InProcess, 2, opts, &Recorder::disabled()).expect("mesh connects");
+        let outcomes = std::thread::scope(|scope| {
+            let ranks: Vec<_> = seats
+                .iter_mut()
+                .zip(plans)
+                .enumerate()
+                .map(|(r, (seat, plan))| {
+                    scope.spawn(move || execute_rank_steps(r, 2, steps, &[], opts, plan, seat))
+                })
+                .collect();
+            ranks.into_iter().map(|h| h.join().expect("rank runs")).collect()
+        });
+        collect_batch(2, &vec![rec; steps.len()], outcomes).expect("batch commits")
+    }
+
+    #[test]
+    fn migrate_rows_the_plan_does_not_owe_are_mismatches() {
+        let sc = chain_scenario(2, 2);
+        let sent = MigrationPlan { k: 2, moves: vec![vec![], vec![3, 4], vec![7], vec![]] };
+        let wrong = MigrationPlan { k: 2, moves: vec![vec![], vec![3, 5], vec![7], vec![]] };
+        let unsent = MigrationPlan { k: 2, moves: vec![vec![], vec![], vec![7], vec![]] };
+        let cases = [
+            ("matching rows", [Some(&sent), Some(&sent)], 0),
+            ("a wrong row", [Some(&sent), Some(&wrong)], 1),
+            // Rank 1 carries no plan: it takes rank 0's row unowed and
+            // never sends the row [7] rank 0's plan expects from it.
+            ("a row the plan does not owe", [Some(&sent), None], 2),
+            ("an owed row that never arrives", [Some(&unsent), Some(&sent)], 1),
+        ];
+        for (case, plans, mismatches) in cases {
+            let out = run_with_plans(&sc, plans);
+            assert_eq!(out[0].ghost_mismatches, mismatches, "{case}: step 0");
+            assert_eq!(out[1].ghost_mismatches, 0, "{case}: step 1 carries no migration");
+        }
     }
 
     #[test]
