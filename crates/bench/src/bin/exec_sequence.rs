@@ -41,7 +41,7 @@ fn run_policy(sim: &SimResult, k: usize, hybrid_period: Option<usize>) -> Totals
     let cfg = McmlDtConfig { dt_friendly: None, ..cfg };
 
     let opts = ExecOptions::default();
-    let mut seats = connect_ranks(&InProcess, k, &opts, &recorder).expect("in-process mesh");
+    let mut seats = connect_ranks(&InProcess, k, &recorder).expect("in-process mesh");
     let mut totals = Totals::default();
     for (i, snap) in sim.snapshots.iter().enumerate() {
         // Hybrid policy: repartition by diffusion, execute the migration.

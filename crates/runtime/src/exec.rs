@@ -18,19 +18,21 @@
 //! the sender first-transmitted to that receiver, so a draining rank
 //! *detects* loss and duplication instead of miscounting, and repairs a
 //! loss with a `Resend` request served from the sender's per-step
-//! history — whether a [`FaultPlan`] dropped the payload or the transport
-//! lost it (a frame dropped as corrupt). Draining is bounded by
+//! history — whether a [`crate::FaultPlan`] dropped the payload or the
+//! transport lost it (a frame dropped as corrupt). The send side here
+//! knows nothing of fault plans: it sends every payload once and records
+//! it, and the rank's seat (`crate::fault`) decides its fate on the wire.
+//! Draining is bounded by
 //! [`ExecOptions::timeout`] with [`ExecOptions::retries`] repair rounds;
 //! peers still unaccounted for after that are declared dead and the
 //! batch fails with [`crate::RuntimeError::RankLost`] naming them, so the
 //! driver can repartition over the survivors and re-execute the step.
 
-use crate::fault::{Fate, FaultPlan};
 use crate::plan::{Decomposition, RankPlan};
 use cip_contact::{search_contact_zone, ContactPair, GlobalFilter, SurfaceElementInfo};
 use cip_geom::{Aabb, Point};
 use cip_telemetry::Recorder;
-use cip_transport::{Mailbox, MailboxConfig, RecvTimeoutError};
+use cip_transport::{Mailbox, RecvTimeoutError};
 use std::time::Duration;
 
 /// Inter-rank message.
@@ -202,22 +204,6 @@ impl TrafficLog {
     pub fn total_shipments(&self) -> u64 {
         self.shipments.iter().sum()
     }
-
-    /// `(halo, shipments)` sent from rank `from` to rank `to`.
-    pub fn pair(&self, from: usize, to: usize) -> (u64, u64) {
-        let i = from * self.k + to;
-        (self.halo[i], self.shipments[i])
-    }
-
-    /// `(halo, shipments)` totals sent by `rank` (row sum).
-    pub fn sent_by(&self, rank: usize) -> (u64, u64) {
-        (0..self.k).map(|to| self.pair(rank, to)).fold((0, 0), |(h, s), (a, b)| (h + a, s + b))
-    }
-
-    /// `(halo, shipments)` totals received by `rank` (column sum).
-    pub fn received_by(&self, rank: usize) -> (u64, u64) {
-        (0..self.k).map(|from| self.pair(from, rank)).fold((0, 0), |(h, s), (a, b)| (h + a, s + b))
-    }
 }
 
 /// Input of one step.
@@ -257,8 +243,8 @@ pub struct StepOutput {
 }
 
 /// Execution policy of the step executor: drain timeout, repair budget,
-/// lookahead window, lane capacity. Fault injection travels separately,
-/// one `Option<FaultPlan>` per step of a batch.
+/// lookahead window (fault plans travel per step, lane capacity with the
+/// mesh's `cip_transport::MailboxConfig`).
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// How long a draining rank waits for any message before starting a
@@ -271,62 +257,36 @@ pub struct ExecOptions {
     /// drains (floored at 1; 1–2 is the useful range). At 1 a rank
     /// finishes step `s` before it sends step `s + 1`.
     pub lookahead: usize,
-    /// Bounded capacity of every transport lane (clamped to ≥ 1). The
-    /// mailbox send path stays deadlock-free at any capacity — see
-    /// `cip_transport::mailbox` — so this is purely a memory/backpressure
-    /// knob.
-    pub mailbox_capacity: usize,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        Self { timeout: Duration::from_secs(5), retries: 3, lookahead: 2, mailbox_capacity: 256 }
-    }
-}
-
-impl ExecOptions {
-    /// The transport mailbox configuration these options imply.
-    pub(crate) fn mailbox_config(&self, rec: &Recorder) -> MailboxConfig {
-        MailboxConfig { capacity: self.mailbox_capacity.max(1), recorder: rec.clone() }
+        Self { timeout: Duration::from_secs(5), retries: 3, lookahead: 2 }
     }
 }
 
 /// One step's send side on one rank: every payload it first-transmitted,
 /// per destination (histories are retained until the batch's completion
-/// round, so a lost payload of any step can still be re-sent), the fault
-/// plan's reorder and delay buffers, and the step's traffic counts.
-pub(crate) struct StepSend<'a> {
-    /// The step's fault plan (`None` = a clean step: nothing is injected).
-    pub(crate) plan: Option<&'a FaultPlan>,
+/// round, so a lost payload of any step can still be re-sent), and the
+/// step's traffic counts.
+pub(crate) struct StepSend {
     /// Every first-transmitted payload, indexed `[dest][seq]` — the
-    /// resend service replays from here, bypassing injection. A
-    /// destination's length is its next `seq` and, once the step's sends
-    /// are out, the `sent` count of its `Done`.
+    /// resend service replays from here. A destination's length is its
+    /// next `seq` and, once the step's sends are out, the `sent` count of
+    /// its `Done`.
     pub(crate) history: Vec<Vec<Msg>>,
-    /// One-slot reorder buffer per destination.
-    pub(crate) held: Vec<Option<Msg>>,
-    /// Messages delayed past the `Done` marker, per destination.
-    pub(crate) delayed: Vec<Vec<Msg>>,
-    pub(crate) halo_sent: Vec<u64>,
-    pub(crate) shipments_sent: Vec<u64>,
-    pub(crate) halo_msgs: u64,
-    pub(crate) ship_msgs: u64,
-    pub(crate) done_msgs: u64,
+    /// The step's send-side counts (no pairs or mismatches yet).
+    pub(crate) counts: RankResult,
 }
 
-impl<'a> StepSend<'a> {
-    pub(crate) fn new(plan: Option<&'a FaultPlan>, k: usize) -> Self {
-        Self {
-            plan,
-            history: vec![Vec::new(); k],
-            held: vec![None; k],
-            delayed: vec![Vec::new(); k],
+impl StepSend {
+    pub(crate) fn new(k: usize) -> Self {
+        let counts = RankResult {
             halo_sent: vec![0; k],
             shipments_sent: vec![0; k],
-            halo_msgs: 0,
-            ship_msgs: 0,
-            done_msgs: 0,
-        }
+            ..RankResult::default()
+        };
+        Self { history: vec![Vec::new(); k], counts }
     }
 
     /// The `seq` of the next payload to `dest`.
@@ -334,66 +294,17 @@ impl<'a> StepSend<'a> {
         self.history[dest].len() as u64
     }
 
-    /// First-transmits one payload: records it in the history, whatever
-    /// its fate, so a `Resend` can always repair it, then applies the
-    /// fate the step's plan draws for it (a clean step delivers).
-    pub(crate) fn send<MB: Mailbox<Msg>>(
-        &mut self,
-        mb: &mut MB,
-        rec: &Recorder,
-        me: u32,
-        dest: usize,
-        msg: Msg,
-    ) {
-        let seq = self.next_seq(dest);
+    /// First-transmits one payload, recording it in the history so a
+    /// `Resend` can always repair it.
+    pub(crate) fn send<MB: Mailbox<Msg>>(&mut self, mb: &mut MB, dest: usize, msg: Msg) {
         self.history[dest].push(msg.clone());
-        let fate = self.plan.map_or(Fate::Deliver, |p| p.fate(me, dest as u32, seq));
-        match fate {
-            Fate::Deliver => {
-                mb.send(dest, msg);
-            }
-            Fate::Drop => {
-                rec.add("fault.dropped", 1);
-            }
-            Fate::Duplicate => {
-                rec.add("fault.duplicated", 1);
-                mb.send(dest, msg.clone());
-                mb.send(dest, msg);
-            }
-            Fate::Delay => {
-                rec.add("fault.delayed", 1);
-                self.delayed[dest].push(msg);
-            }
-            Fate::Reorder => {
-                rec.add("fault.reordered", 1);
-                if self.held[dest].is_none() {
-                    self.held[dest] = Some(msg);
-                } else {
-                    mb.send(dest, msg);
-                }
-            }
-        }
-        // A non-reorder send releases the held predecessor *after* itself —
-        // the two messages swap places on the wire.
-        if fate != Fate::Reorder {
-            if let Some(h) = self.held[dest].take() {
-                mb.send(dest, h);
-            }
-        }
+        mb.send(dest, msg);
     }
 
     /// This step's send-side counts plus what the rank found and
     /// received, as the rank's result for the step.
     pub(crate) fn result(&self, pairs: Vec<(u32, u32)>, ghost_mismatches: usize) -> RankResult {
-        RankResult {
-            pairs,
-            halo_sent: self.halo_sent.clone(),
-            shipments_sent: self.shipments_sent.clone(),
-            halo_msgs: self.halo_msgs,
-            ship_msgs: self.ship_msgs,
-            done_msgs: self.done_msgs,
-            ghost_mismatches,
-        }
+        RankResult { pairs, ghost_mismatches, ..self.counts.clone() }
     }
 }
 
@@ -438,7 +349,7 @@ pub(crate) fn recv_or_idle<MB: Mailbox<Msg>>(
 
 /// What one rank thread produced (for one step). Public so a remote
 /// worker process can ship it back to the driver for aggregation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankResult {
     /// Locally found contact pairs as `(a, b)` global element ids with
     /// `a < b`, sorted and deduped.
@@ -520,7 +431,7 @@ pub(crate) fn aggregate(k: usize, results: impl Iterator<Item = RankResult>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultRates, KillSpec};
+    use crate::fault::{FaultPlan, FaultRates, KillSpec};
     use crate::pipeline::execute_steps;
     use crate::plan::build_decomposition;
     use crate::remote::connect_ranks;
@@ -572,7 +483,7 @@ mod tests {
         opts: &ExecOptions,
     ) -> Result<StepOutput, RuntimeError> {
         let k = input.decomposition.k;
-        let mut seats = connect_ranks(&InProcess, k, opts, &input.recorder).expect("mesh connects");
+        let mut seats = connect_ranks(&InProcess, k, &input.recorder).expect("mesh connects");
         execute_steps(&[input], &[fault], opts, None, &mut seats, 0)
             .map(|mut outs| outs.remove(0))
             .map_err(|e| e.error)
@@ -620,7 +531,6 @@ mod tests {
         // The chain boundary: rank 0 sends node 3, rank 1 sends node 4.
         assert_eq!(out.traffic.halo[1], 1);
         assert_eq!(out.traffic.halo[2], 1);
-        assert_eq!(out.traffic.pair(0, 1), (1, out.traffic.shipments[1]));
     }
 
     #[test]
@@ -647,13 +557,6 @@ mod tests {
         let shipping_pairs = t.shipments.iter().filter(|&&n| n > 0).count() as u64;
         assert_eq!(t.phases.ship_msgs, shipping_pairs);
         assert!(shipping_pairs > 0);
-        // Row/column accessors partition the same totals.
-        let sent: (u64, u64) =
-            (0..t.k).map(|r| t.sent_by(r)).fold((0, 0), |(h, s), (a, b)| (h + a, s + b));
-        let recv: (u64, u64) =
-            (0..t.k).map(|r| t.received_by(r)).fold((0, 0), |(h, s), (a, b)| (h + a, s + b));
-        assert_eq!(sent, (t.total_halo(), t.total_shipments()));
-        assert_eq!(recv, sent);
     }
 
     #[test]

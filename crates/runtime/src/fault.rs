@@ -5,23 +5,28 @@
 //! duplicated, delayed past the sender's `Done` marker, or reordered with
 //! the next message to the same destination — and whether a rank is
 //! killed mid-step. [`crate::execute_steps`] takes one `Option<FaultPlan>`
-//! per step, and a plan only decides fates and kills: every step, `None`
-//! (clean) or armed, runs the same delivery and repair protocol, so a
-//! clean step draws no fates and re-sends a payload the transport lost.
+//! per step, and every step, `None` (clean) or armed, runs the same
+//! delivery and repair protocol. The rank loop decides only kills, as a
+//! kill changes what the rank does next; it sends every frame through
+//! the `Chaos` seat, which decides what the wire sees. Two rules keep
+//! chaos runs provably convergent:
 //!
-//! Two rules keep chaos runs provably convergent:
-//!
-//! * fates apply to **first transmissions only** — the executor's
-//!   retry/resend path replays messages verbatim from its history buffer,
-//!   bypassing injection, so one retry round always repairs pure
-//!   message-level faults;
+//! * fates apply to **first transmissions only** — the seat knows a
+//!   resend by its `seq`, below that `(step, to)`'s first-transmission
+//!   cursor, and passes it verbatim, so one retry round always repairs
+//!   pure message-level faults;
 //! * only payload messages (`Halo`, `Elements`, `Migrate`) are
 //!   injectable — `Done` trailers and the recovery-control messages are
 //!   never given a fate; a `Done` the transport loses is requested again
 //!   by the timeout path, and one a killed rank never sent is how it
 //!   detects the death.
 
-use cip_transport::{codec_struct, permille_pick, splitmix64};
+use crate::exec::Msg;
+use cip_telemetry::Recorder;
+use cip_transport::{
+    codec_struct, permille_pick, splitmix64, Mailbox, RecvTimeoutError, TryRecvError,
+};
+use std::time::Duration;
 
 /// The fate of one first-transmission payload message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,9 +135,151 @@ impl FaultPlan {
     }
 }
 
+/// One rank's seat for one batch, the one place a frame's fate is
+/// decided: a payload's first transmission gets the fate its step's plan
+/// draws for `(me, to, seq)`, charged to that step's `fault.*` counters;
+/// a resend, every control message and a clean step's frames pass
+/// verbatim. It wraps the epoch-fenced seat, so it sees batch-local
+/// steps and live ranks.
+pub(crate) struct Chaos<'a, MB> {
+    inner: &'a mut MB,
+    me: u32,
+    k: usize,
+    /// Per batch-local step (`None` = clean).
+    arms: Vec<Option<Arm<'a>>>,
+    /// Per `(step, to)`, at `[step * k + to]`.
+    lanes: Vec<Lane>,
+}
+
+/// A step's plan and the recorder its `fault.*` counters go to.
+type Arm<'a> = (&'a FaultPlan, &'a Recorder);
+
+/// What the seat keeps for one `(step, to)`.
+#[derive(Default)]
+struct Lane {
+    /// The next first-transmission `seq`: a lower one is a resend.
+    next: u64,
+    /// The payload a `Reorder` holds until the next send to `to`.
+    held: Option<Msg>,
+    /// Payloads a `Delay` holds until after the step's `Done`.
+    delayed: Vec<Msg>,
+}
+
+impl<'a, MB: Mailbox<Msg>> Chaos<'a, MB> {
+    /// Wraps `inner`, rank `me`'s seat of a `k`-rank batch whose steps
+    /// carry `arms` (empty = a clean batch).
+    pub(crate) fn new(inner: &'a mut MB, me: u32, k: usize, arms: Vec<Option<Arm<'a>>>) -> Self {
+        let lanes = std::iter::repeat_with(Lane::default).take(arms.len() * k).collect();
+        Self { inner, me, k, arms, lanes }
+    }
+}
+
+impl<MB: Mailbox<Msg>> Mailbox<Msg> for Chaos<'_, MB> {
+    fn send(&mut self, to: usize, msg: Msg) {
+        let (step, seq) = match &msg {
+            Msg::Halo { step, seq, .. }
+            | Msg::Elements { step, seq, .. }
+            | Msg::Migrate { step, seq, .. } => (*step as usize, Some(*seq)),
+            Msg::Done { step, .. } => (*step as usize, None),
+            Msg::Resend { .. } | Msg::Complete { .. } => return self.inner.send(to, msg),
+        };
+        let Self { inner, me, k, arms, lanes } = self;
+        let (Some(&Some((plan, rec))), Some(lane)) =
+            (arms.get(step), lanes.get_mut(step * *k + to))
+        else {
+            return inner.send(to, msg);
+        };
+        let seq = match seq {
+            // A `Done` goes out after its step's held payload and before
+            // the delayed ones.
+            None => {
+                for m in lane.held.take().into_iter().chain([msg]).chain(lane.delayed.drain(..)) {
+                    inner.send(to, m);
+                }
+                return;
+            }
+            Some(seq) if seq < lane.next => return inner.send(to, msg),
+            Some(seq) => seq,
+        };
+        lane.next = seq + 1;
+        match plan.fate(*me, to as u32, seq) {
+            Fate::Deliver => inner.send(to, msg),
+            Fate::Drop => rec.add("fault.dropped", 1),
+            Fate::Duplicate => {
+                rec.add("fault.duplicated", 1);
+                inner.send(to, msg.clone());
+                inner.send(to, msg);
+            }
+            Fate::Delay => {
+                rec.add("fault.delayed", 1);
+                lane.delayed.push(msg);
+            }
+            // The first of a run is held, the rest go out as they come.
+            Fate::Reorder => {
+                rec.add("fault.reordered", 1);
+                match lane.held {
+                    None => lane.held = Some(msg),
+                    Some(_) => inner.send(to, msg),
+                }
+                return;
+            }
+        }
+        // Any other send releases the held predecessor *after* itself:
+        // the two swap places on the wire.
+        if let Some(held) = lane.held.take() {
+            inner.send(to, held);
+        }
+    }
+
+    fn try_recv(&mut self) -> Result<Msg, TryRecvError> {
+        self.inner.try_recv()
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Msg, RecvTimeoutError> {
+        self.inner.recv_timeout(timeout)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cip_transport::{InProcess, MailboxConfig, Transport};
+
+    /// What rank 1 receives when rank 0's seat, armed with `rates` for
+    /// step 0, sends `sends` in order.
+    fn seen_through(rates: FaultRates, sends: Vec<Msg>) -> Vec<Msg> {
+        let mut mesh = InProcess.connect::<Msg>(2, &MailboxConfig::default()).expect("mesh");
+        let (plan, rec) = (FaultPlan { rates, ..FaultPlan::quiet(3) }, Recorder::disabled());
+        let mut seat = Chaos::new(&mut mesh[0], 0, 2, vec![Some((&plan, &rec))]);
+        for msg in sends {
+            seat.send(1, msg);
+        }
+        std::iter::from_fn(|| mesh[1].try_recv().ok()).collect()
+    }
+
+    fn halo(seq: u64) -> Msg {
+        Msg::Halo { from: 0, step: 0, seq, values: vec![(seq as u32, [0.0; 3])] }
+    }
+
+    fn done(sent: u64) -> Msg {
+        Msg::Done { from: 0, step: 0, sent }
+    }
+
+    #[test]
+    fn the_seat_orders_each_destinations_frames_by_their_fates() {
+        // Reordered: the second payload overtakes the held first, which
+        // still precedes the trailer.
+        let reorder = FaultRates { reorder_permille: 1000, ..FaultRates::default() };
+        let got = seen_through(reorder, vec![halo(0), halo(1), done(2)]);
+        assert_eq!(got, [halo(1), halo(0), done(2)]);
+        // Delayed: the payload arrives after the trailer.
+        let delay = FaultRates { delay_permille: 1000, ..FaultRates::default() };
+        assert_eq!(seen_through(delay, vec![halo(0), done(1)]), [done(1), halo(0)]);
+        // Dropped: the first transmission is lost, and a resend of its seq
+        // passes verbatim, like the trailer.
+        let drop = FaultRates { drop_permille: 1000, ..FaultRates::default() };
+        assert_eq!(seen_through(drop, vec![halo(0), done(1), halo(0)]), [done(1), halo(0)]);
+    }
 
     #[test]
     fn quiet_plan_is_armed_but_injects_nothing() {

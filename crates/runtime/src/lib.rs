@@ -33,8 +33,8 @@
 //!   frames out of the next ([`SteppedMailbox`]),
 //! * [`fault`] — deterministic, seeded fault injection (message drop /
 //!   duplication / delay / reorder, mid-step rank kills): an optional plan
-//!   per step that decides fates and kills, over the one repair protocol
-//!   every step runs,
+//!   per step, whose fates the rank's seat applies on the wire, over the
+//!   one repair protocol every step runs,
 //! * [`migrate`] — migration plans between successive decompositions
 //!   (the executable counterpart of the UpdComm metric; the driver plans
 //!   each repartition beside a running batch, DESIGN.md §6b).

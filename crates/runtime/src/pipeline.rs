@@ -28,12 +28,13 @@
 //! on, migration included: a step completes when each peer's `Done` has
 //! announced `sent` and that many distinct payloads have arrived; a gap
 //! the `Done` reveals, or a `Done` that never came, is re-requested from
-//! the sender's per-step history, and one completion round per batch
-//! keeps every rank serving resends until no peer needs one. The loop
-//! has one blocking receive for all of it — sending, draining, the
-//! completion round and a zombie's service — and one retry budget. A step's
-//! optional [`FaultPlan`] only decides fates and kills. Fates are
-//! evaluated per `(from, to, step, seq)`, so a step's injected faults do
+//! the sender's per-step history, and a bounded completion round per
+//! batch keeps every rank serving resends (a lost `Complete` costs that
+//! round's budget, not a rank). The loop has one blocking receive for
+//! all of it — sending, draining, the completion round and a zombie's
+//! service — and one retry budget. A step's optional [`FaultPlan`]
+//! decides only kills here: the rank's seat (`crate::fault`) applies its
+//! fates, per `(from, to, step, seq)`, so a step's injected faults do
 //! not depend on the lookahead or on how the trace was cut into batches.
 //! A kill turns the rank into a *zombie* that still drains and searches
 //! the steps before its death (so every step the batch commits aggregates
@@ -46,7 +47,7 @@ use crate::exec::{
     aggregate, mark_new, missing_seqs, recv_or_idle, search_rank, ExecOptions, Msg, RankResult,
     ShippedElement, StepInput, StepOutput, StepSend, SHIP_CHUNK,
 };
-use crate::fault::FaultPlan;
+use crate::fault::{Chaos, FaultPlan};
 use crate::migrate::MigrationPlan;
 use crate::remote::SteppedMailbox;
 use crate::RuntimeError;
@@ -187,21 +188,20 @@ pub enum RankBatchOutcome {
 /// `Done` trailers, every message tagged `step: s` and sequence numbers
 /// restarting per step, so injected fates depend on the step alone.
 /// Every payload goes through `st`, the step's send record. Returns
-/// `false` if the fault plan killed the rank mid-step (trailers are
+/// `false` if `fault` killed the rank mid-step (trailers are
 /// all-or-nothing: a dead rank announces nothing).
 fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
-    me: u32,
     r: usize,
     s: usize,
     input: &StepInput<'_, F>,
+    fault: Option<&FaultPlan>,
     migrate: Option<&MigrationPlan>,
-    st: &mut StepSend<'_>,
+    st: &mut StepSend,
     mb: &mut MB,
 ) -> bool {
-    let rec = &input.recorder;
+    let (me, rec) = (r as u32, &input.recorder);
     let plan = &input.decomposition.ranks[r];
     let k = input.decomposition.k;
-    let fault = st.plan;
     let dies = |sends| {
         let dead = fault.is_some_and(|f| f.kills(me, sends));
         if dead {
@@ -220,12 +220,12 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             let dest = *dest as usize;
             let values: Vec<_> =
                 nodes.iter().map(|&n| (n, input.positions[n as usize].coords)).collect();
-            st.halo_sent[dest] += values.len() as u64;
-            st.halo_msgs += 1;
+            st.counts.halo_sent[dest] += values.len() as u64;
+            st.counts.halo_msgs += 1;
             rec.record("exec.halo_msg_nodes", values.len() as u64);
             let msg = Msg::Halo { from: me, step: s as u32, seq: st.next_seq(dest), values };
             payload_sends += 1;
-            st.send(mb, rec, me, dest, msg);
+            st.send(mb, dest, msg);
         }
     }
 
@@ -254,8 +254,8 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                 if dies(payload_sends) {
                     return false;
                 }
-                st.shipments_sent[dest] += items.len() as u64;
-                st.ship_msgs += 1;
+                st.counts.shipments_sent[dest] += items.len() as u64;
+                st.counts.ship_msgs += 1;
                 rec.record("exec.ship_msg_elements", items.len() as u64);
                 let msg = Msg::Elements {
                     from: me,
@@ -264,12 +264,13 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                     items: items.to_vec(),
                 };
                 payload_sends += 1;
-                st.send(mb, rec, me, dest, msg);
+                st.send(mb, dest, msg);
             }
         }
-        span.set_attr("shipped", st.shipments_sent.iter().sum::<u64>());
+        span.set_attr("shipped", st.counts.shipments_sent.iter().sum::<u64>());
     }
-    if dies(payload_sends) {
+    // A threshold past this rank's sends kills it before its trailers.
+    if dies(u64::MAX) {
         return false;
     }
 
@@ -284,23 +285,15 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
                 nodes_sent += row.len() as u64;
                 let seq = st.next_seq(dest);
                 let msg = Msg::Migrate { from: me, step: s as u32, seq, nodes: row.clone() };
-                st.send(mb, rec, me, dest, msg);
+                st.send(mb, dest, msg);
             }
         }
         rec.add("exec.migrate.nodes_sent", nodes_sent);
     }
 
-    // Per destination: the held reorder slot, the trailer, then whatever
-    // the plan delayed past it.
     for dest in (0..k).filter(|&dest| dest != r) {
-        if let Some(m) = st.held[dest].take() {
-            mb.send(dest, m);
-        }
         mb.send(dest, Msg::Done { from: me, step: s as u32, sent: st.next_seq(dest) });
-        st.done_msgs += 1;
-        for m in st.delayed[dest].drain(..) {
-            mb.send(dest, m);
-        }
+        st.counts.done_msgs += 1;
     }
     true
 }
@@ -309,7 +302,7 @@ fn send_step<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
 /// routed into.
 struct Inbound<'a> {
     /// Per-step send records (the resend service replays their history).
-    send: Vec<StepSend<'a>>,
+    send: Vec<StepSend>,
     /// Per-step receive tables.
     recv: Vec<StepRecv<'a>>,
     /// Whose `Complete` has arrived (self included).
@@ -317,13 +310,6 @@ struct Inbound<'a> {
 }
 
 impl Inbound<'_> {
-    /// Peers that have not completed the batch.
-    fn uncompleted(&self) -> Vec<u32> {
-        (0..self.completed_peers.len() as u32)
-            .filter(|&p| !self.completed_peers[p as usize])
-            .collect()
-    }
-
     /// Routes one inbound message into the per-step state tables; one
     /// from a rank outside the batch (a skewed peer) or for a step past
     /// its end is dropped. Resend requests are only served for steps
@@ -435,8 +421,11 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
     };
     let rec0 = steps[0].recorder.clone();
     rec0.set_lane(me);
+    // Every frame leaves through the seat, which applies the step's fates.
+    let arms = plans.iter().zip(steps).map(|(p, s)| p.as_ref().map(|p| (p, &s.recorder)));
+    let mb = &mut Chaos::new(mb, me, k, arms.collect());
     let mut inb = Inbound {
-        send: (0..n).map(|s| StepSend::new(plans.get(s).and_then(Option::as_ref), k)).collect(),
+        send: (0..n).map(|_| StepSend::new(k)).collect(),
         recv: (0..n).map(|s| StepRecv::new(k, r, owed(s))).collect(),
         completed_peers: (0..k).map(|p| p == r).collect(),
     };
@@ -450,8 +439,8 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
         // ---- Send while inside the lookahead window. ------------------
         while killed.is_none() && next_send < n && next_send < completed + lookahead {
             let s = next_send;
-            let mig = migrate.filter(|_| s == 0);
-            if !send_step(me, r, s, &steps[s], mig, &mut inb.send[s], mb) {
+            let (fault, mig) = (plans.get(s).and_then(Option::as_ref), migrate.filter(|_| s == 0));
+            if !send_step(r, s, &steps[s], fault, mig, &mut inb.send[s], mb) {
                 // A zombie keeps one round more than the survivors it
                 // serves.
                 killed = Some(s);
@@ -499,8 +488,8 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             retries_left = opts.retries + u32::from(killed.is_some());
             input.recorder.record("exec.overlap.steps_in_flight", (next_send - completed) as u64);
             if completed == n {
-                // The completion round: keep serving resends until every
-                // peer has all it expects.
+                // The completion round: keep serving resends while a peer
+                // may still need one, at most until the budget is spent.
                 for dest in (0..k).filter(|&dest| dest != r) {
                     mb.send(dest, Msg::Complete { from: me, step: s as u32 });
                 }
@@ -536,18 +525,12 @@ pub fn execute_rank_steps<F: GlobalFilter<3> + Sync, MB: Mailbox<Msg>>(
             }
             // The mesh closed or the repair budget is spent.
             Err(_) if killed.is_some() => return RankBatchOutcome::Dead { done: results },
+            // Every step committed here (a `Complete` may have been lost):
+            // a peer that is really stuck reports itself.
+            Err(_) if completed == n => return RankBatchOutcome::Completed(results),
+            // Stalled at a step: blame the peers unaccounted for.
             Err(_) => {
-                let dead = match inb.recv.get(completed) {
-                    // Stalled at a step: blame the peers unaccounted for.
-                    Some(rs) => rs.unaccounted(k),
-                    // Every step is in but the completion round stalled:
-                    // the uncompleted peers are the ones in trouble, and
-                    // the last step cannot commit.
-                    None => {
-                        results.pop();
-                        inb.uncompleted()
-                    }
-                };
+                let dead = inb.recv[completed].unaccounted(k);
                 return RankBatchOutcome::Lost { done: results, dead };
             }
         }
@@ -683,8 +666,8 @@ pub fn collect_batch(
     // Ranks the plan actually killed are authoritative; survivors' timeout
     // verdicts (which can falsely accuse a merely slow peer) only stand in
     // when no rank observed its own death. Of those, the ranks stalled at
-    // the failed step name the culprit: a rank that got further only
-    // blames them for never completing the batch.
+    // the failed step name the culprit: a rank that got further stalled
+    // downstream of it.
     let mut dead = killed;
     if dead.is_empty() {
         let stalled = declared.iter().filter(|(got, _)| *got == commit);
@@ -783,12 +766,7 @@ mod tests {
     }
 
     fn opts_with(lookahead: usize) -> ExecOptions {
-        ExecOptions {
-            timeout: Duration::from_millis(500),
-            retries: 2,
-            lookahead,
-            ..ExecOptions::default()
-        }
+        ExecOptions { timeout: Duration::from_millis(500), retries: 2, lookahead }
     }
 
     /// One batch over a mesh of its own.
@@ -799,8 +777,7 @@ mod tests {
         migrate: Option<&MigrationPlan>,
     ) -> Result<Vec<StepOutput>, BatchError> {
         let k = steps.first().map_or(0, |s| s.decomposition.k);
-        let mut seats =
-            connect_ranks(&InProcess, k, opts, &Recorder::disabled()).expect("mesh connects");
+        let mut seats = connect_ranks(&InProcess, k, &Recorder::disabled()).expect("mesh connects");
         execute_steps(steps, faults, opts, migrate, &mut seats, 0)
     }
 
@@ -886,7 +863,7 @@ mod tests {
         let rec = Recorder::enabled();
         let steps = inputs(sc, &rec);
         let k = sc.decomposition.k;
-        let mut seats: Vec<_> = connect_ranks(transport, k, opts, &Recorder::disabled())
+        let mut seats: Vec<_> = connect_ranks(transport, k, &Recorder::disabled())
             .expect("mesh connects")
             .into_iter()
             .enumerate()
@@ -934,6 +911,25 @@ mod tests {
     }
 
     #[test]
+    fn a_lost_complete_is_not_a_lost_rank() {
+        fn check<T: Transport>(transport: &T, k: usize) {
+            let sc = chain_scenario(k, 2);
+            // The peer that never hears rank 0's `Complete` waits out the
+            // whole budget, then returns the steps it committed.
+            let opts =
+                ExecOptions { timeout: Duration::from_millis(50), retries: 20, ..opts_with(2) };
+            let clean = run(&inputs(&sc, &Recorder::disabled()), &[], &opts).expect("clean batch");
+            let completes = |m: &Msg| matches!(m, Msg::Complete { .. });
+            let (out, _) = run_losing(transport, &sc, completes, 1, &opts, None);
+            assert_eq!(out.expect("a lost Complete retires no rank"), clean, "k={k}");
+        }
+        for k in [2usize, 3] {
+            check(&InProcess, k);
+            check(&Tcp::loopback(), k);
+        }
+    }
+
+    #[test]
     fn a_lost_migrate_payload_is_resent() {
         fn check<T: Transport>(transport: &T) {
             let sc = chain_scenario(2, 2);
@@ -954,8 +950,7 @@ mod tests {
     fn run_with_plans(sc: &Scenario, plans: [Option<&MigrationPlan>; 2]) -> Vec<StepOutput> {
         let rec = Recorder::disabled();
         let (steps, opts) = (&inputs(sc, &rec), &opts_with(2));
-        let mut seats =
-            connect_ranks(&InProcess, 2, opts, &Recorder::disabled()).expect("mesh connects");
+        let mut seats = connect_ranks(&InProcess, 2, &Recorder::disabled()).expect("mesh connects");
         let outcomes = std::thread::scope(|scope| {
             let ranks: Vec<_> = seats
                 .iter_mut()
@@ -1020,8 +1015,7 @@ mod tests {
         let steps = inputs(&sc, &Recorder::disabled());
         let opts = opts_with(2);
         let clean = run(&steps, &[], &opts).expect("clean batch executes");
-        let mut seats =
-            connect_ranks(&InProcess, 2, &opts, &Recorder::disabled()).expect("mesh connects");
+        let mut seats = connect_ranks(&InProcess, 2, &Recorder::disabled()).expect("mesh connects");
         // Raw frames from a rank 9 of some other mesh (a skewed worker).
         for to in 0..2 {
             seats[1 - to].send(to, Msg::Complete { from: 9, step: 0 });
@@ -1105,6 +1099,26 @@ mod tests {
     }
 
     #[test]
+    fn a_kill_past_the_ranks_sends_fires_before_its_trailers() {
+        let sc = chain_scenario(2, 1);
+        let rec = Recorder::enabled();
+        let steps = inputs(&sc, &rec);
+        let kill = KillSpec { rank: 1, after_sends: 1000 };
+        let faults = [Some(FaultPlan { kill: Some(kill), ..FaultPlan::quiet(5) })];
+        let opts = ExecOptions {
+            timeout: Duration::from_millis(100),
+            retries: 1,
+            ..ExecOptions::default()
+        };
+        let err = run(&steps, &faults, &opts).expect_err("the named rank must die");
+        match err.error {
+            RuntimeError::RankLost { dead } => assert_eq!(dead, [1]),
+            other => panic!("expected RankLost, got {other}"),
+        }
+        assert_eq!(rec.counter_value("fault.killed_ranks"), 1);
+    }
+
+    #[test]
     fn overlap_gauge_and_idle_spans_are_recorded() {
         let sc = chain_scenario(2, 4);
         let rec = Recorder::enabled();
@@ -1176,8 +1190,7 @@ mod tests {
         let sc = chain_scenario(4, 1);
         let steps = inputs(&sc, &Recorder::disabled());
         let opts = opts_with(1);
-        let mut seats =
-            connect_ranks(&InProcess, 2, &opts, &Recorder::disabled()).expect("mesh connects");
+        let mut seats = connect_ranks(&InProcess, 2, &Recorder::disabled()).expect("mesh connects");
         let err = execute_steps(&steps, &[], &opts, None, &mut seats, 0)
             .expect_err("a k=4 step cannot run on a 2-seat mesh");
         assert!(matches!(err.error, RuntimeError::Transport(_)), "{err}");
@@ -1194,7 +1207,7 @@ mod tests {
 
         // Batch n: two chaotic steps at epoch 0. Its repairs may still be
         // in flight when it returns — that is the point.
-        let mut seats = connect_ranks(&InProcess, 2, &opts, &rec).expect("mesh connects");
+        let mut seats = connect_ranks(&InProcess, 2, &rec).expect("mesh connects");
         let plan = FaultPlan {
             rates: FaultRates {
                 drop_permille: 200,

@@ -31,24 +31,25 @@
 //! [`Mailbox::close_outgoing`] stays the default no-op: the mesh must
 //! stay open for the next batch.
 
-use crate::exec::{ExecOptions, Msg};
+use crate::exec::Msg;
 use cip_telemetry::Recorder;
 use cip_transport::{
-    Mailbox, RecvTimeoutError, Transport, TransportError, TransportStats, TryRecvError,
+    Mailbox, MailboxConfig, RecvTimeoutError, Transport, TransportError, TransportStats,
+    TryRecvError,
 };
 use std::time::{Duration, Instant};
 
-/// Connects the `k` seats of one session over `transport` (index =
-/// rank), counting the mesh build in `rec`'s `transport.mesh.connects`.
-/// A seat is the rank's connected mailbox and nothing else: it is all a
-/// rank keeps from batch to batch.
+/// Connects the `k` default-capacity seats of one session over
+/// `transport` (index = rank), counting the mesh build and its frames in
+/// `rec`. A seat is the rank's connected mailbox and nothing else: it is
+/// all a rank keeps from batch to batch.
 pub fn connect_ranks<T: Transport>(
     transport: &T,
     k: usize,
-    opts: &ExecOptions,
     rec: &Recorder,
 ) -> Result<Vec<T::Mailbox<Msg>>, TransportError> {
-    let mailboxes = transport.connect::<Msg>(k, &opts.mailbox_config(rec))?;
+    let cfg = MailboxConfig { recorder: rec.clone(), ..MailboxConfig::default() };
+    let mailboxes = transport.connect::<Msg>(k, &cfg)?;
     rec.add("transport.mesh.connects", 1);
     Ok(mailboxes)
 }
@@ -124,7 +125,7 @@ impl<MB: Mailbox<Msg>> Mailbox<Msg> for SteppedMailbox<'_, MB> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cip_transport::{InProcess, MailboxConfig, Transport};
+    use cip_transport::InProcess;
 
     fn mesh(k: usize) -> Vec<impl Mailbox<Msg>> {
         InProcess.connect::<Msg>(k, &MailboxConfig::default()).expect("in-process mesh")

@@ -31,7 +31,7 @@ fn main() {
 
     // One mesh for the whole run; each one-step batch gets its own epoch.
     let opts = ExecOptions::default();
-    let mut seats = connect_ranks(&InProcess, k, &opts, &recorder).expect("in-process mesh");
+    let mut seats = connect_ranks(&InProcess, k, &recorder).expect("in-process mesh");
 
     println!("executing snapshots across {k} rank threads:\n");
     println!(

@@ -378,4 +378,20 @@ if [ "$recv_sites" -ne 1 ]; then
   exit 1
 fi
 
+echo "==> chaos is a seat"
+# A frame's fate is decided in one place, the runtime's Chaos seat in
+# crates/runtime/src/fault.rs (DESIGN.md §6b): the rank loop and its send
+# and receive primitives name no Fate, and ExecOptions keeps its three
+# policy fields (lane capacity is the mesh's MailboxConfig).
+if non_test crates/runtime/src/exec.rs crates/runtime/src/pipeline.rs | grep -F 'Fate::'; then
+  echo "verify: FAIL — the rank loop decides a frame's fate again"
+  exit 1
+fi
+exec_fields=$(non_test crates/runtime/src/exec.rs \
+  | sed -n '/pub struct ExecOptions {/,/^[^ ]*:}/p' | grep -c ':    pub ' || true)
+if [ "$exec_fields" -ne 3 ]; then
+  echo "verify: FAIL — ExecOptions declares $exec_fields pub fields (want 3)"
+  exit 1
+fi
+
 echo "verify: OK"

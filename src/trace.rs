@@ -777,9 +777,9 @@ impl Session {
                 self.seats = match &self.opts.transport {
                     TransportKind::TcpThreads { bind } => {
                         let tcp = Tcp { bind: bind.clone() };
-                        connect_ranks(&tcp, self.live_k, &exec_opts, &rec)
+                        connect_ranks(&tcp, self.live_k, &rec)
                     }
-                    _ => connect_ranks(&InProcess, self.live_k, &exec_opts, &rec),
+                    _ => connect_ranks(&InProcess, self.live_k, &rec),
                 }?;
             }
             let (sim, node_parts, cfg, live_k) =

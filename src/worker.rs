@@ -478,12 +478,8 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), TraceError> {
         .collect::<Result<_, _>>()?;
     let node = connect_mesh(args.rank, args.ranks, lst, &addrs)
         .map_err(|e| werr(format!("connect mesh: {e}")))?;
-    let cfg = MailboxConfig {
-        capacity: ExecOptions::default().mailbox_capacity,
-        recorder: Recorder::disabled(),
-    };
-    let mut seat =
-        mesh_mailbox::<Msg>(node, &cfg).map_err(|e| werr(format!("mesh mailbox: {e}")))?;
+    let mut seat = mesh_mailbox::<Msg>(node, &MailboxConfig::default())
+        .map_err(|e| werr(format!("mesh mailbox: {e}")))?;
 
     // The tree chain this worker carries from batch to batch, and the
     // snapshots it covers so far (see `run_batch`).
@@ -567,7 +563,6 @@ fn run_batch(
         timeout: Duration::from_millis(spec.timeout_ms),
         retries: spec.retries,
         lookahead: spec.lookahead as usize,
-        ..ExecOptions::default()
     };
 
     // Rebuild the migration plan from the shipped moves matrix; a size
@@ -670,13 +665,9 @@ mod tests {
     #[test]
     fn a_batch_that_does_not_continue_the_carried_chain_is_refused() {
         let sim = SimSpec::resolve("tiny", Some(5)).expect("registry scenario").run();
-        let mut seats = cip_runtime::connect_ranks(
-            &cip_transport::InProcess,
-            1,
-            &ExecOptions::default(),
-            &Recorder::disabled(),
-        )
-        .expect("a one-rank mesh");
+        let mut seats =
+            cip_runtime::connect_ranks(&cip_transport::InProcess, 1, &Recorder::disabled())
+                .expect("a one-rank mesh");
         let seat = &mut seats[0];
         let spec = |start: u32, end: u32, chain_start: u32, epoch: u32| RunSpec {
             start,

@@ -152,7 +152,7 @@ pub fn run_batch<T: Transport>(
     transport: &T,
 ) -> Result<Vec<StepOutput>, BatchError> {
     let k = staged[0].decomposition.k;
-    let mut seats = connect_ranks(transport, k, opts, &cip::telemetry::Recorder::disabled())
+    let mut seats = connect_ranks(transport, k, &cip::telemetry::Recorder::disabled())
         .map_err(|e| BatchError { completed: Vec::new(), failed_step: 0, error: e.into() })?;
     with_inputs(staged, tolerance, |inputs| {
         execute_steps(inputs, faults, opts, None, &mut seats, 0)

@@ -18,11 +18,13 @@
 mod common;
 
 use cip::contact::serial_contact_pairs;
-use cip::runtime::{BatchError, ExecOptions, FaultPlan, FaultRates, RuntimeError, StepOutput};
+use cip::runtime::{
+    execute_steps, BatchError, ExecOptions, FaultPlan, FaultRates, Msg, RuntimeError, StepOutput,
+};
 use cip::trace::{run_traced, ChaosOptions, TraceOptions, TransportKind};
 use cip_transport::tcp::Tcp;
-use cip_transport::{InProcess, Transport};
-use common::{env_seed, run_batch, serial_reference, stage, totals, Staged};
+use cip_transport::{InProcess, MailboxConfig, Transport};
+use common::{env_seed, run_batch, serial_reference, stage, totals, with_inputs, Staged};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -102,16 +104,30 @@ fn unbindable_transport_surfaces_as_a_typed_runtime_error() {
 // Bounded mailboxes
 // ---------------------------------------------------------------------
 
+/// One clean batch over a `transport` mesh whose every lane holds one
+/// frame.
+fn run_capacity_one<T: Transport>(
+    staged: &[Staged],
+    opts: &ExecOptions,
+    transport: &T,
+) -> Result<Vec<StepOutput>, BatchError> {
+    let cfg = MailboxConfig { capacity: 1, ..MailboxConfig::default() };
+    let k = staged[0].decomposition.k;
+    let mut seats = transport.connect::<Msg>(k, &cfg).expect("capacity-1 mesh connects");
+    with_inputs(staged, 0.4, |inputs| execute_steps(inputs, &[], opts, None, &mut seats, 0))
+}
+
 #[test]
 fn capacity_one_mailboxes_complete_without_deadlock_at_any_lookahead() {
     let staged = stage(4, &[3, 4, 5]);
     let baseline = run_over(&staged, &[], &ExecOptions::default(), &InProcess)
         .expect("default-capacity batch executes");
     for lookahead in [1usize, 2, 4] {
-        let opts = ExecOptions { mailbox_capacity: 1, lookahead, ..ExecOptions::default() };
-        let tight = run_over(&staged, &[], &opts, &InProcess).expect("capacity-1 batch executes");
-        let socket =
-            run_over(&staged, &[], &opts, &Tcp::loopback()).expect("capacity-1 TCP batch executes");
+        let opts = ExecOptions { lookahead, ..ExecOptions::default() };
+        let tight =
+            run_capacity_one(&staged, &opts, &InProcess).expect("capacity-1 batch executes");
+        let socket = run_capacity_one(&staged, &opts, &Tcp::loopback())
+            .expect("capacity-1 TCP batch executes");
         for out in [tight, socket] {
             assert_eq!(
                 out, baseline,
